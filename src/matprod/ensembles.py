@@ -9,6 +9,8 @@ m: sigma bounds (E ||Y - EY||^q)^(1/q) / m, and sigma_uniform bounds
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -121,14 +123,39 @@ def householder_direction(dim: int) -> np.ndarray:
     return np.eye(dim) - 2.0 * (u @ u.T)
 
 
-def _support_sampler(atoms, probs):
-    cum = np.cumsum(probs)
+def _cumulative(probs) -> list:
+    """Running probability sums, the last pinned to 1 so every u in [0, 1) lands."""
+    cum = list(itertools.accumulate(probs))
     cum[-1] = 1.0
+    return cum
 
-    def sampler(rng: np.random.Generator) -> np.ndarray:
-        return atoms[int(np.searchsorted(cum, rng.random(), side="right"))]
 
-    return sampler
+class SupportSampler:
+    """Draws an atom of a finite support from one uniform per draw.
+
+    A uniform u picks the first atom whose running probability sum exceeds u:
+    ``bisect_right(cum, u)``, or ``searchsorted(cum, u, side="right")`` for a
+    batch of uniforms at once. The atoms are held once, as a (K, d, d) stack,
+    and ``support`` views into it.
+    """
+
+    def __init__(self, atoms, probs):
+        self.atoms = np.asarray(atoms, dtype=float)
+        self.probs = tuple(probs)
+        self.cum = np.array(_cumulative(self.probs))
+
+    @property
+    def support(self) -> tuple:
+        return tuple(zip(self.atoms, self.probs))
+
+    def __call__(self, rng: np.random.Generator) -> np.ndarray:
+        return self.atoms[bisect.bisect_right(self.cum, rng.random())]
+
+    @staticmethod
+    def draw_from(support, rng: np.random.Generator) -> np.ndarray:
+        """One atom of a (matrix, probability) support, picked as above."""
+        cum = _cumulative([prob for _, prob in support])
+        return support[bisect.bisect_right(cum, rng.random())][0]
 
 
 def make_bounded_perturbation(dim, mean, radius, n_scale, support="two-point") -> FactorEnsemble:
@@ -173,17 +200,15 @@ def make_bounded_perturbation(dim, mean, radius, n_scale, support="two-point") -
     if support == "two-point":
         u = householder_direction(dim)
         if radius == 0.0:
-            atoms = (base,)
-            probs = (1.0,)
+            sampler = SupportSampler((base,), (1.0,))
         else:
-            atoms = (base + scale * u, base - scale * u)
-            probs = (0.5, 0.5)
+            sampler = SupportSampler((base + scale * u, base - scale * u), (0.5, 0.5))
         return FactorEnsemble(
             dim=dim,
-            sampler=_support_sampler(atoms, probs),
+            sampler=sampler,
             stats=stats,
             mean=base,
-            support=tuple(zip(atoms, probs)),
+            support=sampler.support,
             kind="bounded-perturbation",
             params=params,
             # deviations are orthogonal directions: projection does not shrink them
@@ -219,13 +244,12 @@ def make_rademacher_rank_one(dim) -> FactorEnsemble:
     if dim < 1:
         raise InvalidParameterError("dimension must be positive")
     eye = np.eye(dim)
-    atoms = []
-    for j in range(dim):
-        spike = np.zeros((dim, dim))
-        spike[j, j] = 1.0
-        atoms.append(eye + spike)
-        atoms.append(eye - spike)
-    probs = (1.0 / (2 * dim),) * (2 * dim)
+    # atom 2j is I + e_j e_j^T, atom 2j+1 is I - e_j e_j^T
+    atoms = np.repeat(eye[None], 2 * dim, axis=0)
+    diag = np.arange(dim)
+    atoms[2 * diag, diag, diag] = 2.0
+    atoms[2 * diag + 1, diag, diag] = 0.0
+    sampler = SupportSampler(atoms, (1.0 / (2 * dim),) * (2 * dim))
     stats = FactorStats(
         mean_norm=1.0,
         sigma=1.0,
@@ -235,10 +259,10 @@ def make_rademacher_rank_one(dim) -> FactorEnsemble:
     )
     return FactorEnsemble(
         dim=dim,
-        sampler=_support_sampler(atoms, probs),
+        sampler=sampler,
         stats=stats,
         mean=eye,
-        support=tuple(zip(atoms, probs)),
+        support=sampler.support,
         kind="rademacher-rank-one",
         params={"kind": "rademacher-rank-one", "dim": dim},
         projected_deviation=(lambda r: math.sqrt(min(r, dim) / dim)),
@@ -285,12 +309,13 @@ def make_random_projector_contraction(dim, kind="coordinate", rows=None) -> Fact
     params = {"kind": "projector-contraction", "dim": dim, "projector_kind": kind}
     if kind == "kaczmarz-row":
         params["rows"] = matrix_to_json(rows)
+    sampler = SupportSampler(atoms, probs)
     return FactorEnsemble(
         dim=dim,
-        sampler=_support_sampler(atoms, probs),
+        sampler=sampler,
         stats=stats,
         mean=mean,
-        support=tuple(zip(atoms, probs)),
+        support=sampler.support,
         kind="projector-contraction",
         params=params,
     )

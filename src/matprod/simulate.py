@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
-import scipy.stats
+import scipy.special
 
 from .ensembles import (
     FactorEnsemble,
     FactorStats,
+    SupportSampler,
     ensemble_from_config,
     ensemble_to_config,
     householder_direction,
@@ -39,6 +39,9 @@ from .streams import substream
 MODES = ("independent", "adapted", "inverse", "triangular")
 ENUMERATION_BUDGET = 2**20
 CONDITION_LIMIT = 1e12
+# bytes: caps the atoms gathered for one product step of a Monte Carlo chunk,
+# and the chunk's uniforms, so that one step's gather stays in cache
+GATHER_BUDGET = 2**19
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +153,6 @@ class TailEstimate:
 # ---------------------------------------------------------------------------
 # adapted hooks
 
-def _draw_from_support(support, rng) -> np.ndarray:
-    u = rng.random()
-    acc = 0.0
-    for mat, prob in support:
-        acc += prob
-        if u < acc:
-            return mat
-    return support[-1][0]
-
-
 def _conditional_mean(support) -> np.ndarray:
     return sum(prob * mat for mat, prob in support)
 
@@ -237,66 +230,130 @@ def expected_product(spec: ProductSpec) -> np.ndarray:
     return out
 
 
-def _right_inverse_apply(w: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """w @ y^(-1) via a linear solve."""
-    return np.linalg.solve(y.T, w.T).T
+def _right_multiply(y, prod):
+    return prod @ y
+
+
+def _right_solve(y, prod):
+    """prod @ y^(-1) via a linear solve, for single matrices or stacks."""
+    return np.linalg.solve(y.swapaxes(-1, -2), prod.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def _gather_product(start, atoms, digits, apply):
+    """Products of a batch of outcomes: step i applies atoms[i][digits[i]] to each.
+
+    Exact enumeration passes every combination of atom indices, Monte Carlo
+    the sampled ones.
+    """
+    prod = np.broadcast_to(start, (digits[0].size, *start.shape))
+    for stack, dig in zip(atoms, digits):
+        prod = apply(stack[dig], prod)
+    return prod
+
+
+def _sampled_chunk(spec, start, samplers, rngs, atom_conds):
+    """One chunk of trials through the gather kernel: (products, cond estimates).
+
+    Trial k's n uniforms come from one ``random(n)`` call on its own stream,
+    which is bitwise equal to n successive draws, so the products equal those
+    of the per-trial loop.
+    """
+    u = np.stack([rng.random(spec.n) for rng in rngs])
+    digits = [np.searchsorted(s.cum, u[:, i], side="right") for i, s in enumerate(samplers)]
+    atoms = [s.atoms for s in samplers]
+    if spec.mode != "inverse":
+        return _gather_product(start, atoms, digits, np.matmul), None
+    prod = _gather_product(start, atoms, digits, _right_solve)
+    cond_est = np.full(len(rngs), np.linalg.cond(spec.z0))
+    for s, dig in zip(samplers, digits):
+        cond_est = cond_est * atom_conds[id(s)][dig]
+    return prod, cond_est
+
+
+def _trial_product(spec, start, rng):
+    """One trial drawn one factor at a time, as a stack of one: (products, cond estimates)."""
+    prod = start
+    if spec.mode != "inverse":
+        for e in spec.factors:
+            prod = e.draw(rng) @ prod
+        return prod[None], None
+    cond_est = np.linalg.cond(spec.z0)
+    for e in spec.factors:
+        y = e.draw(rng)
+        cond_est *= np.linalg.cond(y)
+        prod = _right_solve(y, prod)
+    return prod[None], np.array([cond_est])
+
+
+def _simulate_adapted(spec, trials, seed, key) -> SimulationResult:
+    hook = spec.adapted_hook
+    zs, fs = [], []
+    for k in range(trials):
+        rng = substream(seed, *key, k)
+        prod = spec.z0
+        ref = spec.z0
+        history = []
+        for _ in range(spec.n):
+            support = hook.conditional_support(tuple(history))
+            y = SupportSampler.draw_from(support, rng)
+            prod = y @ prod
+            ref = _conditional_mean(support) @ ref
+            history.append(y)
+        zs.append(prod)
+        fs.append(ref)
+    return SimulationResult(z=zs, trials=trials, seed=seed, f=fs)
 
 
 def simulate_product(spec: ProductSpec, trials, seed, key=()) -> SimulationResult:
-    """Per-trial draws of Z_n (and F_n in adapted mode)."""
+    """Per-trial draws of Z_n (and F_n in adapted mode).
+
+    When every factor samples a finite support, chunks of trials go through
+    one gather-and-multiply kernel; other samplers run one trial at a time.
+    Both give the same bits, since trial k reads only its own stream.
+    """
     trials = int(trials)
     if trials < 1:
         raise InvalidParameterError("trials must be positive")
+    if spec.mode == "adapted":
+        return _simulate_adapted(spec, trials, seed, key)
+
+    invert = spec.mode == "inverse"
+    start = np.linalg.solve(spec.z0, np.eye(spec.d)) if invert else spec.z0
+    samplers = [e.sampler for e in spec.factors]
+    batched = all(isinstance(s, SupportSampler) for s in samplers)
+    if batched:
+        chunk = max(1, GATHER_BUDGET // (8 * max(spec.d * spec.d, spec.n)))
+        distinct = {id(s): s for s in samplers}
+        atom_conds = ({k: np.linalg.cond(s.atoms) for k, s in distinct.items()}
+                      if invert else None)
+    else:
+        chunk = 1
+
     zs = []
-    fs = [] if spec.mode == "adapted" else None
     excluded_indices = []
-
-    if spec.mode == "inverse":
-        start = np.linalg.solve(spec.z0, np.eye(spec.d))
-
-    for k in range(trials):
-        rng = substream(seed, *key, k)
-        if spec.mode in ("independent", "triangular"):
-            prod = spec.z0
-            for e in spec.factors:
-                prod = e.draw(rng) @ prod
-            zs.append(prod)
-        elif spec.mode == "inverse":
-            prod = start
-            cond_est = np.linalg.cond(spec.z0)
-            for e in spec.factors:
-                y = e.draw(rng)
-                cond_est *= np.linalg.cond(y)
-                prod = _right_inverse_apply(prod, y)
-            if cond_est > CONDITION_LIMIT or not np.all(np.isfinite(prod)):
-                excluded_indices.append(k)
-            else:
-                zs.append(prod)
-        else:  # adapted
-            hook = spec.adapted_hook
-            prod = spec.z0
-            ref = spec.z0
-            history = []
-            for _ in range(spec.n):
-                support = hook.conditional_support(tuple(history))
-                y = _draw_from_support(support, rng)
-                prod = y @ prod
-                ref = _conditional_mean(support) @ ref
-                history.append(y)
-            zs.append(prod)
-            fs.append(ref)
-    return SimulationResult(z=zs, trials=trials, seed=seed, f=fs,
+    for lo in range(0, trials, chunk):
+        rngs = [substream(seed, *key, k) for k in range(lo, min(lo + chunk, trials))]
+        if batched:
+            prod, cond_est = _sampled_chunk(spec, start, samplers, rngs, atom_conds)
+        else:
+            prod, cond_est = _trial_product(spec, start, rngs[0])
+        if invert:
+            bad = (cond_est > CONDITION_LIMIT) | ~np.isfinite(prod).all(axis=(1, 2))
+            excluded_indices.extend((lo + np.flatnonzero(bad)).tolist())
+            prod = prod[~bad]
+        zs.extend(prod)
+    return SimulationResult(z=zs, trials=trials, seed=seed,
                             excluded=len(excluded_indices),
                             excluded_indices=excluded_indices)
 
 
-_Z99 = float(scipy.stats.norm.ppf(0.995))
+_Z99 = float(scipy.special.ndtri(0.995))
 
 
 def _z_value(level: float) -> float:
     if level == 0.99:
         return _Z99
-    return float(scipy.stats.norm.ppf(0.5 + level / 2.0))
+    return float(scipy.special.ndtri(0.5 + level / 2.0))
 
 
 def _mean_estimate(values, quantity, seed, level) -> MCEstimate:
@@ -367,8 +424,8 @@ def clopper_pearson(hits: int, trials: int, level=0.99):
     """One-sided lower/upper confidence limits for a binomial proportion."""
     if trials < 1:
         raise InvalidParameterError("trials must be positive")
-    lcl = 0.0 if hits == 0 else float(scipy.stats.beta.ppf(1.0 - level, hits, trials - hits + 1))
-    ucl = 1.0 if hits == trials else float(scipy.stats.beta.ppf(level, hits + 1, trials - hits))
+    lcl = 0.0 if hits == 0 else float(scipy.special.betaincinv(hits, trials - hits + 1, 1.0 - level))
+    ucl = 1.0 if hits == trials else float(scipy.special.betaincinv(hits + 1, trials - hits, level))
     return lcl, ucl
 
 
@@ -441,21 +498,16 @@ def _enumerate_independent(spec, invert):
         start = np.linalg.solve(spec.z0, np.eye(spec.d))
     else:
         start = spec.z0
+    # factor 1 acts first; in inverse mode its inverse is leftmost instead
+    apply = _right_multiply if invert else np.matmul
 
     chunk = 8192
     for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total))
-        digits = np.unravel_index(idx, sizes)
-        w = np.ones(idx.size)
-        prod = np.broadcast_to(start, (idx.size, *start.shape)).copy()
-        # factor 1 acts first; in inverse mode its inverse is leftmost instead
-        for step, dig in enumerate(digits):
-            w = w * probs[step][dig]
-            if invert:
-                prod = prod @ atoms[step][dig]
-            else:
-                prod = atoms[step][dig] @ prod
-        yield w, prod
+        digits = np.unravel_index(np.arange(lo, min(lo + chunk, total)), sizes)
+        w = np.ones(digits[0].size)
+        for pr, dig in zip(probs, digits):
+            w = w * pr[dig]
+        yield w, _gather_product(start, atoms, digits, apply)
     return
 
 
@@ -603,6 +655,8 @@ def triangular_array_run(mean, radius, dim, n_list, trials, seed,
     n_list = [int(n) for n in n_list]
     if any(n < 1 for n in n_list):
         raise InvalidParameterError("row sizes must be positive")
+    import scipy.linalg  # its only user; importing it costs every CLI run
+
     big_t = float(np.linalg.svd(a, compute_uv=False)[0])
     expm = scipy.linalg.expm(a)
     scaled_bound = math.sqrt(1.0 + 2.0 * math.log(dim)) * float(radius) * math.exp(1.0 + big_t)

@@ -82,7 +82,11 @@ class CheckReport:
 
 
 class _Collector:
-    """Accumulates per-instance margins into a CheckReport."""
+    """Accumulates per-instance margins into a CheckReport.
+
+    A NaN margin is a violation, and makes the worst margin NaN: a check
+    must never pass because a comparison with NaN came out false.
+    """
 
     def __init__(self, name, tolerance, seed):
         self.name = name
@@ -97,7 +101,7 @@ class _Collector:
         tol = self.tolerance if tolerance is None else tolerance
         margin = float(margin)
         self.margins.append(margin)
-        if margin < -tol:
+        if not margin >= -tol:
             self.violations += 1
             if detail is not None and len(self.failures) < 8:
                 self.failures.append(dict(detail, margin=margin))
@@ -106,16 +110,20 @@ class _Collector:
         tol = self.tolerance if tolerance is None else tolerance
         arr = np.asarray(margins, dtype=float)
         self.margins.extend(arr.tolist())
-        bad = arr < -tol
+        bad = ~(arr >= -tol)
         self.violations += int(bad.sum())
         if bad.any() and len(self.failures) < 8:
+            # min propagates NaN, so a NaN batch reports a NaN worst margin
             self.failures.append({"worst_batch_margin": float(arr.min())})
 
     def note(self, text):
         self.notes.append(text)
 
     def report(self) -> CheckReport:
-        worst = min(self.margins) if self.margins else math.inf
+        if any(math.isnan(m) for m in self.margins):
+            worst = math.nan
+        else:
+            worst = min(self.margins, default=math.inf)
         return CheckReport(self.name, len(self.margins), self.violations, worst,
                            self.tolerance, self.seed, self.notes, self.failures)
 

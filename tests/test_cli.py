@@ -441,6 +441,19 @@ class TestOutputFile:
         assert payload["error"]["code"] == "invalid-input"
 
 
+def test_import_leaves_scipy_stats_and_linalg_unloaded():
+    # scipy.stats alone takes most of a cold start, and every CLI run pays it
+    package_root = str(Path(matprod.__file__).resolve().parents[1])
+    code = ("import sys, matprod; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 

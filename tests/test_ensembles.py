@@ -6,6 +6,7 @@ import pytest
 from matprod.ensembles import (
     FactorEnsemble,
     FactorStats,
+    SupportSampler,
     ensemble_from_config,
     ensemble_to_config,
     estimate_factor_stats,
@@ -233,6 +234,65 @@ class TestSupportStats:
                            support=atoms)
         with pytest.raises(UnsupportedEnsembleError):
             support_stats(e)
+
+
+class TestSupportSampler:
+    @pytest.mark.parametrize("make", [
+        lambda: make_bounded_perturbation(3, 0.1 * np.eye(3), 0.4, 2.0),
+        lambda: make_rademacher_rank_one(6),
+        lambda: make_random_projector_contraction(4),
+    ], ids=["two-point", "rank-one", "projector"])
+    def test_support_views_the_atom_stack(self, make):
+        e = make()
+        stack = e.sampler.atoms
+        assert isinstance(e.sampler, SupportSampler)
+        assert stack.shape == (len(e.support), e.dim, e.dim)
+        for j, (atom, prob) in enumerate(e.support):
+            assert np.shares_memory(atom, stack)
+            assert np.array_equal(atom, stack[j])
+            assert prob == e.sampler.probs[j]
+
+    def test_rank_one_atoms_built_in_place(self):
+        e = make_rademacher_rank_one(3)
+        eye = np.eye(3)
+        for j in range(3):
+            spike = np.zeros((3, 3))
+            spike[j, j] = 1.0
+            assert np.array_equal(e.sampler.atoms[2 * j], eye + spike)
+            assert np.array_equal(e.sampler.atoms[2 * j + 1], eye - spike)
+        # a float stack is kept as it is, not copied
+        assert SupportSampler(e.sampler.atoms, e.sampler.probs).atoms is e.sampler.atoms
+
+    def test_pick_matches_linear_scan(self):
+        # the first atom whose running probability sum exceeds u, with zero
+        # weights and a sum that rounds below one
+        probs = (0.1, 0.0, 0.2, 0.3, 0.0, 0.4 - 3e-16, 0.0)
+        sampler = SupportSampler(np.arange(7.0)[:, None, None] * np.ones((7, 2, 2)), probs)
+        running = np.cumsum(probs)
+        uniforms = np.concatenate([substream(3).random(2000), running[:-1],
+                                   np.nextafter(running, 0.0), [0.0, 1.0 - 2**-53]])
+        uniforms = uniforms[uniforms < 1.0]  # random() draws from [0, 1)
+
+        class Fixed:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self):
+                return self.u
+
+        want = []
+        for u in uniforms:
+            acc, pick = 0.0, len(probs) - 1
+            for j, prob in enumerate(probs):
+                acc += prob
+                if u < acc:
+                    pick = j
+                    break
+            want.append(pick)
+            assert sampler(Fixed(u))[0, 0] == pick
+            assert SupportSampler.draw_from(sampler.support, Fixed(u))[0, 0] == pick
+        batch = np.searchsorted(sampler.cum, uniforms, side="right")
+        assert batch.tolist() == want
 
 
 class TestEnsembleValidation:

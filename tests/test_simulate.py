@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from matprod import simulate
 from matprod.ensembles import (
     FactorEnsemble,
     estimate_factor_stats,
     make_bounded_perturbation,
     make_rademacher_rank_one,
+    make_random_projector_contraction,
     support_stats,
 )
 from matprod.errors import (
@@ -17,6 +19,7 @@ from matprod.errors import (
     UnsupportedEnsembleError,
 )
 from matprod.simulate import (
+    CONDITION_LIMIT,
     ENUMERATION_BUDGET,
     HistoryFreeHook,
     NormBiasedTwoPointHook,
@@ -32,6 +35,7 @@ from matprod.simulate import (
     tail_frequencies,
     triangular_array_run,
 )
+from matprod.streams import substream
 
 
 def scalar_two_point(n=2, radius=0.1):
@@ -111,6 +115,172 @@ class TestSimulateProduct:
     def test_trials_validation(self):
         with pytest.raises(InvalidParameterError):
             simulate_product(scalar_two_point(), 0, seed=0)
+
+
+def reference_loop(spec, trials, seed, key=()):
+    """One trial and one factor draw at a time: the loop the kernel replaces."""
+    inverse = spec.mode == "inverse"
+    start = np.linalg.solve(spec.z0, np.eye(spec.d)) if inverse else spec.z0
+    zs, excluded = [], []
+    for k in range(trials):
+        rng = substream(seed, *key, k)
+        prod = start
+        cond_est = np.linalg.cond(spec.z0)
+        for e in spec.factors:
+            y = e.draw(rng)
+            if inverse:
+                cond_est *= np.linalg.cond(y)
+                prod = np.linalg.solve(y.T, prod.T).T
+            else:
+                prod = y @ prod
+        if inverse and (cond_est > CONDITION_LIMIT or not np.all(np.isfinite(prod))):
+            excluded.append(k)
+        else:
+            zs.append(prod)
+    return zs, excluded
+
+
+def reference_adapted_loop(spec, trials, seed):
+    """Adapted products drawn by a linear scan of the running probability sum."""
+    zs = []
+    for k in range(trials):
+        rng = substream(seed, k)
+        prod, history = spec.z0, []
+        for _ in range(spec.n):
+            support = spec.adapted_hook.conditional_support(tuple(history))
+            u, acc, y = rng.random(), 0.0, support[-1][0]
+            for mat, prob in support:
+                acc += prob
+                if u < acc:
+                    y = mat
+                    break
+            prod = y @ prod
+            history.append(y)
+        zs.append(prod)
+    return zs
+
+
+def assert_bitwise_equal(zs, want):
+    assert len(zs) == len(want)
+    if want:
+        assert np.stack(zs).tobytes() == np.stack(want).tobytes()
+
+
+def assert_matches_reference(spec, trials, seed, key=()):
+    sim = simulate_product(spec, trials, seed, key)
+    zs, excluded = reference_loop(spec, trials, seed, key)
+    assert sim.excluded_indices == excluded
+    assert sim.excluded == len(excluded)
+    assert_bitwise_equal(sim.z, zs)
+    return sim
+
+
+def count_draws(monkeypatch):
+    """Counts FactorEnsemble.draw calls, by ensemble id."""
+    calls = {}
+    draw = FactorEnsemble.draw
+
+    def counting(self, rng):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return draw(self, rng)
+
+    monkeypatch.setattr(FactorEnsemble, "draw", counting)
+    return calls
+
+
+def inverse_with_exclusions(n=8):
+    # atom condition numbers 15.1 and 47.8: about one trial in seven
+    # multiplies up past CONDITION_LIMIT
+    e = make_bounded_perturbation(4, np.diag([0.6, 0.0, 0.0, -0.2]), 0.9, 1.0)
+    return ProductSpec(factors=(e,) * n, z0=np.eye(4), mode="inverse")
+
+
+def tall_start(d, r, seed=0):
+    z0 = substream(seed).standard_normal((d, r))
+    return z0 / np.linalg.norm(z0)
+
+
+class TestBatchedKernel:
+    """The trial-batched kernel against the per-trial loop, bit for bit."""
+
+    @pytest.mark.parametrize("make_spec", [
+        pytest.param(lambda: matrix_two_point(dim=5, n=40, radius=0.8), id="two-point"),
+        pytest.param(lambda: ProductSpec((make_rademacher_rank_one(12),) * 30,
+                                         tall_start(12, 1)), id="rank-one-one-column"),
+        pytest.param(lambda: ProductSpec((make_random_projector_contraction(5),) * 20,
+                                         np.eye(5)), id="coordinate-projector"),
+        pytest.param(lambda: ProductSpec(
+            (make_random_projector_contraction(
+                4, "kaczmarz-row", substream(1).standard_normal((7, 4))),) * 25,
+            tall_start(4, 2)), id="kaczmarz"),
+        pytest.param(lambda: ProductSpec(
+            (make_bounded_perturbation(3, 0.2 * np.eye(3), 0.4, 3.0),
+             make_random_projector_contraction(3),
+             make_bounded_perturbation(3, np.zeros((3, 3)), 0.0, 1.0)) * 4,
+            np.eye(3)), id="mixed-supports"),
+    ])
+    def test_matches_per_trial_loop(self, make_spec, monkeypatch):
+        spec = make_spec()
+        calls = count_draws(monkeypatch)
+        sim = simulate_product(spec, 150, seed=31)
+        assert calls == {}  # no per-factor draws on the batched path
+        zs, excluded = reference_loop(spec, 150, seed=31)
+        assert excluded == []
+        assert_bitwise_equal(sim.z, zs)
+
+    def test_inverse_with_excluded_trials(self):
+        sim = assert_matches_reference(inverse_with_exclusions(), 200, seed=8)
+        assert 0 < sim.excluded < 200
+
+    def test_trials_span_several_chunks(self, monkeypatch):
+        # a budget of seven 4x4 atoms makes chunks of 7 trials
+        monkeypatch.setattr(simulate, "GATHER_BUDGET", 7 * 16 * 8)
+        sim = assert_matches_reference(inverse_with_exclusions(), 200, seed=8)
+        assert 0 < sim.excluded < 200
+        assert_matches_reference(matrix_two_point(dim=4, n=12), 50, seed=2, key=(3,))
+
+    def test_chunks_cover_long_products(self):
+        # d = 64 gathers 32 KB per atom, so the default budget makes chunks of 16
+        spec = ProductSpec((make_rademacher_rank_one(64),) * 6, tall_start(64, 1))
+        assert simulate.GATHER_BUDGET // (8 * 64 * 64) == 16
+        assert_matches_reference(spec, 40, seed=4)
+
+    def test_triangular_rows_are_keyed(self):
+        a = 0.3 * np.eye(3)
+        rows = triangular_array_run(a, 0.5, 3, [4, 16], 64, seed=15)
+        for j, (n, row) in enumerate(zip((4, 16), rows)):
+            e = make_bounded_perturbation(3, a, 0.5, n)
+            spec = ProductSpec((e,) * n, np.eye(3), mode="triangular")
+            assert_matches_reference(spec, 64, seed=15, key=(j,))
+            zs, _ = reference_loop(spec, 64, seed=15, key=(j,))
+            dev = np.linalg.svd(np.stack(zs) - expected_product(spec), compute_uv=False)[:, 0]
+            assert row.deviation_from_mean.mean == float(dev.mean())
+
+
+class TestPerTrialPath:
+    """Samplers without a batch form still draw one factor at a time."""
+
+    def test_uniform_sphere_conjugated_and_mixed(self, monkeypatch):
+        sphere = make_bounded_perturbation(3, 0.1 * np.eye(3), 0.5, 10, "uniform-sphere")
+        two_point = matrix_two_point(dim=3, n=6)
+        conj = conjugated_spec(two_point, np.diag([1.0, 2.0, 3.0]))
+        mixed = ProductSpec((sphere, two_point.factors[0]) * 3, np.eye(3))
+        for spec in (ProductSpec((sphere,) * 6, np.eye(3)),
+                     ProductSpec((sphere,) * 6, np.eye(3), mode="inverse"),
+                     conj, mixed):
+            calls = count_draws(monkeypatch)
+            assert_matches_reference(spec, 12, seed=5)
+            # the product draws each of its factors once per trial, twice
+            # counting the reference loop
+            assert sum(calls[id(e)] for e in set(spec.factors)) == 2 * 12 * 6
+
+    def test_adapted_hooks(self):
+        e = make_bounded_perturbation(3, 0.1 * np.eye(3), 0.5, 10)
+        for hook in (HistoryFreeHook(e), NormBiasedTwoPointHook(3, scale=0.2)):
+            spec = ProductSpec(factors=(), z0=np.eye(3), mode="adapted",
+                               adapted_hook=hook, n_steps=7)
+            assert_bitwise_equal(simulate_product(spec, 40, seed=6).z,
+                                 reference_adapted_loop(spec, 40, seed=6))
 
 
 class TestHandEnumeration:

@@ -18,6 +18,7 @@ from matprod.errors import (
 from matprod.simulate import NormBiasedTwoPointHook, ProductSpec
 from matprod.verify import (
     CompareRow,
+    _Collector,
     check_bound_dominance,
     check_factor_contraction,
     check_martingale_bound,
@@ -274,6 +275,37 @@ class TestComparisonRows:
         assert names == ["adapted-growth-moment", "adapted-concentration-moment"]
         for row in rows:
             assert row.bound >= row.empirical
+
+
+class TestCollectorNaN:
+    def test_add_counts_nan_as_violation(self):
+        col = _Collector("nan-check", 1e-9, seed=0)
+        col.add(0.5, detail={"row": 0})
+        col.add(math.nan, detail={"row": 1})
+        col.add(-1.0)  # a violation without detail records no failure
+        rep = col.report()
+        assert (rep.instances, rep.violations, rep.passed) == (3, 2, False)
+        assert math.isnan(rep.worst_margin)
+        assert len(rep.failures) == 1
+        assert rep.failures[0]["row"] == 1 and math.isnan(rep.failures[0]["margin"])
+
+    def test_add_many_counts_nan_as_violation(self):
+        col = _Collector("nan-check", 1e-9, seed=0)
+        col.add_many([0.25, math.nan, 0.5])
+        rep = col.report()
+        assert (rep.instances, rep.violations, rep.passed) == (3, 1, False)
+        assert math.isnan(rep.worst_margin)
+        assert len(rep.failures) == 1
+        assert math.isnan(rep.failures[0]["worst_batch_margin"])
+
+    def test_finite_margins_unchanged(self):
+        col = _Collector("finite", 0.1, seed=0)
+        col.add(-0.05)
+        col.add_many([0.2, -0.3, math.inf])
+        rep = col.report()
+        assert (rep.instances, rep.violations, rep.worst_margin) == (4, 1, -0.3)
+        assert rep.failures == [{"worst_batch_margin": -0.3}]
+        assert _Collector("empty", 0.1, seed=0).report().worst_margin == math.inf
 
 
 class TestBoundDominance:
