@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import mmap
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -121,6 +122,28 @@ def householder_direction(dim: int) -> np.ndarray:
     """Fixed reflector with unit spectral norm touching every coordinate."""
     u = np.full((dim, 1), dim**-0.5)
     return np.eye(dim) - 2.0 * (u @ u.T)
+
+
+# Atom stacks of at least this many bytes get pages of their own.
+PAGED_STACK_BYTES = 2**20
+
+
+def _atom_stack(count, dim) -> np.ndarray:
+    """A zero (count, dim, dim) float stack to build atoms in.
+
+    A large stack gets an anonymous mapping of its own, returned to the system
+    when its last view goes. Through malloc, freeing one large stack raises
+    glibc's mmap threshold to its size, so the next stacks come from the heap;
+    there a small allocation can split a freed stack's block, and a later
+    stack then grows the heap by its whole size. Peak memory would then differ
+    by one stack from process to process.
+    """
+    shape = (count, dim, dim)
+    nbytes = 8 * count * dim * dim
+    if nbytes < PAGED_STACK_BYTES or not hasattr(mmap, "MAP_ANONYMOUS"):
+        return np.zeros(shape)
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+    return np.frombuffer(mmap.mmap(-1, nbytes, flags=flags), dtype=float).reshape(shape)
 
 
 def _cumulative(probs) -> list:
@@ -245,8 +268,9 @@ def make_rademacher_rank_one(dim) -> FactorEnsemble:
         raise InvalidParameterError("dimension must be positive")
     eye = np.eye(dim)
     # atom 2j is I + e_j e_j^T, atom 2j+1 is I - e_j e_j^T
-    atoms = np.repeat(eye[None], 2 * dim, axis=0)
+    atoms = _atom_stack(2 * dim, dim)
     diag = np.arange(dim)
+    atoms[:, diag, diag] = 1.0
     atoms[2 * diag, diag, diag] = 2.0
     atoms[2 * diag + 1, diag, diag] = 0.0
     sampler = SupportSampler(atoms, (1.0 / (2 * dim),) * (2 * dim))
@@ -289,7 +313,9 @@ def make_random_projector_contraction(dim, kind="coordinate", rows=None) -> Fact
         raise InvalidInputError("projector rows must be nonzero")
 
     eye = np.eye(dim)
-    atoms = tuple(eye - np.outer(r, r) / (n * n) for r, n in zip(rows, norms))
+    atoms = _atom_stack(len(rows), dim)
+    for atom, r, n in zip(atoms, rows, norms):
+        np.subtract(eye, np.outer(r, r) / (n * n), out=atom)
     k = len(atoms)
     probs = (1.0 / k,) * k
     mean = sum(p * a for a, p in zip(atoms, probs))

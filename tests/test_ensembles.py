@@ -1,9 +1,11 @@
 import math
+import mmap
 
 import numpy as np
 import pytest
 
 from matprod.ensembles import (
+    PAGED_STACK_BYTES,
     FactorEnsemble,
     FactorStats,
     SupportSampler,
@@ -253,15 +255,40 @@ class TestSupportSampler:
             assert prob == e.sampler.probs[j]
 
     def test_rank_one_atoms_built_in_place(self):
-        e = make_rademacher_rank_one(3)
-        eye = np.eye(3)
-        for j in range(3):
-            spike = np.zeros((3, 3))
-            spike[j, j] = 1.0
-            assert np.array_equal(e.sampler.atoms[2 * j], eye + spike)
-            assert np.array_equal(e.sampler.atoms[2 * j + 1], eye - spike)
-        # a float stack is kept as it is, not copied
-        assert SupportSampler(e.sampler.atoms, e.sampler.probs).atoms is e.sampler.atoms
+        for dim in (3, 41):  # a heap stack and a paged one
+            e = make_rademacher_rank_one(dim)
+            eye = np.eye(dim)
+            for j in range(dim):
+                spike = np.zeros((dim, dim))
+                spike[j, j] = 1.0
+                assert np.array_equal(e.sampler.atoms[2 * j], eye + spike)
+                assert np.array_equal(e.sampler.atoms[2 * j + 1], eye - spike)
+            # a float stack is kept as it is, not copied
+            assert SupportSampler(e.sampler.atoms, e.sampler.probs).atoms is e.sampler.atoms
+
+    @pytest.mark.skipif(not hasattr(mmap, "MAP_ANONYMOUS"), reason="no anonymous mmap")
+    @pytest.mark.parametrize("make, nbytes", [
+        (lambda: make_rademacher_rank_one(41), 8 * 2 * 41**3),
+        (lambda: make_random_projector_contraction(52), 8 * 52**3),
+        (lambda: make_rademacher_rank_one(6), 8 * 2 * 6**3),
+    ], ids=["rank-one-large", "projector-large", "rank-one-small"])
+    def test_large_stacks_own_their_pages(self, make, nbytes):
+        stack = make().sampler.atoms
+        owner = stack
+        while isinstance(owner, np.ndarray) and owner.base is not None:
+            owner = owner.base
+        if isinstance(owner, memoryview):
+            owner = owner.obj
+        assert isinstance(owner, mmap.mmap) == (nbytes >= PAGED_STACK_BYTES)
+        assert stack.nbytes == nbytes and stack.flags.writeable
+
+    def test_projector_atoms_match_outer_products(self):
+        rows = substream(11).standard_normal((5, 5))
+        e = make_random_projector_contraction(5, kind="kaczmarz-row", rows=rows)
+        eye = np.eye(5)
+        for atom, r in zip(e.sampler.atoms, rows):
+            n = np.linalg.norm(r)
+            assert np.array_equal(atom, eye - np.outer(r, r) / (n * n))
 
     def test_pick_matches_linear_scan(self):
         # the first atom whose running probability sum exceeds u, with zero
