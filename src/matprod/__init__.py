@@ -62,7 +62,9 @@ from .schatten import (
     singular_values,
     smoothness_gap,
     spectral_norm,
+    spectral_radii,
     spectral_radius,
+    stack_norms,
 )
 from .simulate import (
     EnumerationReport,
@@ -80,6 +82,7 @@ from .simulate import (
     simulate_product,
     spec_from_config,
     spec_to_config,
+    summarize_simulation,
     tail_frequencies,
     triangular_array_run,
 )

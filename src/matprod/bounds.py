@@ -25,7 +25,7 @@ from .errors import (
     InvalidParameterError,
     MissingUniformBoundsError,
 )
-from .schatten import as_matrix, norm_from_singular_values
+from .schatten import as_matrix, norm_from_singular_values, singular_values
 
 E = math.e
 P_GRID = np.exp(np.linspace(math.log(2.0), math.log(1e6), 200))
@@ -166,7 +166,7 @@ class ProductStats:
         z0 = as_matrix(z0, "z0")
         if z0.shape[0] != d:
             raise InvalidInputError(f"z0 must have {d} rows")
-        svals = np.linalg.svd(z0, compute_uv=False)
+        svals = singular_values(z0)
         return cls(
             factors=tuple(factors),
             d=int(d),

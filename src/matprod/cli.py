@@ -38,14 +38,13 @@ from .bounds import (
 )
 from .ensembles import FactorStats
 from .errors import InvalidInputError, MatprodError, NothingToCheckError
-from .schatten import format_float, matrix_from_json, matrix_to_json
+from .schatten import format_float, matrix_from_json, matrix_to_json, stack_norms
 from .simulate import (
+    ESTIMATE_FIELDS,
     enumerate_product,
-    estimate_norm_statistics,
-    expected_product,
     simulate_product,
     spec_from_config,
-    tail_frequencies,
+    summarize_simulation,
 )
 from .streams import DEFAULT_SEED
 from .verify import comparison_rows, default_suite
@@ -55,8 +54,7 @@ EXIT_USAGE = 1
 EXIT_CONDITIONS = 2
 EXIT_VERIFY = 3
 
-ESTIMATE_NAMES = ("spectral-norm-mean", "schatten-moment", "spectral-radius-mean",
-                  "deviation-norm-mean", "deviation-schatten-moment")
+ESTIMATE_NAMES = tuple(ESTIMATE_FIELDS)
 
 
 class _UsageError(Exception):
@@ -359,16 +357,7 @@ def run_simulate(cfg: dict, seed: int, trials_override=None):
         return payload, EXIT_OK
 
     sim = simulate_product(spec, trials, seed)
-    if spec.mode == "adapted":
-        reference = "adapted"
-        tail_reference = None
-    elif spec.mode == "inverse":
-        reference = None
-        tail_reference = None
-    else:
-        reference = expected_product(spec)
-        tail_reference = reference
-    estimates = estimate_norm_statistics(sim, p, q, reference=reference)
+    estimates, tails = summarize_simulation(spec, sim, p, q, tg, td)
     wanted = cfg.get("quantities")
     if wanted is not None:
         unknown = set(wanted) - set(ESTIMATE_NAMES)
@@ -383,17 +372,11 @@ def run_simulate(cfg: dict, seed: int, trials_override=None):
         "seed": seed,
         "excluded": sim.excluded,
         "estimates": {k: v.to_json() for k, v in sorted(estimates.items())},
-        "tails": [t.to_json() for t in
-                  tail_frequencies(sim, tg, None)] if tg else [],
+        "tails": [t.to_json() for t in tails],
     }
-    if td and tail_reference is not None:
-        payload["tails"] = payload["tails"] + [
-            t.to_json() for t in tail_frequencies(sim, td, tail_reference)
-            if t.quantity == "deviation-tail"]
     if cfg.get("per_trial", False):
-        stack = np.stack(sim.z)
-        payload["per_trial_spectral_norms"] = [
-            float(x) for x in np.linalg.svd(stack, compute_uv=False)[:, 0]]
+        spectral, _ = stack_norms(np.stack(sim.z))
+        payload["per_trial_spectral_norms"] = [float(x) for x in spectral]
     return payload, EXIT_OK
 
 

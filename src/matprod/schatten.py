@@ -90,7 +90,23 @@ def spectral_radius(a) -> float:
     arr = as_matrix(a)
     if arr.shape[0] != arr.shape[1]:
         raise InvalidInputError(f"spectral radius needs a square matrix, got {arr.shape}")
-    return float(np.abs(np.linalg.eigvals(arr)).max())
+    return float(spectral_radii(arr))
+
+
+def stack_norms(stack, p=math.inf):
+    """(spectral, Schatten-p) norms of every matrix in a stack, from one SVD.
+
+    Each matrix's singular values are bitwise those of ``singular_values`` on
+    it alone; the Schatten root is taken as an array power, which can differ
+    from the scalar power of ``schatten_norm`` in the last bits.
+    """
+    svals = np.linalg.svd(stack, compute_uv=False)
+    return svals[..., 0], np.asarray(norm_from_singular_values(svals, p), dtype=float)
+
+
+def spectral_radii(stack):
+    """Largest eigenvalue magnitude of every square matrix in a stack."""
+    return np.abs(np.linalg.eigvals(stack)).max(axis=-1)
 
 
 def smoothness_gap(a, b, p) -> float:

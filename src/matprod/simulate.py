@@ -33,10 +33,17 @@ from .errors import (
     InvalidParameterError,
     UnsupportedEnsembleError,
 )
-from .schatten import as_matrix, matrix_from_json, matrix_to_json, norm_from_singular_values
+from .schatten import (
+    as_matrix,
+    matrix_from_json,
+    matrix_to_json,
+    spectral_norm,
+    spectral_radii,
+    stack_norms,
+)
 from .streams import substream
 
-MODES = ("independent", "adapted", "inverse", "triangular")
+MODES = ("independent", "adapted", "inverse")
 ENUMERATION_BUDGET = 2**20
 CONDITION_LIMIT = 1e12
 # bytes: caps the atoms gathered for one product step of a Monte Carlo chunk,
@@ -221,7 +228,7 @@ class HistoryFreeHook:
 
 def expected_product(spec: ProductSpec) -> np.ndarray:
     """Exact E Z_n = (E Y_n) ... (E Y_1) Z_0 for independent factor draws."""
-    if spec.mode not in ("independent", "triangular"):
+    if spec.mode != "independent":
         raise UnsupportedEnsembleError(
             f"expected_product is defined for independent products, not {spec.mode!r}")
     out = spec.z0
@@ -376,6 +383,64 @@ def _moment_estimate(powers, q, quantity, seed, level) -> MCEstimate:
     return MCEstimate(quantity, mean, se, lo, hi, n, seed, level)
 
 
+def _reduce(result: SimulationResult, p, reference):
+    """(products, their norms, their deviations' norms or None), one SVD a stack.
+
+    reference: a matrix, a list of per-trial matrices, or "adapted" for F_n.
+    """
+    stack = np.stack(result.z)
+    norms = stack_norms(stack, p)
+    if reference is None:
+        return stack, norms, None
+    if isinstance(reference, str) and reference == "adapted":
+        if result.f is None:
+            raise InvalidParameterError("no adapted references recorded")
+        refs = np.stack(result.f)
+    else:
+        refs = np.asarray(reference, dtype=float)
+        refs = refs if refs.ndim == 3 else refs[None, :, :]
+    return stack, norms, stack_norms(stack - refs, p)
+
+
+def _estimates(result: SimulationResult, p, q, reference, level):
+    """(estimates, spectral norms, deviation spectral norms or None)."""
+    if not result.z:
+        raise InvalidParameterError("no included trials to analyze")
+    q = float(q)
+    if q < 1.0:
+        raise InvalidParameterError("q must satisfy q >= 1")
+    stack, (spectral, schatten), dev = _reduce(result, p, reference)
+    seed = result.seed
+    out = {
+        "spectral-norm-mean": _mean_estimate(spectral, "spectral-norm-mean", seed, level),
+        "schatten-moment": _moment_estimate(schatten**q, q, "schatten-moment", seed, level),
+    }
+    if stack.shape[1] == stack.shape[2]:
+        out["spectral-radius-mean"] = _mean_estimate(
+            spectral_radii(stack), "spectral-radius-mean", seed, level)
+    if dev is not None:
+        dspec, dsch = dev
+        out["deviation-norm-mean"] = _mean_estimate(dspec, "deviation-norm-mean", seed, level)
+        out["deviation-schatten-moment"] = _moment_estimate(
+            dsch**q, q, "deviation-schatten-moment", seed, level)
+    return out, spectral, None if dev is None else dev[0]
+
+
+def _tails(spectral, thresholds_growth, deviations, thresholds_deviation, level) -> list:
+    """Growth tails of the spectral norms, then tails of the deviations if any."""
+    out = []
+    for name, values, thresholds in (("growth-tail", spectral, thresholds_growth),
+                                     ("deviation-tail", deviations, thresholds_deviation)):
+        if values is None:
+            continue
+        n = values.size
+        for x in thresholds:
+            hits = int((values >= x).sum())
+            lcl, ucl = clopper_pearson(hits, n, level)
+            out.append(TailEstimate(name, float(x), hits / n, hits, n, ucl, lcl, level))
+    return out
+
+
 def estimate_norm_statistics(result: SimulationResult, p=2.0, q=2.0,
                              reference=None, level=0.99) -> dict:
     """Norm statistics of simulated products, with delta-method moment errors.
@@ -384,40 +449,7 @@ def estimate_norm_statistics(result: SimulationResult, p=2.0, q=2.0,
     the per-trial conditional-mean products F_n, or a list of per-trial
     matrices. Deviations are only reported when a reference is available.
     """
-    if not result.z:
-        raise InvalidParameterError("no included trials to analyze")
-    q = float(q)
-    if q < 1.0:
-        raise InvalidParameterError("q must satisfy q >= 1")
-    stack = np.stack(result.z)
-    svals = np.linalg.svd(stack, compute_uv=False)
-    spectral = svals[:, 0]
-    schatten = np.asarray(norm_from_singular_values(svals, p), dtype=float)
-    out = {
-        "spectral-norm-mean": _mean_estimate(spectral, "spectral-norm-mean", result.seed, level),
-        "schatten-moment": _moment_estimate(schatten**q, q, "schatten-moment", result.seed, level),
-    }
-    if stack.shape[1] == stack.shape[2]:
-        radii = np.abs(np.linalg.eigvals(stack)).max(axis=1)
-        out["spectral-radius-mean"] = _mean_estimate(radii, "spectral-radius-mean", result.seed, level)
-
-    refs = None
-    if isinstance(reference, str) and reference == "adapted":
-        if result.f is None:
-            raise InvalidParameterError("no adapted references recorded")
-        refs = np.stack(result.f)
-    elif reference is not None:
-        ref = np.asarray(reference, dtype=float)
-        refs = np.stack(reference) if ref.ndim == 3 else ref[None, :, :]
-    if refs is not None:
-        dev = stack - refs
-        dsv = np.linalg.svd(dev, compute_uv=False)
-        dspec = dsv[:, 0]
-        dsch = np.asarray(norm_from_singular_values(dsv, p), dtype=float)
-        out["deviation-norm-mean"] = _mean_estimate(dspec, "deviation-norm-mean", result.seed, level)
-        out["deviation-schatten-moment"] = _moment_estimate(
-            dsch**q, q, "deviation-schatten-moment", result.seed, level)
-    return out
+    return _estimates(result, p, q, reference, level)[0]
 
 
 def clopper_pearson(hits: int, trials: int, level=0.99):
@@ -432,22 +464,27 @@ def clopper_pearson(hits: int, trials: int, level=0.99):
 def tail_frequencies(result: SimulationResult, thresholds, reference=None,
                      level=0.99) -> list:
     """Empirical P{||Z|| >= x} (and deviations when a reference is given)."""
-    stack = np.stack(result.z)
-    spectral = np.linalg.svd(stack, compute_uv=False)[:, 0]
-    out = []
-    quantities = [("growth-tail", spectral)]
-    if reference is not None:
-        refs = np.asarray(reference, dtype=float)
-        refs = refs[None, :, :] if refs.ndim == 2 else refs
-        dev = np.linalg.svd(stack - refs, compute_uv=False)[:, 0]
-        quantities.append(("deviation-tail", dev))
-    n = stack.shape[0]
-    for name, values in quantities:
-        for x in thresholds:
-            hits = int((values >= x).sum())
-            lcl, ucl = clopper_pearson(hits, n, level)
-            out.append(TailEstimate(name, float(x), hits / n, hits, n, ucl, lcl, level))
-    return out
+    _, (spectral, _), dev = _reduce(result, math.inf, reference)
+    return _tails(spectral, thresholds, None if dev is None else dev[0], thresholds, level)
+
+
+def summarize_simulation(spec: ProductSpec, result: SimulationResult, p=2.0, q=2.0,
+                         thresholds_growth=(), thresholds_deviation=(), level=0.99):
+    """Monte Carlo estimates and tail frequencies of one run: (estimates, tails).
+
+    Adapted mode measures deviations against each trial's F_n and reports no
+    deviation tails; inverse mode reports no deviations; every other mode
+    measures deviations against ``expected_product``. The product stack and
+    the deviation stack are each decomposed once.
+    """
+    if spec.mode == "adapted":
+        reference, thresholds_deviation = "adapted", ()
+    elif spec.mode == "inverse":
+        reference = None
+    else:
+        reference = expected_product(spec)
+    estimates, spectral, dev = _estimates(result, p, q, reference, level)
+    return estimates, _tails(spectral, thresholds_growth, dev, thresholds_deviation, level)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +504,16 @@ class EnumerationReport:
     tail_growth: dict = field(default_factory=dict)
     tail_deviation: dict = field(default_factory=dict)
     reference: str = "mean"  # deviations measured against EZ, or "adapted" for F_n
+
+
+# each Monte Carlo estimate key and the EnumerationReport field it estimates
+ESTIMATE_FIELDS = {
+    "spectral-norm-mean": "growth_mean",
+    "schatten-moment": "growth_moment",
+    "spectral-radius-mean": "spectral_radius_mean",
+    "deviation-norm-mean": "deviation_mean",
+    "deviation-schatten-moment": "deviation_moment",
+}
 
 
 def _support_or_raise(e: FactorEnsemble):
@@ -564,18 +611,14 @@ class _StreamStats:
         self.outcomes = 0
 
     def add(self, w, prods, dev):
-        svals = np.linalg.svd(prods, compute_uv=False)
-        spectral = svals[:, 0]
-        schatten = np.asarray(norm_from_singular_values(svals, self.p), dtype=float)
-        dsv = np.linalg.svd(dev, compute_uv=False)
-        dspec = dsv[:, 0]
-        dsch = np.asarray(norm_from_singular_values(dsv, self.p), dtype=float)
+        spectral, schatten = stack_norms(prods, self.p)
+        dspec, dsch = stack_norms(dev, self.p)
         self.growth += float(w @ spectral)
         self.dev += float(w @ dspec)
         self.growth_q += float(w @ schatten**self.q)
         self.dev_q += float(w @ dsch**self.q)
         if self.square:
-            self.radius += float(w @ np.abs(np.linalg.eigvals(prods)).max(axis=1))
+            self.radius += float(w @ spectral_radii(prods))
         for x in self.tg:
             self.tg[x] += float(w @ (spectral >= x))
         for x in self.td:
@@ -617,7 +660,9 @@ def enumerate_product(spec: ProductSpec, p=2.0, q=2.0,
 
     invert = spec.mode == "inverse"
     if invert:
-        # the mean of an inverted product has no closed form; stream it first
+        # for independent factors the mean is Z0^(-1) E[Y1^(-1)] ... E[Yn^(-1)],
+        # but that closed form would change the last bits of the reported mean
+        # and deviations, so the mean is streamed in a first pass
         mean = np.zeros((spec.d, spec.d))
         for w, prod in _enumerate_independent(spec, invert):
             mean = mean + np.einsum("k,kij->ij", w, prod)
@@ -657,19 +702,19 @@ def triangular_array_run(mean, radius, dim, n_list, trials, seed,
         raise InvalidParameterError("row sizes must be positive")
     import scipy.linalg  # its only user; importing it costs every CLI run
 
-    big_t = float(np.linalg.svd(a, compute_uv=False)[0])
+    big_t = spectral_norm(a)
     expm = scipy.linalg.expm(a)
     scaled_bound = math.sqrt(1.0 + 2.0 * math.log(dim)) * float(radius) * math.exp(1.0 + big_t)
 
     rows = []
     for row_index, n in enumerate(n_list):
         e = make_bounded_perturbation(dim, a, radius, n, support)
-        spec = ProductSpec(factors=(e,) * n, z0=np.eye(dim), mode="triangular")
+        spec = ProductSpec(factors=(e,) * n, z0=np.eye(dim))
         sim = simulate_product(spec, trials, seed, key=(row_index,))
         exact_mean = expected_product(spec)
         stack = np.stack(sim.z)
-        dev_mean = np.linalg.svd(stack - exact_mean, compute_uv=False)[:, 0]
-        dev_exp = np.linalg.svd(stack - expm, compute_uv=False)[:, 0]
+        dev_mean, _ = stack_norms(stack - exact_mean)
+        dev_exp, _ = stack_norms(stack - expm)
         est_mean = _mean_estimate(dev_mean, "deviation-norm-mean", seed, level)
         est_exp = _mean_estimate(dev_exp, "deviation-from-exponential", seed, level)
         rows.append(TriangularRow(
@@ -689,7 +734,7 @@ def conjugated_spec(spec: ProductSpec, s_matrix, q=2.0, trials=4096, seed=0) -> 
     Statistics are recomputed for the transformed factors (exactly from finite
     supports, else by Monte Carlo), since conjugation does not transport them.
     """
-    if spec.mode not in ("independent", "triangular"):
+    if spec.mode != "independent":
         raise UnsupportedEnsembleError("conjugation applies to independent products")
     s = as_matrix(s_matrix, "S")
     if s.shape[0] != s.shape[1] or s.shape[0] != spec.d:

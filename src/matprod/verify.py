@@ -10,7 +10,7 @@ produce violations; a harness that cannot fail certifies nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -29,21 +29,20 @@ from .bounds import (
     tail_concentration_bound,
     tail_growth_bound,
 )
+from .ensembles import make_bounded_perturbation, projected_deviation_stat
 from .errors import (
     EnumerationInfeasibleError,
     InvalidConstructionError,
     InvalidParameterError,
-    MissingUniformBoundsError,
     NothingToCheckError,
 )
-from .schatten import norm_from_singular_values, spectral_norm
+from .schatten import spectral_norm, stack_norms
 from .simulate import (
+    ESTIMATE_FIELDS,
     ProductSpec,
     enumerate_product,
-    estimate_norm_statistics,
-    expected_product,
     simulate_product,
-    tail_frequencies,
+    summarize_simulation,
 )
 from .streams import DEFAULT_SEED, substream
 
@@ -128,11 +127,6 @@ class _Collector:
                            self.tolerance, self.seed, self.notes, self.failures)
 
 
-def _batch_norms(stack, p):
-    svals = np.linalg.svd(stack, compute_uv=False)
-    return np.asarray(norm_from_singular_values(svals, p), dtype=float)
-
-
 def _power_mean(x, y, p):
     """[0.5 (x^p + y^p)]^(1/p) elementwise, factored to avoid overflow."""
     x = np.asarray(x, dtype=float)
@@ -174,9 +168,9 @@ def check_uniform_smoothness(p_list=(1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 8.0, 16.0),
             rng = substream(seed, pi, di)
             a = rng.standard_normal((count, rows, cols))
             b = rng.standard_normal((count, rows, cols))
-            na = _batch_norms(a, p)
-            nb = _batch_norms(b, p)
-            avg2 = _power_mean(_batch_norms(a + b, p), _batch_norms(a - b, p), p) ** 2
+            na = stack_norms(a, p)[1]
+            nb = stack_norms(b, p)[1]
+            avg2 = _power_mean(stack_norms(a + b, p)[1], stack_norms(a - b, p)[1], p) ** 2
             smooth = na**2 + (p - 1.0) * nb**2
             if p == 2.0:
                 denom = np.maximum(np.abs(smooth), 1.0)
@@ -203,10 +197,10 @@ def _random_pair_instances(col, p, count, rng):
         w = w / w.sum()
         x = rng.standard_normal((k, rows, cols))
         y = rng.standard_normal((k, rows, cols)) * (0.2 + rng.random())
-        nxpy = _batch_norms(x + y, p)
-        nxmy = _batch_norms(x - y, p)
-        nx = _batch_norms(x, p)
-        ny = _batch_norms(y, p)
+        nxpy = stack_norms(x + y, p)[1]
+        nxmy = stack_norms(x - y, p)[1]
+        nx = stack_norms(x, p)[1]
+        ny = stack_norms(y, p)[1]
         lhs = (0.5 * (w @ nxpy**q + w @ nxmy**q)) ** (2.0 / q)
         rhs = (w @ nx**q) ** (2.0 / q) + (p - 1.0) * (w @ ny**q) ** (2.0 / q)
         col.add((rhs - lhs) / max(abs(rhs), 1.0), detail={"p": p, "q": q, "form": "averaged"})
@@ -301,11 +295,11 @@ def check_subquadratic(p, q, construction=None, trials=1000, seed=DEFAULT_SEED,
         w = 1.0 / len(states)
         xq = sq = yq = 0.0
         for a, atoms in states:
-            xq += w * _batch_norms(np.asarray(a, dtype=float)[None], p)[0] ** q
+            xq += w * stack_norms(np.asarray(a, dtype=float)[None], p)[1][0] ** q
             for y, prob in atoms:
                 y = np.asarray(y, dtype=float)
-                sq += w * prob * _batch_norms((a + y)[None], p)[0] ** q
-                yq += w * prob * _batch_norms(y[None], p)[0] ** q
+                sq += w * prob * stack_norms((a + y)[None], p)[1][0] ** q
+                yq += w * prob * stack_norms(y[None], p)[1][0] ** q
         lhs = sq ** (2.0 / q)
         x2 = xq ** (2.0 / q)
         y2 = yq ** (2.0 / q)
@@ -361,12 +355,12 @@ def check_martingale_bound(p, q, n=6, dims=(1, 2), trials=100, seed=DEFAULT_SEED
         while stack:
             level, bits, weight, x = stack.pop()
             if level == depth:
-                leaf_q += weight * _batch_norms(x[None], p)[0] ** q
+                leaf_q += weight * stack_norms(x[None], p)[1][0] ** q
                 continue
             for j, (delta, prob) in enumerate(atoms_at(level, bits)):
                 if prob == 0.0:
                     continue
-                level_q[level] += weight * prob * _batch_norms(delta[None], p)[0] ** q
+                level_q[level] += weight * prob * stack_norms(delta[None], p)[1][0] ** q
                 stack.append((level + 1, bits + (1 - j,), weight * prob, x + delta))
         lhs = leaf_q ** (2.0 / q)
         rhs_sum = sum(lq ** (2.0 / q) for lq in level_q)
@@ -429,9 +423,9 @@ def check_factor_contraction(p, q, trials=200, seed=DEFAULT_SEED,
         factor = spectral_norm(ey2) ** (1.0 / p)
         lhs_q = 0.0
         for w, y in zip(wy, y_atoms):
-            lhs_q += w * float(wz @ _batch_norms(y[None] @ z_atoms, p) ** q)
+            lhs_q += w * float(wz @ stack_norms(y[None] @ z_atoms, p)[1] ** q)
         lhs = lhs_q ** (1.0 / q)
-        rhs = factor * float(wz @ _batch_norms(z_atoms, p) ** q) ** (1.0 / q)
+        rhs = factor * float(wz @ stack_norms(z_atoms, p)[1] ** q) ** (1.0 / q)
         col.add((rhs - lhs) / max(abs(rhs), 1.0),
                 detail={"d": d, "r": r, "lhs": lhs, "rhs": rhs})
     return col.report()
@@ -517,10 +511,6 @@ def projected_product_stats(spec: ProductSpec, rank=None):
     projected deviation has a closed form; otherwise a sampled lower estimate
     entered the sigmas and the resulting bounds are not certified upper bounds.
     """
-    from dataclasses import replace
-
-    from .ensembles import projected_deviation_stat
-
     rank = spec.r if rank is None else int(rank)
     factors = []
     quality = "analytic"
@@ -533,7 +523,7 @@ def projected_product_stats(spec: ProductSpec, rank=None):
     return stats, quality
 
 
-def _default_bound_set(spec: ProductSpec, stats: ProductStats, square: bool):
+def _default_bound_set(spec: ProductSpec, stats: ProductStats):
     if spec.mode == "inverse":
         return ["inverse-expectation-growth", "inverse-expectation-concentration"]
     if spec.mode == "adapted":
@@ -542,9 +532,48 @@ def _default_bound_set(spec: ProductSpec, stats: ProductStats, square: bool):
            "expectation-growth", "expectation-concentration"]
     if stats.contraction_M is not None and stats.contraction_v is not None:
         out += ["contraction-expectation-growth", "contraction-expectation-concentration"]
-    if square:
+    if spec.d == spec.r:
         out.append("spectral-radius-expectation")
     return out
+
+
+def _inverse_bound(query):
+    def bound(stats, p, q):
+        xis = [f.mean_perturbation for f in stats.factors]
+        if any(x is None for x in xis):
+            return None
+        xi_bar, v_bar = inverse_perturbation_stats(xis, [f.sigma for f in stats.factors])
+        return perturbation_bounds(xi_bar, v_bar, stats.d, query)
+    return bound
+
+
+# bound name -> (bound of (stats, p, q), Monte Carlo estimate key); the exact
+# value is the EnumerationReport field that ESTIMATE_FIELDS names for the key.
+# E||Z|| never exceeds the (p, q) moment, so the moment bounds also bound means.
+# The low-rank bounds are given the rank-projected stats.
+BOUND_TABLE = {
+    "growth-moment": (growth_moment_bound, "schatten-moment"),
+    "concentration-moment": (concentration_moment_bound, "deviation-schatten-moment"),
+    "growth-mean": (growth_moment_bound, "spectral-norm-mean"),
+    "concentration-mean": (concentration_moment_bound, "deviation-norm-mean"),
+    "expectation-growth": (lambda s, *_: expectation_growth_bound(s), "spectral-norm-mean"),
+    "expectation-concentration": (lambda s, *_: expectation_concentration_bound(s),
+                                  "deviation-norm-mean"),
+    "contraction-expectation-growth": (lambda s, *_: contraction_bounds(s)[0],
+                                       "spectral-norm-mean"),
+    "contraction-expectation-concentration": (lambda s, *_: contraction_bounds(s)[1],
+                                              "deviation-norm-mean"),
+    "lowrank-growth": (lambda s, p, q: lowrank_moment_bounds(s, p)[0], "schatten-moment"),
+    "lowrank-concentration": (lambda s, p, q: lowrank_moment_bounds(s, p)[1],
+                              "deviation-schatten-moment"),
+    "adapted-growth-moment": (growth_moment_bound, "schatten-moment"),
+    "adapted-concentration-moment": (concentration_moment_bound, "deviation-schatten-moment"),
+    "spectral-radius-expectation": (lambda s, *_: spectral_radius_expectation_bound(s),
+                                    "spectral-radius-mean"),
+    "inverse-expectation-growth": (_inverse_bound("expectation-growth"), "spectral-norm-mean"),
+    "inverse-expectation-concentration": (_inverse_bound("expectation-concentration"),
+                                          "deviation-norm-mean"),
+}
 
 
 def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED,
@@ -558,8 +587,10 @@ def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED
     Returns (rows, meta).
     """
     stats = stats or _stats_for_spec(spec)
-    square = spec.d == spec.r
-    names = list(bounds) if bounds is not None else _default_bound_set(spec, stats, square)
+    names = list(bounds) if bounds is not None else _default_bound_set(spec, stats)
+    for name in names:
+        if name not in BOUND_TABLE:
+            raise InvalidParameterError(f"unknown bound name {name!r}")
     meta = {"p": float(p), "q": float(q), "seed": seed, "mode": spec.mode}
 
     # bound rows are computed first so tail thresholds are known up front
@@ -567,17 +598,15 @@ def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED
     for t in thresholds_growth:
         tail_rows.append(("tail-growth", float(t), tail_growth_bound(stats, t)))
     for t in thresholds_deviation:
-        if spec.mode in ("independent", "triangular") and stats.contraction_M is not None:
+        if spec.mode == "independent" and stats.contraction_M is not None:
             tail_rows.append(("contraction-tail", float(t), contraction_bounds(stats, t)[2]))
         else:
             tail_rows.append(("tail-concentration", float(t), tail_concentration_bound(stats, t)))
+    growth_thresholds = [b.threshold for kind, _, b in tail_rows if kind == "tail-growth"]
+    dev_thresholds = [b.threshold for kind, _, b in tail_rows if kind != "tail-growth"]
 
     exact = None
-    estimates = None
-    tails = None
     if trials == 0:
-        growth_thresholds = [b.threshold for kind, _, b in tail_rows if kind == "tail-growth"]
-        dev_thresholds = [b.threshold for kind, _, b in tail_rows if kind != "tail-growth"]
         try:
             exact = enumerate_product(spec, p, q, growth_thresholds, dev_thresholds)
         except EnumerationInfeasibleError:
@@ -585,148 +614,73 @@ def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED
                 raise
             trials = int(mc_fallback_trials)
             meta["notice"] = "enumeration infeasible; downgraded to Monte Carlo"
+    # estimate key or (tail quantity, threshold) -> (empirical, kind, limit)
     if exact is not None:
         meta["source"] = "enumeration"
         meta["outcomes"] = exact.outcomes
+        empirical = {key: (getattr(exact, f), "exact", None) for key, f in ESTIMATE_FIELDS.items()
+                     if getattr(exact, f) is not None}
+        for quantity, table in (("growth-tail", exact.tail_growth),
+                                ("deviation-tail", exact.tail_deviation)):
+            empirical.update({(quantity, x): (v, "exact", None) for x, v in table.items()})
     else:
         meta["source"] = "monte-carlo"
         meta["trials"] = trials
         sim = simulate_product(spec, trials, seed)
-        if spec.mode == "adapted":
-            reference = "adapted"
-            tail_reference = None
-        elif spec.mode == "inverse":
-            reference = None
-            tail_reference = None
+        if spec.mode == "inverse":
             meta["excluded"] = sim.excluded
-        else:
-            reference = expected_product(spec)
-            tail_reference = reference
-        estimates = estimate_norm_statistics(sim, p, q, reference=reference, level=level)
-        growth_thresholds = [b.threshold for kind, _, b in tail_rows if kind == "tail-growth"]
-        dev_thresholds = [b.threshold for kind, _, b in tail_rows if kind != "tail-growth"]
-        tails = {}
-        if growth_thresholds:
-            for est in tail_frequencies(sim, growth_thresholds, None, level):
-                tails[("growth-tail", est.threshold)] = est
-        if dev_thresholds and tail_reference is not None:
-            for est in tail_frequencies(sim, dev_thresholds, tail_reference, level):
-                if est.quantity == "deviation-tail":
-                    tails[("deviation-tail", est.threshold)] = est
+        estimates, tails = summarize_simulation(
+            spec, sim, p, q, growth_thresholds, dev_thresholds, level)
+        empirical = {key: (e.mean, "estimate", e.ci_high) for key, e in estimates.items()}
+        empirical.update({(t.quantity, t.threshold): (t.frequency, "estimate", t.lcl)
+                          for t in tails})
 
     rows = []
+    lr_stats, lr_quality = stats, "analytic"
+    if stats.projected_rank is None and any(n.startswith("lowrank-") for n in names):
+        lr_stats, lr_quality = projected_product_stats(spec)
 
-    def emit(quantity, result, exact_value, estimate_key):
-        if result.value is None or not math.isfinite(result.value):
-            if not result.conditions_met:
-                rows.append(CompareRow(quantity, math.nan, "none", result.value,
-                                       result.kind, conditions_met=False, skipped=True,
-                                       note="condition violated"))
-                return
-        if exact is not None:
-            emp, kind, limit = exact_value(exact), "exact", None
-        else:
-            est = estimates.get(estimate_key)
-            if est is None:
-                rows.append(CompareRow(quantity, math.nan, "none", result.value,
-                                       result.kind, conditions_met=result.conditions_met,
-                                       skipped=True, note="no empirical value available"))
-                return
-            emp, kind, limit = est.mean, "estimate", est.ci_high
+    for name in names:
+        bound, estimate_key = BOUND_TABLE[name]
+        lowrank = name.startswith("lowrank-")
+        result = bound(lr_stats if lowrank else stats, p, q)
+        if result is None:
+            rows.append(CompareRow(name, math.nan, "none", math.nan, name, skipped=True,
+                                   note="factors carry no perturbation statistics"))
+            continue
+        if lowrank and lr_quality != "analytic":
+            result.extras = dict(result.extras or {}, projected_quality=lr_quality)
+        if not result.conditions_met and (result.value is None
+                                          or not math.isfinite(result.value)):
+            rows.append(CompareRow(name, math.nan, "none", result.value, result.kind,
+                                   conditions_met=False, skipped=True, note="condition violated"))
+            continue
+        if estimate_key not in empirical:
+            rows.append(CompareRow(name, math.nan, "none", result.value,
+                                   result.kind, conditions_met=result.conditions_met,
+                                   skipped=True, note="no empirical value available"))
+            continue
+        emp, kind, limit = empirical[estimate_key]
         ratio = result.value / emp if emp > 0 else None
-        rows.append(CompareRow(quantity, emp, kind, result.value, result.kind,
+        rows.append(CompareRow(name, emp, kind, result.value, result.kind,
                                limit=limit, ratio=ratio,
                                conditions_met=result.conditions_met))
 
-    for name in names:
-        if name == "growth-moment":
-            emit(name, growth_moment_bound(stats, p, q),
-                 lambda e: e.growth_moment, "schatten-moment")
-        elif name == "concentration-moment":
-            emit(name, concentration_moment_bound(stats, p, q),
-                 lambda e: e.deviation_moment, "deviation-schatten-moment")
-        elif name == "growth-mean":
-            # E||Z|| never exceeds the (p, q) moment, so the moment bound applies
-            emit(name, growth_moment_bound(stats, p, q),
-                 lambda e: e.growth_mean, "spectral-norm-mean")
-        elif name == "concentration-mean":
-            emit(name, concentration_moment_bound(stats, p, q),
-                 lambda e: e.deviation_mean, "deviation-norm-mean")
-        elif name == "expectation-growth":
-            emit(name, expectation_growth_bound(stats),
-                 lambda e: e.growth_mean, "spectral-norm-mean")
-        elif name == "expectation-concentration":
-            emit(name, expectation_concentration_bound(stats),
-                 lambda e: e.deviation_mean, "deviation-norm-mean")
-        elif name == "contraction-expectation-growth":
-            emit(name, contraction_bounds(stats)[0],
-                 lambda e: e.growth_mean, "spectral-norm-mean")
-        elif name == "contraction-expectation-concentration":
-            emit(name, contraction_bounds(stats)[1],
-                 lambda e: e.deviation_mean, "deviation-norm-mean")
-        elif name in ("lowrank-growth", "lowrank-concentration"):
-            if stats.projected_rank is not None:
-                lr_stats, lr_quality = stats, "analytic"
-            else:
-                lr_stats, lr_quality = projected_product_stats(spec)
-            which = 0 if name == "lowrank-growth" else 1
-            result = lowrank_moment_bounds(lr_stats, p)[which]
-            if lr_quality != "analytic":
-                result.extras = dict(result.extras or {}, projected_quality=lr_quality)
-            emit(name, result,
-                 (lambda e: e.growth_moment) if which == 0 else (lambda e: e.deviation_moment),
-                 "schatten-moment" if which == 0 else "deviation-schatten-moment")
-        elif name == "adapted-growth-moment":
-            emit(name, growth_moment_bound(stats, p, q),
-                 lambda e: e.growth_moment, "schatten-moment")
-        elif name == "adapted-concentration-moment":
-            emit(name, concentration_moment_bound(stats, p, q),
-                 lambda e: e.deviation_moment, "deviation-schatten-moment")
-        elif name == "spectral-radius-expectation":
-            emit(name, spectral_radius_expectation_bound(stats),
-                 lambda e: e.spectral_radius_mean, "spectral-radius-mean")
-        elif name in ("inverse-expectation-growth", "inverse-expectation-concentration"):
-            xis = [f.mean_perturbation for f in stats.factors]
-            sigmas = [f.sigma for f in stats.factors]
-            if any(x is None for x in xis):
-                rows.append(CompareRow(name, math.nan, "none", math.nan, name,
-                                       skipped=True,
-                                       note="factors carry no perturbation statistics"))
-                continue
-            xi_bar, v_bar = inverse_perturbation_stats(xis, sigmas)
-            query = name.removeprefix("inverse-")
-            emit(name, perturbation_bounds(xi_bar, v_bar, stats.d, query),
-                 lambda e: e.growth_mean if name.endswith("growth") else e.deviation_mean,
-                 "spectral-norm-mean" if name.endswith("growth") else "deviation-norm-mean")
-        else:
-            raise InvalidParameterError(f"unknown bound name {name!r}")
-
     for kind, t, result in tail_rows:
         quantity = f"{kind}@{t:g}"
-        if exact is not None:
-            table = exact.tail_growth if kind == "tail-growth" else exact.tail_deviation
-            emp = table[result.threshold]
-            rows.append(CompareRow(quantity, emp, "exact", result.value, result.kind,
-                                   threshold=result.threshold,
-                                   ratio=result.value / emp if emp > 0 else None,
-                                   conditions_met=result.conditions_met,
-                                   skipped=not result.conditions_met,
-                                   note="" if result.conditions_met else "condition violated"))
-        else:
-            key = ("growth-tail" if kind == "tail-growth" else "deviation-tail",
-                   result.threshold)
-            est = tails.get(key) if tails else None
-            if est is None:
-                rows.append(CompareRow(quantity, math.nan, "none", result.value,
-                                       result.kind, threshold=result.threshold,
-                                       skipped=True, note="no tail reference available"))
-                continue
-            rows.append(CompareRow(quantity, est.frequency, "estimate", result.value,
-                                   result.kind, limit=est.lcl, threshold=result.threshold,
-                                   ratio=result.value / est.frequency if est.frequency > 0 else None,
-                                   conditions_met=result.conditions_met,
-                                   skipped=not result.conditions_met,
-                                   note="" if result.conditions_met else "condition violated"))
+        key = ("growth-tail" if kind == "tail-growth" else "deviation-tail", result.threshold)
+        if key not in empirical:
+            rows.append(CompareRow(quantity, math.nan, "none", result.value,
+                                   result.kind, threshold=result.threshold,
+                                   skipped=True, note="no tail reference available"))
+            continue
+        emp, emp_kind, limit = empirical[key]
+        rows.append(CompareRow(quantity, emp, emp_kind, result.value, result.kind,
+                               limit=limit, threshold=result.threshold,
+                               ratio=result.value / emp if emp > 0 else None,
+                               conditions_met=result.conditions_met,
+                               skipped=not result.conditions_met,
+                               note="" if result.conditions_met else "condition violated"))
     return rows, meta
 
 
@@ -764,12 +718,10 @@ def check_bound_dominance(spec: ProductSpec, p=2.0, q=2.0, trials=0,
             col.add((row.bound - row.empirical) / denom,
                     detail={"quantity": row.quantity, "empirical": row.empirical,
                             "bound": row.bound})
-        elif row.quantity.startswith(("tail-", "contraction-tail")):
-            col.add((row.bound - row.limit) / denom, tolerance=0.0,
-                    detail={"quantity": row.quantity, "lcl": row.limit, "bound": row.bound})
         else:
+            limit = "lcl" if row.quantity.startswith(("tail-", "contraction-tail")) else "ucl"
             col.add((row.bound - row.limit) / denom, tolerance=0.0,
-                    detail={"quantity": row.quantity, "ucl": row.limit, "bound": row.bound})
+                    detail={"quantity": row.quantity, limit: row.limit, "bound": row.bound})
     return col.report()
 
 
@@ -783,8 +735,6 @@ def default_suite(seed=DEFAULT_SEED, deep=False):
     a negative control (expected to fail); `ok` is True when every ordinary
     check is clean and every negative control fired.
     """
-    from .ensembles import make_bounded_perturbation
-
     scale = 1 if not deep else 10
     reports = []
 

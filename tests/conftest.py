@@ -1,4 +1,6 @@
 import hypothesis
+import numpy as np
+import pytest
 
 hypothesis.settings.register_profile(
     "matprod",
@@ -8,3 +10,17 @@ hypothesis.settings.register_profile(
     suppress_health_check=[hypothesis.HealthCheck.too_slow],
 )
 hypothesis.settings.load_profile("matprod")
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """Records the shape of every array that numpy's svd decomposes."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return shapes

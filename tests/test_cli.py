@@ -279,6 +279,14 @@ class TestSimulateCommand:
         assert rc == 1
         assert "unknown quantities" in payload["error"]["message"]
 
+    def test_triangular_mode_rejected(self, capsys, tmp_path):
+        path = write_config(tmp_path, {"spec": dict(SCALAR_SPEC, mode="triangular"),
+                                       "trials": 8})
+        rc, payload, _ = run_json(capsys, "simulate", "--config", path)
+        assert rc == 1
+        assert payload["error"]["code"] == "invalid-parameter"
+        assert "'triangular'" in payload["error"]["message"]
+
     def test_per_trial_norms(self, capsys, tmp_path):
         path = write_config(tmp_path, {"spec": SCALAR_SPEC, "trials": 8,
                                        "per_trial": True})

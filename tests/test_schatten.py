@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,9 @@ from matprod.schatten import (
     singular_values,
     smoothness_gap,
     spectral_norm,
+    spectral_radii,
     spectral_radius,
+    stack_norms,
 )
 
 entries = st.floats(-1.0, 1.0, allow_nan=False)
@@ -145,6 +149,57 @@ class TestSpectralRadius:
     @given(square_matrices())
     def test_dominated_by_spectral_norm(self, m):
         assert spectral_radius(m) <= spectral_norm(m) + 1e-9
+
+
+class TestStackNorms:
+    """One SVD per stack; each matrix's norms as if it were decomposed alone."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 100.0, math.inf])
+    @pytest.mark.parametrize("shape", [(40, 4, 4), (30, 5, 2), (30, 2, 6), (1, 3, 3)],
+                             ids=["square", "tall", "wide", "stack-of-one"])
+    def test_matches_single_matrix_norms(self, shape, p):
+        stack = np.random.default_rng(11).standard_normal(shape)
+        spectral, schatten = stack_norms(stack, p)
+        singles = np.stack([singular_values(m) for m in stack])
+        assert spectral.tobytes() == singles[:, 0].tobytes()
+        assert spectral.tobytes() == np.array([spectral_norm(m) for m in stack]).tobytes()
+        assert schatten.tobytes() == np.asarray(norm_from_singular_values(singles, p)).tobytes()
+        # the root of a batch is an array power, which can differ from the
+        # scalar power of schatten_norm in the last bits; at p = 2
+        # schatten_norm takes the Frobenius norm instead of the singular values
+        np.testing.assert_array_max_ulp(
+            schatten, np.array([schatten_norm(m, p) for m in stack]), maxulp=4)
+
+    def test_default_is_spectral(self):
+        stack = np.random.default_rng(12).standard_normal((6, 3, 4))
+        spectral, schatten = stack_norms(stack)
+        assert schatten.tobytes() == spectral.tobytes()
+
+    @pytest.mark.parametrize("shape", [(40, 4, 4), (1, 3, 3), (5, 1, 1)])
+    def test_spectral_radii_match_single_matrix(self, shape):
+        stack = np.random.default_rng(13).standard_normal(shape)
+        want = np.array([spectral_radius(m) for m in stack])
+        assert spectral_radii(stack).tobytes() == want.tobytes()
+
+
+class TestOneReductionLayer:
+    """Norms of program matrices are reduced in schatten.py and nowhere else."""
+
+    def test_no_svd_or_eigvals_outside_schatten(self):
+        import matprod
+
+        package = Path(matprod.__file__).parent
+        stray = []
+        for path in sorted(package.glob("*.py")):
+            if path.name == "schatten.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = ([node.attr] if isinstance(node, ast.Attribute) else
+                         [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                         else [])
+                stray += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name in ("svd", "eigvals")]
+        assert stray == []
 
 
 class TestSmoothnessGap:

@@ -32,6 +32,7 @@ from matprod.simulate import (
     simulate_product,
     spec_from_config,
     spec_to_config,
+    summarize_simulation,
     tail_frequencies,
     triangular_array_run,
 )
@@ -59,6 +60,12 @@ class TestProductSpec:
     def test_mode_validation(self):
         with pytest.raises(InvalidParameterError):
             ProductSpec(factors=scalar_two_point().factors, z0=np.eye(1), mode="warp")
+
+    def test_rejects_triangular_mode(self):
+        # triangular arrays are independent products; there is no such mode
+        with pytest.raises(InvalidParameterError, match="mode must be one of"):
+            ProductSpec(factors=scalar_two_point().factors, z0=np.eye(1), mode="triangular")
+        assert simulate.MODES == ("independent", "adapted", "inverse")
 
     def test_adapted_needs_hook_and_length(self):
         with pytest.raises(InvalidParameterError):
@@ -250,7 +257,7 @@ class TestBatchedKernel:
         rows = triangular_array_run(a, 0.5, 3, [4, 16], 64, seed=15)
         for j, (n, row) in enumerate(zip((4, 16), rows)):
             e = make_bounded_perturbation(3, a, 0.5, n)
-            spec = ProductSpec((e,) * n, np.eye(3), mode="triangular")
+            spec = ProductSpec((e,) * n, np.eye(3), mode="independent")
             assert_matches_reference(spec, 64, seed=15, key=(j,))
             zs, _ = reference_loop(spec, 64, seed=15, key=(j,))
             dev = np.linalg.svd(np.stack(zs) - expected_product(spec), compute_uv=False)[:, 0]
@@ -421,6 +428,57 @@ class TestEstimateNormStatistics:
         assert dev.hits == int((np.abs(values - 1.0) >= 1.2).sum())
         assert growth.lcl <= growth.frequency <= growth.ucl
         assert growth.frequency == growth.hits / 64
+
+
+def adapted_spec(n=6):
+    hook = NormBiasedTwoPointHook(2, scale=0.1, high=0.7)
+    return ProductSpec(factors=(), z0=np.eye(2), mode="adapted", adapted_hook=hook, n_steps=n)
+
+
+class TestSummarizeSimulation:
+    """One reference rule, the same values as the two estimators it replaces."""
+
+    def test_independent_measures_against_the_mean(self):
+        spec = matrix_two_point(dim=3, n=5, radius=0.5)
+        sim = simulate_product(spec, 60, seed=2)
+        est, tails = summarize_simulation(spec, sim, 3.0, 2.5, (1.0, 1.3), (0.2, 0.4))
+        ref = expected_product(spec)
+        assert est == estimate_norm_statistics(sim, 3.0, 2.5, reference=ref)
+        assert tails == tail_frequencies(sim, (1.0, 1.3)) + [
+            t for t in tail_frequencies(sim, (0.2, 0.4), ref) if t.quantity == "deviation-tail"]
+
+    def test_inverse_reports_no_deviations(self):
+        e = make_bounded_perturbation(3, 0.1 * np.eye(3), 0.3, 4.0)
+        spec = ProductSpec((e,) * 4, np.eye(3), mode="inverse")
+        sim = simulate_product(spec, 40, seed=3)
+        est, tails = summarize_simulation(spec, sim, 2.0, 2.0, (1.0,), (0.2,))
+        assert est == estimate_norm_statistics(sim, 2.0, 2.0)
+        assert set(est) == {"spectral-norm-mean", "schatten-moment", "spectral-radius-mean"}
+        assert tails == tail_frequencies(sim, (1.0,))
+
+    def test_adapted_measures_against_f_without_deviation_tails(self):
+        spec = adapted_spec()
+        sim = simulate_product(spec, 40, seed=4)
+        est, tails = summarize_simulation(spec, sim, 4.0, 2.0, (1.0,), (0.05,))
+        assert est == estimate_norm_statistics(sim, 4.0, 2.0, reference="adapted")
+        assert "deviation-norm-mean" in est
+        assert tails == tail_frequencies(sim, (1.0,))
+
+    def test_each_stack_decomposed_once(self, svd_shapes):
+        spec = matrix_two_point(dim=3, n=5)
+        sim = simulate_product(spec, 30, seed=5)
+        svd_shapes.clear()
+        summarize_simulation(spec, sim, 3.0, 2.0, (1.0,), (0.2,))
+        assert svd_shapes == [(30, 3, 3), (30, 3, 3)]
+
+    def test_validation(self):
+        spec = scalar_two_point()
+        sim = simulate_product(spec, 8, seed=0)
+        with pytest.raises(InvalidParameterError, match="q must satisfy"):
+            summarize_simulation(spec, sim, q=0.5)
+        sim.z = []
+        with pytest.raises(InvalidParameterError, match="no included trials"):
+            summarize_simulation(spec, sim)
 
 
 class TestInverseMode:

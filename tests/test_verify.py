@@ -3,6 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from matprod import verify
+from matprod.bounds import (
+    ProductStats,
+    concentration_moment_bound,
+    contraction_bounds,
+    expectation_concentration_bound,
+    expectation_growth_bound,
+    growth_moment_bound,
+    inverse_perturbation_stats,
+    lowrank_moment_bounds,
+    perturbation_bounds,
+    spectral_radius_expectation_bound,
+)
 from matprod.ensembles import (
     FactorEnsemble,
     FactorStats,
@@ -15,7 +28,13 @@ from matprod.errors import (
     InvalidParameterError,
     NothingToCheckError,
 )
-from matprod.simulate import NormBiasedTwoPointHook, ProductSpec
+from matprod.simulate import (
+    NormBiasedTwoPointHook,
+    ProductSpec,
+    enumerate_product,
+    simulate_product,
+    summarize_simulation,
+)
 from matprod.verify import (
     CompareRow,
     _Collector,
@@ -30,6 +49,46 @@ from matprod.verify import (
     projected_product_stats,
     sharpness_probe,
 )
+
+
+def _inverse(query):
+    def bound(stats, p, q):
+        xi_bar, v_bar = inverse_perturbation_stats(
+            [f.mean_perturbation for f in stats.factors], [f.sigma for f in stats.factors])
+        return perturbation_bounds(xi_bar, v_bar, stats.d, query)
+    return bound
+
+
+# bound name -> (bound of (stats, p, q), exact EnumerationReport field, estimate key)
+PAIRING = {
+    "growth-moment": (growth_moment_bound, "growth_moment", "schatten-moment"),
+    "concentration-moment": (concentration_moment_bound, "deviation_moment",
+                             "deviation-schatten-moment"),
+    "growth-mean": (growth_moment_bound, "growth_mean", "spectral-norm-mean"),
+    "concentration-mean": (concentration_moment_bound, "deviation_mean",
+                           "deviation-norm-mean"),
+    "expectation-growth": (lambda s, p, q: expectation_growth_bound(s), "growth_mean",
+                           "spectral-norm-mean"),
+    "expectation-concentration": (lambda s, p, q: expectation_concentration_bound(s),
+                                  "deviation_mean", "deviation-norm-mean"),
+    "contraction-expectation-growth": (lambda s, p, q: contraction_bounds(s)[0],
+                                       "growth_mean", "spectral-norm-mean"),
+    "contraction-expectation-concentration": (lambda s, p, q: contraction_bounds(s)[1],
+                                              "deviation_mean", "deviation-norm-mean"),
+    "lowrank-growth": (lambda s, p, q: lowrank_moment_bounds(s, p)[0], "growth_moment",
+                       "schatten-moment"),
+    "lowrank-concentration": (lambda s, p, q: lowrank_moment_bounds(s, p)[1],
+                              "deviation_moment", "deviation-schatten-moment"),
+    "adapted-growth-moment": (growth_moment_bound, "growth_moment", "schatten-moment"),
+    "adapted-concentration-moment": (concentration_moment_bound, "deviation_moment",
+                                     "deviation-schatten-moment"),
+    "spectral-radius-expectation": (lambda s, p, q: spectral_radius_expectation_bound(s),
+                                    "spectral_radius_mean", "spectral-radius-mean"),
+    "inverse-expectation-growth": (_inverse("expectation-growth"), "growth_mean",
+                                   "spectral-norm-mean"),
+    "inverse-expectation-concentration": (_inverse("expectation-concentration"),
+                                          "deviation_mean", "deviation-norm-mean"),
+}
 
 
 def scalar_spec(n=2, radius=0.1, mean=0.0):
@@ -231,6 +290,57 @@ class TestComparisonRows:
     def test_unknown_bound_name(self):
         with pytest.raises(InvalidParameterError):
             comparison_rows(scalar_spec(), trials=0, bounds=["no-such-bound"])
+
+    def test_unknown_bound_name_rejected_before_any_run(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("ran before the bound names were checked")
+
+        monkeypatch.setattr(verify, "simulate_product", fail)
+        monkeypatch.setattr(verify, "enumerate_product", fail)
+        for trials in (0, 16):
+            with pytest.raises(InvalidParameterError, match="no-such-bound"):
+                comparison_rows(scalar_spec(), trials=trials,
+                                bounds=["growth-moment", "no-such-bound"])
+
+    def test_every_bound_name_pairs_with_its_empirical_value(self):
+        # stats that put every bound in force: contraction and perturbation
+        # statistics, and a projected rank so the low-rank bounds use them as given
+        factor = FactorStats(0.95, 0.05, sigma_uniform=0.1, contraction=0.9,
+                             mean_perturbation=0.01)
+        stats = ProductStats.from_factors([factor] * 3, 2, np.eye(2), projected_rank=2)
+        spec = ProductSpec((make_bounded_perturbation(2, 0.1 * np.eye(2), 0.3, 3.0),) * 3,
+                           np.eye(2))
+        p, q = 3.0, 2.0
+        assert set(PAIRING) == set(verify.BOUND_TABLE)
+        exact = enumerate_product(spec, p, q)
+        estimates, _ = summarize_simulation(spec, simulate_product(spec, 40, seed=9), p, q)
+        for trials in (0, 40):
+            rows, _ = comparison_rows(spec, p, q, trials=trials, seed=9, stats=stats,
+                                      bounds=list(PAIRING))
+            assert [r.quantity for r in rows] == list(PAIRING)
+            for row, (bound, field, key) in zip(rows, PAIRING.values()):
+                assert not row.skipped, row.quantity
+                assert row.bound == bound(stats, p, q).value, row.quantity
+                want = getattr(exact, field) if trials == 0 else estimates[key].mean
+                assert row.empirical == want, row.quantity
+
+    def test_monte_carlo_decomposes_each_trial_stack_once(self, svd_shapes):
+        e = make_bounded_perturbation(3, 0.2 * np.eye(3), 0.5, 8)
+        spec = ProductSpec(factors=(e,) * 8, z0=np.eye(3))
+        comparison_rows(spec, trials=50, thresholds_growth=(2.0,),
+                        thresholds_deviation=(1.5,))
+        # the product stack once and the deviation stack once
+        assert [s for s in svd_shapes if len(s) == 3] == [(50, 3, 3)] * 2
+
+    def test_spectral_radius_of_rectangular_product_is_skipped(self):
+        # a rectangular product has no spectral radius, exact or estimated
+        e = make_bounded_perturbation(2, np.zeros((2, 2)), 0.1, 2.0)
+        spec = ProductSpec(factors=(e,) * 2, z0=np.eye(2)[:, :1])
+        for trials in (0, 16):
+            (row,) = comparison_rows(spec, trials=trials,
+                                     bounds=["spectral-radius-expectation"])[0]
+            assert row.skipped
+            assert row.note == "no empirical value available"
 
     def test_inverse_rows_exact_dominance(self):
         e = make_bounded_perturbation(2, 0.1 * np.eye(2), 0.1, 3.0)
