@@ -38,7 +38,7 @@ from .bounds import (
 )
 from .ensembles import FactorStats
 from .errors import InvalidInputError, MatprodError, NothingToCheckError
-from .schatten import format_float, matrix_from_json, matrix_to_json, stack_norms
+from .schatten import format_float, matrix_from_json, matrix_to_json
 from .simulate import (
     ESTIMATE_FIELDS,
     enumerate_product,
@@ -357,7 +357,7 @@ def run_simulate(cfg: dict, seed: int, trials_override=None):
         return payload, EXIT_OK
 
     sim = simulate_product(spec, trials, seed)
-    estimates, tails = summarize_simulation(spec, sim, p, q, tg, td)
+    estimates, tails, spectral = summarize_simulation(spec, sim, p, q, tg, td)
     wanted = cfg.get("quantities")
     if wanted is not None:
         unknown = set(wanted) - set(ESTIMATE_NAMES)
@@ -375,7 +375,6 @@ def run_simulate(cfg: dict, seed: int, trials_override=None):
         "tails": [t.to_json() for t in tails],
     }
     if cfg.get("per_trial", False):
-        spectral, _ = stack_norms(np.stack(sim.z))
         payload["per_trial_spectral_norms"] = [float(x) for x in spectral]
     return payload, EXIT_OK
 

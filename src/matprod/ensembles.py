@@ -29,6 +29,7 @@ from .schatten import (
     matrix_to_json,
     moment_norm,
     spectral_norm,
+    stack_norms,
 )
 from .streams import substream
 
@@ -159,13 +160,28 @@ class SupportSampler:
     A uniform u picks the first atom whose running probability sum exceeds u:
     ``bisect_right(cum, u)``, or ``searchsorted(cum, u, side="right")`` for a
     batch of uniforms at once. The atoms are held once, as a (K, d, d) stack,
-    and ``support`` views into it.
+    and ``support`` views into it. A sampler built by ``from_diagonals`` also
+    keeps the (K, d) diagonals its atoms are made from; others have
+    ``diagonals = None``.
     """
 
     def __init__(self, atoms, probs):
         self.atoms = np.asarray(atoms, dtype=float)
         self.probs = tuple(probs)
         self.cum = np.array(_cumulative(self.probs))
+        self.diagonals = None
+
+    @classmethod
+    def from_diagonals(cls, diagonals, probs) -> "SupportSampler":
+        """Diagonal atoms, written into their stack from a (K, d) array of diagonals."""
+        diagonals = np.asarray(diagonals, dtype=float)
+        count, dim = diagonals.shape
+        atoms = _atom_stack(count, dim)
+        idx = np.arange(dim)
+        atoms[:, idx, idx] = diagonals
+        sampler = cls(atoms, probs)
+        sampler.diagonals = diagonals
+        return sampler
 
     @property
     def support(self) -> tuple:
@@ -268,12 +284,11 @@ def make_rademacher_rank_one(dim) -> FactorEnsemble:
         raise InvalidParameterError("dimension must be positive")
     eye = np.eye(dim)
     # atom 2j is I + e_j e_j^T, atom 2j+1 is I - e_j e_j^T
-    atoms = _atom_stack(2 * dim, dim)
-    diag = np.arange(dim)
-    atoms[:, diag, diag] = 1.0
-    atoms[2 * diag, diag, diag] = 2.0
-    atoms[2 * diag + 1, diag, diag] = 0.0
-    sampler = SupportSampler(atoms, (1.0 / (2 * dim),) * (2 * dim))
+    diagonals = np.ones((2 * dim, dim))
+    j = np.arange(dim)
+    diagonals[2 * j, j] = 2.0
+    diagonals[2 * j + 1, j] = 0.0
+    sampler = SupportSampler.from_diagonals(diagonals, (1.0 / (2 * dim),) * (2 * dim))
     stats = FactorStats(
         mean_norm=1.0,
         sigma=1.0,
@@ -312,12 +327,18 @@ def make_random_projector_contraction(dim, kind="coordinate", rows=None) -> Fact
     if np.any(norms == 0.0):
         raise InvalidInputError("projector rows must be nonzero")
 
-    eye = np.eye(dim)
-    atoms = _atom_stack(len(rows), dim)
-    for atom, r, n in zip(atoms, rows, norms):
-        np.subtract(eye, np.outer(r, r) / (n * n), out=atom)
-    k = len(atoms)
+    k = len(rows)
     probs = (1.0 / k,) * k
+    if kind == "coordinate":
+        # I - e_j e_j^T: ones on the diagonal but a zero at j, +0 elsewhere
+        sampler = SupportSampler.from_diagonals(1.0 - rows, probs)
+    else:
+        eye = np.eye(dim)
+        atoms = _atom_stack(k, dim)
+        for atom, r, n in zip(atoms, rows, norms):
+            np.subtract(eye, np.outer(r, r) / (n * n), out=atom)
+        sampler = SupportSampler(atoms, probs)
+    atoms = sampler.atoms
     mean = sum(p * a for a, p in zip(atoms, probs))
     # projectors: E Y^T Y = E Y, which is PSD, so the stat is ||E Y||^(1/2)
     c = math.sqrt(spectral_norm(mean))
@@ -335,7 +356,6 @@ def make_random_projector_contraction(dim, kind="coordinate", rows=None) -> Fact
     params = {"kind": "projector-contraction", "dim": dim, "projector_kind": kind}
     if kind == "kaczmarz-row":
         params["rows"] = matrix_to_json(rows)
-    sampler = SupportSampler(atoms, probs)
     return FactorEnsemble(
         dim=dim,
         sampler=sampler,
@@ -425,17 +445,21 @@ def projected_deviation_stat(e: FactorEnsemble, rank, trials=2048, seed=0,
 
     mean = e.exact_mean()
     if e.support is not None:
-        deviations = [(a - mean, p) for a, p in e.support]
+        devs = np.stack([a for a, _ in e.support]) - mean
+        probs = [p for _, p in e.support]
     else:
-        deviations = [(e.draw(substream(seed, projectors + k)) - mean, 1.0 / trials)
-                      for k in range(trials)]
+        devs = np.empty((trials, e.dim, e.dim))
+        for k in range(trials):
+            devs[k] = e.draw(substream(seed, projectors + k)) - mean
+        probs = [1.0 / trials] * trials
     best = 0.0
     for j in range(projectors):
         g = substream(seed, j).standard_normal((e.dim, e.dim))
         qmat, r = np.linalg.qr(g)
         qmat = qmat * np.sign(np.where(np.diag(r) == 0, 1.0, np.diag(r)))
         basis = qmat[:, :rank]  # nested in rank for a fixed stream
-        second = sum(p * spectral_norm(d @ basis) ** 2 for d, p in deviations)
+        norms = stack_norms(devs @ basis)[0].tolist()
+        second = sum(p * v ** 2 for v, p in zip(norms, probs))
         best = max(best, math.sqrt(second))
     return best, "lower-estimate"
 

@@ -46,8 +46,8 @@ from .streams import substream
 MODES = ("independent", "adapted", "inverse")
 ENUMERATION_BUDGET = 2**20
 CONDITION_LIMIT = 1e12
-# bytes: caps the atoms gathered for one product step of a Monte Carlo chunk,
-# and the chunk's uniforms, so that one step's gather stays in cache
+# bytes: caps what one product step of a Monte Carlo chunk holds, and the
+# chunk's uniforms, so that one step's gather stays in cache
 GATHER_BUDGET = 2**19
 
 
@@ -246,16 +246,44 @@ def _right_solve(y, prod):
     return np.linalg.solve(y.swapaxes(-1, -2), prod.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def _gather_product(start, atoms, digits, apply):
+def _gather_product(start, atoms, digits, apply, diagonals=None):
     """Products of a batch of outcomes: step i applies atoms[i][digits[i]] to each.
 
     Exact enumeration passes every combination of atom indices, Monte Carlo
-    the sampled ones.
+    the sampled ones. Where ``diagonals[i]`` holds the (K, d) diagonals of
+    atoms[i], step i scales rows instead of gathering matrices. Row j of a
+    matrix product with a diagonal atom sums D_jj z_j and exact zeros from +0,
+    so ``D_jj * z_j + 0.0`` has its bits while the products stay finite. Past
+    an overflow, 0 * inf turns the dense product's rows into NaN and the scale
+    does not, so an outcome left with a non-finite entry is recomputed through
+    the dense atoms; a non-finite entry never turns finite again, so checking
+    the last product is enough.
     """
+    scaled = diagonals is not None and any(g is not None for g in diagonals)
+    steps = [a if g is None else g for a, g in zip(atoms, diagonals)] if scaled else atoms
     prod = np.broadcast_to(start, (digits[0].size, *start.shape))
-    for stack, dig in zip(atoms, digits):
-        prod = apply(stack[dig], prod)
+    for stack, dig in zip(steps, digits):
+        if stack.ndim == 2:
+            prod = stack[dig][:, :, None] * prod + 0.0
+        else:
+            prod = apply(stack[dig], prod)
+    if scaled:
+        for k in np.flatnonzero(~np.isfinite(prod).all(axis=(1, 2))):
+            prod[k] = _gather_product(start, atoms, [dig[k:k + 1] for dig in digits], apply)[0]
     return prod
+
+
+def _chunk_size(spec, samplers):
+    """(trials per Monte Carlo chunk, bytes one step holds per trial).
+
+    A dense step gathers a d x d atom per trial and a diagonal step a
+    diagonal; either way the step also makes a d x r product. The chunk keeps
+    one step, and the chunk's n uniforms per trial, within GATHER_BUDGET.
+    Inverse mode gathers dense atoms, but its start is square, so r = d.
+    """
+    dense = any(s.diagonals is None for s in samplers)
+    step = 8 * spec.d * (max(spec.d, spec.r) if dense else spec.r)
+    return max(1, GATHER_BUDGET // max(step, 8 * spec.n)), step
 
 
 def _sampled_chunk(spec, start, samplers, rngs, atom_conds):
@@ -269,7 +297,8 @@ def _sampled_chunk(spec, start, samplers, rngs, atom_conds):
     digits = [np.searchsorted(s.cum, u[:, i], side="right") for i, s in enumerate(samplers)]
     atoms = [s.atoms for s in samplers]
     if spec.mode != "inverse":
-        return _gather_product(start, atoms, digits, np.matmul), None
+        return _gather_product(start, atoms, digits, np.matmul,
+                               [s.diagonals for s in samplers]), None
     prod = _gather_product(start, atoms, digits, _right_solve)
     cond_est = np.full(len(rngs), np.linalg.cond(spec.z0))
     for s, dig in zip(samplers, digits):
@@ -329,7 +358,7 @@ def simulate_product(spec: ProductSpec, trials, seed, key=()) -> SimulationResul
     samplers = [e.sampler for e in spec.factors]
     batched = all(isinstance(s, SupportSampler) for s in samplers)
     if batched:
-        chunk = max(1, GATHER_BUDGET // (8 * max(spec.d * spec.d, spec.n)))
+        chunk, _ = _chunk_size(spec, samplers)
         distinct = {id(s): s for s in samplers}
         atom_conds = ({k: np.linalg.cond(s.atoms) for k, s in distinct.items()}
                       if invert else None)
@@ -470,12 +499,14 @@ def tail_frequencies(result: SimulationResult, thresholds, reference=None,
 
 def summarize_simulation(spec: ProductSpec, result: SimulationResult, p=2.0, q=2.0,
                          thresholds_growth=(), thresholds_deviation=(), level=0.99):
-    """Monte Carlo estimates and tail frequencies of one run: (estimates, tails).
+    """Monte Carlo estimates, tail frequencies and per-trial spectral norms of
+    one run: (estimates, tails, spectral).
 
     Adapted mode measures deviations against each trial's F_n and reports no
     deviation tails; inverse mode reports no deviations; every other mode
     measures deviations against ``expected_product``. The product stack and
-    the deviation stack are each decomposed once.
+    the deviation stack are each decomposed once; ``spectral`` holds each
+    included trial's spectral norm, in trial order.
     """
     if spec.mode == "adapted":
         reference, thresholds_deviation = "adapted", ()
@@ -484,7 +515,8 @@ def summarize_simulation(spec: ProductSpec, result: SimulationResult, p=2.0, q=2
     else:
         reference = expected_product(spec)
     estimates, spectral, dev = _estimates(result, p, q, reference, level)
-    return estimates, _tails(spectral, thresholds_growth, dev, thresholds_deviation, level)
+    tails = _tails(spectral, thresholds_growth, dev, thresholds_deviation, level)
+    return estimates, tails, spectral
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +573,10 @@ def _enumerate_independent(spec, invert):
             mats = [np.linalg.solve(m, np.eye(spec.d)) for m in mats]
         atoms.append(np.stack(mats))
         probs.append(np.array([pr for _, pr in s]))
+    # inverse atoms are dense; a diagonal sampler's atoms are its support
+    diagonals = None if invert else [
+        e.sampler.diagonals if isinstance(e.sampler, SupportSampler) else None
+        for e in spec.factors]
     if invert:
         start = np.linalg.solve(spec.z0, np.eye(spec.d))
     else:
@@ -554,7 +590,7 @@ def _enumerate_independent(spec, invert):
         w = np.ones(digits[0].size)
         for pr, dig in zip(probs, digits):
             w = w * pr[dig]
-        yield w, _gather_product(start, atoms, digits, apply)
+        yield w, _gather_product(start, atoms, digits, apply, diagonals)
     return
 
 

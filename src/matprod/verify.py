@@ -629,7 +629,7 @@ def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED
         sim = simulate_product(spec, trials, seed)
         if spec.mode == "inverse":
             meta["excluded"] = sim.excluded
-        estimates, tails = summarize_simulation(
+        estimates, tails, _ = summarize_simulation(
             spec, sim, p, q, growth_thresholds, dev_thresholds, level)
         empirical = {key: (e.mean, "estimate", e.ci_high) for key, e in estimates.items()}
         empirical.update({(t.quantity, t.threshold): (t.frequency, "estimate", t.lcl)

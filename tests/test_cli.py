@@ -296,6 +296,17 @@ class TestSimulateCommand:
         assert len(norms) == 8
         assert all(0.8 <= x <= 1.22 for x in norms)
 
+    @pytest.mark.parametrize("per_trial", [False, True])
+    def test_per_trial_norms_reuse_the_product_svd(self, capsys, tmp_path, svd_shapes,
+                                                   per_trial):
+        path = write_config(tmp_path, {"spec": SCALAR_SPEC, "trials": 8,
+                                       "per_trial": per_trial})
+        rc, payload, _ = run_json(capsys, "simulate", "--config", path)
+        assert rc == 0
+        assert ("per_trial_spectral_norms" in payload) == per_trial
+        # the product stack and the deviation stack, once each
+        assert [s for s in svd_shapes if len(s) == 3] == [(8, 1, 1)] * 2
+
     def test_trials_and_seed_overrides(self, capsys, tmp_path):
         path = write_config(tmp_path, {"spec": SCALAR_SPEC, "trials": 10})
         rc, base, _ = run_json(capsys, "simulate", "--config", path)

@@ -282,13 +282,52 @@ class TestSupportSampler:
         assert isinstance(owner, mmap.mmap) == (nbytes >= PAGED_STACK_BYTES)
         assert stack.nbytes == nbytes and stack.flags.writeable
 
+    @pytest.mark.parametrize("make", [
+        lambda: make_rademacher_rank_one(3),
+        lambda: make_rademacher_rank_one(41),
+        lambda: make_random_projector_contraction(5),
+        lambda: make_random_projector_contraction(52),
+        lambda: FactorEnsemble(2, SupportSampler.from_diagonals(
+            [[-0.0, 1.5], [-2.0, 0.0]], (0.25, 0.75)), FactorStats(1.0, 0.0)),
+    ], ids=["rank-one", "rank-one-large", "coordinate", "coordinate-large", "signed"])
+    def test_diagonal_atoms_are_their_diagonals(self, make):
+        sampler = make().sampler
+        atoms, diagonals = sampler.atoms, sampler.diagonals
+        assert diagonals.shape == atoms.shape[:2]
+        assert np.diagonal(atoms, axis1=1, axis2=2).tobytes() == diagonals.tobytes()
+        off = atoms[:, ~np.eye(atoms.shape[1], dtype=bool)]
+        assert np.all(off == 0.0) and not np.signbit(off).any()
+
+    def test_rank_one_and_coordinate_atoms_unchanged(self):
+        # the atoms the dense builders made: I +/- e_j e_j^T and I - e_j e_j^T
+        eye = np.eye(4)
+        rank_one = make_rademacher_rank_one(4).sampler.atoms
+        coordinate = make_random_projector_contraction(4).sampler.atoms
+        for j, r in enumerate(eye):
+            spike = np.outer(r, r) / (1.0 * 1.0)
+            assert rank_one[2 * j].tobytes() == (eye + spike).tobytes()
+            assert rank_one[2 * j + 1].tobytes() == (eye - spike).tobytes()
+            assert coordinate[j].tobytes() == (eye - spike).tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_bounded_perturbation(3, 0.1 * np.eye(3), 0.4, 2.0),
+        lambda: make_bounded_perturbation(3, 0.1 * np.eye(3), 0.0, 2.0),
+        lambda: make_random_projector_contraction(
+            4, kind="kaczmarz-row", rows=substream(11).standard_normal((5, 4))),
+    ], ids=["two-point", "one-point", "kaczmarz"])
+    def test_dense_samplers_have_no_diagonals(self, make):
+        assert make().sampler.diagonals is None
+
     def test_projector_atoms_match_outer_products(self):
         rows = substream(11).standard_normal((5, 5))
-        e = make_random_projector_contraction(5, kind="kaczmarz-row", rows=rows)
         eye = np.eye(5)
-        for atom, r in zip(e.sampler.atoms, rows):
-            n = np.linalg.norm(r)
-            assert np.array_equal(atom, eye - np.outer(r, r) / (n * n))
+        # coordinate atoms are built from their diagonals, bit for bit the same
+        for e, want_rows in ((make_random_projector_contraction(5, kind="kaczmarz-row", rows=rows),
+                              rows),
+                             (make_random_projector_contraction(5), eye)):
+            for atom, r in zip(e.sampler.atoms, want_rows):
+                n = np.linalg.norm(r)
+                assert atom.tobytes() == (eye - np.outer(r, r) / (n * n)).tobytes()
 
     def test_pick_matches_linear_scan(self):
         # the first atom whose running probability sum exceeds u, with zero

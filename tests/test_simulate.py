@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from matprod import simulate
 from matprod.ensembles import (
     FactorEnsemble,
+    FactorStats,
+    SupportSampler,
     estimate_factor_stats,
     make_bounded_perturbation,
     make_rademacher_rank_one,
@@ -36,6 +39,7 @@ from matprod.simulate import (
     tail_frequencies,
     triangular_array_run,
 )
+from matprod.schatten import spectral_norm
 from matprod.streams import substream
 
 
@@ -207,6 +211,52 @@ def tall_start(d, r, seed=0):
     return z0 / np.linalg.norm(z0)
 
 
+def signed_zero_start(d, r):
+    """A start with -0 entries between negative and positive ones."""
+    z0 = tall_start(d, r, seed=1)
+    z0[::3] = -0.0
+    return z0
+
+
+def rank_one_mixed(d, r, repeat=5):
+    """Rank-one flips and coordinate projectors between dense perturbations."""
+    return ProductSpec((make_rademacher_rank_one(d),
+                        make_bounded_perturbation(d, 0.2 * np.eye(d), 0.4, 3.0),
+                        make_random_projector_contraction(d),
+                        make_rademacher_rank_one(d)) * repeat, tall_start(d, r))
+
+
+IGNORE_OVERFLOW = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                             "ignore:invalid value encountered:RuntimeWarning")
+
+
+def overflowing_rank_one(n=30):
+    # each doubling of a 1e308 coordinate overflows; zeroing it afterwards
+    # gives NaN through 0 * inf, so some trials end non-finite and some not
+    return ProductSpec((make_rademacher_rank_one(4),) * n, np.full((4, 2), 1e308))
+
+
+def kaczmarz_d64():
+    rows = substream(2).standard_normal((9, 64))
+    return ProductSpec((make_random_projector_contraction(64, "kaczmarz-row", rows),) * 6,
+                       tall_start(64, 1))
+
+
+def diagonal_ensemble(d):
+    """Two diagonal atoms, +1 and -1 in the first coordinate, without a d-atom stack."""
+    diagonals = np.ones((2, d))
+    diagonals[1, 0] = -1.0
+    sampler = SupportSampler.from_diagonals(diagonals, (0.5, 0.5))
+    return FactorEnsemble(dim=d, sampler=sampler, stats=FactorStats(1.0, 0.0),
+                          support=sampler.support)
+
+
+def dense_twin(spec):
+    """The same spec with every sampler's diagonals forgotten: dense steps only."""
+    return ProductSpec(tuple(replace(e, sampler=SupportSampler(e.sampler.atoms, e.sampler.probs))
+                             for e in spec.factors), spec.z0, mode=spec.mode)
+
+
 class TestBatchedKernel:
     """The trial-batched kernel against the per-trial loop, bit for bit."""
 
@@ -225,6 +275,16 @@ class TestBatchedKernel:
              make_random_projector_contraction(3),
              make_bounded_perturbation(3, np.zeros((3, 3)), 0.0, 1.0)) * 4,
             np.eye(3)), id="mixed-supports"),
+        pytest.param(lambda: ProductSpec((make_rademacher_rank_one(12),) * 30,
+                                         -np.abs(tall_start(12, 1))), id="rank-one-negative"),
+        pytest.param(lambda: ProductSpec((make_rademacher_rank_one(12),) * 30,
+                                         signed_zero_start(12, 2)), id="rank-one-signed-zero"),
+        pytest.param(lambda: ProductSpec((make_rademacher_rank_one(12),) * 30,
+                                         tall_start(12, 3)), id="rank-one-three-columns"),
+        pytest.param(lambda: ProductSpec((make_rademacher_rank_one(1),) * 12,
+                                         np.array([[-0.75]])), id="rank-one-d1"),
+        pytest.param(lambda: rank_one_mixed(5, 2), id="diagonal-and-dense"),
+        pytest.param(overflowing_rank_one, id="rank-one-overflow", marks=IGNORE_OVERFLOW),
     ])
     def test_matches_per_trial_loop(self, make_spec, monkeypatch):
         spec = make_spec()
@@ -234,6 +294,37 @@ class TestBatchedKernel:
         zs, excluded = reference_loop(spec, 150, seed=31)
         assert excluded == []
         assert_bitwise_equal(sim.z, zs)
+
+    @IGNORE_OVERFLOW
+    def test_overflow_takes_the_dense_products(self):
+        # in the rank-one-overflow case, dense steps spread an inf through
+        # 0 * inf into NaN everywhere; scaled rows would keep finite entries
+        z = np.stack(simulate_product(overflowing_rank_one(), 150, seed=31).z)
+        done = np.isfinite(z).all(axis=(1, 2))
+        assert 0 < done.sum() < 150
+        assert np.isnan(z[~done]).all()
+
+    @pytest.mark.parametrize("make_spec, finite", [
+        pytest.param(lambda: ProductSpec((make_rademacher_rank_one(3),) * 4,
+                                         signed_zero_start(3, 2)), True, id="rank-one"),
+        pytest.param(lambda: rank_one_mixed(3, 1, repeat=1), True, id="diagonal-and-dense"),
+        pytest.param(lambda: overflowing_rank_one(n=5), False, id="rank-one-overflow",
+                     marks=IGNORE_OVERFLOW),
+    ])
+    def test_enumeration_matches_dense_steps(self, make_spec, finite):
+        spec = make_spec()
+        twin = dense_twin(spec)
+        assert all(e.sampler.diagonals is None for e in twin.factors)
+        for (w, prod), (w_want, want) in zip(simulate._enumerate_independent(spec, False),
+                                             simulate._enumerate_independent(twin, False),
+                                             strict=True):
+            assert w.tobytes() == w_want.tobytes()
+            assert prod.tobytes() == want.tobytes()
+            assert np.isfinite(prod).all() == finite
+        if finite:
+            got, want = (enumerate_product(s, 3.0, 2.0, (1.0,), (0.5,)) for s in (spec, twin))
+            assert got.mean.tobytes() == want.mean.tobytes()
+            assert replace(got, mean=None) == replace(want, mean=None)
 
     def test_inverse_with_excluded_trials(self):
         sim = assert_matches_reference(inverse_with_exclusions(), 200, seed=8)
@@ -245,12 +336,42 @@ class TestBatchedKernel:
         sim = assert_matches_reference(inverse_with_exclusions(), 200, seed=8)
         assert 0 < sim.excluded < 200
         assert_matches_reference(matrix_two_point(dim=4, n=12), 50, seed=2, key=(3,))
+        # and 30 uniforms a trial make chunks of 3 for diagonal steps
+        rank_one = ProductSpec((make_rademacher_rank_one(12),) * 30, tall_start(12, 1))
+        assert simulate._chunk_size(rank_one, [e.sampler for e in rank_one.factors])[0] == 3
+        assert_matches_reference(rank_one, 50, seed=2)
 
     def test_chunks_cover_long_products(self):
-        # d = 64 gathers 32 KB per atom, so the default budget makes chunks of 16
-        spec = ProductSpec((make_rademacher_rank_one(64),) * 6, tall_start(64, 1))
-        assert simulate.GATHER_BUDGET // (8 * 64 * 64) == 16
+        # d = 64 Kaczmarz rows gather 32 KB per atom, so the default budget
+        # makes chunks of 16
+        spec = kaczmarz_d64()
+        assert simulate._chunk_size(spec, [e.sampler for e in spec.factors])[0] == 16
         assert_matches_reference(spec, 40, seed=4)
+
+    @pytest.mark.parametrize("make_spec, dense", [
+        pytest.param(lambda: matrix_two_point(dim=10, n=200), True, id="two-point"),
+        pytest.param(lambda: ProductSpec(matrix_two_point(dim=4, n=3).factors, tall_start(4, 2000)),
+                     True, id="two-point-wide-start"),
+        pytest.param(kaczmarz_d64, True, id="kaczmarz-d64"),
+        pytest.param(lambda: ProductSpec((make_rademacher_rank_one(4),) * 3, np.eye(4),
+                                         mode="inverse"), True, id="inverse-rank-one"),
+        pytest.param(lambda: ProductSpec((diagonal_ensemble(100),) * 50, tall_start(100, 1)),
+                     False, id="diagonal-one-column"),
+        pytest.param(lambda: ProductSpec((diagonal_ensemble(64),) * 6, tall_start(64, 200)),
+                     False, id="diagonal-wide-start"),
+        pytest.param(lambda: ProductSpec((diagonal_ensemble(300),) * 6, tall_start(300, 300)),
+                     False, id="diagonal-d300-r300"),
+    ])
+    def test_chunk_bounds_what_a_step_holds(self, make_spec, dense):
+        spec = make_spec()
+        chunk, step = simulate._chunk_size(spec, [e.sampler for e in spec.factors])
+        # a step makes a d x r product per trial, after gathering a d x d atom
+        # when dense
+        assert step >= 8 * spec.d * spec.r
+        if dense:
+            assert step >= 8 * spec.d * spec.d
+        # one trial always runs, however much it holds
+        assert chunk * max(step, 8 * spec.n) <= simulate.GATHER_BUDGET or chunk == 1
 
     def test_triangular_rows_are_keyed(self):
         a = 0.3 * np.eye(3)
@@ -441,9 +562,10 @@ class TestSummarizeSimulation:
     def test_independent_measures_against_the_mean(self):
         spec = matrix_two_point(dim=3, n=5, radius=0.5)
         sim = simulate_product(spec, 60, seed=2)
-        est, tails = summarize_simulation(spec, sim, 3.0, 2.5, (1.0, 1.3), (0.2, 0.4))
+        est, tails, spectral = summarize_simulation(spec, sim, 3.0, 2.5, (1.0, 1.3), (0.2, 0.4))
         ref = expected_product(spec)
         assert est == estimate_norm_statistics(sim, 3.0, 2.5, reference=ref)
+        assert spectral.tolist() == [spectral_norm(z) for z in sim.z]
         assert tails == tail_frequencies(sim, (1.0, 1.3)) + [
             t for t in tail_frequencies(sim, (0.2, 0.4), ref) if t.quantity == "deviation-tail"]
 
@@ -451,7 +573,7 @@ class TestSummarizeSimulation:
         e = make_bounded_perturbation(3, 0.1 * np.eye(3), 0.3, 4.0)
         spec = ProductSpec((e,) * 4, np.eye(3), mode="inverse")
         sim = simulate_product(spec, 40, seed=3)
-        est, tails = summarize_simulation(spec, sim, 2.0, 2.0, (1.0,), (0.2,))
+        est, tails, _ = summarize_simulation(spec, sim, 2.0, 2.0, (1.0,), (0.2,))
         assert est == estimate_norm_statistics(sim, 2.0, 2.0)
         assert set(est) == {"spectral-norm-mean", "schatten-moment", "spectral-radius-mean"}
         assert tails == tail_frequencies(sim, (1.0,))
@@ -459,7 +581,7 @@ class TestSummarizeSimulation:
     def test_adapted_measures_against_f_without_deviation_tails(self):
         spec = adapted_spec()
         sim = simulate_product(spec, 40, seed=4)
-        est, tails = summarize_simulation(spec, sim, 4.0, 2.0, (1.0,), (0.05,))
+        est, tails, _ = summarize_simulation(spec, sim, 4.0, 2.0, (1.0,), (0.05,))
         assert est == estimate_norm_statistics(sim, 4.0, 2.0, reference="adapted")
         assert "deviation-norm-mean" in est
         assert tails == tail_frequencies(sim, (1.0,))

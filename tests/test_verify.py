@@ -313,7 +313,7 @@ class TestComparisonRows:
         p, q = 3.0, 2.0
         assert set(PAIRING) == set(verify.BOUND_TABLE)
         exact = enumerate_product(spec, p, q)
-        estimates, _ = summarize_simulation(spec, simulate_product(spec, 40, seed=9), p, q)
+        estimates, _, _ = summarize_simulation(spec, simulate_product(spec, 40, seed=9), p, q)
         for trials in (0, 40):
             rows, _ = comparison_rows(spec, p, q, trials=trials, seed=9, stats=stats,
                                       bounds=list(PAIRING))
