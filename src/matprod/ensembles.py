@@ -10,9 +10,9 @@ m: sigma bounds (E ||Y - EY||^q)^(1/q) / m, and sigma_uniform bounds
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
-import mmap
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -84,7 +84,7 @@ class FactorEnsemble:
     sampler: Callable[[np.random.Generator], np.ndarray]
     stats: FactorStats
     mean: Optional[np.ndarray] = None
-    support: Optional[tuple] = None  # tuple of (matrix, probability)
+    support: Optional[SupportSampler] = None  # or (matrix, probability) pairs to stack
     kind: str = "custom"
     params: dict = field(default_factory=dict)
     projected_deviation: Optional[Callable[[int], float]] = None
@@ -97,16 +97,12 @@ class FactorEnsemble:
             if m.shape != (self.dim, self.dim):
                 raise InvalidInputError("analytic mean has wrong shape")
         if self.support is not None:
-            total = 0.0
-            for mat, prob in self.support:
-                a = as_matrix(mat, "support atom")
-                if a.shape != (self.dim, self.dim):
-                    raise InvalidInputError("support atom has wrong shape")
-                if not 0 <= prob <= 1:
-                    raise InvalidInputError("support probabilities must lie in [0, 1]")
-                total += prob
-            if abs(total - 1.0) > 1e-12:
-                raise InvalidInputError(f"support probabilities sum to {total}, not 1")
+            if not isinstance(self.support, SupportSampler):
+                pairs = tuple(self.support)
+                object.__setattr__(self, "support", SupportSampler(
+                    [mat for mat, _ in pairs], [prob for _, prob in pairs]))
+            if self.support.dim != self.dim:
+                raise InvalidInputError("support atom has wrong shape")
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         return self.sampler(rng)
@@ -125,28 +121,6 @@ def householder_direction(dim: int) -> np.ndarray:
     return np.eye(dim) - 2.0 * (u @ u.T)
 
 
-# Atom stacks of at least this many bytes get pages of their own.
-PAGED_STACK_BYTES = 2**20
-
-
-def _atom_stack(count, dim) -> np.ndarray:
-    """A zero (count, dim, dim) float stack to build atoms in.
-
-    A large stack gets an anonymous mapping of its own, returned to the system
-    when its last view goes. Through malloc, freeing one large stack raises
-    glibc's mmap threshold to its size, so the next stacks come from the heap;
-    there a small allocation can split a freed stack's block, and a later
-    stack then grows the heap by its whole size. Peak memory would then differ
-    by one stack from process to process.
-    """
-    shape = (count, dim, dim)
-    nbytes = 8 * count * dim * dim
-    if nbytes < PAGED_STACK_BYTES or not hasattr(mmap, "MAP_ANONYMOUS"):
-        return np.zeros(shape)
-    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
-    return np.frombuffer(mmap.mmap(-1, nbytes, flags=flags), dtype=float).reshape(shape)
-
-
 def _cumulative(probs) -> list:
     """Running probability sums, the last pinned to 1 so every u in [0, 1) lands."""
     cum = list(itertools.accumulate(probs))
@@ -155,37 +129,64 @@ def _cumulative(probs) -> list:
 
 
 class SupportSampler:
-    """Draws an atom of a finite support from one uniform per draw.
+    """A finite support, the sequence of its (atom, probability) pairs.
 
     A uniform u picks the first atom whose running probability sum exceeds u:
     ``bisect_right(cum, u)``, or ``searchsorted(cum, u, side="right")`` for a
-    batch of uniforms at once. The atoms are held once, as a (K, d, d) stack,
-    and ``support`` views into it. A sampler built by ``from_diagonals`` also
-    keeps the (K, d) diagonals its atoms are made from; others have
-    ``diagonals = None``.
+    batch of uniforms at once. The atoms are held once, as a (K, d, d) stack.
+    A sampler built by ``from_diagonals`` holds only the (K, d) diagonals of
+    its atoms, and writes the dense stack when ``atoms`` is first read; others
+    have ``diagonals = None``.
     """
 
+    diagonals = None
+
     def __init__(self, atoms, probs):
-        self.atoms = np.asarray(atoms, dtype=float)
-        self.probs = tuple(probs)
-        self.cum = np.array(_cumulative(self.probs))
-        self.diagonals = None
+        self.atoms = self._own(atoms, probs, 3)
 
     @classmethod
     def from_diagonals(cls, diagonals, probs) -> "SupportSampler":
-        """Diagonal atoms, written into their stack from a (K, d) array of diagonals."""
-        diagonals = np.asarray(diagonals, dtype=float)
-        count, dim = diagonals.shape
-        atoms = _atom_stack(count, dim)
-        idx = np.arange(dim)
-        atoms[:, idx, idx] = diagonals
-        sampler = cls(atoms, probs)
-        sampler.diagonals = diagonals
+        """Diagonal atoms, given as a (K, d) array of their diagonals."""
+        sampler = cls.__new__(cls)
+        sampler.diagonals = sampler._own(diagonals, probs, 2)
         return sampler
 
-    @property
-    def support(self) -> tuple:
-        return tuple(zip(self.atoms, self.probs))
+    def _own(self, values, probs, ndim) -> np.ndarray:
+        """Checks and keeps the support; returns its finite (K, d, d) atoms or (K, d) diagonals."""
+        try:
+            arr = np.asarray(values, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidInputError("support atoms must be equal-shape numeric matrices") from None
+        self.probs = tuple(probs)
+        if (arr.ndim != ndim or arr.size == 0 or len(arr) != len(self.probs)
+                or arr.shape[1:] != (arr.shape[-1],) * (ndim - 1)):
+            raise InvalidInputError(f"{len(self.probs)} probabilities, atoms of shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise InvalidInputError("support atoms have non-finite entries")
+        if not all(0 <= prob <= 1 for prob in self.probs):
+            raise InvalidInputError("support probabilities must lie in [0, 1]")
+        total = math.fsum(self.probs)
+        if abs(total - 1.0) > 1e-12:
+            raise InvalidInputError(f"support probabilities sum to {total}, not 1")
+        self.dim = arr.shape[-1]
+        self.cum = np.array(_cumulative(self.probs))
+        return arr
+
+    @functools.cached_property
+    def atoms(self) -> np.ndarray:
+        # only a diagonal sampler gets here: the others set atoms when built
+        atoms = np.zeros((len(self), self.dim, self.dim))
+        atoms[:, range(self.dim), range(self.dim)] = self.diagonals
+        return atoms
+
+    def __len__(self) -> int:
+        return len(self.probs)
+
+    def __iter__(self):
+        return zip(self.atoms, self.probs)
+
+    def __getitem__(self, j):
+        return self.atoms[j], self.probs[j]
 
     def __call__(self, rng: np.random.Generator) -> np.ndarray:
         return self.atoms[bisect.bisect_right(self.cum, rng.random())]
@@ -247,7 +248,7 @@ def make_bounded_perturbation(dim, mean, radius, n_scale, support="two-point") -
             sampler=sampler,
             stats=stats,
             mean=base,
-            support=sampler.support,
+            support=sampler,
             kind="bounded-perturbation",
             params=params,
             # deviations are orthogonal directions: projection does not shrink them
@@ -301,7 +302,7 @@ def make_rademacher_rank_one(dim) -> FactorEnsemble:
         sampler=sampler,
         stats=stats,
         mean=eye,
-        support=sampler.support,
+        support=sampler,
         kind="rademacher-rank-one",
         params={"kind": "rademacher-rank-one", "dim": dim},
         projected_deviation=(lambda r: math.sqrt(min(r, dim) / dim)),
@@ -330,16 +331,18 @@ def make_random_projector_contraction(dim, kind="coordinate", rows=None) -> Fact
     k = len(rows)
     probs = (1.0 / k,) * k
     if kind == "coordinate":
-        # I - e_j e_j^T: ones on the diagonal but a zero at j, +0 elsewhere
+        # I - e_j e_j^T: ones on the diagonal but a zero at j, +0 elsewhere;
+        # the mean and deviations are diagonal too, so no dense stack is built
         sampler = SupportSampler.from_diagonals(1.0 - rows, probs)
+        mean = np.diag(sum(p * g for g, p in zip(sampler.diagonals, probs)))
+        atoms = map(np.diag, sampler.diagonals)  # read once, below
     else:
         eye = np.eye(dim)
-        atoms = _atom_stack(k, dim)
+        atoms = np.empty((k, dim, dim))
         for atom, r, n in zip(atoms, rows, norms):
             np.subtract(eye, np.outer(r, r) / (n * n), out=atom)
         sampler = SupportSampler(atoms, probs)
-    atoms = sampler.atoms
-    mean = sum(p * a for a, p in zip(atoms, probs))
+        mean = sum(p * a for a, p in zip(atoms, probs))
     # projectors: E Y^T Y = E Y, which is PSD, so the stat is ||E Y||^(1/2)
     c = math.sqrt(spectral_norm(mean))
     if c == 0.0:
@@ -361,7 +364,7 @@ def make_random_projector_contraction(dim, kind="coordinate", rows=None) -> Fact
         sampler=sampler,
         stats=stats,
         mean=mean,
-        support=sampler.support,
+        support=sampler,
         kind="projector-contraction",
         params=params,
     )
@@ -377,16 +380,14 @@ def support_stats(e: FactorEnsemble, q=2.0) -> FactorStats:
     m = spectral_norm(mean)
     if m == 0.0:
         raise UnsupportedEnsembleError("mean vanishes; relative stats undefined")
-    atoms = [a for a, _ in e.support]
-    probs = [p for _, p in e.support]
-    devs = [spectral_norm(a - mean) for a in atoms]
-    csq = spectral_norm(sum(p * (a.T @ a) for a, p in zip(atoms, probs)))
+    devs = [spectral_norm(a - mean) for a, _ in e.support]
+    csq = spectral_norm(sum(p * (a.T @ a) for a, p in e.support))
     c = math.sqrt(csq)
     return FactorStats(
         mean_norm=m,
-        sigma=moment_norm(devs, q, probs) / m,
+        sigma=moment_norm(devs, q, e.support.probs) / m,
         q=float(q),
-        uniform_norm=max(max(spectral_norm(a) for a in atoms), m),
+        uniform_norm=max(max(spectral_norm(a) for a, _ in e.support), m),
         sigma_uniform=max(devs) / m,
         contraction=c if (c <= 1.0 and m <= 1.0) else None,
     )
@@ -445,8 +446,8 @@ def projected_deviation_stat(e: FactorEnsemble, rank, trials=2048, seed=0,
 
     mean = e.exact_mean()
     if e.support is not None:
-        devs = np.stack([a for a, _ in e.support]) - mean
-        probs = [p for _, p in e.support]
+        devs = e.support.atoms - mean
+        probs = e.support.probs
     else:
         devs = np.empty((trials, e.dim, e.dim))
         for k in range(trials):

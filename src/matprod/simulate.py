@@ -11,7 +11,7 @@ the running product of realized conditional means F_n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -246,30 +246,30 @@ def _right_solve(y, prod):
     return np.linalg.solve(y.swapaxes(-1, -2), prod.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def _gather_product(start, atoms, digits, apply, diagonals=None):
-    """Products of a batch of outcomes: step i applies atoms[i][digits[i]] to each.
+def _gather_product(start, steps, digits, apply):
+    """Products of a batch of outcomes: step i applies steps[i][digits[i]] to each.
 
     Exact enumeration passes every combination of atom indices, Monte Carlo
-    the sampled ones. Where ``diagonals[i]`` holds the (K, d) diagonals of
-    atoms[i], step i scales rows instead of gathering matrices. Row j of a
-    matrix product with a diagonal atom sums D_jj z_j and exact zeros from +0,
-    so ``D_jj * z_j + 0.0`` has its bits while the products stay finite. Past
-    an overflow, 0 * inf turns the dense product's rows into NaN and the scale
-    does not, so an outcome left with a non-finite entry is recomputed through
-    the dense atoms; a non-finite entry never turns finite again, so checking
-    the last product is enough.
+    the sampled ones. A step is a (K, d, d) atom stack, or the (K, d)
+    diagonals of diagonal atoms, which scale rows instead. Row j of a matrix
+    product with a diagonal atom sums D_jj z_j and exact zeros from +0, so
+    ``D_jj * z_j + 0.0`` has its bits while the products stay finite. Past an
+    overflow, 0 * inf turns the dense product's rows into NaN and the scale
+    does not, so an outcome left with a non-finite entry is recomputed with
+    its diagonals expanded into dense atoms; a non-finite entry never turns
+    finite again, so checking the last product is enough.
     """
-    scaled = diagonals is not None and any(g is not None for g in diagonals)
-    steps = [a if g is None else g for a, g in zip(atoms, diagonals)] if scaled else atoms
     prod = np.broadcast_to(start, (digits[0].size, *start.shape))
     for stack, dig in zip(steps, digits):
         if stack.ndim == 2:
             prod = stack[dig][:, :, None] * prod + 0.0
         else:
             prod = apply(stack[dig], prod)
-    if scaled:
+    if any(stack.ndim == 2 for stack in steps):
         for k in np.flatnonzero(~np.isfinite(prod).all(axis=(1, 2))):
-            prod[k] = _gather_product(start, atoms, [dig[k:k + 1] for dig in digits], apply)[0]
+            dense = [np.diag(stack[dig[k]])[None] if stack.ndim == 2 else stack[dig[k:k + 1]]
+                     for stack, dig in zip(steps, digits)]
+            prod[k] = _gather_product(start, dense, [np.zeros(1, int)] * len(dense), apply)[0]
     return prod
 
 
@@ -295,11 +295,10 @@ def _sampled_chunk(spec, start, samplers, rngs, atom_conds):
     """
     u = np.stack([rng.random(spec.n) for rng in rngs])
     digits = [np.searchsorted(s.cum, u[:, i], side="right") for i, s in enumerate(samplers)]
-    atoms = [s.atoms for s in samplers]
     if spec.mode != "inverse":
-        return _gather_product(start, atoms, digits, np.matmul,
-                               [s.diagonals for s in samplers]), None
-    prod = _gather_product(start, atoms, digits, _right_solve)
+        steps = [s.atoms if s.diagonals is None else s.diagonals for s in samplers]
+        return _gather_product(start, steps, digits, np.matmul), None
+    prod = _gather_product(start, [s.atoms for s in samplers], digits, _right_solve)
     cond_est = np.full(len(rngs), np.linalg.cond(spec.z0))
     for s, dig in zip(samplers, digits):
         cond_est = cond_est * atom_conds[id(s)][dig]
@@ -565,21 +564,13 @@ def _enumerate_independent(spec, invert):
         raise EnumerationInfeasibleError(
             f"enumeration needs {total} outcomes, budget is {ENUMERATION_BUDGET}",
             required=total, budget=ENUMERATION_BUDGET)
-    atoms = []
-    probs = []
-    for s in supports:
-        mats = [m for m, _ in s]
-        if invert:
-            mats = [np.linalg.solve(m, np.eye(spec.d)) for m in mats]
-        atoms.append(np.stack(mats))
-        probs.append(np.array([pr for _, pr in s]))
-    # inverse atoms are dense; a diagonal sampler's atoms are its support
-    diagonals = None if invert else [
-        e.sampler.diagonals if isinstance(e.sampler, SupportSampler) else None
-        for e in spec.factors]
+    probs = [np.array(s.probs) for s in supports]
     if invert:
-        start = np.linalg.solve(spec.z0, np.eye(spec.d))
+        eye = np.eye(spec.d)
+        steps = [np.stack([np.linalg.solve(m, eye) for m in s.atoms]) for s in supports]
+        start = np.linalg.solve(spec.z0, eye)
     else:
+        steps = [s.atoms if s.diagonals is None else s.diagonals for s in supports]
         start = spec.z0
     # factor 1 acts first; in inverse mode its inverse is leftmost instead
     apply = _right_multiply if invert else np.matmul
@@ -590,7 +581,7 @@ def _enumerate_independent(spec, invert):
         w = np.ones(digits[0].size)
         for pr, dig in zip(probs, digits):
             w = w * pr[dig]
-        yield w, _gather_product(start, atoms, digits, apply, diagonals)
+        yield w, _gather_product(start, steps, digits, apply)
     return
 
 
@@ -800,9 +791,7 @@ def conjugated_spec(spec: ProductSpec, s_matrix, q=2.0, trials=4096, seed=0) -> 
         else:
             from .ensembles import estimate_factor_stats
             stats = estimate_factor_stats(shell, q, trials=trials, seed=seed + idx)
-        new_factors.append(FactorEnsemble(
-            dim=e.dim, sampler=sampler, stats=stats, mean=mean, support=support,
-            kind=f"conjugated-{e.kind}"))
+        new_factors.append(replace(shell, stats=stats))
     return ProductSpec(factors=tuple(new_factors),
                        z0=s_inv @ spec.z0 @ s,
                        mode=spec.mode)

@@ -474,6 +474,9 @@ class CompareRow:
     conditions_met: bool = True
     skipped: bool = False
     note: str = ""
+    # "lower-estimate" on a compared low-rank row whose projected sigmas were
+    # sampled: its bound is not a certified upper bound
+    quality: Optional[str] = None
 
     def to_json(self) -> dict:
         out = {
@@ -494,6 +497,8 @@ class CompareRow:
             out["ratio"] = self.ratio
         if self.note:
             out["note"] = self.note
+        if self.quality is not None:
+            out["quality"] = self.quality
         return out
 
 
@@ -636,9 +641,10 @@ def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED
                           for t in tails})
 
     rows = []
-    lr_stats, lr_quality = stats, "analytic"
+    lr_stats, lr_quality = stats, None
     if stats.projected_rank is None and any(n.startswith("lowrank-") for n in names):
-        lr_stats, lr_quality = projected_product_stats(spec)
+        lr_stats, quality = projected_product_stats(spec)
+        lr_quality = None if quality == "analytic" else quality
 
     for name in names:
         bound, estimate_key = BOUND_TABLE[name]
@@ -648,8 +654,6 @@ def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED
             rows.append(CompareRow(name, math.nan, "none", math.nan, name, skipped=True,
                                    note="factors carry no perturbation statistics"))
             continue
-        if lowrank and lr_quality != "analytic":
-            result.extras = dict(result.extras or {}, projected_quality=lr_quality)
         if not result.conditions_met and (result.value is None
                                           or not math.isfinite(result.value)):
             rows.append(CompareRow(name, math.nan, "none", result.value, result.kind,
@@ -664,7 +668,8 @@ def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED
         ratio = result.value / emp if emp > 0 else None
         rows.append(CompareRow(name, emp, kind, result.value, result.kind,
                                limit=limit, ratio=ratio,
-                               conditions_met=result.conditions_met))
+                               conditions_met=result.conditions_met,
+                               quality=lr_quality if lowrank else None))
 
     for kind, t, result in tail_rows:
         quantity = f"{kind}@{t:g}"
@@ -693,7 +698,8 @@ def check_bound_dominance(spec: ProductSpec, p=2.0, q=2.0, trials=0,
     Exact rows must dominate to the normalized tolerance. Monte Carlo mean
     rows compare the bound to the 99% upper confidence limit; tail rows flag a
     violation only when the lower confidence limit exceeds the bound.
-    Condition-violated rows are skipped and noted, never counted.
+    Condition-violated rows, and rows whose bound rests on a lower estimate
+    (``quality``), are skipped and noted, never counted.
     """
     try:
         rows, meta = comparison_rows(
@@ -709,6 +715,9 @@ def check_bound_dominance(spec: ProductSpec, p=2.0, q=2.0, trials=0,
     for row in rows:
         if row.skipped:
             col.note(f"skipped {row.quantity}: {row.note}")
+            continue
+        if row.quality is not None:
+            col.note(f"skipped {row.quantity}: {row.quality} bound, not certified")
             continue
         if math.isinf(row.bound):
             col.add(math.inf, detail={"quantity": row.quantity})

@@ -1,11 +1,9 @@
 import math
-import mmap
 
 import numpy as np
 import pytest
 
 from matprod.ensembles import (
-    PAGED_STACK_BYTES,
     FactorEnsemble,
     FactorStats,
     SupportSampler,
@@ -255,7 +253,7 @@ class TestSupportSampler:
             assert prob == e.sampler.probs[j]
 
     def test_rank_one_atoms_built_in_place(self):
-        for dim in (3, 41):  # a heap stack and a paged one
+        for dim in (3, 41):
             e = make_rademacher_rank_one(dim)
             eye = np.eye(dim)
             for j in range(dim):
@@ -265,22 +263,6 @@ class TestSupportSampler:
                 assert np.array_equal(e.sampler.atoms[2 * j + 1], eye - spike)
             # a float stack is kept as it is, not copied
             assert SupportSampler(e.sampler.atoms, e.sampler.probs).atoms is e.sampler.atoms
-
-    @pytest.mark.skipif(not hasattr(mmap, "MAP_ANONYMOUS"), reason="no anonymous mmap")
-    @pytest.mark.parametrize("make, nbytes", [
-        (lambda: make_rademacher_rank_one(41), 8 * 2 * 41**3),
-        (lambda: make_random_projector_contraction(52), 8 * 52**3),
-        (lambda: make_rademacher_rank_one(6), 8 * 2 * 6**3),
-    ], ids=["rank-one-large", "projector-large", "rank-one-small"])
-    def test_large_stacks_own_their_pages(self, make, nbytes):
-        stack = make().sampler.atoms
-        owner = stack
-        while isinstance(owner, np.ndarray) and owner.base is not None:
-            owner = owner.base
-        if isinstance(owner, memoryview):
-            owner = owner.obj
-        assert isinstance(owner, mmap.mmap) == (nbytes >= PAGED_STACK_BYTES)
-        assert stack.nbytes == nbytes and stack.flags.writeable
 
     @pytest.mark.parametrize("make", [
         lambda: make_rademacher_rank_one(3),
@@ -356,9 +338,83 @@ class TestSupportSampler:
                     break
             want.append(pick)
             assert sampler(Fixed(u))[0, 0] == pick
-            assert SupportSampler.draw_from(sampler.support, Fixed(u))[0, 0] == pick
+            assert SupportSampler.draw_from(sampler, Fixed(u))[0, 0] == pick
         batch = np.searchsorted(sampler.cum, uniforms, side="right")
         assert batch.tolist() == want
+
+
+def support_of(form, diagonals, probs):
+    """A diagonal support built as a tuple support, a dense sampler or from diagonals."""
+    diagonals = np.asarray(diagonals, dtype=float)
+    if form == "diagonals":
+        return SupportSampler.from_diagonals(diagonals, probs)
+    atoms = [np.diag(g) for g in diagonals]
+    if form == "dense":
+        return SupportSampler(np.stack(atoms), probs)
+    return FactorEnsemble(dim=diagonals.shape[1], sampler=lambda rng: atoms[0],
+                          stats=FactorStats(mean_norm=1.0, sigma=0.0),
+                          support=tuple(zip(atoms, probs))).support
+
+
+class TestSupportValidation:
+    """Every form of support is checked once, by SupportSampler."""
+
+    FORMS = ("tuple", "dense", "diagonals")
+
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("diagonals, probs", [
+        ([[1.0, 2.0], [0.5, np.inf]], (0.5, 0.5)),
+        ([[1.0, np.nan], [0.5, -1.0]], (0.5, 0.5)),
+        ([[1.0, 2.0], [0.5, -1.0]], (1.5, -0.5)),
+        ([[1.0, 2.0], [0.5, -1.0]], (0.5, float("nan"))),
+        ([[1.0, 2.0], [0.5, -1.0]], (0.5, 0.5 + 2e-12)),
+        ([[1.0, 2.0], [0.5, -1.0]], (0.5, 0.5 - 2e-12)),
+    ], ids=["inf-atom", "nan-atom", "prob-outside", "nan-prob", "sum-above", "sum-below"])
+    def test_rejects_bad_support(self, form, diagonals, probs):
+        with pytest.raises(InvalidInputError):
+            support_of(form, diagonals, probs)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_accepts_sums_within_tolerance(self, form):
+        support = support_of(form, [[1.0, 2.0], [0.5, -1.0]], (0.5, 0.5 + 5e-13))
+        assert isinstance(support, SupportSampler)
+        assert (len(support), support.dim) == (2, 2)
+
+    @pytest.mark.parametrize("build", [
+        lambda: FactorEnsemble(dim=2, sampler=lambda rng: np.eye(2),
+                               stats=FactorStats(mean_norm=1.0, sigma=0.0),
+                               support=((np.eye(2), 0.5), (np.eye(3), 0.5))),
+        lambda: FactorEnsemble(dim=2, sampler=lambda rng: np.eye(2),
+                               stats=FactorStats(mean_norm=1.0, sigma=0.0),
+                               support=((np.ones(2), 0.5), (np.ones(2), 0.5))),
+        lambda: SupportSampler(np.ones((2, 2, 3)), (0.5, 0.5)),
+        lambda: SupportSampler(np.ones((3, 2, 2)), (0.5, 0.5)),
+        lambda: SupportSampler(np.eye(2), (0.5, 0.5)),
+        lambda: SupportSampler.from_diagonals(np.ones((2, 2, 2)), (0.5, 0.5)),
+        lambda: SupportSampler.from_diagonals(np.ones((3, 2)), (0.5, 0.5)),
+        lambda: SupportSampler.from_diagonals(np.ones((2, 0)), (0.5, 0.5)),
+    ], ids=["tuple-ragged", "tuple-vectors", "dense-not-square", "dense-count",
+            "dense-one-matrix", "diagonals-stack", "diagonals-count", "diagonals-empty"])
+    def test_rejects_wrong_shape(self, build):
+        with pytest.raises(InvalidInputError):
+            build()
+
+    @pytest.mark.parametrize("make", [make_rademacher_rank_one, make_random_projector_contraction],
+                             ids=["rank-one", "coordinate"])
+    def test_diagonal_builders_check_diagonals_not_each_atom(self, make, monkeypatch):
+        from matprod import ensembles
+
+        names = []
+        real = ensembles.as_matrix
+
+        def counting(a, name="matrix"):
+            names.append(name)
+            return real(a, name)
+
+        monkeypatch.setattr(ensembles, "as_matrix", counting)
+        e = make(100)
+        assert names == ["analytic mean"]
+        assert "atoms" not in vars(e.sampler)
 
 
 class TestEnsembleValidation:

@@ -41,6 +41,7 @@ from matprod.simulate import (
 )
 from matprod.schatten import spectral_norm
 from matprod.streams import substream
+from matprod.verify import comparison_rows
 
 
 def scalar_two_point(n=2, radius=0.1):
@@ -248,13 +249,14 @@ def diagonal_ensemble(d):
     diagonals[1, 0] = -1.0
     sampler = SupportSampler.from_diagonals(diagonals, (0.5, 0.5))
     return FactorEnsemble(dim=d, sampler=sampler, stats=FactorStats(1.0, 0.0),
-                          support=sampler.support)
+                          support=sampler)
 
 
 def dense_twin(spec):
     """The same spec with every sampler's diagonals forgotten: dense steps only."""
-    return ProductSpec(tuple(replace(e, sampler=SupportSampler(e.sampler.atoms, e.sampler.probs))
-                             for e in spec.factors), spec.z0, mode=spec.mode)
+    twins = [SupportSampler(e.sampler.atoms, e.sampler.probs) for e in spec.factors]
+    return ProductSpec(tuple(replace(e, sampler=s, support=s)
+                             for e, s in zip(spec.factors, twins)), spec.z0, mode=spec.mode)
 
 
 class TestBatchedKernel:
@@ -383,6 +385,74 @@ class TestBatchedKernel:
             zs, _ = reference_loop(spec, 64, seed=15, key=(j,))
             dev = np.linalg.svd(np.stack(zs) - expected_product(spec), compute_uv=False)[:, 0]
             assert row.deviation_from_mean.mean == float(dev.mean())
+
+
+def invertible_diagonal(d):
+    """Three diagonal atoms with no zero on their diagonals, so inverse mode can run."""
+    diagonals = np.linspace(0.5, 2.0, 3 * d).reshape(3, d) * np.array([[1.0], [-1.0], [1.0]])
+    sampler = SupportSampler.from_diagonals(diagonals, (0.25, 0.25, 0.5))
+    return FactorEnsemble(dim=d, sampler=sampler, stats=FactorStats(1.0, 0.0), support=sampler)
+
+
+class TestDiagonalSamplers:
+    """A diagonal sampler keeps only its diagonals until dense atoms are read,
+    and every reader of them gets the bytes of the dense sampler."""
+
+    def test_rank_one_compare_never_writes_atoms(self):
+        bounds = ["lowrank-growth", "lowrank-concentration"]
+        # the rank-one preset's shape: d = 100, 50 flips, one column
+        e = make_rademacher_rank_one(100)
+        spec = ProductSpec((e,) * 50, tall_start(100, 1))
+        rows, meta = comparison_rows(spec, p=11.2, trials=150, bounds=bounds)
+        assert meta["source"] == "monte-carlo" and not any(r.skipped for r in rows)
+        small = make_rademacher_rank_one(5)
+        rows, meta = comparison_rows(ProductSpec((small,) * 4, tall_start(5, 1)), p=4.0,
+                                     trials=0, bounds=bounds)
+        assert meta["outcomes"] == 10**4 and not any(r.skipped for r in rows)
+        assert "atoms" not in vars(e.sampler)
+        assert "atoms" not in vars(small.sampler)
+
+    @IGNORE_OVERFLOW
+    def test_overflow_fallback_matches_dense_twin(self):
+        spec = overflowing_rank_one()
+        sim = simulate_product(spec, 150, seed=31)
+        enumerated = list(simulate._enumerate_independent(overflowing_rank_one(n=5), False))
+        # the fallback expands only the diagonals of the outcomes that failed
+        assert "atoms" not in vars(spec.factors[0].sampler)
+        assert_bitwise_equal(sim.z, simulate_product(dense_twin(spec), 150, seed=31).z)
+        for (w, prod), (w_want, want) in zip(
+                enumerated, simulate._enumerate_independent(
+                    dense_twin(overflowing_rank_one(n=5)), False), strict=True):
+            assert (w.tobytes(), prod.tobytes()) == (w_want.tobytes(), want.tobytes())
+
+    @pytest.mark.parametrize("make_spec", [
+        pytest.param(lambda: ProductSpec((invertible_diagonal(3),) * 6,
+                                         np.eye(3) + 0.1 * tall_start(3, 3)), id="diagonal"),
+        pytest.param(lambda: ProductSpec(
+            (invertible_diagonal(3), make_bounded_perturbation(3, 0.2 * np.eye(3), 0.3, 2.0)) * 3,
+            np.eye(3)), id="diagonal-and-dense"),
+    ])
+    def test_inverse_mode_matches_dense_twin(self, make_spec):
+        spec = replace(make_spec(), mode="inverse")
+        twin = dense_twin(spec)
+        got, want = (simulate_product(s, 120, seed=9) for s in (spec, twin))
+        assert_bitwise_equal(got.z, want.z)
+        assert got.excluded_indices == want.excluded_indices
+        got, want = (enumerate_product(s, 3.0, 2.0, (1.0,), (0.5,)) for s in (spec, twin))
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert replace(got, mean=None) == replace(want, mean=None)
+
+    def test_conjugation_matches_dense_twin(self):
+        spec = ProductSpec((invertible_diagonal(3), make_rademacher_rank_one(3)) * 2, np.eye(3))
+        s = np.array([[1.0, 0.2, 0.0], [0.0, 0.5, 0.1], [0.3, 0.0, 2.0]])
+        got, want = (conjugated_spec(x, s) for x in (spec, dense_twin(spec)))
+        for f, g in zip(got.factors, want.factors, strict=True):
+            assert f.support.atoms.tobytes() == g.support.atoms.tobytes()
+            assert f.support.probs == g.support.probs
+            assert f.mean.tobytes() == g.mean.tobytes()
+            assert f.stats == g.stats
+        assert_bitwise_equal(simulate_product(got, 40, seed=6).z,
+                             simulate_product(want, 40, seed=6).z)
 
 
 class TestPerTrialPath:

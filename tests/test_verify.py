@@ -371,6 +371,7 @@ class TestComparisonRows:
                                      bounds=["lowrank-growth", "lowrank-concentration"])
         assert meta["outcomes"] == 12 ** 4
         growth, conc = rows
+        assert growth.quality is None and "quality" not in growth.to_json()
         assert growth.bound == pytest.approx(math.e, rel=1e-12)
         assert growth.bound >= growth.empirical
         assert conc.bound >= conc.empirical
@@ -457,6 +458,22 @@ class TestBoundDominance:
         rep = check_bound_dominance(spec, p=2.0, q=2.0, trials=0)
         assert rep.passed
 
+    def test_lower_estimate_rows_are_noted_not_counted(self):
+        # uniform-sphere factors have no closed-form projected deviation, so
+        # the low-rank bounds of a one-column product rest on sampled sigmas
+        e = make_bounded_perturbation(3, np.zeros((3, 3)), 0.3, 3.0, support="uniform-sphere")
+        spec = ProductSpec(factors=(e,) * 2, z0=np.eye(3)[:, :1])
+        bounds = ["lowrank-growth", "lowrank-concentration", "growth-moment"]
+        rows, _ = comparison_rows(spec, trials=64, bounds=bounds)
+        assert [r.quality for r in rows] == ["lower-estimate", "lower-estimate", None]
+        assert [r.to_json().get("quality") for r in rows] == ["lower-estimate",
+                                                              "lower-estimate", None]
+        assert not any(r.skipped for r in rows)
+        rep = check_bound_dominance(spec, trials=64, bounds=bounds)
+        assert rep.instances == 1
+        for name in bounds[:2]:
+            assert f"skipped {name}: lower-estimate bound, not certified" in rep.notes
+
 
 class TestCompareRowJson:
     def test_nan_empirical_omitted(self):
@@ -465,16 +482,18 @@ class TestCompareRowJson:
         assert "empirical" not in out
         assert "ratio" not in out
         assert "note" not in out
+        assert "quality" not in out
         assert out["skipped"] is True
 
     def test_full_row_round_trips_fields(self):
         row = CompareRow("x", 0.5, "exact", 1.0, "x", limit=0.6,
-                         threshold=2.0, ratio=2.0, note="hi")
+                         threshold=2.0, ratio=2.0, note="hi", quality="lower-estimate")
         out = row.to_json()
         assert out["empirical"] == 0.5
         assert out["limit"] == 0.6
         assert out["threshold"] == 2.0
         assert out["note"] == "hi"
+        assert out["quality"] == "lower-estimate"
 
 
 class TestProjectedProductStats:
