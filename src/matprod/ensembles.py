@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -96,6 +95,11 @@ class FactorEnsemble:
             m = as_matrix(self.mean, "analytic mean")
             if m.shape != (self.dim, self.dim):
                 raise InvalidInputError("analytic mean has wrong shape")
+        if isinstance(self.sampler, SupportSampler) and self.support is not self.sampler:
+            # Monte Carlo reads the sampler and enumeration the support: one object
+            if self.support is not None:
+                raise InvalidInputError("a SupportSampler sampler must be the ensemble's support")
+            object.__setattr__(self, "support", self.sampler)
         if self.support is not None:
             if not isinstance(self.support, SupportSampler):
                 pairs = tuple(self.support)
@@ -119,13 +123,6 @@ def householder_direction(dim: int) -> np.ndarray:
     """Fixed reflector with unit spectral norm touching every coordinate."""
     u = np.full((dim, 1), dim**-0.5)
     return np.eye(dim) - 2.0 * (u @ u.T)
-
-
-def _cumulative(probs) -> list:
-    """Running probability sums, the last pinned to 1 so every u in [0, 1) lands."""
-    cum = list(itertools.accumulate(probs))
-    cum[-1] = 1.0
-    return cum
 
 
 class SupportSampler:
@@ -169,7 +166,8 @@ class SupportSampler:
         if abs(total - 1.0) > 1e-12:
             raise InvalidInputError(f"support probabilities sum to {total}, not 1")
         self.dim = arr.shape[-1]
-        self.cum = np.array(_cumulative(self.probs))
+        self.cum = np.cumsum(self.probs, dtype=float)
+        self.cum[-1] = 1.0  # so that every u in [0, 1) lands
         return arr
 
     @functools.cached_property
@@ -190,12 +188,6 @@ class SupportSampler:
 
     def __call__(self, rng: np.random.Generator) -> np.ndarray:
         return self.atoms[bisect.bisect_right(self.cum, rng.random())]
-
-    @staticmethod
-    def draw_from(support, rng: np.random.Generator) -> np.ndarray:
-        """One atom of a (matrix, probability) support, picked as above."""
-        cum = _cumulative([prob for _, prob in support])
-        return support[bisect.bisect_right(cum, rng.random())][0]
 
 
 def make_bounded_perturbation(dim, mean, radius, n_scale, support="two-point") -> FactorEnsemble:

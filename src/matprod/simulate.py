@@ -11,7 +11,7 @@ the running product of realized conditional means F_n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -49,6 +49,10 @@ CONDITION_LIMIT = 1e12
 # bytes: caps what one product step of a Monte Carlo chunk holds, and the
 # chunk's uniforms, so that one step's gather stays in cache
 GATHER_BUDGET = 2**19
+# paths: the widest block the adapted walk and adapted Monte Carlo step at once
+FRONTIER_PATHS = 8192
+# bytes: inverse-mode products kept from the mean pass for the statistics pass
+INVERSE_KEEP_BYTES = 2**24
 
 
 # ---------------------------------------------------------------------------
@@ -111,16 +115,7 @@ class MCEstimate:
     level: float = 0.99
 
     def to_json(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "trials": self.trials,
-            "seed": self.seed,
-            "level": self.level,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -145,16 +140,7 @@ class TailEstimate:
     level: float = 0.99
 
     def to_json(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "threshold": self.threshold,
-            "frequency": self.frequency,
-            "hits": self.hits,
-            "trials": self.trials,
-            "ucl": self.ucl,
-            "lcl": self.lcl,
-            "level": self.level,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +169,23 @@ class NormBiasedTwoPointHook:
             raise InvalidParameterError("bias must lie in (0, 1)")
         if not 0.0 < self.scale:
             raise InvalidParameterError("scale must be positive")
+        eye = np.eye(self.dim)
+        spike = self.scale * householder_direction(self.dim)
+        object.__setattr__(self, "atoms", np.stack([eye + spike, eye - spike]))
 
     def conditional_support(self, history):
-        eye = np.eye(self.dim)
-        running = eye
+        running = np.eye(self.dim)
         for y in history:
             running = y @ running
         pi = self.high if np.linalg.norm(running) <= math.sqrt(self.dim) else 1.0 - self.high
-        spike = self.scale * householder_direction(self.dim)
-        return ((eye + spike, pi), (eye - spike, 1.0 - pi))
+        return ((self.atoms[0], pi), (self.atoms[1], 1.0 - pi))
+
+    def conditional_supports(self, runs):
+        """Batched form: (atoms, probs) for a (B, dim, dim) stack of running products."""
+        flat = runs.reshape(len(runs), 1, -1)  # one dot product per norm, as np.linalg.norm
+        low = np.sqrt(flat @ flat.swapaxes(1, 2))[:, 0, 0] <= math.sqrt(self.dim)
+        pi = np.where(low, self.high, 1.0 - self.high)
+        return self.atoms, np.stack([pi, 1.0 - pi], axis=1)
 
     def factor_stats(self) -> FactorStats:
         swing = abs(2.0 * self.high - 1.0)
@@ -218,6 +212,11 @@ class HistoryFreeHook:
 
     def conditional_support(self, history):
         return self.ensemble.support
+
+    def conditional_supports(self, runs):
+        """Batched form: the support's atoms, or diagonals, and one row of probabilities."""
+        s = self.ensemble.support
+        return (s.atoms if s.diagonals is None else s.diagonals), np.array([s.probs])
 
     def factor_stats(self) -> FactorStats:
         return support_stats(self.ensemble)
@@ -246,31 +245,26 @@ def _right_solve(y, prod):
     return np.linalg.solve(y.swapaxes(-1, -2), prod.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def _gather_product(start, steps, digits, apply):
-    """Products of a batch of outcomes: step i applies steps[i][digits[i]] to each.
+def _gather(stack, idx, prod, apply):
+    """apply(stack[idx], prod) for a batch of rows: one gather-and-multiply step.
 
-    Exact enumeration passes every combination of atom indices, Monte Carlo
-    the sampled ones. A step is a (K, d, d) atom stack, or the (K, d)
-    diagonals of diagonal atoms, which scale rows instead. Row j of a matrix
-    product with a diagonal atom sums D_jj z_j and exact zeros from +0, so
-    ``D_jj * z_j + 0.0`` has its bits while the products stay finite. Past an
-    overflow, 0 * inf turns the dense product's rows into NaN and the scale
-    does not, so an outcome left with a non-finite entry is recomputed with
-    its diagonals expanded into dense atoms; a non-finite entry never turns
-    finite again, so checking the last product is enough.
+    Monte Carlo, exact enumeration and the adapted walk all step this way. A
+    step is a (K, d, d) atom stack, or the (K, d) diagonals of diagonal atoms,
+    which scale rows instead. Row j of a matrix product with a diagonal atom
+    sums D_jj z_j and exact zeros from +0, so ``D_jj * z_j + 0.0`` has its bits
+    while prod is finite; past an overflow, 0 * inf turns the dense product's
+    rows into NaN and the scale does not (see _step).
     """
-    prod = np.broadcast_to(start, (digits[0].size, *start.shape))
-    for stack, dig in zip(steps, digits):
-        if stack.ndim == 2:
-            prod = stack[dig][:, :, None] * prod + 0.0
-        else:
-            prod = apply(stack[dig], prod)
-    if any(stack.ndim == 2 for stack in steps):
+    return apply(stack[idx], prod) if stack.ndim == 3 else stack[idx][:, :, None] * prod + 0.0
+
+
+def _step(stack, idx, prod, apply=np.matmul):
+    """_gather, with the dense atom's product for rows whose prod has a non-finite entry."""
+    out = _gather(stack, idx, prod, apply)
+    if stack.ndim == 2 and not np.isfinite(prod).all():
         for k in np.flatnonzero(~np.isfinite(prod).all(axis=(1, 2))):
-            dense = [np.diag(stack[dig[k]])[None] if stack.ndim == 2 else stack[dig[k:k + 1]]
-                     for stack, dig in zip(steps, digits)]
-            prod[k] = _gather_product(start, dense, [np.zeros(1, int)] * len(dense), apply)[0]
-    return prod
+            out[k] = apply(np.diag(stack[idx[k]]), prod[k])
+    return out
 
 
 def _chunk_size(spec, samplers):
@@ -295,10 +289,20 @@ def _sampled_chunk(spec, start, samplers, rngs, atom_conds):
     """
     u = np.stack([rng.random(spec.n) for rng in rngs])
     digits = [np.searchsorted(s.cum, u[:, i], side="right") for i, s in enumerate(samplers)]
-    if spec.mode != "inverse":
-        steps = [s.atoms if s.diagonals is None else s.diagonals for s in samplers]
-        return _gather_product(start, steps, digits, np.matmul), None
-    prod = _gather_product(start, [s.atoms for s in samplers], digits, _right_solve)
+    invert = spec.mode == "inverse"
+    apply = _right_solve if invert else np.matmul
+    steps = [s.atoms if invert or s.diagonals is None else s.diagonals for s in samplers]
+    prod = np.broadcast_to(start, (len(rngs), *start.shape))
+    for step, dig in zip(steps, digits):
+        prod = _gather(step, dig, prod, apply)
+    bad = np.flatnonzero(~np.isfinite(prod).all(axis=(1, 2)))
+    if bad.size:  # a non-finite entry never turns finite again: redo just these trials
+        redo = np.broadcast_to(start, (bad.size, *start.shape))
+        for step, dig in zip(steps, digits):
+            redo = _step(step, dig[bad], redo, apply)
+        prod[bad] = redo
+    if not invert:
+        return prod, None
     cond_est = np.full(len(rngs), np.linalg.cond(spec.z0))
     for s, dig in zip(samplers, digits):
         cond_est = cond_est * atom_conds[id(s)][dig]
@@ -320,22 +324,70 @@ def _trial_product(spec, start, rng):
     return prod[None], np.array([cond_est])
 
 
+def _level_supports(hook, past):
+    """Conditional supports of a block of adapted paths: (steps, atom_of, probs, means).
+
+    Path b's atom in slot j is ``steps[atom_of[b, j]]``, of probability
+    ``probs[b, j]``; means holds each path's conditional mean, summed as
+    _conditional_mean sums it. A hook's batched form is called once, on the
+    block's running history products ``past``; other hooks once per path, on
+    its history tuple, with shorter supports padded by their last atom at
+    probability 0: never enumerated, and drawn only where that atom is.
+    """
+    if hasattr(hook, "conditional_supports"):
+        steps, probs = hook.conditional_supports(past)
+        means = sum(p.reshape(-1, *(1,) * s.ndim) * s for p, s in zip(probs.T, steps))
+        b, k = len(past), len(steps)
+        return (steps, np.broadcast_to(np.arange(k), (b, k)), np.broadcast_to(probs, (b, k)),
+                np.broadcast_to(means, (b, *means.shape[1:])))
+    supports = [hook.conditional_support(h) for h in past]
+    k = max(len(s) for s in supports)
+    padded = [[*s, *[(s[-1][0], 0.0)] * (k - len(s))] for s in supports]
+    steps = np.array([[mat for mat, _ in s] for s in padded], dtype=float)
+    probs = np.array([[prob for _, prob in s] for s in padded])
+    return (steps.reshape(-1, *steps.shape[2:]), np.arange(steps.shape[0] * k).reshape(-1, k),
+            probs, np.stack([_conditional_mean(s) for s in supports]))
+
+
+def _adapted_root(spec, count):
+    """A block of ``count`` empty adapted paths: (weights, products, references, past)."""
+    start = np.broadcast_to(spec.z0, (count, *spec.z0.shape))
+    if hasattr(spec.adapted_hook, "conditional_supports"):
+        return np.ones(count), start, start, np.broadcast_to(np.eye(spec.d), (count, *[spec.d] * 2))
+    return np.ones(count), start, start, [()] * count
+
+
+def _adapted_children(block, supports, par, col):
+    """Children of a block of adapted paths: path par[i] extended by its slot col[i] atom."""
+    w, prods, refs, past = block
+    steps, atom_of, probs, means = supports
+    atom = atom_of[par, col]
+    past = ([past[i] + (steps[j],) for i, j in zip(par, atom)] if isinstance(past, list)
+            else _step(steps, atom, past[par]))
+    return (w[par] * probs[par, col], _step(steps, atom, prods[par]),
+            _step(means, par, refs[par]), past)
+
+
 def _simulate_adapted(spec, trials, seed, key) -> SimulationResult:
-    hook = spec.adapted_hook
+    """Adapted trials stepped together through the hook, FRONTIER_PATHS at a time.
+
+    Trial k's n uniforms come from one ``random(n)`` call on its own stream;
+    each step takes the first atom whose running probability sum, the last
+    pinned to 1, exceeds the uniform, so the products are the per-trial loop's.
+    """
     zs, fs = [], []
-    for k in range(trials):
-        rng = substream(seed, *key, k)
-        prod = spec.z0
-        ref = spec.z0
-        history = []
-        for _ in range(spec.n):
-            support = hook.conditional_support(tuple(history))
-            y = SupportSampler.draw_from(support, rng)
-            prod = y @ prod
-            ref = _conditional_mean(support) @ ref
-            history.append(y)
-        zs.append(prod)
-        fs.append(ref)
+    for lo in range(0, trials, FRONTIER_PATHS):
+        u = np.stack([substream(seed, *key, k).random(spec.n)
+                      for k in range(lo, min(lo + FRONTIER_PATHS, trials))])
+        block = _adapted_root(spec, len(u))
+        for i in range(spec.n):
+            supports = _level_supports(spec.adapted_hook, block[3])
+            cum = np.cumsum(supports[2], axis=1)
+            cum[:, -1] = 1.0
+            block = _adapted_children(block, supports, np.arange(len(u)),
+                                      (cum <= u[:, i, None]).sum(axis=1))
+        zs.extend(block[1])
+        fs.extend(block[2])
     return SimulationResult(z=zs, trials=trials, seed=seed, f=fs)
 
 
@@ -557,9 +609,7 @@ def _enumerate_independent(spec, invert):
     """Yield (weights, products) chunkwise over all support combinations."""
     supports = [_support_or_raise(e) for e in spec.factors]
     sizes = [len(s) for s in supports]
-    total = 1
-    for k in sizes:
-        total *= k
+    total = math.prod(sizes)
     if total > ENUMERATION_BUDGET:
         raise EnumerationInfeasibleError(
             f"enumeration needs {total} outcomes, budget is {ENUMERATION_BUDGET}",
@@ -575,76 +625,86 @@ def _enumerate_independent(spec, invert):
     # factor 1 acts first; in inverse mode its inverse is leftmost instead
     apply = _right_multiply if invert else np.matmul
 
-    chunk = 8192
-    for lo in range(0, total, chunk):
-        digits = np.unravel_index(np.arange(lo, min(lo + chunk, total)), sizes)
-        w = np.ones(digits[0].size)
-        for pr, dig in zip(probs, digits):
-            w = w * pr[dig]
-        yield w, _gather_product(start, steps, digits, apply)
-    return
+    # outcome numbers have factor 1's atom as their leading digit, so a chunk
+    # of consecutive outcomes shares prefixes: level i forms each product of
+    # the chunk's first i factors once, from its parent at level i - 1
+    tails = [math.prod(sizes[i:]) for i in range(len(sizes) + 1)]  # outcomes per prefix
+    for lo in range(0, total, FRONTIER_PATHS):
+        hi = min(lo + FRONTIER_PATHS, total)
+        w, prod = np.ones(1), start[None]
+        for i, (step, pr, k) in enumerate(zip(steps, probs, sizes)):
+            idx = np.arange(lo // tails[i + 1], (hi - 1) // tails[i + 1] + 1)
+            par, dig = idx // k - lo // tails[i], idx % k
+            w, prod = w[par] * pr[dig], _step(step, dig, prod[par], apply)
+        yield w, prod
 
 
-def _enumerate_adapted(spec):
-    """Depth-first path walk; yields (weight, product, conditional-mean product).
+def _walk_adapted(spec):
+    """Every path of an adapted product, walked level by level.
 
-    Iterative with an explicit frame stack: path counts run up to the full
-    enumeration budget, deep nesting of generators would dominate the cost.
+    Yields (weights, products, conditional-mean products) blocks in leaf
+    order: children come parent-major and atom-minor, the order of a
+    depth-first walk that takes atom 0 first, and atoms of probability 0 are
+    skipped. A block holds at most FRONTIER_PATHS paths, so a walk with at
+    most that many leaves yields one block. Past that, a level's parents go
+    in groups whose subtrees should fit, judged by the most children one path
+    has had so far, and each group's deeper levels are walked before the next.
     """
-    hook = spec.adapted_hook
-    n = spec.n
-    count = 0
-    history = []
-    support = hook.conditional_support(())
-    # frame: [support, next atom index, weight, prod, ref, conditional mean]
-    stack = [[support, 0, 1.0, spec.z0, spec.z0, _conditional_mean(support)]]
-    while stack:
-        frame = stack[-1]
-        support, idx = frame[0], frame[1]
-        if idx >= len(support):
-            stack.pop()
-            if history:
-                history.pop()
-            continue
-        frame[1] = idx + 1
-        mat, prob = support[idx]
-        if prob == 0.0:
-            continue
-        weight = frame[2] * prob
-        prod = mat @ frame[3]
-        ref = frame[5] @ frame[4]
-        if len(stack) == n:
-            count += 1
-            if count > ENUMERATION_BUDGET:
-                raise EnumerationInfeasibleError(
-                    f"adapted enumeration exceeded the {ENUMERATION_BUDGET}-path budget",
-                    required=count, budget=ENUMERATION_BUDGET)
-            yield weight, prod, ref
+    n, cap, fan = spec.n, FRONTIER_PATHS, 1
+    walked = [0] * (n + 1)  # paths reached at each depth
+
+    def frame(depth, block):
+        nonlocal fan
+        supports = _level_supports(spec.adapted_hook, block[3])
+        par, col = np.nonzero(supports[2])
+        counts = np.bincount(par, minlength=len(block[0]))
+        fan = max(fan, int(counts.max()))
+        return [depth, block, supports, par, col, np.cumsum(counts), 0]
+
+    frames = [frame(0, _adapted_root(spec, 1))]
+    while frames:
+        f = frames[-1]
+        depth, block, supports, par, col, ends, first = f
+        base, last = (ends[first - 1] if first else 0), len(ends)
+        if ends[-1] > cap:
+            limit = cap // fan ** min(n - depth - 1, cap.bit_length())
+            last = max(first + 1, int(np.searchsorted(ends, base + limit, side="right")))
+        f[-1] = last
+        if last == len(ends):
+            frames.pop()
+        kids = slice(base, ends[last - 1])
+        walked[depth + 1] += kids.stop - base
+        if walked[depth + 1] > ENUMERATION_BUDGET:
+            raise EnumerationInfeasibleError(
+                f"adapted enumeration exceeded the {ENUMERATION_BUDGET}-path budget",
+                required=ENUMERATION_BUDGET + 1, budget=ENUMERATION_BUDGET)
+        child = _adapted_children(block, supports, par[kids], col[kids])
+        if depth + 1 == n:
+            yield child[:3]
         else:
-            history.append(mat)
-            sub = hook.conditional_support(tuple(history))
-            stack.append([sub, 0, weight, prod, ref, _conditional_mean(sub)])
+            frames.append(frame(depth + 1, child))
 
 
 class _StreamStats:
     """Weighted accumulators over chunks of (weight, product, deviation)."""
 
-    def __init__(self, p, q, square, thresholds_growth, thresholds_deviation):
-        self.p, self.q, self.square = p, q, square
+    def __init__(self, p, q, radius, thresholds_growth, thresholds_deviation):
+        self.p, self.q = p, q
         self.tg = {float(x): 0.0 for x in thresholds_growth}
         self.td = {float(x): 0.0 for x in thresholds_deviation}
         self.growth = self.dev = self.growth_q = self.dev_q = 0.0
-        self.radius = 0.0
+        self.radius = 0.0 if radius else None  # the spectral radius mean, when taken
         self.outcomes = 0
 
     def add(self, w, prods, dev):
-        spectral, schatten = stack_norms(prods, self.p)
-        dspec, dsch = stack_norms(dev, self.p)
+        # one norm stack for the products and their deviations
+        (spectral, dspec), (schatten, dsch) = (
+            x.reshape(2, -1) for x in stack_norms(np.concatenate([prods, dev]), self.p))
         self.growth += float(w @ spectral)
         self.dev += float(w @ dspec)
         self.growth_q += float(w @ schatten**self.q)
         self.dev_q += float(w @ dsch**self.q)
-        if self.square:
+        if self.radius is not None:
             self.radius += float(w @ spectral_radii(prods))
         for x in self.tg:
             self.tg[x] += float(w @ (spectral >= x))
@@ -658,44 +718,51 @@ class _StreamStats:
             growth_mean=self.growth, deviation_mean=self.dev,
             growth_moment=self.growth_q ** (1.0 / self.q),
             deviation_moment=self.dev_q ** (1.0 / self.q),
-            spectral_radius_mean=self.radius if self.square else None,
+            spectral_radius_mean=self.radius,
             tail_growth=self.tg, tail_deviation=self.td, reference=reference)
 
 
-def enumerate_product(spec: ProductSpec, p=2.0, q=2.0,
-                      thresholds_growth=(), thresholds_deviation=()) -> EnumerationReport:
+def enumerate_product(spec: ProductSpec, p=2.0, q=2.0, thresholds_growth=(),
+                      thresholds_deviation=(), spectral_radius=True) -> EnumerationReport:
     """Exact moments and tails by enumerating every support combination.
 
     Deviations are against the exact mean of the enumerated product, except in
     adapted mode where each path is differenced against its own product of
-    conditional means.
+    conditional means. The spectral radius mean is taken for square products
+    unless ``spectral_radius`` is False; it is None when not taken.
     """
     q = float(q)
     if q < 1.0:
         raise InvalidParameterError("q must satisfy q >= 1")
-    square = spec.d == spec.r
-    stats = _StreamStats(p, q, square, thresholds_growth, thresholds_deviation)
+    radius = spectral_radius and spec.d == spec.r
+    stats = _StreamStats(p, q, radius, thresholds_growth, thresholds_deviation)
 
     if spec.mode == "adapted":
-        paths = list(_enumerate_adapted(spec))
-        weights = np.array([w for w, _, _ in paths])
-        prods = np.stack([z for _, z, _ in paths])
-        refs = np.stack([f for _, _, f in paths])
-        mean = np.einsum("k,kij->ij", weights, prods)
-        stats.add(weights, prods, prods - refs)
+        mean = None
+        for w, prods, refs in _walk_adapted(spec):
+            part = np.einsum("k,kij->ij", w, prods)
+            mean = part if mean is None else mean + part
+            stats.add(w, prods, prods - refs)
         return stats.report(mean, "adapted")
 
     invert = spec.mode == "inverse"
+    chunks = _enumerate_independent(spec, invert)
     if invert:
         # for independent factors the mean is Z0^(-1) E[Y1^(-1)] ... E[Yn^(-1)],
         # but that closed form would change the last bits of the reported mean
-        # and deviations, so the mean is streamed in a first pass
+        # and deviations, so the mean is streamed in a first pass; its chunks
+        # are kept for the second while they fit INVERSE_KEEP_BYTES
         mean = np.zeros((spec.d, spec.d))
-        for w, prod in _enumerate_independent(spec, invert):
+        kept, size = [], 0
+        for w, prod in chunks:
             mean = mean + np.einsum("k,kij->ij", w, prod)
+            size += prod.nbytes
+            if size <= INVERSE_KEEP_BYTES:
+                kept.append((w, prod))
+        chunks = kept if size <= INVERSE_KEEP_BYTES else _enumerate_independent(spec, invert)
     else:
         mean = expected_product(spec)
-    for w, prod in _enumerate_independent(spec, invert):
+    for w, prod in chunks:
         stats.add(w, prod, prod - mean[None, :, :])
     return stats.report(mean, "mean")
 

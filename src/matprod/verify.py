@@ -10,7 +10,7 @@ produce violations; a harness that cannot fail certifies nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -67,17 +67,7 @@ class CheckReport:
         return self.violations == 0
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "instances": self.instances,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "passed": self.passed,
-            "notes": list(self.notes),
-            "failures": list(self.failures),
-        }
+        return dict(asdict(self), passed=self.passed)
 
 
 class _Collector:
@@ -168,9 +158,9 @@ def check_uniform_smoothness(p_list=(1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 8.0, 16.0),
             rng = substream(seed, pi, di)
             a = rng.standard_normal((count, rows, cols))
             b = rng.standard_normal((count, rows, cols))
-            na = stack_norms(a, p)[1]
-            nb = stack_norms(b, p)[1]
-            avg2 = _power_mean(stack_norms(a + b, p)[1], stack_norms(a - b, p)[1], p) ** 2
+            na, nb, plus, minus = stack_norms(np.concatenate([a, b, a + b, a - b]),
+                                              p)[1].reshape(4, -1)
+            avg2 = _power_mean(plus, minus, p) ** 2
             smooth = na**2 + (p - 1.0) * nb**2
             if p == 2.0:
                 denom = np.maximum(np.abs(smooth), 1.0)
@@ -197,10 +187,7 @@ def _random_pair_instances(col, p, count, rng):
         w = w / w.sum()
         x = rng.standard_normal((k, rows, cols))
         y = rng.standard_normal((k, rows, cols)) * (0.2 + rng.random())
-        nxpy = stack_norms(x + y, p)[1]
-        nxmy = stack_norms(x - y, p)[1]
-        nx = stack_norms(x, p)[1]
-        ny = stack_norms(y, p)[1]
+        nxpy, nxmy, nx, ny = stack_norms(np.concatenate([x + y, x - y, x, y]), p)[1].reshape(4, -1)
         lhs = (0.5 * (w @ nxpy**q + w @ nxmy**q)) ** (2.0 / q)
         rhs = (w @ nx**q) ** (2.0 / q) + (p - 1.0) * (w @ ny**q) ** (2.0 / q)
         col.add((rhs - lhs) / max(abs(rhs), 1.0), detail={"p": p, "q": q, "form": "averaged"})
@@ -293,13 +280,19 @@ def check_subquadratic(p, q, construction=None, trials=1000, seed=DEFAULT_SEED,
         states = build(substream(seed, i))
         _validate_states(states)
         w = 1.0 / len(states)
-        xq = sq = yq = 0.0
+        # one norm stack per trial; terms[k] = (sum it enters: X, X + Y or Y, weight)
+        mats, terms = [], []
         for a, atoms in states:
-            xq += w * stack_norms(np.asarray(a, dtype=float)[None], p)[1][0] ** q
+            mats.append(np.asarray(a, dtype=float))
+            terms.append((0, w))
             for y, prob in atoms:
                 y = np.asarray(y, dtype=float)
-                sq += w * prob * stack_norms((a + y)[None], p)[1][0] ** q
-                yq += w * prob * stack_norms(y[None], p)[1][0] ** q
+                mats += [a + y, y]
+                terms += [(1, w * prob), (2, w * prob)]
+        sums = [0.0, 0.0, 0.0]
+        for (j, c), v in zip(terms, stack_norms(np.stack(mats), p)[1]):
+            sums[j] += c * v ** q
+        xq, sq, yq = sums
         lhs = sq ** (2.0 / q)
         x2 = xq ** (2.0 / q)
         y2 = yq ** (2.0 / q)
@@ -349,19 +342,25 @@ def check_martingale_bound(p, q, n=6, dims=(1, 2), trials=100, seed=DEFAULT_SEED
                 return ((2.0 * (1.0 - pi) * d_mat, pi), (-2.0 * pi * d_mat, 1.0 - pi))
             return ((d_mat, 0.5), (-d_mat, 0.5))
 
-        level_q = [0.0] * depth
-        leaf_q = 0.0
+        # the walk records (level, weight, matrix) terms in visiting order, a
+        # leaf's at level depth; one norm stack serves them all, in that order
+        terms = []
         stack = [(0, (), 1.0, np.zeros((dim, dim)))]
         while stack:
             level, bits, weight, x = stack.pop()
             if level == depth:
-                leaf_q += weight * stack_norms(x[None], p)[1][0] ** q
+                terms.append((depth, weight, x))
                 continue
             for j, (delta, prob) in enumerate(atoms_at(level, bits)):
                 if prob == 0.0:
                     continue
-                level_q[level] += weight * prob * stack_norms(delta[None], p)[1][0] ** q
+                terms.append((level, weight * prob, delta))
                 stack.append((level + 1, bits + (1 - j,), weight * prob, x + delta))
+        sums = [0.0] * (depth + 1)
+        norms = stack_norms(np.stack([m for _, _, m in terms]), p)[1]
+        for (level, weight, _), norm in zip(terms, norms):
+            sums[level] += weight * norm ** q
+        *level_q, leaf_q = sums
         lhs = leaf_q ** (2.0 / q)
         rhs_sum = sum(lq ** (2.0 / q) for lq in level_q)
         if p == 2.0 and q == 2.0:
@@ -409,8 +408,6 @@ def check_factor_contraction(p, q, trials=200, seed=DEFAULT_SEED,
                 u = rng.standard_normal(d)
                 u = u / np.linalg.norm(u)
                 y = np.eye(d) - np.outer(u, u)
-            if spectral_norm(y) > 1.0 + 1e-12:
-                raise InvalidConstructionError("drew a non-contraction")
             y_atoms.append(y)
         wy = rng.random(ky) + 0.1
         wy = wy / wy.sum()
@@ -420,12 +417,18 @@ def check_factor_contraction(p, q, trials=200, seed=DEFAULT_SEED,
         wz = wz / wz.sum()
 
         ey2 = sum(w * (y.T @ y) for w, y in zip(wy, y_atoms))
-        factor = spectral_norm(ey2) ** (1.0 / p)
+        *y_norms, ey2_norm = stack_norms(np.stack([*y_atoms, ey2]))[0].tolist()
+        if max(y_norms) > 1.0 + 1e-12:
+            raise InvalidConstructionError("drew a non-contraction")
+        factor = ey2_norm ** (1.0 / p)
+        # one norm stack per trial: Y Z for each Y atom, then Z
+        norms = stack_norms(np.concatenate([y[None] @ z_atoms for y in y_atoms] + [z_atoms]),
+                            p)[1].reshape(ky + 1, kz)
         lhs_q = 0.0
-        for w, y in zip(wy, y_atoms):
-            lhs_q += w * float(wz @ stack_norms(y[None] @ z_atoms, p)[1] ** q)
+        for w, row in zip(wy, norms):
+            lhs_q += w * float(wz @ row ** q)
         lhs = lhs_q ** (1.0 / q)
-        rhs = factor * float(wz @ stack_norms(z_atoms, p)[1] ** q) ** (1.0 / q)
+        rhs = factor * float(wz @ norms[-1] ** q) ** (1.0 / q)
         col.add((rhs - lhs) / max(abs(rhs), 1.0),
                 detail={"d": d, "r": r, "lhs": lhs, "rhs": rhs})
     return col.report()
@@ -613,7 +616,9 @@ def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED
     exact = None
     if trials == 0:
         try:
-            exact = enumerate_product(spec, p, q, growth_thresholds, dev_thresholds)
+            exact = enumerate_product(
+                spec, p, q, growth_thresholds, dev_thresholds,
+                spectral_radius=any(BOUND_TABLE[n][1] == "spectral-radius-mean" for n in names))
         except EnumerationInfeasibleError:
             if not mc_fallback_trials:
                 raise

@@ -245,6 +245,14 @@ class TestSimulateCommand:
         assert payload["tail_deviation"][format_float(0.2)] == pytest.approx(0.25)
         assert format_float(0.2) == "0.20000000000000001"
 
+    def test_enumeration_reports_spectral_radius(self, capsys, tmp_path):
+        spec = {"factors": [{"count": 4, "ensemble": {
+            "kind": "bounded-perturbation", "dim": 2, "radius": 0.3, "n_scale": 4.0}}]}
+        path = write_config(tmp_path, {"spec": spec, "trials": 0})
+        rc, payload, _ = run_json(capsys, "simulate", "--config", path)
+        assert rc == 0 and payload["outcomes"] == 16
+        assert 0.0 < payload["spectral_radius_mean"] <= payload["growth_mean"]
+
     def test_monte_carlo_estimates(self, capsys, tmp_path):
         path = write_config(tmp_path, {"spec": SCALAR_SPEC, "trials": 200,
                                        "thresholds_growth": [1.2]})
@@ -381,6 +389,26 @@ class TestCompareCommand:
         assert row["bound"] == pytest.approx(0.14213141815501529, rel=1e-14)
         assert row["ratio"] == pytest.approx(1.3536325538572885, rel=1e-12)
         assert rows["growth-moment"]["empirical_kind"] == "exact"
+
+    @pytest.mark.parametrize("bounds", [None, ["growth-moment", "expectation-concentration"]],
+                             ids=["with-radius", "without-radius"])
+    def test_bytes_do_not_depend_on_taking_the_radius(self, capsys, tmp_path, monkeypatch,
+                                                      bounds):
+        cfg = {"spec": {"factors": [{"count": 4, "ensemble": {
+            "kind": "bounded-perturbation", "dim": 2, "radius": 0.3, "n_scale": 4.0}}]},
+            "trials": 0, "thresholds_growth": [1.1]}
+        if bounds is not None:
+            cfg["bounds"] = bounds
+        path = write_config(tmp_path, cfg)
+        rc, text, _ = run_cli(capsys, "compare", "--config", path)
+        enumerate_product = matprod.verify.enumerate_product
+
+        def always_radius(*args, spectral_radius=True):
+            return enumerate_product(*args)
+
+        monkeypatch.setattr(matprod.verify, "enumerate_product", always_radius)
+        assert run_cli(capsys, "compare", "--config", path)[:2] == (rc, text)
+        assert ("spectral-radius-expectation" in text) == (bounds is None)
 
     def test_kaczmarz_preset_with_trials(self, capsys):
         rc, payload, _ = run_json(capsys, "compare", "--config", "kaczmarz",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -338,7 +339,6 @@ class TestSupportSampler:
                     break
             want.append(pick)
             assert sampler(Fixed(u))[0, 0] == pick
-            assert SupportSampler.draw_from(sampler, Fixed(u))[0, 0] == pick
         batch = np.searchsorted(sampler.cum, uniforms, side="right")
         assert batch.tolist() == want
 
@@ -429,6 +429,23 @@ class TestEnsembleValidation:
             FactorEnsemble(dim=2, sampler=lambda rng: np.eye(2),
                            stats=FactorStats(mean_norm=1.0, sigma=0.0),
                            support=((np.eye(3), 1.0),))
+
+    def test_support_sampler_owns_the_support(self):
+        sampler = SupportSampler([np.eye(2), -np.eye(2)], (0.5, 0.5))
+        e = FactorEnsemble(dim=2, sampler=sampler, stats=FactorStats(1.0, 0.0))
+        assert e.support is sampler
+        assert replace(e, stats=FactorStats(1.0, 0.5)).support is sampler
+        other = SupportSampler([np.eye(2), 2.0 * np.eye(2)], (0.5, 0.5))
+        # replacing only the sampler would leave enumeration on the old atoms
+        with pytest.raises(InvalidInputError):
+            replace(e, sampler=other)
+        with pytest.raises(InvalidInputError):
+            FactorEnsemble(dim=2, sampler=sampler, stats=FactorStats(1.0, 0.0),
+                           support=((np.eye(2), 0.5), (-np.eye(2), 0.5)))
+        assert replace(e, sampler=other, support=other).support is other
+        for built in (make_bounded_perturbation(2, np.eye(2), 0.3, 2.0),
+                      make_rademacher_rank_one(4), make_random_projector_contraction(3)):
+            assert built.support is built.sampler
 
     def test_custom_ensemble_has_no_mean(self):
         e = FactorEnsemble(dim=2, sampler=lambda rng: np.eye(2),

@@ -10,6 +10,7 @@ from matprod.ensembles import (
     FactorStats,
     SupportSampler,
     estimate_factor_stats,
+    householder_direction,
     make_bounded_perturbation,
     make_rademacher_rank_one,
     make_random_projector_contraction,
@@ -152,12 +153,13 @@ def reference_loop(spec, trials, seed, key=()):
     return zs, excluded
 
 
-def reference_adapted_loop(spec, trials, seed):
-    """Adapted products drawn by a linear scan of the running probability sum."""
+def reference_adapted_loop(spec, trials, seed, refs=False):
+    """Adapted products drawn by a linear scan of the running probability sum,
+    or with refs, their products of conditional means."""
     zs = []
     for k in range(trials):
         rng = substream(seed, k)
-        prod, history = spec.z0, []
+        prod, ref, history = spec.z0, spec.z0, []
         for _ in range(spec.n):
             support = spec.adapted_hook.conditional_support(tuple(history))
             u, acc, y = rng.random(), 0.0, support[-1][0]
@@ -167,8 +169,9 @@ def reference_adapted_loop(spec, trials, seed):
                     y = mat
                     break
             prod = y @ prod
+            ref = sum(prob * mat for mat, prob in support) @ ref
             history.append(y)
-        zs.append(prod)
+        zs.append(ref if refs else prod)
     return zs
 
 
@@ -783,6 +786,355 @@ class TestAdaptedMode:
                                           support="uniform-sphere")
         with pytest.raises(UnsupportedEnsembleError):
             HistoryFreeHook(plain)
+
+
+def depth_first_paths(spec):
+    """The frame-stack walk the level-wise walker replaced, kept as its oracle:
+    (weight, product, conditional-mean product) of every path, in leaf order."""
+    hook, n = spec.adapted_hook, spec.n
+    history = []
+    support = hook.conditional_support(())
+    stack = [[support, 0, 1.0, spec.z0, spec.z0, simulate._conditional_mean(support)]]
+    while stack:
+        frame = stack[-1]
+        support, idx = frame[0], frame[1]
+        if idx >= len(support):
+            stack.pop()
+            if history:
+                history.pop()
+            continue
+        frame[1] = idx + 1
+        mat, prob = support[idx]
+        if prob == 0.0:
+            continue
+        weight = frame[2] * prob
+        prod = mat @ frame[3]
+        ref = frame[5] @ frame[4]
+        if len(stack) == n:
+            yield weight, prod, ref
+        else:
+            history.append(mat)
+            sub = hook.conditional_support(tuple(history))
+            stack.append([sub, 0, weight, prod, ref, simulate._conditional_mean(sub)])
+
+
+def depth_first_report(spec, p, q, tg=(), td=()):
+    """enumerate_product's adapted report from the oracle's paths, as one block."""
+    paths = list(depth_first_paths(spec))
+    weights = np.array([w for w, _, _ in paths])
+    prods = np.stack([z for _, z, _ in paths])
+    refs = np.stack([f for _, _, f in paths])
+    stats = simulate._StreamStats(p, float(q), spec.d == spec.r, tg, td)
+    stats.add(weights, prods, prods - refs)
+    return stats.report(np.einsum("k,kij->ij", weights, prods), "adapted")
+
+
+class PlainHook:
+    """A hook with no batched form: one to three atoms, the count and the
+    probabilities set by the history's length and its last atom."""
+
+    dim = 2
+
+    def conditional_support(self, history):
+        a = np.array([[1.0, 0.3], [-0.2, 0.9]])
+        b = np.array([[0.8, 0.0], [0.1, 1.2]])
+        k = len(history)
+        if k % 3 == 0:
+            return ((a, 1.0),)
+        lean = 0.25 if history[-1][0, 1] > 0 else 0.6
+        if k % 3 == 1:
+            return ((a, lean), (b, 1.0 - lean))
+        return ((b, lean), (a, 0.5 - lean / 2), (-a, 0.5 - lean / 2))
+
+
+class ZeroAtomHook(PlainHook):
+    """The plain hook's supports with a probability-0 atom inserted second."""
+
+    def conditional_support(self, history):
+        first, *rest = super().conditional_support(history)
+        return (first, (np.full((2, 2), 7.0), 0.0), *rest)
+
+
+def zero_atom_ensemble():
+    atoms = (np.diag([1.1, 0.9]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([0.7, 1.3]))
+    return FactorEnsemble(dim=2, sampler=None, stats=FactorStats(1.0, 0.5),
+                          support=tuple(zip(atoms, (0.5, 0.0, 0.5))))
+
+
+ADAPTED_HOOKS = [
+    pytest.param(lambda: NormBiasedTwoPointHook(3, scale=0.2, high=0.65), 7, np.eye(3),
+                 id="norm-biased"),
+    pytest.param(lambda: NormBiasedTwoPointHook(2, scale=0.4), 6, tall_start(2, 1),
+                 id="norm-biased-column"),
+    pytest.param(lambda: HistoryFreeHook(make_bounded_perturbation(
+        3, 0.1 * np.eye(3), 0.5, 10)), 5, np.eye(3), id="history-free"),
+    pytest.param(lambda: HistoryFreeHook(make_rademacher_rank_one(3)), 3, tall_start(3, 2),
+                 id="history-free-diagonal"),
+    pytest.param(lambda: HistoryFreeHook(zero_atom_ensemble()), 5, np.eye(2),
+                 id="history-free-zero-atom"),
+    pytest.param(PlainHook, 7, np.eye(2), id="plain"),
+    pytest.param(ZeroAtomHook, 6, signed_zero_start(2, 2), id="plain-zero-atom"),
+]
+
+
+def adapted(make_hook, n, z0):
+    return ProductSpec(factors=(), z0=z0, mode="adapted", adapted_hook=make_hook(), n_steps=n)
+
+
+class TestAdaptedWalker:
+    """The level-wise walker against the depth-first walk it replaced."""
+
+    @pytest.mark.parametrize("make_hook,n,z0", ADAPTED_HOOKS)
+    def test_matches_depth_first_walk(self, make_hook, n, z0):
+        spec = adapted(make_hook, n, z0)
+        blocks = list(simulate._walk_adapted(spec))
+        assert len(blocks) == 1
+        w, prods, refs = blocks[0]
+        want = list(depth_first_paths(spec))
+        assert w.tobytes() == np.array([x for x, _, _ in want]).tobytes()
+        assert prods.tobytes() == np.stack([z for _, z, _ in want]).tobytes()
+        assert refs.tobytes() == np.stack([f for _, _, f in want]).tobytes()
+
+    @pytest.mark.parametrize("make_hook,n,z0", ADAPTED_HOOKS)
+    def test_report_matches_depth_first_walk(self, make_hook, n, z0):
+        spec = adapted(make_hook, n, z0)
+        got = enumerate_product(spec, 3.0, 2.5, (1.1,), (0.2,))
+        want = depth_first_report(spec, 3.0, 2.5, (1.1,), (0.2,))
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert replace(got, mean=None) == replace(want, mean=None)
+
+    @pytest.mark.parametrize("make_hook,n,z0", ADAPTED_HOOKS)
+    @pytest.mark.parametrize("cap", [1, 3, 16])
+    def test_capped_blocks_keep_leaf_order(self, make_hook, n, z0, cap, monkeypatch):
+        spec = adapted(make_hook, n, z0)
+        (whole,) = simulate._walk_adapted(spec)
+        monkeypatch.setattr(simulate, "FRONTIER_PATHS", cap)
+        blocks = list(simulate._walk_adapted(spec))
+        # a block is cut only between parents; the largest support here has 6 atoms
+        assert max(len(w) for w, _, _ in blocks) <= max(cap, 6)
+        for part, want in zip(zip(*blocks), whole, strict=True):
+            assert np.concatenate(part).tobytes() == want.tobytes()
+
+    @IGNORE_OVERFLOW
+    def test_overflow_matches_depth_first_walk(self):
+        spec = adapted(lambda: HistoryFreeHook(make_rademacher_rank_one(4)), 3,
+                       np.full((4, 2), 1e308))
+        (w, prods, refs), = simulate._walk_adapted(spec)
+        want = list(depth_first_paths(spec))
+        assert not np.isfinite(prods).all()
+        assert prods.tobytes() == np.stack([z for _, z, _ in want]).tobytes()
+        assert refs.tobytes() == np.stack([f for _, _, f in want]).tobytes()
+
+    def test_frontier_memory_is_bounded(self, monkeypatch):
+        import tracemalloc
+
+        cap, d, n = 256, 10, 14
+        monkeypatch.setattr(simulate, "FRONTIER_PATHS", cap)
+        spec = adapted(lambda: NormBiasedTwoPointHook(d), n, np.eye(d))
+        path_bytes = 8 * (3 * d * d + 1)  # product, reference, history product, weight
+        leaves = 0
+        tracemalloc.start()
+        try:
+            for w, prods, refs in simulate._walk_adapted(spec):
+                assert len(w) <= cap
+                leaves += len(w)
+                del w, prods, refs
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert leaves == 2**n
+        # every leaf at once would take 64 caps' worth of paths
+        assert peak < 8 * cap * path_bytes
+
+    def test_supports_come_once_per_node_without_a_batched_form(self):
+        calls = []
+
+        class Counting(PlainHook):
+            def conditional_support(self, history):
+                calls.append(len(history))
+                return super().conditional_support(history)
+
+        spec = adapted(Counting, 7, np.eye(2))
+        list(depth_first_paths(spec))
+        per_node, calls[:] = len(calls), []
+        list(simulate._walk_adapted(spec))
+        # as the depth-first walk asks: once per node, leaves excepted
+        assert len(calls) == per_node
+
+    def test_batched_form_matches_per_node_supports(self):
+        hook = NormBiasedTwoPointHook(3, scale=0.3, high=0.8)
+        rng = substream(4)
+        histories = [tuple(hook.atoms[rng.integers(0, 2, size=k)]) for k in range(8)]
+        runs = []
+        for h in histories:
+            run = np.eye(3)
+            for y in h:
+                run = y @ run
+            runs.append(run)
+        atoms, probs = hook.conditional_supports(np.stack(runs))
+        for h, row in zip(histories, probs):
+            support = hook.conditional_support(h)
+            assert [p for _, p in support] == row.tolist()
+            # the atoms are built once, with the hook
+            assert all(np.shares_memory(m, hook.atoms) for m, _ in support)
+        assert atoms is hook.atoms
+        eye, spike = np.eye(3), 0.3 * householder_direction(3)
+        assert hook.atoms.tobytes() == np.stack([eye + spike, eye - spike]).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3, 10])
+    def test_batched_norm_test_keeps_its_bits(self, dim):
+        # running products scaled to the threshold sqrt(dim): the per-node and
+        # batched tests then disagree unless both norms have the same bits
+        hook = NormBiasedTwoPointHook(dim)
+        runs = substream(dim).standard_normal((4000, dim, dim))
+        runs *= math.sqrt(dim) / np.linalg.norm(runs, axis=(1, 2))[:, None, None]
+        _, probs = hook.conditional_supports(runs)
+        want = [hook.conditional_support((run,))[0][1] for run in runs]
+        assert probs[:, 0].tolist() == want
+        assert 0 < sum(p == hook.high for p in want) < len(want)
+
+
+class TestAdaptedMonteCarlo:
+    """Adapted trials step together and keep the per-trial loop's bits."""
+
+    @pytest.mark.parametrize("make_hook,n,z0", ADAPTED_HOOKS)
+    def test_matches_per_trial_loop(self, make_hook, n, z0):
+        spec = adapted(make_hook, n, z0)
+        sim = simulate_product(spec, 60, seed=12)
+        assert_bitwise_equal(sim.z, reference_adapted_loop(spec, 60, seed=12))
+        assert_bitwise_equal(sim.f, reference_adapted_loop(spec, 60, seed=12, refs=True))
+
+    def test_picks_match_linear_scan_at_the_edges(self, monkeypatch):
+        probs = (0.1, 0.0, 0.2, 0.3, 0.0, 0.4 - 3e-16, 0.0)
+        atoms = np.arange(7.0)[:, None, None] * np.ones((7, 2, 2))
+        e = FactorEnsemble(dim=2, sampler=None, stats=FactorStats(1.0, 0.0),
+                           support=tuple(zip(atoms, probs)))
+        running = np.cumsum(probs)
+        uniforms = np.concatenate([substream(3).random(500), running[:-1],
+                                   np.nextafter(running, 0.0), [0.0, 1.0 - 2**-53]])
+        uniforms = uniforms[uniforms < 1.0]
+        want = []
+        for u in uniforms:
+            acc, pick = 0.0, len(probs) - 1
+            for j, prob in enumerate(probs):
+                acc += prob
+                if u < acc:
+                    pick = j
+                    break
+            want.append(float(pick))
+
+        class Fixed:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self, size):
+                return np.full(size, self.u)
+
+        monkeypatch.setattr(simulate, "substream", lambda seed, k: Fixed(uniforms[k]))
+
+        class Plain:
+            dim = 2
+
+            def conditional_support(self, history):
+                return e.support
+
+        for hook in (HistoryFreeHook(e), Plain()):
+            spec = ProductSpec(factors=(), z0=np.eye(2), mode="adapted",
+                               adapted_hook=hook, n_steps=1)
+            sim = simulate_product(spec, len(uniforms), seed=0)
+            assert [z[0, 0] for z in sim.z] == want
+
+    def test_trials_span_several_blocks(self, monkeypatch):
+        spec = adapted(lambda: NormBiasedTwoPointHook(2, scale=0.3), 6, np.eye(2))
+        whole = simulate_product(spec, 50, seed=3)
+        monkeypatch.setattr(simulate, "FRONTIER_PATHS", 7)
+        assert_bitwise_equal(simulate_product(spec, 50, seed=3).z, whole.z)
+
+    @IGNORE_OVERFLOW
+    def test_diagonal_history_free_keeps_diagonals(self):
+        e = make_rademacher_rank_one(100)
+        spec = ProductSpec(factors=(), z0=tall_start(100, 1), mode="adapted",
+                           adapted_hook=HistoryFreeHook(e), n_steps=50)
+        sim = simulate_product(spec, 20, seed=8)
+        assert "atoms" not in vars(e.sampler)
+        assert_bitwise_equal(sim.z, reference_adapted_loop(spec, 20, seed=8))
+        overflow = adapted(lambda: HistoryFreeHook(make_rademacher_rank_one(4)), 30,
+                           np.full((4, 2), 1e308))
+        sim = simulate_product(overflow, 40, seed=8)
+        assert not np.isfinite(np.stack(sim.z)).all()
+        assert_bitwise_equal(sim.z, reference_adapted_loop(overflow, 40, seed=8))
+
+
+class TestInverseEnumeration:
+    """Inverse mode keeps its first pass's chunks while they fit INVERSE_KEEP_BYTES."""
+
+    def passes(self, monkeypatch):
+        calls = []
+        walk = simulate._enumerate_independent
+
+        def counting(spec, invert):
+            calls.append(invert)
+            return walk(spec, invert)
+
+        monkeypatch.setattr(simulate, "_enumerate_independent", counting)
+        return calls
+
+    def test_products_formed_once_within_the_budget(self, monkeypatch):
+        spec = replace(matrix_two_point(dim=4, n=10), mode="inverse")
+        calls = self.passes(monkeypatch)
+        once = enumerate_product(spec, 3.0, 2.0, (1.0,), (0.5,))
+        assert calls == [True] and once.outcomes == 1024
+        monkeypatch.setattr(simulate, "INVERSE_KEEP_BYTES", 1024 * 16 * 8 - 1)
+        twice = enumerate_product(spec, 3.0, 2.0, (1.0,), (0.5,))
+        assert calls == [True] * 3
+        assert once.mean.tobytes() == twice.mean.tobytes()
+        assert replace(once, mean=None) == replace(twice, mean=None)
+
+    def test_chunks_past_the_budget_are_formed_again(self, monkeypatch):
+        spec = replace(matrix_two_point(dim=2, n=14), mode="inverse")
+        whole = enumerate_product(spec, 3.0, 2.0)
+        monkeypatch.setattr(simulate, "FRONTIER_PATHS", 1000)
+        calls = self.passes(monkeypatch)
+        chunked = enumerate_product(spec, 3.0, 2.0)
+        assert calls == [True]
+        monkeypatch.setattr(simulate, "INVERSE_KEEP_BYTES", 5000 * 32)
+        again = enumerate_product(spec, 3.0, 2.0)
+        assert calls == [True] * 3
+        assert again.mean.tobytes() == chunked.mean.tobytes()
+        assert replace(again, mean=None) == replace(chunked, mean=None)
+        assert chunked.outcomes == whole.outcomes == 2**14
+
+
+class TestSpectralRadiusOnRequest:
+    def eigvals_calls(self, monkeypatch):
+        calls = []
+        radii = simulate.spectral_radii
+
+        def counting(stack):
+            calls.append(len(stack))
+            return radii(stack)
+
+        monkeypatch.setattr(simulate, "spectral_radii", counting)
+        return calls
+
+    def test_enumeration_skips_it_when_not_asked(self, monkeypatch):
+        spec = matrix_two_point(dim=3, n=5)
+        calls = self.eigvals_calls(monkeypatch)
+        full = enumerate_product(spec, 3.0, 2.0, (1.0,), (0.5,))
+        assert calls == [32] and full.spectral_radius_mean is not None
+        bare = enumerate_product(spec, 3.0, 2.0, (1.0,), (0.5,), spectral_radius=False)
+        assert calls == [32] and bare.spectral_radius_mean is None
+        assert bare.mean.tobytes() == full.mean.tobytes()
+        assert replace(bare, mean=None) == replace(full, mean=None, spectral_radius_mean=None)
+
+    def test_compare_asks_only_for_radius_bounds(self, monkeypatch):
+        spec = matrix_two_point(dim=3, n=5)
+        calls = self.eigvals_calls(monkeypatch)
+        rows, _ = comparison_rows(spec, bounds=["growth-moment", "expectation-growth"])
+        assert calls == [] and not any(r.skipped for r in rows)
+        rows, _ = comparison_rows(spec)
+        assert calls == [32]
+        assert [r.quantity for r in rows if not r.skipped][-1] == "spectral-radius-expectation"
 
 
 class TestExpectedProduct:

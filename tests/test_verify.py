@@ -51,6 +51,60 @@ from matprod.verify import (
 )
 
 
+def count_norm_stacks(monkeypatch):
+    calls = []
+    norms = verify.stack_norms
+
+    def counting(stack, p=math.inf):
+        calls.append(len(stack))
+        return norms(stack, p)
+
+    monkeypatch.setattr(verify, "stack_norms", counting)
+    return calls
+
+
+PER_TRIAL_CHECKS = [
+    pytest.param(lambda: check_subquadratic(4.0, 2.0, trials=7, seed=3), id="subquadratic"),
+    pytest.param(lambda: check_martingale_bound(4.0, 3.0, n=5, trials=7, seed=3),
+                 id="martingale"),
+    pytest.param(lambda: check_factor_contraction(4.0, 2.0, trials=7, seed=3), id="contraction"),
+]
+
+
+class TestOneNormStackPerTrial:
+    @pytest.mark.parametrize("check", PER_TRIAL_CHECKS + [
+        pytest.param(lambda: check_uniform_smoothness(trials=40, seed=2), id="smoothness"),
+        pytest.param(lambda: check_martingale_bound(2.0, 2.0, trials=9, seed=5), id="orthogonal"),
+    ])
+    def test_stacks_keep_each_matrix_bits(self, check, monkeypatch):
+        stacked = check().to_json()
+        norms = verify.stack_norms
+
+        def one_at_a_time(stack, p=math.inf):
+            return tuple(np.array(x) for x in zip(*(
+                (s[0], t[0]) for s, t in (norms(m[None], p) for m in stack))))
+
+        monkeypatch.setattr(verify, "stack_norms", one_at_a_time)
+        assert check().to_json() == stacked
+
+    @pytest.mark.parametrize("check", PER_TRIAL_CHECKS)
+    def test_one_call_per_trial(self, check, monkeypatch):
+        calls = count_norm_stacks(monkeypatch)
+        report = check()
+        # the contraction check also takes the spectral norms of its Y atoms
+        # and of E Y*Y in one stack
+        per_trial = 2 if report.name == "contraction-factor" else 1
+        assert len(calls) == per_trial * 7
+        assert report.instances >= 7 and report.passed
+
+    def test_smoothness_takes_one_stack_per_block(self, monkeypatch):
+        calls = count_norm_stacks(monkeypatch)
+        report = check_uniform_smoothness(p_list=(1.5, 3.0), trials=40, seed=2)
+        # four dimension blocks per p, and four random pairs at p >= 2
+        assert calls[:8] == [40] * 8 and len(calls) == 12
+        assert report.instances == 84 and report.passed
+
+
 def _inverse(query):
     def bound(stats, p, q):
         xi_bar, v_bar = inverse_perturbation_stats(
