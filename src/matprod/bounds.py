@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ensembles import FactorEnsemble, FactorStats
+from .ensembles import FactorStats
 from .errors import (
     InvalidInputError,
     InvalidParameterError,
@@ -315,12 +315,6 @@ def growth_from_concentration(s: ProductStats, p, q=2.0, expected_norm_p=None) -
 # ---------------------------------------------------------------------------
 # expectation bounds in the spectral norm (q = 2 internally, Z_0 square)
 
-def _expectation_growth_value(v: float, d: int, M: float):
-    arg = 2.0 * v * max(2.0 * v, math.log(d))
-    internal_p = math.sqrt(2.0 * max(2.0 * v, math.log(d)) / v) if v > 0 else math.inf
-    return _exp(math.sqrt(arg)) * M, internal_p
-
-
 def _refine_over_grid(log_objective) -> tuple:
     logs = [log_objective(p) for p in P_GRID]
     i = int(np.argmin(logs))
@@ -329,7 +323,9 @@ def _refine_over_grid(log_objective) -> tuple:
 
 def expectation_growth_bound(s: ProductStats, refine=False) -> BoundResult:
     """E ||Z_n|| <= exp(sqrt(2 v max(2v, log d))) * M, unconditional."""
-    value, internal_p = _expectation_growth_value(s.v, s.d, s.M)
+    load = max(2.0 * s.v, math.log(s.d))
+    value = _exp(math.sqrt(2.0 * s.v * load)) * s.M
+    internal_p = math.sqrt(2.0 * load / s.v) if s.v > 0 else math.inf
     params = SchattenParams(p=internal_p, q=2.0) if math.isfinite(internal_p) else None
     result = BoundResult("expectation-growth", value, params,
                          [s._stat_order_condition(2.0)])
@@ -555,23 +551,16 @@ def lowrank_moment_bounds(s: ProductStats, p):
     if s.projected_rank != s.r:
         raise InvalidInputError(
             f"projected rank {s.projected_rank} must equal cols(Z_0) = {s.r}")
-    params = _moment_params(p, 2.0)
-    z0 = s.z0_norm(params.p)
-    growth = _finish(BoundResult(
-        "lowrank-growth", _exp(0.5 * params.cp * s.v) * z0 * s.M, params,
-        [s._stat_order_condition(2.0)]), None if s.B is None else z0 * s.B)
-    conc = _finish(BoundResult(
-        "lowrank-concentration", _sqrt_expm1(params.cp * s.v) * z0 * s.M, params,
-        [s._stat_order_condition(2.0)]), None if s.B is None else 2.0 * z0 * s.B)
+    growth, conc = growth_moment_bound(s, p), concentration_moment_bound(s, p)
+    growth.kind, conc.kind = "lowrank-growth", "lowrank-concentration"
     return growth, conc
 
 
 def spectral_radius_expectation_bound(s: ProductStats) -> BoundResult:
     """E rho(Z_n) <= exp(sqrt(2 v max(2v, log d))) * M with conjugated stats."""
-    value, internal_p = _expectation_growth_value(s.v, s.d, s.M)
-    params = SchattenParams(p=internal_p, q=2.0) if math.isfinite(internal_p) else None
-    return _finish(BoundResult("spectral-radius-expectation", value, params,
-                               [s._stat_order_condition(2.0)]), s.B)
+    result = expectation_growth_bound(s)
+    result.kind = "spectral-radius-expectation"
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -661,5 +650,5 @@ __all__ = [
     "inverse_perturbation_stats", "lowrank_moment_bounds", "perturbation_bounds",
     "scalar_reference_bounds", "scenario_lt_bounds", "spectral_radius_expectation_bound",
     "tail_concentration_bound", "tail_growth_bound", "uniform_moment_bounds",
-    "product_stats_from_ensembles", "FactorEnsemble",
+    "product_stats_from_ensembles",
 ]

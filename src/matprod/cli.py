@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -420,6 +421,7 @@ def run_compare(cfg: dict, seed: int, trials_override=None):
 # ---------------------------------------------------------------------------
 # entry point
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="matprod",

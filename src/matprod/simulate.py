@@ -77,6 +77,8 @@ class ProductSpec:
         if self.mode == "adapted":
             if self.adapted_hook is None:
                 raise InvalidParameterError("adapted mode needs an adapted_hook")
+            if not callable(getattr(self.adapted_hook, "conditional_supports", None)):
+                raise InvalidParameterError("an adapted_hook needs conditional_supports(runs)")
             if self.n is None or self.n < 1:
                 raise InvalidParameterError("adapted mode needs n_steps or factors")
         else:
@@ -144,11 +146,9 @@ class TailEstimate:
 
 
 # ---------------------------------------------------------------------------
-# adapted hooks
-
-def _conditional_mean(support) -> np.ndarray:
-    return sum(prob * mat for mat, prob in support)
-
+# adapted hooks: conditional_supports(runs) maps a (B, d, d) stack of running
+# history products Y_i ... Y_1 to (atoms, probs), a (K, d, d) atom stack or the
+# (K, d) diagonals of diagonal atoms, and (B, K) or (1, K) atom probabilities
 
 @dataclass(frozen=True, eq=False)
 class NormBiasedTwoPointHook:
@@ -173,16 +173,9 @@ class NormBiasedTwoPointHook:
         spike = self.scale * householder_direction(self.dim)
         object.__setattr__(self, "atoms", np.stack([eye + spike, eye - spike]))
 
-    def conditional_support(self, history):
-        running = np.eye(self.dim)
-        for y in history:
-            running = y @ running
-        pi = self.high if np.linalg.norm(running) <= math.sqrt(self.dim) else 1.0 - self.high
-        return ((self.atoms[0], pi), (self.atoms[1], 1.0 - pi))
-
     def conditional_supports(self, runs):
-        """Batched form: (atoms, probs) for a (B, dim, dim) stack of running products."""
-        flat = runs.reshape(len(runs), 1, -1)  # one dot product per norm, as np.linalg.norm
+        """(atoms, probs) for a (B, dim, dim) stack of running history products."""
+        flat = runs.reshape(len(runs), 1, -1)  # the Frobenius norm as one dot product
         low = np.sqrt(flat @ flat.swapaxes(1, 2))[:, 0, 0] <= math.sqrt(self.dim)
         pi = np.where(low, self.high, 1.0 - self.high)
         return self.atoms, np.stack([pi, 1.0 - pi], axis=1)
@@ -210,11 +203,8 @@ class HistoryFreeHook:
     def dim(self) -> int:
         return self.ensemble.dim
 
-    def conditional_support(self, history):
-        return self.ensemble.support
-
     def conditional_supports(self, runs):
-        """Batched form: the support's atoms, or diagonals, and one row of probabilities."""
+        """The support's atoms, or diagonals, and one row of probabilities, for any runs."""
         s = self.ensemble.support
         return (s.atoms if s.diagonals is None else s.diagonals), np.array([s.probs])
 
@@ -325,47 +315,28 @@ def _trial_product(spec, start, rng):
 
 
 def _level_supports(hook, past):
-    """Conditional supports of a block of adapted paths: (steps, atom_of, probs, means).
-
-    Path b's atom in slot j is ``steps[atom_of[b, j]]``, of probability
-    ``probs[b, j]``; means holds each path's conditional mean, summed as
-    _conditional_mean sums it. A hook's batched form is called once, on the
-    block's running history products ``past``; other hooks once per path, on
-    its history tuple, with shorter supports padded by their last atom at
-    probability 0: never enumerated, and drawn only where that atom is.
-    """
-    if hasattr(hook, "conditional_supports"):
-        steps, probs = hook.conditional_supports(past)
-        means = sum(p.reshape(-1, *(1,) * s.ndim) * s for p, s in zip(probs.T, steps))
-        b, k = len(past), len(steps)
-        return (steps, np.broadcast_to(np.arange(k), (b, k)), np.broadcast_to(probs, (b, k)),
-                np.broadcast_to(means, (b, *means.shape[1:])))
-    supports = [hook.conditional_support(h) for h in past]
-    k = max(len(s) for s in supports)
-    padded = [[*s, *[(s[-1][0], 0.0)] * (k - len(s))] for s in supports]
-    steps = np.array([[mat for mat, _ in s] for s in padded], dtype=float)
-    probs = np.array([[prob for _, prob in s] for s in padded])
-    return (steps.reshape(-1, *steps.shape[2:]), np.arange(steps.shape[0] * k).reshape(-1, k),
-            probs, np.stack([_conditional_mean(s) for s in supports]))
+    """(steps, probs, means) of a block of adapted paths, from one hook call on
+    their running history products ``past``: path b takes atom ``steps[j]``
+    with probability ``probs[b, j]`` and has conditional mean ``means[b]``."""
+    steps, probs = hook.conditional_supports(past)
+    means = sum(p.reshape(-1, *(1,) * s.ndim) * s for p, s in zip(probs.T, steps))
+    b = len(past)
+    return (steps, np.broadcast_to(probs, (b, len(steps))),
+            np.broadcast_to(means, (b, *means.shape[1:])))
 
 
 def _adapted_root(spec, count):
     """A block of ``count`` empty adapted paths: (weights, products, references, past)."""
     start = np.broadcast_to(spec.z0, (count, *spec.z0.shape))
-    if hasattr(spec.adapted_hook, "conditional_supports"):
-        return np.ones(count), start, start, np.broadcast_to(np.eye(spec.d), (count, *[spec.d] * 2))
-    return np.ones(count), start, start, [()] * count
+    return np.ones(count), start, start, np.broadcast_to(np.eye(spec.d), (count, spec.d, spec.d))
 
 
 def _adapted_children(block, supports, par, col):
-    """Children of a block of adapted paths: path par[i] extended by its slot col[i] atom."""
+    """Children of a block of adapted paths: path par[i] extended by atom col[i]."""
     w, prods, refs, past = block
-    steps, atom_of, probs, means = supports
-    atom = atom_of[par, col]
-    past = ([past[i] + (steps[j],) for i, j in zip(par, atom)] if isinstance(past, list)
-            else _step(steps, atom, past[par]))
-    return (w[par] * probs[par, col], _step(steps, atom, prods[par]),
-            _step(means, par, refs[par]), past)
+    steps, probs, means = supports
+    return (w[par] * probs[par, col], _step(steps, col, prods[par]),
+            _step(means, par, refs[par]), _step(steps, col, past[par]))
 
 
 def _simulate_adapted(spec, trials, seed, key) -> SimulationResult:
@@ -382,7 +353,7 @@ def _simulate_adapted(spec, trials, seed, key) -> SimulationResult:
         block = _adapted_root(spec, len(u))
         for i in range(spec.n):
             supports = _level_supports(spec.adapted_hook, block[3])
-            cum = np.cumsum(supports[2], axis=1)
+            cum = np.cumsum(supports[1], axis=1)
             cum[:, -1] = 1.0
             block = _adapted_children(block, supports, np.arange(len(u)),
                                       (cum <= u[:, i, None]).sum(axis=1))
@@ -656,7 +627,7 @@ def _walk_adapted(spec):
     def frame(depth, block):
         nonlocal fan
         supports = _level_supports(spec.adapted_hook, block[3])
-        par, col = np.nonzero(supports[2])
+        par, col = np.nonzero(supports[1])
         counts = np.bincount(par, minlength=len(block[0]))
         fan = max(fan, int(counts.max()))
         return [depth, block, supports, par, col, np.cumsum(counts), 0]

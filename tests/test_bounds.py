@@ -471,6 +471,10 @@ class TestContractionBounds:
             contraction_bounds(scalar_stats())
 
 
+def without_kind(result):
+    return {k: v for k, v in result.to_json().items() if k != "kind"}
+
+
 class TestLowRankBounds:
     def lowrank_stats(self):
         z0 = np.zeros((100, 1))
@@ -481,10 +485,15 @@ class TestLowRankBounds:
     def test_frozen_values(self):
         p = 2.0 * (1.0 + math.log(100))
         assert p == pytest.approx(11.210340371976184, rel=1e-14)
-        growth, conc = lowrank_moment_bounds(self.lowrank_stats(), p)
+        s = self.lowrank_stats()
+        growth, conc = lowrank_moment_bounds(s, p)
         assert growth.value == pytest.approx(12.840254166877415, rel=1e-12)
         assert conc.value == pytest.approx(12.801254902157554, rel=1e-12)
         assert growth.params.q == 2.0
+        # the general moment bounds at q = 2, under their own kinds
+        assert (growth.kind, conc.kind) == ("lowrank-growth", "lowrank-concentration")
+        assert without_kind(growth) == without_kind(growth_moment_bound(s, p))
+        assert without_kind(conc) == without_kind(concentration_moment_bound(s, p))
 
     def test_improvement_over_unprojected_in_log_domain(self):
         p = 2.0 * (1.0 + math.log(100))
@@ -513,8 +522,10 @@ class TestLowRankBounds:
 class TestSpectralRadiusBound:
     def test_matches_expectation_growth(self):
         s = ProductStats.from_factors([FactorStats(1.1, 0.2)] * 3, d=4)
-        assert spectral_radius_expectation_bound(s).value == \
-            expectation_growth_bound(s).value
+        radius = spectral_radius_expectation_bound(s)
+        assert radius.value == expectation_growth_bound(s).value
+        assert radius.kind == "spectral-radius-expectation"
+        assert without_kind(radius) == without_kind(expectation_growth_bound(s))
 
 
 class TestScalarReferenceBounds:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import matprod
+from matprod import cli
 from matprod.cli import main
 from matprod.schatten import format_float
 
@@ -80,6 +81,32 @@ class TestUsage:
         rc, payload, _ = run_json(capsys, "bound", "--config", path, "--seed", "-1")
         assert rc == 1
         assert "seed" in payload["error"]["message"]
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        built = []
+
+        class Counting(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counting)
+        cli._build_parser.cache_clear()
+        try:
+            assert run_cli(capsys, "bound", "--config", "lt-scenario")[0] == 0
+            assert run_cli(capsys, "bound", "--config", "lt-scenario")[0] == 0
+        finally:
+            cli._build_parser.cache_clear()
+        assert built.count("matprod") == 1
+
+    def test_usage_error_after_a_run_reports_the_same(self, capsys):
+        cli._build_parser.cache_clear()
+        first = run_cli(capsys, "bound", "--seed", "x")
+        assert run_cli(capsys, "bound", "--config", "lt-scenario")[0] == 0
+        again = run_cli(capsys, "bound", "--seed", "x")
+        assert first[0] == again[0] == 1
+        assert json.loads(again[1])["error"]["code"] == "usage"
+        assert again == first
 
     def test_unknown_bound_kind(self, capsys, tmp_path):
         path = write_config(tmp_path, {"kind": "mystery"})

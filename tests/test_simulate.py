@@ -83,6 +83,17 @@ class TestProductSpec:
                          adapted_hook=hook, n_steps=4)
         assert ok.n == 4
 
+    def test_adapted_hook_needs_the_batched_form(self):
+        class PerHistory:
+            dim = 2
+
+            def conditional_support(self, history):
+                return ((np.eye(2), 1.0),)
+
+        with pytest.raises(InvalidParameterError, match="conditional_supports"):
+            ProductSpec(factors=(), z0=np.eye(2), mode="adapted",
+                        adapted_hook=PerHistory(), n_steps=3)
+
     def test_needs_factors_and_matching_dims(self):
         with pytest.raises(InvalidParameterError):
             ProductSpec(factors=(), z0=np.eye(2))
@@ -153,15 +164,22 @@ def reference_loop(spec, trials, seed, key=()):
     return zs, excluded
 
 
+def conditional_support(hook, running):
+    """The hook's (atom, probability) pairs for one path's running history
+    product, diagonal atoms expanded to dense matrices."""
+    atoms, probs = hook.conditional_supports(running[None])
+    return [(np.diag(a) if a.ndim == 1 else a, prob) for a, prob in zip(atoms, probs[0])]
+
+
 def reference_adapted_loop(spec, trials, seed, refs=False):
     """Adapted products drawn by a linear scan of the running probability sum,
     or with refs, their products of conditional means."""
     zs = []
     for k in range(trials):
         rng = substream(seed, k)
-        prod, ref, history = spec.z0, spec.z0, []
+        prod, ref, running = spec.z0, spec.z0, np.eye(spec.d)
         for _ in range(spec.n):
-            support = spec.adapted_hook.conditional_support(tuple(history))
+            support = conditional_support(spec.adapted_hook, running)
             u, acc, y = rng.random(), 0.0, support[-1][0]
             for mat, prob in support:
                 acc += prob
@@ -169,8 +187,9 @@ def reference_adapted_loop(spec, trials, seed, refs=False):
                     y = mat
                     break
             prod = y @ prod
-            ref = sum(prob * mat for mat, prob in support) @ ref
-            history.append(y)
+            if refs:
+                ref = sum(prob * mat for mat, prob in support) @ ref
+            running = y @ running
         zs.append(ref if refs else prod)
     return zs
 
@@ -792,30 +811,29 @@ def depth_first_paths(spec):
     """The frame-stack walk the level-wise walker replaced, kept as its oracle:
     (weight, product, conditional-mean product) of every path, in leaf order."""
     hook, n = spec.adapted_hook, spec.n
-    history = []
-    support = hook.conditional_support(())
-    stack = [[support, 0, 1.0, spec.z0, spec.z0, simulate._conditional_mean(support)]]
+
+    def frame(weight, prod, ref, running):
+        support = conditional_support(hook, running)
+        return [support, 0, weight, prod, ref, sum(prob * mat for mat, prob in support), running]
+
+    stack = [frame(1.0, spec.z0, spec.z0, np.eye(spec.d))]
     while stack:
-        frame = stack[-1]
-        support, idx = frame[0], frame[1]
+        top = stack[-1]
+        support, idx = top[0], top[1]
         if idx >= len(support):
             stack.pop()
-            if history:
-                history.pop()
             continue
-        frame[1] = idx + 1
+        top[1] = idx + 1
         mat, prob = support[idx]
         if prob == 0.0:
             continue
-        weight = frame[2] * prob
-        prod = mat @ frame[3]
-        ref = frame[5] @ frame[4]
+        weight = top[2] * prob
+        prod = mat @ top[3]
+        ref = top[5] @ top[4]
         if len(stack) == n:
             yield weight, prod, ref
         else:
-            history.append(mat)
-            sub = hook.conditional_support(tuple(history))
-            stack.append([sub, 0, weight, prod, ref, simulate._conditional_mean(sub)])
+            stack.append(frame(weight, prod, ref, mat @ top[6]))
 
 
 def depth_first_report(spec, p, q, tg=(), td=()):
@@ -829,30 +847,18 @@ def depth_first_report(spec, p, q, tg=(), td=()):
     return stats.report(np.einsum("k,kij->ij", weights, prods), "adapted")
 
 
-class PlainHook:
-    """A hook with no batched form: one to three atoms, the count and the
-    probabilities set by the history's length and its last atom."""
+class LeaningHook:
+    """A batched hook written here: three atoms whose probabilities lean on the
+    sign of the running product's top-right entry. Where it is positive the
+    second atom has probability 0."""
 
     dim = 2
+    atoms = np.array([[[1.0, 0.3], [-0.2, 0.9]], [[0.8, 0.0], [0.1, 1.2]],
+                      [[-1.0, -0.3], [0.2, -0.9]]])
 
-    def conditional_support(self, history):
-        a = np.array([[1.0, 0.3], [-0.2, 0.9]])
-        b = np.array([[0.8, 0.0], [0.1, 1.2]])
-        k = len(history)
-        if k % 3 == 0:
-            return ((a, 1.0),)
-        lean = 0.25 if history[-1][0, 1] > 0 else 0.6
-        if k % 3 == 1:
-            return ((a, lean), (b, 1.0 - lean))
-        return ((b, lean), (a, 0.5 - lean / 2), (-a, 0.5 - lean / 2))
-
-
-class ZeroAtomHook(PlainHook):
-    """The plain hook's supports with a probability-0 atom inserted second."""
-
-    def conditional_support(self, history):
-        first, *rest = super().conditional_support(history)
-        return (first, (np.full((2, 2), 7.0), 0.0), *rest)
+    def conditional_supports(self, runs):
+        up = runs[:, 0, 1] > 0
+        return self.atoms, np.where(up[:, None], [0.25, 0.0, 0.75], [0.6, 0.3, 0.1])
 
 
 def zero_atom_ensemble():
@@ -872,8 +878,9 @@ ADAPTED_HOOKS = [
                  id="history-free-diagonal"),
     pytest.param(lambda: HistoryFreeHook(zero_atom_ensemble()), 5, np.eye(2),
                  id="history-free-zero-atom"),
-    pytest.param(PlainHook, 7, np.eye(2), id="plain"),
-    pytest.param(ZeroAtomHook, 6, signed_zero_start(2, 2), id="plain-zero-atom"),
+    # "plain": the hook written above, from the identity and from signed zeros
+    pytest.param(LeaningHook, 7, np.eye(2), id="plain"),
+    pytest.param(LeaningHook, 6, signed_zero_start(2, 2), id="plain-zero-atom"),
 ]
 
 
@@ -946,50 +953,23 @@ class TestAdaptedWalker:
         # every leaf at once would take 64 caps' worth of paths
         assert peak < 8 * cap * path_bytes
 
-    def test_supports_come_once_per_node_without_a_batched_form(self):
-        calls = []
-
-        class Counting(PlainHook):
-            def conditional_support(self, history):
-                calls.append(len(history))
-                return super().conditional_support(history)
-
-        spec = adapted(Counting, 7, np.eye(2))
-        list(depth_first_paths(spec))
-        per_node, calls[:] = len(calls), []
-        list(simulate._walk_adapted(spec))
-        # as the depth-first walk asks: once per node, leaves excepted
-        assert len(calls) == per_node
-
-    def test_batched_form_matches_per_node_supports(self):
+    def test_atoms_are_built_once(self):
         hook = NormBiasedTwoPointHook(3, scale=0.3, high=0.8)
-        rng = substream(4)
-        histories = [tuple(hook.atoms[rng.integers(0, 2, size=k)]) for k in range(8)]
-        runs = []
-        for h in histories:
-            run = np.eye(3)
-            for y in h:
-                run = y @ run
-            runs.append(run)
-        atoms, probs = hook.conditional_supports(np.stack(runs))
-        for h, row in zip(histories, probs):
-            support = hook.conditional_support(h)
-            assert [p for _, p in support] == row.tolist()
-            # the atoms are built once, with the hook
-            assert all(np.shares_memory(m, hook.atoms) for m, _ in support)
+        atoms, _ = hook.conditional_supports(np.stack([np.eye(3), 2.0 * np.eye(3)]))
         assert atoms is hook.atoms
         eye, spike = np.eye(3), 0.3 * householder_direction(3)
         assert hook.atoms.tobytes() == np.stack([eye + spike, eye - spike]).tobytes()
 
     @pytest.mark.parametrize("dim", [2, 3, 10])
     def test_batched_norm_test_keeps_its_bits(self, dim):
-        # running products scaled to the threshold sqrt(dim): the per-node and
-        # batched tests then disagree unless both norms have the same bits
+        # running products scaled to the threshold sqrt(dim): the hook's test
+        # and the rule written out here disagree unless both norms have the same bits
         hook = NormBiasedTwoPointHook(dim)
         runs = substream(dim).standard_normal((4000, dim, dim))
         runs *= math.sqrt(dim) / np.linalg.norm(runs, axis=(1, 2))[:, None, None]
         _, probs = hook.conditional_supports(runs)
-        want = [hook.conditional_support((run,))[0][1] for run in runs]
+        want = [hook.high if np.linalg.norm(run) <= math.sqrt(dim) else 1.0 - hook.high
+                for run in runs]
         assert probs[:, 0].tolist() == want
         assert 0 < sum(p == hook.high for p in want) < len(want)
 
@@ -1031,18 +1011,10 @@ class TestAdaptedMonteCarlo:
                 return np.full(size, self.u)
 
         monkeypatch.setattr(simulate, "substream", lambda seed, k: Fixed(uniforms[k]))
-
-        class Plain:
-            dim = 2
-
-            def conditional_support(self, history):
-                return e.support
-
-        for hook in (HistoryFreeHook(e), Plain()):
-            spec = ProductSpec(factors=(), z0=np.eye(2), mode="adapted",
-                               adapted_hook=hook, n_steps=1)
-            sim = simulate_product(spec, len(uniforms), seed=0)
-            assert [z[0, 0] for z in sim.z] == want
+        spec = ProductSpec(factors=(), z0=np.eye(2), mode="adapted",
+                           adapted_hook=HistoryFreeHook(e), n_steps=1)
+        sim = simulate_product(spec, len(uniforms), seed=0)
+        assert [z[0, 0] for z in sim.z] == want
 
     def test_trials_span_several_blocks(self, monkeypatch):
         spec = adapted(lambda: NormBiasedTwoPointHook(2, scale=0.3), 6, np.eye(2))
