@@ -21,7 +21,6 @@ from .bounds import (
     inverse_perturbation_stats,
     lowrank_moment_bounds,
     perturbation_bounds,
-    product_stats_from_ensembles,
     scalar_reference_bounds,
     scenario_lt_bounds,
     spectral_radius_expectation_bound,
@@ -77,13 +76,11 @@ from .simulate import (
     clopper_pearson,
     conjugated_spec,
     enumerate_product,
-    estimate_norm_statistics,
     expected_product,
     simulate_product,
     spec_from_config,
     spec_to_config,
     summarize_simulation,
-    tail_frequencies,
     triangular_array_run,
 )
 from .streams import DEFAULT_SEED, substream

@@ -638,11 +638,6 @@ def scenario_lt_bounds(sc: ScenarioLT):
     return expectation, probable
 
 
-def product_stats_from_ensembles(ensembles, z0=None, projected_rank=None) -> ProductStats:
-    """Convenience wrapper mirroring ProductStats.from_ensembles."""
-    return ProductStats.from_ensembles(list(ensembles), z0, projected_rank)
-
-
 __all__ = [
     "BoundResult", "Condition", "ProductStats", "ScenarioLT", "SchattenParams",
     "concentration_moment_bound", "contraction_bounds", "expectation_concentration_bound",
@@ -650,5 +645,4 @@ __all__ = [
     "inverse_perturbation_stats", "lowrank_moment_bounds", "perturbation_bounds",
     "scalar_reference_bounds", "scenario_lt_bounds", "spectral_radius_expectation_bound",
     "tail_concentration_bound", "tail_growth_bound", "uniform_moment_bounds",
-    "product_stats_from_ensembles",
 ]

@@ -43,7 +43,6 @@ from .schatten import format_float, matrix_from_json, matrix_to_json
 from .simulate import (
     ESTIMATE_FIELDS,
     enumerate_product,
-    simulate_product,
     spec_from_config,
     summarize_simulation,
 )
@@ -357,8 +356,7 @@ def run_simulate(cfg: dict, seed: int, trials_override=None):
         }
         return payload, EXIT_OK
 
-    sim = simulate_product(spec, trials, seed)
-    estimates, tails, spectral = summarize_simulation(spec, sim, p, q, tg, td)
+    estimates, tails, spectral, excluded = summarize_simulation(spec, trials, seed, p, q, tg, td)
     wanted = cfg.get("quantities")
     if wanted is not None:
         unknown = set(wanted) - set(ESTIMATE_NAMES)
@@ -371,7 +369,7 @@ def run_simulate(cfg: dict, seed: int, trials_override=None):
         "source": "monte-carlo",
         "trials": trials,
         "seed": seed,
-        "excluded": sim.excluded,
+        "excluded": len(excluded),
         "estimates": {k: v.to_json() for k, v in sorted(estimates.items())},
         "tails": [t.to_json() for t in tails],
     }

@@ -126,8 +126,11 @@ class SimulationResult:
     trials: int
     seed: int
     f: Optional[list] = None
-    excluded: int = 0
     excluded_indices: list = field(default_factory=list)
+
+    @property
+    def excluded(self) -> int:
+        return len(self.excluded_indices)
 
 
 @dataclass(frozen=True)
@@ -264,8 +267,9 @@ def _chunk_size(spec, samplers):
     diagonal; either way the step also makes a d x r product. The chunk keeps
     one step, and the chunk's n uniforms per trial, within GATHER_BUDGET.
     Inverse mode gathers dense atoms, but its start is square, so r = d.
+    Samplers without a finite support count as dense.
     """
-    dense = any(s.diagonals is None for s in samplers)
+    dense = any(getattr(s, "diagonals", None) is None for s in samplers)
     step = 8 * spec.d * (max(spec.d, spec.r) if dense else spec.r)
     return max(1, GATHER_BUDGET // max(step, 8 * spec.n)), step
 
@@ -299,19 +303,23 @@ def _sampled_chunk(spec, start, samplers, rngs, atom_conds):
     return prod, cond_est
 
 
-def _trial_product(spec, start, rng):
-    """One trial drawn one factor at a time, as a stack of one: (products, cond estimates)."""
-    prod = start
-    if spec.mode != "inverse":
-        for e in spec.factors:
-            prod = e.draw(rng) @ prod
-        return prod[None], None
-    cond_est = np.linalg.cond(spec.z0)
-    for e in spec.factors:
-        y = e.draw(rng)
-        cond_est *= np.linalg.cond(y)
-        prod = _right_solve(y, prod)
-    return prod[None], np.array([cond_est])
+def _trial_products(spec, start, rngs):
+    """Trials drawn one factor at a time, one per stream: (products, cond estimates)."""
+    prods, conds = [], []
+    for rng in rngs:
+        prod = start
+        if spec.mode != "inverse":
+            for e in spec.factors:
+                prod = e.draw(rng) @ prod
+        else:
+            cond_est = np.linalg.cond(spec.z0)
+            for e in spec.factors:
+                y = e.draw(rng)
+                cond_est *= np.linalg.cond(y)
+                prod = _right_solve(y, prod)
+            conds.append(cond_est)
+        prods.append(prod)
+    return np.stack(prods), (np.array(conds) if conds else None)
 
 
 def _level_supports(hook, past):
@@ -339,70 +347,71 @@ def _adapted_children(block, supports, par, col):
             _step(means, par, refs[par]), _step(steps, col, past[par]))
 
 
-def _simulate_adapted(spec, trials, seed, key) -> SimulationResult:
-    """Adapted trials stepped together through the hook, FRONTIER_PATHS at a time.
+def _trial_chunks(spec, trials, seed, key):
+    """Yield (products, F_n or None, excluded trial numbers) chunk by chunk.
 
-    Trial k's n uniforms come from one ``random(n)`` call on its own stream;
-    each step takes the first atom whose running probability sum, the last
-    pinned to 1, exceeds the uniform, so the products are the per-trial loop's.
-    """
-    zs, fs = [], []
-    for lo in range(0, trials, FRONTIER_PATHS):
-        u = np.stack([substream(seed, *key, k).random(spec.n)
-                      for k in range(lo, min(lo + FRONTIER_PATHS, trials))])
-        block = _adapted_root(spec, len(u))
-        for i in range(spec.n):
-            supports = _level_supports(spec.adapted_hook, block[3])
-            cum = np.cumsum(supports[1], axis=1)
-            cum[:, -1] = 1.0
-            block = _adapted_children(block, supports, np.arange(len(u)),
-                                      (cum <= u[:, i, None]).sum(axis=1))
-        zs.extend(block[1])
-        fs.extend(block[2])
-    return SimulationResult(z=zs, trials=trials, seed=seed, f=fs)
-
-
-def simulate_product(spec: ProductSpec, trials, seed, key=()) -> SimulationResult:
-    """Per-trial draws of Z_n (and F_n in adapted mode).
-
-    When every factor samples a finite support, chunks of trials go through
-    one gather-and-multiply kernel; other samplers run one trial at a time.
-    Both give the same bits, since trial k reads only its own stream.
+    When every factor samples a finite support, a chunk of trials goes through
+    one gather-and-multiply kernel; other samplers draw one trial at a time.
+    Adapted trials step together through the hook, FRONTIER_PATHS at a time,
+    and also yield their products of conditional means F_n. Inverse mode drops
+    ill-conditioned or non-finite trials from a chunk and names them. Trial k
+    reads only the stream (seed, *key, k), so the bits do not depend on the
+    chunking.
     """
     trials = int(trials)
     if trials < 1:
         raise InvalidParameterError("trials must be positive")
     if spec.mode == "adapted":
-        return _simulate_adapted(spec, trials, seed, key)
+        # each step takes the first atom whose running probability sum, the last
+        # pinned to 1, exceeds the trial's uniform for that step
+        for lo in range(0, trials, FRONTIER_PATHS):
+            u = np.stack([substream(seed, *key, k).random(spec.n)
+                          for k in range(lo, min(lo + FRONTIER_PATHS, trials))])
+            block = _adapted_root(spec, len(u))
+            for i in range(spec.n):
+                supports = _level_supports(spec.adapted_hook, block[3])
+                cum = np.cumsum(supports[1], axis=1)
+                cum[:, -1] = 1.0
+                block = _adapted_children(block, supports, np.arange(len(u)),
+                                          (cum <= u[:, i, None]).sum(axis=1))
+            yield block[1], block[2], []
+        return
 
     invert = spec.mode == "inverse"
     start = np.linalg.solve(spec.z0, np.eye(spec.d)) if invert else spec.z0
     samplers = [e.sampler for e in spec.factors]
     batched = all(isinstance(s, SupportSampler) for s in samplers)
-    if batched:
-        chunk, _ = _chunk_size(spec, samplers)
-        distinct = {id(s): s for s in samplers}
-        atom_conds = ({k: np.linalg.cond(s.atoms) for k, s in distinct.items()}
-                      if invert else None)
-    else:
-        chunk = 1
-
-    zs = []
-    excluded_indices = []
+    chunk, _ = _chunk_size(spec, samplers)
+    distinct = {id(s): s for s in samplers}
+    atom_conds = ({k: np.linalg.cond(s.atoms) for k, s in distinct.items()}
+                  if batched and invert else None)
     for lo in range(0, trials, chunk):
         rngs = [substream(seed, *key, k) for k in range(lo, min(lo + chunk, trials))]
         if batched:
             prod, cond_est = _sampled_chunk(spec, start, samplers, rngs, atom_conds)
         else:
-            prod, cond_est = _trial_product(spec, start, rngs[0])
+            prod, cond_est = _trial_products(spec, start, rngs)
+        excluded = []
         if invert:
             bad = (cond_est > CONDITION_LIMIT) | ~np.isfinite(prod).all(axis=(1, 2))
-            excluded_indices.extend((lo + np.flatnonzero(bad)).tolist())
-            prod = prod[~bad]
-        zs.extend(prod)
-    return SimulationResult(z=zs, trials=trials, seed=seed,
-                            excluded=len(excluded_indices),
-                            excluded_indices=excluded_indices)
+            prod, excluded = prod[~bad], (lo + np.flatnonzero(bad)).tolist()
+        yield prod, None, excluded
+
+
+def simulate_product(spec: ProductSpec, trials, seed, key=()) -> SimulationResult:
+    """Per-trial draws of Z_n (and F_n in adapted mode), kept as matrices.
+
+    summarize_simulation reduces the same trials without keeping them; this
+    collector is for callers that need the matrices themselves.
+    """
+    zs, fs, excluded = [], [], []
+    for prods, refs, bad in _trial_chunks(spec, trials, seed, key):
+        zs.extend(prods)
+        fs.extend(() if refs is None else refs)
+        excluded.extend(bad)
+    return SimulationResult(z=zs, trials=int(trials), seed=seed,
+                            f=fs if spec.mode == "adapted" else None,
+                            excluded_indices=excluded)
 
 
 _Z99 = float(scipy.special.ndtri(0.995))
@@ -434,47 +443,17 @@ def _moment_estimate(powers, q, quantity, seed, level) -> MCEstimate:
     return MCEstimate(quantity, mean, se, lo, hi, n, seed, level)
 
 
-def _reduce(result: SimulationResult, p, reference):
-    """(products, their norms, their deviations' norms or None), one SVD a stack.
+def _block_norms(prods, dev, p, radius):
+    """(spectral norms, Schatten-p norms, spectral radii or None) of a block of products.
 
-    reference: a matrix, a list of per-trial matrices, or "adapted" for F_n.
+    One norm stack covers the products and, when ``dev`` is given, their
+    deviations: row 0 of each norm array is the products', row 1 the
+    deviations'. Per-matrix singular values do not depend on the stack they
+    sit in, so a chunked run's norms are those of one whole stack.
     """
-    stack = np.stack(result.z)
-    norms = stack_norms(stack, p)
-    if reference is None:
-        return stack, norms, None
-    if isinstance(reference, str) and reference == "adapted":
-        if result.f is None:
-            raise InvalidParameterError("no adapted references recorded")
-        refs = np.stack(result.f)
-    else:
-        refs = np.asarray(reference, dtype=float)
-        refs = refs if refs.ndim == 3 else refs[None, :, :]
-    return stack, norms, stack_norms(stack - refs, p)
-
-
-def _estimates(result: SimulationResult, p, q, reference, level):
-    """(estimates, spectral norms, deviation spectral norms or None)."""
-    if not result.z:
-        raise InvalidParameterError("no included trials to analyze")
-    q = float(q)
-    if q < 1.0:
-        raise InvalidParameterError("q must satisfy q >= 1")
-    stack, (spectral, schatten), dev = _reduce(result, p, reference)
-    seed = result.seed
-    out = {
-        "spectral-norm-mean": _mean_estimate(spectral, "spectral-norm-mean", seed, level),
-        "schatten-moment": _moment_estimate(schatten**q, q, "schatten-moment", seed, level),
-    }
-    if stack.shape[1] == stack.shape[2]:
-        out["spectral-radius-mean"] = _mean_estimate(
-            spectral_radii(stack), "spectral-radius-mean", seed, level)
-    if dev is not None:
-        dspec, dsch = dev
-        out["deviation-norm-mean"] = _mean_estimate(dspec, "deviation-norm-mean", seed, level)
-        out["deviation-schatten-moment"] = _moment_estimate(
-            dsch**q, q, "deviation-schatten-moment", seed, level)
-    return out, spectral, None if dev is None else dev[0]
+    stack = prods if dev is None else np.concatenate([prods, dev])
+    spectral, schatten = (x.reshape(-1, len(prods)) for x in stack_norms(stack, p))
+    return spectral, schatten, (spectral_radii(prods) if radius else None)
 
 
 def _tails(spectral, thresholds_growth, deviations, thresholds_deviation, level) -> list:
@@ -492,17 +471,6 @@ def _tails(spectral, thresholds_growth, deviations, thresholds_deviation, level)
     return out
 
 
-def estimate_norm_statistics(result: SimulationResult, p=2.0, q=2.0,
-                             reference=None, level=0.99) -> dict:
-    """Norm statistics of simulated products, with delta-method moment errors.
-
-    reference: matrix (defaults to nothing), or "adapted" to difference against
-    the per-trial conditional-mean products F_n, or a list of per-trial
-    matrices. Deviations are only reported when a reference is available.
-    """
-    return _estimates(result, p, q, reference, level)[0]
-
-
 def clopper_pearson(hits: int, trials: int, level=0.99):
     """One-sided lower/upper confidence limits for a binomial proportion."""
     if trials < 1:
@@ -512,33 +480,52 @@ def clopper_pearson(hits: int, trials: int, level=0.99):
     return lcl, ucl
 
 
-def tail_frequencies(result: SimulationResult, thresholds, reference=None,
-                     level=0.99) -> list:
-    """Empirical P{||Z|| >= x} (and deviations when a reference is given)."""
-    _, (spectral, _), dev = _reduce(result, math.inf, reference)
-    return _tails(spectral, thresholds, None if dev is None else dev[0], thresholds, level)
-
-
-def summarize_simulation(spec: ProductSpec, result: SimulationResult, p=2.0, q=2.0,
-                         thresholds_growth=(), thresholds_deviation=(), level=0.99):
-    """Monte Carlo estimates, tail frequencies and per-trial spectral norms of
-    one run: (estimates, tails, spectral).
+def summarize_simulation(spec: ProductSpec, trials, seed, p=2.0, q=2.0, thresholds_growth=(),
+                         thresholds_deviation=(), level=0.99, key=()):
+    """Monte Carlo estimates and tail frequencies of one run, reduced chunk by
+    chunk: (estimates, tails, spectral, excluded).
 
     Adapted mode measures deviations against each trial's F_n and reports no
     deviation tails; inverse mode reports no deviations; every other mode
-    measures deviations against ``expected_product``. The product stack and
-    the deviation stack are each decomposed once; ``spectral`` holds each
-    included trial's spectral norm, in trial order.
+    measures deviations against ``expected_product``. Only norm columns
+    outlive a chunk, so memory grows with the trials by a few floats each.
+    ``spectral`` holds each included trial's spectral norm, in trial order,
+    and ``excluded`` the numbers of the trials inverse mode left out.
     """
+    q = float(q)
+    if q < 1.0:
+        raise InvalidParameterError("q must satisfy q >= 1")
+    mean = expected_product(spec) if spec.mode == "independent" else None
     if spec.mode == "adapted":
-        reference, thresholds_deviation = "adapted", ()
-    elif spec.mode == "inverse":
-        reference = None
-    else:
-        reference = expected_product(spec)
-    estimates, spectral, dev = _estimates(result, p, q, reference, level)
-    tails = _tails(spectral, thresholds_growth, dev, thresholds_deviation, level)
-    return estimates, tails, spectral
+        thresholds_deviation = ()
+    square = spec.d == spec.r
+    norms, radii, excluded = [], [], []
+    for prods, refs, bad in _trial_chunks(spec, trials, seed, key):
+        excluded.extend(bad)
+        ref = mean if refs is None else refs
+        if len(prods):
+            spectral, schatten, rad = _block_norms(
+                prods, None if ref is None else prods - ref, p, square)
+            norms.append(np.stack([spectral, schatten]))  # lets the singular values go
+            radii.append(rad)
+    if not norms:
+        raise InvalidParameterError("no included trials to analyze")
+    norms = np.concatenate(norms, axis=2)
+    spectral, schatten = norms[:, 0]
+    dspec, dsch = norms[:, 1] if norms.shape[1] == 2 else (None, None)
+    out = {
+        "spectral-norm-mean": _mean_estimate(spectral, "spectral-norm-mean", seed, level),
+        "schatten-moment": _moment_estimate(schatten**q, q, "schatten-moment", seed, level),
+    }
+    if square:
+        out["spectral-radius-mean"] = _mean_estimate(
+            np.concatenate(radii), "spectral-radius-mean", seed, level)
+    if dspec is not None:
+        out["deviation-norm-mean"] = _mean_estimate(dspec, "deviation-norm-mean", seed, level)
+        out["deviation-schatten-moment"] = _moment_estimate(
+            dsch**q, q, "deviation-schatten-moment", seed, level)
+    tails = _tails(spectral, thresholds_growth, dspec, thresholds_deviation, level)
+    return out, tails, spectral, excluded
 
 
 # ---------------------------------------------------------------------------
@@ -668,15 +655,14 @@ class _StreamStats:
         self.outcomes = 0
 
     def add(self, w, prods, dev):
-        # one norm stack for the products and their deviations
-        (spectral, dspec), (schatten, dsch) = (
-            x.reshape(2, -1) for x in stack_norms(np.concatenate([prods, dev]), self.p))
+        (spectral, dspec), (schatten, dsch), radii = _block_norms(
+            prods, dev, self.p, self.radius is not None)
         self.growth += float(w @ spectral)
         self.dev += float(w @ dspec)
         self.growth_q += float(w @ schatten**self.q)
         self.dev_q += float(w @ dsch**self.q)
-        if self.radius is not None:
-            self.radius += float(w @ spectral_radii(prods))
+        if radii is not None:
+            self.radius += float(w @ radii)
         for x in self.tg:
             self.tg[x] += float(w @ (spectral >= x))
         for x in self.td:
@@ -775,11 +761,11 @@ def triangular_array_run(mean, radius, dim, n_list, trials, seed,
     for row_index, n in enumerate(n_list):
         e = make_bounded_perturbation(dim, a, radius, n, support)
         spec = ProductSpec(factors=(e,) * n, z0=np.eye(dim))
-        sim = simulate_product(spec, trials, seed, key=(row_index,))
         exact_mean = expected_product(spec)
-        stack = np.stack(sim.z)
-        dev_mean, _ = stack_norms(stack - exact_mean)
-        dev_exp, _ = stack_norms(stack - expm)
+        # each chunk's deviations from both references go into one norm stack
+        dev_mean, dev_exp = np.concatenate(
+            [_block_norms(prods - exact_mean, prods - expm, math.inf, False)[0]
+             for prods, _, _ in _trial_chunks(spec, trials, seed, (row_index,))], axis=1)
         est_mean = _mean_estimate(dev_mean, "deviation-norm-mean", seed, level)
         est_exp = _mean_estimate(dev_exp, "deviation-from-exponential", seed, level)
         rows.append(TriangularRow(

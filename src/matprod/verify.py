@@ -41,7 +41,6 @@ from .simulate import (
     ESTIMATE_FIELDS,
     ProductSpec,
     enumerate_product,
-    simulate_product,
     summarize_simulation,
 )
 from .streams import DEFAULT_SEED, substream
@@ -636,11 +635,10 @@ def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED
     else:
         meta["source"] = "monte-carlo"
         meta["trials"] = trials
-        sim = simulate_product(spec, trials, seed)
+        estimates, tails, _, excluded = summarize_simulation(
+            spec, trials, seed, p, q, growth_thresholds, dev_thresholds, level)
         if spec.mode == "inverse":
-            meta["excluded"] = sim.excluded
-        estimates, tails, _ = summarize_simulation(
-            spec, sim, p, q, growth_thresholds, dev_thresholds, level)
+            meta["excluded"] = len(excluded)
         empirical = {key: (e.mean, "estimate", e.ci_high) for key, e in estimates.items()}
         empirical.update({(t.quantity, t.threshold): (t.frequency, "estimate", t.lcl)
                           for t in tails})

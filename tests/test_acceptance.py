@@ -21,7 +21,6 @@ from matprod.bounds import (
     inverse_perturbation_stats,
     lowrank_moment_bounds,
     perturbation_bounds,
-    product_stats_from_ensembles,
     spectral_radius_expectation_bound,
 )
 from matprod.ensembles import (
@@ -34,10 +33,8 @@ from matprod.simulate import (
     ProductSpec,
     conjugated_spec,
     enumerate_product,
-    estimate_norm_statistics,
-    expected_product,
     simulate_product,
-    tail_frequencies,
+    summarize_simulation,
     triangular_array_run,
 )
 from matprod.streams import DEFAULT_SEED, substream
@@ -110,14 +107,12 @@ def report_perturbation_product(seed):
     """d=10, n=200 centered bounded perturbations: mean deviation and tails."""
     e = make_bounded_perturbation(10, np.zeros((10, 10)), 1.0, 200.0)
     spec = ProductSpec(factors=(e,) * 200, z0=np.eye(10))
-    sim = simulate_product(spec, 10_000, seed, key=(5,))
-    ref = expected_product(spec)
-    dev = estimate_norm_statistics(sim, reference=ref)["deviation-norm-mean"]
+    summary, dev_tails, _, _ = summarize_simulation(
+        spec, 10_000, seed, thresholds_deviation=(0.5, 1.0, 2.0), key=(5,))
+    dev = summary["deviation-norm-mean"]
     expectation = perturbation_bounds(0.0, 0.005, 10, "expectation-concentration")
     tails = []
-    for est in tail_frequencies(sim, (0.5, 1.0, 2.0), reference=ref):
-        if est.quantity != "deviation-tail":
-            continue
+    for est in dev_tails:
         tb = perturbation_bounds(0.0, 0.005, 10, "tail-concentration", t=est.threshold)
         tails.append({
             "t": float(est.threshold),
@@ -149,14 +144,11 @@ def report_contractive_product(seed):
     """Random coordinate projectors: never expanding, concentration and tail."""
     e = make_random_projector_contraction(8)
     spec = ProductSpec(factors=(e,) * 50, z0=np.eye(8))
-    sim = simulate_product(spec, 10_000, seed, key=(7,))
-    norms = np.linalg.svd(np.stack(sim.z), compute_uv=False)[:, 0]
-    stats = product_stats_from_ensembles(spec.factors, z0=spec.z0)
+    summary, (est,), norms, _ = summarize_simulation(spec, 10_000, seed,
+                                                     thresholds_deviation=(16.0,), key=(7,))
+    stats = ProductStats.from_ensembles(spec.factors, z0=spec.z0)
     _, conc, tail = contraction_bounds(stats, t=16.0)
-    ref = expected_product(spec)
-    dev = estimate_norm_statistics(sim, reference=ref)["deviation-norm-mean"]
-    est = [t for t in tail_frequencies(sim, (16.0,), reference=ref)
-           if t.quantity == "deviation-tail"][0]
+    dev = summary["deviation-norm-mean"]
     return {
         "max_norm": float(norms.max()),
         "deviation_mean": float(dev.mean),
@@ -185,8 +177,8 @@ def report_narrow_start(seed):
     full = ProductStats.from_factors(
         [FactorStats(1.0, 1.0, sigma_uniform=1.0)] * 50, d=100, z0=z0)
     unprojected = concentration_moment_bound(full, p, 2.0)
-    sim = simulate_product(spec, 10_000, seed, key=(8,))
-    dev = estimate_norm_statistics(sim, p=p, reference=z0)["deviation-norm-mean"]
+    # the factors' mean is the identity, so the deviations are from z0
+    dev = summarize_simulation(spec, 10_000, seed, p=p, key=(8,))[0]["deviation-norm-mean"]
     return {
         "projected_sigmas": [float(f.sigma) for f in stats.factors],
         "quality": quality,
@@ -209,7 +201,7 @@ def report_inverse_product(seed):
                 for z, w in zip(sim_f.z, sim_i.z))
     xi_bar, v_bar = inverse_perturbation_stats([0.02] * 10, [0.02] * 10)
     growth = perturbation_bounds(xi_bar, v_bar, 4, "expectation-growth")
-    norm = estimate_norm_statistics(sim_i)["spectral-norm-mean"]
+    norm = summarize_simulation(inverse, 4096, seed, key=(9,))[0]["spectral-norm-mean"]
     return {
         "hand_pair": [float(xi_one), float(v_one)],
         "excluded": [int(sim_f.excluded), int(sim_i.excluded)],
@@ -246,9 +238,9 @@ def report_spectral_radius(seed):
     radii = np.array([np.abs(np.linalg.eigvals(z)).max() for z in sim.z])
     conj = conjugated_spec(spec, np.diag([1.0, 0.1]))
     bound_id = spectral_radius_expectation_bound(
-        product_stats_from_ensembles(spec.factors, z0=spec.z0))
+        ProductStats.from_ensembles(spec.factors, z0=spec.z0))
     bound_cj = spectral_radius_expectation_bound(
-        product_stats_from_ensembles(conj.factors, z0=conj.z0))
+        ProductStats.from_ensembles(conj.factors, z0=conj.z0))
     return {
         "worst_radius_excess": float((radii - norms).max()),
         "bound_identity": float(bound_id.value),

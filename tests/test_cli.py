@@ -339,8 +339,8 @@ class TestSimulateCommand:
         rc, payload, _ = run_json(capsys, "simulate", "--config", path)
         assert rc == 0
         assert ("per_trial_spectral_norms" in payload) == per_trial
-        # the product stack and the deviation stack, once each
-        assert [s for s in svd_shapes if len(s) == 3] == [(8, 1, 1)] * 2
+        # the products and their deviations in one norm stack
+        assert [s for s in svd_shapes if len(s) == 3] == [(16, 1, 1)]
 
     def test_trials_and_seed_overrides(self, capsys, tmp_path):
         path = write_config(tmp_path, {"spec": SCALAR_SPEC, "trials": 10})
@@ -488,6 +488,20 @@ class TestCompareCommand:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 5
         assert rows[0]["quantity"] == "growth-moment"
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("mode", ["independent", "inverse"])
+def test_monte_carlo_never_collects_the_trial_matrices(capsys, tmp_path, monkeypatch,
+                                                       command, mode):
+    def fail(*args, **kwargs):
+        raise AssertionError("the trial matrices were collected")
+
+    monkeypatch.setattr(matprod.simulate, "simulate_product", fail)
+    path = write_config(tmp_path, {"spec": dict(SCALAR_SPEC, mode=mode), "trials": 40})
+    rc, payload, _ = run_json(capsys, command, "--config", path)
+    assert rc in (0, 2)
+    assert payload.get("meta", payload)["source"] == "monte-carlo"
 
 
 class TestOutputFile:

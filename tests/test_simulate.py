@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -31,16 +32,14 @@ from matprod.simulate import (
     clopper_pearson,
     conjugated_spec,
     enumerate_product,
-    estimate_norm_statistics,
     expected_product,
     simulate_product,
     spec_from_config,
     spec_to_config,
     summarize_simulation,
-    tail_frequencies,
     triangular_array_run,
 )
-from matprod.schatten import spectral_norm
+from matprod.schatten import spectral_norm, spectral_radii, stack_norms
 from matprod.streams import substream
 from matprod.verify import comparison_rows
 
@@ -532,8 +531,7 @@ class TestHandEnumeration:
     def test_matches_monte_carlo(self):
         spec = matrix_two_point(dim=2, n=4)
         rep = enumerate_product(spec, p=3.0, q=2.0)
-        sim = simulate_product(spec, 4096, seed=11)
-        est = estimate_norm_statistics(sim, p=3.0, q=2.0, reference=rep.mean)
+        est = summarize_simulation(spec, 4096, 11, p=3.0, q=2.0)[0]
         for key, truth in [("spectral-norm-mean", rep.growth_mean),
                            ("schatten-moment", rep.growth_moment),
                            ("deviation-norm-mean", rep.deviation_mean),
@@ -589,8 +587,7 @@ class TestConfidenceIntervals:
         }
         covered = {k: 0 for k in truths}
         for j in range(100):
-            sim = simulate_product(spec, 400, seed=1729, key=(j,))
-            est = estimate_norm_statistics(sim, p=2.0, q=2.0, reference=rep.mean)
+            est = summarize_simulation(spec, 400, 1729, p=2.0, q=2.0, key=(j,))[0]
             for key, truth in truths.items():
                 e = est[key]
                 covered[key] += int(e.ci_low - 1e-12 <= truth <= e.ci_high + 1e-12)
@@ -599,46 +596,37 @@ class TestConfidenceIntervals:
 
 
 class TestEstimateNormStatistics:
+    """The estimates of summarize_simulation: names, intervals and tail counts."""
+
     def test_quantity_names_and_radius_only_when_square(self):
-        sim = simulate_product(matrix_two_point(), 32, seed=0)
-        est = estimate_norm_statistics(sim, p=2.0, q=2.0)
-        assert set(est) == {"spectral-norm-mean", "schatten-moment",
-                            "spectral-radius-mean"}
+        est = summarize_simulation(matrix_two_point(), 32, 0, p=2.0, q=2.0)[0]
+        assert set(est) == {"spectral-norm-mean", "schatten-moment", "spectral-radius-mean",
+                            "deviation-norm-mean", "deviation-schatten-moment"}
         e = make_bounded_perturbation(2, np.zeros((2, 2)), 0.1, 2.0)
         tall = ProductSpec(factors=(e,) * 2, z0=np.eye(2)[:, :1])
-        est2 = estimate_norm_statistics(simulate_product(tall, 8, seed=0))
-        assert "spectral-radius-mean" not in est2
+        assert "spectral-radius-mean" not in summarize_simulation(tall, 8, 0)[0]
 
     def test_moment_interval_nonnegative(self):
-        sim = simulate_product(scalar_two_point(), 8, seed=0)
-        est = estimate_norm_statistics(sim, p=2.0, q=4.0)
+        est = summarize_simulation(scalar_two_point(), 8, 0, p=2.0, q=4.0)[0]
         m = est["schatten-moment"]
         assert m.ci_low >= 0.0
         assert m.ci_low <= m.mean <= m.ci_high
 
-    def test_adapted_reference_requires_adapted_run(self):
-        sim = simulate_product(scalar_two_point(), 8, seed=0)
-        with pytest.raises(InvalidParameterError):
-            estimate_norm_statistics(sim, reference="adapted")
-
     def test_validation(self):
-        sim = simulate_product(scalar_two_point(), 8, seed=0)
-        with pytest.raises(InvalidParameterError):
-            estimate_norm_statistics(sim, q=0.5)
-        empty = simulate_product(scalar_two_point(), 1, seed=0)
-        empty.z = []
-        with pytest.raises(InvalidParameterError):
-            estimate_norm_statistics(empty)
+        with pytest.raises(InvalidParameterError, match="q must satisfy"):
+            summarize_simulation(scalar_two_point(), 8, 0, q=0.5)
+        with pytest.raises(InvalidParameterError, match="trials must be positive"):
+            summarize_simulation(scalar_two_point(), 0, 0)
 
     def test_tail_frequencies_exact_counts(self):
         spec = scalar_two_point(n=2)
-        sim = simulate_product(spec, 64, seed=5)
-        values = np.stack(sim.z)[:, 0, 0]
-        out = tail_frequencies(sim, (1.2,), reference=np.eye(1))
-        growth, dev = out
+        _, (growth, dev), _, _ = summarize_simulation(spec, 64, 5, thresholds_growth=(1.2,),
+                                                      thresholds_deviation=(0.15,))
+        values = np.stack(simulate_product(spec, 64, seed=5).z)[:, 0, 0]
         assert growth.quantity == "growth-tail" and dev.quantity == "deviation-tail"
         assert growth.hits == int((values >= 1.2).sum())
-        assert dev.hits == int((np.abs(values - 1.0) >= 1.2).sum())
+        deviations = np.abs(values - expected_product(spec)[0, 0])
+        assert 0 < dev.hits == int((deviations >= 0.15).sum())
         assert growth.lcl <= growth.frequency <= growth.ucl
         assert growth.frequency == growth.hits / 64
 
@@ -648,51 +636,140 @@ def adapted_spec(n=6):
     return ProductSpec(factors=(), z0=np.eye(2), mode="adapted", adapted_hook=hook, n_steps=n)
 
 
+def ill_conditioned_inverse():
+    # atoms I +/- (1 - 1e-7) U have eigenvalues 1e-7 and 2 - 1e-7, so each
+    # factor contributes condition ~ 2e7 and two factors overflow the limit
+    e = make_bounded_perturbation(2, np.zeros((2, 2)), 1.0 - 1e-7, 1.0)
+    return ProductSpec(factors=(e,) * 2, z0=np.eye(2), mode="inverse")
+
+
+def whole_stack_summary(spec, trials, seed, p, q, tg, td, level=0.99, key=()):
+    """The reduction the streaming summary replaced, kept as its oracle: every
+    trial's product kept, then one norm stack for all products and one for all
+    their deviations from the mode's reference."""
+    sim = simulate_product(spec, trials, seed, key)
+    stack = np.stack(sim.z)
+    spectral, schatten = stack_norms(stack, p)
+    if spec.mode == "adapted":
+        dev, td = stack_norms(stack - np.stack(sim.f), p), ()
+    elif spec.mode == "inverse":
+        dev = None
+    else:
+        dev = stack_norms(stack - expected_product(spec), p)
+    est = {
+        "spectral-norm-mean": simulate._mean_estimate(spectral, "spectral-norm-mean", seed, level),
+        "schatten-moment": simulate._moment_estimate(schatten**q, q, "schatten-moment", seed,
+                                                     level),
+    }
+    if spec.d == spec.r:
+        est["spectral-radius-mean"] = simulate._mean_estimate(
+            spectral_radii(stack), "spectral-radius-mean", seed, level)
+    if dev is not None:
+        est["deviation-norm-mean"] = simulate._mean_estimate(
+            dev[0], "deviation-norm-mean", seed, level)
+        est["deviation-schatten-moment"] = simulate._moment_estimate(
+            dev[1]**q, q, "deviation-schatten-moment", seed, level)
+    tails = simulate._tails(spectral, tg, None if dev is None else dev[0], td, level)
+    return est, tails, spectral, sim.excluded_indices
+
+
 class TestSummarizeSimulation:
-    """One reference rule, the same values as the two estimators it replaces."""
+    """One reference rule per mode, reduced chunk by chunk."""
 
     def test_independent_measures_against_the_mean(self):
         spec = matrix_two_point(dim=3, n=5, radius=0.5)
-        sim = simulate_product(spec, 60, seed=2)
-        est, tails, spectral = summarize_simulation(spec, sim, 3.0, 2.5, (1.0, 1.3), (0.2, 0.4))
-        ref = expected_product(spec)
-        assert est == estimate_norm_statistics(sim, 3.0, 2.5, reference=ref)
-        assert spectral.tolist() == [spectral_norm(z) for z in sim.z]
-        assert tails == tail_frequencies(sim, (1.0, 1.3)) + [
-            t for t in tail_frequencies(sim, (0.2, 0.4), ref) if t.quantity == "deviation-tail"]
+        est, tails, spectral, excluded = summarize_simulation(
+            spec, 60, 2, 3.0, 2.5, (1.0, 1.3), (0.2, 0.4))
+        zs = simulate_product(spec, 60, seed=2).z
+        dev = [spectral_norm(z - expected_product(spec)) for z in zs]
+        assert spectral.tolist() == [spectral_norm(z) for z in zs]
+        assert est["deviation-norm-mean"].mean == pytest.approx(np.mean(dev), rel=1e-14)
+        assert [(t.quantity, t.threshold, t.hits) for t in tails] == [
+            ("growth-tail", x, sum(v >= x for v in spectral)) for x in (1.0, 1.3)] + [
+            ("deviation-tail", x, sum(v >= x for v in dev)) for x in (0.2, 0.4)]
+        assert excluded == []
 
     def test_inverse_reports_no_deviations(self):
         e = make_bounded_perturbation(3, 0.1 * np.eye(3), 0.3, 4.0)
         spec = ProductSpec((e,) * 4, np.eye(3), mode="inverse")
-        sim = simulate_product(spec, 40, seed=3)
-        est, tails, _ = summarize_simulation(spec, sim, 2.0, 2.0, (1.0,), (0.2,))
-        assert est == estimate_norm_statistics(sim, 2.0, 2.0)
+        est, tails, _, _ = summarize_simulation(spec, 40, 3, 2.0, 2.0, (1.0,), (0.2,))
         assert set(est) == {"spectral-norm-mean", "schatten-moment", "spectral-radius-mean"}
-        assert tails == tail_frequencies(sim, (1.0,))
+        assert [t.quantity for t in tails] == ["growth-tail"]
 
     def test_adapted_measures_against_f_without_deviation_tails(self):
         spec = adapted_spec()
+        est, tails, _, _ = summarize_simulation(spec, 40, 4, 4.0, 2.0, (1.0,), (0.05,))
         sim = simulate_product(spec, 40, seed=4)
-        est, tails, _ = summarize_simulation(spec, sim, 4.0, 2.0, (1.0,), (0.05,))
-        assert est == estimate_norm_statistics(sim, 4.0, 2.0, reference="adapted")
-        assert "deviation-norm-mean" in est
-        assert tails == tail_frequencies(sim, (1.0,))
+        dev = [spectral_norm(z - f) for z, f in zip(sim.z, sim.f)]
+        assert est["deviation-norm-mean"].mean == pytest.approx(np.mean(dev), rel=1e-14)
+        assert [t.quantity for t in tails] == ["growth-tail"]
 
     def test_each_stack_decomposed_once(self, svd_shapes):
         spec = matrix_two_point(dim=3, n=5)
-        sim = simulate_product(spec, 30, seed=5)
         svd_shapes.clear()
-        summarize_simulation(spec, sim, 3.0, 2.0, (1.0,), (0.2,))
-        assert svd_shapes == [(30, 3, 3), (30, 3, 3)]
+        summarize_simulation(spec, 30, 5, 3.0, 2.0, (1.0,), (0.2,))
+        # one chunk: its products and their deviations in one norm stack
+        assert svd_shapes == [(60, 3, 3)]
 
     def test_validation(self):
-        spec = scalar_two_point()
-        sim = simulate_product(spec, 8, seed=0)
         with pytest.raises(InvalidParameterError, match="q must satisfy"):
-            summarize_simulation(spec, sim, q=0.5)
-        sim.z = []
+            summarize_simulation(scalar_two_point(), 8, 0, q=0.5)
         with pytest.raises(InvalidParameterError, match="no included trials"):
-            summarize_simulation(spec, sim)
+            summarize_simulation(ill_conditioned_inverse(), 8, 0)
+
+    @pytest.mark.parametrize("make_spec, trials", [
+        pytest.param(lambda: matrix_two_point(dim=3, n=5, radius=0.5), 200, id="two-point"),
+        pytest.param(lambda: ProductSpec((make_bounded_perturbation(
+            3, 0.1 * np.eye(3), 0.4, 4.0, support="uniform-sphere"),) * 4, np.eye(3)), 60,
+            id="uniform-sphere"),
+        pytest.param(lambda: ProductSpec((make_rademacher_rank_one(12),) * 10,
+                                         tall_start(12, 1)), 200, id="rank-one-flips"),
+        pytest.param(inverse_with_exclusions, 200, id="inverse-with-exclusions"),
+        pytest.param(lambda: adapted_spec(n=6), 150, id="adapted"),
+    ])
+    def test_matches_the_whole_stack_reduction(self, monkeypatch, make_spec, trials):
+        # small budgets split every kind of run into several chunks
+        monkeypatch.setattr(simulate, "GATHER_BUDGET", 7 * 16 * 8)
+        monkeypatch.setattr(simulate, "FRONTIER_PATHS", 32)
+        spec = make_spec()
+        assert len(list(simulate._trial_chunks(spec, trials, 5, (2,)))) > 1
+        args = (3.0, 2.5, (1.0, 1.3), (0.2, 0.4))
+        got = summarize_simulation(spec, trials, 5, *args, key=(2,))
+        want = whole_stack_summary(spec, trials, 5, *args, key=(2,))
+        # a float's repr round-trips, so equal reprs are equal bits
+        assert repr(got[:2]) == repr(want[:2])
+        assert got[2].tobytes() == want[2].tobytes()
+        assert got[3] == want[3]
+
+    def test_inverse_exclusions_are_named(self):
+        _, _, spectral, excluded = summarize_simulation(inverse_with_exclusions(), 200, 8)
+        assert 0 < len(excluded) < 200
+        assert len(spectral) + len(excluded) == 200
+        assert excluded == simulate_product(inverse_with_exclusions(), 200, 8).excluded_indices
+
+    def test_memory_grows_by_norm_columns_not_matrices(self):
+        # a d x d product alone is 8 d^2 = 800 bytes a trial at d = 10
+        e = make_bounded_perturbation(10, 0.2 * np.eye(10), 0.5, 5)
+        spec = ProductSpec((e,) * 5, np.eye(10))
+        summarize_simulation(spec, 10, 3)  # first-call allocations
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                summarize_simulation(spec, trials, 3, 3.0, 2.0, (1.5,), (0.5,))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert (peak(4000) - peak(2000)) / 2000 < 256
+
+    def test_report_paths_never_collect_matrices(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the trial matrices were collected")
+
+        monkeypatch.setattr(simulate, "simulate_product", fail)
+        summarize_simulation(matrix_two_point(), 16, 0)
+        triangular_array_run(0.3 * np.eye(2), 0.5, 2, (3,), 16, 0)
 
 
 class TestInverseMode:
@@ -715,16 +792,13 @@ class TestInverseMode:
         assert rep.outcomes == 4
 
     def test_ill_conditioned_trials_excluded(self):
-        # atoms I +/- (1 - 1e-7) U have eigenvalues 1e-7 and 2 - 1e-7, so each
-        # factor contributes condition ~ 2e7 and two factors overflow the limit
-        e = make_bounded_perturbation(2, np.zeros((2, 2)), 1.0 - 1e-7, 1.0)
-        spec = ProductSpec(factors=(e,) * 2, z0=np.eye(2), mode="inverse")
+        spec = ill_conditioned_inverse()
         sim = simulate_product(spec, 20, seed=0)
         assert sim.excluded == 20
         assert sim.excluded_indices == list(range(20))
         assert sim.z == []
-        with pytest.raises(InvalidParameterError):
-            estimate_norm_statistics(sim)
+        with pytest.raises(InvalidParameterError, match="no included trials"):
+            summarize_simulation(spec, 20, 0)
 
 
 class TestAdaptedMode:
@@ -778,8 +852,7 @@ class TestAdaptedMode:
         spec = ProductSpec(factors=(), z0=np.eye(2), mode="adapted",
                            adapted_hook=hook, n_steps=8)
         rep = enumerate_product(spec, p=2.0, q=2.0)
-        sim = simulate_product(spec, 4096, seed=21)
-        est = estimate_norm_statistics(sim, p=2.0, q=2.0, reference="adapted")
+        est = summarize_simulation(spec, 4096, 21, p=2.0, q=2.0)[0]
         dev = est["deviation-norm-mean"]
         assert abs(dev.mean - rep.deviation_mean) <= 5.0 * dev.std_error
         growth = est["spectral-norm-mean"]

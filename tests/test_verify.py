@@ -32,7 +32,6 @@ from matprod.simulate import (
     NormBiasedTwoPointHook,
     ProductSpec,
     enumerate_product,
-    simulate_product,
     summarize_simulation,
 )
 from matprod.verify import (
@@ -349,7 +348,7 @@ class TestComparisonRows:
         def fail(*args, **kwargs):
             raise AssertionError("ran before the bound names were checked")
 
-        monkeypatch.setattr(verify, "simulate_product", fail)
+        monkeypatch.setattr(verify, "summarize_simulation", fail)
         monkeypatch.setattr(verify, "enumerate_product", fail)
         for trials in (0, 16):
             with pytest.raises(InvalidParameterError, match="no-such-bound"):
@@ -367,7 +366,7 @@ class TestComparisonRows:
         p, q = 3.0, 2.0
         assert set(PAIRING) == set(verify.BOUND_TABLE)
         exact = enumerate_product(spec, p, q)
-        estimates, _, _ = summarize_simulation(spec, simulate_product(spec, 40, seed=9), p, q)
+        estimates = summarize_simulation(spec, 40, 9, p, q)[0]
         for trials in (0, 40):
             rows, _ = comparison_rows(spec, p, q, trials=trials, seed=9, stats=stats,
                                       bounds=list(PAIRING))
@@ -383,8 +382,8 @@ class TestComparisonRows:
         spec = ProductSpec(factors=(e,) * 8, z0=np.eye(3))
         comparison_rows(spec, trials=50, thresholds_growth=(2.0,),
                         thresholds_deviation=(1.5,))
-        # the product stack once and the deviation stack once
-        assert [s for s in svd_shapes if len(s) == 3] == [(50, 3, 3)] * 2
+        # the products and their deviations in one norm stack
+        assert [s for s in svd_shapes if len(s) == 3] == [(100, 3, 3)]
 
     def test_spectral_radius_of_rectangular_product_is_skipped(self):
         # a rectangular product has no spectral radius, exact or estimated
