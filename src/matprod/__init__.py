@@ -83,7 +83,7 @@ from .simulate import (
     summarize_simulation,
     triangular_array_run,
 )
-from .streams import DEFAULT_SEED, substream
+from .streams import DEFAULT_SEED, substream, substreams
 from .verify import (
     CheckReport,
     CompareRow,

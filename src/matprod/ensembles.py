@@ -30,7 +30,7 @@ from .schatten import (
     spectral_norm,
     stack_norms,
 )
-from .streams import substream
+from .streams import substream, substreams
 
 PROVENANCES = ("analytic", "monte-carlo")
 
@@ -401,8 +401,8 @@ def estimate_factor_stats(e: FactorEnsemble, q=2.0, trials=10_000, seed=0,
     if m == 0.0:
         raise UnsupportedEnsembleError("mean vanishes; relative stats undefined")
     dev_q = np.empty(trials)
-    for k in range(trials):
-        y = e.draw(substream(seed, k))
+    for k, rng in enumerate(substreams(seed, (), range(trials))):
+        y = e.draw(rng)
         dev_q[k] = spectral_norm(y - mean) ** q
     sigma_hat = float(np.mean(dev_q)) ** (1.0 / q) / m
 
@@ -442,12 +442,12 @@ def projected_deviation_stat(e: FactorEnsemble, rank, trials=2048, seed=0,
         probs = e.support.probs
     else:
         devs = np.empty((trials, e.dim, e.dim))
-        for k in range(trials):
-            devs[k] = e.draw(substream(seed, projectors + k)) - mean
+        for k, rng in enumerate(substreams(seed, (), range(projectors, projectors + trials))):
+            devs[k] = e.draw(rng) - mean
         probs = [1.0 / trials] * trials
     best = 0.0
-    for j in range(projectors):
-        g = substream(seed, j).standard_normal((e.dim, e.dim))
+    for rng in substreams(seed, (), range(projectors)):
+        g = rng.standard_normal((e.dim, e.dim))
         qmat, r = np.linalg.qr(g)
         qmat = qmat * np.sign(np.where(np.diag(r) == 0, 1.0, np.diag(r)))
         basis = qmat[:, :rank]  # nested in rank for a fixed stream

@@ -41,7 +41,7 @@ from .schatten import (
     spectral_radii,
     stack_norms,
 )
-from .streams import substream
+from .streams import substreams
 
 MODES = ("independent", "adapted", "inverse")
 ENUMERATION_BUDGET = 2**20
@@ -274,19 +274,20 @@ def _chunk_size(spec, samplers):
     return max(1, GATHER_BUDGET // max(step, 8 * spec.n)), step
 
 
-def _sampled_chunk(spec, start, samplers, rngs, atom_conds):
-    """One chunk of trials through the gather kernel: (products, cond estimates).
+def _uniforms(n, seed, key, ks):
+    """(T, n) uniforms: trial k's row is one ``random(n)`` call on its own stream,
+    which is bitwise equal to n successive draws."""
+    return np.stack([rng.random(n) for rng in substreams(seed, key, ks)])
 
-    Trial k's n uniforms come from one ``random(n)`` call on its own stream,
-    which is bitwise equal to n successive draws, so the products equal those
-    of the per-trial loop.
-    """
-    u = np.stack([rng.random(spec.n) for rng in rngs])
+
+def _sampled_chunk(spec, start, samplers, u, atom_conds):
+    """One chunk of trials through the gather kernel, from their (T, n)
+    uniforms ``u``: (products, cond estimates), equal to the per-trial loop's."""
     digits = [np.searchsorted(s.cum, u[:, i], side="right") for i, s in enumerate(samplers)]
     invert = spec.mode == "inverse"
     apply = _right_solve if invert else np.matmul
     steps = [s.atoms if invert or s.diagonals is None else s.diagonals for s in samplers]
-    prod = np.broadcast_to(start, (len(rngs), *start.shape))
+    prod = np.broadcast_to(start, (len(u), *start.shape))
     for step, dig in zip(steps, digits):
         prod = _gather(step, dig, prod, apply)
     bad = np.flatnonzero(~np.isfinite(prod).all(axis=(1, 2)))
@@ -297,7 +298,7 @@ def _sampled_chunk(spec, start, samplers, rngs, atom_conds):
         prod[bad] = redo
     if not invert:
         return prod, None
-    cond_est = np.full(len(rngs), np.linalg.cond(spec.z0))
+    cond_est = np.full(len(u), np.linalg.cond(spec.z0))
     for s, dig in zip(samplers, digits):
         cond_est = cond_est * atom_conds[id(s)][dig]
     return prod, cond_est
@@ -365,8 +366,7 @@ def _trial_chunks(spec, trials, seed, key):
         # each step takes the first atom whose running probability sum, the last
         # pinned to 1, exceeds the trial's uniform for that step
         for lo in range(0, trials, FRONTIER_PATHS):
-            u = np.stack([substream(seed, *key, k).random(spec.n)
-                          for k in range(lo, min(lo + FRONTIER_PATHS, trials))])
+            u = _uniforms(spec.n, seed, key, range(lo, min(lo + FRONTIER_PATHS, trials)))
             block = _adapted_root(spec, len(u))
             for i in range(spec.n):
                 supports = _level_supports(spec.adapted_hook, block[3])
@@ -386,11 +386,12 @@ def _trial_chunks(spec, trials, seed, key):
     atom_conds = ({k: np.linalg.cond(s.atoms) for k, s in distinct.items()}
                   if batched and invert else None)
     for lo in range(0, trials, chunk):
-        rngs = [substream(seed, *key, k) for k in range(lo, min(lo + chunk, trials))]
+        ks = range(lo, min(lo + chunk, trials))
         if batched:
-            prod, cond_est = _sampled_chunk(spec, start, samplers, rngs, atom_conds)
+            u = _uniforms(spec.n, seed, key, ks)
+            prod, cond_est = _sampled_chunk(spec, start, samplers, u, atom_conds)
         else:
-            prod, cond_est = _trial_products(spec, start, rngs)
+            prod, cond_est = _trial_products(spec, start, substreams(seed, key, ks))
         excluded = []
         if invert:
             bad = (cond_est > CONDITION_LIMIT) | ~np.isfinite(prod).all(axis=(1, 2))
@@ -481,7 +482,7 @@ def clopper_pearson(hits: int, trials: int, level=0.99):
 
 
 def summarize_simulation(spec: ProductSpec, trials, seed, p=2.0, q=2.0, thresholds_growth=(),
-                         thresholds_deviation=(), level=0.99, key=()):
+                         thresholds_deviation=(), level=0.99, key=(), spectral_radius=True):
     """Monte Carlo estimates and tail frequencies of one run, reduced chunk by
     chunk: (estimates, tails, spectral, excluded).
 
@@ -490,7 +491,9 @@ def summarize_simulation(spec: ProductSpec, trials, seed, p=2.0, q=2.0, threshol
     measures deviations against ``expected_product``. Only norm columns
     outlive a chunk, so memory grows with the trials by a few floats each.
     ``spectral`` holds each included trial's spectral norm, in trial order,
-    and ``excluded`` the numbers of the trials inverse mode left out.
+    and ``excluded`` the numbers of the trials inverse mode left out. Square
+    products also estimate the spectral radius unless ``spectral_radius`` is
+    False.
     """
     q = float(q)
     if q < 1.0:
@@ -498,14 +501,14 @@ def summarize_simulation(spec: ProductSpec, trials, seed, p=2.0, q=2.0, threshol
     mean = expected_product(spec) if spec.mode == "independent" else None
     if spec.mode == "adapted":
         thresholds_deviation = ()
-    square = spec.d == spec.r
+    radius = spectral_radius and spec.d == spec.r
     norms, radii, excluded = [], [], []
     for prods, refs, bad in _trial_chunks(spec, trials, seed, key):
         excluded.extend(bad)
         ref = mean if refs is None else refs
         if len(prods):
             spectral, schatten, rad = _block_norms(
-                prods, None if ref is None else prods - ref, p, square)
+                prods, None if ref is None else prods - ref, p, radius)
             norms.append(np.stack([spectral, schatten]))  # lets the singular values go
             radii.append(rad)
     if not norms:
@@ -517,7 +520,7 @@ def summarize_simulation(spec: ProductSpec, trials, seed, p=2.0, q=2.0, threshol
         "spectral-norm-mean": _mean_estimate(spectral, "spectral-norm-mean", seed, level),
         "schatten-moment": _moment_estimate(schatten**q, q, "schatten-moment", seed, level),
     }
-    if square:
+    if radius:
         out["spectral-radius-mean"] = _mean_estimate(
             np.concatenate(radii), "spectral-radius-mean", seed, level)
     if dspec is not None:

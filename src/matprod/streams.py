@@ -3,14 +3,43 @@
 Trial k of a run seeded with s draws from the stream derived from (s, k).
 Streams depend only on that pair, never on execution order, so estimates are
 reproducible under any batching or parallel schedule.
+
+A stream is numpy's PCG64 seeded by ``SeedSequence(entropy=s, spawn_key=key)``.
+Opening one costs far more than drawing a trial's uniforms from it, so
+``substreams`` opens a whole chunk of trials' streams at once. Their seed
+sequences hash the same words (the seed, zero-padded to the pool size, then the
+key) and differ only in the last one, k. The pool after the shared words is
+mixed once in Python ints; k's mixing step and ``generate_state(4, uint64)``
+then run for the chunk as uint32 array operations on ``(T, 4)`` and ``(T, 8)``
+arrays, and each trial's PCG64 is seeded from its row. The constants below are
+numpy's SeedSequence constants. NEP 19 keeps SeedSequence and PCG64 stream-stable
+across numpy releases, and ``tests/test_streams.py`` pins the generators to
+``substream``'s state for state.
+
+PCG64 reads the seed words through the raw data pointer of the array that
+``generate_state`` returns and ignores its strides, so each row handed over
+must be C-contiguous: a strided view silently seeds another state.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # Documented default used by the CLI and the acceptance suite.
 DEFAULT_SEED = 1729
+
+# numpy's SeedSequence hash: pool of 4 uint32 words
+_MASK32 = 0xFFFFFFFF
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_L = 0xCA01F9DD
+_MIX_R = 0x4973F715
+_POOL = 4
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -18,3 +47,89 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
+
+
+def substreams(seed: int, key, ks):
+    """Generators equal to ``substream(seed, *key, k)`` for each k in ks, in order.
+
+    The seeds of the whole chunk are hashed together; the generators are made
+    one at a time as the caller takes them. A chunk with a k outside
+    [0, 2**32), whose word count differs, opens each stream with substream.
+    """
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    ks = [operator.index(k) for k in ks]
+    key = tuple(key)
+    if ks and not 0 <= min(ks) <= max(ks) <= _MASK32:
+        return (substream(seed, *key, k) for k in ks)
+    words = _chunk_state(seed, key, np.array(ks, dtype=np.uint32))
+    return (np.random.Generator(np.random.PCG64(_Words(row))) for row in words)
+
+
+class _Words(ISeedSequence):
+    """A seed sequence that hands PCG64 its four precomputed uint64 words."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _int_words(n):
+    """numpy's little-endian uint32 words of a nonnegative int (0 is one word)."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    out = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        out.append(n & _MASK32)
+    return out
+
+
+def _hash_consts(init, mult, count):
+    """The hash constants init * mult**i mod 2**32, i = 0..count."""
+    return [init * mult**i & _MASK32 for i in range(count + 1)]
+
+
+def _hash(value, before, after):
+    """numpy's hashmix of a word under the hash constant before it and after it;
+    ints or uint32 arrays."""
+    value = (value ^ before) * after & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    """numpy's pool mix; ints or uint32 arrays."""
+    out = ((_MIX_L * x & _MASK32) - _MIX_R * y) & _MASK32
+    return out ^ (out >> 16)
+
+
+_STATE_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 2 * _POOL), dtype=np.uint32)
+
+
+def _chunk_state(seed, key, ks):
+    """(T, 4) C-contiguous uint64 PCG64 seeds of the streams (seed, *key, k), for k
+    in the uint32 array ks."""
+    run = _int_words(seed)
+    entropy = run + [0] * (_POOL - len(run)) + [w for part in key for w in _int_words(part)]
+    # mix_entropy hashes 4 times per entropy word (fill, cross-mix, later words),
+    # then 4 times for k, the last word
+    consts = _hash_consts(_INIT_A, _MULT_A, 4 * len(entropy) + _POOL)
+    steps = iter(zip(consts, consts[1:]))
+    pool = [_hash(word, *next(steps)) for word in entropy[:_POOL]]
+    for i_src in range(_POOL):
+        for i_dst in range(_POOL):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], _hash(pool[i_src], *next(steps)))
+    for word in entropy[_POOL:]:
+        for i_dst in range(_POOL):
+            pool[i_dst] = _mix(pool[i_dst], _hash(word, *next(steps)))
+    # per trial: k mixed into each pool word, then generate_state(4, uint64)
+    last = np.array(consts[-_POOL - 1:], dtype=np.uint32)
+    mixed = _mix(np.array(pool, dtype=np.uint32), _hash(ks[:, None], last[:-1], last[1:]))
+    state = _hash(np.tile(mixed, 2), _STATE_CONSTS[:-1], _STATE_CONSTS[1:])
+    return state.astype("<u4").view("<u8").astype(np.uint64)

@@ -43,7 +43,7 @@ from .simulate import (
     enumerate_product,
     summarize_simulation,
 )
-from .streams import DEFAULT_SEED, substream
+from .streams import DEFAULT_SEED, substream, substreams
 
 TOLERANCE = 1e-9
 EQUALITY_TOLERANCE = 1e-10
@@ -275,8 +275,8 @@ def check_subquadratic(p, q, construction=None, trials=1000, seed=DEFAULT_SEED,
     name = "subquadratic" if constant is None else f"subquadratic-constant-{constant:g}"
     col = _Collector(name, tolerance, seed)
     c_value = (p - 1.0) if constant is None else float(constant)
-    for i in range(trials):
-        states = build(substream(seed, i))
+    for rng in substreams(seed, (), range(trials)):
+        states = build(rng)
         _validate_states(states)
         w = 1.0 / len(states)
         # one norm stack per trial; terms[k] = (sum it enters: X, X + Y or Y, weight)
@@ -325,8 +325,7 @@ def check_martingale_bound(p, q, n=6, dims=(1, 2), trials=100, seed=DEFAULT_SEED
             f"2^{n} paths exceed the {MARTINGALE_PATH_BUDGET} budget",
             required=2**n, budget=MARTINGALE_PATH_BUDGET)
     col = _Collector("martingale-transform", tolerance, seed)
-    for i in range(trials):
-        rng = substream(seed, i)
+    for i, rng in enumerate(substreams(seed, (), range(trials))):
         dim = int(dims[i % len(dims)])
         depth = int(rng.integers(1, n + 1))
         base = rng.standard_normal((depth, dim, dim))
@@ -389,8 +388,7 @@ def check_factor_contraction(p, q, trials=200, seed=DEFAULT_SEED,
     if not (2.0 <= q <= p):
         raise InvalidParameterError("need 2 <= q <= p")
     col = _Collector("contraction-factor", tolerance, seed)
-    for i in range(trials):
-        rng = substream(seed, i)
+    for rng in substreams(seed, (), range(trials)):
         d = int(rng.integers(1, 6))
         r = int(rng.integers(1, 5))
         ky = int(rng.integers(1, 4))
@@ -612,12 +610,12 @@ def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED
     growth_thresholds = [b.threshold for kind, _, b in tail_rows if kind == "tail-growth"]
     dev_thresholds = [b.threshold for kind, _, b in tail_rows if kind != "tail-growth"]
 
+    radius = any(BOUND_TABLE[n][1] == "spectral-radius-mean" for n in names)
     exact = None
     if trials == 0:
         try:
-            exact = enumerate_product(
-                spec, p, q, growth_thresholds, dev_thresholds,
-                spectral_radius=any(BOUND_TABLE[n][1] == "spectral-radius-mean" for n in names))
+            exact = enumerate_product(spec, p, q, growth_thresholds, dev_thresholds,
+                                      spectral_radius=radius)
         except EnumerationInfeasibleError:
             if not mc_fallback_trials:
                 raise
@@ -636,7 +634,8 @@ def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED
         meta["source"] = "monte-carlo"
         meta["trials"] = trials
         estimates, tails, _, excluded = summarize_simulation(
-            spec, trials, seed, p, q, growth_thresholds, dev_thresholds, level)
+            spec, trials, seed, p, q, growth_thresholds, dev_thresholds, level,
+            spectral_radius=radius)
         if spec.mode == "inverse":
             meta["excluded"] = len(excluded)
         empirical = {key: (e.mean, "estimate", e.ci_high) for key, e in estimates.items()}

@@ -504,6 +504,20 @@ def test_monte_carlo_never_collects_the_trial_matrices(capsys, tmp_path, monkeyp
     assert payload.get("meta", payload)["source"] == "monte-carlo"
 
 
+def test_inverse_compare_takes_no_spectral_radius(capsys, tmp_path, monkeypatch):
+    path = write_config(tmp_path, {"spec": dict(SCALAR_SPEC, mode="inverse"), "trials": 40})
+    _, simulated, _ = run_json(capsys, "simulate", "--config", path)
+    assert simulated["estimates"]["spectral-radius-mean"]["trials"] == 40
+
+    def fail(stack):
+        raise AssertionError("a spectral radius was taken")
+
+    monkeypatch.setattr(matprod.simulate, "spectral_radii", fail)
+    rc, payload, _ = run_json(capsys, "compare", "--config", path)
+    assert rc in (0, 2)
+    assert payload["meta"]["source"] == "monte-carlo" and payload["rows"]
+
+
 class TestOutputFile:
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "result.json"

@@ -1083,7 +1083,8 @@ class TestAdaptedMonteCarlo:
             def random(self, size):
                 return np.full(size, self.u)
 
-        monkeypatch.setattr(simulate, "substream", lambda seed, k: Fixed(uniforms[k]))
+        monkeypatch.setattr(simulate, "substreams",
+                            lambda seed, key, ks: (Fixed(uniforms[k]) for k in ks))
         spec = ProductSpec(factors=(), z0=np.eye(2), mode="adapted",
                            adapted_hook=HistoryFreeHook(e), n_steps=1)
         sim = simulate_product(spec, len(uniforms), seed=0)
@@ -1171,6 +1172,18 @@ class TestSpectralRadiusOnRequest:
         assert calls == [32] and bare.spectral_radius_mean is None
         assert bare.mean.tobytes() == full.mean.tobytes()
         assert replace(bare, mean=None) == replace(full, mean=None, spectral_radius_mean=None)
+
+    def test_monte_carlo_summary_skips_it_when_not_asked(self, monkeypatch):
+        spec = matrix_two_point(dim=3, n=5)
+        calls = self.eigvals_calls(monkeypatch)
+        args = (spec, 60, 4, 3.0, 2.0, (1.0,), (0.5,))
+        full, tails, spectral, _ = summarize_simulation(*args)
+        assert calls == [60] and "spectral-radius-mean" in full
+        bare, bare_tails, bare_spectral, _ = summarize_simulation(*args, spectral_radius=False)
+        assert calls == [60] and "spectral-radius-mean" not in bare
+        del full["spectral-radius-mean"]
+        assert bare == full and bare_tails == tails
+        assert bare_spectral.tobytes() == spectral.tobytes()
 
     def test_compare_asks_only_for_radius_bounds(self, monkeypatch):
         spec = matrix_two_point(dim=3, n=5)
