@@ -8,13 +8,14 @@ A stream is numpy's PCG64 seeded by ``SeedSequence(entropy=s, spawn_key=key)``.
 Opening one costs far more than drawing a trial's uniforms from it, so
 ``substreams`` opens a whole chunk of trials' streams at once. Their seed
 sequences hash the same words (the seed, zero-padded to the pool size, then the
-key) and differ only in the last one, k. The pool after the shared words is
-mixed once in Python ints; k's mixing step and ``generate_state(4, uint64)``
-then run for the chunk as uint32 array operations on ``(T, 4)`` and ``(T, 8)``
-arrays, and each trial's PCG64 is seeded from its row. The constants below are
-numpy's SeedSequence constants. NEP 19 keeps SeedSequence and PCG64 stream-stable
-across numpy releases, and ``tests/test_streams.py`` pins the generators to
-``substream``'s state for state.
+key) and differ only in the last one, k. ``SeedSequence(entropy=s,
+spawn_key=key)`` hashes exactly the shared words, so its pool is the chunk's
+shared state; k's mixing step and ``generate_state(4, uint64)`` then run for the
+whole chunk as a few uint32 array operations on ``(T, 4)`` and ``(T, 2, 4)``
+arrays, and each trial's PCG64 is seeded from its row of words. The constants
+below are numpy's SeedSequence constants: NEP 19 keeps SeedSequence and PCG64
+stream-stable across numpy releases, and ``tests/test_streams.py`` pins the
+generators to ``substream``'s, state for state.
 
 PCG64 reads the seed words through the raw data pointer of the array that
 ``generate_state`` returns and ignores its strides, so each row handed over
@@ -31,7 +32,7 @@ from numpy.random.bit_generator import ISeedSequence
 # Documented default used by the CLI and the acceptance suite.
 DEFAULT_SEED = 1729
 
-# numpy's SeedSequence hash: pool of 4 uint32 words
+# numpy's SeedSequence hash, over a pool of 4 uint32 words
 _MASK32 = 0xFFFFFFFF
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
@@ -78,58 +79,47 @@ class _Words(ISeedSequence):
         return self.words
 
 
-def _int_words(n):
-    """numpy's little-endian uint32 words of a nonnegative int (0 is one word)."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    out = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        out.append(n & _MASK32)
-    return out
+def _hash_consts(init, mult, skip, count):
+    """uint32 arrays of the hash constant before and after each of count hashes
+    that follow skip hashes from init; the i-th constant is init * mult**i mod 2**32."""
+    consts = [init * pow(mult, skip, 1 << 32) & _MASK32]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    consts = np.array(consts, dtype=np.uint32)
+    return consts[:-1], consts[1:]
 
 
-def _hash_consts(init, mult, count):
-    """The hash constants init * mult**i mod 2**32, i = 0..count."""
-    return [init * mult**i & _MASK32 for i in range(count + 1)]
-
-
-def _hash(value, before, after):
-    """numpy's hashmix of a word under the hash constant before it and after it;
-    ints or uint32 arrays."""
-    value = (value ^ before) * after & _MASK32
-    return value ^ (value >> 16)
+def _hash(values, before, after):
+    """numpy's hashmix of uint32 arrays, under the hash constants before and after."""
+    values = (values ^ before) * after
+    return values ^ (values >> 16)
 
 
 def _mix(x, y):
-    """numpy's pool mix; ints or uint32 arrays."""
-    out = ((_MIX_L * x & _MASK32) - _MIX_R * y) & _MASK32
+    """numpy's pool mix of uint32 arrays."""
+    out = _MIX_L * x - _MIX_R * y
     return out ^ (out >> 16)
 
 
-_STATE_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 2 * _POOL), dtype=np.uint32)
+# generate_state(4, uint64) hashes the pool words in turn into 8 uint32 words
+_STATE_BEFORE, _STATE_AFTER = (c.reshape(2, _POOL)
+                               for c in _hash_consts(_INIT_B, _MULT_B, 0, 2 * _POOL))
+
+
+def _word_count(n):
+    """How many uint32 words SeedSequence splits the nonnegative int n into."""
+    return max(1, -(-operator.index(n).bit_length() // 32))
 
 
 def _chunk_state(seed, key, ks):
     """(T, 4) C-contiguous uint64 PCG64 seeds of the streams (seed, *key, k), for k
     in the uint32 array ks."""
-    run = _int_words(seed)
-    entropy = run + [0] * (_POOL - len(run)) + [w for part in key for w in _int_words(part)]
-    # mix_entropy hashes 4 times per entropy word (fill, cross-mix, later words),
-    # then 4 times for k, the last word
-    consts = _hash_consts(_INIT_A, _MULT_A, 4 * len(entropy) + _POOL)
-    steps = iter(zip(consts, consts[1:]))
-    pool = [_hash(word, *next(steps)) for word in entropy[:_POOL]]
-    for i_src in range(_POOL):
-        for i_dst in range(_POOL):
-            if i_src != i_dst:
-                pool[i_dst] = _mix(pool[i_dst], _hash(pool[i_src], *next(steps)))
-    for word in entropy[_POOL:]:
-        for i_dst in range(_POOL):
-            pool[i_dst] = _mix(pool[i_dst], _hash(word, *next(steps)))
-    # per trial: k mixed into each pool word, then generate_state(4, uint64)
-    last = np.array(consts[-_POOL - 1:], dtype=np.uint32)
-    mixed = _mix(np.array(pool, dtype=np.uint32), _hash(ks[:, None], last[:-1], last[1:]))
-    state = _hash(np.tile(mixed, 2), _STATE_CONSTS[:-1], _STATE_CONSTS[1:])
+    # SeedSequence(seed, key) hashes every word of (seed, *key, k) but k, so its
+    # pool is what the chunk shares: a seed shorter than the pool hashes as if
+    # zero-padded, as the trials' sequences pad it. Each padded word took 4 hashes.
+    shared = np.random.SeedSequence(entropy=seed, spawn_key=key)
+    words = max(_word_count(seed), _POOL) + sum(_word_count(part) for part in key)
+    last = _hash(ks[:, None], *_hash_consts(_INIT_A, _MULT_A, 4 * words, _POOL))
+    mixed = _mix(shared.pool, last)
+    state = _hash(mixed[:, None], _STATE_BEFORE, _STATE_AFTER).reshape(len(ks), 2 * _POOL)
     return state.astype("<u4").view("<u8").astype(np.uint64)
