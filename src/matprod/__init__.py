@@ -16,7 +16,6 @@ from .bounds import (
     contraction_bounds,
     expectation_concentration_bound,
     expectation_growth_bound,
-    growth_from_concentration,
     growth_moment_bound,
     inverse_perturbation_stats,
     lowrank_moment_bounds,
@@ -32,7 +31,6 @@ from .ensembles import (
     FactorEnsemble,
     FactorStats,
     ensemble_from_config,
-    ensemble_to_config,
     estimate_factor_stats,
     householder_direction,
     make_bounded_perturbation,
@@ -52,14 +50,11 @@ from .errors import (
     UnsupportedEnsembleError,
 )
 from .schatten import (
-    matrix_from_csv,
     matrix_from_json,
-    matrix_to_csv,
     matrix_to_json,
     moment_norm,
     schatten_norm,
     singular_values,
-    smoothness_gap,
     spectral_norm,
     spectral_radii,
     spectral_radius,
@@ -79,7 +74,6 @@ from .simulate import (
     expected_product,
     simulate_product,
     spec_from_config,
-    spec_to_config,
     summarize_simulation,
     triangular_array_run,
 )
@@ -96,7 +90,6 @@ from .verify import (
     comparison_rows,
     default_suite,
     projected_product_stats,
-    sharpness_probe,
 )
 
 __version__ = "0.1.0"

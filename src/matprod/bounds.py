@@ -292,26 +292,6 @@ def uniform_moment_bounds(s: ProductStats, p, q=2.0):
     return _finish(growth, None), _finish(conc, None)
 
 
-def growth_from_concentration(s: ProductStats, p, q=2.0, expected_norm_p=None) -> BoundResult:
-    """Best of three growth routes; needs ||E Z_n||_p computed exactly upstream."""
-    params = _moment_params(p, q)
-    if expected_norm_p is None or expected_norm_p < 0 or not math.isfinite(expected_norm_p):
-        raise InvalidInputError("expected_norm_p must be a finite nonnegative number")
-    z0 = s.z0_norm(params.p)
-    dev = _sqrt_expm1(params.cp * s.v) * z0 * s.M
-    candidates = {
-        "moment": _exp(0.5 * params.cp * s.v) * z0 * s.M,
-        "mean-plus-deviation": expected_norm_p + dev,
-        "root-mean-square": math.sqrt(expected_norm_p**2 + params.cp * (_sqrt_expm1(params.cp * s.v) * z0 * s.M) ** 2)
-        if math.isfinite(dev) else math.inf,
-    }
-    value = min(candidates.values())
-    cap = None if s.B is None else z0 * s.B
-    return _finish(BoundResult("growth-from-concentration", value, params,
-                               [s._stat_order_condition(params.q)],
-                               extras={"candidates": candidates}), cap)
-
-
 # ---------------------------------------------------------------------------
 # expectation bounds in the spectral norm (q = 2 internally, Z_0 square)
 
@@ -641,7 +621,7 @@ def scenario_lt_bounds(sc: ScenarioLT):
 __all__ = [
     "BoundResult", "Condition", "ProductStats", "ScenarioLT", "SchattenParams",
     "concentration_moment_bound", "contraction_bounds", "expectation_concentration_bound",
-    "expectation_growth_bound", "growth_from_concentration", "growth_moment_bound",
+    "expectation_growth_bound", "growth_moment_bound",
     "inverse_perturbation_stats", "lowrank_moment_bounds", "perturbation_bounds",
     "scalar_reference_bounds", "scenario_lt_bounds", "spectral_radius_expectation_bound",
     "tail_concentration_bound", "tail_growth_bound", "uniform_moment_bounds",

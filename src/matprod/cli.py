@@ -477,6 +477,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         _emit_error("io", str(exc), out_path)
         return EXIT_USAGE
+    except (KeyError, TypeError, ValueError) as exc:  # a config field missing or of the wrong type
+        message = f"config missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        _emit_error("invalid-input", message, out_path)
+        return EXIT_USAGE
 
     try:
         text = _dump_json(payload) if fmt == "json" else _payload_to_csv(payload)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,7 +25,6 @@ from .errors import (
 from .schatten import (
     as_matrix,
     matrix_from_json,
-    matrix_to_json,
     moment_norm,
     spectral_norm,
     stack_norms,
@@ -85,7 +84,6 @@ class FactorEnsemble:
     mean: Optional[np.ndarray] = None
     support: Optional[SupportSampler] = None  # or (matrix, probability) pairs to stack
     kind: str = "custom"
-    params: dict = field(default_factory=dict)
     projected_deviation: Optional[Callable[[int], float]] = None
 
     def __post_init__(self):
@@ -220,14 +218,6 @@ def make_bounded_perturbation(dim, mean, radius, n_scale, support="two-point") -
         sigma_uniform=scale,
         mean_perturbation=xi,
     )
-    params = {
-        "kind": "bounded-perturbation",
-        "dim": dim,
-        "mean": matrix_to_json(a),
-        "radius": radius,
-        "n_scale": n_scale,
-        "support": support,
-    }
 
     if support == "two-point":
         u = householder_direction(dim)
@@ -242,7 +232,6 @@ def make_bounded_perturbation(dim, mean, radius, n_scale, support="two-point") -
             mean=base,
             support=sampler,
             kind="bounded-perturbation",
-            params=params,
             # deviations are orthogonal directions: projection does not shrink them
             projected_deviation=(lambda r: scale),
         )
@@ -262,7 +251,6 @@ def make_bounded_perturbation(dim, mean, radius, n_scale, support="two-point") -
             stats=stats,
             mean=base,
             kind="bounded-perturbation",
-            params=params,
         )
     raise InvalidParameterError(f"unknown support kind {support!r}")
 
@@ -296,7 +284,6 @@ def make_rademacher_rank_one(dim) -> FactorEnsemble:
         mean=eye,
         support=sampler,
         kind="rademacher-rank-one",
-        params={"kind": "rademacher-rank-one", "dim": dim},
         projected_deviation=(lambda r: math.sqrt(min(r, dim) / dim)),
     )
 
@@ -348,9 +335,6 @@ def make_random_projector_contraction(dim, kind="coordinate", rows=None) -> Fact
         sigma_uniform=max(devs) / c,
         contraction=min(c, 1.0),
     )
-    params = {"kind": "projector-contraction", "dim": dim, "projector_kind": kind}
-    if kind == "kaczmarz-row":
-        params["rows"] = matrix_to_json(rows)
     return FactorEnsemble(
         dim=dim,
         sampler=sampler,
@@ -358,7 +342,6 @@ def make_random_projector_contraction(dim, kind="coordinate", rows=None) -> Fact
         mean=mean,
         support=sampler,
         kind="projector-contraction",
-        params=params,
     )
 
 
@@ -481,8 +464,3 @@ def ensemble_from_config(obj) -> FactorEnsemble:
         raise InvalidInputError(f"ensemble config missing field {exc}") from None
     raise InvalidInputError(f"unknown ensemble kind {kind!r}")
 
-
-def ensemble_to_config(e: FactorEnsemble) -> dict:
-    if not e.params:
-        raise UnsupportedEnsembleError("custom ensembles have no config form")
-    return dict(e.params)

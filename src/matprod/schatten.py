@@ -1,14 +1,7 @@
-"""Schatten norms, spectral radius, and the uniform-smoothness gap.
+"""Schatten norms and the spectral radius.
 
-Matrices are real 2-D float64 arrays with finite entries. Wire formats
-(JSON object and CSV) are provided here; both readers reject NaN/Inf.
-
-The smoothness gap of a pair (a, b) at exponent p is
-
-    gap = ||a||_p^2 + (p-1)*||b||_p^2 - [ (||a+b||_p^p + ||a-b||_p^p)/2 ]^(2/p)
-
-which is nonnegative for p >= 2, nonpositive for 1 <= p <= 2, and zero at
-p = 2 (parallelogram identity). p - 1 is the optimal constant.
+Matrices are real 2-D float64 arrays with finite entries. The JSON object
+wire format is provided here; its reader rejects NaN/Inf.
 """
 
 from __future__ import annotations
@@ -109,25 +102,6 @@ def spectral_radii(stack):
     return np.abs(np.linalg.eigvals(stack)).max(axis=-1)
 
 
-def smoothness_gap(a, b, p) -> float:
-    """Slack of the two-point smoothness inequality at exponent p (finite)."""
-    p = _check_p(p)
-    if math.isinf(p):
-        raise InvalidParameterError("smoothness gap requires finite p")
-    am = as_matrix(a, "a")
-    bm = as_matrix(b, "b")
-    if am.shape != bm.shape:
-        raise InvalidInputError(f"shape mismatch: {am.shape} vs {bm.shape}")
-    x = schatten_norm(am + bm, p)
-    y = schatten_norm(am - bm, p)
-    top = max(x, y)
-    if top == 0.0:
-        mean = 0.0
-    else:
-        mean = top * (0.5 * ((x / top) ** p + (y / top) ** p)) ** (1.0 / p)
-    return schatten_norm(am, p) ** 2 + (p - 1.0) * schatten_norm(bm, p) ** 2 - mean**2
-
-
 def moment_norm(values, q, weights=None) -> float:
     """(sum_k w_k * v_k^q)^(1/q) for nonnegative values; exact finite moments."""
     q = float(q)
@@ -183,24 +157,3 @@ def format_float(x: float) -> str:
     """17 significant digits, '.' decimal separator; round-trips float64."""
     return format(float(x), ".17g")
 
-
-def matrix_to_csv(a) -> str:
-    arr = as_matrix(a)
-    return "\n".join(",".join(format_float(x) for x in row) for row in arr) + "\n"
-
-
-def matrix_from_csv(text: str) -> np.ndarray:
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rows.append([float(tok) for tok in line.split(",")])
-        except ValueError as exc:
-            raise InvalidInputError(f"CSV line {lineno}: {exc}") from None
-    if not rows:
-        raise InvalidInputError("CSV matrix is empty")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise InvalidInputError("CSV rows have inconsistent lengths")
-    return as_matrix(np.asarray(rows, dtype=float))

@@ -4,8 +4,9 @@ Products are formed left to right: Z_n = Y_n ... Y_1 Z_0, with factor i drawn
 from the i-th ensemble. Trial k consumes only the stream derived from
 (seed, *key, k), so estimates are bitwise reproducible under any execution
 schedule. Inverse mode returns (Y_n ... Y_1 Z_0)^(-1) built from per-factor
-linear solves; adapted mode threads a history-dependent hook and also tracks
-the running product of realized conditional means F_n.
+linear solves; adapted mode asks a hook for each factor's law given the
+running product Z_{i-1} of the past draws, and also tracks the running product
+of realized conditional means F_n.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .ensembles import (
     FactorStats,
     SupportSampler,
     ensemble_from_config,
-    ensemble_to_config,
     householder_direction,
     make_bounded_perturbation,
     support_stats,
@@ -36,7 +36,6 @@ from .errors import (
 from .schatten import (
     as_matrix,
     matrix_from_json,
-    matrix_to_json,
     spectral_norm,
     spectral_radii,
     stack_norms,
@@ -149,18 +148,19 @@ class TailEstimate:
 
 
 # ---------------------------------------------------------------------------
-# adapted hooks: conditional_supports(runs) maps a (B, d, d) stack of running
-# history products Y_i ... Y_1 to (atoms, probs), a (K, d, d) atom stack or the
-# (K, d) diagonals of diagonal atoms, and (B, K) or (1, K) atom probabilities
+# adapted hooks: conditional_supports(runs) maps a (B, d, r) stack of running
+# products Z_{i-1} = Y_{i-1} ... Y_1 Z_0 to (atoms, probs), a (K, d, d) atom
+# stack or the (K, d) diagonals of diagonal atoms, and (B, K) or (1, K) atom
+# probabilities. Z_{i-1} is a function of the past draws, so the hook is adapted.
 
 @dataclass(frozen=True, eq=False)
 class NormBiasedTwoPointHook:
     """Two-point factors I +/- scale*U whose sign bias flips with history.
 
-    While the running product of past draws has Frobenius norm at most that of
-    the identity, the + sign has probability ``high``; once the product norm
-    exceeds it, the bias flips to 1 - high. Conditional statistics hold for
-    every history, so the adapted product bounds apply.
+    While the running product Z_{i-1} has Frobenius norm at most sqrt(dim),
+    the identity's, the + sign has probability ``high``; above it, the bias
+    flips to 1 - high. Conditional statistics hold for every history, so the
+    adapted product bounds apply.
     """
 
     dim: int
@@ -177,7 +177,7 @@ class NormBiasedTwoPointHook:
         object.__setattr__(self, "atoms", np.stack([eye + spike, eye - spike]))
 
     def conditional_supports(self, runs):
-        """(atoms, probs) for a (B, dim, dim) stack of running history products."""
+        """(atoms, probs) for a (B, dim, r) stack of running products."""
         flat = runs.reshape(len(runs), 1, -1)  # the Frobenius norm as one dot product
         low = np.sqrt(flat @ flat.swapaxes(1, 2))[:, 0, 0] <= math.sqrt(self.dim)
         pi = np.where(low, self.high, 1.0 - self.high)
@@ -323,29 +323,29 @@ def _trial_products(spec, start, rngs):
     return np.stack(prods), (np.array(conds) if conds else None)
 
 
-def _level_supports(hook, past):
+def _level_supports(hook, prods):
     """(steps, probs, means) of a block of adapted paths, from one hook call on
-    their running history products ``past``: path b takes atom ``steps[j]``
-    with probability ``probs[b, j]`` and has conditional mean ``means[b]``."""
-    steps, probs = hook.conditional_supports(past)
+    their running products ``prods``: path b takes atom ``steps[j]`` with
+    probability ``probs[b, j]`` and has conditional mean ``means[b]``."""
+    steps, probs = hook.conditional_supports(prods)
     means = sum(p.reshape(-1, *(1,) * s.ndim) * s for p, s in zip(probs.T, steps))
-    b = len(past)
+    b = len(prods)
     return (steps, np.broadcast_to(probs, (b, len(steps))),
             np.broadcast_to(means, (b, *means.shape[1:])))
 
 
 def _adapted_root(spec, count):
-    """A block of ``count`` empty adapted paths: (weights, products, references, past)."""
+    """A block of ``count`` empty adapted paths: (weights, products, references)."""
     start = np.broadcast_to(spec.z0, (count, *spec.z0.shape))
-    return np.ones(count), start, start, np.broadcast_to(np.eye(spec.d), (count, spec.d, spec.d))
+    return np.ones(count), start, start
 
 
 def _adapted_children(block, supports, par, col):
     """Children of a block of adapted paths: path par[i] extended by atom col[i]."""
-    w, prods, refs, past = block
+    w, prods, refs = block
     steps, probs, means = supports
     return (w[par] * probs[par, col], _step(steps, col, prods[par]),
-            _step(means, par, refs[par]), _step(steps, col, past[par]))
+            _step(means, par, refs[par]))
 
 
 def _trial_chunks(spec, trials, seed, key):
@@ -369,7 +369,7 @@ def _trial_chunks(spec, trials, seed, key):
             u = _uniforms(spec.n, seed, key, range(lo, min(lo + FRONTIER_PATHS, trials)))
             block = _adapted_root(spec, len(u))
             for i in range(spec.n):
-                supports = _level_supports(spec.adapted_hook, block[3])
+                supports = _level_supports(spec.adapted_hook, block[1])
                 cum = np.cumsum(supports[1], axis=1)
                 cum[:, -1] = 1.0
                 block = _adapted_children(block, supports, np.arange(len(u)),
@@ -616,7 +616,7 @@ def _walk_adapted(spec):
 
     def frame(depth, block):
         nonlocal fan
-        supports = _level_supports(spec.adapted_hook, block[3])
+        supports = _level_supports(spec.adapted_hook, block[1])
         par, col = np.nonzero(supports[1])
         counts = np.bincount(par, minlength=len(block[0]))
         fan = max(fan, int(counts.max()))
@@ -641,7 +641,7 @@ def _walk_adapted(spec):
                 required=ENUMERATION_BUDGET + 1, budget=ENUMERATION_BUDGET)
         child = _adapted_children(block, supports, par[kids], col[kids])
         if depth + 1 == n:
-            yield child[:3]
+            yield child
         else:
             frames.append(frame(depth + 1, child))
 
@@ -849,17 +849,3 @@ def spec_from_config(obj) -> ProductSpec:
     z0 = np.eye(dim) if z0_obj == "identity" else matrix_from_json(z0_obj)
     return ProductSpec(factors=tuple(factors), z0=z0, mode=obj.get("mode", "independent"))
 
-
-def spec_to_config(spec: ProductSpec) -> dict:
-    groups = []
-    for e in spec.factors:
-        cfg = ensemble_to_config(e)
-        if groups and groups[-1]["ensemble"] == cfg:
-            groups[-1]["count"] += 1
-        else:
-            groups.append({"ensemble": cfg, "count": 1})
-    return {
-        "factors": groups,
-        "z0": "identity" if np.array_equal(spec.z0, np.eye(spec.d)) else matrix_to_json(spec.z0),
-        "mode": spec.mode,
-    }

@@ -192,34 +192,6 @@ def _random_pair_instances(col, p, count, rng):
         col.add((rhs - lhs) / max(abs(rhs), 1.0), detail={"p": p, "q": q, "form": "averaged"})
 
 
-def sharpness_probe(p=4.0, eps_values=(1e-2, 1e-3, 1e-4)):
-    """High-precision 1x1 probe of the smoothness constant p - 1.
-
-    With a = 1, b = eps, the smoothness slack divided by (p-1) eps^2 tends to
-    zero, so no constant below p - 1 can work for all pairs. Computed with
-    mpmath because the cancellation swamps double precision.
-    """
-    from mpmath import mp, mpf
-
-    p = float(p)
-    if not (math.isfinite(p) and p > 2.0):
-        raise InvalidParameterError("the probe needs a finite p > 2")
-    out = []
-    with mp.workdps(60):
-        mp_p = mpf(p)
-        for eps in eps_values:
-            e = mpf(repr(float(eps)))
-            avg = ((1 + e) ** mp_p + abs(1 - e) ** mp_p) / 2
-            lhs = avg ** (2 / mp_p)
-            gap = 1 + (mp_p - 1) * e**2 - lhs
-            out.append({
-                "eps": float(eps),
-                "ratio": float(gap / ((mp_p - 1) * e**2)),
-                "constant_needed": float((lhs - 1) / e**2),
-            })
-    return out
-
-
 # ---------------------------------------------------------------------------
 # conditionally centered averages and martingales
 

@@ -13,7 +13,6 @@ from matprod.bounds import (
     contraction_bounds,
     expectation_concentration_bound,
     expectation_growth_bound,
-    growth_from_concentration,
     growth_moment_bound,
     inverse_perturbation_stats,
     lowrank_moment_bounds,
@@ -190,26 +189,6 @@ class TestUniformMomentBounds:
     def test_requires_uniform_norms(self):
         with pytest.raises(MissingUniformBoundsError):
             uniform_moment_bounds(scalar_stats(), 2, 2)
-
-
-class TestGrowthFromConcentration:
-    def test_picks_minimum_route(self):
-        s = scalar_stats(sigma=0.1, n=2)
-        r = growth_from_concentration(s, 2, 2, expected_norm_p=1.0)
-        assert r.extras is not None
-        cands = r.extras["candidates"]
-        assert r.value == min(cands.values())
-        # with E Z known to be the identity, mean + deviation beats the raw moment
-        assert cands["mean-plus-deviation"] == pytest.approx(
-            1.0 + 0.14213141815501529, rel=1e-12)
-        assert r.value <= cands["moment"]
-
-    def test_requires_expected_norm(self):
-        s = scalar_stats()
-        with pytest.raises(InvalidInputError):
-            growth_from_concentration(s, 2, 2)
-        with pytest.raises(InvalidInputError):
-            growth_from_concentration(s, 2, 2, expected_norm_p=math.inf)
 
 
 class TestExpectationBounds:

@@ -1,8 +1,10 @@
+import ast
 import csv
 import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -107,6 +109,21 @@ class TestUsage:
         assert first[0] == again[0] == 1
         assert json.loads(again[1])["error"]["code"] == "usage"
         assert again == first
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("bound", {"kind": "perturbation"}),
+        ("bound", {"kind": "perturbation", "d": "x", "n": 10, "b": 1.0}),
+        ("simulate", {"factors": [{"ensemble": {"kind": "rademacher-rank-one",
+                                                "dim": "three"}}]}),
+        ("simulate", {"factors": [{"ensemble": {"kind": "rademacher-rank-one", "dim": 3}}],
+                      "trials": "many"}),
+        ("bound", {"kind": "moment", "d": 2,
+                   "factors": [{"mean_norm": "big", "sigma": 0.1}]}),
+    ], ids=["missing-d", "d-not-int", "dim-not-int", "trials-not-int", "mean-norm-not-float"])
+    def test_malformed_config_value(self, capsys, tmp_path, command, cfg):
+        rc, payload, _ = run_json(capsys, command, "--config", write_config(tmp_path, cfg))
+        assert rc == 1
+        assert payload["error"]["code"] == "invalid-input"
 
     def test_unknown_bound_kind(self, capsys, tmp_path):
         path = write_config(tmp_path, {"kind": "mystery"})
@@ -559,14 +576,32 @@ def test_import_leaves_scipy_stats_and_linalg_unloaded():
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
-def declared_console_script(name):
-    """The ``module:function`` that pyproject.toml's [project.scripts] gives ``name``."""
+def read_pyproject():
     if sys.version_info >= (3, 11):
         import tomllib
     else:
         tomllib = pytest.importorskip("tomli")
     with PYPROJECT.open("rb") as fh:
-        return tomllib.load(fh)["project"]["scripts"][name]
+        return tomllib.load(fh)
+
+
+def declared_console_script(name):
+    """The ``module:function`` that pyproject.toml's [project.scripts] gives ``name``."""
+    return read_pyproject()["project"]["scripts"][name]
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    # an unused or an undeclared runtime dependency fails here
+    declared = {re.split(r"[<>=!~;\[ ]", dep, maxsplit=1)[0].lower()
+                for dep in read_pyproject()["project"]["dependencies"]}
+    imported = set()
+    for path in Path(matprod.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) - {"matprod"} == declared
 
 
 def write_console_script(bin_dir, name, target):

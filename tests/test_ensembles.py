@@ -9,7 +9,6 @@ from matprod.ensembles import (
     FactorStats,
     SupportSampler,
     ensemble_from_config,
-    ensemble_to_config,
     estimate_factor_stats,
     householder_direction,
     make_bounded_perturbation,
@@ -452,8 +451,6 @@ class TestEnsembleValidation:
                            stats=FactorStats(mean_norm=1.0, sigma=0.0))
         with pytest.raises(UnsupportedEnsembleError):
             e.exact_mean()
-        with pytest.raises(UnsupportedEnsembleError):
-            ensemble_to_config(e)
 
 
 class TestEstimateFactorStats:
@@ -501,20 +498,30 @@ class TestSampleMeanAgainstAnalyticMean:
 
 class TestConfigRoundTrip:
     @pytest.mark.parametrize("build", [
-        lambda: make_bounded_perturbation(2, 0.1 * np.eye(2), 0.2, 4.0),
-        lambda: make_bounded_perturbation(3, np.zeros((3, 3)), 0.1, 1.0,
-                                          support="uniform-sphere"),
-        lambda: make_rademacher_rank_one(4),
-        lambda: make_random_projector_contraction(3),
-        lambda: make_random_projector_contraction(
-            2, kind="kaczmarz-row", rows=np.array([[1.0, 2.0], [3.0, 4.0]])),
+        lambda: ({"kind": "bounded-perturbation", "dim": 2,
+                  "mean": {"rows": 2, "cols": 2, "data": [0.1, 0.0, 0.0, 0.1]},
+                  "radius": 0.2, "n_scale": 4.0, "support": "two-point"},
+                 make_bounded_perturbation(2, 0.1 * np.eye(2), 0.2, 4.0)),
+        lambda: ({"kind": "bounded-perturbation", "dim": 3, "radius": 0.1, "n_scale": 1.0,
+                  "support": "uniform-sphere"},
+                 make_bounded_perturbation(3, np.zeros((3, 3)), 0.1, 1.0,
+                                           support="uniform-sphere")),
+        lambda: ({"kind": "rademacher-rank-one", "dim": 4}, make_rademacher_rank_one(4)),
+        lambda: ({"kind": "projector-contraction", "dim": 3, "projector_kind": "coordinate"},
+                 make_random_projector_contraction(3)),
+        lambda: ({"kind": "projector-contraction", "dim": 2, "projector_kind": "kaczmarz-row",
+                  "rows": {"rows": 2, "cols": 2, "data": [1.0, 2.0, 3.0, 4.0]}},
+                 make_random_projector_contraction(
+                     2, kind="kaczmarz-row", rows=np.array([[1.0, 2.0], [3.0, 4.0]]))),
     ])
     def test_round_trip(self, build):
-        e = build()
-        back = ensemble_from_config(ensemble_to_config(e))
+        cfg, e = build()
+        back = ensemble_from_config(cfg)
         assert back.kind == e.kind
         assert back.dim == e.dim
         assert back.stats == e.stats
+        assert np.array_equal(back.exact_mean(), e.exact_mean())
+        assert np.array_equal(back.draw(substream(5, 0)), e.draw(substream(5, 0)))
         if e.support is None:
             assert back.support is None
         else:

@@ -11,15 +11,12 @@ from hypothesis.extra import numpy as hnp
 from matprod.errors import InvalidInputError, InvalidParameterError
 from matprod.schatten import (
     format_float,
-    matrix_from_csv,
     matrix_from_json,
-    matrix_to_csv,
     matrix_to_json,
     moment_norm,
     norm_from_singular_values,
     schatten_norm,
     singular_values,
-    smoothness_gap,
     spectral_norm,
     spectral_radii,
     spectral_radius,
@@ -202,40 +199,6 @@ class TestOneReductionLayer:
         assert stray == []
 
 
-class TestSmoothnessGap:
-    @given(matrix_pairs(max_side=4), st.sampled_from([2.0, 2.5, 3.0, 4.0, 8.0, 16.0]))
-    def test_nonnegative_above_two(self, pair, p):
-        a, b = pair
-        scale = schatten_norm(a, p) ** 2 + schatten_norm(b, p) ** 2
-        assert smoothness_gap(a, b, p) >= -1e-9 * max(scale, 1.0)
-
-    @given(matrix_pairs(max_side=4), st.sampled_from([1.0, 1.5]))
-    def test_nonpositive_below_two(self, pair, p):
-        a, b = pair
-        scale = schatten_norm(a, p) ** 2 + schatten_norm(b, p) ** 2
-        assert smoothness_gap(a, b, p) <= 1e-9 * max(scale, 1.0)
-
-    @given(matrix_pairs(max_side=4))
-    def test_equality_at_two(self, pair):
-        a, b = pair
-        scale = schatten_norm(a, 2) ** 2 + schatten_norm(b, 2) ** 2
-        assert abs(smoothness_gap(a, b, 2.0)) <= 1e-10 * max(scale, 1.0)
-
-    def test_scalar_hand_value(self):
-        # a = 1, b = eps: gap = 1 + (p-1) eps^2 - [((1+eps)^p + (1-eps)^p)/2]^(2/p)
-        p, eps = 4.0, 0.25
-        lhs = ((1 + eps) ** p + (1 - eps) ** p) / 2.0
-        expected = 1.0 + (p - 1.0) * eps ** 2 - lhs ** (2.0 / p)
-        got = smoothness_gap(np.array([[1.0]]), np.array([[eps]]), p)
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_rejects_infinite_p_and_shape_mismatch(self):
-        with pytest.raises(InvalidParameterError):
-            smoothness_gap(np.eye(2), np.eye(2), math.inf)
-        with pytest.raises(InvalidInputError):
-            smoothness_gap(np.eye(2), np.eye(3), 2.0)
-
-
 class TestMomentNorm:
     def test_uniform_weights(self):
         assert moment_norm([1.0, 2.0], 2.0) == pytest.approx(math.sqrt(2.5), rel=1e-15)
@@ -293,25 +256,6 @@ class TestWireFormats:
     def test_json_rejects_malformed(self, obj):
         with pytest.raises(InvalidInputError):
             matrix_from_json(obj)
-
-    def test_csv_round_trip_bitwise(self):
-        m = np.array([[0.1, 2.0 / 3.0], [-1e-17, 123456789.123456789]])
-        back = matrix_from_csv(matrix_to_csv(m))
-        assert np.array_equal(back, m)
-
-    def test_csv_rejects_malformed(self):
-        with pytest.raises(InvalidInputError, match="line 2"):
-            matrix_from_csv("1.0,2.0\n3.0,oops\n")
-        with pytest.raises(InvalidInputError):
-            matrix_from_csv("1.0,2.0\n3.0\n")
-        with pytest.raises(InvalidInputError):
-            matrix_from_csv("\n\n")
-        with pytest.raises(InvalidInputError):
-            matrix_from_csv("1.0,inf\n")
-
-    def test_csv_blank_lines_skipped(self):
-        back = matrix_from_csv("1.0,2.0\n\n3.0,4.0\n")
-        assert np.array_equal(back, np.array([[1.0, 2.0], [3.0, 4.0]]))
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_format_float_round_trips(self, x):

@@ -35,7 +35,6 @@ from matprod.simulate import (
     expected_product,
     simulate_product,
     spec_from_config,
-    spec_to_config,
     summarize_simulation,
     triangular_array_run,
 )
@@ -163,10 +162,10 @@ def reference_loop(spec, trials, seed, key=()):
     return zs, excluded
 
 
-def conditional_support(hook, running):
-    """The hook's (atom, probability) pairs for one path's running history
-    product, diagonal atoms expanded to dense matrices."""
-    atoms, probs = hook.conditional_supports(running[None])
+def conditional_support(hook, prod):
+    """The hook's (atom, probability) pairs for one path's running product
+    Z_{i-1}, diagonal atoms expanded to dense matrices."""
+    atoms, probs = hook.conditional_supports(prod[None])
     return [(np.diag(a) if a.ndim == 1 else a, prob) for a, prob in zip(atoms, probs[0])]
 
 
@@ -176,9 +175,9 @@ def reference_adapted_loop(spec, trials, seed, refs=False):
     zs = []
     for k in range(trials):
         rng = substream(seed, k)
-        prod, ref, running = spec.z0, spec.z0, np.eye(spec.d)
+        prod, ref = spec.z0, spec.z0
         for _ in range(spec.n):
-            support = conditional_support(spec.adapted_hook, running)
+            support = conditional_support(spec.adapted_hook, prod)
             u, acc, y = rng.random(), 0.0, support[-1][0]
             for mat, prob in support:
                 acc += prob
@@ -188,7 +187,6 @@ def reference_adapted_loop(spec, trials, seed, refs=False):
             prod = y @ prod
             if refs:
                 ref = sum(prob * mat for mat, prob in support) @ ref
-            running = y @ running
         zs.append(ref if refs else prod)
     return zs
 
@@ -885,11 +883,11 @@ def depth_first_paths(spec):
     (weight, product, conditional-mean product) of every path, in leaf order."""
     hook, n = spec.adapted_hook, spec.n
 
-    def frame(weight, prod, ref, running):
-        support = conditional_support(hook, running)
-        return [support, 0, weight, prod, ref, sum(prob * mat for mat, prob in support), running]
+    def frame(weight, prod, ref):
+        support = conditional_support(hook, prod)
+        return [support, 0, weight, prod, ref, sum(prob * mat for mat, prob in support)]
 
-    stack = [frame(1.0, spec.z0, spec.z0, np.eye(spec.d))]
+    stack = [frame(1.0, spec.z0, spec.z0)]
     while stack:
         top = stack[-1]
         support, idx = top[0], top[1]
@@ -906,7 +904,7 @@ def depth_first_paths(spec):
         if len(stack) == n:
             yield weight, prod, ref
         else:
-            stack.append(frame(weight, prod, ref, mat @ top[6]))
+            stack.append(frame(weight, prod, ref))
 
 
 def depth_first_report(spec, p, q, tg=(), td=()):
@@ -1011,7 +1009,7 @@ class TestAdaptedWalker:
         cap, d, n = 256, 10, 14
         monkeypatch.setattr(simulate, "FRONTIER_PATHS", cap)
         spec = adapted(lambda: NormBiasedTwoPointHook(d), n, np.eye(d))
-        path_bytes = 8 * (3 * d * d + 1)  # product, reference, history product, weight
+        path_bytes = 8 * (2 * d * d + 1)  # product, reference, weight
         leaves = 0
         tracemalloc.start()
         try:
@@ -1045,6 +1043,50 @@ class TestAdaptedWalker:
                 for run in runs]
         assert probs[:, 0].tolist() == want
         assert 0 < sum(p == hook.high for p in want) < len(want)
+
+
+class RecordingHook(LeaningHook):
+    """LeaningHook in three dimensions, keeping a copy of every runs stack."""
+
+    dim = 3
+    atoms = np.stack([np.pad(a, ((0, 1), (0, 1))) + np.diag([0.0, 0.0, s])
+                      for a, s in zip(LeaningHook.atoms, (1.1, 0.9, -1.0))])
+
+    def __init__(self):
+        self.seen = []
+
+    def conditional_supports(self, runs):
+        self.seen.append(runs.copy())
+        return super().conditional_supports(runs)
+
+
+class TestHookContract:
+    """A hook reads the running products Z_{i-1}, a (B, d, r) stack."""
+
+    N, Z0 = 4, tall_start(3, 2)
+
+    def spec(self, n):
+        return adapted(RecordingHook, n, self.Z0)
+
+    def test_walker_hands_the_paths_products(self):
+        spec = self.spec(self.N)
+        list(simulate._walk_adapted(spec))
+        assert len(spec.adapted_hook.seen) == self.N
+        for i, runs in enumerate(spec.adapted_hook.seen):
+            want = (self.Z0[None] if i == 0 else
+                    np.stack([z for _, z, _ in depth_first_paths(self.spec(i))]))
+            assert runs.shape == (len(want), 3, 2)
+            assert runs.tobytes() == want.tobytes()
+
+    def test_monte_carlo_hands_the_trials_products(self):
+        spec = self.spec(self.N)
+        summarize_simulation(spec, 40, seed=8)
+        assert len(spec.adapted_hook.seen) == self.N
+        for i, runs in enumerate(spec.adapted_hook.seen):
+            want = (np.broadcast_to(self.Z0, (40, 3, 2)) if i == 0 else
+                    np.stack(reference_adapted_loop(self.spec(i), 40, seed=8)))
+            assert runs.shape == (40, 3, 2)
+            assert runs.tobytes() == want.tobytes()
 
 
 class TestAdaptedMonteCarlo:
@@ -1303,31 +1345,35 @@ class TestConjugatedSpec:
             conjugated_spec(ad, np.eye(2))
 
 
+TWO_POINT_CONFIG = {"kind": "bounded-perturbation", "dim": 2,
+                    "mean": {"rows": 2, "cols": 2, "data": [0.2, 0.0, 0.0, 0.2]},
+                    "radius": 0.3, "n_scale": 5}
+
+
 class TestSpecConfig:
     def test_round_trip_groups_counts(self):
         spec = matrix_two_point(dim=2, n=5)
-        cfg = spec_to_config(spec)
-        assert cfg["z0"] == "identity"
-        assert len(cfg["factors"]) == 1
-        assert cfg["factors"][0]["count"] == 5
+        cfg = {"factors": [{"ensemble": TWO_POINT_CONFIG, "count": 5}], "z0": "identity"}
         back = spec_from_config(cfg)
         assert back.n == 5 and back.d == 2 and back.mode == "independent"
+        assert len({id(e) for e in back.factors}) == 1
+        assert np.array_equal(back.z0, np.eye(2))
         ra = enumerate_product(back, thresholds_growth=(1.1,))
         rb = enumerate_product(spec, thresholds_growth=(1.1,))
         assert ra.growth_moment == rb.growth_moment
 
     def test_explicit_z0_round_trip(self):
-        e = make_bounded_perturbation(2, np.zeros((2, 2)), 0.1, 2.0)
         z0 = np.array([[1.0, 0.0], [0.5, 2.0]])
-        spec = ProductSpec(factors=(e,), z0=z0, mode="inverse")
-        back = spec_from_config(spec_to_config(spec))
+        cfg = {"factors": [{"ensemble": {"kind": "bounded-perturbation", "dim": 2,
+                                         "radius": 0.1, "n_scale": 2.0}}],
+               "z0": {"rows": 2, "cols": 2, "data": [1.0, 0.0, 0.5, 2.0]},
+               "mode": "inverse"}
+        back = spec_from_config(cfg)
         assert back.mode == "inverse"
         assert np.array_equal(back.z0, z0)
 
     def test_bare_ensemble_entries(self):
-        e = make_bounded_perturbation(2, np.zeros((2, 2)), 0.1, 2.0)
-        from matprod.ensembles import ensemble_to_config
-        cfg = {"factors": [ensemble_to_config(e), ensemble_to_config(e)]}
+        cfg = {"factors": [TWO_POINT_CONFIG, TWO_POINT_CONFIG]}
         assert spec_from_config(cfg).n == 2
 
     def test_validation(self):
@@ -1335,9 +1381,7 @@ class TestSpecConfig:
             spec_from_config([])
         with pytest.raises(InvalidInputError):
             spec_from_config({"factors": []})
-        e = make_bounded_perturbation(2, np.zeros((2, 2)), 0.1, 2.0)
-        from matprod.ensembles import ensemble_to_config
-        cfg = {"factors": [{"ensemble": ensemble_to_config(e), "count": 0}]}
+        cfg = {"factors": [{"ensemble": TWO_POINT_CONFIG, "count": 0}]}
         with pytest.raises(InvalidInputError):
             spec_from_config(cfg)
 

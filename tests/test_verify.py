@@ -46,7 +46,6 @@ from matprod.verify import (
     comparison_rows,
     default_suite,
     projected_product_stats,
-    sharpness_probe,
 )
 
 
@@ -168,26 +167,6 @@ class TestUniformSmoothness:
             check_uniform_smoothness(p_list=(0.5,), trials=10)
         with pytest.raises(InvalidParameterError):
             check_uniform_smoothness(p_list=(math.inf,), trials=10)
-
-
-class TestSharpnessProbe:
-    def test_frozen_ratios(self):
-        out = sharpness_probe(p=4.0, eps_values=(1e-2, 1e-3, 1e-4))
-        ratios = [row["ratio"] for row in out]
-        assert ratios[0] == pytest.approx(1.3329334799400263e-04, rel=1e-10)
-        assert ratios[1] == pytest.approx(1.3333293333479999e-06, rel=1e-10)
-        assert ratios[2] == pytest.approx(1.3333332933333348e-08, rel=1e-10)
-
-    def test_constant_needed_approaches_p_minus_one(self):
-        out = sharpness_probe(p=4.0, eps_values=(1e-2, 1e-3, 1e-4))
-        needed = [row["constant_needed"] for row in out]
-        assert needed == sorted(needed)
-        assert all(c < 3.0 for c in needed)
-        assert needed[-1] == pytest.approx(3.0, abs=1e-6)
-
-    def test_needs_p_above_two(self):
-        with pytest.raises(InvalidParameterError):
-            sharpness_probe(p=2.0)
 
 
 class TestSubquadratic:
