@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -183,29 +184,30 @@ class ProductStats:
         return cls.from_factors([e.stats for e in ensembles], dims.pop(), z0, projected_rank)
 
     # -- derived aggregates ------------------------------------------------
+    # The stats are frozen, so each aggregate is summed once, on first read.
 
     @property
     def n(self) -> int:
         return len(self.factors)
 
-    @property
+    @cached_property
     def M(self) -> float:
         out = 1.0
         for f in self.factors:
             out *= f.mean_norm
         return out
 
-    @property
+    @cached_property
     def v(self) -> float:
         return sum(f.sigma**2 for f in self.factors)
 
-    @property
+    @cached_property
     def v_uniform(self) -> Optional[float]:
         if any(f.sigma_uniform is None for f in self.factors):
             return None
         return sum(f.sigma_uniform**2 for f in self.factors)
 
-    @property
+    @cached_property
     def B(self) -> Optional[float]:
         out = 1.0
         for f in self.factors:
@@ -214,13 +216,13 @@ class ProductStats:
             out *= f.uniform_norm
         return out
 
-    @property
+    @cached_property
     def xi(self) -> Optional[float]:
         if any(f.mean_perturbation is None for f in self.factors):
             return None
         return sum(f.mean_perturbation for f in self.factors)
 
-    @property
+    @cached_property
     def contraction_M(self) -> Optional[float]:
         out = 1.0
         for f in self.factors:
@@ -229,7 +231,7 @@ class ProductStats:
             out *= f.contraction
         return out
 
-    @property
+    @cached_property
     def contraction_v(self) -> Optional[float]:
         """Sum of squared a.s. deviations measured against the contraction stat."""
         out = 0.0

@@ -10,7 +10,6 @@ significant digits. Exit status: 0 success, 1 usage or input error,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -116,6 +115,8 @@ def _csv_cell(value) -> str:
 
 
 def _rows_to_csv(rows) -> str:
+    import csv  # its only user; a JSON run need not load it
+
     header = []
     for row in rows:
         for key in row:

@@ -7,16 +7,20 @@ schedule. Inverse mode returns (Y_n ... Y_1 Z_0)^(-1) built from per-factor
 linear solves; adapted mode asks a hook for each factor's law given the
 running product Z_{i-1} of the past draws, and also tracks the running product
 of realized conditional means F_n.
+
+The module imports no scipy at load time. Confidence limits at level 0.99
+and Clopper-Pearson limits at 0 hits or at all hits are closed forms; scipy
+is imported only for interior hit counts, other levels and triangular arrays.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.special
 
 from .ensembles import (
     FactorEnsemble,
@@ -415,12 +419,20 @@ def simulate_product(spec: ProductSpec, trials, seed, key=()) -> SimulationResul
                             excluded_indices=excluded)
 
 
-_Z99 = float(scipy.special.ndtri(0.995))
+_Z99 = 2.5758293035489004  # scipy.special.ndtri(0.995), bit for bit
+
+
+def _check_level(level) -> None:
+    if not 0.0 < level < 1.0:
+        raise InvalidParameterError("confidence level must lie in (0, 1)")
 
 
 def _z_value(level: float) -> float:
+    _check_level(level)
     if level == 0.99:
         return _Z99
+    import scipy.special
+
     return float(scipy.special.ndtri(0.5 + level / 2.0))
 
 
@@ -473,12 +485,25 @@ def _tails(spectral, thresholds_growth, deviations, thresholds_deviation, level)
 
 
 def clopper_pearson(hits: int, trials: int, level=0.99):
-    """One-sided lower/upper confidence limits for a binomial proportion."""
+    """One-sided lower/upper confidence limits for a binomial proportion.
+
+    At hits == 0 and hits == trials the beta quantile has a closed form, the
+    one scipy.special.betaincinv evaluates there, bit for bit; only interior
+    hit counts import scipy.
+    """
     if trials < 1:
         raise InvalidParameterError("trials must be positive")
-    lcl = 0.0 if hits == 0 else float(scipy.special.betaincinv(hits, trials - hits + 1, 1.0 - level))
-    ucl = 1.0 if hits == trials else float(scipy.special.betaincinv(hits + 1, trials - hits, level))
-    return lcl, ucl
+    if not isinstance(hits, numbers.Integral) or not 0 <= hits <= trials:
+        raise InvalidParameterError(f"hits must be an integer in [0, {trials}]")
+    _check_level(level)
+    if hits == 0:
+        return 0.0, -math.expm1(math.log(1.0 - level) / trials)
+    if hits == trials:
+        return (1.0 - level) ** (1.0 / trials), 1.0
+    import scipy.special
+
+    return (float(scipy.special.betaincinv(hits, trials - hits + 1, 1.0 - level)),
+            float(scipy.special.betaincinv(hits + 1, trials - hits, level)))
 
 
 def summarize_simulation(spec: ProductSpec, trials, seed, p=2.0, q=2.0, thresholds_growth=(),

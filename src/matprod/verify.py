@@ -489,14 +489,16 @@ def projected_product_stats(spec: ProductSpec, rank=None):
     entered the sigmas and the resulting bounds are not certified upper bounds.
     """
     rank = spec.r if rank is None else int(rank)
-    factors = []
+    projected = {}  # one stat per distinct ensemble; a product often repeats one
     quality = "analytic"
     for e in spec.factors:
-        value, kind = projected_deviation_stat(e, rank)
-        if kind != "analytic":
-            quality = kind
-        factors.append(replace(e.stats, sigma=value / e.stats.mean_norm))
-    stats = ProductStats.from_factors(factors, spec.d, spec.z0, projected_rank=rank)
+        if e not in projected:
+            value, kind = projected_deviation_stat(e, rank)
+            if kind != "analytic":
+                quality = kind
+            projected[e] = replace(e.stats, sigma=value / e.stats.mean_norm)
+    stats = ProductStats.from_factors([projected[e] for e in spec.factors], spec.d,
+                                      spec.z0, projected_rank=rank)
     return stats, quality
 
 

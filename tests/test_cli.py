@@ -560,17 +560,43 @@ class TestOutputFile:
         assert payload["error"]["code"] == "invalid-input"
 
 
-def test_import_leaves_scipy_stats_and_linalg_unloaded():
-    # scipy.stats alone takes most of a cold start, and every CLI run pays it
+LOADED_SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+def child_env(**overrides):
+    """The environment of a child process that imports the matprod under test."""
     package_root = str(Path(matprod.__file__).resolve().parents[1])
-    code = ("import sys, matprod; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules))")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")]))))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])), **overrides)
+
+
+def run_fresh_python(code):
+    """Run ``code`` in a new interpreter; return its stdout lines."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.splitlines()
+
+
+def test_import_leaves_scipy_stats_and_linalg_unloaded():
+    # any scipy module is about half of a cold start, and every CLI run pays it
+    out = run_fresh_python(f"import sys, matprod, matprod.cli; {LOADED_SCIPY}")
+    assert out == ["[]"]
+
+
+def test_edge_tail_rows_and_bounds_leave_scipy_unloaded(tmp_path):
+    # 0-hit tail limits have a closed form, and the bounds need no scipy
+    config = write_config(tmp_path, {
+        "task": "compare", "spec": SCALAR_SPEC, "trials": 40,
+        "thresholds_growth": [10.0], "thresholds_deviation": [5.0]})
+    code = (f"import sys; from matprod.cli import main; "
+            f"main(['compare', '--config', {config!r}]); "
+            f"main(['bound', '--config', 'perturbation']); {LOADED_SCIPY}")
+    compared, bounded, loaded = run_fresh_python(code)
+    tails = [r for r in json.loads(compared)["rows"] if r["quantity"].startswith("tail-")]
+    assert len(tails) == 2 and all(r["empirical"] == 0.0 for r in tails)
+    assert json.loads(bounded)["task"] == "bound"
+    assert loaded == "[]"
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -637,12 +663,7 @@ class TestConsoleScript:
         # without the package being installed.
         bin_dir = tmp_path / "bin"
         write_console_script(bin_dir, "matprod", declared_console_script("matprod"))
-        # The child imports the matprod under test, not another one on sys.path.
-        package_root = str(Path(matprod.__file__).resolve().parents[1])
-        env = dict(os.environ,
-                   PATH=os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")]),
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        env = child_env(PATH=os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")]))
         check_lt_scenario_by_name("matprod", env)
 
     @pytest.mark.skipif(shutil.which("matprod") is None,

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.special
 
 from matprod import simulate
 from matprod.ensembles import (
@@ -558,18 +559,48 @@ class TestHandEnumeration:
 
 
 class TestConfidenceIntervals:
+    def test_z99_is_scipy_ndtri_bit_for_bit(self):
+        assert simulate._Z99 == float(scipy.special.ndtri(0.995))
+        assert simulate._z_value(0.99) == simulate._Z99
+        assert simulate._z_value(0.9) == float(scipy.special.ndtri(0.95))
+
     def test_clopper_pearson_closed_forms(self):
+        # the closed forms at hits == 0 and hits == trials are the values
+        # scipy.special.betaincinv returns there, not approximations of them
+        trials = np.arange(1, 5001)
+        for level in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+            upper = scipy.special.betaincinv(1, trials, level).tolist()
+            lower = scipy.special.betaincinv(trials, 1, 1.0 - level).tolist()
+            for n, ucl, lcl in zip(trials.tolist(), upper, lower):
+                assert clopper_pearson(0, n, level) == (0.0, ucl), (n, level)
+                assert clopper_pearson(n, n, level) == (lcl, 1.0), (n, level)
+
+    def test_clopper_pearson_interior_matches_scipy(self):
         n = 500
-        lcl, ucl = clopper_pearson(0, n, level=0.99)
-        assert lcl == 0.0
-        assert ucl == pytest.approx(1.0 - 0.01 ** (1.0 / n), rel=1e-12)
-        lcl, ucl = clopper_pearson(n, n, level=0.99)
-        assert ucl == 1.0
-        assert lcl == pytest.approx(0.01 ** (1.0 / n), rel=1e-12)
         lcl, ucl = clopper_pearson(3, n, level=0.99)
+        assert lcl == float(scipy.special.betaincinv(3, n - 2, 1.0 - 0.99))
+        assert ucl == float(scipy.special.betaincinv(4, n - 3, 0.99))
         assert 0.0 < lcl < 3.0 / n < ucl < 1.0
+        assert clopper_pearson(np.int64(3), n) == (lcl, ucl)
+
+    @pytest.mark.parametrize("hits, trials, level", [
+        (0, 0, 0.99),      # no trials
+        (5, 3, 0.99),      # more hits than trials
+        (-1, 3, 0.99),     # negative hits
+        (1.5, 3, 0.99),    # hits not an integer
+        (1, 3, 1.5),       # level above 1
+        (1, 3, 0.0),       # level 0 gave lcl > ucl
+        (0, 3, 1.0),       # level 1
+        (3, 3, float("nan")),
+    ])
+    def test_clopper_pearson_rejects_bad_input(self, hits, trials, level):
         with pytest.raises(InvalidParameterError):
-            clopper_pearson(0, 0)
+            clopper_pearson(hits, trials, level)
+
+    @pytest.mark.parametrize("level", [1.2, 0.0, -0.5, float("nan")])
+    def test_z_value_rejects_level_outside_unit_interval(self, level):
+        with pytest.raises(InvalidParameterError):
+            simulate._z_value(level)
 
     def test_interval_coverage_of_exact_values(self):
         # 99% intervals over 100 disjoint substream batches cover the exact

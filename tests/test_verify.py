@@ -21,6 +21,7 @@ from matprod.ensembles import (
     FactorStats,
     make_bounded_perturbation,
     make_rademacher_rank_one,
+    projected_deviation_stat,
 )
 from matprod.errors import (
     EnumerationInfeasibleError,
@@ -544,6 +545,25 @@ class TestProjectedProductStats:
         spec = ProductSpec(factors=(e,) * 2, z0=np.eye(3)[:, :1])
         stats, quality = projected_product_stats(spec)
         assert quality == "lower-estimate"
+
+    def test_one_projected_stat_per_distinct_ensemble(self, monkeypatch):
+        calls = []
+
+        def counted(e, rank):
+            calls.append(e)
+            return projected_deviation_stat(e, rank)
+
+        monkeypatch.setattr(verify, "projected_deviation_stat", counted)
+        sampled = make_bounded_perturbation(3, np.zeros((3, 3)), 0.3, 3.0,
+                                            support="uniform-sphere")
+        analytic = make_rademacher_rank_one(3)
+        spec = ProductSpec(factors=(sampled, analytic) * 3, z0=np.eye(3)[:, :1])
+        stats, quality = projected_product_stats(spec)
+        assert calls == [sampled, analytic]
+        assert quality == "lower-estimate"
+        sigmas = [f.sigma for f in stats.factors]
+        assert sigmas == sigmas[:2] * 3
+        assert sigmas[1] == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-14)
 
 
 class TestDefaultSuite:
