@@ -31,7 +31,6 @@ from .ensembles import (
     FactorEnsemble,
     FactorStats,
     ensemble_from_config,
-    estimate_factor_stats,
     householder_direction,
     make_bounded_perturbation,
     make_rademacher_rank_one,

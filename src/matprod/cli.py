@@ -42,6 +42,7 @@ from .schatten import format_float, matrix_from_json, matrix_to_json
 from .simulate import (
     ESTIMATE_FIELDS,
     enumerate_product,
+    factor_count,
     spec_from_config,
     summarize_simulation,
 )
@@ -76,6 +77,11 @@ def _available_presets():
         return []
 
 
+def _reject_constant(_name: str):
+    # json.loads takes NaN, Infinity and -Infinity, which no config may hold
+    raise InvalidInputError("config numbers must be finite")
+
+
 def _load_config(arg: str) -> dict:
     path = Path(arg)
     if path.exists():
@@ -88,7 +94,7 @@ def _load_config(arg: str) -> dict:
                 f"(presets: {', '.join(_available_presets()) or 'none'})")
         text = res.read_text()
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"config is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
@@ -208,7 +214,7 @@ def _stats_from_config(cfg: dict) -> ProductStats:
         if not isinstance(entry, dict):
             raise InvalidInputError("each factor entry must be an object")
         body = entry.get("stats", entry)
-        count = int(entry.get("count", 1))
+        count = factor_count(entry)
         unknown = set(body) - allowed - {"count"}
         if unknown:
             raise InvalidInputError(f"unknown factor statistic fields: {sorted(unknown)}")
@@ -293,7 +299,7 @@ def run_bound(cfg: dict, seed: int):
             raise InvalidInputError("inverse config needs 'factors' with xi and sigma")
         xis, sigmas = [], []
         for entry in entries:
-            count = int(entry.get("count", 1))
+            count = factor_count(entry)
             xis.extend([float(entry["xi"])] * count)
             sigmas.extend([float(entry["sigma"])] * count)
         xi_bar, v_bar = inverse_perturbation_stats(xis, sigmas)

@@ -29,14 +29,21 @@ from .schatten import (
     spectral_norm,
     stack_norms,
 )
-from .streams import substream, substreams
+from .streams import substreams
 
-PROVENANCES = ("analytic", "monte-carlo")
+# projected_deviation_stat without a finite support: sampled projectors, and
+# draws that estimate each projector's second moment
+PROJECTORS = 64
+PROJECTED_TRIALS = 2048
 
 
 @dataclass(frozen=True)
 class FactorStats:
-    """Statistics of one random factor, as consumed by the bound evaluators."""
+    """Statistics of one random factor, as consumed by the bound evaluators.
+
+    Each value is analytic or computed exactly from a finite support, and
+    every given value is finite.
+    """
 
     mean_norm: float
     sigma: float
@@ -45,10 +52,6 @@ class FactorStats:
     sigma_uniform: Optional[float] = None
     contraction: Optional[float] = None
     mean_perturbation: Optional[float] = None
-    provenance: str = "analytic"
-    trials: Optional[int] = None
-    confidence: Optional[float] = None
-    std_errors: Optional[dict] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.mean_norm) and self.mean_norm > 0):
@@ -57,6 +60,10 @@ class FactorStats:
             raise InvalidParameterError(f"deviation stat must be nonnegative, got {self.sigma}")
         if not self.q >= 2:
             raise InvalidParameterError(f"stat order must satisfy q >= 2, got {self.q}")
+        for name in ("uniform_norm", "sigma_uniform", "mean_perturbation"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidParameterError(f"{name} must be finite, got {value}")
         if self.uniform_norm is not None and self.uniform_norm < self.mean_norm:
             raise InvalidParameterError("uniform norm bound b must dominate the mean bound m")
         if self.sigma_uniform is not None and self.sigma_uniform < 0:
@@ -68,10 +75,6 @@ class FactorStats:
                 raise InvalidParameterError("contraction stat must lie in (0, 1]")
         if self.mean_perturbation is not None and self.mean_perturbation < 0:
             raise InvalidParameterError("mean perturbation bound must be nonnegative")
-        if self.provenance not in PROVENANCES:
-            raise InvalidParameterError(f"unknown provenance {self.provenance!r}")
-        if self.provenance == "monte-carlo" and (self.trials is None or self.confidence is None):
-            raise InvalidParameterError("monte-carlo stats must record trials and confidence")
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,50 +371,14 @@ def support_stats(e: FactorEnsemble, q=2.0) -> FactorStats:
     )
 
 
-def estimate_factor_stats(e: FactorEnsemble, q=2.0, trials=10_000, seed=0,
-                          resamples=1000, confidence=0.99) -> FactorStats:
-    """Monte Carlo plug-in estimate of (m, sigma) with bootstrap standard errors.
-
-    Deviations are measured against the exact mean (analytic or enumerated
-    from the finite support); this never overwrites the ensemble's stats.
-    """
-    if trials < 2:
-        raise InvalidParameterError("need at least 2 trials")
-    if not q >= 2:
-        raise InvalidParameterError(f"stat order must satisfy q >= 2, got {q}")
-    mean = e.exact_mean()
-    m = spectral_norm(mean)
-    if m == 0.0:
-        raise UnsupportedEnsembleError("mean vanishes; relative stats undefined")
-    dev_q = np.empty(trials)
-    for k, rng in enumerate(substreams(seed, (), range(trials))):
-        y = e.draw(rng)
-        dev_q[k] = spectral_norm(y - mean) ** q
-    sigma_hat = float(np.mean(dev_q)) ** (1.0 / q) / m
-
-    boot = substream(seed, trials)
-    resampled = np.empty(resamples)
-    for i in range(resamples):
-        idx = boot.integers(0, trials, size=trials)
-        resampled[i] = float(np.mean(dev_q[idx])) ** (1.0 / q) / m
-    return FactorStats(
-        mean_norm=m,
-        sigma=sigma_hat,
-        q=float(q),
-        provenance="monte-carlo",
-        trials=trials,
-        confidence=confidence,
-        std_errors={"sigma": float(np.std(resampled, ddof=1)), "mean_norm": 0.0},
-    )
-
-
-def projected_deviation_stat(e: FactorEnsemble, rank, trials=2048, seed=0,
-                             projectors=64):
+def projected_deviation_stat(e: FactorEnsemble, rank):
     """sup over rank-r orthogonal projectors P of (E ||(Y - EY) P||^2)^(1/2).
 
     Returns (value, quality) where quality is "analytic" when the ensemble
-    carries a closed form, else "lower-estimate" (a max over sampled
-    projectors, nondecreasing in rank by nesting the sampled bases).
+    carries a closed form, else "lower-estimate" (a max over PROJECTORS
+    sampled projectors, nondecreasing in rank by nesting the sampled bases;
+    without a finite support, over PROJECTED_TRIALS draws). Streams come from
+    seed 0.
     """
     rank = int(rank)
     if not 1 <= rank <= e.dim:
@@ -424,12 +391,13 @@ def projected_deviation_stat(e: FactorEnsemble, rank, trials=2048, seed=0,
         devs = e.support.atoms - mean
         probs = e.support.probs
     else:
-        devs = np.empty((trials, e.dim, e.dim))
-        for k, rng in enumerate(substreams(seed, (), range(projectors, projectors + trials))):
+        devs = np.empty((PROJECTED_TRIALS, e.dim, e.dim))
+        draws = range(PROJECTORS, PROJECTORS + PROJECTED_TRIALS)
+        for k, rng in enumerate(substreams(0, (), draws)):
             devs[k] = e.draw(rng) - mean
-        probs = [1.0 / trials] * trials
+        probs = [1.0 / PROJECTED_TRIALS] * PROJECTED_TRIALS
     best = 0.0
-    for rng in substreams(seed, (), range(projectors)):
+    for rng in substreams(0, (), range(PROJECTORS)):
         g = rng.standard_normal((e.dim, e.dim))
         qmat, r = np.linalg.qr(g)
         qmat = qmat * np.sign(np.where(np.diag(r) == 0, 1.0, np.diag(r)))

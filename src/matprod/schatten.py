@@ -102,7 +102,7 @@ def spectral_radii(stack):
     return np.abs(np.linalg.eigvals(stack)).max(axis=-1)
 
 
-def moment_norm(values, q, weights=None) -> float:
+def moment_norm(values, q, weights) -> float:
     """(sum_k w_k * v_k^q)^(1/q) for nonnegative values; exact finite moments."""
     q = float(q)
     if not q >= 1.0:
@@ -110,12 +110,9 @@ def moment_norm(values, q, weights=None) -> float:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise InvalidInputError("moment_norm expects a flat value list")
-    if weights is None:
-        w = np.full(v.shape, 1.0 / v.size)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != v.shape:
-            raise InvalidInputError("weights must match values")
+    w = np.asarray(weights, dtype=float)
+    if w.shape != v.shape:
+        raise InvalidInputError("weights must match values")
     top = v.max(initial=0.0)
     if top == 0.0:
         return 0.0

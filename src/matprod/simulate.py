@@ -8,9 +8,10 @@ linear solves; adapted mode asks a hook for each factor's law given the
 running product Z_{i-1} of the past draws, and also tracks the running product
 of realized conditional means F_n.
 
-The module imports no scipy at load time. Confidence limits at level 0.99
-and Clopper-Pearson limits at 0 hits or at all hits are closed forms; scipy
-is imported only for interior hit counts, other levels and triangular arrays.
+Every confidence limit is at LEVEL = 0.99. The module imports no scipy at
+load time: the normal limits use a literal z-value, and Clopper-Pearson limits
+at 0 hits or at all hits are closed forms, so scipy is imported only for
+interior hit counts and triangular arrays.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .schatten import (
 from .streams import substreams
 
 MODES = ("independent", "adapted", "inverse")
+LEVEL = 0.99  # the confidence level of every Monte Carlo limit
 ENUMERATION_BUDGET = 2**20
 CONDITION_LIMIT = 1e12
 # bytes: caps what one product step of a Monte Carlo chunk holds, and the
@@ -117,7 +119,7 @@ class MCEstimate:
     ci_high: float
     trials: int
     seed: int
-    level: float = 0.99
+    level: float = LEVEL
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -145,7 +147,7 @@ class TailEstimate:
     trials: int
     ucl: float
     lcl: float
-    level: float = 0.99
+    level: float = LEVEL
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -419,41 +421,25 @@ def simulate_product(spec: ProductSpec, trials, seed, key=()) -> SimulationResul
                             excluded_indices=excluded)
 
 
-_Z99 = 2.5758293035489004  # scipy.special.ndtri(0.995), bit for bit
+_Z99 = 2.5758293035489004  # the z-value of LEVEL: scipy.special.ndtri(0.995), bit for bit
 
 
-def _check_level(level) -> None:
-    if not 0.0 < level < 1.0:
-        raise InvalidParameterError("confidence level must lie in (0, 1)")
-
-
-def _z_value(level: float) -> float:
-    _check_level(level)
-    if level == 0.99:
-        return _Z99
-    import scipy.special
-
-    return float(scipy.special.ndtri(0.5 + level / 2.0))
-
-
-def _mean_estimate(values, quantity, seed, level) -> MCEstimate:
+def _mean_estimate(values, quantity, seed) -> MCEstimate:
     n = values.size
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    z = _z_value(level)
-    return MCEstimate(quantity, mean, se, mean - z * se, mean + z * se, n, seed, level)
+    return MCEstimate(quantity, mean, se, mean - _Z99 * se, mean + _Z99 * se, n, seed)
 
 
-def _moment_estimate(powers, q, quantity, seed, level) -> MCEstimate:
+def _moment_estimate(powers, q, quantity, seed) -> MCEstimate:
     n = powers.size
     m = float(powers.mean())
     se_m = float(powers.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    z = _z_value(level)
     mean = m ** (1.0 / q)
     se = se_m * m ** (1.0 / q - 1.0) / q if m > 0 else 0.0
-    lo = max(m - z * se_m, 0.0) ** (1.0 / q)
-    hi = (m + z * se_m) ** (1.0 / q)
-    return MCEstimate(quantity, mean, se, lo, hi, n, seed, level)
+    lo = max(m - _Z99 * se_m, 0.0) ** (1.0 / q)
+    hi = (m + _Z99 * se_m) ** (1.0 / q)
+    return MCEstimate(quantity, mean, se, lo, hi, n, seed)
 
 
 def _block_norms(prods, dev, p, radius):
@@ -469,7 +455,7 @@ def _block_norms(prods, dev, p, radius):
     return spectral, schatten, (spectral_radii(prods) if radius else None)
 
 
-def _tails(spectral, thresholds_growth, deviations, thresholds_deviation, level) -> list:
+def _tails(spectral, thresholds_growth, deviations, thresholds_deviation) -> list:
     """Growth tails of the spectral norms, then tails of the deviations if any."""
     out = []
     for name, values, thresholds in (("growth-tail", spectral, thresholds_growth),
@@ -479,13 +465,13 @@ def _tails(spectral, thresholds_growth, deviations, thresholds_deviation, level)
         n = values.size
         for x in thresholds:
             hits = int((values >= x).sum())
-            lcl, ucl = clopper_pearson(hits, n, level)
-            out.append(TailEstimate(name, float(x), hits / n, hits, n, ucl, lcl, level))
+            lcl, ucl = clopper_pearson(hits, n)
+            out.append(TailEstimate(name, float(x), hits / n, hits, n, ucl, lcl))
     return out
 
 
-def clopper_pearson(hits: int, trials: int, level=0.99):
-    """One-sided lower/upper confidence limits for a binomial proportion.
+def clopper_pearson(hits: int, trials: int):
+    """One-sided lower/upper confidence limits at LEVEL for a binomial proportion.
 
     At hits == 0 and hits == trials the beta quantile has a closed form, the
     one scipy.special.betaincinv evaluates there, bit for bit; only interior
@@ -495,19 +481,18 @@ def clopper_pearson(hits: int, trials: int, level=0.99):
         raise InvalidParameterError("trials must be positive")
     if not isinstance(hits, numbers.Integral) or not 0 <= hits <= trials:
         raise InvalidParameterError(f"hits must be an integer in [0, {trials}]")
-    _check_level(level)
     if hits == 0:
-        return 0.0, -math.expm1(math.log(1.0 - level) / trials)
+        return 0.0, -math.expm1(math.log(1.0 - LEVEL) / trials)
     if hits == trials:
-        return (1.0 - level) ** (1.0 / trials), 1.0
+        return (1.0 - LEVEL) ** (1.0 / trials), 1.0
     import scipy.special
 
-    return (float(scipy.special.betaincinv(hits, trials - hits + 1, 1.0 - level)),
-            float(scipy.special.betaincinv(hits + 1, trials - hits, level)))
+    return (float(scipy.special.betaincinv(hits, trials - hits + 1, 1.0 - LEVEL)),
+            float(scipy.special.betaincinv(hits + 1, trials - hits, LEVEL)))
 
 
 def summarize_simulation(spec: ProductSpec, trials, seed, p=2.0, q=2.0, thresholds_growth=(),
-                         thresholds_deviation=(), level=0.99, key=(), spectral_radius=True):
+                         thresholds_deviation=(), key=(), spectral_radius=True):
     """Monte Carlo estimates and tail frequencies of one run, reduced chunk by
     chunk: (estimates, tails, spectral, excluded).
 
@@ -542,17 +527,17 @@ def summarize_simulation(spec: ProductSpec, trials, seed, p=2.0, q=2.0, threshol
     spectral, schatten = norms[:, 0]
     dspec, dsch = norms[:, 1] if norms.shape[1] == 2 else (None, None)
     out = {
-        "spectral-norm-mean": _mean_estimate(spectral, "spectral-norm-mean", seed, level),
-        "schatten-moment": _moment_estimate(schatten**q, q, "schatten-moment", seed, level),
+        "spectral-norm-mean": _mean_estimate(spectral, "spectral-norm-mean", seed),
+        "schatten-moment": _moment_estimate(schatten**q, q, "schatten-moment", seed),
     }
     if radius:
         out["spectral-radius-mean"] = _mean_estimate(
-            np.concatenate(radii), "spectral-radius-mean", seed, level)
+            np.concatenate(radii), "spectral-radius-mean", seed)
     if dspec is not None:
-        out["deviation-norm-mean"] = _mean_estimate(dspec, "deviation-norm-mean", seed, level)
+        out["deviation-norm-mean"] = _mean_estimate(dspec, "deviation-norm-mean", seed)
         out["deviation-schatten-moment"] = _moment_estimate(
-            dsch**q, q, "deviation-schatten-moment", seed, level)
-    tails = _tails(spectral, thresholds_growth, dspec, thresholds_deviation, level)
+            dsch**q, q, "deviation-schatten-moment", seed)
+    tails = _tails(spectral, thresholds_growth, dspec, thresholds_deviation)
     return out, tails, spectral, excluded
 
 
@@ -765,9 +750,8 @@ class TriangularRow:
     scaled_bound: float
 
 
-def triangular_array_run(mean, radius, dim, n_list, trials, seed,
-                         support="two-point", level=0.99) -> list:
-    """Row n multiplies n factors I + X/n; reports sqrt(n)-scaled deviations.
+def triangular_array_run(mean, radius, dim, n_list, trials, seed) -> list:
+    """Row n multiplies n two-point factors I + X/n; reports sqrt(n)-scaled deviations.
 
     Deviations are measured against the exact row mean (I + A/n)^n and against
     the limiting exponential e^A. The scaled bound column is the row-free
@@ -787,15 +771,15 @@ def triangular_array_run(mean, radius, dim, n_list, trials, seed,
 
     rows = []
     for row_index, n in enumerate(n_list):
-        e = make_bounded_perturbation(dim, a, radius, n, support)
+        e = make_bounded_perturbation(dim, a, radius, n)
         spec = ProductSpec(factors=(e,) * n, z0=np.eye(dim))
         exact_mean = expected_product(spec)
         # each chunk's deviations from both references go into one norm stack
         dev_mean, dev_exp = np.concatenate(
             [_block_norms(prods - exact_mean, prods - expm, math.inf, False)[0]
              for prods, _, _ in _trial_chunks(spec, trials, seed, (row_index,))], axis=1)
-        est_mean = _mean_estimate(dev_mean, "deviation-norm-mean", seed, level)
-        est_exp = _mean_estimate(dev_exp, "deviation-from-exponential", seed, level)
+        est_mean = _mean_estimate(dev_mean, "deviation-norm-mean", seed)
+        est_exp = _mean_estimate(dev_exp, "deviation-from-exponential", seed)
         rows.append(TriangularRow(
             n=n,
             deviation_from_mean=est_mean,
@@ -807,11 +791,13 @@ def triangular_array_run(mean, radius, dim, n_list, trials, seed,
     return rows
 
 
-def conjugated_spec(spec: ProductSpec, s_matrix, q=2.0, trials=4096, seed=0) -> ProductSpec:
+def conjugated_spec(spec: ProductSpec, s_matrix) -> ProductSpec:
     """Similarity-transform every factor: Y -> S^(-1) Y S.
 
-    Statistics are recomputed for the transformed factors (exactly from finite
-    supports, else by Monte Carlo), since conjugation does not transport them.
+    Each factor's finite support is transformed atom by atom, and the
+    transformed factor samples those atoms; its statistics are recomputed
+    exactly from them, since conjugation does not transport them. A factor
+    without a finite support raises UnsupportedEnsembleError.
     """
     if spec.mode != "independent":
         raise UnsupportedEnsembleError("conjugation applies to independent products")
@@ -825,32 +811,25 @@ def conjugated_spec(spec: ProductSpec, s_matrix, q=2.0, trials=4096, seed=0) -> 
     s_inv = np.linalg.solve(s, np.eye(spec.d))
 
     new_factors = []
-    for idx, e in enumerate(spec.factors):
-        def sampler(rng, _e=e):
-            return s_inv @ _e.draw(rng) @ s
-
-        mean = None
-        if e.mean is not None or e.support is not None:
-            mean = s_inv @ e.exact_mean() @ s
-        support = None
-        if e.support is not None:
-            support = tuple((s_inv @ m @ s, pr) for m, pr in e.support)
+    for e in spec.factors:
+        support = _support_or_raise(e)
         shell = FactorEnsemble(
-            dim=e.dim, sampler=sampler, stats=e.stats, mean=mean, support=support,
-            kind=f"conjugated-{e.kind}")
-        if support is not None:
-            stats = support_stats(shell, q)
-        else:
-            from .ensembles import estimate_factor_stats
-            stats = estimate_factor_stats(shell, q, trials=trials, seed=seed + idx)
-        new_factors.append(replace(shell, stats=stats))
-    return ProductSpec(factors=tuple(new_factors),
-                       z0=s_inv @ spec.z0 @ s,
-                       mode=spec.mode)
+            dim=e.dim, sampler=SupportSampler([s_inv @ m @ s for m, _ in support], support.probs),
+            stats=e.stats, mean=s_inv @ e.exact_mean() @ s, kind=f"conjugated-{e.kind}")
+        new_factors.append(replace(shell, stats=support_stats(shell)))
+    return ProductSpec(factors=tuple(new_factors), z0=s_inv @ spec.z0 @ s)
 
 
 # ---------------------------------------------------------------------------
 # configuration
+
+def factor_count(entry) -> int:
+    """How many times a factor entry of a config repeats: its positive 'count'."""
+    count = int(entry.get("count", 1))
+    if count < 1:
+        raise InvalidInputError("factor count must be positive")
+    return count
+
 
 def spec_from_config(obj) -> ProductSpec:
     """Build a ProductSpec from its JSON object form."""
@@ -860,13 +839,9 @@ def spec_from_config(obj) -> ProductSpec:
     for entry in obj.get("factors", []):
         if "ensemble" in entry:
             e = ensemble_from_config(entry["ensemble"])
-            count = int(entry.get("count", 1))
+            factors.extend([e] * factor_count(entry))
         else:
-            e = ensemble_from_config(entry)
-            count = 1
-        if count < 1:
-            raise InvalidInputError("factor count must be positive")
-        factors.extend([e] * count)
+            factors.append(ensemble_from_config(entry))
     if not factors:
         raise InvalidInputError("product spec needs at least one factor")
     dim = factors[0].dim

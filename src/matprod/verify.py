@@ -47,7 +47,11 @@ from .streams import DEFAULT_SEED, substream, substreams
 
 TOLERANCE = 1e-9
 EQUALITY_TOLERANCE = 1e-10
+# the scalar exponential inequality's margins carry a factor exp(sum |a_i|)
+NUMBER_TOLERANCE = 1e-12
 MARTINGALE_PATH_BUDGET = 2**16
+SMOOTHNESS_SHAPES = ((2, 2), (3, 3), (4, 2), (8, 8))
+MARTINGALE_DIMS = (1, 2)
 
 
 @dataclass
@@ -132,26 +136,24 @@ def _power_mean(x, y, p):
 # deterministic smoothness inequality
 
 def check_uniform_smoothness(p_list=(1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 8.0, 16.0),
-                             dims=((2, 2), (3, 3), (4, 2), (8, 8)),
-                             trials=1000, seed=DEFAULT_SEED,
-                             tolerance=TOLERANCE,
-                             equality_tolerance=EQUALITY_TOLERANCE) -> CheckReport:
+                             trials=1000, seed=DEFAULT_SEED) -> CheckReport:
     """Two-sided smoothness of the Schatten norm on random matrix pairs.
 
-    For each p, draws `trials` Gaussian pairs spread over the dimension list
+    For each p, draws `trials` Gaussian pairs spread over SMOOTHNESS_SHAPES
     and checks ||A||_p^2 + (p-1)||B||_p^2 against the symmetrized power mean:
     an upper bound for p >= 2, a lower bound for p in [1, 2], equality at
     p = 2. A tenth as many finite-support random pairs exercise the averaged
     (p, q)-moment form at exact expectations when p >= 2.
     """
-    col = _Collector("uniform-smoothness", tolerance, seed)
+    col = _Collector("uniform-smoothness", TOLERANCE, seed)
+    shapes = SMOOTHNESS_SHAPES
     for pi, p in enumerate(p_list):
         p = float(p)
         if not (math.isfinite(p) and p >= 1.0):
             raise InvalidParameterError("p must be finite and >= 1")
-        block = max(1, trials // len(dims))
-        for di, (rows, cols) in enumerate(dims):
-            count = trials - block * (len(dims) - 1) if di == len(dims) - 1 else block
+        block = max(1, trials // len(shapes))
+        for di, (rows, cols) in enumerate(shapes):
+            count = trials - block * (len(shapes) - 1) if di == len(shapes) - 1 else block
             if count <= 0:
                 continue
             rng = substream(seed, pi, di)
@@ -163,7 +165,7 @@ def check_uniform_smoothness(p_list=(1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 8.0, 16.0),
             smooth = na**2 + (p - 1.0) * nb**2
             if p == 2.0:
                 denom = np.maximum(np.abs(smooth), 1.0)
-                col.add_many(-np.abs(smooth - avg2) / denom, tolerance=equality_tolerance)
+                col.add_many(-np.abs(smooth - avg2) / denom, tolerance=EQUALITY_TOLERANCE)
             elif p > 2.0:
                 denom = np.maximum(np.abs(smooth), 1.0)
                 col.add_many((smooth - avg2) / denom)
@@ -171,7 +173,7 @@ def check_uniform_smoothness(p_list=(1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 8.0, 16.0),
                 denom = np.maximum(np.abs(avg2), 1.0)
                 col.add_many((avg2 - smooth) / denom)
         if p >= 2.0:
-            _random_pair_instances(col, p, max(1, trials // 10), substream(seed, pi, len(dims)))
+            _random_pair_instances(col, p, max(1, trials // 10), substream(seed, pi, len(shapes)))
     return col.report()
 
 
@@ -195,7 +197,7 @@ def _random_pair_instances(col, p, count, rng):
 # ---------------------------------------------------------------------------
 # conditionally centered averages and martingales
 
-def _default_subquadratic_construction(rng):
+def _subquadratic_states(rng):
     """Random finite-support (X, Y): X uniform over states, Y conditionally centered."""
     k = int(rng.integers(1, 4))
     rows = int(rng.integers(1, 5))
@@ -230,8 +232,7 @@ def _validate_states(states):
             raise InvalidConstructionError("conditional mean of the perturbation must vanish")
 
 
-def check_subquadratic(p, q, construction=None, trials=1000, seed=DEFAULT_SEED,
-                       tolerance=TOLERANCE, constant=None, include_weak=True) -> CheckReport:
+def check_subquadratic(p, q, trials=1000, seed=DEFAULT_SEED, constant=None) -> CheckReport:
     """Exact moment inequality for conditionally centered perturbations.
 
     Verifies (E||X+Y||_p^q)^{2/q} <= (E||X||_p^q)^{2/q} + C (E||Y||_p^q)^{2/q}
@@ -243,12 +244,11 @@ def check_subquadratic(p, q, construction=None, trials=1000, seed=DEFAULT_SEED,
     q = float(q)
     if not (2.0 <= q <= p):
         raise InvalidParameterError("need 2 <= q <= p")
-    build = construction or _default_subquadratic_construction
     name = "subquadratic" if constant is None else f"subquadratic-constant-{constant:g}"
-    col = _Collector(name, tolerance, seed)
+    col = _Collector(name, TOLERANCE, seed)
     c_value = (p - 1.0) if constant is None else float(constant)
     for rng in substreams(seed, (), range(trials)):
-        states = build(rng)
+        states = _subquadratic_states(rng)
         _validate_states(states)
         w = 1.0 / len(states)
         # one norm stack per trial; terms[k] = (sum it enters: X, X + Y or Y, weight)
@@ -270,22 +270,21 @@ def check_subquadratic(p, q, construction=None, trials=1000, seed=DEFAULT_SEED,
         rhs = x2 + c_value * y2
         col.add((rhs - lhs) / max(abs(rhs), 1.0),
                 detail={"p": p, "q": q, "constant": c_value, "lhs": lhs, "rhs": rhs})
-        if constant is None and include_weak:
+        if constant is None:
             rhs_weak = x2 + 2.0 * (p - 1.0) * y2
             col.add((rhs_weak - lhs) / max(abs(rhs_weak), 1.0),
                     detail={"p": p, "q": q, "constant": 2.0 * (p - 1.0), "form": "weak"})
     return col.report()
 
 
-def check_martingale_bound(p, q, n=6, dims=(1, 2), trials=100, seed=DEFAULT_SEED,
-                           tolerance=TOLERANCE,
-                           equality_tolerance=EQUALITY_TOLERANCE) -> CheckReport:
+def check_martingale_bound(p, q, n=6, trials=100, seed=DEFAULT_SEED) -> CheckReport:
     """Squared-norm control of matrix martingales with zero start.
 
     Enumerates every path of random history-dependent two-point difference
     sequences and checks (E||X_n||_p^q)^{2/q} <= (p-1) sum_i ⟨i-th difference
     moment⟩^{2/q} exactly. At p = q = 2 the orthogonality of increments makes
-    the display an equality, checked two-sided to equality_tolerance.
+    the display an equality, checked two-sided to EQUALITY_TOLERANCE. Trials
+    alternate over MARTINGALE_DIMS.
     """
     p = float(p)
     q = float(q)
@@ -296,9 +295,9 @@ def check_martingale_bound(p, q, n=6, dims=(1, 2), trials=100, seed=DEFAULT_SEED
         raise EnumerationInfeasibleError(
             f"2^{n} paths exceed the {MARTINGALE_PATH_BUDGET} budget",
             required=2**n, budget=MARTINGALE_PATH_BUDGET)
-    col = _Collector("martingale-transform", tolerance, seed)
+    col = _Collector("martingale-transform", TOLERANCE, seed)
     for i, rng in enumerate(substreams(seed, (), range(trials))):
-        dim = int(dims[i % len(dims)])
+        dim = MARTINGALE_DIMS[i % len(MARTINGALE_DIMS)]
         depth = int(rng.integers(1, n + 1))
         base = rng.standard_normal((depth, dim, dim))
         mod = rng.standard_normal((depth, dim, dim))
@@ -335,7 +334,7 @@ def check_martingale_bound(p, q, n=6, dims=(1, 2), trials=100, seed=DEFAULT_SEED
         rhs_sum = sum(lq ** (2.0 / q) for lq in level_q)
         if p == 2.0 and q == 2.0:
             rhs = rhs_sum
-            col.add(-abs(rhs - lhs) / max(abs(rhs), 1.0), tolerance=equality_tolerance,
+            col.add(-abs(rhs - lhs) / max(abs(rhs), 1.0), tolerance=EQUALITY_TOLERANCE,
                     detail={"depth": depth, "dim": dim, "form": "orthogonality"})
         else:
             rhs = (p - 1.0) * rhs_sum
@@ -347,8 +346,7 @@ def check_martingale_bound(p, q, n=6, dims=(1, 2), trials=100, seed=DEFAULT_SEED
 # ---------------------------------------------------------------------------
 # per-factor contraction and the scalar exponential inequality
 
-def check_factor_contraction(p, q, trials=200, seed=DEFAULT_SEED,
-                             tolerance=TOLERANCE) -> CheckReport:
+def check_factor_contraction(p, q, trials=200, seed=DEFAULT_SEED) -> CheckReport:
     """Per-factor decay: (E||YZ||_p^q)^{1/q} <= ||E Y*Y||^{1/p} (E||Z||_p^q)^{1/q}.
 
     Y ranges over random finite-support contractions (scaled Gaussians,
@@ -359,7 +357,7 @@ def check_factor_contraction(p, q, trials=200, seed=DEFAULT_SEED,
     q = float(q)
     if not (2.0 <= q <= p):
         raise InvalidParameterError("need 2 <= q <= p")
-    col = _Collector("contraction-factor", tolerance, seed)
+    col = _Collector("contraction-factor", TOLERANCE, seed)
     for rng in substreams(seed, (), range(trials)):
         d = int(rng.integers(1, 6))
         r = int(rng.integers(1, 5))
@@ -403,18 +401,15 @@ def check_factor_contraction(p, q, trials=200, seed=DEFAULT_SEED,
     return col.report()
 
 
-def check_number_inequality(trials=100_000, seed=DEFAULT_SEED,
-                            length_range=(1, 50), tolerance=1e-12) -> CheckReport:
-    """sum_i a_i exp(sum_{k<i} a_k) <= exp(sum_i a_i) - 1 on random sequences.
+def check_number_inequality(trials=100_000, seed=DEFAULT_SEED) -> CheckReport:
+    """sum_i a_i exp(sum_{k<i} a_k) <= exp(sum_i a_i) - 1 on random sequences
+    of 1 to 50 terms.
 
     Margins are normalized by exp(sum |a_i|), matching an absolute tolerance
-    of tolerance * exp(sum |a_i|).
+    of NUMBER_TOLERANCE * exp(sum |a_i|).
     """
-    lo, hi = (int(length_range[0]), int(length_range[1]))
-    if lo < 1 or hi < lo:
-        raise InvalidParameterError("length_range must satisfy 1 <= lo <= hi")
     rng = substream(seed, 0)
-    lengths = rng.integers(lo, hi + 1, size=trials)
+    lengths = rng.integers(1, 51, size=trials)
     width = int(lengths.max())
     a = rng.uniform(-5.0, 5.0, size=(trials, width))
     mode = rng.integers(0, 3, size=trials)
@@ -425,7 +420,7 @@ def check_number_inequality(trials=100_000, seed=DEFAULT_SEED,
     lhs = (a * np.exp(prefix)).sum(axis=1)
     rhs = np.expm1(a.sum(axis=1))
     denom = np.exp(np.abs(a).sum(axis=1))
-    col = _Collector("number-inequality", tolerance, seed)
+    col = _Collector("number-inequality", NUMBER_TOLERANCE, seed)
     col.add_many((rhs - lhs) / denom)
     return col.report()
 
@@ -556,8 +551,7 @@ BOUND_TABLE = {
 
 
 def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED,
-                    stats=None, bounds=None, thresholds_growth=(),
-                    thresholds_deviation=(), level=0.99,
+                    bounds=None, thresholds_growth=(), thresholds_deviation=(),
                     mc_fallback_trials=None):
     """Empirical (exact or Monte Carlo) values joined to their bounds.
 
@@ -565,7 +559,7 @@ def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED
     re-raised unless mc_fallback_trials says to downgrade to Monte Carlo.
     Returns (rows, meta).
     """
-    stats = stats or _stats_for_spec(spec)
+    stats = _stats_for_spec(spec)
     names = list(bounds) if bounds is not None else _default_bound_set(spec, stats)
     for name in names:
         if name not in BOUND_TABLE:
@@ -608,7 +602,7 @@ def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED
         meta["source"] = "monte-carlo"
         meta["trials"] = trials
         estimates, tails, _, excluded = summarize_simulation(
-            spec, trials, seed, p, q, growth_thresholds, dev_thresholds, level,
+            spec, trials, seed, p, q, growth_thresholds, dev_thresholds,
             spectral_radius=radius)
         if spec.mode == "inverse":
             meta["excluded"] = len(excluded)
@@ -666,12 +660,11 @@ def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED
 
 
 def check_bound_dominance(spec: ProductSpec, p=2.0, q=2.0, trials=0,
-                          seed=DEFAULT_SEED, stats=None, bounds=None,
-                          thresholds_growth=(), thresholds_deviation=(),
-                          tolerance=TOLERANCE, level=0.99) -> CheckReport:
+                          seed=DEFAULT_SEED, bounds=None,
+                          thresholds_growth=(), thresholds_deviation=()) -> CheckReport:
     """Certifies that each requested bound dominates its empirical target.
 
-    Exact rows must dominate to the normalized tolerance. Monte Carlo mean
+    Exact rows must dominate to the normalized TOLERANCE. Monte Carlo mean
     rows compare the bound to the 99% upper confidence limit; tail rows flag a
     violation only when the lower confidence limit exceeds the bound.
     Condition-violated rows, and rows whose bound rests on a lower estimate
@@ -679,14 +672,13 @@ def check_bound_dominance(spec: ProductSpec, p=2.0, q=2.0, trials=0,
     """
     try:
         rows, meta = comparison_rows(
-            spec, p, q, trials, seed, stats, bounds,
-            thresholds_growth, thresholds_deviation, level)
+            spec, p, q, trials, seed, bounds, thresholds_growth, thresholds_deviation)
     except EnumerationInfeasibleError as exc:
         raise NothingToCheckError(
             f"enumeration infeasible and no trials requested: {exc}") from exc
     if not rows:
         raise NothingToCheckError("no bounds requested")
-    col = _Collector("bound-dominance", tolerance, seed)
+    col = _Collector("bound-dominance", TOLERANCE, seed)
     col.note(f"source={meta['source']}")
     for row in rows:
         if row.skipped:

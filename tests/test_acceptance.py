@@ -82,7 +82,7 @@ def report_dominance_sweep(seed):
         spec = ProductSpec(factors=factors, z0=z0)
         rep = check_bound_dominance(
             spec, p, q, trials=0,
-            bounds=["growth-moment", "concentration-moment"], tolerance=1e-9)
+            bounds=["growth-moment", "concentration-moment"])
         instances += rep.instances
         violations += rep.violations
         worst = min(worst, rep.worst_margin)
@@ -286,7 +286,7 @@ def certification():
 
 def test_01_uniform_smoothness_margins():
     t0 = time.perf_counter()
-    rep = check_uniform_smoothness(trials=10_000, seed=ACCEPT_SEED, tolerance=1e-9)
+    rep = check_uniform_smoothness(trials=10_000, seed=ACCEPT_SEED)
     assert rep.passed and rep.violations == 0
     flat = check_uniform_smoothness(p_list=(2.0,), trials=10_000, seed=ACCEPT_SEED)
     assert flat.violations == 0

@@ -125,6 +125,37 @@ class TestUsage:
         assert rc == 1
         assert payload["error"]["code"] == "invalid-input"
 
+    @pytest.mark.parametrize("text", [
+        '{"kind":"scalar","mu":0.0,"b":NaN,"n":10,"s_value":0.5}',
+        '{"kind":"moment","d":2,"factors":[{"mean_norm":1.1,"sigma":0.1,'
+        '"uniform_norm":NaN,"count":3}]}',
+        '{"kind":"scalar","mu":0.0,"b":-Infinity,"n":10,"s_value":0.5}',
+    ], ids=["scalar-nan", "moment-uniform-norm-nan", "scalar-minus-infinity"])
+    def test_non_finite_constants_rejected(self, capsys, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        rc, out, _ = run_cli(capsys, "bound", "--config", str(path))
+        assert rc == 1
+        assert json.loads(out)["error"]["code"] == "invalid-input"
+        assert "NaN" not in out and "Infinity" not in out
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("bound", {"kind": "moment", "d": 2,
+                   "factors": [{"mean_norm": 1.1, "sigma": 0.1, "count": -2},
+                               {"mean_norm": 1.1, "sigma": 0.1, "count": 3}]}),
+        ("bound", {"kind": "inverse", "d": 2,
+                   "factors": [{"xi": 0.02, "sigma": 0.02, "count": 0},
+                               {"xi": 0.02, "sigma": 0.02, "count": 3}]}),
+        ("simulate", {"factors": [{"ensemble": {"kind": "rademacher-rank-one", "dim": 2},
+                                   "count": -1},
+                                  {"ensemble": {"kind": "rademacher-rank-one", "dim": 2}}]}),
+    ], ids=["moment", "inverse", "spec"])
+    def test_nonpositive_factor_count_rejected(self, capsys, tmp_path, command, cfg):
+        rc, payload, _ = run_json(capsys, command, "--config", write_config(tmp_path, cfg))
+        assert rc == 1
+        assert payload["error"] == {"code": "invalid-input",
+                                    "message": "factor count must be positive"}
+
     def test_unknown_bound_kind(self, capsys, tmp_path):
         path = write_config(tmp_path, {"kind": "mystery"})
         rc, payload, _ = run_json(capsys, "bound", "--config", path)

@@ -201,25 +201,26 @@ class TestOneReductionLayer:
 
 class TestMomentNorm:
     def test_uniform_weights(self):
-        assert moment_norm([1.0, 2.0], 2.0) == pytest.approx(math.sqrt(2.5), rel=1e-15)
+        assert moment_norm([1.0, 2.0], 2.0, [0.5, 0.5]) == pytest.approx(math.sqrt(2.5),
+                                                                         rel=1e-15)
 
     def test_explicit_weights(self):
         got = moment_norm([1.0, 3.0], 4.0, weights=[0.25, 0.75])
         assert got == pytest.approx((0.25 + 0.75 * 81.0) ** 0.25, rel=1e-15)
 
     def test_zero_values(self):
-        assert moment_norm([0.0, 0.0], 2.0) == 0.0
+        assert moment_norm([0.0, 0.0], 2.0, [0.5, 0.5]) == 0.0
 
     def test_large_q_factored(self):
         # top value factored out, so v**q cannot overflow
-        got = moment_norm([1e200, 5e199], 8.0)
+        got = moment_norm([1e200, 5e199], 8.0, [0.5, 0.5])
         assert got == pytest.approx(1e200 * (0.5 * (1 + 0.5 ** 8)) ** (1 / 8), rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
-            moment_norm([1.0], 0.5)
+            moment_norm([1.0], 0.5, [1.0])
         with pytest.raises(InvalidInputError):
-            moment_norm([[1.0]], 2.0)
+            moment_norm([[1.0]], 2.0, [[1.0]])
         with pytest.raises(InvalidInputError):
             moment_norm([1.0, 2.0], 2.0, weights=[1.0])
 
@@ -227,7 +228,8 @@ class TestMomentNorm:
            st.floats(1.0, 16.0))
     def test_bounded_by_max(self, values, q):
         top = max(values)
-        assert moment_norm(values, q) <= top + 1e-9 * max(top, 1.0)
+        weights = [1.0 / len(values)] * len(values)
+        assert moment_norm(values, q, weights) <= top + 1e-9 * max(top, 1.0)
 
 
 class TestWireFormats:

@@ -11,7 +11,6 @@ from matprod.ensembles import (
     FactorEnsemble,
     FactorStats,
     SupportSampler,
-    estimate_factor_stats,
     householder_direction,
     make_bounded_perturbation,
     make_rademacher_rank_one,
@@ -307,6 +306,8 @@ class TestBatchedKernel:
                                          np.array([[-0.75]])), id="rank-one-d1"),
         pytest.param(lambda: rank_one_mixed(5, 2), id="diagonal-and-dense"),
         pytest.param(overflowing_rank_one, id="rank-one-overflow", marks=IGNORE_OVERFLOW),
+        pytest.param(lambda: conjugated_spec(matrix_two_point(dim=3, n=6),
+                                             np.diag([1.0, 2.0, 3.0])), id="conjugated"),
     ])
     def test_matches_per_trial_loop(self, make_spec, monkeypatch):
         spec = make_spec()
@@ -478,14 +479,13 @@ class TestDiagonalSamplers:
 class TestPerTrialPath:
     """Samplers without a batch form still draw one factor at a time."""
 
-    def test_uniform_sphere_conjugated_and_mixed(self, monkeypatch):
+    def test_uniform_sphere_and_mixed(self, monkeypatch):
         sphere = make_bounded_perturbation(3, 0.1 * np.eye(3), 0.5, 10, "uniform-sphere")
         two_point = matrix_two_point(dim=3, n=6)
-        conj = conjugated_spec(two_point, np.diag([1.0, 2.0, 3.0]))
         mixed = ProductSpec((sphere, two_point.factors[0]) * 3, np.eye(3))
         for spec in (ProductSpec((sphere,) * 6, np.eye(3)),
                      ProductSpec((sphere,) * 6, np.eye(3), mode="inverse"),
-                     conj, mixed):
+                     mixed):
             calls = count_draws(monkeypatch)
             assert_matches_reference(spec, 12, seed=5)
             # the product draws each of its factors once per trial, twice
@@ -560,47 +560,37 @@ class TestHandEnumeration:
 
 class TestConfidenceIntervals:
     def test_z99_is_scipy_ndtri_bit_for_bit(self):
+        assert simulate.LEVEL == 0.99
         assert simulate._Z99 == float(scipy.special.ndtri(0.995))
-        assert simulate._z_value(0.99) == simulate._Z99
-        assert simulate._z_value(0.9) == float(scipy.special.ndtri(0.95))
 
     def test_clopper_pearson_closed_forms(self):
         # the closed forms at hits == 0 and hits == trials are the values
         # scipy.special.betaincinv returns there, not approximations of them
         trials = np.arange(1, 5001)
-        for level in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
-            upper = scipy.special.betaincinv(1, trials, level).tolist()
-            lower = scipy.special.betaincinv(trials, 1, 1.0 - level).tolist()
-            for n, ucl, lcl in zip(trials.tolist(), upper, lower):
-                assert clopper_pearson(0, n, level) == (0.0, ucl), (n, level)
-                assert clopper_pearson(n, n, level) == (lcl, 1.0), (n, level)
+        level = simulate.LEVEL
+        upper = scipy.special.betaincinv(1, trials, level).tolist()
+        lower = scipy.special.betaincinv(trials, 1, 1.0 - level).tolist()
+        for n, ucl, lcl in zip(trials.tolist(), upper, lower):
+            assert clopper_pearson(0, n) == (0.0, ucl), n
+            assert clopper_pearson(n, n) == (lcl, 1.0), n
 
     def test_clopper_pearson_interior_matches_scipy(self):
         n = 500
-        lcl, ucl = clopper_pearson(3, n, level=0.99)
+        lcl, ucl = clopper_pearson(3, n)
         assert lcl == float(scipy.special.betaincinv(3, n - 2, 1.0 - 0.99))
         assert ucl == float(scipy.special.betaincinv(4, n - 3, 0.99))
         assert 0.0 < lcl < 3.0 / n < ucl < 1.0
         assert clopper_pearson(np.int64(3), n) == (lcl, ucl)
 
-    @pytest.mark.parametrize("hits, trials, level", [
-        (0, 0, 0.99),      # no trials
-        (5, 3, 0.99),      # more hits than trials
-        (-1, 3, 0.99),     # negative hits
-        (1.5, 3, 0.99),    # hits not an integer
-        (1, 3, 1.5),       # level above 1
-        (1, 3, 0.0),       # level 0 gave lcl > ucl
-        (0, 3, 1.0),       # level 1
-        (3, 3, float("nan")),
+    @pytest.mark.parametrize("hits, trials", [
+        (0, 0),      # no trials
+        (5, 3),      # more hits than trials
+        (-1, 3),     # negative hits
+        (1.5, 3),    # hits not an integer
     ])
-    def test_clopper_pearson_rejects_bad_input(self, hits, trials, level):
+    def test_clopper_pearson_rejects_bad_input(self, hits, trials):
         with pytest.raises(InvalidParameterError):
-            clopper_pearson(hits, trials, level)
-
-    @pytest.mark.parametrize("level", [1.2, 0.0, -0.5, float("nan")])
-    def test_z_value_rejects_level_outside_unit_interval(self, level):
-        with pytest.raises(InvalidParameterError):
-            simulate._z_value(level)
+            clopper_pearson(hits, trials)
 
     def test_interval_coverage_of_exact_values(self):
         # 99% intervals over 100 disjoint substream batches cover the exact
@@ -672,7 +662,7 @@ def ill_conditioned_inverse():
     return ProductSpec(factors=(e,) * 2, z0=np.eye(2), mode="inverse")
 
 
-def whole_stack_summary(spec, trials, seed, p, q, tg, td, level=0.99, key=()):
+def whole_stack_summary(spec, trials, seed, p, q, tg, td, key=()):
     """The reduction the streaming summary replaced, kept as its oracle: every
     trial's product kept, then one norm stack for all products and one for all
     their deviations from the mode's reference."""
@@ -686,19 +676,18 @@ def whole_stack_summary(spec, trials, seed, p, q, tg, td, level=0.99, key=()):
     else:
         dev = stack_norms(stack - expected_product(spec), p)
     est = {
-        "spectral-norm-mean": simulate._mean_estimate(spectral, "spectral-norm-mean", seed, level),
-        "schatten-moment": simulate._moment_estimate(schatten**q, q, "schatten-moment", seed,
-                                                     level),
+        "spectral-norm-mean": simulate._mean_estimate(spectral, "spectral-norm-mean", seed),
+        "schatten-moment": simulate._moment_estimate(schatten**q, q, "schatten-moment", seed),
     }
     if spec.d == spec.r:
         est["spectral-radius-mean"] = simulate._mean_estimate(
-            spectral_radii(stack), "spectral-radius-mean", seed, level)
+            spectral_radii(stack), "spectral-radius-mean", seed)
     if dev is not None:
         est["deviation-norm-mean"] = simulate._mean_estimate(
-            dev[0], "deviation-norm-mean", seed, level)
+            dev[0], "deviation-norm-mean", seed)
         est["deviation-schatten-moment"] = simulate._moment_estimate(
-            dev[1]**q, q, "deviation-schatten-moment", seed, level)
-    tails = simulate._tails(spectral, tg, None if dev is None else dev[0], td, level)
+            dev[1]**q, q, "deviation-schatten-moment", seed)
+    tails = simulate._tails(spectral, tg, None if dev is None else dev[0], td)
     return est, tails, spectral, sim.excluded_indices
 
 
@@ -1350,14 +1339,35 @@ class TestConjugatedSpec:
         assert f.stats.mean_norm == pytest.approx(0.9253471552684553, rel=1e-12)
         assert f.stats.mean_norm < orig_norm
 
-    def test_sampled_factors_get_monte_carlo_stats(self):
+    def test_sampler_is_the_conjugated_support(self, monkeypatch):
+        spec = self.base_spec()
+        s = np.array([[1.0, 0.2], [0.0, 0.5]])
+        s_inv = np.linalg.solve(s, np.eye(2))
+        conj = conjugated_spec(spec, s)
+        for e, f in zip(spec.factors, conj.factors, strict=True):
+            assert f.sampler is f.support
+            assert f.support.probs == e.support.probs
+            for (a, _), (b, _) in zip(e.support, f.support, strict=True):
+                assert b.tobytes() == (s_inv @ a @ s).tobytes()
+        calls = count_draws(monkeypatch)
+        sim = simulate_product(conj, 40, seed=6)
+        assert calls == {}  # the batched kernel, not one draw at a time
+        # each step is a draw of the original factor, conjugated
+        want = []
+        for k in range(40):
+            rng = substream(6, k)
+            prod = conj.z0
+            for e in spec.factors:
+                prod = (s_inv @ e.draw(rng) @ s) @ prod
+            want.append(prod)
+        assert_bitwise_equal(sim.z, want)
+
+    def test_sampled_factors_are_rejected(self):
         e = make_bounded_perturbation(2, np.zeros((2, 2)), 0.2, 4.0,
                                       support="uniform-sphere")
         spec = ProductSpec(factors=(e,) * 2, z0=np.eye(2))
-        conj = conjugated_spec(spec, np.diag([1.0, 0.5]), trials=256, seed=5)
-        f = conj.factors[0]
-        assert f.stats.provenance == "monte-carlo"
-        assert f.stats.trials == 256
+        with pytest.raises(UnsupportedEnsembleError):
+            conjugated_spec(spec, np.diag([1.0, 0.5]))
 
     def test_validation(self):
         spec = self.base_spec(n=2)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from matprod import streams
-from matprod.ensembles import estimate_factor_stats, make_bounded_perturbation
+from matprod.ensembles import make_bounded_perturbation, projected_deviation_stat
 from matprod.simulate import NormBiasedTwoPointHook, ProductSpec, summarize_simulation
 from matprod.streams import substream, substreams
 from matprod.verify import check_subquadratic
@@ -95,5 +95,5 @@ class TestChunkedCallers:
 
     def test_checks_and_factor_stats(self):
         check_subquadratic(4.0, 2.0, trials=5, seed=3)
-        estimate_factor_stats(make_bounded_perturbation(2, 0.1 * np.eye(2), 0.3, 2),
-                              trials=50, resamples=10)
+        projected_deviation_stat(
+            make_bounded_perturbation(2, 0.1 * np.eye(2), 0.3, 2, "uniform-sphere"), 1)

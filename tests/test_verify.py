@@ -194,19 +194,15 @@ class TestSubquadratic:
             check_subquadratic(4.0, 1.0, trials=1)
 
     def test_rejects_uncentered_construction(self):
-        def biased(rng):
-            return [(np.zeros((1, 1)), [(np.ones((1, 1)), 1.0)])]
-
+        biased = [(np.zeros((1, 1)), [(np.ones((1, 1)), 1.0)])]
         with pytest.raises(InvalidConstructionError):
-            check_subquadratic(2.0, 2.0, construction=biased, trials=1)
+            verify._validate_states(biased)
 
     def test_rejects_bad_probabilities(self):
-        def lopsided(rng):
-            y = np.ones((1, 1))
-            return [(np.zeros((1, 1)), [(y, 0.4), (-y, 0.4)])]
-
+        y = np.ones((1, 1))
+        lopsided = [(np.zeros((1, 1)), [(y, 0.4), (-y, 0.4)])]
         with pytest.raises(InvalidConstructionError):
-            check_subquadratic(2.0, 2.0, construction=lopsided, trials=1)
+            verify._validate_states(lopsided)
 
 
 class TestMartingale:
@@ -245,12 +241,6 @@ class TestNumberInequality:
         rep = check_number_inequality(trials=20_000, seed=1729)
         assert rep.passed
         assert rep.instances == 20_000
-
-    def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            check_number_inequality(trials=10, length_range=(0, 5))
-        with pytest.raises(InvalidParameterError):
-            check_number_inequality(trials=10, length_range=(5, 2))
 
 
 class TestComparisonRows:
@@ -335,12 +325,13 @@ class TestComparisonRows:
                 comparison_rows(scalar_spec(), trials=trials,
                                 bounds=["growth-moment", "no-such-bound"])
 
-    def test_every_bound_name_pairs_with_its_empirical_value(self):
+    def test_every_bound_name_pairs_with_its_empirical_value(self, monkeypatch):
         # stats that put every bound in force: contraction and perturbation
         # statistics, and a projected rank so the low-rank bounds use them as given
         factor = FactorStats(0.95, 0.05, sigma_uniform=0.1, contraction=0.9,
                              mean_perturbation=0.01)
         stats = ProductStats.from_factors([factor] * 3, 2, np.eye(2), projected_rank=2)
+        monkeypatch.setattr(verify, "_stats_for_spec", lambda spec: stats)
         spec = ProductSpec((make_bounded_perturbation(2, 0.1 * np.eye(2), 0.3, 3.0),) * 3,
                            np.eye(2))
         p, q = 3.0, 2.0
@@ -348,7 +339,7 @@ class TestComparisonRows:
         exact = enumerate_product(spec, p, q)
         estimates = summarize_simulation(spec, 40, 9, p, q)[0]
         for trials in (0, 40):
-            rows, _ = comparison_rows(spec, p, q, trials=trials, seed=9, stats=stats,
+            rows, _ = comparison_rows(spec, p, q, trials=trials, seed=9,
                                       bounds=list(PAIRING))
             assert [r.quantity for r in rows] == list(PAIRING)
             for row, (bound, field, key) in zip(rows, PAIRING.values()):
