@@ -548,14 +548,23 @@ def spectral_radius_expectation_bound(s: ProductStats) -> BoundResult:
 # ---------------------------------------------------------------------------
 # scalar reference and the L/T scenario
 
+def _finite_threshold(value: float, name: str) -> float:
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"threshold {name} = {value} is not finite")
+    return value
+
+
 def scalar_reference_bounds(mu, b, n, s=None, t=None):
     """Scalar product of (1 + X_i/n), |X_i - E X_i| <= b, sum ||E X_i|| <= mu.
 
     Returns the growth tail at relative height s (for Z_n >= (1+s) e^mu) and,
-    if t is given, the concentration tail at t e^mu (needs t <= e).
+    if t is given, the concentration tail at t e^mu (needs t <= e). Both
+    thresholds must be finite.
     """
     mu, b = float(mu), float(b)
     n = int(n)
+    if not (math.isfinite(mu) and math.isfinite(b)):
+        raise InvalidParameterError("mu and b must be finite")
     if b <= 0 or n < 1:
         raise InvalidParameterError("need b > 0 and n >= 1")
     out = {}
@@ -565,7 +574,8 @@ def scalar_reference_bounds(mu, b, n, s=None, t=None):
             raise InvalidParameterError("relative height s must be positive")
         value = _exp(-n * math.log1p(s) ** 2 / (2.0 * b * b))
         out["growth"] = _finish(BoundResult(
-            "scalar-growth-tail", value, None, [], threshold=(1.0 + s) * _exp(mu)), 1.0)
+            "scalar-growth-tail", value, None, [],
+            threshold=_finite_threshold((1.0 + s) * _exp(mu), "(1 + s) e^mu")), 1.0)
     if t is not None:
         t = float(t)
         if t <= 0:
@@ -573,7 +583,8 @@ def scalar_reference_bounds(mu, b, n, s=None, t=None):
         cond = Condition("t-below-e", t <= E, f"t = {t:.6g} <= e")
         value = _exp(-n * t * t / (2.0 * E * E * b * b))
         out["concentration"] = _finish(BoundResult(
-            "scalar-concentration-tail", value, None, [cond], threshold=t * _exp(mu)), 1.0)
+            "scalar-concentration-tail", value, None, [cond],
+            threshold=_finite_threshold(t * _exp(mu), "t e^mu")), 1.0)
     if not out:
         raise InvalidParameterError("supply s and/or t")
     return out

@@ -13,6 +13,7 @@ import argparse
 import functools
 import io
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -82,6 +83,14 @@ def _reject_constant(_name: str):
     raise InvalidInputError("config numbers must be finite")
 
 
+def _finite_float(literal: str) -> float:
+    # an overflowing literal such as 1e999 parses to inf without parse_constant
+    value = float(literal)
+    if math.isinf(value):
+        _reject_constant(literal)
+    return value
+
+
 def _load_config(arg: str) -> dict:
     path = Path(arg)
     if path.exists():
@@ -94,7 +103,7 @@ def _load_config(arg: str) -> dict:
                 f"(presets: {', '.join(_available_presets()) or 'none'})")
         text = res.read_text()
     try:
-        obj = json.loads(text, parse_constant=_reject_constant)
+        obj = json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"config is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
@@ -484,7 +493,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         _emit_error("io", str(exc), out_path)
         return EXIT_USAGE
-    except (KeyError, TypeError, ValueError) as exc:  # a config field missing or of the wrong type
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # a config field missing, of the wrong type, or an integer past float range
         message = f"config missing field {exc}" if isinstance(exc, KeyError) else str(exc)
         _emit_error("invalid-input", message, out_path)
         return EXIT_USAGE

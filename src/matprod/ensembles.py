@@ -130,11 +130,11 @@ class SupportSampler:
     """A finite support, the sequence of its (atom, probability) pairs.
 
     A uniform u picks the first atom whose running probability sum exceeds u:
-    ``bisect_right(cum, u)``, or ``searchsorted(cum, u, side="right")`` for a
-    batch of uniforms at once. The atoms are held once, as a (K, d, d) stack.
-    A sampler built by ``from_diagonals`` holds only the (K, d) diagonals of
-    its atoms, and writes the dense stack when ``atoms`` is first read; others
-    have ``diagonals = None``.
+    ``bisect_right(cum, u)`` for one draw, and ``pick`` for an array of
+    uniforms at once. The atoms are held once, as a (K, d, d) stack. A sampler
+    built by ``from_diagonals`` holds only the (K, d) diagonals of its atoms,
+    and writes the dense stack when ``atoms`` is first read; others have
+    ``diagonals = None``.
     """
 
     diagonals = None
@@ -169,6 +169,11 @@ class SupportSampler:
         self.dim = arr.shape[-1]
         self.cum = np.cumsum(self.probs, dtype=float)
         self.cum[-1] = 1.0  # so that every u in [0, 1) lands
+        # the guide table: guide[b] is the first atom a uniform in bucket
+        # [b/K, (b+1)/K) can pick; floors[j] is the running sum before atom j
+        k = len(self.cum)
+        self.guide = np.searchsorted(self.cum, np.arange(k) / k, side="right")
+        self.floors = np.concatenate(([0.0], self.cum[:-1]))
         return arr
 
     @functools.cached_property
@@ -189,6 +194,24 @@ class SupportSampler:
 
     def __call__(self, rng: np.random.Generator) -> np.ndarray:
         return self.atoms[bisect.bisect_right(self.cum, rng.random())]
+
+    def pick(self, u: np.ndarray) -> np.ndarray:
+        """Atom indices of an array of uniforms in [0, 1): exactly
+        ``searchsorted(cum, u, side="right")``.
+
+        Each uniform starts at the guide entry of its bucket, floor(u K), and
+        steps up once; that lands unless a bucket holds more than one running
+        sum. A uniform that did not land, floors[j] <= u < cum[j], is searched
+        for, so no loop runs on the data and a skewed support costs at most
+        one searchsorted.
+        """
+        k = len(self.cum)
+        j = self.guide.take(np.minimum((u * k).astype(np.intp), k - 1))
+        j += self.cum.take(j) <= u
+        missed = (self.floors.take(j) > u) | (self.cum.take(j) <= u)
+        if missed.any():
+            j[missed] = np.searchsorted(self.cum, u[missed], side="right")
+        return j
 
 
 def make_bounded_perturbation(dim, mean, radius, n_scale, support="two-point") -> FactorEnsemble:

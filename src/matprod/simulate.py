@@ -252,9 +252,15 @@ def _gather(stack, idx, prod, apply):
     which scale rows instead. Row j of a matrix product with a diagonal atom
     sums D_jj z_j and exact zeros from +0, so ``D_jj * z_j + 0.0`` has its bits
     while prod is finite; past an overflow, 0 * inf turns the dense product's
-    rows into NaN and the scale does not (see _step).
+    rows into NaN and the scale does not (see _step). The gather is a ``take``,
+    and the scaled rows get their + 0.0 in place.
     """
-    return apply(stack[idx], prod) if stack.ndim == 3 else stack[idx][:, :, None] * prod + 0.0
+    rows = stack.take(idx, axis=0)
+    if stack.ndim == 3:
+        return apply(rows, prod)
+    out = np.multiply(rows[:, :, None], prod)
+    out += 0.0
+    return out
 
 
 def _step(stack, idx, prod, apply=np.matmul):
@@ -281,15 +287,26 @@ def _chunk_size(spec, samplers):
 
 
 def _uniforms(n, seed, key, ks):
-    """(T, n) uniforms: trial k's row is one ``random(n)`` call on its own stream,
-    which is bitwise equal to n successive draws."""
-    return np.stack([rng.random(n) for rng in substreams(seed, key, ks)])
+    """(T, n) uniforms: trial k's row is filled in place by one ``random`` call
+    on its own stream, bitwise equal to ``random(n)`` and to n successive draws."""
+    u = np.empty((len(ks), n))
+    for row, rng in zip(u, substreams(seed, key, ks)):
+        rng.random(out=row)
+    return u
 
 
 def _sampled_chunk(spec, start, samplers, u, atom_conds):
     """One chunk of trials through the gather kernel, from their (T, n)
-    uniforms ``u``: (products, cond estimates), equal to the per-trial loop's."""
-    digits = [np.searchsorted(s.cum, u[:, i], side="right") for i, s in enumerate(samplers)]
+    uniforms ``u``: (products, cond estimates), equal to the per-trial loop's.
+
+    Factor i's atoms are ``digits[i]``; each distinct sampler picks the
+    uniforms of all its factors in one call."""
+    groups = {}
+    for i, s in enumerate(samplers):
+        groups.setdefault(id(s), (s, []))[1].append(i)
+    digits = np.empty((len(samplers), len(u)), dtype=np.intp)
+    for s, cols in groups.values():
+        digits[cols] = s.pick(u[:, cols]).T
     invert = spec.mode == "inverse"
     apply = _right_solve if invert else np.matmul
     steps = [s.atoms if invert or s.diagonals is None else s.diagonals for s in samplers]

@@ -531,6 +531,27 @@ class TestScalarReferenceBounds:
             scalar_reference_bounds(0.0, 1.0, 10, s=-1.0)
 
 
+    @pytest.mark.parametrize("mu, b, s, t", [
+        (math.inf, 1.0, 0.5, None),
+        (math.nan, 1.0, 0.5, None),
+        (0.0, math.inf, 0.5, None),
+        (0.0, math.nan, None, 0.5),
+        (800.0, 1.0, 0.5, None),
+        (800.0, 1.0, None, 0.5),
+        (0.0, 1.0, math.inf, None),
+        (709.0, 1.0, 2.0, None),
+    ], ids=["mu-inf", "mu-nan", "b-inf", "b-nan", "growth-threshold", "concentration-threshold",
+            "s-inf", "threshold-past-exp"])
+    def test_non_finite_inputs_and_thresholds_rejected(self, mu, b, s, t):
+        with pytest.raises(InvalidParameterError):
+            scalar_reference_bounds(mu, b, 10, s=s, t=t)
+
+    def test_largest_finite_threshold_kept(self):
+        out = scalar_reference_bounds(709.0, 1.0, 10, s=0.5, t=0.5)
+        assert out["growth"].threshold == 1.5 * math.exp(709.0)
+        assert out["concentration"].threshold == 0.5 * math.exp(709.0)
+
+
 class TestScenarioLT:
     def test_frozen_values(self):
         sc = ScenarioLT(T=0.0, L=1.0, n=100, d=5, delta=0.01)

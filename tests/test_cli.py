@@ -139,6 +139,24 @@ class TestUsage:
         assert json.loads(out)["error"]["code"] == "invalid-input"
         assert "NaN" not in out and "Infinity" not in out
 
+    @pytest.mark.parametrize("text, code", [
+        ('{"kind":"scalar","mu":1e999,"b":1,"n":10,"s_value":0.5}', "invalid-input"),
+        ('{"kind":"scalar","mu":0.0,"b":1e999,"n":10,"s_value":0.5}', "invalid-input"),
+        ('{"kind":"scalar","mu":-1e999,"b":1,"n":10,"t_value":0.5}', "invalid-input"),
+        ('{"kind":"scalar","mu":800,"b":1,"n":10,"s_value":0.5}', "invalid-parameter"),
+        ('{"kind":"scalar","mu":800,"b":1,"n":10,"t_value":0.5}', "invalid-parameter"),
+        ('{"kind":"scalar","mu":1' + "0" * 400 + ',"b":1,"n":10,"s_value":0.5}',
+         "invalid-input"),
+    ], ids=["mu-overflows", "b-overflows", "mu-overflows-negative", "growth-threshold-inf",
+            "concentration-threshold-inf", "integer-past-float-range"])
+    def test_overflowing_scalar_configs_rejected(self, capsys, tmp_path, text, code):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        rc, out, _ = run_cli(capsys, "bound", "--config", str(path))
+        assert rc == 1
+        assert json.loads(out)["error"]["code"] == code
+        assert "Infinity" not in out
+
     @pytest.mark.parametrize("command,cfg", [
         ("bound", {"kind": "moment", "d": 2,
                    "factors": [{"mean_norm": 1.1, "sigma": 0.1, "count": -2},

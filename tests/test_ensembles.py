@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from matprod.ensembles import (
     FactorEnsemble,
@@ -316,14 +318,6 @@ class TestSupportSampler:
         uniforms = np.concatenate([substream(3).random(2000), running[:-1],
                                    np.nextafter(running, 0.0), [0.0, 1.0 - 2**-53]])
         uniforms = uniforms[uniforms < 1.0]  # random() draws from [0, 1)
-
-        class Fixed:
-            def __init__(self, u):
-                self.u = u
-
-            def random(self):
-                return self.u
-
         want = []
         for u in uniforms:
             acc, pick = 0.0, len(probs) - 1
@@ -336,6 +330,58 @@ class TestSupportSampler:
             assert sampler(Fixed(u))[0, 0] == pick
         batch = np.searchsorted(sampler.cum, uniforms, side="right")
         assert batch.tolist() == want
+        assert sampler.pick(uniforms).tolist() == want
+
+    @given(st.lists(st.one_of(st.just(0.0), st.just(1e-9), st.floats(1e-12, 1.0)),
+                    min_size=1, max_size=300),
+           st.integers(0, 2**32 - 1))
+    @example([1e-9] * 199 + [1.0], 0)  # one bucket holds 199 running sums
+    @example([0.0] * 150 + [1.0] + [0.0] * 149, 1)
+    @example([1.0] * 12, 2)  # u just below cum[0] falls in bucket 1, whose guide is atom 1
+    def test_pick_is_searchsorted(self, weights, seed):
+        weights = np.array(weights)
+        if weights.sum() == 0.0:
+            weights[-1] = 1.0
+        probs = weights / weights.sum()
+        k = len(probs)
+        sampler = SupportSampler(np.arange(k, dtype=float)[:, None, None], probs)
+        cum = sampler.cum
+        uniforms = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cum, np.nextafter(cum, 0.0),
+                                   substream(seed).random(256)])
+        uniforms = uniforms[(uniforms >= 0.0) & (uniforms < 1.0)]
+        want = np.searchsorted(cum, uniforms, side="right")
+        assert np.array_equal(sampler.pick(uniforms), want)
+        # any array shape, as the chunk kernel passes (trials, factors) blocks
+        grid = uniforms[: len(uniforms) // 4 * 4].reshape(-1, 4)
+        assert np.array_equal(sampler.pick(grid), np.searchsorted(cum, grid, side="right"))
+        assert [sampler(Fixed(u))[0, 0] for u in uniforms] == want.tolist()
+
+    def test_pick_lands_without_search_on_equal_masses(self, monkeypatch):
+        # the rank-one sampler's 200 equal masses put one running sum in each
+        # bucket, so the guide entry and one step land every uniform
+        sampler = make_rademacher_rank_one(100).sampler
+        uniforms = substream(5).random((150, 50))
+        want = np.searchsorted(sampler.cum, uniforms, side="right")
+        searched = []
+        searchsorted = np.searchsorted
+
+        def counting(a, v, side):
+            searched.append(np.size(v))
+            return searchsorted(a, v, side=side)
+
+        monkeypatch.setattr(np, "searchsorted", counting)
+        assert np.array_equal(sampler.pick(uniforms), want)
+        assert searched == []
+
+
+class Fixed:
+    """A stream whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
 
 
 def support_of(form, diagonals, probs):

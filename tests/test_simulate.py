@@ -318,6 +318,40 @@ class TestBatchedKernel:
         assert excluded == []
         assert_bitwise_equal(sim.z, zs)
 
+    def test_uniforms_are_the_stacked_rows(self):
+        ks = range(5, 42)
+        want = np.stack([rng.random(23) for rng in simulate.substreams(7, (2, 1), ks)])
+        got = simulate._uniforms(23, 7, (2, 1), ks)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got[3].tobytes() == substream(7, 2, 1, 8).random(23).tobytes()
+
+    @pytest.mark.parametrize("make_spec, distinct", [
+        pytest.param(lambda: matrix_two_point(dim=10, n=200), 1, id="one-sampler"),
+        pytest.param(lambda: ProductSpec((make_rademacher_rank_one(100),) * 50,
+                                         tall_start(100, 1)), 1, id="rank-one"),
+        pytest.param(lambda: ProductSpec(
+            (make_bounded_perturbation(3, 0.2 * np.eye(3), 0.4, 3.0),
+             make_random_projector_contraction(3),
+             make_bounded_perturbation(3, np.zeros((3, 3)), 0.0, 1.0)) * 4,
+            np.eye(3)), 3, id="mixed-supports"),
+    ])
+    def test_one_pick_per_distinct_sampler(self, make_spec, distinct, monkeypatch):
+        spec = make_spec()
+        samplers = [e.sampler for e in spec.factors]
+        calls = []
+        pick = SupportSampler.pick
+
+        def counting(self, u):
+            calls.append((id(self), u.shape))
+            return pick(self, u)
+
+        monkeypatch.setattr(SupportSampler, "pick", counting)
+        u = simulate._uniforms(spec.n, 31, (), range(40))
+        simulate._sampled_chunk(spec, spec.z0, samplers, u, None)
+        assert len(calls) == len({id(s) for s in samplers}) == distinct
+        assert sum(shape[1] for _, shape in calls) == spec.n
+        assert all(shape[0] == 40 for _, shape in calls)
+
     @IGNORE_OVERFLOW
     def test_overflow_takes_the_dense_products(self):
         # in the rank-one-overflow case, dense steps spread an inf through
@@ -1142,8 +1176,8 @@ class TestAdaptedMonteCarlo:
             def __init__(self, u):
                 self.u = u
 
-            def random(self, size):
-                return np.full(size, self.u)
+            def random(self, out):
+                out[...] = self.u
 
         monkeypatch.setattr(simulate, "substreams",
                             lambda seed, key, ks: (Fixed(uniforms[k]) for k in ks))
