@@ -61,7 +61,6 @@ from .schatten import (
 )
 from .simulate import (
     EnumerationReport,
-    HistoryFreeHook,
     MCEstimate,
     NormBiasedTwoPointHook,
     ProductSpec,

@@ -186,10 +186,6 @@ class ProductStats:
     # -- derived aggregates ------------------------------------------------
     # The stats are frozen, so each aggregate is summed once, on first read.
 
-    @property
-    def n(self) -> int:
-        return len(self.factors)
-
     @cached_property
     def M(self) -> float:
         out = 1.0
@@ -215,12 +211,6 @@ class ProductStats:
                 return None
             out *= f.uniform_norm
         return out
-
-    @cached_property
-    def xi(self) -> Optional[float]:
-        if any(f.mean_perturbation is None for f in self.factors):
-            return None
-        return sum(f.mean_perturbation for f in self.factors)
 
     @cached_property
     def contraction_M(self) -> Optional[float]:
@@ -408,12 +398,18 @@ def tail_concentration_bound(s: ProductStats, t, uniform=False, refine=False) ->
 # ---------------------------------------------------------------------------
 # perturbation form: factors Y_i = I + X_i with ||E X_i|| <= xi_i
 
+def _finite_threshold(value: float, name: str) -> float:
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"threshold {name} = {value} is not finite")
+    return value
+
+
 def perturbation_bounds(xi, v, d, query, t=None) -> BoundResult:
     """Bounds for products of I + X_i in terms of xi = sum xi_i and v.
 
     query is one of "expectation-growth", "expectation-concentration",
     "tail-growth", "tail-concentration"; tail queries need the threshold
-    factor t and report the absolute threshold t * e^xi.
+    factor t and report the absolute threshold t * e^xi, which must be finite.
     """
     xi, v = float(xi), float(v)
     d = int(d)
@@ -444,18 +440,19 @@ def perturbation_bounds(xi, v, d, query, t=None) -> BoundResult:
         t = float(t)
         if v == 0.0:
             raise InvalidParameterError("tail bounds need v > 0")
+        threshold = _finite_threshold(t * scale, "t e^xi")
         if query == "tail-growth":
             cond = Condition("log-t-dominates", math.log(t) >= 2.0 * v,
                              f"log t = {math.log(t):.6g} >= 2v = {2.0 * v:.6g}")
             value = d * _exp(-(math.log(t) ** 2) / (2.0 * v))
             return _finish(BoundResult("perturbation-tail-growth", value,
                                        SchattenParams(p=max(math.log(t) / v, 1.0), q=2.0),
-                                       [cond], threshold=t * scale), 1.0)
+                                       [cond], threshold=threshold), 1.0)
         cond = Condition("t-below-e", t <= E, f"t = {t:.6g} <= e")
         value = max(d, E) * _exp(-t * t / (2.0 * E * E * v))
         return _finish(BoundResult("perturbation-tail-concentration", value,
                                    SchattenParams(p=max(t * t / (E * E * v), 1.0), q=2.0),
-                                   [cond], threshold=t * scale,
+                                   [cond], threshold=threshold,
                                    extras={"loose_prefactor_value": (d + E) * _exp(-t * t / (2.0 * E * E * v))}), 1.0)
     raise InvalidParameterError(f"unknown perturbation query {query!r}")
 
@@ -547,12 +544,6 @@ def spectral_radius_expectation_bound(s: ProductStats) -> BoundResult:
 
 # ---------------------------------------------------------------------------
 # scalar reference and the L/T scenario
-
-def _finite_threshold(value: float, name: str) -> float:
-    if not math.isfinite(value):
-        raise InvalidParameterError(f"threshold {name} = {value} is not finite")
-    return value
-
 
 def scalar_reference_bounds(mu, b, n, s=None, t=None):
     """Scalar product of (1 + X_i/n), |X_i - E X_i| <= b, sum ||E X_i|| <= mu.

@@ -38,7 +38,7 @@ from .bounds import (
     uniform_moment_bounds,
 )
 from .ensembles import FactorStats
-from .errors import InvalidInputError, MatprodError, NothingToCheckError
+from .errors import InvalidInputError, InvalidParameterError, MatprodError, NothingToCheckError
 from .schatten import format_float, matrix_from_json, matrix_to_json
 from .simulate import (
     ESTIMATE_FIELDS,
@@ -285,6 +285,8 @@ def run_bound(cfg: dict, seed: int):
         if "b" in cfg or "n" in cfg:
             # scenario form: n steps of radius b around a mean drift mu
             n = int(cfg["n"])
+            if n < 1:
+                raise InvalidParameterError("n must be positive")
             b = float(cfg["b"])
             xi = float(cfg.get("mu", 0.0))
             v = b * b / n

@@ -85,7 +85,6 @@ class FactorEnsemble:
     sampler: Callable[[np.random.Generator], np.ndarray]
     stats: FactorStats
     mean: Optional[np.ndarray] = None
-    support: Optional[SupportSampler] = None  # or (matrix, probability) pairs to stack
     kind: str = "custom"
     projected_deviation: Optional[Callable[[int], float]] = None
 
@@ -96,18 +95,14 @@ class FactorEnsemble:
             m = as_matrix(self.mean, "analytic mean")
             if m.shape != (self.dim, self.dim):
                 raise InvalidInputError("analytic mean has wrong shape")
-        if isinstance(self.sampler, SupportSampler) and self.support is not self.sampler:
-            # Monte Carlo reads the sampler and enumeration the support: one object
-            if self.support is not None:
-                raise InvalidInputError("a SupportSampler sampler must be the ensemble's support")
-            object.__setattr__(self, "support", self.sampler)
-        if self.support is not None:
-            if not isinstance(self.support, SupportSampler):
-                pairs = tuple(self.support)
-                object.__setattr__(self, "support", SupportSampler(
-                    [mat for mat, _ in pairs], [prob for _, prob in pairs]))
-            if self.support.dim != self.dim:
-                raise InvalidInputError("support atom has wrong shape")
+        if self.support is not None and self.support.dim != self.dim:
+            raise InvalidInputError("support atom has wrong shape")
+
+    @property
+    def support(self) -> Optional[SupportSampler]:
+        """The finite support Monte Carlo samples and enumeration walks: the
+        sampler itself when it is a SupportSampler, else None."""
+        return self.sampler if isinstance(self.sampler, SupportSampler) else None
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         return self.sampler(rng)
@@ -189,9 +184,6 @@ class SupportSampler:
     def __iter__(self):
         return zip(self.atoms, self.probs)
 
-    def __getitem__(self, j):
-        return self.atoms[j], self.probs[j]
-
     def __call__(self, rng: np.random.Generator) -> np.ndarray:
         return self.atoms[bisect.bisect_right(self.cum, rng.random())]
 
@@ -256,7 +248,6 @@ def make_bounded_perturbation(dim, mean, radius, n_scale, support="two-point") -
             sampler=sampler,
             stats=stats,
             mean=base,
-            support=sampler,
             kind="bounded-perturbation",
             # deviations are orthogonal directions: projection does not shrink them
             projected_deviation=(lambda r: scale),
@@ -308,7 +299,6 @@ def make_rademacher_rank_one(dim) -> FactorEnsemble:
         sampler=sampler,
         stats=stats,
         mean=eye,
-        support=sampler,
         kind="rademacher-rank-one",
         projected_deviation=(lambda r: math.sqrt(min(r, dim) / dim)),
     )
@@ -366,7 +356,6 @@ def make_random_projector_contraction(dim, kind="coordinate", rows=None) -> Fact
         sampler=sampler,
         stats=stats,
         mean=mean,
-        support=sampler,
         kind="projector-contraction",
     )
 

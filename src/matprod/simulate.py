@@ -4,9 +4,9 @@ Products are formed left to right: Z_n = Y_n ... Y_1 Z_0, with factor i drawn
 from the i-th ensemble. Trial k consumes only the stream derived from
 (seed, *key, k), so estimates are bitwise reproducible under any execution
 schedule. Inverse mode returns (Y_n ... Y_1 Z_0)^(-1) built from per-factor
-linear solves; adapted mode asks a hook for each factor's law given the
-running product Z_{i-1} of the past draws, and also tracks the running product
-of realized conditional means F_n.
+linear solves. Adapted mode asks a hook for each factor's law given the
+running product Z_{i-1} of the past draws; only exact enumeration runs it, and
+each path is measured against its running product of conditional means F_n.
 
 Every confidence limit is at LEVEL = 0.99. The module imports no scipy at
 load time: the normal limits use a literal z-value, and Clopper-Pearson limits
@@ -54,7 +54,7 @@ CONDITION_LIMIT = 1e12
 # bytes: caps what one product step of a Monte Carlo chunk holds, and the
 # chunk's uniforms, so that one step's gather stays in cache
 GATHER_BUDGET = 2**19
-# paths: the widest block the adapted walk and adapted Monte Carlo step at once
+# paths: the widest block exact enumeration and the adapted walk step at once
 FRONTIER_PATHS = 8192
 # bytes: inverse-mode products kept from the mean pass for the statistics pass
 INVERSE_KEEP_BYTES = 2**24
@@ -130,8 +130,8 @@ class SimulationResult:
     z: list
     trials: int
     seed: int
-    f: Optional[list] = None
     excluded_indices: list = field(default_factory=list)
+    f = None  # always None, as Monte Carlo samples no adapted products; bench/spans.py reads it
 
     @property
     def excluded(self) -> int:
@@ -196,29 +196,6 @@ class NormBiasedTwoPointHook:
         return FactorStats(mean_norm=m, sigma=dev / m, q=2.0,
                            uniform_norm=max(m, 1.0 + self.scale),
                            sigma_uniform=dev / m)
-
-
-@dataclass(frozen=True, eq=False)
-class HistoryFreeHook:
-    """Adapted-mode wrapper around a finite-support ensemble, ignoring history."""
-
-    ensemble: FactorEnsemble
-
-    def __post_init__(self):
-        if self.ensemble.support is None:
-            raise UnsupportedEnsembleError("history-free hooks need a finite support")
-
-    @property
-    def dim(self) -> int:
-        return self.ensemble.dim
-
-    def conditional_supports(self, runs):
-        """The support's atoms, or diagonals, and one row of probabilities, for any runs."""
-        s = self.ensemble.support
-        return (s.atoms if s.diagonals is None else s.diagonals), np.array([s.probs])
-
-    def factor_stats(self) -> FactorStats:
-        return support_stats(self.ensemble)
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +334,6 @@ def _level_supports(hook, prods):
             np.broadcast_to(means, (b, *means.shape[1:])))
 
 
-def _adapted_root(spec, count):
-    """A block of ``count`` empty adapted paths: (weights, products, references)."""
-    start = np.broadcast_to(spec.z0, (count, *spec.z0.shape))
-    return np.ones(count), start, start
-
-
 def _adapted_children(block, supports, par, col):
     """Children of a block of adapted paths: path par[i] extended by atom col[i]."""
     w, prods, refs = block
@@ -372,34 +343,21 @@ def _adapted_children(block, supports, par, col):
 
 
 def _trial_chunks(spec, trials, seed, key):
-    """Yield (products, F_n or None, excluded trial numbers) chunk by chunk.
+    """Yield (products, excluded trial numbers) chunk by chunk.
 
     When every factor samples a finite support, a chunk of trials goes through
     one gather-and-multiply kernel; other samplers draw one trial at a time.
-    Adapted trials step together through the hook, FRONTIER_PATHS at a time,
-    and also yield their products of conditional means F_n. Inverse mode drops
-    ill-conditioned or non-finite trials from a chunk and names them. Trial k
-    reads only the stream (seed, *key, k), so the bits do not depend on the
-    chunking.
+    Inverse mode drops ill-conditioned or non-finite trials from a chunk and
+    names them. Trial k reads only the stream (seed, *key, k), so the bits do
+    not depend on the chunking. Adapted products are not sampled: they raise
+    UnsupportedEnsembleError, and enumerate_product certifies them exactly.
     """
     trials = int(trials)
     if trials < 1:
         raise InvalidParameterError("trials must be positive")
     if spec.mode == "adapted":
-        # each step takes the first atom whose running probability sum, the last
-        # pinned to 1, exceeds the trial's uniform for that step
-        for lo in range(0, trials, FRONTIER_PATHS):
-            u = _uniforms(spec.n, seed, key, range(lo, min(lo + FRONTIER_PATHS, trials)))
-            block = _adapted_root(spec, len(u))
-            for i in range(spec.n):
-                supports = _level_supports(spec.adapted_hook, block[1])
-                cum = np.cumsum(supports[1], axis=1)
-                cum[:, -1] = 1.0
-                block = _adapted_children(block, supports, np.arange(len(u)),
-                                          (cum <= u[:, i, None]).sum(axis=1))
-            yield block[1], block[2], []
-        return
-
+        raise UnsupportedEnsembleError(
+            "Monte Carlo does not sample adapted products; use enumerate_product")
     invert = spec.mode == "inverse"
     start = np.linalg.solve(spec.z0, np.eye(spec.d)) if invert else spec.z0
     samplers = [e.sampler for e in spec.factors]
@@ -419,23 +377,20 @@ def _trial_chunks(spec, trials, seed, key):
         if invert:
             bad = (cond_est > CONDITION_LIMIT) | ~np.isfinite(prod).all(axis=(1, 2))
             prod, excluded = prod[~bad], (lo + np.flatnonzero(bad)).tolist()
-        yield prod, None, excluded
+        yield prod, excluded
 
 
 def simulate_product(spec: ProductSpec, trials, seed, key=()) -> SimulationResult:
-    """Per-trial draws of Z_n (and F_n in adapted mode), kept as matrices.
+    """Per-trial draws of Z_n, kept as matrices; adapted specs raise as in _trial_chunks.
 
     summarize_simulation reduces the same trials without keeping them; this
     collector is for callers that need the matrices themselves.
     """
-    zs, fs, excluded = [], [], []
-    for prods, refs, bad in _trial_chunks(spec, trials, seed, key):
+    zs, excluded = [], []
+    for prods, bad in _trial_chunks(spec, trials, seed, key):
         zs.extend(prods)
-        fs.extend(() if refs is None else refs)
         excluded.extend(bad)
-    return SimulationResult(z=zs, trials=int(trials), seed=seed,
-                            f=fs if spec.mode == "adapted" else None,
-                            excluded_indices=excluded)
+    return SimulationResult(z=zs, trials=int(trials), seed=seed, excluded_indices=excluded)
 
 
 _Z99 = 2.5758293035489004  # the z-value of LEVEL: scipy.special.ndtri(0.995), bit for bit
@@ -513,29 +468,25 @@ def summarize_simulation(spec: ProductSpec, trials, seed, p=2.0, q=2.0, threshol
     """Monte Carlo estimates and tail frequencies of one run, reduced chunk by
     chunk: (estimates, tails, spectral, excluded).
 
-    Adapted mode measures deviations against each trial's F_n and reports no
-    deviation tails; inverse mode reports no deviations; every other mode
-    measures deviations against ``expected_product``. Only norm columns
-    outlive a chunk, so memory grows with the trials by a few floats each.
-    ``spectral`` holds each included trial's spectral norm, in trial order,
-    and ``excluded`` the numbers of the trials inverse mode left out. Square
-    products also estimate the spectral radius unless ``spectral_radius`` is
-    False.
+    Independent mode measures deviations against ``expected_product``;
+    inverse mode reports no deviations; adapted specs raise as in
+    _trial_chunks. Only norm columns outlive a chunk, so memory grows with the
+    trials by a few floats each. ``spectral`` holds each included trial's
+    spectral norm, in trial order, and ``excluded`` the numbers of the trials
+    inverse mode left out. Square products also estimate the spectral radius
+    unless ``spectral_radius`` is False.
     """
     q = float(q)
     if q < 1.0:
         raise InvalidParameterError("q must satisfy q >= 1")
     mean = expected_product(spec) if spec.mode == "independent" else None
-    if spec.mode == "adapted":
-        thresholds_deviation = ()
     radius = spectral_radius and spec.d == spec.r
     norms, radii, excluded = [], [], []
-    for prods, refs, bad in _trial_chunks(spec, trials, seed, key):
+    for prods, bad in _trial_chunks(spec, trials, seed, key):
         excluded.extend(bad)
-        ref = mean if refs is None else refs
         if len(prods):
             spectral, schatten, rad = _block_norms(
-                prods, None if ref is None else prods - ref, p, radius)
+                prods, None if mean is None else prods - mean, p, radius)
             norms.append(np.stack([spectral, schatten]))  # lets the singular values go
             radii.append(rad)
     if not norms:
@@ -649,7 +600,8 @@ def _walk_adapted(spec):
         fan = max(fan, int(counts.max()))
         return [depth, block, supports, par, col, np.cumsum(counts), 0]
 
-    frames = [frame(0, _adapted_root(spec, 1))]
+    root = spec.z0[None]  # the empty path: weight 1, product and reference Z_0
+    frames = [frame(0, (np.ones(1), root, root))]
     while frames:
         f = frames[-1]
         depth, block, supports, par, col, ends, first = f
@@ -794,7 +746,7 @@ def triangular_array_run(mean, radius, dim, n_list, trials, seed) -> list:
         # each chunk's deviations from both references go into one norm stack
         dev_mean, dev_exp = np.concatenate(
             [_block_norms(prods - exact_mean, prods - expm, math.inf, False)[0]
-             for prods, _, _ in _trial_chunks(spec, trials, seed, (row_index,))], axis=1)
+             for prods, _ in _trial_chunks(spec, trials, seed, (row_index,))], axis=1)
         est_mean = _mean_estimate(dev_mean, "deviation-norm-mean", seed)
         est_exp = _mean_estimate(dev_exp, "deviation-from-exponential", seed)
         rows.append(TriangularRow(

@@ -62,12 +62,10 @@ class TestProductStats:
         f2 = FactorStats(mean_norm=1.2, sigma=0.3, uniform_norm=1.5,
                          sigma_uniform=0.4, mean_perturbation=0.2)
         s = ProductStats.from_factors([f1, f2], d=3)
-        assert s.n == 2
         assert s.M == pytest.approx(1.32, rel=1e-15)
         assert s.v == pytest.approx(0.1 ** 2 + 0.3 ** 2, rel=1e-15)
         assert s.v_uniform == pytest.approx(0.2 ** 2 + 0.4 ** 2, rel=1e-15)
         assert s.B == pytest.approx(1.3 * 1.5, rel=1e-15)
-        assert s.xi == pytest.approx(0.3, rel=1e-15)
         assert s.contraction_M is None
 
     def test_optional_aggregates_none_when_any_factor_lacks_them(self):
@@ -76,7 +74,6 @@ class TestProductStats:
         s = ProductStats.from_factors([f1, f2], d=2)
         assert s.B is None
         assert s.v_uniform is None
-        assert s.xi is None
 
     def test_z0_norm(self):
         z0 = np.diag([3.0, 4.0])

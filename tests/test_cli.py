@@ -157,6 +157,29 @@ class TestUsage:
         assert json.loads(out)["error"]["code"] == code
         assert "Infinity" not in out
 
+    @pytest.mark.parametrize("text", [
+        '{"kind":"perturbation","d":10,"xi":800,"v":0.1,"s":[1.0],"t":[0.5]}',
+        '{"kind":"perturbation","d":10,"n":10,"b":1,"mu":800,"s":[1.0],"t":[0.5]}',
+        '{"kind":"perturbation","d":10,"xi":1,"v":0.1,"s":[1e308]}',
+        '{"kind":"inverse","d":10,"factors":[{"xi":0.3,"sigma":0.3}],"t":[1e308]}',
+    ], ids=["xi-overflows", "scenario-mu-overflows", "growth-threshold-inf",
+            "inverse-threshold-inf"])
+    def test_infinite_perturbation_thresholds_rejected(self, capsys, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        rc, out, _ = run_cli(capsys, "bound", "--config", str(path))
+        assert rc == 1
+        assert json.loads(out)["error"] == {
+            "code": "invalid-parameter", "message": "threshold t e^xi = inf is not finite"}
+        assert "Infinity" not in out
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_scenario_needs_positive_n(self, capsys, tmp_path, n):
+        cfg = {"kind": "perturbation", "d": 10, "n": n, "b": 1}
+        rc, payload, _ = run_json(capsys, "bound", "--config", write_config(tmp_path, cfg))
+        assert rc == 1
+        assert payload["error"] == {"code": "invalid-parameter", "message": "n must be positive"}
+
     @pytest.mark.parametrize("command,cfg", [
         ("bound", {"kind": "moment", "d": 2,
                    "factors": [{"mean_norm": 1.1, "sigma": 0.1, "count": -2},

@@ -89,7 +89,7 @@ class TestBoundedPerturbation:
     def test_zero_radius_degenerate(self):
         e = make_bounded_perturbation(2, 0.2 * np.eye(2), 0.0, 1.0)
         assert len(e.support) == 1
-        assert e.support[0][1] == 1.0
+        assert e.support.probs == (1.0,)
         assert e.stats.sigma == 0.0
 
     def test_draws_reproducible(self):
@@ -226,10 +226,8 @@ class TestSupportStats:
             support_stats(e)
 
     def test_mean_must_not_vanish(self):
-        atoms = ((np.eye(2), 0.5), (-np.eye(2), 0.5))
-        e = FactorEnsemble(dim=2, sampler=lambda rng: np.eye(2),
-                           stats=FactorStats(mean_norm=1.0, sigma=1.0),
-                           support=atoms)
+        e = FactorEnsemble(dim=2, sampler=SupportSampler((np.eye(2), -np.eye(2)), (0.5, 0.5)),
+                           stats=FactorStats(mean_norm=1.0, sigma=1.0))
         with pytest.raises(UnsupportedEnsembleError):
             support_stats(e)
 
@@ -385,16 +383,12 @@ class Fixed:
 
 
 def support_of(form, diagonals, probs):
-    """A diagonal support built as a tuple support, a dense sampler or from diagonals."""
+    """A diagonal support built from a tuple of atoms, a dense stack or diagonals."""
     diagonals = np.asarray(diagonals, dtype=float)
     if form == "diagonals":
         return SupportSampler.from_diagonals(diagonals, probs)
-    atoms = [np.diag(g) for g in diagonals]
-    if form == "dense":
-        return SupportSampler(np.stack(atoms), probs)
-    return FactorEnsemble(dim=diagonals.shape[1], sampler=lambda rng: atoms[0],
-                          stats=FactorStats(mean_norm=1.0, sigma=0.0),
-                          support=tuple(zip(atoms, probs))).support
+    atoms = tuple(np.diag(g) for g in diagonals)
+    return SupportSampler(np.stack(atoms) if form == "dense" else atoms, probs)
 
 
 class TestSupportValidation:
@@ -422,12 +416,8 @@ class TestSupportValidation:
         assert (len(support), support.dim) == (2, 2)
 
     @pytest.mark.parametrize("build", [
-        lambda: FactorEnsemble(dim=2, sampler=lambda rng: np.eye(2),
-                               stats=FactorStats(mean_norm=1.0, sigma=0.0),
-                               support=((np.eye(2), 0.5), (np.eye(3), 0.5))),
-        lambda: FactorEnsemble(dim=2, sampler=lambda rng: np.eye(2),
-                               stats=FactorStats(mean_norm=1.0, sigma=0.0),
-                               support=((np.ones(2), 0.5), (np.ones(2), 0.5))),
+        lambda: SupportSampler((np.eye(2), np.eye(3)), (0.5, 0.5)),
+        lambda: SupportSampler((np.ones(2), np.ones(2)), (0.5, 0.5)),
         lambda: SupportSampler(np.ones((2, 2, 3)), (0.5, 0.5)),
         lambda: SupportSampler(np.ones((3, 2, 2)), (0.5, 0.5)),
         lambda: SupportSampler(np.eye(2), (0.5, 0.5)),
@@ -461,15 +451,13 @@ class TestSupportValidation:
 class TestEnsembleValidation:
     def test_support_probabilities_must_sum_to_one(self):
         with pytest.raises(InvalidInputError):
-            FactorEnsemble(dim=2, sampler=lambda rng: np.eye(2),
-                           stats=FactorStats(mean_norm=1.0, sigma=0.0),
-                           support=((np.eye(2), 0.6), (np.eye(2), 0.6)))
+            FactorEnsemble(dim=2, sampler=SupportSampler((np.eye(2),) * 2, (0.6, 0.6)),
+                           stats=FactorStats(mean_norm=1.0, sigma=0.0))
 
     def test_support_atom_shape_checked(self):
         with pytest.raises(InvalidInputError):
-            FactorEnsemble(dim=2, sampler=lambda rng: np.eye(2),
-                           stats=FactorStats(mean_norm=1.0, sigma=0.0),
-                           support=((np.eye(3), 1.0),))
+            FactorEnsemble(dim=2, sampler=SupportSampler((np.eye(3),), (1.0,)),
+                           stats=FactorStats(mean_norm=1.0, sigma=0.0))
 
     def test_support_sampler_owns_the_support(self):
         sampler = SupportSampler([np.eye(2), -np.eye(2)], (0.5, 0.5))
@@ -477,13 +465,9 @@ class TestEnsembleValidation:
         assert e.support is sampler
         assert replace(e, stats=FactorStats(1.0, 0.5)).support is sampler
         other = SupportSampler([np.eye(2), 2.0 * np.eye(2)], (0.5, 0.5))
-        # replacing only the sampler would leave enumeration on the old atoms
-        with pytest.raises(InvalidInputError):
-            replace(e, sampler=other)
-        with pytest.raises(InvalidInputError):
-            FactorEnsemble(dim=2, sampler=sampler, stats=FactorStats(1.0, 0.0),
-                           support=((np.eye(2), 0.5), (-np.eye(2), 0.5)))
-        assert replace(e, sampler=other, support=other).support is other
+        # the support is read from the sampler, so enumeration follows a new one
+        assert replace(e, sampler=other).support is other
+        assert replace(e, sampler=lambda rng: np.eye(2)).support is None
         for built in (make_bounded_perturbation(2, np.eye(2), 0.3, 2.0),
                       make_rademacher_rank_one(4), make_random_projector_contraction(3)):
             assert built.support is built.sampler

@@ -26,7 +26,6 @@ from matprod.errors import (
 from matprod.simulate import (
     CONDITION_LIMIT,
     ENUMERATION_BUDGET,
-    HistoryFreeHook,
     NormBiasedTwoPointHook,
     ProductSpec,
     clopper_pearson,
@@ -169,26 +168,16 @@ def conditional_support(hook, prod):
     return [(np.diag(a) if a.ndim == 1 else a, prob) for a, prob in zip(atoms, probs[0])]
 
 
-def reference_adapted_loop(spec, trials, seed, refs=False):
-    """Adapted products drawn by a linear scan of the running probability sum,
-    or with refs, their products of conditional means."""
-    zs = []
-    for k in range(trials):
-        rng = substream(seed, k)
-        prod, ref = spec.z0, spec.z0
-        for _ in range(spec.n):
-            support = conditional_support(spec.adapted_hook, prod)
-            u, acc, y = rng.random(), 0.0, support[-1][0]
-            for mat, prob in support:
-                acc += prob
-                if u < acc:
-                    y = mat
-                    break
-            prod = y @ prod
-            if refs:
-                ref = sum(prob * mat for mat, prob in support) @ ref
-        zs.append(ref if refs else prod)
-    return zs
+class HistoryFree:
+    """A hook written here that ignores the history: a finite-support
+    ensemble's atoms, or diagonals, and one row of probabilities for any runs."""
+
+    def __init__(self, ensemble):
+        self.dim, self.support = ensemble.dim, ensemble.support
+
+    def conditional_supports(self, runs):
+        s = self.support
+        return (s.atoms if s.diagonals is None else s.diagonals), np.array([s.probs])
 
 
 def assert_bitwise_equal(zs, want):
@@ -267,15 +256,14 @@ def diagonal_ensemble(d):
     diagonals = np.ones((2, d))
     diagonals[1, 0] = -1.0
     sampler = SupportSampler.from_diagonals(diagonals, (0.5, 0.5))
-    return FactorEnsemble(dim=d, sampler=sampler, stats=FactorStats(1.0, 0.0),
-                          support=sampler)
+    return FactorEnsemble(dim=d, sampler=sampler, stats=FactorStats(1.0, 0.0))
 
 
 def dense_twin(spec):
     """The same spec with every sampler's diagonals forgotten: dense steps only."""
     twins = [SupportSampler(e.sampler.atoms, e.sampler.probs) for e in spec.factors]
-    return ProductSpec(tuple(replace(e, sampler=s, support=s)
-                             for e, s in zip(spec.factors, twins)), spec.z0, mode=spec.mode)
+    return ProductSpec(tuple(replace(e, sampler=s) for e, s in zip(spec.factors, twins)),
+                       spec.z0, mode=spec.mode)
 
 
 class TestBatchedKernel:
@@ -446,7 +434,7 @@ def invertible_diagonal(d):
     """Three diagonal atoms with no zero on their diagonals, so inverse mode can run."""
     diagonals = np.linspace(0.5, 2.0, 3 * d).reshape(3, d) * np.array([[1.0], [-1.0], [1.0]])
     sampler = SupportSampler.from_diagonals(diagonals, (0.25, 0.25, 0.5))
-    return FactorEnsemble(dim=d, sampler=sampler, stats=FactorStats(1.0, 0.0), support=sampler)
+    return FactorEnsemble(dim=d, sampler=sampler, stats=FactorStats(1.0, 0.0))
 
 
 class TestDiagonalSamplers:
@@ -525,14 +513,6 @@ class TestPerTrialPath:
             # the product draws each of its factors once per trial, twice
             # counting the reference loop
             assert sum(calls[id(e)] for e in set(spec.factors)) == 2 * 12 * 6
-
-    def test_adapted_hooks(self):
-        e = make_bounded_perturbation(3, 0.1 * np.eye(3), 0.5, 10)
-        for hook in (HistoryFreeHook(e), NormBiasedTwoPointHook(3, scale=0.2)):
-            spec = ProductSpec(factors=(), z0=np.eye(3), mode="adapted",
-                               adapted_hook=hook, n_steps=7)
-            assert_bitwise_equal(simulate_product(spec, 40, seed=6).z,
-                                 reference_adapted_loop(spec, 40, seed=6))
 
 
 class TestHandEnumeration:
@@ -703,9 +683,7 @@ def whole_stack_summary(spec, trials, seed, p, q, tg, td, key=()):
     sim = simulate_product(spec, trials, seed, key)
     stack = np.stack(sim.z)
     spectral, schatten = stack_norms(stack, p)
-    if spec.mode == "adapted":
-        dev, td = stack_norms(stack - np.stack(sim.f), p), ()
-    elif spec.mode == "inverse":
+    if spec.mode == "inverse":
         dev = None
     else:
         dev = stack_norms(stack - expected_product(spec), p)
@@ -748,14 +726,6 @@ class TestSummarizeSimulation:
         assert set(est) == {"spectral-norm-mean", "schatten-moment", "spectral-radius-mean"}
         assert [t.quantity for t in tails] == ["growth-tail"]
 
-    def test_adapted_measures_against_f_without_deviation_tails(self):
-        spec = adapted_spec()
-        est, tails, _, _ = summarize_simulation(spec, 40, 4, 4.0, 2.0, (1.0,), (0.05,))
-        sim = simulate_product(spec, 40, seed=4)
-        dev = [spectral_norm(z - f) for z, f in zip(sim.z, sim.f)]
-        assert est["deviation-norm-mean"].mean == pytest.approx(np.mean(dev), rel=1e-14)
-        assert [t.quantity for t in tails] == ["growth-tail"]
-
     def test_each_stack_decomposed_once(self, svd_shapes):
         spec = matrix_two_point(dim=3, n=5)
         svd_shapes.clear()
@@ -777,12 +747,10 @@ class TestSummarizeSimulation:
         pytest.param(lambda: ProductSpec((make_rademacher_rank_one(12),) * 10,
                                          tall_start(12, 1)), 200, id="rank-one-flips"),
         pytest.param(inverse_with_exclusions, 200, id="inverse-with-exclusions"),
-        pytest.param(lambda: adapted_spec(n=6), 150, id="adapted"),
     ])
     def test_matches_the_whole_stack_reduction(self, monkeypatch, make_spec, trials):
         # small budgets split every kind of run into several chunks
         monkeypatch.setattr(simulate, "GATHER_BUDGET", 7 * 16 * 8)
-        monkeypatch.setattr(simulate, "FRONTIER_PATHS", 32)
         spec = make_spec()
         assert len(list(simulate._trial_chunks(spec, trials, 5, (2,)))) > 1
         args = (3.0, 2.5, (1.0, 1.3), (0.2, 0.4))
@@ -858,21 +826,37 @@ class TestAdaptedMode:
         e = make_bounded_perturbation(2, 0.1 * np.eye(2), 0.2, n)
         indep = ProductSpec(factors=(e,) * n, z0=np.eye(2))
         adapted = ProductSpec(factors=(), z0=np.eye(2), mode="adapted",
-                              adapted_hook=HistoryFreeHook(e), n_steps=n)
+                              adapted_hook=HistoryFree(e), n_steps=n)
         return indep, adapted
 
     def test_history_free_hook_matches_independent_bitwise(self):
         indep, adapted = self.adapted_pair()
-        a = simulate_product(indep, 24, seed=4)
-        b = simulate_product(adapted, 24, seed=4)
-        assert all(np.array_equal(x, y) for x, y in zip(a.z, b.z))
+        (w, prods, _), = simulate._walk_adapted(adapted)
+        (w_want, want), = simulate._enumerate_independent(indep, False)
+        assert w.tobytes() == w_want.tobytes()
+        assert prods.tobytes() == want.tobytes()
 
     def test_conditional_mean_track_equals_expected_product(self):
         indep, adapted = self.adapted_pair()
-        sim = simulate_product(adapted, 8, seed=4)
+        (_, _, refs), = simulate._walk_adapted(adapted)
         want = expected_product(indep)
-        for f in sim.f:
+        assert len(refs) == 16
+        for f in refs:
             assert np.allclose(f, want, rtol=1e-14, atol=1e-14)
+
+    def test_monte_carlo_refuses_adapted_specs(self):
+        spec = adapted_spec()
+        for run in (lambda: summarize_simulation(spec, 40, 4),
+                    lambda: simulate_product(spec, 40, seed=4),
+                    lambda: comparison_rows(spec, trials=40)):
+            with pytest.raises(UnsupportedEnsembleError, match="enumerate_product"):
+                run()
+
+    def test_budget_fallback_refuses_monte_carlo(self, monkeypatch):
+        # past the budget an adapted walk has no Monte Carlo to fall back to
+        monkeypatch.setattr(simulate, "ENUMERATION_BUDGET", 64)
+        with pytest.raises(UnsupportedEnsembleError, match="enumerate_product"):
+            comparison_rows(adapted_spec(n=8), trials=0, mc_fallback_trials=100)
 
     def test_enumeration_agrees_with_independent(self):
         indep, adapted = self.adapted_pair(n=3)
@@ -899,17 +883,6 @@ class TestAdaptedMode:
         assert stats.mean_norm == pytest.approx(1.02, rel=1e-15)
         assert stats.sigma == pytest.approx(0.07 / 1.02, rel=1e-15)
 
-    def test_adapted_mc_matches_enumeration(self):
-        hook = NormBiasedTwoPointHook(2, scale=0.05, high=0.7)
-        spec = ProductSpec(factors=(), z0=np.eye(2), mode="adapted",
-                           adapted_hook=hook, n_steps=8)
-        rep = enumerate_product(spec, p=2.0, q=2.0)
-        est = summarize_simulation(spec, 4096, 21, p=2.0, q=2.0)[0]
-        dev = est["deviation-norm-mean"]
-        assert abs(dev.mean - rep.deviation_mean) <= 5.0 * dev.std_error
-        growth = est["spectral-norm-mean"]
-        assert abs(growth.mean - rep.growth_mean) <= 5.0 * growth.std_error
-
     def test_adapted_budget(self, monkeypatch):
         # paths are only countable by walking, so the budget trips mid-walk
         monkeypatch.setattr("matprod.simulate.ENUMERATION_BUDGET", 64)
@@ -926,10 +899,6 @@ class TestAdaptedMode:
             NormBiasedTwoPointHook(2, high=1.0)
         with pytest.raises(InvalidParameterError):
             NormBiasedTwoPointHook(2, scale=0.0)
-        plain = make_bounded_perturbation(2, np.zeros((2, 2)), 0.1, 2.0,
-                                          support="uniform-sphere")
-        with pytest.raises(UnsupportedEnsembleError):
-            HistoryFreeHook(plain)
 
 
 def depth_first_paths(spec):
@@ -988,8 +957,8 @@ class LeaningHook:
 
 def zero_atom_ensemble():
     atoms = (np.diag([1.1, 0.9]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([0.7, 1.3]))
-    return FactorEnsemble(dim=2, sampler=None, stats=FactorStats(1.0, 0.5),
-                          support=tuple(zip(atoms, (0.5, 0.0, 0.5))))
+    return FactorEnsemble(dim=2, sampler=SupportSampler(atoms, (0.5, 0.0, 0.5)),
+                          stats=FactorStats(1.0, 0.5))
 
 
 ADAPTED_HOOKS = [
@@ -997,11 +966,11 @@ ADAPTED_HOOKS = [
                  id="norm-biased"),
     pytest.param(lambda: NormBiasedTwoPointHook(2, scale=0.4), 6, tall_start(2, 1),
                  id="norm-biased-column"),
-    pytest.param(lambda: HistoryFreeHook(make_bounded_perturbation(
+    pytest.param(lambda: HistoryFree(make_bounded_perturbation(
         3, 0.1 * np.eye(3), 0.5, 10)), 5, np.eye(3), id="history-free"),
-    pytest.param(lambda: HistoryFreeHook(make_rademacher_rank_one(3)), 3, tall_start(3, 2),
+    pytest.param(lambda: HistoryFree(make_rademacher_rank_one(3)), 3, tall_start(3, 2),
                  id="history-free-diagonal"),
-    pytest.param(lambda: HistoryFreeHook(zero_atom_ensemble()), 5, np.eye(2),
+    pytest.param(lambda: HistoryFree(zero_atom_ensemble()), 5, np.eye(2),
                  id="history-free-zero-atom"),
     # "plain": the hook written above, from the identity and from signed zeros
     pytest.param(LeaningHook, 7, np.eye(2), id="plain"),
@@ -1049,7 +1018,7 @@ class TestAdaptedWalker:
 
     @IGNORE_OVERFLOW
     def test_overflow_matches_depth_first_walk(self):
-        spec = adapted(lambda: HistoryFreeHook(make_rademacher_rank_one(4)), 3,
+        spec = adapted(lambda: HistoryFree(make_rademacher_rank_one(4)), 3,
                        np.full((4, 2), 1e308))
         (w, prods, refs), = simulate._walk_adapted(spec)
         want = list(depth_first_paths(spec))
@@ -1131,80 +1100,6 @@ class TestHookContract:
                     np.stack([z for _, z, _ in depth_first_paths(self.spec(i))]))
             assert runs.shape == (len(want), 3, 2)
             assert runs.tobytes() == want.tobytes()
-
-    def test_monte_carlo_hands_the_trials_products(self):
-        spec = self.spec(self.N)
-        summarize_simulation(spec, 40, seed=8)
-        assert len(spec.adapted_hook.seen) == self.N
-        for i, runs in enumerate(spec.adapted_hook.seen):
-            want = (np.broadcast_to(self.Z0, (40, 3, 2)) if i == 0 else
-                    np.stack(reference_adapted_loop(self.spec(i), 40, seed=8)))
-            assert runs.shape == (40, 3, 2)
-            assert runs.tobytes() == want.tobytes()
-
-
-class TestAdaptedMonteCarlo:
-    """Adapted trials step together and keep the per-trial loop's bits."""
-
-    @pytest.mark.parametrize("make_hook,n,z0", ADAPTED_HOOKS)
-    def test_matches_per_trial_loop(self, make_hook, n, z0):
-        spec = adapted(make_hook, n, z0)
-        sim = simulate_product(spec, 60, seed=12)
-        assert_bitwise_equal(sim.z, reference_adapted_loop(spec, 60, seed=12))
-        assert_bitwise_equal(sim.f, reference_adapted_loop(spec, 60, seed=12, refs=True))
-
-    def test_picks_match_linear_scan_at_the_edges(self, monkeypatch):
-        probs = (0.1, 0.0, 0.2, 0.3, 0.0, 0.4 - 3e-16, 0.0)
-        atoms = np.arange(7.0)[:, None, None] * np.ones((7, 2, 2))
-        e = FactorEnsemble(dim=2, sampler=None, stats=FactorStats(1.0, 0.0),
-                           support=tuple(zip(atoms, probs)))
-        running = np.cumsum(probs)
-        uniforms = np.concatenate([substream(3).random(500), running[:-1],
-                                   np.nextafter(running, 0.0), [0.0, 1.0 - 2**-53]])
-        uniforms = uniforms[uniforms < 1.0]
-        want = []
-        for u in uniforms:
-            acc, pick = 0.0, len(probs) - 1
-            for j, prob in enumerate(probs):
-                acc += prob
-                if u < acc:
-                    pick = j
-                    break
-            want.append(float(pick))
-
-        class Fixed:
-            def __init__(self, u):
-                self.u = u
-
-            def random(self, out):
-                out[...] = self.u
-
-        monkeypatch.setattr(simulate, "substreams",
-                            lambda seed, key, ks: (Fixed(uniforms[k]) for k in ks))
-        spec = ProductSpec(factors=(), z0=np.eye(2), mode="adapted",
-                           adapted_hook=HistoryFreeHook(e), n_steps=1)
-        sim = simulate_product(spec, len(uniforms), seed=0)
-        assert [z[0, 0] for z in sim.z] == want
-
-    def test_trials_span_several_blocks(self, monkeypatch):
-        spec = adapted(lambda: NormBiasedTwoPointHook(2, scale=0.3), 6, np.eye(2))
-        whole = simulate_product(spec, 50, seed=3)
-        monkeypatch.setattr(simulate, "FRONTIER_PATHS", 7)
-        assert_bitwise_equal(simulate_product(spec, 50, seed=3).z, whole.z)
-
-    @IGNORE_OVERFLOW
-    def test_diagonal_history_free_keeps_diagonals(self):
-        e = make_rademacher_rank_one(100)
-        spec = ProductSpec(factors=(), z0=tall_start(100, 1), mode="adapted",
-                           adapted_hook=HistoryFreeHook(e), n_steps=50)
-        sim = simulate_product(spec, 20, seed=8)
-        assert "atoms" not in vars(e.sampler)
-        assert_bitwise_equal(sim.z, reference_adapted_loop(spec, 20, seed=8))
-        overflow = adapted(lambda: HistoryFreeHook(make_rademacher_rank_one(4)), 30,
-                           np.full((4, 2), 1e308))
-        sim = simulate_product(overflow, 40, seed=8)
-        assert not np.isfinite(np.stack(sim.z)).all()
-        assert_bitwise_equal(sim.z, reference_adapted_loop(overflow, 40, seed=8))
 
 
 class TestInverseEnumeration:

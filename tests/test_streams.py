@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from matprod import streams
 from matprod.ensembles import make_bounded_perturbation, projected_deviation_stat
-from matprod.simulate import NormBiasedTwoPointHook, ProductSpec, summarize_simulation
+from matprod.simulate import ProductSpec, summarize_simulation
 from matprod.streams import substream, substreams
 from matprod.verify import check_subquadratic
 
@@ -86,12 +86,6 @@ class TestChunkedCallers:
     def test_summaries(self, mode, support):
         e = make_bounded_perturbation(3, 0.2 * np.eye(3), 0.3, 4, support)
         summarize_simulation(ProductSpec((e,) * 4, np.eye(3), mode=mode), 50, 7)
-
-    def test_adapted_summary(self):
-        hook = NormBiasedTwoPointHook(2, scale=0.2)
-        spec = ProductSpec(factors=(), z0=np.eye(2), mode="adapted", adapted_hook=hook,
-                           n_steps=5)
-        summarize_simulation(spec, 50, 7)
 
     def test_checks_and_factor_stats(self):
         check_subquadratic(4.0, 2.0, trials=5, seed=3)

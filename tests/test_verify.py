@@ -19,6 +19,7 @@ from matprod.bounds import (
 from matprod.ensembles import (
     FactorEnsemble,
     FactorStats,
+    SupportSampler,
     make_bounded_perturbation,
     make_rademacher_rank_one,
     projected_deviation_stat,
@@ -380,9 +381,8 @@ class TestComparisonRows:
 
     def test_inverse_rows_skip_without_perturbation_stats(self):
         atoms = (np.array([[0.9]]), np.array([[1.1]]))
-        plain = FactorEnsemble(dim=1, sampler=lambda rng: atoms[0],
-                               stats=FactorStats(1.0, 0.1),
-                               support=((atoms[0], 0.5), (atoms[1], 0.5)))
+        plain = FactorEnsemble(dim=1, sampler=SupportSampler(atoms, (0.5, 0.5)),
+                               stats=FactorStats(1.0, 0.1))
         spec = ProductSpec(factors=(plain,) * 2, z0=np.eye(1), mode="inverse")
         rows, _ = comparison_rows(spec, trials=0)
         assert all(r.skipped for r in rows)
@@ -462,6 +462,42 @@ class TestBoundDominance:
             thresholds_growth=(1.2,))
         assert rep.passed
         assert "source=monte-carlo" in rep.notes
+
+    def test_monte_carlo_rows_fail_on_their_confidence_limits(self, monkeypatch):
+        def row(quantity, empirical, bound, limit):
+            return CompareRow(quantity, empirical, "estimate", bound, quantity, limit=limit)
+
+        violated = [
+            # the mean's UCL is above the bound, though the mean is below it
+            (row("expectation-growth", 1.0, 1.1, 1.2), "ucl"),
+            # the tail frequency's LCL is above the bound
+            (row("tail-growth@1.2", 0.3, 0.1, 0.2), "lcl"),
+            (row("contraction-tail@0.5", 0.3, 0.1, 0.2), "lcl"),
+        ]
+        passing = [
+            # LCL <= bound passes, even with the frequency above the bound
+            row("tail-concentration@0.5", 0.1, 0.05, 0.0),
+            row("expectation-concentration", 0.5, 1.0, 0.9),
+            # an infinite bound dominates every limit: its margin is +inf, not NaN
+            row("growth-moment", 1.0, math.inf, 1.1),
+        ]
+
+        def check(r):
+            monkeypatch.setattr(verify, "comparison_rows",
+                                lambda *args: ([r], {"source": "monte-carlo"}))
+            rep = check_bound_dominance(scalar_spec(), trials=40)
+            assert rep.instances == 1
+            return rep
+
+        for r, limit in violated:
+            rep = check(r)
+            assert rep.violations == 1
+            assert rep.failures == [{"quantity": r.quantity, limit: r.limit, "bound": r.bound,
+                                     "margin": (r.bound - r.limit) / r.bound}]
+        for r in passing:
+            rep = check(r)
+            assert rep.passed and rep.failures == []
+        assert rep.worst_margin == math.inf
 
     def test_nothing_to_check(self):
         with pytest.raises(NothingToCheckError):
