@@ -9,6 +9,11 @@ of the API (bad p, q, missing statistics) raises.
 Conventions: M is the product of mean-norm bounds, v the sum of squared
 relative deviation statistics, B the product of almost-sure norm bounds,
 xi the sum of mean-perturbation bounds, d the ambient dimension, C_p = p - 1.
+
+The spectral-norm displays are the paper's forms for Z_0 = I. For any other
+start they are multiplied by ||Z_0||, and their tail thresholds too, since
+||Y_n ... Y_1 Z_0|| <= ||Y_n ... Y_1|| ||Z_0||; the moment displays carry the
+start's Schatten norm instead.
 """
 
 from __future__ import annotations
@@ -234,6 +239,18 @@ class ProductStats:
     def z0_norm(self, p) -> float:
         return float(norm_from_singular_values(np.asarray(self.z0_singular_values), p))
 
+    @property
+    def start_norm(self) -> float:
+        """||Z_0||, the start's spectral norm."""
+        return max(self.z0_singular_values)
+
+    def start_threshold(self, x) -> float:
+        """The threshold x ||Z_0|| of a tail display stated for Z_0 = I. A zero
+        start makes every such tail event certain, so it has none to bound."""
+        if self.start_norm == 0.0:
+            raise InvalidInputError("tail bounds need a nonzero start matrix")
+        return x * self.start_norm
+
     def _stat_order_condition(self, q: float) -> Condition:
         ok = all(f.q >= q or f.sigma_uniform is not None for f in self.factors)
         return Condition("stat-order-covers-q", ok, f"every factor stat order >= {q} (or almost-sure)")
@@ -285,7 +302,7 @@ def uniform_moment_bounds(s: ProductStats, p, q=2.0):
 
 
 # ---------------------------------------------------------------------------
-# expectation bounds in the spectral norm (q = 2 internally, Z_0 square)
+# expectation bounds in the spectral norm (q = 2 internally), times ||Z_0||
 
 def _refine_over_grid(log_objective) -> tuple:
     logs = [log_objective(p) for p in P_GRID]
@@ -294,9 +311,10 @@ def _refine_over_grid(log_objective) -> tuple:
 
 
 def expectation_growth_bound(s: ProductStats, refine=False) -> BoundResult:
-    """E ||Z_n|| <= exp(sqrt(2 v max(2v, log d))) * M, unconditional."""
+    """E ||Z_n|| <= exp(sqrt(2 v max(2v, log d))) * M * ||Z_0||, unconditional."""
     load = max(2.0 * s.v, math.log(s.d))
-    value = _exp(math.sqrt(2.0 * s.v * load)) * s.M
+    z0 = s.start_norm
+    value = _exp(math.sqrt(2.0 * s.v * load)) * s.M * z0
     internal_p = math.sqrt(2.0 * load / s.v) if s.v > 0 else math.inf
     params = SchattenParams(p=internal_p, q=2.0) if math.isfinite(internal_p) else None
     result = BoundResult("expectation-growth", value, params,
@@ -305,33 +323,37 @@ def expectation_growth_bound(s: ProductStats, refine=False) -> BoundResult:
         logM = math.log(s.M) if s.M > 0 else -math.inf
         result.refined_value, result.refined_p = _refine_over_grid(
             lambda p: math.log(s.d) / p + 0.5 * (p - 1.0) * s.v + logM)
-    return _finish(result, s.B)
+        result.refined_value *= z0
+    return _finish(result, None if s.B is None else s.B * z0)
 
 
 def expectation_concentration_bound(s: ProductStats, uniform=False, refine=False) -> BoundResult:
     """E ||Z_n - E Z_n|| via the dimension-aware p = 2(1 + log d) selection.
 
     uniform=True gives the unconditional almost-sure-factor variant
-    sqrt(e v (1 + 2 log d)) * B; the default form requires v (1 + 2 log d) <= 1.
+    sqrt(e v (1 + 2 log d)) * B * ||Z_0||; the default form, e sqrt(v (1 + 2
+    log d)) * M * ||Z_0||, requires v (1 + 2 log d) <= 1.
     """
     load = 1.0 + 2.0 * math.log(s.d)
     internal_p = 2.0 * (1.0 + math.log(s.d))
     params = SchattenParams(p=internal_p, q=2.0)
+    z0 = s.start_norm
     if uniform:
         B = s._require_B()
-        value = math.sqrt(E * s.v * load) * B
+        value = math.sqrt(E * s.v * load) * B * z0
         result = BoundResult("expectation-concentration-uniform", value, params,
                              [s._stat_order_condition(2.0)])
-        return _finish(result, 2.0 * B)
+        return _finish(result, 2.0 * B * z0)
     cond = Condition("small-variance", s.v * load <= 1.0, f"v*(1+2*log d) = {s.v * load:.6g} <= 1")
-    value = math.sqrt(E * E * s.v * load) * s.M
+    value = math.sqrt(E * E * s.v * load) * s.M * z0
     result = BoundResult("expectation-concentration", value, params,
                          [s._stat_order_condition(2.0), cond])
     if refine and s.v > 0:
         logM = math.log(s.M) if s.M > 0 else -math.inf
         result.refined_value, result.refined_p = _refine_over_grid(
             lambda p: math.log(s.d) / p + 0.5 * _log_expm1((p - 1.0) * s.v) + logM)
-    cap = None if s.B is None else 2.0 * s.B
+        result.refined_value *= z0
+    cap = None if s.B is None else 2.0 * s.B * z0
     return _finish(result, cap)
 
 
@@ -339,7 +361,7 @@ def expectation_concentration_bound(s: ProductStats, uniform=False, refine=False
 # tail bounds (almost-sure factor hypotheses)
 
 def tail_growth_bound(s: ProductStats, t, refine=False) -> BoundResult:
-    """P{ ||Z_n|| >= t M } <= d exp(-log^2 t / (2v)), valid once log t >= 2v."""
+    """P{ ||Z_n|| >= t M ||Z_0|| } <= d exp(-log^2 t / (2v)), valid once log t >= 2v."""
     t = float(t)
     if t <= 0:
         raise InvalidParameterError("threshold factor t must be positive")
@@ -351,7 +373,7 @@ def tail_growth_bound(s: ProductStats, t, refine=False) -> BoundResult:
     internal_p = math.log(t) / v
     value = s.d * _exp(-(math.log(t) ** 2) / (2.0 * v))
     result = BoundResult("tail-growth", value, SchattenParams(p=max(internal_p, 1.0), q=2.0),
-                         [cond], threshold=t * s.M)
+                         [cond], threshold=s.start_threshold(t * s.M))
     if refine:
         result.refined_value, result.refined_p = _refine_over_grid(
             lambda p: math.log(s.d) + p * (0.5 * (p - 1.0) * v - math.log(t)))
@@ -360,10 +382,11 @@ def tail_growth_bound(s: ProductStats, t, refine=False) -> BoundResult:
 
 
 def tail_concentration_bound(s: ProductStats, t, uniform=False, refine=False) -> BoundResult:
-    """Deviation tails at threshold t*M (default, needs t <= e) or t*B (uniform).
+    """Deviation tails at threshold t*M*||Z_0|| (default, needs t <= e) or
+    t*B*||Z_0|| (uniform).
 
-    Default: P{ ||Z_n - E Z_n|| >= t M } <= (d or e) exp(-t^2 / (2 e^2 v)).
-    Uniform: P{ ||Z_n - E Z_n|| >= t B } <= (d or e) exp(-t^2 / (2 e v)), all t.
+    Default: P{ ||Z_n - E Z_n|| >= t M ||Z_0|| } <= (d or e) exp(-t^2 / (2 e^2 v)).
+    Uniform: P{ ||Z_n - E Z_n|| >= t B ||Z_0|| } <= (d or e) exp(-t^2 / (2 e v)), all t.
     """
     t = float(t)
     if t <= 0:
@@ -377,7 +400,7 @@ def tail_concentration_bound(s: ProductStats, t, uniform=False, refine=False) ->
         value = prefactor * _exp(-t * t / (2.0 * E * v))
         result = BoundResult("tail-concentration-uniform", value,
                              SchattenParams(p=max(t * t / (E * v), 1.0), q=2.0),
-                             [s._stat_order_condition(2.0)], threshold=t * B)
+                             [s._stat_order_condition(2.0)], threshold=s.start_threshold(t * B))
         return _finish(result, 1.0)
     v = s._require_uniform_v()
     if v == 0.0:
@@ -387,7 +410,7 @@ def tail_concentration_bound(s: ProductStats, t, uniform=False, refine=False) ->
     value = prefactor * _exp(-t * t / (2.0 * E * E * v))
     result = BoundResult("tail-concentration", value,
                          SchattenParams(p=max(internal_p, 1.0), q=2.0),
-                         [cond], threshold=t * s.M)
+                         [cond], threshold=s.start_threshold(t * s.M))
     if refine:
         result.refined_value, result.refined_p = _refine_over_grid(
             lambda p: math.log(s.d) + p * (0.5 * _log_expm1((p - 1.0) * v) - math.log(t)))
@@ -485,22 +508,29 @@ def inverse_perturbation_stats(xis, sigmas):
 # contractions (factor norms at most one in the mean-square sense)
 
 def contraction_bounds(s: ProductStats, t=None):
-    """Dimension-sqrt bounds for contractive factors; optionally a tail at t.
+    """Dimension-sqrt bounds for contractive factors; optionally a tail at t ||Z_0||.
 
     Returns (growth, concentration) or (growth, concentration, tail) when a
     threshold t is supplied. Uses m_i = contraction stat and almost-sure
-    deviations measured relative to it.
+    deviations measured relative to it. The growth sqrt(d) M ||Z_0|| is
+    clipped at ||Z_0|| B where B is known, and the concentration capped at
+    2 ||Z_0|| B; B may exceed 1, since the contraction stat bounds only
+    ||E Y^T Y||.
     """
     M = s.contraction_M
     v = s.contraction_v
     if M is None or v is None:
         raise MissingUniformBoundsError(
             "contraction bounds need contraction and almost-sure deviation stats")
+    z0 = s.start_norm
+    raw = math.sqrt(s.d) * M * z0
+    cap = None if s.B is None else z0 * s.B
     growth = _finish(BoundResult(
-        "contraction-expectation-growth", min(1.0, math.sqrt(s.d) * M), None, [],
-        extras={"unclipped": math.sqrt(s.d) * M}), 1.0)
+        "contraction-expectation-growth", raw if cap is None else min(cap, raw), None, [],
+        extras={"unclipped": raw}), cap)
     conc = _finish(BoundResult(
-        "contraction-expectation-concentration", math.sqrt(s.d * v) * M, None, []), 2.0)
+        "contraction-expectation-concentration", math.sqrt(s.d * v) * M * z0, None, []),
+        None if cap is None else 2.0 * cap)
     if t is None:
         return growth, conc
     t = float(t)
@@ -512,7 +542,8 @@ def contraction_bounds(s: ProductStats, t=None):
                      f"t^2 = {t * t:.6g} >= 2ev = {2.0 * E * v:.6g}")
     tail = _finish(BoundResult(
         "contraction-tail-concentration", s.d * M * M * _exp(-t * t / (2.0 * E * v)),
-        SchattenParams(p=max(t * t / (E * v), 2.0), q=2.0), [cond], threshold=t), 1.0)
+        SchattenParams(p=max(t * t / (E * v), 2.0), q=2.0), [cond],
+        threshold=s.start_threshold(t)), 1.0)
     return growth, conc, tail
 
 
@@ -536,7 +567,7 @@ def lowrank_moment_bounds(s: ProductStats, p):
 
 
 def spectral_radius_expectation_bound(s: ProductStats) -> BoundResult:
-    """E rho(Z_n) <= exp(sqrt(2 v max(2v, log d))) * M with conjugated stats."""
+    """E rho(Z_n) <= exp(sqrt(2 v max(2v, log d))) * M * ||Z_0|| with conjugated stats."""
     result = expectation_growth_bound(s)
     result.kind = "spectral-radius-expectation"
     return result

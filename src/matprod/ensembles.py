@@ -128,20 +128,29 @@ class SupportSampler:
     ``bisect_right(cum, u)`` for one draw, and ``pick`` for an array of
     uniforms at once. The atoms are held once, as a (K, d, d) stack. A sampler
     built by ``from_diagonals`` holds only the (K, d) diagonals of its atoms,
-    and writes the dense stack when ``atoms`` is first read; others have
-    ``diagonals = None``.
+    and writes the dense stack when ``atoms`` is first read. It also keeps the
+    atoms' moves, ``(cols, vals)``: two (K, m) arrays such that atom k's
+    diagonal is 1.0 except at the coordinates cols[k], where it holds vals[k].
+    m is the most coordinates any atom moves, and a row that moves fewer is
+    padded with distinct unmoved coordinates at 1.0, so a step can change just
+    the moved entries of a product. Others have ``diagonals = moves = None``.
     """
 
-    diagonals = None
+    diagonals = moves = None
 
     def __init__(self, atoms, probs):
         self.atoms = self._own(atoms, probs, 3)
 
     @classmethod
-    def from_diagonals(cls, diagonals, probs) -> "SupportSampler":
-        """Diagonal atoms, given as a (K, d) array of their diagonals."""
+    def from_diagonals(cls, diagonals, probs, moves=None) -> "SupportSampler":
+        """Diagonal atoms, given as a (K, d) array of their diagonals.
+
+        A caller that knows the atoms' moves passes them, in the order
+        ``diagonal_moves`` gives; otherwise they are found from the diagonals.
+        """
         sampler = cls.__new__(cls)
         sampler.diagonals = sampler._own(diagonals, probs, 2)
+        sampler.moves = diagonal_moves(sampler.diagonals) if moves is None else moves
         return sampler
 
     def _own(self, values, probs, ndim) -> np.ndarray:
@@ -204,6 +213,16 @@ class SupportSampler:
         if missed.any():
             j[missed] = np.searchsorted(self.cum, u[missed], side="right")
         return j
+
+
+def diagonal_moves(diagonals):
+    """(cols, vals) of a (K, d) table of diagonals: each row's coordinates
+    whose entry is not 1.0, in ascending order, then its lowest coordinates at
+    1.0, m per row; m is the most entries any row moves."""
+    moved = diagonals != 1.0
+    m = int(moved.sum(axis=1).max())
+    cols = np.argsort(~moved, axis=1, kind="stable")[:, :m]
+    return cols, np.take_along_axis(diagonals, cols, axis=1)
 
 
 def make_bounded_perturbation(dim, mean, radius, n_scale, support="two-point") -> FactorEnsemble:
@@ -281,12 +300,13 @@ def make_rademacher_rank_one(dim) -> FactorEnsemble:
     if dim < 1:
         raise InvalidParameterError("dimension must be positive")
     eye = np.eye(dim)
-    # atom 2j is I + e_j e_j^T, atom 2j+1 is I - e_j e_j^T
+    # atom 2j is I + e_j e_j^T, atom 2j+1 is I - e_j e_j^T: each moves only j
+    cols = np.repeat(np.arange(dim), 2)[:, None]
+    vals = np.tile([2.0, 0.0], dim)[:, None]
     diagonals = np.ones((2 * dim, dim))
-    j = np.arange(dim)
-    diagonals[2 * j, j] = 2.0
-    diagonals[2 * j + 1, j] = 0.0
-    sampler = SupportSampler.from_diagonals(diagonals, (1.0 / (2 * dim),) * (2 * dim))
+    np.put_along_axis(diagonals, cols, vals, axis=1)
+    sampler = SupportSampler.from_diagonals(diagonals, (1.0 / (2 * dim),) * (2 * dim),
+                                            (cols, vals))
     stats = FactorStats(
         mean_norm=1.0,
         sigma=1.0,
@@ -328,7 +348,8 @@ def make_random_projector_contraction(dim, kind="coordinate", rows=None) -> Fact
     if kind == "coordinate":
         # I - e_j e_j^T: ones on the diagonal but a zero at j, +0 elsewhere;
         # the mean and deviations are diagonal too, so no dense stack is built
-        sampler = SupportSampler.from_diagonals(1.0 - rows, probs)
+        sampler = SupportSampler.from_diagonals(
+            1.0 - rows, probs, (np.arange(dim)[:, None], np.zeros((dim, 1))))
         mean = np.diag(sum(p * g for g, p in zip(sampler.diagonals, probs)))
         atoms = map(np.diag, sampler.diagonals)  # read once, below
     else:

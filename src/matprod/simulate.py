@@ -224,9 +224,9 @@ def _right_solve(y, prod):
 def _gather(stack, idx, prod, apply):
     """apply(stack[idx], prod) for a batch of rows: one gather-and-multiply step.
 
-    Monte Carlo, exact enumeration and the adapted walk all step this way. A
-    step is a (K, d, d) atom stack, or the (K, d) diagonals of diagonal atoms,
-    which scale rows instead. Row j of a matrix product with a diagonal atom
+    Exact enumeration, the adapted walk and Monte Carlo's dense steps and
+    redo step this way. A step is a (K, d, d) atom stack, or the (K, d)
+    diagonals of diagonal atoms, which scale rows instead. Row j of a matrix product with a diagonal atom
     sums D_jj z_j and exact zeros from +0, so ``D_jj * z_j + 0.0`` has its bits
     while prod is finite; past an overflow, 0 * inf turns the dense product's
     rows into NaN and the scale does not (see _step). The gather is a ``take``,
@@ -252,9 +252,9 @@ def _step(stack, idx, prod, apply=np.matmul):
 def _chunk_size(spec, samplers):
     """(trials per Monte Carlo chunk, bytes one step holds per trial).
 
-    A dense step gathers a d x d atom per trial and a diagonal step a
-    diagonal; either way the step also makes a d x r product. The chunk keeps
-    one step, and the chunk's n uniforms per trial, within GATHER_BUDGET.
+    A dense step gathers a d x d atom per trial and makes a new d x r
+    product; a diagonal step changes the d x r product in place. The chunk
+    keeps one step, and the chunk's n uniforms per trial, within GATHER_BUDGET.
     Inverse mode gathers dense atoms, but its start is square, so r = d.
     Samplers without a finite support count as dense.
     """
@@ -272,12 +272,39 @@ def _uniforms(n, seed, key, ks):
     return u
 
 
+def _moved_entries(sampler, r):
+    """(offsets, factors), each (K, m r): where atom k's moved entries sit in
+    one trial's flattened d x r product, and what the step multiplies them by."""
+    cols, vals = sampler.moves
+    offsets = (cols * r)[:, :, None] + np.arange(r)
+    return offsets.reshape(len(cols), -1), np.repeat(vals, r, axis=1)
+
+
+def _move(moved, idx, prod, base):
+    """A diagonal step in place on a product free of -0: only the entries the
+    atoms ``idx`` move change, each to D_jj z + 0.0. Trial t's product starts
+    at flat offset base[t] of prod."""
+    offsets, factors = moved
+    flat = offsets.take(idx, axis=0)
+    flat += base
+    z = prod.take(flat)
+    z *= factors.take(idx, axis=0)
+    z += 0.0
+    prod.put(flat, z)
+
+
 def _sampled_chunk(spec, start, samplers, u, atom_conds):
     """One chunk of trials through the gather kernel, from their (T, n)
     uniforms ``u``: (products, cond estimates), equal to the per-trial loop's.
 
     Factor i's atoms are ``digits[i]``; each distinct sampler picks the
-    uniforms of all its factors in one call."""
+    uniforms of all its factors in one call. Outside inverse mode a diagonal
+    sampler's step changes only its moved entries: entering a run of diagonal
+    steps, the product gets one ``+ 0.0`` (a copy of the broadcast start, or
+    in place after a dense step), which turns -0 into +0. An unmoved entry z
+    then has the full step's bits, since 1.0 z + 0.0 == z for every z that
+    is not -0, inf and NaN included, and a moved one gets the full step's
+    D_jj z + 0.0. The redo of non-finite trials takes full steps (_step)."""
     groups = {}
     for i, s in enumerate(samplers):
         groups.setdefault(id(s), (s, []))[1].append(i)
@@ -286,12 +313,22 @@ def _sampled_chunk(spec, start, samplers, u, atom_conds):
         digits[cols] = s.pick(u[:, cols]).T
     invert = spec.mode == "inverse"
     apply = _right_solve if invert else np.matmul
-    steps = [s.atoms if invert or s.diagonals is None else s.diagonals for s in samplers]
-    prod = np.broadcast_to(start, (len(u), *start.shape))
-    for step, dig in zip(steps, digits):
-        prod = _gather(step, dig, prod, apply)
+    moves = {} if invert else {key: _moved_entries(s, start.shape[1])
+                               for key, (s, _) in groups.items() if s.moves is not None}
+    base = (np.arange(len(u)) * start.size)[:, None]
+    prod, clean = np.broadcast_to(start, (len(u), *start.shape)), False
+    for s, dig in zip(samplers, digits):
+        moved = moves.get(id(s))
+        if moved is None:
+            prod, clean = _gather(s.atoms, dig, prod, apply), False
+            continue
+        if not clean:  # owned and free of -0 until the next dense step
+            prod = np.add(prod, 0.0, out=prod if prod.flags.writeable else None)
+            clean = True
+        _move(moved, dig, prod, base)
     bad = np.flatnonzero(~np.isfinite(prod).all(axis=(1, 2)))
     if bad.size:  # a non-finite entry never turns finite again: redo just these trials
+        steps = [s.atoms if invert or s.diagonals is None else s.diagonals for s in samplers]
         redo = np.broadcast_to(start, (bad.size, *start.shape))
         for step, dig in zip(steps, digits):
             redo = _step(step, dig[bad], redo, apply)

@@ -211,6 +211,31 @@ class TestExpectationBounds:
         assert r.params.p == pytest.approx(2.0 * (1.0 + math.log(1)), rel=1e-12)
         assert r.conditions_met
 
+    def test_spectral_displays_scale_with_the_start_norm(self):
+        # ||Z_n|| <= ||Y_n ... Y_1|| ||Z_0||: each Z_0 = I display, its cap,
+        # its refined value and its tail threshold carry the factor 3
+        f = FactorStats(1.1, 0.05, uniform_norm=1.3, sigma_uniform=0.05)
+        unit, scaled = (ProductStats.from_factors([f] * 4, d=3, z0=z0)
+                        for z0 in (np.eye(3), 3.0 * np.eye(3)[:, :2]))
+        assert scaled.start_norm == 3.0
+        for bound in (lambda s: expectation_growth_bound(s, refine=True),
+                      lambda s: expectation_concentration_bound(s, refine=True),
+                      lambda s: expectation_concentration_bound(s, uniform=True),
+                      spectral_radius_expectation_bound):
+            a, b = bound(unit), bound(scaled)
+            assert b.value == pytest.approx(3.0 * a.value, rel=1e-14)
+            assert b.capped_value == pytest.approx(3.0 * a.capped_value, rel=1e-14)
+            if a.refined_value is not None:
+                assert b.refined_value == pytest.approx(3.0 * a.refined_value, rel=1e-14)
+        for bound in (lambda s: tail_growth_bound(s, 2.0),
+                      lambda s: tail_concentration_bound(s, 2.0),
+                      lambda s: tail_concentration_bound(s, 2.0, uniform=True)):
+            a, b = bound(unit), bound(scaled)
+            assert (b.value, b.threshold) == (a.value, pytest.approx(3.0 * a.threshold))
+        zero = ProductStats.from_factors([f] * 4, d=3, z0=np.zeros((3, 1)))
+        with pytest.raises(InvalidInputError, match="nonzero start"):
+            tail_growth_bound(zero, 2.0)
+
     def test_concentration_condition_violation(self):
         s = ProductStats.from_factors([FactorStats(1.0, 1.0)] * 4, d=5)
         r = expectation_concentration_bound(s)
@@ -426,6 +451,24 @@ class TestContractionBounds:
         assert growth.value == 1.0
         assert growth.extras["unclipped"] == pytest.approx(
             math.sqrt(8) * math.sqrt(7.0 / 8.0), rel=1e-12)
+
+    def test_clip_and_caps_follow_the_start_and_uniform_norms(self):
+        # the contraction stat bounds ||E Y^T Y||, not ||Y||: B = 1.5^2 here
+        f = FactorStats(0.9, 0.1, uniform_norm=1.5, sigma_uniform=0.2, contraction=0.95)
+        s = ProductStats.from_factors([f] * 2, d=4, z0=2.0 * np.eye(4))
+        growth, conc, tail = contraction_bounds(s, t=16.0)
+        assert growth.extras["unclipped"] == pytest.approx(2.0 * 2.0 * 0.95**2, rel=1e-14)
+        assert growth.value == growth.extras["unclipped"] < 2.0 * 2.25
+        assert growth.capped_value == growth.value
+        assert conc.capped_value == min(conc.value, 4.0 * 2.25)
+        assert tail.threshold == 32.0
+        # without B there is nothing to clip at
+        s = ProductStats.from_factors([FactorStats(0.9, 0.1, sigma_uniform=0.2,
+                                                   contraction=0.95)] * 2, d=4)
+        growth, conc = contraction_bounds(s)
+        assert growth.value == growth.extras["unclipped"] == pytest.approx(
+            2.0 * 0.95**2, rel=1e-14)
+        assert growth.capped_value is None and conc.capped_value is None
 
     def test_tail_frozen(self):
         s = self.kaczmarz_stats()

@@ -11,6 +11,7 @@ from matprod.ensembles import (
     FactorEnsemble,
     FactorStats,
     SupportSampler,
+    diagonal_moves,
     householder_direction,
     make_bounded_perturbation,
     make_rademacher_rank_one,
@@ -496,6 +497,118 @@ class TestDiagonalSamplers:
             assert f.stats == g.stats
         assert_bitwise_equal(simulate_product(got, 40, seed=6).z,
                              simulate_product(want, 40, seed=6).z)
+
+
+def padded_diagonal(d=5):
+    """Diagonal atoms that move 0 to 3 coordinates, some of them to 0.0 or
+    -0.0, so their moves are padded to m = 3; atom 0 is the identity."""
+    diagonals = np.ones((4, d))
+    diagonals[1, [1, 3]] = [2.5, -0.5]
+    diagonals[2, [0, 2, 4]] = [0.0, -0.0, -1.5]
+    diagonals[3, 4] = 0.75
+    sampler = SupportSampler.from_diagonals(diagonals, (0.2, 0.3, 0.25, 0.25))
+    return FactorEnsemble(dim=d, sampler=sampler, stats=FactorStats(1.0, 0.0))
+
+
+def full_steps(spec, u):
+    """A chunk's products from its uniforms by full steps: every diagonal
+    step scales every row of every trial (_step, with its dense redo)."""
+    prod = np.broadcast_to(spec.z0, (len(u), *spec.z0.shape))
+    for e, col in zip(spec.factors, u.T):
+        s = e.sampler
+        prod = simulate._step(s.atoms if s.diagonals is None else s.diagonals, s.pick(col), prod)
+    return prod
+
+
+MOVE_SPECS = [
+    pytest.param(lambda: ProductSpec((padded_diagonal(),) * 12, tall_start(5, 1)),
+                 id="padded-one-column"),
+    pytest.param(lambda: ProductSpec((padded_diagonal(),) * 12, signed_zero_start(5, 3)),
+                 id="padded-signed-zero-three-columns"),
+    pytest.param(lambda: ProductSpec((make_rademacher_rank_one(5),) * 12,
+                                     signed_zero_start(5, 2)), id="rank-one-signed-zero"),
+    pytest.param(lambda: ProductSpec(
+        (padded_diagonal(), make_bounded_perturbation(5, 0.2 * np.eye(5), 0.4, 3.0),
+         make_rademacher_rank_one(5), make_random_projector_contraction(5)) * 3,
+        signed_zero_start(5, 2)), id="diagonal-dense-diagonal"),
+    pytest.param(lambda: ProductSpec(
+        (make_bounded_perturbation(5, -0.3 * np.eye(5), 0.4, 3.0), padded_diagonal(),
+         padded_diagonal(), make_random_projector_contraction(5)) * 3,
+        tall_start(5, 2)), id="dense-first"),
+    pytest.param(lambda: ProductSpec(
+        (FactorEnsemble(dim=4, sampler=SupportSampler.from_diagonals(np.ones((2, 4)), (0.5, 0.5)),
+                        stats=FactorStats(1.0, 0.0)),) * 3,
+        signed_zero_start(4, 2)), id="identity-moves-nothing"),
+    pytest.param(overflowing_rank_one, id="overflow-redo", marks=IGNORE_OVERFLOW),
+]
+
+
+class TestMoveSteps:
+    """A diagonal step that changes only its moved entries has the bits of
+    the full step, of dense atoms and of the per-trial loop."""
+
+    @pytest.mark.parametrize("make_spec", MOVE_SPECS)
+    def test_chunk_matches_full_steps(self, make_spec):
+        spec = make_spec()
+        u = simulate._uniforms(spec.n, 31, (), range(150))
+        got, _ = simulate._sampled_chunk(spec, spec.z0, [e.sampler for e in spec.factors],
+                                         u, None)
+        assert got.tobytes() == full_steps(spec, u).tobytes()
+
+    @pytest.mark.parametrize("make_spec", MOVE_SPECS)
+    def test_matches_dense_twin_and_per_trial_loop(self, make_spec):
+        spec = make_spec()
+        sim = simulate_product(spec, 150, seed=31)
+        # the moves ran: no diagonal sampler wrote its dense atoms
+        assert not any("atoms" in vars(e.sampler) for e in spec.factors
+                       if e.sampler.diagonals is not None)
+        assert_bitwise_equal(sim.z, simulate_product(dense_twin(spec), 150, seed=31).z)
+        assert_bitwise_equal(sim.z, reference_loop(spec, 150, seed=31)[0])
+
+    def test_padded_moves(self):
+        s = padded_diagonal().sampler
+        cols, vals = s.moves
+        assert cols.shape == vals.shape == (4, 3)
+        assert cols.tolist() == [[0, 1, 2], [1, 3, 0], [0, 2, 4], [4, 0, 1]]
+        assert vals.tolist() == [[1.0] * 3, [2.5, -0.5, 1.0], [0.0, -0.0, -1.5], [0.75, 1.0, 1.0]]
+        assert np.signbit(vals[2]).tolist() == [False, True, True]
+        # an identity-only support moves nothing
+        cols, vals = diagonal_moves(np.ones((2, 3)))
+        assert cols.shape == vals.shape == (2, 0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 7])
+    def test_makers_pass_the_moves_of_their_diagonals(self, dim):
+        makers = [make_rademacher_rank_one] + [make_random_projector_contraction] * (dim > 1)
+        for make in makers:
+            s = make(dim).sampler
+            (cols, vals), (want_cols, want_vals) = s.moves, diagonal_moves(s.diagonals)
+            assert cols.shape == vals.shape == want_cols.shape == (len(s), 1)
+            assert np.array_equal(cols, want_cols)
+            assert vals.tobytes() == want_vals.tobytes()
+
+    def test_coordinate_steps_allocate_no_row_block(self):
+        # d = 2000, one column: a step that gathered (T, d) diagonal rows, or
+        # wrote a new (T, d, 1) product, would hold two more product-sized blocks
+        d, n = 2000, 40
+        diagonals = np.ones((8, d))
+        diagonals[range(8), range(0, d, d // 8)] = np.tile([0.0, 2.0], 4)
+        e = FactorEnsemble(dim=d, sampler=SupportSampler.from_diagonals(diagonals, (0.125,) * 8),
+                           stats=FactorStats(1.0, 0.0))
+        spec = ProductSpec((e,) * n, tall_start(d, 1))
+        samplers = [e.sampler] * n
+        chunk, _ = simulate._chunk_size(spec, samplers)
+        u = simulate._uniforms(n, 3, (), range(chunk))
+        block = chunk * d * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            prod, _ = simulate._sampled_chunk(spec, spec.z0, samplers, u, None)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert prod.nbytes == block
+        assert peak < block + block // 2
+        assert prod.tobytes() == full_steps(spec, u).tobytes()
 
 
 class TestPerTrialPath:

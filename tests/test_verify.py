@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from matprod import verify
 from matprod.bounds import (
@@ -23,6 +26,7 @@ from matprod.ensembles import (
     make_bounded_perturbation,
     make_rademacher_rank_one,
     projected_deviation_stat,
+    support_stats,
 )
 from matprod.errors import (
     EnumerationInfeasibleError,
@@ -30,10 +34,12 @@ from matprod.errors import (
     InvalidParameterError,
     NothingToCheckError,
 )
+from matprod.schatten import spectral_norm
 from matprod.simulate import (
     NormBiasedTwoPointHook,
     ProductSpec,
     enumerate_product,
+    spec_from_config,
     summarize_simulation,
 )
 from matprod.verify import (
@@ -533,6 +539,97 @@ class TestBoundDominance:
         assert rep.instances == 1
         for name in bounds[:2]:
             assert f"skipped {name}: lower-estimate bound, not certified" in rep.notes
+
+
+def finite_ensemble(atoms, probs):
+    """A factor that samples the given atoms, with its exact support stats."""
+    e = FactorEnsemble(dim=atoms.shape[1], sampler=SupportSampler(atoms, probs),
+                       stats=FactorStats(1.0, 0.0))
+    return replace(e, stats=support_stats(e))
+
+
+@st.composite
+def dominance_cases(draw):
+    """(spec, p, growth thresholds, deviation thresholds, bound names): random
+    finite-support products from identity, unit-norm rectangular or scaled
+    starts, with only the displays whose needs their stats meet."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ensembles = []
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(2, 3))
+        style = draw(st.sampled_from(["identity-plus", "gaussian", "diagonal"]))
+        if style == "diagonal":
+            atoms = rng.standard_normal((k, d))[:, None, :] * np.eye(d)
+        else:  # I + G_1 + s G_2, or G_1 + s G_2, with Gaussian G_1, G_2
+            atoms = (float(style == "identity-plus") * np.eye(d)
+                     + draw(st.floats(0.05, 1.0)) * rng.standard_normal((k, d, d))
+                     + draw(st.floats(0.0, 0.5)) * rng.standard_normal((k, d, d)))
+        probs = rng.random(k) + 0.1
+        probs = tuple(probs / probs.sum())
+        if draw(st.booleans()):  # rescale to a mean-square contraction stat below 1
+            c = math.sqrt(spectral_norm(np.einsum("k,kji,kjl->il", probs, atoms, atoms)))
+            atoms *= draw(st.floats(0.9, 0.99)) / c
+        ensembles.append(finite_ensemble(atoms, probs))
+    if draw(st.booleans()):
+        z0 = np.eye(d)
+    else:
+        z0 = rng.standard_normal((d, draw(st.integers(1, 3))))
+        z0 /= spectral_norm(z0)
+    z0 = z0 * draw(st.one_of(st.just(1.0), st.floats(0.2, 4.0)))
+    spec = ProductSpec(tuple(ensembles[i % len(ensembles)] for i in range(n)), z0)
+    stats = ProductStats.from_ensembles(spec.factors, z0)
+    names = ["growth-moment", "concentration-moment", "growth-mean", "concentration-mean",
+             "expectation-growth", "expectation-concentration"]
+    if stats.contraction_M is not None:
+        names += ["contraction-expectation-growth", "contraction-expectation-concentration"]
+    if spec.d == spec.r:
+        names.append("spectral-radius-expectation")
+    growth = draw(st.lists(st.floats(1.05, 4.0), max_size=2))
+    deviation = draw(st.lists(st.floats(0.1, 3.0), max_size=2))
+    return spec, draw(st.sampled_from([2.0, 3.0, 4.0])), growth, deviation, names
+
+
+class TestDominanceProperty:
+    """Every in-force bound dominates the exact truth, whatever the start."""
+
+    @given(dominance_cases())
+    def test_exact_rows_dominate(self, case):
+        spec, p, growth, deviation, names = case
+        rep = check_bound_dominance(spec, p=p, q=2.0, trials=0, bounds=names,
+                                    thresholds_growth=growth, thresholds_deviation=deviation)
+        assert rep.tolerance == verify.TOLERANCE
+        assert rep.violations == 0, rep.failures
+
+    def test_spectral_displays_carry_the_start_norm(self):
+        # from 3I, the Z_0 = I displays lay below the exact mean and tail
+        config = {"factors": [{"count": 4, "ensemble": {
+            "kind": "bounded-perturbation", "dim": 2, "radius": 0.5, "n_scale": 4}}],
+            "z0": {"rows": 2, "cols": 2, "data": [3.0, 0.0, 0.0, 3.0]}}
+        spec = spec_from_config(config)
+        rows, _ = comparison_rows(spec, trials=0, thresholds_growth=(1.5,))
+        by_name = {r.quantity: r for r in rows}
+        for name in ("expectation-growth", "spectral-radius-expectation", "tail-growth@1.5"):
+            row = by_name[name]
+            assert row.conditions_met and not row.skipped
+            assert row.bound >= row.empirical
+        assert by_name["expectation-growth"].empirical == pytest.approx(3.5596, abs=1e-4)
+        assert by_name["tail-growth@1.5"].threshold == pytest.approx(
+            4.5 * ProductStats.from_ensembles(spec.factors, spec.z0).M)
+        assert check_bound_dominance(spec, trials=0).violations == 0
+        assert check_bound_dominance(spec, trials=0, thresholds_growth=(1.5,)).violations == 0
+
+    def test_contraction_clip_takes_the_uniform_norm(self):
+        # E Y^T Y = 0.99^2 I, yet each atom has norm 0.99 sqrt 2 > 1
+        a = 0.99 * math.sqrt(2.0)
+        e = finite_ensemble(np.array([np.diag([a, 0.0]), np.diag([0.0, a])]), (0.5, 0.5))
+        assert e.stats.contraction == pytest.approx(0.99)
+        assert e.stats.uniform_norm > 1.0
+        spec = ProductSpec((e,), np.eye(2))
+        rows, _ = comparison_rows(spec, trials=0, bounds=["contraction-expectation-growth"])
+        assert rows[0].empirical == pytest.approx(1.40007, abs=1e-5)
+        assert rows[0].bound >= rows[0].empirical
+        assert check_bound_dominance(spec, trials=0).violations == 0
 
 
 class TestCompareRowJson:
