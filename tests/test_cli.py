@@ -1,5 +1,6 @@
 import ast
 import csv
+import hashlib
 import io
 import json
 import math
@@ -340,6 +341,81 @@ class TestBoundCommand:
         cell = rows[1][value_col]
         assert float(cell) == pytest.approx(0.55833242915286102, rel=1e-13)
         assert cell == format_float(float(cell))
+
+
+KACZMARZ_C = math.sqrt(1.0 - 1.0 / 8.0)
+PLAIN_FACTOR = {"mean_norm": 1.1, "sigma": 0.2, "count": 5}
+UNIFORM_FACTOR = {"mean_norm": 1.0, "sigma": 0.05, "uniform_norm": 1.05,
+                  "sigma_uniform": 0.06, "count": 8}
+CONTRACTION_FACTOR = {"mean_norm": 0.935, "sigma": 0.01, "uniform_norm": 1.0,
+                      "sigma_uniform": 0.935, "contraction": 0.935, "count": 50}
+KACZMARZ_FACTOR = {"mean_norm": KACZMARZ_C, "sigma": 0.0, "uniform_norm": 1.0,
+                   "sigma_uniform": (1.0 - 1.0 / 8.0) / KACZMARZ_C,
+                   "contraction": KACZMARZ_C, "count": 50}
+LOWRANK_FACTOR = {"mean_norm": 1.0, "sigma": 0.1, "sigma_uniform": 1.0, "count": 20}
+ONE_COLUMN = {"rows": 6, "cols": 1, "data": [1.0] + [0.0] * 5}
+
+# one config per `bound` kind and branch, with the sha256 of its stdout
+BOUND_OUTPUTS = {
+    "moment": ({"kind": "moment", "d": 3, "factors": [PLAIN_FACTOR]},
+               "8c1ec101aadf115f54a4f1ec7f071b62e10fe67a98fc97f2d3713c8ee609f4bb"),
+    "moment-uniform": (
+        {"kind": "moment", "d": 3, "p": 4.0, "q": 3.0, "factors": [UNIFORM_FACTOR]},
+        "27130ea850664850af5892ec7edfd18f3e15f3bef2e7e334df867a0e4face5d8"),
+    "moment-refine-tails": (
+        {"kind": "moment", "d": 4, "refine": True, "tail_growth_t": [1.5, 3.0],
+         "tail_concentration_t": [0.5, 4.0], "factors": [UNIFORM_FACTOR]},
+        "181912ad7fa5c2218f0cada8ae2f7fffc0ecf722515bc4691347798e887823b4"),
+    "moment-contraction": (
+        {"kind": "moment", "d": 8, "tail_concentration_t": [8.0, 16.0],
+         "factors": [CONTRACTION_FACTOR]},
+        "c7839e03c90aa163987e6767b612dc91e49304ea6da69e4e954097d153248f4d"),
+    "moment-contraction-t": (
+        {"kind": "moment", "d": 8, "tail_concentration_t": [16.0],
+         "factors": [CONTRACTION_FACTOR]},
+        "fcd77d9e69af1d8b1a5a40ad065c104453aa29c22eabb350a00b5307ea510cea"),
+    "moment-projected": (
+        {"kind": "moment", "d": 6, "p": 4.0, "z0": ONE_COLUMN, "projected_rank": 1,
+         "factors": [LOWRANK_FACTOR]},
+        "6bc23d3ba762e6723482d722a112afbcdf053e011d5663b60506c6ef45456f00"),
+    "contraction": ({"kind": "contraction", "d": 8, "factors": [KACZMARZ_FACTOR]},
+                    "664bccab20d9b230f8e50f1ecffce6953f668a50c5c0f3c540a8a4b6839c411e"),
+    "contraction-t": (
+        {"kind": "contraction", "d": 8, "t": [16.0], "factors": [KACZMARZ_FACTOR]},
+        "1d09be43ddc85594fb6aeab09b1c3e532cf4c429c26a526c5b521871054f4765"),
+    "contraction-2t": (
+        {"kind": "contraction", "d": 8, "t": [15.0, 16.0], "factors": [KACZMARZ_FACTOR]},
+        "51f99564fc2e3d122bd2fcad4f6f292b452ae87b0c3ec4b4bfaa9dec2a2fa04f"),
+    "lowrank": (
+        {"kind": "lowrank", "d": 6, "p": 4.0, "z0": ONE_COLUMN, "projected_rank": 1,
+         "factors": [LOWRANK_FACTOR]},
+        "4bc1bb1944fefe01d4cb9ad4de6f762f9fca1b54db76e49e5a599488f4e3aea1"),
+    "perturbation-xi-v": (
+        {"kind": "perturbation", "d": 10, "xi": 0.1, "v": 0.005, "s": [0.65],
+         "t": [0.5, 3.0]},
+        "810340c951621ac85ca1f214873116b712ac4231c38e2c5e12334075a2e8a453"),
+    "perturbation-n-b-mu": (
+        {"kind": "perturbation", "d": 10, "n": 200, "b": 1.0, "mu": 0.2,
+         "s": [0.65, 1.0], "t": [0.5]},
+        "aeb0e83e44daada999c2b575eea53e904950ce145dc63963dc080d184c2c36cd"),
+    "inverse": (
+        {"kind": "inverse", "d": 4, "t": [0.5, 1.0],
+         "factors": [{"xi": 0.02, "sigma": 0.02, "count": 10}]},
+        "5ce61ae6f1760073c3836f28a2ac39511ccce4eec5830f1a08c93fbbfddce8d3"),
+    "scalar": (
+        {"kind": "scalar", "mu": 0.1, "b": 1.0, "n": 200, "s_value": 0.65, "t_value": 0.5},
+        "02f6027e2a34d94a4fef13bd2119df9a38166f33fa5404a5bf107d9403d1cbb8"),
+    "scenario-lt": ({"kind": "scenario-lt", "T": 1.0, "L": 2.0, "n": 400, "d": 10},
+                    "65cfc8436b61df0171298a774f329a0c458cadad9e646133b999a807f1cf0c4a"),
+}
+
+
+@pytest.mark.parametrize("name", list(BOUND_OUTPUTS))
+def test_bound_output_bytes_are_pinned(capsys, tmp_path, name):
+    config, digest = BOUND_OUTPUTS[name]
+    rc, out, _ = run_cli(capsys, "bound", "--config", write_config(tmp_path, config))
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSimulateCommand:
