@@ -347,11 +347,14 @@ def make_random_projector_contraction(dim, kind="coordinate", rows=None) -> Fact
     probs = (1.0 / k,) * k
     if kind == "coordinate":
         # I - e_j e_j^T: ones on the diagonal but a zero at j, +0 elsewhere;
-        # the mean and deviations are diagonal too, so no dense stack is built
+        # the mean and deviations are diagonal too, so no dense stack is built,
+        # and the spectral norm of a diagonal is its largest entry magnitude
         sampler = SupportSampler.from_diagonals(
             1.0 - rows, probs, (np.arange(dim)[:, None], np.zeros((dim, 1))))
-        mean = np.diag(sum(p * g for g, p in zip(sampler.diagonals, probs)))
-        atoms = map(np.diag, sampler.diagonals)  # read once, below
+        diagonal = sum(p * g for g, p in zip(sampler.diagonals, probs))
+        mean = np.diag(diagonal)
+        mean_norm = float(np.abs(diagonal).max())
+        devs = np.abs(sampler.diagonals - diagonal).max(axis=1).tolist()
     else:
         eye = np.eye(dim)
         atoms = np.empty((k, dim, dim))
@@ -359,11 +362,12 @@ def make_random_projector_contraction(dim, kind="coordinate", rows=None) -> Fact
             np.subtract(eye, np.outer(r, r) / (n * n), out=atom)
         sampler = SupportSampler(atoms, probs)
         mean = sum(p * a for a, p in zip(atoms, probs))
+        mean_norm = spectral_norm(mean)
+        devs = [spectral_norm(a - mean) for a in atoms]
     # projectors: E Y^T Y = E Y, which is PSD, so the stat is ||E Y||^(1/2)
-    c = math.sqrt(spectral_norm(mean))
+    c = math.sqrt(mean_norm)
     if c == 0.0:
         raise UnsupportedEnsembleError("contraction statistic vanishes; product is identically zero")
-    devs = [spectral_norm(a - mean) for a in atoms]
     stats = FactorStats(
         mean_norm=min(c, 1.0),
         sigma=moment_norm(devs, 2.0, probs) / c,

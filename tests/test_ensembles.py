@@ -168,6 +168,21 @@ class TestProjectorContraction:
         # deviation atoms are I/d - e_j e_j^T with norm 1 - 1/d
         assert e.stats.sigma_uniform == pytest.approx((1.0 - 1.0 / d) / c, rel=1e-12)
 
+    @pytest.mark.parametrize("d", [*range(1, 65), 200])
+    def test_coordinate_stats_are_those_of_dense_svds(self, d):
+        # the kaczmarz-row path takes the SVD of every dense atom and of the mean
+        dense = lambda: make_random_projector_contraction(d, kind="kaczmarz-row", rows=np.eye(d))
+        if d == 1:  # I - e_1 e_1^T = 0
+            for make in (dense, lambda: make_random_projector_contraction(d)):
+                with pytest.raises(UnsupportedEnsembleError):
+                    make()
+            return
+        assert make_random_projector_contraction(d).stats == dense().stats
+
+    def test_coordinate_stats_take_no_dense_svd(self, svd_shapes):
+        make_random_projector_contraction(200)
+        assert (200, 200) not in svd_shapes
+
     def test_draws_are_projectors(self):
         e = make_random_projector_contraction(6)
         rng = substream(2, 0)
