@@ -278,6 +278,8 @@ def run_bound(cfg: dict, seed: int):
         if stats.contraction_M is not None and stats.contraction_v is not None:
             ts = _float_list(cfg, "tail_concentration_t")
             results.extend(contraction_bounds(stats, ts[0] if ts else None))
+            for t in ts[1:]:
+                results.append(contraction_bounds(stats, t)[2])
         if stats.projected_rank is not None:
             results.extend(lowrank_moment_bounds(stats, p))
     elif kind == "perturbation":

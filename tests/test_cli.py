@@ -262,6 +262,17 @@ class TestBoundCommand:
                          "expectation-concentration-uniform", "tail-growth",
                          "tail-concentration", "tail-concentration-uniform"]
 
+    def test_moment_kind_gives_a_contraction_tail_per_threshold(self, capsys, tmp_path):
+        path = write_config(tmp_path, {
+            "kind": "moment", "d": 8, "tail_concentration_t": [8.0, 16.0],
+            "factors": [{"mean_norm": 0.935, "sigma": 0.01, "uniform_norm": 1.0,
+                         "sigma_uniform": 0.935, "contraction": 0.935, "count": 50}]})
+        rc, payload, _ = run_json(capsys, "bound", "--config", path)
+        assert rc == 0
+        tails = [r["threshold"] for r in payload["results"]
+                 if r["kind"] == "contraction-tail-concentration"]
+        assert tails == [8.0, 16.0]
+
     def test_scenario_lt_preset_frozen(self, capsys):
         rc, payload, _ = run_json(capsys, "bound", "--config", "lt-scenario")
         assert rc == 0
@@ -369,7 +380,7 @@ BOUND_OUTPUTS = {
     "moment-contraction": (
         {"kind": "moment", "d": 8, "tail_concentration_t": [8.0, 16.0],
          "factors": [CONTRACTION_FACTOR]},
-        "c7839e03c90aa163987e6767b612dc91e49304ea6da69e4e954097d153248f4d"),
+        "8d3e267c66b120cde870bc522e293be9a323eab7c0c4c4e0a4537afbb3ba335d"),
     "moment-contraction-t": (
         {"kind": "moment", "d": 8, "tail_concentration_t": [16.0],
          "factors": [CONTRACTION_FACTOR]},
