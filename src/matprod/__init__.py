@@ -7,25 +7,23 @@ finite-support products exactly, and certifies every inequality empirically.
 """
 
 from .bounds import (
+    DISPLAYS,
     BoundResult,
     Condition,
+    Display,
+    PerturbationStats,
     ProductStats,
     ScenarioLT,
     SchattenParams,
     concentration_moment_bound,
-    contraction_bounds,
     expectation_concentration_bound,
     expectation_growth_bound,
     growth_moment_bound,
     inverse_perturbation_stats,
-    lowrank_moment_bounds,
-    perturbation_bounds,
     scalar_reference_bounds,
     scenario_lt_bounds,
-    spectral_radius_expectation_bound,
     tail_concentration_bound,
     tail_growth_bound,
-    uniform_moment_bounds,
 )
 from .ensembles import (
     FactorEnsemble,

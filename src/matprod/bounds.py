@@ -1,10 +1,12 @@
 """Closed-form growth and concentration bounds for matrix products.
 
-Every evaluator consumes aggregate factor statistics (ProductStats) and
-returns a BoundResult carrying the value, the Schatten parameters actually
-used, and the mathematical side conditions with their satisfied flags. A
-violated side condition yields value = inf rather than an exception; misuse
-of the API (bad p, q, missing statistics) raises.
+Every evaluator consumes aggregate factor statistics (ProductStats, or
+PerturbationStats for the perturbation form) and returns a BoundResult
+carrying the value, the Schatten parameters actually used, and the
+mathematical side conditions with their satisfied flags. A violated side
+condition yields value = inf rather than an exception; misuse of the API (bad
+p, q, missing statistics) raises. The table DISPLAYS names each display, what
+it needs and where it runs.
 
 Conventions: M is the product of mean-norm bounds, v the sum of squared
 relative deviation statistics, B the product of almost-sure norm bounds,
@@ -18,10 +20,11 @@ start's Schatten norm instead.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Optional
+from functools import cached_property, partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,6 +35,7 @@ from .errors import (
     MissingUniformBoundsError,
 )
 from .schatten import as_matrix, norm_from_singular_values, singular_values
+from .simulate import MODES
 
 E = math.e
 P_GRID = np.exp(np.linspace(math.log(2.0), math.log(1e6), 200))
@@ -134,11 +138,15 @@ class BoundResult:
         return obj
 
 
-def _finish(result: BoundResult, cap: Optional[float]) -> BoundResult:
-    """Apply the trivially available cap, if any, keeping the raw value."""
+def _finish(result: BoundResult, cap: Optional[float], start=1.0) -> BoundResult:
+    """Multiply value, refined value and cap by start = ||Z_0||, last; then
+    apply the cap, if any, keeping the raw value."""
+    result.value *= start
+    if result.refined_value is not None:
+        result.refined_value *= start
     if not result.conditions_met:
         result.value = math.inf
-    if cap is not None and math.isfinite(cap):
+    if cap is not None and math.isfinite(cap := cap * start):
         result.capped_value = min(result.value, cap)
         result.trivial_fallback = result.value > cap
     return result
@@ -164,6 +172,9 @@ class ProductStats:
             raise InvalidInputError("dimensions must be positive")
         if len(self.z0_singular_values) != min(self.d, self.r):
             raise InvalidInputError("need min(d, r) singular values for the start matrix")
+        if self.projected_rank is not None and self.projected_rank != self.r:
+            raise InvalidInputError(
+                f"projected rank {self.projected_rank} must equal cols(Z_0) = {self.r}")
 
     @classmethod
     def from_factors(cls, factors, d, z0=None, projected_rank=None) -> "ProductStats":
@@ -251,6 +262,13 @@ class ProductStats:
             raise InvalidInputError("tail bounds need a nonzero start matrix")
         return x * self.start_norm
 
+    def meets(self, need) -> bool:
+        """Whether these stats carry what a display needs (`Display.need`)."""
+        return need is None or {"B": self.B is not None,
+                                "contraction": self.contraction_v is not None,
+                                "projected": self.projected_rank is not None,
+                                "square": self.d == self.r}[need]
+
     def _stat_order_condition(self, q: float) -> Condition:
         ok = all(f.q >= q or f.sigma_uniform is not None for f in self.factors)
         return Condition("stat-order-covers-q", ok, f"every factor stat order >= {q} (or almost-sure)")
@@ -271,34 +289,29 @@ class ProductStats:
 # ---------------------------------------------------------------------------
 # moment bounds at caller-chosen (p, q)
 
-def growth_moment_bound(s: ProductStats, p, q=2.0) -> BoundResult:
-    """(E ||Z_n||_p^q)^(1/q) <= exp(C_p v / 2) * ||Z_0||_p * M."""
+def growth_moment_bound(s: ProductStats, p, q=2.0, uniform=False) -> BoundResult:
+    """(E ||Z_n||_p^q)^(1/q) <= exp(C_p v / 2) ||Z_0||_p M, or ||Z_0||_p B if uniform."""
     params = _moment_params(p, q)
+    conditions = [s._stat_order_condition(params.q)]
+    if uniform:
+        return _finish(BoundResult("uniform-growth", s.z0_norm(params.p) * s._require_B(),
+                                   params, conditions), None)
     value = _exp(0.5 * params.cp * s.v) * s.z0_norm(params.p) * s.M
     cap = None if s.B is None else s.z0_norm(params.p) * s.B
-    return _finish(BoundResult("growth-moment", value, params,
-                               [s._stat_order_condition(params.q)]), cap)
+    return _finish(BoundResult("growth-moment", value, params, conditions), cap)
 
 
-def concentration_moment_bound(s: ProductStats, p, q=2.0) -> BoundResult:
-    """(E ||Z_n - E Z_n||_p^q)^(1/q) <= sqrt(e^(C_p v) - 1) * ||Z_0||_p * M."""
+def concentration_moment_bound(s: ProductStats, p, q=2.0, uniform=False) -> BoundResult:
+    """(E ||Z_n - E Z_n||_p^q)^(1/q) <= sqrt(e^(C_p v) - 1) ||Z_0||_p M, or, if
+    uniform, sqrt(C_p v) ||Z_0||_p B."""
     params = _moment_params(p, q)
+    conditions = [s._stat_order_condition(params.q)]
+    if uniform:
+        value = math.sqrt(params.cp * s.v) * s.z0_norm(params.p) * s._require_B()
+        return _finish(BoundResult("uniform-concentration", value, params, conditions), None)
     value = _sqrt_expm1(params.cp * s.v) * s.z0_norm(params.p) * s.M
     cap = None if s.B is None else 2.0 * s.z0_norm(params.p) * s.B
-    return _finish(BoundResult("concentration-moment", value, params,
-                               [s._stat_order_condition(params.q)]), cap)
-
-
-def uniform_moment_bounds(s: ProductStats, p, q=2.0):
-    """Almost-sure-factor variants: (||Z_0||_p B, sqrt(C_p v) ||Z_0||_p B)."""
-    params = _moment_params(p, q)
-    B = s._require_B()
-    z0 = s.z0_norm(params.p)
-    growth = BoundResult("uniform-growth", z0 * B, params,
-                         [s._stat_order_condition(params.q)])
-    conc = BoundResult("uniform-concentration", math.sqrt(params.cp * s.v) * z0 * B, params,
-                       [s._stat_order_condition(params.q)])
-    return _finish(growth, None), _finish(conc, None)
+    return _finish(BoundResult("concentration-moment", value, params, conditions), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +326,7 @@ def _refine_over_grid(log_objective) -> tuple:
 def expectation_growth_bound(s: ProductStats, refine=False) -> BoundResult:
     """E ||Z_n|| <= exp(sqrt(2 v max(2v, log d))) * M * ||Z_0||, unconditional."""
     load = max(2.0 * s.v, math.log(s.d))
-    z0 = s.start_norm
-    value = _exp(math.sqrt(2.0 * s.v * load)) * s.M * z0
+    value = _exp(math.sqrt(2.0 * s.v * load)) * s.M
     internal_p = math.sqrt(2.0 * load / s.v) if s.v > 0 else math.inf
     params = SchattenParams(p=internal_p, q=2.0) if math.isfinite(internal_p) else None
     result = BoundResult("expectation-growth", value, params,
@@ -323,8 +335,7 @@ def expectation_growth_bound(s: ProductStats, refine=False) -> BoundResult:
         logM = math.log(s.M) if s.M > 0 else -math.inf
         result.refined_value, result.refined_p = _refine_over_grid(
             lambda p: math.log(s.d) / p + 0.5 * (p - 1.0) * s.v + logM)
-        result.refined_value *= z0
-    return _finish(result, None if s.B is None else s.B * z0)
+    return _finish(result, s.B, s.start_norm)
 
 
 def expectation_concentration_bound(s: ProductStats, uniform=False, refine=False) -> BoundResult:
@@ -337,37 +348,40 @@ def expectation_concentration_bound(s: ProductStats, uniform=False, refine=False
     load = 1.0 + 2.0 * math.log(s.d)
     internal_p = 2.0 * (1.0 + math.log(s.d))
     params = SchattenParams(p=internal_p, q=2.0)
-    z0 = s.start_norm
     if uniform:
         B = s._require_B()
-        value = math.sqrt(E * s.v * load) * B * z0
+        value = math.sqrt(E * s.v * load) * B
         result = BoundResult("expectation-concentration-uniform", value, params,
                              [s._stat_order_condition(2.0)])
-        return _finish(result, 2.0 * B * z0)
+        return _finish(result, 2.0 * B, s.start_norm)
     cond = Condition("small-variance", s.v * load <= 1.0, f"v*(1+2*log d) = {s.v * load:.6g} <= 1")
-    value = math.sqrt(E * E * s.v * load) * s.M * z0
+    value = math.sqrt(E * E * s.v * load) * s.M
     result = BoundResult("expectation-concentration", value, params,
                          [s._stat_order_condition(2.0), cond])
     if refine and s.v > 0:
         logM = math.log(s.M) if s.M > 0 else -math.inf
         result.refined_value, result.refined_p = _refine_over_grid(
             lambda p: math.log(s.d) / p + 0.5 * _log_expm1((p - 1.0) * s.v) + logM)
-        result.refined_value *= z0
-    cap = None if s.B is None else 2.0 * s.B * z0
-    return _finish(result, cap)
+    return _finish(result, None if s.B is None else 2.0 * s.B, s.start_norm)
 
 
 # ---------------------------------------------------------------------------
 # tail bounds (almost-sure factor hypotheses)
 
-def tail_growth_bound(s: ProductStats, t, refine=False) -> BoundResult:
-    """P{ ||Z_n|| >= t M ||Z_0|| } <= d exp(-log^2 t / (2v)), valid once log t >= 2v."""
-    t = float(t)
+def _tail_factor(t, v) -> float:
+    """A tail's threshold factor t, which must be positive, as a float; its
+    deviation statistic v must not vanish."""
     if t <= 0:
         raise InvalidParameterError("threshold factor t must be positive")
-    v = s._require_uniform_v()
     if v == 0.0:
         raise InvalidParameterError("tail bounds need nonvanishing deviation statistics")
+    return float(t)
+
+
+def tail_growth_bound(s: ProductStats, t, refine=False) -> BoundResult:
+    """P{ ||Z_n|| >= t M ||Z_0|| } <= d exp(-log^2 t / (2v)), valid once log t >= 2v."""
+    v = s._require_uniform_v()
+    t = _tail_factor(t, v)
     cond = Condition("log-t-dominates", math.log(t) >= 2.0 * v,
                      f"log t = {math.log(t):.6g} >= 2v = {2.0 * v:.6g}")
     internal_p = math.log(t) / v
@@ -388,23 +402,16 @@ def tail_concentration_bound(s: ProductStats, t, uniform=False, refine=False) ->
     Default: P{ ||Z_n - E Z_n|| >= t M ||Z_0|| } <= (d or e) exp(-t^2 / (2 e^2 v)).
     Uniform: P{ ||Z_n - E Z_n|| >= t B ||Z_0|| } <= (d or e) exp(-t^2 / (2 e v)), all t.
     """
-    t = float(t)
-    if t <= 0:
-        raise InvalidParameterError("threshold factor t must be positive")
+    v = s.v if uniform else s._require_uniform_v()
+    t = _tail_factor(t, v)
     prefactor = max(s.d, E)
     if uniform:
         B = s._require_B()
-        v = s.v
-        if v == 0.0:
-            raise InvalidParameterError("tail bounds need nonvanishing deviation statistics")
         value = prefactor * _exp(-t * t / (2.0 * E * v))
         result = BoundResult("tail-concentration-uniform", value,
                              SchattenParams(p=max(t * t / (E * v), 1.0), q=2.0),
                              [s._stat_order_condition(2.0)], threshold=s.start_threshold(t * B))
         return _finish(result, 1.0)
-    v = s._require_uniform_v()
-    if v == 0.0:
-        raise InvalidParameterError("tail bounds need nonvanishing deviation statistics")
     cond = Condition("t-below-e", t <= E, f"t = {t:.6g} <= e")
     internal_p = t * t / (E * E * v)
     value = prefactor * _exp(-t * t / (2.0 * E * E * v))
@@ -427,57 +434,61 @@ def _finite_threshold(value: float, name: str) -> float:
     return value
 
 
-def perturbation_bounds(xi, v, d, query, t=None) -> BoundResult:
-    """Bounds for products of I + X_i in terms of xi = sum xi_i and v.
+@dataclass(frozen=True)
+class PerturbationStats:
+    """xi = sum xi_i and v in dimension d. The tail displays read them as the
+    ProductStats of a product from Z_0 = I with M = e^xi >= prod (1 + xi_i)."""
 
-    query is one of "expectation-growth", "expectation-concentration",
-    "tail-growth", "tail-concentration"; tail queries need the threshold
-    factor t and report the absolute threshold t * e^xi, which must be finite.
-    """
-    xi, v = float(xi), float(v)
-    d = int(d)
-    if xi < 0 or not math.isfinite(xi):
-        raise InvalidParameterError("xi must be finite and nonnegative")
-    if v < 0 or not math.isfinite(v):
-        raise InvalidParameterError("v must be finite and nonnegative")
-    if d < 1:
-        raise InvalidParameterError("dimension must be positive")
-    scale = _exp(xi)
-    if query == "expectation-growth":
-        cond = Condition("variance-below-log-d", 2.0 * v <= math.log(d),
-                         f"2v = {2.0 * v:.6g} <= log d = {math.log(d):.6g}")
-        value = _exp(xi + math.sqrt(2.0 * v * math.log(d)))
-        internal_p = math.sqrt(2.0 * max(2.0 * v, math.log(d)) / v) if v > 0 else math.inf
-        params = SchattenParams(p=internal_p, q=2.0) if math.isfinite(internal_p) else None
-        return _finish(BoundResult("perturbation-expectation-growth", value, params,
-                                   [cond]), None)
-    if query == "expectation-concentration":
-        load = 1.0 + 2.0 * math.log(d)
-        cond = Condition("small-variance", v * load <= 1.0, f"v*(1+2*log d) = {v * load:.6g} <= 1")
-        value = _exp(xi + 1.0) * math.sqrt(v * load)
-        return _finish(BoundResult("perturbation-expectation-concentration", value,
-                                   SchattenParams(p=2.0 * (1.0 + math.log(d)), q=2.0), [cond]), None)
-    if query in ("tail-growth", "tail-concentration"):
-        if t is None or t <= 0:
-            raise InvalidParameterError("tail queries need a positive threshold factor t")
-        t = float(t)
-        if v == 0.0:
-            raise InvalidParameterError("tail bounds need v > 0")
-        threshold = _finite_threshold(t * scale, "t e^xi")
-        if query == "tail-growth":
-            cond = Condition("log-t-dominates", math.log(t) >= 2.0 * v,
-                             f"log t = {math.log(t):.6g} >= 2v = {2.0 * v:.6g}")
-            value = d * _exp(-(math.log(t) ** 2) / (2.0 * v))
-            return _finish(BoundResult("perturbation-tail-growth", value,
-                                       SchattenParams(p=max(math.log(t) / v, 1.0), q=2.0),
-                                       [cond], threshold=threshold), 1.0)
-        cond = Condition("t-below-e", t <= E, f"t = {t:.6g} <= e")
-        value = max(d, E) * _exp(-t * t / (2.0 * E * E * v))
-        return _finish(BoundResult("perturbation-tail-concentration", value,
-                                   SchattenParams(p=max(t * t / (E * E * v), 1.0), q=2.0),
-                                   [cond], threshold=threshold,
-                                   extras={"loose_prefactor_value": (d + E) * _exp(-t * t / (2.0 * E * E * v))}), 1.0)
-    raise InvalidParameterError(f"unknown perturbation query {query!r}")
+    xi: float
+    v: float
+    d: int
+
+    def __post_init__(self):
+        if self.xi < 0 or not math.isfinite(self.xi):
+            raise InvalidParameterError("xi must be finite and nonnegative")
+        if self.v < 0 or not math.isfinite(self.v):
+            raise InvalidParameterError("v must be finite and nonnegative")
+        if self.d < 1:
+            raise InvalidParameterError("dimension must be positive")
+
+    def meets(self, need) -> bool:
+        return need == "perturbation"
+
+    @property
+    def M(self) -> float:
+        return _exp(self.xi)
+
+    def _require_uniform_v(self) -> float:
+        return self.v
+
+    def start_threshold(self, x) -> float:
+        return _finite_threshold(x, "t e^xi")
+
+
+def perturbation_expectation_growth_bound(s: PerturbationStats) -> BoundResult:
+    """E ||Z_n|| <= exp(xi + sqrt(2 v log d)), valid once 2v <= log d."""
+    cond = Condition("variance-below-log-d", 2.0 * s.v <= math.log(s.d),
+                     f"2v = {2.0 * s.v:.6g} <= log d = {math.log(s.d):.6g}")
+    value = _exp(s.xi + math.sqrt(2.0 * s.v * math.log(s.d)))
+    internal_p = math.sqrt(2.0 * max(2.0 * s.v, math.log(s.d)) / s.v) if s.v > 0 else math.inf
+    params = SchattenParams(p=internal_p, q=2.0) if math.isfinite(internal_p) else None
+    return _finish(BoundResult("perturbation-expectation-growth", value, params, [cond]), None)
+
+
+def perturbation_expectation_concentration_bound(s: PerturbationStats) -> BoundResult:
+    """E ||Z_n - E Z_n|| <= e^(xi + 1) sqrt(v (1 + 2 log d)), valid once v (1 + 2 log d) <= 1."""
+    load = 1.0 + 2.0 * math.log(s.d)
+    cond = Condition("small-variance", s.v * load <= 1.0, f"v*(1+2*log d) = {s.v * load:.6g} <= 1")
+    value = _exp(s.xi + 1.0) * math.sqrt(s.v * load)
+    return _finish(BoundResult("perturbation-expectation-concentration", value,
+                               SchattenParams(p=2.0 * (1.0 + math.log(s.d)), q=2.0), [cond]), None)
+
+
+def perturbation_tail_concentration_bound(s: PerturbationStats, t) -> BoundResult:
+    """The deviation tail at t e^xi, and its value with the looser prefactor d + e."""
+    result = tail_concentration_bound(s, t)
+    result.extras = {"loose_prefactor_value": (s.d + E) * _exp(-t * t / (2.0 * E * E * s.v))}
+    return result
 
 
 def inverse_perturbation_stats(xis, sigmas):
@@ -505,72 +516,45 @@ def inverse_perturbation_stats(xis, sigmas):
 
 
 # ---------------------------------------------------------------------------
-# contractions (factor norms at most one in the mean-square sense)
+# contractions (factor norms at most one in the mean-square sense): M is the
+# product of contraction stats and v sums the almost-sure deviations measured
+# against them. B may exceed 1, since the contraction stat bounds only
+# ||E Y^T Y||.
 
-def contraction_bounds(s: ProductStats, t=None):
-    """Dimension-sqrt bounds for contractive factors; optionally a tail at t ||Z_0||.
-
-    Returns (growth, concentration) or (growth, concentration, tail) when a
-    threshold t is supplied. Uses m_i = contraction stat and almost-sure
-    deviations measured relative to it. The growth sqrt(d) M ||Z_0|| is
-    clipped at ||Z_0|| B where B is known, and the concentration capped at
-    2 ||Z_0|| B; B may exceed 1, since the contraction stat bounds only
-    ||E Y^T Y||.
-    """
-    M = s.contraction_M
-    v = s.contraction_v
-    if M is None or v is None:
+def _contraction_stats(s: ProductStats) -> tuple:
+    if s.contraction_v is None:
         raise MissingUniformBoundsError(
             "contraction bounds need contraction and almost-sure deviation stats")
-    z0 = s.start_norm
-    raw = math.sqrt(s.d) * M * z0
-    cap = None if s.B is None else z0 * s.B
-    growth = _finish(BoundResult(
-        "contraction-expectation-growth", raw if cap is None else min(cap, raw), None, [],
-        extras={"unclipped": raw}), cap)
-    conc = _finish(BoundResult(
-        "contraction-expectation-concentration", math.sqrt(s.d * v) * M * z0, None, []),
-        None if cap is None else 2.0 * cap)
-    if t is None:
-        return growth, conc
-    t = float(t)
-    if t <= 0:
-        raise InvalidParameterError("threshold t must be positive")
-    if v == 0.0:
-        raise InvalidParameterError("tail bounds need nonvanishing deviation statistics")
+    return s.contraction_M, s.contraction_v
+
+
+def contraction_growth_bound(s: ProductStats) -> BoundResult:
+    """E ||Z_n|| <= sqrt(d) M ||Z_0||, clipped at ||Z_0|| B where B is known."""
+    M, _ = _contraction_stats(s)
+    raw = math.sqrt(s.d) * M
+    return _finish(BoundResult(
+        "contraction-expectation-growth", raw if s.B is None else min(s.B, raw), None, [],
+        extras={"unclipped": raw * s.start_norm}), s.B, s.start_norm)
+
+
+def contraction_concentration_bound(s: ProductStats) -> BoundResult:
+    """E ||Z_n - E Z_n|| <= sqrt(d v) M ||Z_0||, capped at 2 ||Z_0|| B."""
+    M, v = _contraction_stats(s)
+    return _finish(BoundResult(
+        "contraction-expectation-concentration", math.sqrt(s.d * v) * M, None, []),
+        None if s.B is None else 2.0 * s.B, s.start_norm)
+
+
+def contraction_tail_bound(s: ProductStats, t) -> BoundResult:
+    """P{ ||Z_n - E Z_n|| >= t ||Z_0|| } <= d M^2 exp(-t^2 / (2 e v)), once t^2 >= 2 e v."""
+    M, v = _contraction_stats(s)
+    t = _tail_factor(t, v)
     cond = Condition("threshold-dominates", t * t >= 2.0 * E * v,
                      f"t^2 = {t * t:.6g} >= 2ev = {2.0 * E * v:.6g}")
-    tail = _finish(BoundResult(
+    return _finish(BoundResult(
         "contraction-tail-concentration", s.d * M * M * _exp(-t * t / (2.0 * E * v)),
         SchattenParams(p=max(t * t / (E * v), 2.0), q=2.0), [cond],
         threshold=s.start_threshold(t)), 1.0)
-    return growth, conc, tail
-
-
-# ---------------------------------------------------------------------------
-# low-rank start and spectral radius
-
-def lowrank_moment_bounds(s: ProductStats, p):
-    """Moment bounds whose v uses rank-r projected deviation statistics.
-
-    The stats must have been assembled with projected_rank equal to the column
-    count of Z_0; q = 2 is fixed by the derivation.
-    """
-    if s.projected_rank is None:
-        raise InvalidInputError("stats were not built with projected deviation statistics")
-    if s.projected_rank != s.r:
-        raise InvalidInputError(
-            f"projected rank {s.projected_rank} must equal cols(Z_0) = {s.r}")
-    growth, conc = growth_moment_bound(s, p), concentration_moment_bound(s, p)
-    growth.kind, conc.kind = "lowrank-growth", "lowrank-concentration"
-    return growth, conc
-
-
-def spectral_radius_expectation_bound(s: ProductStats) -> BoundResult:
-    """E rho(Z_n) <= exp(sqrt(2 v max(2v, log d))) * M * ||Z_0|| with conjugated stats."""
-    result = expectation_growth_bound(s)
-    result.kind = "spectral-radius-expectation"
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -653,11 +637,125 @@ def scenario_lt_bounds(sc: ScenarioLT):
     return expectation, probable
 
 
+# ---------------------------------------------------------------------------
+# the display table: which display runs on which stats, and what it is joined to
+
+@dataclass(frozen=True)
+class Display:
+    """One of the paper's displays, and where it is evaluated.
+
+    ``evaluate`` takes the stats and the keywords in ``args`` (of p, q,
+    refine and t; one that takes t is a tail). The stats must also carry
+    ``need``: "B" (almost-sure norms), "contraction" (contraction and
+    almost-sure deviation stats), "projected" (projected deviations),
+    "square" (d = cols(Z_0)) or "perturbation" (PerturbationStats).
+    ``estimate`` keys the truth a ``compare`` row joins it to; a tail's, its
+    tail quantity, also keys its thresholds. The ``bound`` kinds in ``kinds``
+    print it, and the default ``compare`` set of the product modes in
+    ``modes`` lists it. With ``own_kind`` its result takes its name as kind.
+    """
+
+    name: str
+    evaluate: Callable
+    args: tuple = ()
+    need: Optional[str] = None
+    estimate: Optional[str] = None
+    kinds: tuple = ()
+    modes: tuple = ()
+    own_kind: bool = False
+
+    def __call__(self, stats, **given) -> BoundResult:
+        result = self.evaluate(stats, **{name: given[name] for name in self.args})
+        if self.own_kind:
+            result.kind = self.name
+        return result
+
+
+# Table order is the order `bound` prints and the default `compare` set lists.
+# E||Z|| never exceeds the (p, q) moment, so the moment bounds also bound means.
+_PQ = ("p", "q")
+_MOMENT = ("moment",)
+_CONTRACTION = ("moment", "contraction")
+_LOWRANK = ("moment", "lowrank")
+_INDEPENDENT = ("independent",)
+DISPLAYS = {d.name: d for d in (
+    Display("growth-moment", growth_moment_bound, _PQ, None, "schatten-moment", _MOMENT,
+            _INDEPENDENT),
+    Display("concentration-moment", concentration_moment_bound, _PQ, None,
+            "deviation-schatten-moment", _MOMENT, _INDEPENDENT),
+    Display("growth-mean", growth_moment_bound, _PQ, None, "spectral-norm-mean"),
+    Display("concentration-mean", concentration_moment_bound, _PQ, None, "deviation-norm-mean"),
+    Display("expectation-growth", expectation_growth_bound, ("refine",), None,
+            "spectral-norm-mean", _MOMENT, _INDEPENDENT),
+    Display("expectation-concentration", expectation_concentration_bound, ("refine",), None,
+            "deviation-norm-mean", _MOMENT, _INDEPENDENT),
+    Display("uniform-growth", partial(growth_moment_bound, uniform=True), _PQ, "B",
+            kinds=_MOMENT),
+    Display("uniform-concentration", partial(concentration_moment_bound, uniform=True), _PQ,
+            "B", kinds=_MOMENT),
+    Display("expectation-concentration-uniform",
+            partial(expectation_concentration_bound, uniform=True), (), "B", kinds=_MOMENT),
+    Display("tail-growth", tail_growth_bound, ("t", "refine"), None, "growth-tail", _MOMENT,
+            MODES),
+    Display("tail-concentration", tail_concentration_bound, ("t", "refine"), None,
+            "deviation-tail", _MOMENT, MODES),
+    Display("tail-concentration-uniform", partial(tail_concentration_bound, uniform=True),
+            ("t",), "B", "deviation-tail", _MOMENT),
+    Display("contraction-expectation-growth", contraction_growth_bound, (), "contraction",
+            "spectral-norm-mean", _CONTRACTION, _INDEPENDENT),
+    Display("contraction-expectation-concentration", contraction_concentration_bound, (),
+            "contraction", "deviation-norm-mean", _CONTRACTION, _INDEPENDENT),
+    Display("contraction-tail", contraction_tail_bound, ("t",), "contraction",
+            "deviation-tail", _CONTRACTION, _INDEPENDENT),
+    # q = 2 is fixed by the low-rank derivation
+    Display("lowrank-growth", growth_moment_bound, ("p",), "projected", "schatten-moment",
+            _LOWRANK, own_kind=True),
+    Display("lowrank-concentration", concentration_moment_bound, ("p",), "projected",
+            "deviation-schatten-moment", _LOWRANK, own_kind=True),
+    # the growth display with conjugated stats bounds E rho(Z_n)
+    Display("spectral-radius-expectation", expectation_growth_bound, (), "square",
+            "spectral-radius-mean", modes=_INDEPENDENT, own_kind=True),
+    Display("adapted-growth-moment", growth_moment_bound, _PQ, None, "schatten-moment",
+            modes=("adapted",)),
+    Display("adapted-concentration-moment", concentration_moment_bound, _PQ, None,
+            "deviation-schatten-moment", modes=("adapted",)),
+    Display("perturbation-expectation-growth", perturbation_expectation_growth_bound, (),
+            "perturbation", kinds=("perturbation", "inverse")),
+    Display("perturbation-expectation-concentration",
+            perturbation_expectation_concentration_bound, (), "perturbation",
+            kinds=("perturbation", "inverse")),
+    Display("perturbation-tail-growth", tail_growth_bound, ("t",), "perturbation",
+            "growth-tail", ("perturbation",), own_kind=True),
+    Display("perturbation-tail-concentration", perturbation_tail_concentration_bound, ("t",),
+            "perturbation", "deviation-tail", ("perturbation", "inverse"), own_kind=True),
+    Display("inverse-expectation-growth", perturbation_expectation_growth_bound, (),
+            "perturbation", "spectral-norm-mean", modes=("inverse",)),
+    Display("inverse-expectation-concentration", perturbation_expectation_concentration_bound,
+            (), "perturbation", "deviation-norm-mean", modes=("inverse",)),
+)}
+
+
+def evaluate_kind(kind, stats, thresholds, p=2.0, q=2.0, refine=False) -> list:
+    """The displays of a ``bound`` kind whose need the stats meet, in table
+    order; a tail at each of ``thresholds[estimate]``, adjacent tails that
+    share the list alternating threshold by threshold."""
+    out = []
+    shown = [d for d in DISPLAYS.values() if kind in d.kinds and stats.meets(d.need)]
+    for estimate, group in itertools.groupby(shown, key=lambda d: d.estimate):
+        group = list(group)
+        for t in thresholds[estimate] if "t" in group[0].args else (None,):
+            out.extend(d(stats, p=p, q=q, refine=refine, t=t) for d in group)
+    return out
+
+
 __all__ = [
-    "BoundResult", "Condition", "ProductStats", "ScenarioLT", "SchattenParams",
-    "concentration_moment_bound", "contraction_bounds", "expectation_concentration_bound",
-    "expectation_growth_bound", "growth_moment_bound",
-    "inverse_perturbation_stats", "lowrank_moment_bounds", "perturbation_bounds",
-    "scalar_reference_bounds", "scenario_lt_bounds", "spectral_radius_expectation_bound",
-    "tail_concentration_bound", "tail_growth_bound", "uniform_moment_bounds",
+    "DISPLAYS", "BoundResult", "Condition", "Display", "PerturbationStats", "ProductStats",
+    "ScenarioLT", "SchattenParams", "concentration_moment_bound",
+    "contraction_concentration_bound", "contraction_growth_bound", "contraction_tail_bound",
+    "evaluate_kind", "expectation_concentration_bound", "expectation_growth_bound",
+    "growth_moment_bound", "inverse_perturbation_stats",
+    "perturbation_expectation_concentration_bound", "perturbation_expectation_growth_bound",
+    "perturbation_tail_concentration_bound",
+    "scalar_reference_bounds", "scenario_lt_bounds", "tail_concentration_bound",
+    "tail_growth_bound",
 ]

@@ -21,21 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import (
+    PerturbationStats,
     ProductStats,
     ScenarioLT,
-    concentration_moment_bound,
-    contraction_bounds,
-    expectation_concentration_bound,
-    expectation_growth_bound,
-    growth_moment_bound,
+    evaluate_kind,
     inverse_perturbation_stats,
-    lowrank_moment_bounds,
-    perturbation_bounds,
     scalar_reference_bounds,
     scenario_lt_bounds,
-    tail_concentration_bound,
-    tail_growth_bound,
-    uniform_moment_bounds,
 )
 from .ensembles import FactorStats
 from .errors import InvalidInputError, InvalidParameterError, MatprodError, NothingToCheckError
@@ -257,31 +249,17 @@ def run_bound(cfg: dict, seed: int):
     results = []
     payload = {"task": "bound", "kind": kind, "seed": seed}
 
-    if kind == "moment":
+    if kind in ("moment", "contraction", "lowrank"):
         stats = _stats_from_config(cfg)
-        p = float(cfg.get("p", 2.0))
-        q = float(cfg.get("q", 2.0))
-        refine = bool(cfg.get("refine", False))
-        results.append(growth_moment_bound(stats, p, q))
-        results.append(concentration_moment_bound(stats, p, q))
-        results.append(expectation_growth_bound(stats, refine=refine))
-        results.append(expectation_concentration_bound(stats, refine=refine))
-        if stats.B is not None:
-            results.extend(uniform_moment_bounds(stats, p, q))
-            results.append(expectation_concentration_bound(stats, uniform=True))
-        for t in _float_list(cfg, "tail_growth_t"):
-            results.append(tail_growth_bound(stats, t, refine=refine))
-        for t in _float_list(cfg, "tail_concentration_t"):
-            results.append(tail_concentration_bound(stats, t, refine=refine))
-            if stats.B is not None:
-                results.append(tail_concentration_bound(stats, t, uniform=True))
-        if stats.contraction_M is not None and stats.contraction_v is not None:
-            ts = _float_list(cfg, "tail_concentration_t")
-            results.extend(contraction_bounds(stats, ts[0] if ts else None))
-            for t in ts[1:]:
-                results.append(contraction_bounds(stats, t)[2])
-        if stats.projected_rank is not None:
-            results.extend(lowrank_moment_bounds(stats, p))
+        if kind == "contraction":
+            thresholds = {"deviation-tail": _float_list(cfg, "t")}
+        else:
+            thresholds = {"growth-tail": _float_list(cfg, "tail_growth_t"),
+                          "deviation-tail": _float_list(cfg, "tail_concentration_t")}
+        results = evaluate_kind(kind, stats, thresholds, p=float(cfg.get("p", 2.0)),
+                                q=float(cfg.get("q", 2.0)), refine=bool(cfg.get("refine", False)))
+        if not results:
+            raise InvalidInputError(f"the factor statistics meet the needs of no {kind} bound")
     elif kind == "perturbation":
         d = int(cfg["d"])
         if "b" in cfg or "n" in cfg:
@@ -296,12 +274,10 @@ def run_bound(cfg: dict, seed: int):
         else:
             xi = float(cfg["xi"])
             v = float(cfg["v"])
-        results.append(perturbation_bounds(xi, v, d, "expectation-growth"))
-        results.append(perturbation_bounds(xi, v, d, "expectation-concentration"))
-        for s in _float_list(cfg, "s"):
-            results.append(perturbation_bounds(xi, v, d, "tail-growth", t=1.0 + s))
-        for t in _float_list(cfg, "t"):
-            results.append(perturbation_bounds(xi, v, d, "tail-concentration", t=t))
+        stats = PerturbationStats(xi, v, d)
+        results = evaluate_kind(kind, stats, {
+            "growth-tail": [1.0 + s for s in _float_list(cfg, "s")],
+            "deviation-tail": _float_list(cfg, "t")})
     elif kind == "scenario-lt":
         sc = ScenarioLT(T=float(cfg["T"]), L=float(cfg["L"]), n=int(cfg["n"]),
                         d=int(cfg["d"]), delta=float(cfg.get("delta", 0.01)))
@@ -318,19 +294,8 @@ def run_bound(cfg: dict, seed: int):
         xi_bar, v_bar = inverse_perturbation_stats(xis, sigmas)
         d = int(cfg["d"])
         payload["inverse_stats"] = {"xi_bar": xi_bar, "v_bar": v_bar}
-        results.append(perturbation_bounds(xi_bar, v_bar, d, "expectation-growth"))
-        results.append(perturbation_bounds(xi_bar, v_bar, d, "expectation-concentration"))
-        for t in _float_list(cfg, "t"):
-            results.append(perturbation_bounds(xi_bar, v_bar, d, "tail-concentration", t=t))
-    elif kind == "contraction":
-        stats = _stats_from_config(cfg)
-        ts = _float_list(cfg, "t")
-        results.extend(contraction_bounds(stats, ts[0] if ts else None))
-        for t in ts[1:]:
-            results.append(contraction_bounds(stats, t)[2])
-    elif kind == "lowrank":
-        stats = _stats_from_config(cfg)
-        results.extend(lowrank_moment_bounds(stats, float(cfg.get("p", 2.0))))
+        results = evaluate_kind(kind, PerturbationStats(xi_bar, v_bar, d),
+                                {"deviation-tail": _float_list(cfg, "t")})
     elif kind == "scalar":
         pair = scalar_reference_bounds(float(cfg["mu"]), float(cfg["b"]), int(cfg["n"]),
                                        s=cfg.get("s_value"), t=cfg.get("t_value"))

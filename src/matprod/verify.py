@@ -15,20 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import (
-    ProductStats,
-    concentration_moment_bound,
-    contraction_bounds,
-    expectation_concentration_bound,
-    expectation_growth_bound,
-    growth_moment_bound,
-    inverse_perturbation_stats,
-    lowrank_moment_bounds,
-    perturbation_bounds,
-    spectral_radius_expectation_bound,
-    tail_concentration_bound,
-    tail_growth_bound,
-)
+from .bounds import DISPLAYS, PerturbationStats, ProductStats, inverse_perturbation_stats
 from .ensembles import make_bounded_perturbation, projected_deviation_stat
 from .errors import (
     EnumerationInfeasibleError,
@@ -476,78 +463,33 @@ def _stats_for_spec(spec: ProductSpec) -> ProductStats:
     return ProductStats.from_ensembles(spec.factors, spec.z0)
 
 
-def projected_product_stats(spec: ProductSpec, rank=None):
+def projected_product_stats(spec: ProductSpec):
     """Stats whose sigmas are rank-projected deviations (for narrow starts).
 
     Returns (stats, quality): quality is "analytic" only when every factor's
     projected deviation has a closed form; otherwise a sampled lower estimate
     entered the sigmas and the resulting bounds are not certified upper bounds.
     """
-    rank = spec.r if rank is None else int(rank)
     projected = {}  # one stat per distinct ensemble; a product often repeats one
     quality = "analytic"
     for e in spec.factors:
         if e not in projected:
-            value, kind = projected_deviation_stat(e, rank)
+            value, kind = projected_deviation_stat(e, spec.r)
             if kind != "analytic":
                 quality = kind
             projected[e] = replace(e.stats, sigma=value / e.stats.mean_norm)
     stats = ProductStats.from_factors([projected[e] for e in spec.factors], spec.d,
-                                      spec.z0, projected_rank=rank)
+                                      spec.z0, projected_rank=spec.r)
     return stats, quality
 
 
-def _default_bound_set(spec: ProductSpec, stats: ProductStats):
-    if spec.mode == "inverse":
-        return ["inverse-expectation-growth", "inverse-expectation-concentration"]
-    if spec.mode == "adapted":
-        return ["adapted-growth-moment", "adapted-concentration-moment"]
-    out = ["growth-moment", "concentration-moment",
-           "expectation-growth", "expectation-concentration"]
-    if stats.contraction_M is not None and stats.contraction_v is not None:
-        out += ["contraction-expectation-growth", "contraction-expectation-concentration"]
-    if spec.d == spec.r:
-        out.append("spectral-radius-expectation")
-    return out
-
-
-def _inverse_bound(query):
-    def bound(stats, p, q):
-        xis = [f.mean_perturbation for f in stats.factors]
-        if any(x is None for x in xis):
-            return None
-        xi_bar, v_bar = inverse_perturbation_stats(xis, [f.sigma for f in stats.factors])
-        return perturbation_bounds(xi_bar, v_bar, stats.d, query)
-    return bound
-
-
-# bound name -> (bound of (stats, p, q), Monte Carlo estimate key); the exact
-# value is the EnumerationReport field that ESTIMATE_FIELDS names for the key.
-# E||Z|| never exceeds the (p, q) moment, so the moment bounds also bound means.
-# The low-rank bounds are given the rank-projected stats.
-BOUND_TABLE = {
-    "growth-moment": (growth_moment_bound, "schatten-moment"),
-    "concentration-moment": (concentration_moment_bound, "deviation-schatten-moment"),
-    "growth-mean": (growth_moment_bound, "spectral-norm-mean"),
-    "concentration-mean": (concentration_moment_bound, "deviation-norm-mean"),
-    "expectation-growth": (lambda s, *_: expectation_growth_bound(s), "spectral-norm-mean"),
-    "expectation-concentration": (lambda s, *_: expectation_concentration_bound(s),
-                                  "deviation-norm-mean"),
-    "contraction-expectation-growth": (lambda s, *_: contraction_bounds(s)[0],
-                                       "spectral-norm-mean"),
-    "contraction-expectation-concentration": (lambda s, *_: contraction_bounds(s)[1],
-                                              "deviation-norm-mean"),
-    "lowrank-growth": (lambda s, p, q: lowrank_moment_bounds(s, p)[0], "schatten-moment"),
-    "lowrank-concentration": (lambda s, p, q: lowrank_moment_bounds(s, p)[1],
-                              "deviation-schatten-moment"),
-    "adapted-growth-moment": (growth_moment_bound, "schatten-moment"),
-    "adapted-concentration-moment": (concentration_moment_bound, "deviation-schatten-moment"),
-    "spectral-radius-expectation": (lambda s, *_: spectral_radius_expectation_bound(s),
-                                    "spectral-radius-mean"),
-    "inverse-expectation-growth": (_inverse_bound("expectation-growth"), "spectral-norm-mean"),
-    "inverse-expectation-concentration": (_inverse_bound("expectation-concentration"),
-                                          "deviation-norm-mean"),
-}
+def _inverse_stats(stats: ProductStats) -> Optional[PerturbationStats]:
+    """The perturbation stats of the inverse factors, if the factors carry any."""
+    xis = [f.mean_perturbation for f in stats.factors]
+    if any(x is None for x in xis):
+        return None
+    xi_bar, v_bar = inverse_perturbation_stats(xis, [f.sigma for f in stats.factors])
+    return PerturbationStats(xi_bar, v_bar, stats.d)
 
 
 def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED,
@@ -555,30 +497,40 @@ def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED
                     mc_fallback_trials=None):
     """Empirical (exact or Monte Carlo) values joined to their bounds.
 
+    ``bounds`` names displays of ``DISPLAYS`` with a mean estimate; by
+    default, every one for the product's mode whose need the stats meet.
+    Each threshold list adds one tail row per threshold, from the last tail
+    display for its quantity that the mode takes and the stats meet.
     trials = 0 asks for exact enumeration; EnumerationInfeasibleError is
     re-raised unless mc_fallback_trials says to downgrade to Monte Carlo.
     Returns (rows, meta).
     """
     stats = _stats_for_spec(spec)
-    names = list(bounds) if bounds is not None else _default_bound_set(spec, stats)
+    if bounds is None:
+        # perturbation stats select nothing: an inverse product whose factors
+        # carry none still gets its rows, which say so
+        names = [name for name, d in DISPLAYS.items() if spec.mode in d.modes
+                 and "t" not in d.args and (d.need == "perturbation" or stats.meets(d.need))]
+    else:
+        names = list(bounds)
     for name in names:
-        if name not in BOUND_TABLE:
+        if name not in DISPLAYS or DISPLAYS[name].estimate is None or "t" in DISPLAYS[name].args:
             raise InvalidParameterError(f"unknown bound name {name!r}")
     meta = {"p": float(p), "q": float(q), "seed": seed, "mode": spec.mode}
+    given = {"p": p, "q": q, "refine": False}
 
     # bound rows are computed first so tail thresholds are known up front
     tail_rows = []
-    for t in thresholds_growth:
-        tail_rows.append(("tail-growth", float(t), tail_growth_bound(stats, t)))
-    for t in thresholds_deviation:
-        if spec.mode == "independent" and stats.contraction_M is not None:
-            tail_rows.append(("contraction-tail", float(t), contraction_bounds(stats, t)[2]))
-        else:
-            tail_rows.append(("tail-concentration", float(t), tail_concentration_bound(stats, t)))
-    growth_thresholds = [b.threshold for kind, _, b in tail_rows if kind == "tail-growth"]
-    dev_thresholds = [b.threshold for kind, _, b in tail_rows if kind != "tail-growth"]
+    for key, thresholds in (("growth-tail", thresholds_growth),
+                            ("deviation-tail", thresholds_deviation)):
+        if thresholds:  # the contraction tail, where it applies, comes last
+            display = [d for d in DISPLAYS.values() if d.estimate == key
+                       and spec.mode in d.modes and stats.meets(d.need)][-1]
+            tail_rows += [(display, float(t), display(stats, t=t, **given)) for t in thresholds]
+    growth_thresholds = [b.threshold for d, _, b in tail_rows if d.estimate == "growth-tail"]
+    dev_thresholds = [b.threshold for d, _, b in tail_rows if d.estimate == "deviation-tail"]
 
-    radius = any(BOUND_TABLE[n][1] == "spectral-radius-mean" for n in names)
+    radius = any(DISPLAYS[n].estimate == "spectral-radius-mean" for n in names)
     exact = None
     if trials == 0:
         try:
@@ -595,9 +547,9 @@ def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED
         meta["outcomes"] = exact.outcomes
         empirical = {key: (getattr(exact, f), "exact", None) for key, f in ESTIMATE_FIELDS.items()
                      if getattr(exact, f) is not None}
-        for quantity, table in (("growth-tail", exact.tail_growth),
-                                ("deviation-tail", exact.tail_deviation)):
-            empirical.update({(quantity, x): (v, "exact", None) for x, v in table.items()})
+        for key, table in (("growth-tail", exact.tail_growth),
+                           ("deviation-tail", exact.tail_deviation)):
+            empirical.update({(key, x): (v, "exact", None) for x, v in table.items()})
     else:
         meta["source"] = "monte-carlo"
         meta["trials"] = trials
@@ -612,38 +564,37 @@ def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED
 
     rows = []
     lr_stats, lr_quality = stats, None
-    if stats.projected_rank is None and any(n.startswith("lowrank-") for n in names):
+    if stats.projected_rank is None and any(DISPLAYS[n].need == "projected" for n in names):
         lr_stats, quality = projected_product_stats(spec)
         lr_quality = None if quality == "analytic" else quality
 
     for name in names:
-        bound, estimate_key = BOUND_TABLE[name]
-        lowrank = name.startswith("lowrank-")
-        result = bound(lr_stats if lowrank else stats, p, q)
-        if result is None:
+        display = DISPLAYS[name]
+        lowrank = display.need == "projected"
+        row_stats = lr_stats if lowrank else stats
+        if display.need == "perturbation":
+            row_stats = _inverse_stats(stats)
+        if row_stats is None:
             rows.append(CompareRow(name, math.nan, "none", math.nan, name, skipped=True,
                                    note="factors carry no perturbation statistics"))
             continue
-        if not result.conditions_met and (result.value is None
-                                          or not math.isfinite(result.value)):
+        result = display(row_stats, **given)
+        if not result.conditions_met:  # its value is inf
             rows.append(CompareRow(name, math.nan, "none", result.value, result.kind,
                                    conditions_met=False, skipped=True, note="condition violated"))
             continue
-        if estimate_key not in empirical:
-            rows.append(CompareRow(name, math.nan, "none", result.value,
-                                   result.kind, conditions_met=result.conditions_met,
+        if display.estimate not in empirical:
+            rows.append(CompareRow(name, math.nan, "none", result.value, result.kind,
                                    skipped=True, note="no empirical value available"))
             continue
-        emp, kind, limit = empirical[estimate_key]
+        emp, kind, limit = empirical[display.estimate]
         ratio = result.value / emp if emp > 0 else None
-        rows.append(CompareRow(name, emp, kind, result.value, result.kind,
-                               limit=limit, ratio=ratio,
-                               conditions_met=result.conditions_met,
-                               quality=lr_quality if lowrank else None))
+        rows.append(CompareRow(name, emp, kind, result.value, result.kind, limit=limit,
+                               ratio=ratio, quality=lr_quality if lowrank else None))
 
-    for kind, t, result in tail_rows:
-        quantity = f"{kind}@{t:g}"
-        key = ("growth-tail" if kind == "tail-growth" else "deviation-tail", result.threshold)
+    for display, t, result in tail_rows:
+        quantity = f"{display.name}@{t:g}"
+        key = (display.estimate, result.threshold)
         if key not in empirical:
             rows.append(CompareRow(quantity, math.nan, "none", result.value,
                                    result.kind, threshold=result.threshold,
@@ -696,7 +647,7 @@ def check_bound_dominance(spec: ProductSpec, p=2.0, q=2.0, trials=0,
                     detail={"quantity": row.quantity, "empirical": row.empirical,
                             "bound": row.bound})
         else:
-            limit = "lcl" if row.quantity.startswith(("tail-", "contraction-tail")) else "ucl"
+            limit = "lcl" if "@" in row.quantity else "ucl"  # a tail row, name@threshold
             col.add((row.bound - row.limit) / denom, tolerance=0.0,
                     detail={"quantity": row.quantity, limit: row.limit, "bound": row.bound})
     return col.report()

@@ -14,14 +14,12 @@ import numpy as np
 import pytest
 
 from matprod.bounds import (
+    DISPLAYS,
     FactorStats,
+    PerturbationStats,
     ProductStats,
     concentration_moment_bound,
-    contraction_bounds,
     inverse_perturbation_stats,
-    lowrank_moment_bounds,
-    perturbation_bounds,
-    spectral_radius_expectation_bound,
 )
 from matprod.ensembles import (
     make_bounded_perturbation,
@@ -110,10 +108,11 @@ def report_perturbation_product(seed):
     summary, dev_tails, _, _ = summarize_simulation(
         spec, 10_000, seed, thresholds_deviation=(0.5, 1.0, 2.0), key=(5,))
     dev = summary["deviation-norm-mean"]
-    expectation = perturbation_bounds(0.0, 0.005, 10, "expectation-concentration")
+    pstats = PerturbationStats(0.0, 0.005, 10)
+    expectation = DISPLAYS["perturbation-expectation-concentration"](pstats)
     tails = []
     for est in dev_tails:
-        tb = perturbation_bounds(0.0, 0.005, 10, "tail-concentration", t=est.threshold)
+        tb = DISPLAYS["perturbation-tail-concentration"](pstats, t=est.threshold)
         tails.append({
             "t": float(est.threshold),
             "frequency": float(est.frequency),
@@ -147,7 +146,8 @@ def report_contractive_product(seed):
     summary, (est,), norms, _ = summarize_simulation(spec, 10_000, seed,
                                                      thresholds_deviation=(16.0,), key=(7,))
     stats = ProductStats.from_ensembles(spec.factors, z0=spec.z0)
-    _, conc, tail = contraction_bounds(stats, t=16.0)
+    conc = DISPLAYS["contraction-expectation-concentration"](stats)
+    tail = DISPLAYS["contraction-tail"](stats, t=16.0)
     dev = summary["deviation-norm-mean"]
     return {
         "max_norm": float(norms.max()),
@@ -173,7 +173,7 @@ def report_narrow_start(seed):
     spec = ProductSpec(factors=(e,) * 50, z0=z0)
     stats, quality = projected_product_stats(spec)
     p = 2.0 * (1.0 + math.log(100))
-    _, conc = lowrank_moment_bounds(stats, p)
+    conc = DISPLAYS["lowrank-concentration"](stats, p=p)
     full = ProductStats.from_factors(
         [FactorStats(1.0, 1.0, sigma_uniform=1.0)] * 50, d=100, z0=z0)
     unprojected = concentration_moment_bound(full, p, 2.0)
@@ -200,7 +200,7 @@ def report_inverse_product(seed):
     worst = max(float(np.abs(z @ w - np.eye(4)).max())
                 for z, w in zip(sim_f.z, sim_i.z))
     xi_bar, v_bar = inverse_perturbation_stats([0.02] * 10, [0.02] * 10)
-    growth = perturbation_bounds(xi_bar, v_bar, 4, "expectation-growth")
+    growth = DISPLAYS["perturbation-expectation-growth"](PerturbationStats(xi_bar, v_bar, 4))
     norm = summarize_simulation(inverse, 4096, seed, key=(9,))[0]["spectral-norm-mean"]
     return {
         "hand_pair": [float(xi_one), float(v_one)],
@@ -237,9 +237,9 @@ def report_spectral_radius(seed):
     norms = np.linalg.svd(np.stack(sim.z), compute_uv=False)[:, 0]
     radii = np.array([np.abs(np.linalg.eigvals(z)).max() for z in sim.z])
     conj = conjugated_spec(spec, np.diag([1.0, 0.1]))
-    bound_id = spectral_radius_expectation_bound(
+    bound_id = DISPLAYS["spectral-radius-expectation"](
         ProductStats.from_ensembles(spec.factors, z0=spec.z0))
-    bound_cj = spectral_radius_expectation_bound(
+    bound_cj = DISPLAYS["spectral-radius-expectation"](
         ProductStats.from_ensembles(conj.factors, z0=conj.z0))
     return {
         "worst_radius_excess": float((radii - norms).max()),

@@ -6,23 +6,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from matprod.bounds import (
+    DISPLAYS,
+    PerturbationStats,
     ProductStats,
     ScenarioLT,
     SchattenParams,
     concentration_moment_bound,
-    contraction_bounds,
+    evaluate_kind,
     expectation_concentration_bound,
     expectation_growth_bound,
     growth_moment_bound,
     inverse_perturbation_stats,
-    lowrank_moment_bounds,
-    perturbation_bounds,
     scalar_reference_bounds,
     scenario_lt_bounds,
-    spectral_radius_expectation_bound,
     tail_concentration_bound,
     tail_growth_bound,
-    uniform_moment_bounds,
 )
 from matprod.ensembles import (
     FactorStats,
@@ -179,13 +177,16 @@ class TestMomentBounds:
 class TestUniformMomentBounds:
     def test_values(self):
         s = scalar_stats(sigma=0.1, n=2, uniform_norm=1.1, sigma_uniform=0.1)
-        growth, conc = uniform_moment_bounds(s, 2, 2)
+        growth, conc = (DISPLAYS[name](s, p=2, q=2)
+                        for name in ("uniform-growth", "uniform-concentration"))
         assert growth.value == pytest.approx(1.1 ** 2, rel=1e-14)
         assert conc.value == pytest.approx(math.sqrt(0.02) * 1.1 ** 2, rel=1e-14)
 
     def test_requires_uniform_norms(self):
         with pytest.raises(MissingUniformBoundsError):
-            uniform_moment_bounds(scalar_stats(), 2, 2)
+            DISPLAYS["uniform-growth"](scalar_stats(), p=2, q=2)
+        with pytest.raises(MissingUniformBoundsError):
+            DISPLAYS["uniform-concentration"](scalar_stats(), p=2, q=2)
 
 
 class TestExpectationBounds:
@@ -221,7 +222,7 @@ class TestExpectationBounds:
         for bound in (lambda s: expectation_growth_bound(s, refine=True),
                       lambda s: expectation_concentration_bound(s, refine=True),
                       lambda s: expectation_concentration_bound(s, uniform=True),
-                      spectral_radius_expectation_bound):
+                      DISPLAYS["spectral-radius-expectation"]):
             a, b = bound(unit), bound(scaled)
             assert b.value == pytest.approx(3.0 * a.value, rel=1e-14)
             assert b.capped_value == pytest.approx(3.0 * a.capped_value, rel=1e-14)
@@ -344,18 +345,23 @@ class TestTailBounds:
 PERT_SCENARIO = {"d": 10, "n": 200, "b": 1.0, "mu": 0.0}
 
 
+def perturbation(display, xi, v, d, **t):
+    """The perturbation display ``display`` at statistics (xi, v, d)."""
+    return DISPLAYS[f"perturbation-{display}"](PerturbationStats(xi, v, d), **t)
+
+
 class TestPerturbationBounds:
     def v(self):
         return PERT_SCENARIO["b"] ** 2 / PERT_SCENARIO["n"]
 
     def test_expectation_concentration_frozen(self):
-        r = perturbation_bounds(0.0, self.v(), 10, "expectation-concentration")
+        r = perturbation("expectation-concentration", 0.0, self.v(), 10)
         assert r.value == pytest.approx(0.45506547302734116, rel=1e-14)
         assert r.conditions_met
         assert r.params.p == pytest.approx(2.0 * (1.0 + math.log(10)), rel=1e-12)
 
     def test_tail_growth_frozen(self):
-        r = perturbation_bounds(0.0, self.v(), 10, "tail-growth", t=1.65)
+        r = perturbation("tail-growth", 0.0, self.v(), 10, t=1.65)
         assert r.value == pytest.approx(1.2851136069934235e-10, rel=1e-12)
         assert r.conditions_met  # log 1.65 >= 2v = 0.01
         assert r.threshold == pytest.approx(1.65, rel=1e-15)
@@ -365,7 +371,7 @@ class TestPerturbationBounds:
                 1.0: 1.6861327847063342e-05,
                 2.0: 3.928997548505088e-23}
         for t, loose in want.items():
-            r = perturbation_bounds(0.0, self.v(), 10, "tail-concentration", t=t)
+            r = perturbation("tail-concentration", 0.0, self.v(), 10, t=t)
             assert r.extras["loose_prefactor_value"] == pytest.approx(loose, rel=1e-12)
             # headline value uses the sharper d-or-e prefactor
             assert r.value == pytest.approx(loose * 10 / (10 + E), rel=1e-12)
@@ -375,35 +381,33 @@ class TestPerturbationBounds:
         # aggregated perturbation stats reproduce the scalar displays' exponents
         d, n, b = PERT_SCENARIO["d"], PERT_SCENARIO["n"], PERT_SCENARIO["b"]
         scalar = scalar_reference_bounds(0.0, b, n, s=0.65, t=0.5)
-        pert_g = perturbation_bounds(0.0, self.v(), d, "tail-growth", t=1.65)
+        pert_g = perturbation("tail-growth", 0.0, self.v(), d, t=1.65)
         assert pert_g.value == pytest.approx(d * scalar["growth"].value, rel=1e-12)
-        pert_c = perturbation_bounds(0.0, self.v(), d, "tail-concentration", t=0.5)
+        pert_c = perturbation("tail-concentration", 0.0, self.v(), d, t=0.5)
         assert pert_c.value == pytest.approx(
             max(d, E) * scalar["concentration"].value, rel=1e-12)
         loose = pert_c.extras["loose_prefactor_value"]
         assert pert_c.value <= loose
 
     def test_expectation_growth_condition(self):
-        ok = perturbation_bounds(0.1, 0.05, 10, "expectation-growth")
+        ok = perturbation("expectation-growth", 0.1, 0.05, 10)
         assert ok.conditions_met  # 2v = 0.1 <= log 10
         assert ok.value == pytest.approx(
             math.exp(0.1 + math.sqrt(2 * 0.05 * math.log(10))), rel=1e-12)
-        bad = perturbation_bounds(0.1, 2.0, 2, "expectation-growth")
+        bad = perturbation("expectation-growth", 0.1, 2.0, 2)
         assert not bad.conditions_met and bad.value == math.inf
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
-            perturbation_bounds(-0.1, 0.1, 2, "expectation-growth")
+            perturbation("expectation-growth", -0.1, 0.1, 2)
         with pytest.raises(InvalidParameterError):
-            perturbation_bounds(0.1, -0.1, 2, "expectation-growth")
+            perturbation("expectation-growth", 0.1, -0.1, 2)
         with pytest.raises(InvalidParameterError):
-            perturbation_bounds(0.1, 0.1, 0, "expectation-growth")
+            perturbation("expectation-growth", 0.1, 0.1, 0)
         with pytest.raises(InvalidParameterError):
-            perturbation_bounds(0.1, 0.1, 2, "tail-growth")
+            perturbation("tail-growth", 0.1, 0.1, 2, t=0.0)
         with pytest.raises(InvalidParameterError):
-            perturbation_bounds(0.1, 0.0, 2, "tail-growth", t=2.0)
-        with pytest.raises(InvalidParameterError):
-            perturbation_bounds(0.1, 0.1, 2, "no-such-query")
+            perturbation("tail-growth", 0.1, 0.0, 2, t=2.0)
 
 
 class TestInversePerturbationStats:
@@ -416,7 +420,7 @@ class TestInversePerturbationStats:
         xi_bar, v_bar = inverse_perturbation_stats([0.02] * 10, [0.02] * 10)
         assert xi_bar == pytest.approx(0.21666666666666667, rel=1e-12)
         assert v_bar == pytest.approx(0.005444444444444444, rel=1e-12)
-        r = perturbation_bounds(xi_bar, v_bar, 4, "expectation-growth")
+        r = perturbation("expectation-growth", xi_bar, v_bar, 4)
         assert r.value == pytest.approx(1.4042863150259291, rel=1e-12)
         assert r.conditions_met
 
@@ -431,6 +435,11 @@ class TestInversePerturbationStats:
             inverse_perturbation_stats([-0.1], [0.1])
 
 
+def contraction(s, *ts):
+    """The contraction kind's displays: growth, concentration and a tail at each t."""
+    return evaluate_kind("contraction", s, {"deviation-tail": ts})
+
+
 class TestContractionBounds:
     def kaczmarz_stats(self, n=50):
         e = make_random_projector_contraction(8)
@@ -440,14 +449,14 @@ class TestContractionBounds:
         s = self.kaczmarz_stats()
         assert s.contraction_M == pytest.approx(0.035497790793257017, rel=1e-12)
         assert s.contraction_v == pytest.approx(43.75, rel=1e-12)
-        growth, conc = contraction_bounds(s)
+        growth, conc = contraction(s)
         assert growth.value == pytest.approx(0.10040291434821372, rel=1e-12)
         assert conc.value == pytest.approx(0.6641028556787306, rel=1e-12)
         assert conc.capped_value == pytest.approx(0.6641028556787306, rel=1e-12)
 
     def test_growth_clipped_at_one(self):
         s = self.kaczmarz_stats(n=1)
-        growth, _ = contraction_bounds(s)
+        growth, _ = contraction(s)
         assert growth.value == 1.0
         assert growth.extras["unclipped"] == pytest.approx(
             math.sqrt(8) * math.sqrt(7.0 / 8.0), rel=1e-12)
@@ -456,7 +465,7 @@ class TestContractionBounds:
         # the contraction stat bounds ||E Y^T Y||, not ||Y||: B = 1.5^2 here
         f = FactorStats(0.9, 0.1, uniform_norm=1.5, sigma_uniform=0.2, contraction=0.95)
         s = ProductStats.from_factors([f] * 2, d=4, z0=2.0 * np.eye(4))
-        growth, conc, tail = contraction_bounds(s, t=16.0)
+        growth, conc, tail = contraction(s, 16.0)
         assert growth.extras["unclipped"] == pytest.approx(2.0 * 2.0 * 0.95**2, rel=1e-14)
         assert growth.value == growth.extras["unclipped"] < 2.0 * 2.25
         assert growth.capped_value == growth.value
@@ -465,14 +474,14 @@ class TestContractionBounds:
         # without B there is nothing to clip at
         s = ProductStats.from_factors([FactorStats(0.9, 0.1, sigma_uniform=0.2,
                                                    contraction=0.95)] * 2, d=4)
-        growth, conc = contraction_bounds(s)
+        growth, conc = contraction(s)
         assert growth.value == growth.extras["unclipped"] == pytest.approx(
             2.0 * 0.95**2, rel=1e-14)
         assert growth.capped_value is None and conc.capped_value is None
 
     def test_tail_frozen(self):
         s = self.kaczmarz_stats()
-        _, _, tail = contraction_bounds(s, t=16.0)
+        _, _, tail = contraction(s, 16.0)
         assert tail.conditions_met  # 256 >= 2 e v = 237.85
         assert tail.value == pytest.approx(0.003436031092016610, rel=1e-12)
         assert tail.threshold == 16.0
@@ -481,17 +490,26 @@ class TestContractionBounds:
         s = self.kaczmarz_stats()
         t_min = math.sqrt(2.0 * E * 43.75)
         assert t_min == pytest.approx(15.422375303116134, rel=1e-12)
-        _, _, below = contraction_bounds(s, t=15.0)
+        _, _, below = contraction(s, 15.0)
         assert not below.conditions_met
         assert below.value == math.inf and below.capped_value == 1.0
 
     def test_requires_contraction_stats(self):
+        assert contraction(scalar_stats(), 16.0) == []
+        for name in ("contraction-expectation-growth", "contraction-expectation-concentration"):
+            with pytest.raises(MissingUniformBoundsError):
+                DISPLAYS[name](scalar_stats())
         with pytest.raises(MissingUniformBoundsError):
-            contraction_bounds(scalar_stats())
+            DISPLAYS["contraction-tail"](scalar_stats(), t=16.0)
 
 
 def without_kind(result):
     return {k: v for k, v in result.to_json().items() if k != "kind"}
+
+
+def lowrank(s, p):
+    """The lowrank kind's displays: growth and concentration."""
+    return evaluate_kind("lowrank", s, {}, p=p)
 
 
 class TestLowRankBounds:
@@ -505,7 +523,7 @@ class TestLowRankBounds:
         p = 2.0 * (1.0 + math.log(100))
         assert p == pytest.approx(11.210340371976184, rel=1e-14)
         s = self.lowrank_stats()
-        growth, conc = lowrank_moment_bounds(s, p)
+        growth, conc = lowrank(s, p)
         assert growth.value == pytest.approx(12.840254166877415, rel=1e-12)
         assert conc.value == pytest.approx(12.801254902157554, rel=1e-12)
         assert growth.params.q == 2.0
@@ -522,26 +540,22 @@ class TestLowRankBounds:
             [FactorStats(1.0, 1.0, sigma_uniform=1.0)] * 50, d=100, z0=z0)
         unprojected = concentration_moment_bound(full, p, 2.0)
         log_ratio = math.log(unprojected.value) - math.log(
-            lowrank_moment_bounds(self.lowrank_stats(), p)[1].value)
+            lowrank(self.lowrank_stats(), p)[1].value)
         assert math.log(unprojected.value) == pytest.approx(255.25850929940458, rel=1e-12)
         assert log_ratio >= math.log(50.0)
 
     def test_requires_projected_rank_matching_start(self):
-        s = scalar_stats()
-        with pytest.raises(InvalidInputError):
-            lowrank_moment_bounds(s, 4.0)
+        assert lowrank(scalar_stats(), 4.0) == []
         z0 = np.zeros((3, 2))
         z0[0, 0] = z0[1, 1] = 1.0
-        mismatched = ProductStats.from_factors(
-            [FactorStats(1.0, 0.1)], d=3, z0=z0, projected_rank=1)
         with pytest.raises(InvalidInputError):
-            lowrank_moment_bounds(mismatched, 4.0)
+            ProductStats.from_factors([FactorStats(1.0, 0.1)], d=3, z0=z0, projected_rank=1)
 
 
 class TestSpectralRadiusBound:
     def test_matches_expectation_growth(self):
         s = ProductStats.from_factors([FactorStats(1.1, 0.2)] * 3, d=4)
-        radius = spectral_radius_expectation_bound(s)
+        radius = DISPLAYS["spectral-radius-expectation"](s)
         assert radius.value == expectation_growth_bound(s).value
         assert radius.kind == "spectral-radius-expectation"
         assert without_kind(radius) == without_kind(expectation_growth_bound(s))

@@ -198,6 +198,16 @@ class TestUsage:
         assert payload["error"] == {"code": "invalid-input",
                                     "message": "factor count must be positive"}
 
+    @pytest.mark.parametrize("kind", ["contraction", "lowrank"])
+    def test_kind_whose_displays_the_stats_cannot_serve(self, capsys, tmp_path, kind):
+        # no contraction stats, no projected rank: nothing of the kind to print
+        path = write_config(tmp_path, {"kind": kind, "d": 2,
+                                       "factors": [{"mean_norm": 1.0, "sigma": 0.1}]})
+        rc, payload, _ = run_json(capsys, "bound", "--config", path)
+        assert rc == 1
+        assert payload["error"]["code"] == "invalid-input"
+        assert kind in payload["error"]["message"]
+
     def test_unknown_bound_kind(self, capsys, tmp_path):
         path = write_config(tmp_path, {"kind": "mystery"})
         rc, payload, _ = run_json(capsys, "bound", "--config", path)

@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 
 from matprod import verify
 from matprod.bounds import (
+    DISPLAYS,
+    PerturbationStats,
     ProductStats,
     concentration_moment_bound,
-    contraction_bounds,
+    contraction_concentration_bound,
+    contraction_growth_bound,
     expectation_concentration_bound,
     expectation_growth_bound,
     growth_moment_bound,
     inverse_perturbation_stats,
-    lowrank_moment_bounds,
-    perturbation_bounds,
-    spectral_radius_expectation_bound,
+    perturbation_expectation_concentration_bound,
+    perturbation_expectation_growth_bound,
 )
 from matprod.ensembles import (
     FactorEnsemble,
@@ -111,12 +113,12 @@ class TestOneNormStackPerTrial:
         assert report.instances == 84 and report.passed
 
 
-def _inverse(query):
-    def bound(stats, p, q):
+def _inverse(bound):
+    def inverse(stats, p, q):
         xi_bar, v_bar = inverse_perturbation_stats(
             [f.mean_perturbation for f in stats.factors], [f.sigma for f in stats.factors])
-        return perturbation_bounds(xi_bar, v_bar, stats.d, query)
-    return bound
+        return bound(PerturbationStats(xi_bar, v_bar, stats.d))
+    return inverse
 
 
 # bound name -> (bound of (stats, p, q), exact EnumerationReport field, estimate key)
@@ -131,22 +133,23 @@ PAIRING = {
                            "spectral-norm-mean"),
     "expectation-concentration": (lambda s, p, q: expectation_concentration_bound(s),
                                   "deviation_mean", "deviation-norm-mean"),
-    "contraction-expectation-growth": (lambda s, p, q: contraction_bounds(s)[0],
+    "contraction-expectation-growth": (lambda s, p, q: contraction_growth_bound(s),
                                        "growth_mean", "spectral-norm-mean"),
-    "contraction-expectation-concentration": (lambda s, p, q: contraction_bounds(s)[1],
+    "contraction-expectation-concentration": (lambda s, p, q: contraction_concentration_bound(s),
                                               "deviation_mean", "deviation-norm-mean"),
-    "lowrank-growth": (lambda s, p, q: lowrank_moment_bounds(s, p)[0], "growth_moment",
+    # the low-rank bounds are the moment bounds at q = 2, on projected stats
+    "lowrank-growth": (lambda s, p, q: growth_moment_bound(s, p), "growth_moment",
                        "schatten-moment"),
-    "lowrank-concentration": (lambda s, p, q: lowrank_moment_bounds(s, p)[1],
+    "lowrank-concentration": (lambda s, p, q: concentration_moment_bound(s, p),
                               "deviation_moment", "deviation-schatten-moment"),
     "adapted-growth-moment": (growth_moment_bound, "growth_moment", "schatten-moment"),
     "adapted-concentration-moment": (concentration_moment_bound, "deviation_moment",
                                      "deviation-schatten-moment"),
-    "spectral-radius-expectation": (lambda s, p, q: spectral_radius_expectation_bound(s),
+    "spectral-radius-expectation": (lambda s, p, q: expectation_growth_bound(s),
                                     "spectral_radius_mean", "spectral-radius-mean"),
-    "inverse-expectation-growth": (_inverse("expectation-growth"), "growth_mean",
-                                   "spectral-norm-mean"),
-    "inverse-expectation-concentration": (_inverse("expectation-concentration"),
+    "inverse-expectation-growth": (_inverse(perturbation_expectation_growth_bound),
+                                   "growth_mean", "spectral-norm-mean"),
+    "inverse-expectation-concentration": (_inverse(perturbation_expectation_concentration_bound),
                                           "deviation_mean", "deviation-norm-mean"),
 }
 
@@ -342,7 +345,8 @@ class TestComparisonRows:
         spec = ProductSpec((make_bounded_perturbation(2, 0.1 * np.eye(2), 0.3, 3.0),) * 3,
                            np.eye(2))
         p, q = 3.0, 2.0
-        assert set(PAIRING) == set(verify.BOUND_TABLE)
+        assert set(PAIRING) == {n for n, d in DISPLAYS.items()
+                                if d.estimate and "t" not in d.args}
         exact = enumerate_product(spec, p, q)
         estimates = summarize_simulation(spec, 40, 9, p, q)[0]
         for trials in (0, 40):
