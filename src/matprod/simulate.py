@@ -16,6 +16,7 @@ interior hit counts and triangular arrays.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, replace
@@ -27,6 +28,7 @@ from .ensembles import (
     FactorEnsemble,
     FactorStats,
     SupportSampler,
+    diagonal_moves,
     ensemble_from_config,
     householder_direction,
     make_bounded_perturbation,
@@ -202,13 +204,35 @@ class NormBiasedTwoPointHook:
 # simulation
 
 def expected_product(spec: ProductSpec) -> np.ndarray:
-    """Exact E Z_n = (E Y_n) ... (E Y_1) Z_0 for independent factor draws."""
+    """Exact E Z_n = (E Y_n) ... (E Y_1) Z_0 for independent factor draws.
+
+    A factor whose sampler has diagonals has a diagonal mean, which scales
+    rows (_gather): a run of such factors multiplies their diagonals into the
+    rows in factor order, then adds 0.0 once, as a Monte Carlo run of
+    diagonal steps does. A run that ends non-finite takes the dense means
+    instead, the rule _step keeps.
+    """
     if spec.mode != "independent":
         raise UnsupportedEnsembleError(
             f"expected_product is defined for independent products, not {spec.mode!r}")
     out = spec.z0
-    for e in spec.factors:
-        out = e.exact_mean() @ out
+    for diagonal, run in itertools.groupby(
+            spec.factors, key=lambda e: getattr(e.sampler, "diagonals", None) is not None):
+        run = list(run)
+        if diagonal:  # one trial's run of diagonal steps, the means' diagonals as atoms
+            distinct = {id(e): e for e in run}
+            slot = {key: k for k, key in enumerate(distinct)}
+            table = np.stack([np.diagonal(e.exact_mean()) for e in distinct.values()])
+            scaled = out.copy()
+            _scatter(_moved_entries(diagonal_moves(table), out.shape[1]),
+                     np.array([slot[id(e)] for e in run])[:, None], scaled.reshape(-1),
+                     np.zeros((1, 1), dtype=np.intp))
+            scaled += 0.0
+            if np.isfinite(scaled).all():
+                out = scaled
+                continue
+        for e in run:
+            out = e.exact_mean() @ out
     return out
 
 
@@ -272,60 +296,83 @@ def _uniforms(n, seed, key, ks):
     return u
 
 
-def _moved_entries(sampler, r):
-    """(offsets, factors), each (K, m r): where atom k's moved entries sit in
-    one trial's flattened d x r product, and what the step multiplies them by."""
-    cols, vals = sampler.moves
+def _moved_entries(moves, r):
+    """(offsets, factors), each (K, m r), of a sampler's ``moves``: where atom
+    k's moved entries sit in one trial's flattened d x r product, and what
+    the step multiplies them by."""
+    cols, vals = moves
     offsets = (cols * r)[:, :, None] + np.arange(r)
     return offsets.reshape(len(cols), -1), np.repeat(vals, r, axis=1)
 
 
-def _move(moved, idx, prod, base):
-    """A diagonal step in place on a product free of -0: only the entries the
-    atoms ``idx`` move change, each to D_jj z + 0.0. Trial t's product starts
-    at flat offset base[t] of prod."""
+def _scatter(moved, digits, flat, base):
+    """A run of diagonal steps of one sampler in place: the (steps, T) atoms
+    ``digits`` multiply their moved entries of the flat C-order products,
+    trial t's starting at offset base[t]. ``np.multiply.at`` is unbuffered
+    and goes in index order, so an entry that several steps move is
+    multiplied in step order. The run goes in slices of steps whose index
+    and factor blocks each fit GATHER_BUDGET, or of one step."""
     offsets, factors = moved
-    flat = offsets.take(idx, axis=0)
-    flat += base
-    z = prod.take(flat)
-    z *= factors.take(idx, axis=0)
-    z += 0.0
-    prod.put(flat, z)
+    span = max(1, GATHER_BUDGET // max(1, 8 * offsets.shape[1] * len(base)))
+    for lo in range(0, len(digits), span):
+        dig = digits[lo:lo + span]
+        idx = offsets.take(dig, axis=0)
+        idx += base
+        np.multiply.at(flat, idx.reshape(-1), factors.take(dig, axis=0).reshape(-1))
 
 
 def _sampled_chunk(spec, start, samplers, u, atom_conds):
     """One chunk of trials through the gather kernel, from their (T, n)
-    uniforms ``u``: (products, cond estimates), equal to the per-trial loop's.
+    uniforms ``u``: (products, kept), equal to the per-trial loop's.
 
     Factor i's atoms are ``digits[i]``; each distinct sampler picks the
-    uniforms of all its factors in one call. Outside inverse mode a diagonal
-    sampler's step changes only its moved entries: entering a run of diagonal
-    steps, the product gets one ``+ 0.0`` (a copy of the broadcast start, or
-    in place after a dense step), which turns -0 into +0. An unmoved entry z
-    then has the full step's bits, since 1.0 z + 0.0 == z for every z that
-    is not -0, inf and NaN included, and a moved one gets the full step's
-    D_jj z + 0.0. The redo of non-finite trials takes full steps (_step)."""
+    uniforms of all its factors in one call. Inverse mode multiplies up the
+    drawn atoms' condition numbers first and forms only the products of the
+    trials it keeps, those whose estimate is at most CONDITION_LIMIT; ``kept``
+    is their (T,) mask, and None outside inverse mode, which keeps them all.
+
+    Outside inverse mode, consecutive steps of one diagonal sampler change
+    only their moved entries, in one ordered scatter (_scatter), and a run of
+    diagonal steps ends with one ``+ 0.0``. That has the bits of full steps,
+    which are D_jj z + 0.0 on every entry: ``+ 0.0`` changes only the sign of
+    a zero, a finite factor keeps a zero a zero, so the last ``+ 0.0`` alone
+    decides that sign; an unmoved entry gets 1.0 z + 0.0, ±inf and NaN
+    included. The redo of non-finite trials takes full steps (_step)."""
     groups = {}
     for i, s in enumerate(samplers):
         groups.setdefault(id(s), (s, []))[1].append(i)
     digits = np.empty((len(samplers), len(u)), dtype=np.intp)
     for s, cols in groups.values():
         digits[cols] = s.pick(u[:, cols]).T
-    invert = spec.mode == "inverse"
+    invert, kept = spec.mode == "inverse", None
+    if invert:
+        cond_est = np.full(len(u), np.linalg.cond(spec.z0))
+        for s, dig in zip(samplers, digits):
+            cond_est = cond_est * atom_conds[id(s)][dig]
+        kept = ~(cond_est > CONDITION_LIMIT)
+        digits = digits[:, kept]
     apply = _right_solve if invert else np.matmul
-    moves = {} if invert else {key: _moved_entries(s, start.shape[1])
+    moves = {} if invert else {key: _moved_entries(s.moves, start.shape[1])
                                for key, (s, _) in groups.items() if s.moves is not None}
-    base = (np.arange(len(u)) * start.size)[:, None]
-    prod, clean = np.broadcast_to(start, (len(u), *start.shape)), False
-    for s, dig in zip(samplers, digits):
-        moved = moves.get(id(s))
+    trials = digits.shape[1]
+    base = (np.arange(trials) * start.size)[:, None]
+    prod, pending = np.broadcast_to(start, (trials, *start.shape)), False
+    for key, run in itertools.groupby(range(len(samplers)), key=lambda i: id(samplers[i])):
+        run = list(run)
+        moved = moves.get(key)
         if moved is None:
-            prod, clean = _gather(s.atoms, dig, prod, apply), False
+            if pending:  # the diagonal run's + 0.0
+                prod += 0.0
+                pending = False
+            for i in run:
+                prod = _gather(samplers[i].atoms, digits[i], prod, apply)
             continue
-        if not clean:  # owned and free of -0 until the next dense step
-            prod = np.add(prod, 0.0, out=prod if prod.flags.writeable else None)
-            clean = True
-        _move(moved, dig, prod, base)
+        if not prod.flags.writeable:  # the broadcast start; steps make C-order products
+            prod = prod.copy()
+        _scatter(moved, digits[run[0]:run[-1] + 1], prod.reshape(-1), base)
+        pending = True
+    if pending:
+        prod += 0.0
     bad = np.flatnonzero(~np.isfinite(prod).all(axis=(1, 2)))
     if bad.size:  # a non-finite entry never turns finite again: redo just these trials
         steps = [s.atoms if invert or s.diagonals is None else s.diagonals for s in samplers]
@@ -333,31 +380,32 @@ def _sampled_chunk(spec, start, samplers, u, atom_conds):
         for step, dig in zip(steps, digits):
             redo = _step(step, dig[bad], redo, apply)
         prod[bad] = redo
-    if not invert:
-        return prod, None
-    cond_est = np.full(len(u), np.linalg.cond(spec.z0))
-    for s, dig in zip(samplers, digits):
-        cond_est = cond_est * atom_conds[id(s)][dig]
-    return prod, cond_est
+    return prod, kept
 
 
 def _trial_products(spec, start, rngs):
-    """Trials drawn one factor at a time, one per stream: (products, cond estimates)."""
-    prods, conds = [], []
+    """Trials drawn one factor at a time, one per stream: (products, kept), as
+    _sampled_chunk gives them; inverse mode draws a trial's factors and
+    multiplies up their condition numbers before it solves."""
+    prods, kept = [], []
     for rng in rngs:
         prod = start
         if spec.mode != "inverse":
             for e in spec.factors:
                 prod = e.draw(rng) @ prod
         else:
+            ys = [e.draw(rng) for e in spec.factors]
             cond_est = np.linalg.cond(spec.z0)
-            for e in spec.factors:
-                y = e.draw(rng)
+            for y in ys:
                 cond_est *= np.linalg.cond(y)
+            kept.append(not cond_est > CONDITION_LIMIT)
+            if not kept[-1]:
+                continue
+            for y in ys:
                 prod = _right_solve(y, prod)
-            conds.append(cond_est)
         prods.append(prod)
-    return np.stack(prods), (np.array(conds) if conds else None)
+    stack = np.stack(prods) if prods else np.empty((0, *start.shape))
+    return stack, (np.array(kept) if spec.mode == "inverse" else None)
 
 
 def _level_supports(hook, prods):
@@ -385,7 +433,8 @@ def _trial_chunks(spec, trials, seed, key):
     When every factor samples a finite support, a chunk of trials goes through
     one gather-and-multiply kernel; other samplers draw one trial at a time.
     Inverse mode drops ill-conditioned or non-finite trials from a chunk and
-    names them. Trial k reads only the stream (seed, *key, k), so the bits do
+    names them; an ill-conditioned one, such as a trial that draws a singular
+    atom, is never solved. Trial k reads only the stream (seed, *key, k), so the bits do
     not depend on the chunking. Adapted products are not sampled: they raise
     UnsupportedEnsembleError, and enumerate_product certifies them exactly.
     """
@@ -407,13 +456,14 @@ def _trial_chunks(spec, trials, seed, key):
         ks = range(lo, min(lo + chunk, trials))
         if batched:
             u = _uniforms(spec.n, seed, key, ks)
-            prod, cond_est = _sampled_chunk(spec, start, samplers, u, atom_conds)
+            prod, kept = _sampled_chunk(spec, start, samplers, u, atom_conds)
         else:
-            prod, cond_est = _trial_products(spec, start, substreams(seed, key, ks))
+            prod, kept = _trial_products(spec, start, substreams(seed, key, ks))
         excluded = []
-        if invert:
-            bad = (cond_est > CONDITION_LIMIT) | ~np.isfinite(prod).all(axis=(1, 2))
-            prod, excluded = prod[~bad], (lo + np.flatnonzero(bad)).tolist()
+        if invert:  # the ill-conditioned trials were never solved
+            finite = np.isfinite(prod).all(axis=(1, 2))
+            kept[kept] = finite
+            prod, excluded = prod[finite], (lo + np.flatnonzero(~kept)).tolist()
         yield prod, excluded
 
 
@@ -593,7 +643,13 @@ def _enumerate_independent(spec, invert):
     probs = [np.array(s.probs) for s in supports]
     if invert:
         eye = np.eye(spec.d)
-        steps = [np.stack([np.linalg.solve(m, eye) for m in s.atoms]) for s in supports]
+        steps = []
+        for i, (e, s) in enumerate(zip(spec.factors, supports), 1):
+            try:
+                steps.append(np.stack([np.linalg.solve(m, eye) for m in s.atoms]))
+            except np.linalg.LinAlgError:
+                raise InvalidInputError(
+                    f"factor {i} ({e.kind}) has a singular atom, which has no inverse") from None
         start = np.linalg.solve(spec.z0, eye)
     else:
         steps = [s.atoms if s.diagonals is None else s.diagonals for s in supports]

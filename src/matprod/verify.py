@@ -492,13 +492,22 @@ def _inverse_stats(stats: ProductStats) -> Optional[PerturbationStats]:
     return PerturbationStats(xi_bar, v_bar, stats.d)
 
 
+# the note of a named display's skipped row, by the need it cannot be
+# evaluated without (on a rectangular start it can, but has no truth to join)
+_UNMET_NEEDS = {
+    "contraction": "factors carry no contraction statistics",
+    "perturbation": "factors carry no perturbation statistics",
+}
+
+
 def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED,
                     bounds=None, thresholds_growth=(), thresholds_deviation=(),
                     mc_fallback_trials=None):
     """Empirical (exact or Monte Carlo) values joined to their bounds.
 
     ``bounds`` names displays of ``DISPLAYS`` with a mean estimate; by
-    default, every one for the product's mode whose need the stats meet.
+    default, every one for the product's mode whose need the stats meet. A
+    named display whose need they do not meet gets a skipped row with a note.
     Each threshold list adds one tail row per threshold, from the last tail
     display for its quantity that the mode takes and the stats meet.
     trials = 0 asks for exact enumeration; EnumerationInfeasibleError is
@@ -574,9 +583,10 @@ def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED
         row_stats = lr_stats if lowrank else stats
         if display.need == "perturbation":
             row_stats = _inverse_stats(stats)
-        if row_stats is None:
+        if row_stats is None or (display.need in _UNMET_NEEDS
+                                 and not row_stats.meets(display.need)):
             rows.append(CompareRow(name, math.nan, "none", math.nan, name, skipped=True,
-                                   note="factors carry no perturbation statistics"))
+                                   note=_UNMET_NEEDS[display.need]))
             continue
         result = display(row_stats, **given)
         if not result.conditions_met:  # its value is inf

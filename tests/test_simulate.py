@@ -146,16 +146,18 @@ def reference_loop(spec, trials, seed, key=()):
     zs, excluded = [], []
     for k in range(trials):
         rng = substream(seed, *key, k)
+        ys = [e.draw(rng) for e in spec.factors]
         prod = start
-        cond_est = np.linalg.cond(spec.z0)
-        for e in spec.factors:
-            y = e.draw(rng)
-            if inverse:
+        if inverse:
+            cond_est = np.linalg.cond(spec.z0)
+            for y in ys:
                 cond_est *= np.linalg.cond(y)
-                prod = np.linalg.solve(y.T, prod.T).T
-            else:
-                prod = y @ prod
-        if inverse and (cond_est > CONDITION_LIMIT or not np.all(np.isfinite(prod))):
+            if cond_est > CONDITION_LIMIT:  # not solved: its atoms may be singular
+                excluded.append(k)
+                continue
+        for y in ys:
+            prod = np.linalg.solve(y.T, prod.T).T if inverse else y @ prod
+        if inverse and not np.all(np.isfinite(prod)):
             excluded.append(k)
         else:
             zs.append(prod)
@@ -510,6 +512,16 @@ def padded_diagonal(d=5):
     return FactorEnsemble(dim=d, sampler=sampler, stats=FactorStats(1.0, 0.0))
 
 
+def thirds_diagonal(d=3):
+    """Diagonal atoms that scale coordinate 0 by 3.0 or by 1/3: a run of them
+    moves one entry many times, and 3.0 then 1/3 is not 1/3 then 3.0 in the
+    last bit."""
+    diagonals = np.ones((2, d))
+    diagonals[:, 0] = [3.0, 1.0 / 3.0]
+    sampler = SupportSampler.from_diagonals(diagonals, (0.5, 0.5))
+    return FactorEnsemble(dim=d, sampler=sampler, stats=FactorStats(1.0, 0.0))
+
+
 def full_steps(spec, u):
     """A chunk's products from its uniforms by full steps: every diagonal
     step scales every row of every trial (_step, with its dense redo)."""
@@ -540,6 +552,14 @@ MOVE_SPECS = [
                         stats=FactorStats(1.0, 0.0)),) * 3,
         signed_zero_start(4, 2)), id="identity-moves-nothing"),
     pytest.param(overflowing_rank_one, id="overflow-redo", marks=IGNORE_OVERFLOW),
+    pytest.param(lambda: ProductSpec((thirds_diagonal(),) * 40, tall_start(3, 2)),
+                 id="one-entry-moved-forty-times"),
+    pytest.param(lambda: ProductSpec((thirds_diagonal(),) * 40, signed_zero_start(3, 2)),
+                 id="thirds-signed-zero"),
+    pytest.param(lambda: ProductSpec((padded_diagonal(), thirds_diagonal(5)) * 6,
+                                     signed_zero_start(5, 2)), id="two-diagonal-samplers"),
+    pytest.param(lambda: ProductSpec((thirds_diagonal(),) * 40, np.full((3, 2), 1e307)),
+                 id="thirds-overflow", marks=IGNORE_OVERFLOW),
 ]
 
 
@@ -585,6 +605,42 @@ class TestMoveSteps:
             assert cols.shape == vals.shape == want_cols.shape == (len(s), 1)
             assert np.array_equal(cols, want_cols)
             assert vals.tobytes() == want_vals.tobytes()
+
+    def test_the_thirds_are_order_sensitive(self):
+        # the fold's order matters on these starts: a scatter out of step
+        # order would show in test_chunk_matches_full_steps
+        z = tall_start(3, 2)
+        assert (z * 3.0 * (1.0 / 3.0)).tobytes() != (z * (1.0 / 3.0) * 3.0).tobytes()
+
+    def test_long_run_in_budget_slices(self, monkeypatch):
+        spec = ProductSpec((thirds_diagonal(),) * 40, tall_start(3, 2))
+        samplers = [e.sampler for e in spec.factors]
+        u = simulate._uniforms(spec.n, 31, (), range(150))
+        whole, _ = simulate._sampled_chunk(spec, spec.z0, samplers, u, None)
+        # one step moves 150 trials x 2 entries: three steps a slice
+        monkeypatch.setattr(simulate, "GATHER_BUDGET", 3 * 8 * 2 * 150)
+        sliced, _ = simulate._sampled_chunk(spec, spec.z0, samplers, u, None)
+        assert sliced.tobytes() == whole.tobytes() == full_steps(spec, u).tobytes()
+
+    def test_run_scatter_stays_within_the_budget(self):
+        # n >> d and r > 1: the whole run's offsets and factors would hold
+        # 2 x 4000 steps x 16 trials x 3 entries x 8 bytes, about 5.9 budgets
+        d, n, r, trials = 4, 4000, 3, 16
+        s = make_rademacher_rank_one(d).sampler
+        moved = simulate._moved_entries(s.moves, r)
+        digits = s.pick(simulate._uniforms(n, 3, (), range(trials))).T.copy()
+        prod = np.ones((trials, d, r))
+        base = (np.arange(trials) * d * r)[:, None]
+        tracemalloc.start()
+        try:
+            simulate._scatter(moved, digits, prod.reshape(-1), base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * simulate.GATHER_BUDGET + 2**14
+        spec = ProductSpec((make_rademacher_rank_one(d),) * n, np.ones((d, r)))
+        want = full_steps(spec, simulate._uniforms(n, 3, (), range(trials)))
+        assert prod.tobytes() == want.tobytes()
 
     def test_coordinate_steps_allocate_no_row_block(self):
         # d = 2000, one column: a step that gathered (T, d) diagonal rows, or
@@ -923,6 +979,35 @@ class TestInverseMode:
         assert rep.mean[0, 0] == pytest.approx(sum(vals) / 4, rel=1e-12)
         assert rep.growth_mean == pytest.approx(sum(vals) / 4, rel=1e-12)
         assert rep.outcomes == 4
+
+    def test_singular_atom_trials_are_excluded(self):
+        s = SupportSampler((np.eye(3), np.diag([1.0, 1.0, 0.0])), (0.99, 0.01))
+        e = FactorEnsemble(3, s, FactorStats(1.0, 0.1))
+        estimates, _, _, excluded = summarize_simulation(
+            ProductSpec((e,) * 3, np.eye(3), mode="inverse"), 200, 5)
+        # a trial is left out exactly when it draws the singular atom
+        u = simulate._uniforms(3, 5, (), range(200))
+        assert excluded == np.flatnonzero((s.pick(u) == 1).any(axis=1)).tolist()
+        assert 0 < len(excluded) < 200
+        assert estimates["spectral-norm-mean"].trials == 200 - len(excluded)
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "per-trial"])
+    def test_singular_atoms_keep_the_included_bits(self, batched):
+        u = householder_direction(3)
+        s = SupportSampler((np.eye(3) + 0.2 * u, np.diag([1.0, 1.0, 0.0]), np.eye(3) - 0.3 * u),
+                           (0.45, 0.1, 0.45))
+        e = FactorEnsemble(3, s if batched else (lambda rng: s(rng)), FactorStats(1.3, 0.3))
+        sim = assert_matches_reference(ProductSpec((e,) * 4, np.eye(3), mode="inverse"),
+                                       100, seed=5)
+        assert 0 < sim.excluded < 100
+
+    def test_enumeration_names_the_singular_factor(self):
+        s = SupportSampler((np.eye(3), np.diag([1.0, 1.0, 0.0])), (0.5, 0.5))
+        singular = FactorEnsemble(3, s, FactorStats(1.0, 0.5), kind="flat")
+        good = make_bounded_perturbation(3, np.zeros((3, 3)), 0.1, 1.0)
+        spec = ProductSpec((good, singular, good), np.eye(3), mode="inverse")
+        with pytest.raises(InvalidInputError, match=r"factor 2 \(flat\) has a singular atom"):
+            enumerate_product(spec)
 
     def test_ill_conditioned_trials_excluded(self):
         spec = ill_conditioned_inverse()
@@ -1299,7 +1384,37 @@ class TestSpectralRadiusOnRequest:
         assert [r.quantity for r in rows if not r.skipped][-1] == "spectral-radius-expectation"
 
 
+def dense_chain(spec):
+    out = spec.z0
+    for e in spec.factors:
+        out = e.exact_mean() @ out
+    return out
+
+
 class TestExpectedProduct:
+    @pytest.mark.parametrize("make_spec, finite", [
+        pytest.param(lambda: ProductSpec((make_rademacher_rank_one(6),) * 20,
+                                         signed_zero_start(6, 2)), True, id="rank-one"),
+        pytest.param(lambda: ProductSpec((make_random_projector_contraction(6),) * 20,
+                                         signed_zero_start(6, 3)), True, id="coordinate-projector"),
+        pytest.param(lambda: ProductSpec((padded_diagonal(),) * 12, signed_zero_start(5, 3)),
+                     True, id="padded"),
+        pytest.param(lambda: ProductSpec((padded_diagonal(), thirds_diagonal(5)) * 6,
+                                         tall_start(5, 2)), True, id="two-diagonal-means"),
+        pytest.param(lambda: rank_one_mixed(5, 2), True, id="diagonal-and-dense"),
+        # the thirds' mean scales coordinate 0 by 5/3: 1e307 overflows within
+        # the run, and the dense means turn the other rows into NaN by 0 * inf
+        pytest.param(lambda: ProductSpec((thirds_diagonal(),) * 8, np.full((3, 2), 1e307)),
+                     False, id="overflow", marks=IGNORE_OVERFLOW),
+    ])
+    def test_diagonal_means_match_the_dense_chain(self, make_spec, finite):
+        spec = make_spec()
+        got = expected_product(spec)
+        assert got.tobytes() == dense_chain(spec).tobytes()
+        assert np.isfinite(got).all() == finite
+        if not finite:
+            assert np.isnan(got[1:]).all()
+
     def test_value(self):
         spec = matrix_two_point(dim=2, n=3)
         step = np.eye(2) + 0.2 * np.eye(2) / 3.0

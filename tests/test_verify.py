@@ -398,6 +398,17 @@ class TestComparisonRows:
         assert all(r.skipped for r in rows)
         assert all(r.note == "factors carry no perturbation statistics" for r in rows)
 
+    def test_contraction_rows_skip_without_contraction_stats(self):
+        # named, as a default set would not list them for these stats
+        spec = ProductSpec((make_rademacher_rank_one(3),) * 2, np.eye(3))
+        for trials in (0, 16):
+            growth, contraction = comparison_rows(
+                spec, trials=trials,
+                bounds=["growth-moment", "contraction-expectation-growth"])[0]
+            assert not growth.skipped
+            assert contraction.skipped and math.isnan(contraction.bound)
+            assert contraction.note == "factors carry no contraction statistics"
+
     def test_lowrank_rows_exact(self):
         e = make_rademacher_rank_one(6)
         spec = ProductSpec(factors=(e,) * 4, z0=np.eye(6)[:, :1])
