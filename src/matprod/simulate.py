@@ -357,15 +357,15 @@ def _sampled_chunk(spec, start, samplers, u, atom_conds):
     trials = digits.shape[1]
     base = (np.arange(trials) * start.size)[:, None]
     prod, pending = np.broadcast_to(start, (trials, *start.shape)), False
-    for key, run in itertools.groupby(range(len(samplers)), key=lambda i: id(samplers[i])):
+    for s, run in itertools.groupby(range(len(samplers)), key=samplers.__getitem__):
         run = list(run)
-        moved = moves.get(key)
+        moved = moves.get(id(s))
         if moved is None:
             if pending:  # the diagonal run's + 0.0
                 prod += 0.0
                 pending = False
             for i in run:
-                prod = _gather(samplers[i].atoms, digits[i], prod, apply)
+                prod = _gather(s.atoms, digits[i], prod, apply)
             continue
         if not prod.flags.writeable:  # the broadcast start; steps make C-order products
             prod = prod.copy()

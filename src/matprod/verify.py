@@ -507,7 +507,8 @@ def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED
 
     ``bounds`` names displays of ``DISPLAYS`` with a mean estimate; by
     default, every one for the product's mode whose need the stats meet. A
-    named display whose need they do not meet gets a skipped row with a note.
+    named display whose contraction or perturbation need they do not meet
+    gets a skipped row with a note.
     Each threshold list adds one tail row per threshold, from the last tail
     display for its quantity that the mode takes and the stats meet.
     trials = 0 asks for exact enumeration; EnumerationInfeasibleError is
