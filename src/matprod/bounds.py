@@ -3,10 +3,10 @@
 Every evaluator consumes aggregate factor statistics (ProductStats, or
 PerturbationStats for the perturbation form) and returns a BoundResult
 carrying the value, the Schatten parameters actually used, and the
-mathematical side conditions with their satisfied flags. A violated side
-condition yields value = inf rather than an exception; misuse of the API (bad
-p, q, missing statistics) raises. The table DISPLAYS names each display, what
-it needs and where it runs.
+mathematical side conditions, each as the two sides of lhs <= rhs. A violated
+side condition yields value = inf rather than an exception; misuse of the API
+(bad p, q, missing statistics) raises. The table DISPLAYS names each display,
+what it needs and where it runs.
 
 Conventions: M is the product of mean-norm bounds, v the sum of squared
 relative deviation statistics, B the product of almost-sure norm bounds,
@@ -96,12 +96,18 @@ def _moment_params(p, q) -> SchattenParams:
 
 @dataclass(frozen=True)
 class Condition:
+    """A side condition lhs <= rhs; a NaN side leaves it unsatisfied."""
+
     name: str
-    satisfied: bool
-    detail: str = ""
+    lhs: float
+    rhs: float
+
+    @property
+    def satisfied(self) -> bool:
+        return bool(self.lhs <= self.rhs)
 
     def to_json(self) -> dict:
-        return {"name": self.name, "satisfied": bool(self.satisfied)}
+        return {"name": self.name, "satisfied": self.satisfied}
 
 
 @dataclass
@@ -270,8 +276,9 @@ class ProductStats:
                                 "square": self.d == self.r}[need]
 
     def _stat_order_condition(self, q: float) -> Condition:
-        ok = all(f.q >= q or f.sigma_uniform is not None for f in self.factors)
-        return Condition("stat-order-covers-q", ok, f"every factor stat order >= {q} (or almost-sure)")
+        """The factors with stat order below q and no almost-sure stat, counted."""
+        return Condition("stat-order-covers-q",
+                         sum(f.q < q and f.sigma_uniform is None for f in self.factors), 0)
 
     def _require_uniform_v(self) -> float:
         v = self.v_uniform
@@ -354,10 +361,9 @@ def expectation_concentration_bound(s: ProductStats, uniform=False, refine=False
         result = BoundResult("expectation-concentration-uniform", value, params,
                              [s._stat_order_condition(2.0)])
         return _finish(result, 2.0 * B, s.start_norm)
-    cond = Condition("small-variance", s.v * load <= 1.0, f"v*(1+2*log d) = {s.v * load:.6g} <= 1")
     value = math.sqrt(E * E * s.v * load) * s.M
-    result = BoundResult("expectation-concentration", value, params,
-                         [s._stat_order_condition(2.0), cond])
+    conditions = [s._stat_order_condition(2.0), Condition("small-variance", s.v * load, 1.0)]
+    result = BoundResult("expectation-concentration", value, params, conditions)
     if refine and s.v > 0:
         logM = math.log(s.M) if s.M > 0 else -math.inf
         result.refined_value, result.refined_p = _refine_over_grid(
@@ -382,8 +388,7 @@ def tail_growth_bound(s: ProductStats, t, refine=False) -> BoundResult:
     """P{ ||Z_n|| >= t M ||Z_0|| } <= d exp(-log^2 t / (2v)), valid once log t >= 2v."""
     v = s._require_uniform_v()
     t = _tail_factor(t, v)
-    cond = Condition("log-t-dominates", math.log(t) >= 2.0 * v,
-                     f"log t = {math.log(t):.6g} >= 2v = {2.0 * v:.6g}")
+    cond = Condition("log-t-dominates", 2.0 * v, math.log(t))
     internal_p = math.log(t) / v
     value = s.d * _exp(-(math.log(t) ** 2) / (2.0 * v))
     result = BoundResult("tail-growth", value, SchattenParams(p=max(internal_p, 1.0), q=2.0),
@@ -412,12 +417,11 @@ def tail_concentration_bound(s: ProductStats, t, uniform=False, refine=False) ->
                              SchattenParams(p=max(t * t / (E * v), 1.0), q=2.0),
                              [s._stat_order_condition(2.0)], threshold=s.start_threshold(t * B))
         return _finish(result, 1.0)
-    cond = Condition("t-below-e", t <= E, f"t = {t:.6g} <= e")
     internal_p = t * t / (E * E * v)
     value = prefactor * _exp(-t * t / (2.0 * E * E * v))
     result = BoundResult("tail-concentration", value,
                          SchattenParams(p=max(internal_p, 1.0), q=2.0),
-                         [cond], threshold=s.start_threshold(t * s.M))
+                         [Condition("t-below-e", t, E)], threshold=s.start_threshold(t * s.M))
     if refine:
         result.refined_value, result.refined_p = _refine_over_grid(
             lambda p: math.log(s.d) + p * (0.5 * _log_expm1((p - 1.0) * v) - math.log(t)))
@@ -467,8 +471,7 @@ class PerturbationStats:
 
 def perturbation_expectation_growth_bound(s: PerturbationStats) -> BoundResult:
     """E ||Z_n|| <= exp(xi + sqrt(2 v log d)), valid once 2v <= log d."""
-    cond = Condition("variance-below-log-d", 2.0 * s.v <= math.log(s.d),
-                     f"2v = {2.0 * s.v:.6g} <= log d = {math.log(s.d):.6g}")
+    cond = Condition("variance-below-log-d", 2.0 * s.v, math.log(s.d))
     value = _exp(s.xi + math.sqrt(2.0 * s.v * math.log(s.d)))
     internal_p = math.sqrt(2.0 * max(2.0 * s.v, math.log(s.d)) / s.v) if s.v > 0 else math.inf
     params = SchattenParams(p=internal_p, q=2.0) if math.isfinite(internal_p) else None
@@ -478,7 +481,7 @@ def perturbation_expectation_growth_bound(s: PerturbationStats) -> BoundResult:
 def perturbation_expectation_concentration_bound(s: PerturbationStats) -> BoundResult:
     """E ||Z_n - E Z_n|| <= e^(xi + 1) sqrt(v (1 + 2 log d)), valid once v (1 + 2 log d) <= 1."""
     load = 1.0 + 2.0 * math.log(s.d)
-    cond = Condition("small-variance", s.v * load <= 1.0, f"v*(1+2*log d) = {s.v * load:.6g} <= 1")
+    cond = Condition("small-variance", s.v * load, 1.0)
     value = _exp(s.xi + 1.0) * math.sqrt(s.v * load)
     return _finish(BoundResult("perturbation-expectation-concentration", value,
                                SchattenParams(p=2.0 * (1.0 + math.log(s.d)), q=2.0), [cond]), None)
@@ -549,8 +552,7 @@ def contraction_tail_bound(s: ProductStats, t) -> BoundResult:
     """P{ ||Z_n - E Z_n|| >= t ||Z_0|| } <= d M^2 exp(-t^2 / (2 e v)), once t^2 >= 2 e v."""
     M, v = _contraction_stats(s)
     t = _tail_factor(t, v)
-    cond = Condition("threshold-dominates", t * t >= 2.0 * E * v,
-                     f"t^2 = {t * t:.6g} >= 2ev = {2.0 * E * v:.6g}")
+    cond = Condition("threshold-dominates", 2.0 * E * v, t * t)
     return _finish(BoundResult(
         "contraction-tail-concentration", s.d * M * M * _exp(-t * t / (2.0 * E * v)),
         SchattenParams(p=max(t * t / (E * v), 2.0), q=2.0), [cond],
@@ -586,10 +588,9 @@ def scalar_reference_bounds(mu, b, n, s=None, t=None):
         t = float(t)
         if t <= 0:
             raise InvalidParameterError("threshold factor t must be positive")
-        cond = Condition("t-below-e", t <= E, f"t = {t:.6g} <= e")
         value = _exp(-n * t * t / (2.0 * E * E * b * b))
         out["concentration"] = _finish(BoundResult(
-            "scalar-concentration-tail", value, None, [cond],
+            "scalar-concentration-tail", value, None, [Condition("t-below-e", t, E)],
             threshold=_finite_threshold(t * _exp(mu), "t e^mu")), 1.0)
     if not out:
         raise InvalidParameterError("supply s and/or t")
@@ -620,20 +621,17 @@ class ScenarioLT:
 def scenario_lt_bounds(sc: ScenarioLT):
     """Expectation and high-probability deviation bounds for the L/T scenario."""
     load1 = 1.0 + 2.0 * math.log(sc.d)
-    cond1 = Condition("small-variance", sc.L**2 * load1 <= sc.n,
-                      f"L^2 (1+2 log d) = {sc.L**2 * load1:.6g} <= n = {sc.n}")
     expectation = _finish(BoundResult(
         "scenario-expectation-concentration",
         math.sqrt(load1 / sc.n) * sc.L * _exp(1.0 + sc.T),
-        SchattenParams(p=2.0 * (1.0 + math.log(sc.d)), q=2.0), [cond1]), None)
+        SchattenParams(p=2.0 * (1.0 + math.log(sc.d)), q=2.0),
+        [Condition("small-variance", sc.L**2 * load1, sc.n)]), None)
 
     load2 = 2.0 + 2.0 * math.log(sc.d / sc.delta)
-    cond2 = Condition("small-variance", sc.L**2 * load2 <= sc.n,
-                      f"L^2 (2+2 log(d/delta)) = {sc.L**2 * load2:.6g} <= n = {sc.n}")
     probable = _finish(BoundResult(
         "scenario-probable-concentration",
-        math.sqrt(load2 / sc.n) * sc.L * _exp(1.0 + sc.T),
-        None, [cond2], confidence=1.0 - sc.delta), None)
+        math.sqrt(load2 / sc.n) * sc.L * _exp(1.0 + sc.T), None,
+        [Condition("small-variance", sc.L**2 * load2, sc.n)], confidence=1.0 - sc.delta), None)
     return expectation, probable
 
 

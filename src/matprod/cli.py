@@ -299,13 +299,17 @@ def run_bound(cfg: dict, seed: int):
     elif kind == "scalar":
         pair = scalar_reference_bounds(float(cfg["mu"]), float(cfg["b"]), int(cfg["n"]),
                                        s=cfg.get("s_value"), t=cfg.get("t_value"))
-        results.extend(v for v in pair.values() if v is not None)
+        results.extend(pair.values())
     else:
         raise InvalidInputError(
             "bound config 'kind' must be one of: moment, perturbation, "
             "scenario-lt, inverse, contraction, lowrank, scalar")
 
     payload["results"] = [r.to_json() for r in results]
+    failed = [f"{r.kind}: {c.name} not met, lhs {c.lhs:.6g}, rhs {c.rhs:.6g}"
+              for r in results for c in r.conditions if not c.satisfied]
+    if failed:
+        print("\n".join(failed), file=sys.stderr)
     conditional = [r for r in results if r.conditions]
     code = EXIT_OK
     if conditional and all(not r.conditions_met for r in conditional):

@@ -245,6 +245,14 @@ def _right_solve(y, prod):
     return np.linalg.solve(y.swapaxes(-1, -2), prod.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
+def _inverse_start(spec):
+    """Z_0^(-1), the start of an inverse product."""
+    try:
+        return np.linalg.solve(spec.z0, np.eye(spec.d))
+    except np.linalg.LinAlgError:
+        raise InvalidInputError("the start z0 is singular, which has no inverse") from None
+
+
 def _gather(stack, idx, prod, apply):
     """apply(stack[idx], prod) for a batch of rows: one gather-and-multiply step.
 
@@ -445,7 +453,7 @@ def _trial_chunks(spec, trials, seed, key):
         raise UnsupportedEnsembleError(
             "Monte Carlo does not sample adapted products; use enumerate_product")
     invert = spec.mode == "inverse"
-    start = np.linalg.solve(spec.z0, np.eye(spec.d)) if invert else spec.z0
+    start = _inverse_start(spec) if invert else spec.z0
     samplers = [e.sampler for e in spec.factors]
     batched = all(isinstance(s, SupportSampler) for s in samplers)
     chunk, _ = _chunk_size(spec, samplers)
@@ -650,7 +658,7 @@ def _enumerate_independent(spec, invert):
             except np.linalg.LinAlgError:
                 raise InvalidInputError(
                     f"factor {i} ({e.kind}) has a singular atom, which has no inverse") from None
-        start = np.linalg.solve(spec.z0, eye)
+        start = _inverse_start(spec)
     else:
         steps = [s.atoms if s.diagonals is None else s.diagonals for s in supports]
         start = spec.z0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from matprod.bounds import (
     DISPLAYS,
+    Condition,
     PerturbationStats,
     ProductStats,
     ScenarioLT,
@@ -122,6 +123,7 @@ class TestMomentBounds:
         s = scalar_stats(sigma=0.1, n=1)
         r = growth_moment_bound(s, 4, 4)
         assert not r.conditions_met
+        assert (r.conditions[0].lhs, r.conditions[0].rhs) == (1, 0)  # one factor short
         assert r.value == math.inf
         # an almost-sure deviation bound rescues any q
         s2 = scalar_stats(sigma=0.1, n=1, sigma_uniform=0.1)
@@ -289,14 +291,20 @@ class TestTailBounds:
         r = tail_growth_bound(s, 1.5)
         assert r.value == pytest.approx(3 * math.exp(-math.log(1.5) ** 2 / (2 * v)), rel=1e-12)
         assert r.threshold == pytest.approx(1.5 * s.M, rel=1e-12)
-        assert r.conditions_met  # log 1.5 = 0.405 >= 2v = 0.04
+        assert r.conditions_met
+        (c,) = r.conditions  # 2v <= log t
+        assert c.lhs == pytest.approx(0.04, rel=1e-12)
+        assert c.rhs == pytest.approx(0.405, abs=5e-4)
         assert r.params.p == pytest.approx(math.log(1.5) / v, rel=1e-12)
         assert r.capped_value <= 1.0
 
     def test_growth_condition(self):
         s = self.stats()
-        r = tail_growth_bound(s, 1.02)  # log t = 0.0198 < 2v = 0.04
+        r = tail_growth_bound(s, 1.02)
         assert not r.conditions_met
+        (c,) = r.conditions  # 2v > log t
+        assert c.lhs == pytest.approx(0.04, rel=1e-12)
+        assert c.rhs == pytest.approx(0.0198, abs=5e-5)
         assert r.value == math.inf
         assert r.capped_value == 1.0
 
@@ -363,7 +371,10 @@ class TestPerturbationBounds:
     def test_tail_growth_frozen(self):
         r = perturbation("tail-growth", 0.0, self.v(), 10, t=1.65)
         assert r.value == pytest.approx(1.2851136069934235e-10, rel=1e-12)
-        assert r.conditions_met  # log 1.65 >= 2v = 0.01
+        assert r.conditions_met
+        (c,) = r.conditions  # 2v <= log t
+        assert c.lhs == pytest.approx(0.01, rel=1e-12)
+        assert c.rhs == math.log(1.65)
         assert r.threshold == pytest.approx(1.65, rel=1e-15)
 
     def test_tail_concentration_frozen_loose_prefactor(self):
@@ -391,7 +402,9 @@ class TestPerturbationBounds:
 
     def test_expectation_growth_condition(self):
         ok = perturbation("expectation-growth", 0.1, 0.05, 10)
-        assert ok.conditions_met  # 2v = 0.1 <= log 10
+        assert ok.conditions_met
+        (c,) = ok.conditions  # 2v <= log d
+        assert (c.lhs, c.rhs) == (0.1, math.log(10))
         assert ok.value == pytest.approx(
             math.exp(0.1 + math.sqrt(2 * 0.05 * math.log(10))), rel=1e-12)
         bad = perturbation("expectation-growth", 0.1, 2.0, 2)
@@ -482,7 +495,10 @@ class TestContractionBounds:
     def test_tail_frozen(self):
         s = self.kaczmarz_stats()
         _, _, tail = contraction(s, 16.0)
-        assert tail.conditions_met  # 256 >= 2 e v = 237.85
+        assert tail.conditions_met
+        (c,) = tail.conditions  # 2 e v <= t^2
+        assert c.lhs == pytest.approx(237.85, abs=5e-3)
+        assert c.rhs == 256.0
         assert tail.value == pytest.approx(0.003436031092016610, rel=1e-12)
         assert tail.threshold == 16.0
 
@@ -646,3 +662,110 @@ class TestDeterminism:
         pairs = [(growth_moment_bound(s, 4, 2).value,
                   expectation_concentration_bound(s).value) for _ in range(3)]
         assert len(set(pairs)) == 1
+
+
+def condition(result, name):
+    (c,) = [c for c in result.conditions if c.name == name]
+    return c
+
+
+# sides that meet exactly: 2 e (0.05)^2 = T_AT^2, and L_AT^2 (2 + 2 log 2) = 3
+T_AT = 0.11658219907985622
+L_AT = 0.9412354454250338
+
+
+class TestConditionSides:
+    """Each side condition below, at and above its boundary: its two sides,
+    and a flag equal to the comparison its display states."""
+
+    def test_stat_order_counts_the_factors_short_of_q(self):
+        f = FactorStats(1.0, 0.1, q=3.0)
+        rescued = FactorStats(1.0, 0.1, sigma_uniform=0.1)  # an a.s. stat covers any q
+        s = ProductStats.from_factors([f, f, rescued], d=2)
+        for q, short in [(2.5, 0), (3.0, 0), (4.0, 2)]:
+            c = condition(growth_moment_bound(s, 4.0, q), "stat-order-covers-q")
+            assert (c.lhs, c.rhs) == (short, 0)
+            assert c.satisfied == all(g.q >= q or g.sigma_uniform is not None
+                                      for g in s.factors)
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0], ids=["below", "at", "above"])
+    def test_small_variance(self, sigma):
+        # d = 1 makes the load 1 + 2 log d exactly 1
+        s = ProductStats.from_factors([FactorStats(1.0, sigma)], d=1)
+        load = 1.0 + 2.0 * math.log(s.d)
+        c = condition(expectation_concentration_bound(s), "small-variance")
+        assert (c.lhs, c.rhs) == (sigma**2, 1.0)
+        assert c.satisfied == (s.v * load <= 1.0)
+
+    @pytest.mark.parametrize("v", [0.5, 1.0, 2.0], ids=["below", "at", "above"])
+    def test_perturbation_small_variance(self, v):
+        s = PerturbationStats(0.0, v, 1)
+        load = 1.0 + 2.0 * math.log(s.d)
+        c = condition(perturbation("expectation-concentration", 0.0, v, 1), "small-variance")
+        assert (c.lhs, c.rhs) == (v, 1.0)
+        assert c.satisfied == (s.v * load <= 1.0)
+
+    @pytest.mark.parametrize("n", [5, 4, 3], ids=["below", "at", "above"])
+    def test_scenario_expectation_small_variance(self, n):
+        sc = ScenarioLT(T=0.0, L=2.0, n=n, d=1)
+        load1 = 1.0 + 2.0 * math.log(sc.d)
+        c = condition(scenario_lt_bounds(sc)[0], "small-variance")
+        assert (c.lhs, c.rhs) == (4.0, n)
+        assert c.satisfied == (sc.L**2 * load1 <= sc.n)
+
+    @pytest.mark.parametrize("n", [4, 3, 2], ids=["below", "at", "above"])
+    def test_scenario_probable_small_variance(self, n):
+        sc = ScenarioLT(T=0.0, L=L_AT, n=n, d=1, delta=0.5)
+        load2 = 2.0 + 2.0 * math.log(sc.d / sc.delta)
+        c = condition(scenario_lt_bounds(sc)[1], "small-variance")
+        assert (c.lhs, c.rhs) == (3.0, n)
+        assert c.satisfied == (sc.L**2 * load2 <= sc.n)
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0], ids=["below", "at", "above"])
+    def test_log_t_dominates(self, scale):
+        t = 2.0
+        v = scale * 0.5 * math.log(t)
+        c = condition(tail_growth_bound(PerturbationStats(0.0, v, 3), t), "log-t-dominates")
+        assert (c.lhs, c.rhs) == (scale * math.log(t), math.log(t))
+        assert c.satisfied == (math.log(t) >= 2.0 * v)
+
+    @pytest.mark.parametrize("t", [2.0, E, 3.0], ids=["below", "at", "above"])
+    def test_t_below_e(self, t):
+        f = FactorStats(1.0, 0.05, uniform_norm=1.05, sigma_uniform=0.05)
+        s = ProductStats.from_factors([f] * 8, d=3)
+        for result in (tail_concentration_bound(s, t),
+                       scalar_reference_bounds(0.0, 1.0, 100, t=t)["concentration"]):
+            c = condition(result, "t-below-e")
+            assert (c.lhs, c.rhs) == (t, E)
+            assert c.satisfied == (t <= E)
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0], ids=["below", "at", "above"])
+    def test_variance_below_log_d(self, scale):
+        s = PerturbationStats(0.0, scale * 0.5 * math.log(10), 10)
+        c = condition(perturbation("expectation-growth", s.xi, s.v, s.d), "variance-below-log-d")
+        assert (c.lhs, c.rhs) == (scale * math.log(10), math.log(10))
+        assert c.satisfied == (2.0 * s.v <= math.log(s.d))
+
+    @pytest.mark.parametrize("t", [0.2, T_AT, 0.1], ids=["below", "at", "above"])
+    def test_threshold_dominates(self, t):
+        f = FactorStats(1.0, 0.0, sigma_uniform=0.05, contraction=1.0)
+        s = ProductStats.from_factors([f], d=2)
+        v = s.contraction_v
+        c = condition(DISPLAYS["contraction-tail"](s, t=t), "threshold-dominates")
+        assert (c.lhs, c.rhs) == (2.0 * E * 0.05**2, t * t)
+        assert c.satisfied == (t * t >= 2.0 * E * v)
+        if t == T_AT:
+            assert c.lhs == c.rhs
+
+    def test_a_nan_side_is_unsatisfied(self):
+        assert not Condition("small-variance", math.nan, 1.0).satisfied
+        assert not Condition("small-variance", 1.0, math.nan).satisfied
+        assert not Condition("small-variance", math.nan, math.nan).satisfied
+
+    def test_json_keeps_the_name_and_flag_only(self):
+        c = Condition("small-variance", np.float64(0.5), 1.0)
+        assert c.to_json() == {"name": "small-variance", "satisfied": True}
+        assert type(c.to_json()["satisfied"]) is bool
+        r = expectation_concentration_bound(ProductStats.from_factors([FactorStats(1.0, 2.0)],
+                                                                      d=1))
+        assert [set(c) for c in r.to_json()["conditions"]] == [{"name", "satisfied"}] * 2

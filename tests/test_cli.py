@@ -217,8 +217,9 @@ class TestUsage:
 
 class TestBoundCommand:
     def test_perturbation_preset_frozen_values(self, capsys):
-        rc, payload, _ = run_json(capsys, "bound", "--config", "perturbation")
+        rc, payload, err = run_json(capsys, "bound", "--config", "perturbation")
         assert rc == 0
+        assert err == ""  # no condition fails
         assert payload["scenario"] == {"d": 10, "n": 200, "b": 1.0, "mu": 0.0,
                                        "v": 0.005}
         by_kind = {}
@@ -349,6 +350,21 @@ class TestBoundCommand:
         assert rc == 2
         for r in payload["results"]:
             assert not all(c["satisfied"] for c in r["conditions"])
+
+    def test_failed_conditions_go_to_stderr_with_their_sides(self, capsys, tmp_path):
+        path = write_config(tmp_path, {"kind": "perturbation", "xi": 0.0, "v": 0.5, "d": 10,
+                                       "t": [3.0]})
+        rc, out, err = run_cli(capsys, "bound", "--config", path)
+        assert rc == 0
+        # stdout carries the flags alone
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "096c92b6470ef395bf69bdbd2ba098b3eb3031fc4a69f12b5b2c875db7fb833e")
+        # v (1 + 2 log d) = 2.80259 > 1, and t = 3 > e
+        assert f"{0.5 * (1.0 + 2.0 * math.log(10)):.6g}" == "2.80259"
+        assert err.splitlines() == [
+            "perturbation-expectation-concentration: small-variance not met, lhs 2.80259, rhs 1",
+            "perturbation-tail-concentration: t-below-e not met, lhs 3, rhs 2.71828",
+        ]
 
     def test_csv_format(self, capsys):
         rc, out, _ = run_cli(capsys, "bound", "--config", "lt-scenario",
@@ -656,6 +672,16 @@ class TestCompareCommand:
         rc, payload, _ = run_json(capsys, "compare", "--config", path)
         assert rc == 1
         assert payload["error"]["code"] == "enumeration-infeasible"
+
+    @pytest.mark.parametrize("trials", [0, 10], ids=["enumeration", "monte-carlo"])
+    def test_singular_inverse_start_is_invalid_input(self, capsys, tmp_path, trials):
+        spec = dict(SCALAR_SPEC, mode="inverse",
+                    z0={"rows": 1, "cols": 1, "data": [0.0]})
+        path = write_config(tmp_path, {"spec": spec, "trials": trials})
+        rc, payload, _ = run_json(capsys, "compare", "--config", path)
+        assert rc == 1
+        assert payload["error"] == {"code": "invalid-input",
+                                    "message": "the start z0 is singular, which has no inverse"}
 
     def test_default_fallback_downgrades(self, capsys, tmp_path):
         big = dict(SCALAR_SPEC, factors=[dict(SCALAR_SPEC["factors"][0], count=21)])

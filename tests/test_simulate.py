@@ -1009,6 +1009,14 @@ class TestInverseMode:
         with pytest.raises(InvalidInputError, match=r"factor 2 \(flat\) has a singular atom"):
             enumerate_product(spec)
 
+    @pytest.mark.parametrize("run", [lambda spec: summarize_simulation(spec, 10, 1),
+                                     enumerate_product], ids=["monte-carlo", "enumeration"])
+    def test_singular_start_is_named(self, run):
+        e = make_bounded_perturbation(3, np.zeros((3, 3)), 0.1, 2.0)
+        spec = ProductSpec((e,) * 2, np.diag([1.0, 1.0, 0.0]), mode="inverse")
+        with pytest.raises(InvalidInputError, match="start z0 is singular"):
+            run(spec)
+
     def test_ill_conditioned_trials_excluded(self):
         spec = ill_conditioned_inverse()
         sim = simulate_product(spec, 20, seed=0)
