@@ -377,7 +377,7 @@ def expectation_concentration_bound(s: ProductStats, uniform=False, refine=False
 def _tail_factor(t, v) -> float:
     """A tail's threshold factor t, which must be positive, as a float; its
     deviation statistic v must not vanish."""
-    if t <= 0:
+    if not t > 0:
         raise InvalidParameterError("threshold factor t must be positive")
     if v == 0.0:
         raise InvalidParameterError("tail bounds need nonvanishing deviation statistics")

@@ -7,6 +7,8 @@ wire format is provided here; its reader rejects NaN/Inf.
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -16,6 +18,8 @@ from .errors import InvalidInputError, InvalidParameterError
 TINY_SINGULAR_VALUE = 1e-300
 # Above this exponent, norms are evaluated via log-sum-exp.
 LOG_DOMAIN_P = 64.0
+# Stacks of at least this many matrices are split over the usable CPUs.
+PARALLEL_MATRICES = 512
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -93,13 +97,53 @@ def stack_norms(stack, p=math.inf):
     it alone; the Schatten root is taken as an array power, which can differ
     from the scalar power of ``schatten_norm`` in the last bits.
     """
-    svals = np.linalg.svd(stack, compute_uv=False)
+    svals = _by_parts(lambda part: np.linalg.svd(part, compute_uv=False), stack)
     return svals[..., 0], np.asarray(norm_from_singular_values(svals, p), dtype=float)
 
 
 def spectral_radii(stack):
     """Largest eigenvalue magnitude of every square matrix in a stack."""
-    return np.abs(np.linalg.eigvals(stack)).max(axis=-1)
+    return np.abs(_by_parts(np.linalg.eigvals, stack)).max(axis=-1)
+
+
+def _by_parts(lapack, stack):
+    """``lapack(stack)``, with a stack of PARALLEL_MATRICES or more matrices
+    split along axis 0 into one contiguous part per usable CPU.
+
+    numpy's stacked linalg calls copy each matrix into a buffer of its own and
+    release the GIL inside LAPACK, so a matrix's result does not depend on
+    the stack it sits in, and the parts, run at once and joined in order, are
+    bitwise the result of one call. Part 0 runs on the calling thread; the
+    first part's error, if any, is raised once every part is done.
+    """
+    if np.ndim(stack) < 3 or len(stack) < PARALLEL_MATRICES:
+        return lapack(stack)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        return lapack(stack)
+    parts = np.array_split(stack, cpus)
+    results = [None] * cpus
+    errors = [None] * cpus
+
+    def run(i):
+        try:
+            results[i] = lapack(parts[i])
+        except Exception as exc:  # raised on the calling thread below
+            errors[i] = exc
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(1, cpus)]
+    for worker in workers:
+        worker.start()
+    run(0)
+    for worker in workers:
+        worker.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return np.concatenate(results)
 
 
 def moment_norm(values, q, weights) -> float:

@@ -344,6 +344,12 @@ class TestTailBounds:
         with pytest.raises(InvalidParameterError):
             tail_growth_bound(quiet, 2.0)
 
+    @pytest.mark.parametrize("bound", [tail_growth_bound, tail_concentration_bound],
+                             ids=["growth", "concentration"])
+    def test_nan_threshold_is_named(self, bound):
+        with pytest.raises(InvalidParameterError, match="threshold factor t must be positive"):
+            bound(self.stats(), math.nan)
+
     def test_refined_tail_not_above_one(self):
         s = self.stats()
         r = tail_growth_bound(s, 1.5, refine=True)
@@ -509,6 +515,10 @@ class TestContractionBounds:
         _, _, below = contraction(s, 15.0)
         assert not below.conditions_met
         assert below.value == math.inf and below.capped_value == 1.0
+
+    def test_nan_threshold_is_named(self):
+        with pytest.raises(InvalidParameterError, match="threshold factor t must be positive"):
+            DISPLAYS["contraction-tail"](self.kaczmarz_stats(), t=math.nan)
 
     def test_requires_contraction_stats(self):
         assert contraction(scalar_stats(), 16.0) == []

@@ -1,5 +1,9 @@
 import ast
 import math
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +12,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import matprod
 from matprod.errors import InvalidInputError, InvalidParameterError
 from matprod.schatten import (
+    PARALLEL_MATRICES,
     format_float,
     matrix_from_json,
     matrix_to_json,
@@ -177,6 +183,89 @@ class TestStackNorms:
         stack = np.random.default_rng(13).standard_normal(shape)
         want = np.array([spectral_radius(m) for m in stack])
         assert spectral_radii(stack).tobytes() == want.tobytes()
+
+
+def use_cpus(monkeypatch, n):
+    """Make the norm layer see ``n`` usable CPUs, on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def stack_outputs(stack, p):
+    """Every norm-layer output for a stack, as bytes."""
+    out = [x.tobytes() for x in stack_norms(stack, p)]
+    if stack.shape[-1] == stack.shape[-2]:
+        out.append(spectral_radii(stack).tobytes())
+    return out
+
+
+class TestSplitStacks:
+    """A large stack is split over the usable CPUs; its norms are bitwise those
+    of one serial call."""
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("shape", [(4, 4), (10, 10), (100, 1)], ids=["4x4", "10x10", "100x1"])
+    @pytest.mark.parametrize("count", [PARALLEL_MATRICES - 1, PARALLEL_MATRICES,
+                                       PARALLEL_MATRICES + 1, 4096])
+    def test_bits_match_serial_call(self, monkeypatch, count, shape, cpus):
+        stack = np.random.default_rng(count).standard_normal((count, *shape))
+        for p in (2.0, 11.2, math.inf):
+            use_cpus(monkeypatch, 1)
+            serial = stack_outputs(stack, p)
+            use_cpus(monkeypatch, cpus)
+            assert stack_outputs(stack, p) == serial
+
+    @pytest.mark.parametrize("where", [0, -1], ids=["part-0", "worker-part"])
+    @pytest.mark.parametrize("reduce", [stack_norms, spectral_radii], ids=["svd", "eigvals"])
+    def test_errors_match_serial_call(self, monkeypatch, reduce, where):
+        stack = np.random.default_rng(5).standard_normal((1024, 4, 4))
+        stack[where, 1, 2] = np.nan
+        use_cpus(monkeypatch, 1)
+        with pytest.raises(np.linalg.LinAlgError) as serial:
+            reduce(stack)
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(np.linalg.LinAlgError) as split:
+            reduce(stack)
+        assert str(split.value) == str(serial.value)
+
+    @pytest.mark.parametrize("shape, cpus, threads", [
+        # the Monte Carlo workloads' stacks stay serial: splitting them is slower
+        ((80, 10, 10), 2, 0), ((40, 10, 10), 2, 0), ((100, 4, 4), 2, 0),
+        ((300, 100, 1), 2, 0),
+        ((4096, 4, 4), 1, 0), ((4096, 4, 4), 2, 1), ((4096, 4, 4), 3, 2),
+    ])
+    def test_threads_only_for_large_stacks(self, monkeypatch, shape, cpus, threads):
+        started = []
+
+        class Recording(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Recording)
+        use_cpus(monkeypatch, cpus)
+        stack = np.random.default_rng(6).standard_normal(shape)
+        stack_norms(stack)
+        if shape[1] == shape[2]:
+            spectral_radii(stack)
+        assert len(started) == threads * (2 if shape[1] == shape[2] else 1)
+        assert not any(t.is_alive() for t in started)
+
+    def test_single_matrix_is_not_split(self, monkeypatch):
+        # spectral_radius hands the layer one matrix, whose rows are not a stack
+        use_cpus(monkeypatch, 2)
+        a = np.random.default_rng(7).standard_normal((PARALLEL_MATRICES, 2))
+        spectral, _ = stack_norms(a)
+        assert spectral == np.linalg.svd(a, compute_uv=False)[0]
+
+    def test_import_loads_no_executor_or_logging(self):
+        # concurrent.futures pulls in logging, a cost every run's set-up would pay
+        code = ("import sys, matprod, matprod.cli; "
+                "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=str(Path(matprod.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]"]
 
 
 class TestOneReductionLayer:
