@@ -47,6 +47,7 @@ from .errors import (
     UnsupportedEnsembleError,
 )
 from .schatten import (
+    condition_numbers,
     matrix_from_json,
     matrix_to_json,
     moment_norm,

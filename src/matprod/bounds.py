@@ -745,15 +745,3 @@ def evaluate_kind(kind, stats, thresholds, p=2.0, q=2.0, refine=False) -> list:
             out.extend(d(stats, p=p, q=q, refine=refine, t=t) for d in group)
     return out
 
-
-__all__ = [
-    "DISPLAYS", "BoundResult", "Condition", "Display", "PerturbationStats", "ProductStats",
-    "ScenarioLT", "SchattenParams", "concentration_moment_bound",
-    "contraction_concentration_bound", "contraction_growth_bound", "contraction_tail_bound",
-    "evaluate_kind", "expectation_concentration_bound", "expectation_growth_bound",
-    "growth_moment_bound", "inverse_perturbation_stats",
-    "perturbation_expectation_concentration_bound", "perturbation_expectation_growth_bound",
-    "perturbation_tail_concentration_bound",
-    "scalar_reference_bounds", "scenario_lt_bounds", "tail_concentration_bound",
-    "tail_growth_bound",
-]

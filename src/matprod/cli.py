@@ -10,6 +10,7 @@ significant digits. Exit status: 0 success, 1 usage or input error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import io
 import json
@@ -46,8 +47,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONDITIONS = 2
 EXIT_VERIFY = 3
-
-ESTIMATE_NAMES = tuple(ESTIMATE_FIELDS)
 
 
 class _UsageError(Exception):
@@ -208,8 +207,7 @@ def _stats_from_config(cfg: dict) -> ProductStats:
     entries = cfg.get("factors")
     if not entries:
         raise InvalidInputError("bound config needs a 'factors' list of statistics")
-    allowed = {"mean_norm", "sigma", "q", "uniform_norm", "sigma_uniform",
-               "contraction", "mean_perturbation"}
+    allowed = {f.name for f in dataclasses.fields(FactorStats)}
     factors = []
     for entry in entries:
         if not isinstance(entry, dict):
@@ -327,31 +325,22 @@ def run_simulate(cfg: dict, seed: int, trials_override=None):
 
     if trials == 0:
         report = enumerate_product(spec, p, q, tg, td)
+        # the key order is the CSV row order: task, source, then the report's fields
         payload = {
-            "task": "simulate",
-            "source": "enumeration",
-            "outcomes": report.outcomes,
-            "p": report.p,
-            "q": report.q,
+            "task": "simulate", "source": "enumeration", **vars(report),
             "mean": matrix_to_json(report.mean),
-            "growth_mean": report.growth_mean,
-            "deviation_mean": report.deviation_mean,
-            "growth_moment": report.growth_moment,
-            "deviation_moment": report.deviation_moment,
-            "spectral_radius_mean": report.spectral_radius_mean,
             "tail_growth": {format_float(k): v for k, v in report.tail_growth.items()},
             "tail_deviation": {format_float(k): v for k, v in report.tail_deviation.items()},
-            "reference": report.reference,
         }
         return payload, EXIT_OK
 
     estimates, tails, spectral, excluded = summarize_simulation(spec, trials, seed, p, q, tg, td)
     wanted = cfg.get("quantities")
     if wanted is not None:
-        unknown = set(wanted) - set(ESTIMATE_NAMES)
+        unknown = set(wanted) - set(ESTIMATE_FIELDS)
         if unknown:
             raise InvalidInputError(f"unknown quantities: {sorted(unknown)} "
-                                    f"(known: {', '.join(ESTIMATE_NAMES)})")
+                                    f"(known: {', '.join(ESTIMATE_FIELDS)})")
         estimates = {k: v for k, v in estimates.items() if k in wanted}
     payload = {
         "task": "simulate",

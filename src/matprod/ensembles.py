@@ -362,8 +362,12 @@ def make_random_projector_contraction(dim, kind="coordinate", rows=None) -> Fact
             np.subtract(eye, np.outer(r, r) / (n * n), out=atom)
         sampler = SupportSampler(atoms, probs)
         mean = sum(p * a for a, p in zip(atoms, probs))
-        mean_norm = spectral_norm(mean)
-        devs = [spectral_norm(a - mean) for a in atoms]
+        # one stack, written in place so the deviations are held only once
+        stack = np.empty((k + 1, dim, dim))
+        stack[0] = mean
+        np.subtract(atoms, mean, out=stack[1:])
+        norms = stack_norms(stack)[0].tolist()
+        mean_norm, devs = norms[0], norms[1:]
     # projectors: E Y^T Y = E Y, which is PSD, so the stat is ||E Y||^(1/2)
     c = math.sqrt(mean_norm)
     if c == 0.0:
@@ -392,17 +396,24 @@ def support_stats(e: FactorEnsemble, q=2.0) -> FactorStats:
     if not q >= 2:
         raise InvalidParameterError(f"stat order must satisfy q >= 2, got {q}")
     mean = e.exact_mean()
-    m = spectral_norm(mean)
+    atoms = e.support.atoms
+    second = sum(p * (a.T @ a) for a, p in e.support)
+    # one stack (mean, E Y^T Y, atoms, deviations): a matrix's norm does not
+    # depend on the stack it sits in
+    stack = np.concatenate([mean[None], second[None], atoms, atoms - mean])
+    if not np.isfinite(stack).all():  # E Y^T Y can overflow
+        raise InvalidInputError("matrix has non-finite entries")
+    norms = stack_norms(stack)[0].tolist()
+    m, csq, k = norms[0], norms[1], len(atoms)
     if m == 0.0:
         raise UnsupportedEnsembleError("mean vanishes; relative stats undefined")
-    devs = [spectral_norm(a - mean) for a, _ in e.support]
-    csq = spectral_norm(sum(p * (a.T @ a) for a, p in e.support))
+    devs = norms[2 + k:]
     c = math.sqrt(csq)
     return FactorStats(
         mean_norm=m,
         sigma=moment_norm(devs, q, e.support.probs) / m,
         q=float(q),
-        uniform_norm=max(max(spectral_norm(a) for a, _ in e.support), m),
+        uniform_norm=max(max(norms[2:2 + k]), m),
         sigma_uniform=max(devs) / m,
         contraction=c if (c <= 1.0 and m <= 1.0) else None,
     )

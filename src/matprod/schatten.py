@@ -1,4 +1,5 @@
-"""Schatten norms and the spectral radius.
+"""Schatten norms, the spectral radius and condition numbers: the one module
+that reduces matrices to singular values or eigenvalues.
 
 Matrices are real 2-D float64 arrays with finite entries. The JSON object
 wire format is provided here; its reader rejects NaN/Inf.
@@ -14,10 +15,6 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
 
-# Singular values below this are treated as exact zeros in log-domain sums.
-TINY_SINGULAR_VALUE = 1e-300
-# Above this exponent, norms are evaluated via log-sum-exp.
-LOG_DOMAIN_P = 64.0
 # Stacks of at least this many matrices are split over the usable CPUs.
 PARALLEL_MATRICES = 512
 
@@ -43,8 +40,7 @@ def _check_p(p) -> float:
 
 def singular_values(a) -> np.ndarray:
     """Singular values in nonincreasing order."""
-    arr = as_matrix(a)
-    return np.linalg.svd(arr, compute_uv=False)
+    return _svals(as_matrix(a))
 
 
 def norm_from_singular_values(s: np.ndarray, p) -> np.ndarray | float:
@@ -54,16 +50,8 @@ def norm_from_singular_values(s: np.ndarray, p) -> np.ndarray | float:
     if math.isinf(p):
         return s.max(axis=-1)
     top = s.max(axis=-1, keepdims=True)
-    if p > LOG_DOMAIN_P:
-        # log-sum-exp over p*log(sigma); tiny values are exact zeros
-        with np.errstate(divide="ignore"):
-            logs = np.where(s > TINY_SINGULAR_VALUE, np.log(np.maximum(s, TINY_SINGULAR_VALUE)), -np.inf)
-        peak = logs.max(axis=-1, keepdims=True)
-        safe_peak = np.where(np.isfinite(peak), peak, 0.0)
-        with np.errstate(divide="ignore"):
-            total = np.log(np.exp(p * (logs - safe_peak)).sum(axis=-1)) / p + np.squeeze(safe_peak, -1)
-        return np.where(np.squeeze(np.isfinite(peak), -1), np.exp(total), 0.0)
-    # factor out the top singular value so s**p cannot overflow
+    # factor out the top singular value: no ratio exceeds 1, so s**p cannot
+    # overflow at any p
     safe_top = np.where(top > 0.0, top, 1.0)
     total = ((s / safe_top) ** p).sum(axis=-1) ** (1.0 / p)
     return np.squeeze(safe_top, -1) * total
@@ -97,13 +85,27 @@ def stack_norms(stack, p=math.inf):
     it alone; the Schatten root is taken as an array power, which can differ
     from the scalar power of ``schatten_norm`` in the last bits.
     """
-    svals = _by_parts(lambda part: np.linalg.svd(part, compute_uv=False), stack)
+    svals = _by_parts(_svals, stack)
     return svals[..., 0], np.asarray(norm_from_singular_values(svals, p), dtype=float)
+
+
+def condition_numbers(stack):
+    """2-norm condition number of every matrix in a stack, bitwise
+    ``np.linalg.cond``: inf for a singular matrix, NaN only for a matrix that
+    holds a NaN."""
+    svals = _by_parts(_svals, stack)
+    with np.errstate(all="ignore"):
+        ratio = svals[..., 0] / svals[..., -1]
+    return np.where(np.isnan(ratio) & ~np.isnan(stack).any(axis=(-2, -1)), np.inf, ratio)
 
 
 def spectral_radii(stack):
     """Largest eigenvalue magnitude of every square matrix in a stack."""
     return np.abs(_by_parts(np.linalg.eigvals, stack)).max(axis=-1)
+
+
+def _svals(stack):
+    return np.linalg.svd(stack, compute_uv=False)
 
 
 def _by_parts(lapack, stack):

@@ -42,6 +42,7 @@ from .errors import (
 )
 from .schatten import (
     as_matrix,
+    condition_numbers,
     matrix_from_json,
     spectral_norm,
     spectral_radii,
@@ -354,7 +355,7 @@ def _sampled_chunk(spec, start, samplers, u, atom_conds):
         digits[cols] = s.pick(u[:, cols]).T
     invert, kept = spec.mode == "inverse", None
     if invert:
-        cond_est = np.full(len(u), np.linalg.cond(spec.z0))
+        cond_est = np.full(len(u), condition_numbers(spec.z0))
         for s, dig in zip(samplers, digits):
             cond_est = cond_est * atom_conds[id(s)][dig]
         kept = ~(cond_est > CONDITION_LIMIT)
@@ -403,9 +404,8 @@ def _trial_products(spec, start, rngs):
                 prod = e.draw(rng) @ prod
         else:
             ys = [e.draw(rng) for e in spec.factors]
-            cond_est = np.linalg.cond(spec.z0)
-            for y in ys:
-                cond_est *= np.linalg.cond(y)
+            # the start's and the draws' condition numbers, multiplied in order
+            cond_est = math.prod(condition_numbers(np.stack([spec.z0, *ys])).tolist())
             kept.append(not cond_est > CONDITION_LIMIT)
             if not kept[-1]:
                 continue
@@ -458,7 +458,7 @@ def _trial_chunks(spec, trials, seed, key):
     batched = all(isinstance(s, SupportSampler) for s in samplers)
     chunk, _ = _chunk_size(spec, samplers)
     distinct = {id(s): s for s in samplers}
-    atom_conds = ({k: np.linalg.cond(s.atoms) for k, s in distinct.items()}
+    atom_conds = ({k: condition_numbers(s.atoms) for k, s in distinct.items()}
                   if batched and invert else None)
     for lo in range(0, trials, chunk):
         ks = range(lo, min(lo + chunk, trials))
@@ -654,7 +654,7 @@ def _enumerate_independent(spec, invert):
         steps = []
         for i, (e, s) in enumerate(zip(spec.factors, supports), 1):
             try:
-                steps.append(np.stack([np.linalg.solve(m, eye) for m in s.atoms]))
+                steps.append(np.linalg.solve(s.atoms, eye))
             except np.linalg.LinAlgError:
                 raise InvalidInputError(
                     f"factor {i} ({e.kind}) has a singular atom, which has no inverse") from None
@@ -876,7 +876,7 @@ def conjugated_spec(spec: ProductSpec, s_matrix) -> ProductSpec:
         raise InvalidInputError("S must be square with the factor dimension")
     if spec.z0.shape[0] != spec.z0.shape[1]:
         raise InvalidInputError("conjugation needs a square start matrix")
-    if np.linalg.cond(s) > CONDITION_LIMIT:
+    if condition_numbers(s) > CONDITION_LIMIT:
         raise InvalidInputError("S is too ill-conditioned to conjugate by")
     s_inv = np.linalg.solve(s, np.eye(spec.d))
 

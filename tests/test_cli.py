@@ -473,6 +473,13 @@ class TestSimulateCommand:
         assert payload["tail_growth"][format_float(1.2)] == pytest.approx(0.25)
         assert payload["tail_deviation"][format_float(0.2)] == pytest.approx(0.25)
         assert format_float(0.2) == "0.20000000000000001"
+        # the stdout bytes, key order included (it orders the CSV rows)
+        for fmt, digest in (
+                ("json", "d13ef9474236813a929482788ecaef2493556b17dcf87d7431dd137f438f46ed"),
+                ("csv", "9e07503091d5a032698ac1f4452cad6f2ad35b75fe0ec4247fcdec02226a00b7")):
+            rc, out, _ = run_cli(capsys, "simulate", "--config", path, "--format", fmt)
+            assert rc == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_enumeration_reports_spectral_radius(self, capsys, tmp_path):
         spec = {"factors": [{"count": 4, "ensemble": {

@@ -23,7 +23,7 @@ from matprod.errors import (
     InvalidParameterError,
     UnsupportedEnsembleError,
 )
-from matprod.schatten import spectral_norm
+from matprod.schatten import PARALLEL_MATRICES, moment_norm, spectral_norm
 from matprod.streams import substream
 
 
@@ -245,6 +245,55 @@ class TestSupportStats:
                            stats=FactorStats(mean_norm=1.0, sigma=1.0))
         with pytest.raises(UnsupportedEnsembleError):
             support_stats(e)
+
+    def test_overflowing_second_moment_is_rejected(self):
+        e = FactorEnsemble(dim=2, sampler=SupportSampler((1e200 * np.eye(2), np.eye(2)), (0.5, 0.5)),
+                           stats=FactorStats(mean_norm=1.0, sigma=1.0))
+        with np.errstate(over="ignore"), pytest.raises(InvalidInputError):
+            support_stats(e)
+
+
+class TestStatsFromOneStack:
+    """The builders take their norms from one stack; each must be the norm of
+    the matrix on its own, one spectral_norm call per matrix."""
+
+    @staticmethod
+    def per_atom_support_stats(e, q=2.0):
+        mean = e.exact_mean()
+        m = spectral_norm(mean)
+        devs = [spectral_norm(a - mean) for a, _ in e.support]
+        c = math.sqrt(spectral_norm(sum(p * (a.T @ a) for a, p in e.support)))
+        return FactorStats(
+            mean_norm=m, sigma=moment_norm(devs, q, e.support.probs) / m, q=float(q),
+            uniform_norm=max(max(spectral_norm(a) for a, _ in e.support), m),
+            sigma_uniform=max(devs) / m, contraction=c if (c <= 1.0 and m <= 1.0) else None)
+
+    @pytest.mark.parametrize("k, d, scale", [(50, 8, 1.0), (3, 1, 2.0), (7, 5, 0.2),
+                                             (PARALLEL_MATRICES, 3, 0.3)])
+    @pytest.mark.parametrize("q", [2.0, 5.0])
+    def test_support_stats(self, k, d, scale, q):
+        rng = substream(k, d)
+        atoms = scale * rng.standard_normal((k, d, d)) / math.sqrt(d)
+        probs = rng.dirichlet(np.ones(k))
+        probs[-1] = 1.0 - math.fsum(probs[:-1])
+        e = FactorEnsemble(dim=d, sampler=SupportSampler(atoms, probs),
+                           stats=FactorStats(mean_norm=1.0, sigma=1.0))
+        assert support_stats(e, q) == self.per_atom_support_stats(e, q)
+
+    def test_support_stats_of_a_builder(self):
+        e = make_bounded_perturbation(3, substream(3).standard_normal((3, 3)), 0.4, 2.0)
+        assert support_stats(e, 3.0) == self.per_atom_support_stats(e, 3.0)
+
+    @pytest.mark.parametrize("k, d", [(3, 3), (20, 8), (8, 20), (PARALLEL_MATRICES + 88, 4)])
+    def test_kaczmarz_stats(self, k, d):
+        rows = substream(k, d).standard_normal((k, d))
+        e = make_random_projector_contraction(d, kind="kaczmarz-row", rows=rows)
+        mean_norm = spectral_norm(e.mean)
+        devs = [spectral_norm(a - e.mean) for a in e.support.atoms]
+        c = math.sqrt(mean_norm)
+        assert e.stats == FactorStats(
+            mean_norm=min(c, 1.0), sigma=moment_norm(devs, 2.0, e.support.probs) / c, q=2.0,
+            uniform_norm=1.0, sigma_uniform=max(devs) / c, contraction=min(c, 1.0))
 
 
 class TestSupportSampler:

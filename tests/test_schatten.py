@@ -16,6 +16,7 @@ import matprod
 from matprod.errors import InvalidInputError, InvalidParameterError
 from matprod.schatten import (
     PARALLEL_MATRICES,
+    condition_numbers,
     format_float,
     matrix_from_json,
     matrix_to_json,
@@ -72,7 +73,7 @@ class TestSchattenNorm:
         assert direct == pytest.approx(via_svals, rel=1e-12)
 
     def test_log_domain_large_p(self):
-        # p above the log-sum-exp cutoff with entries that would underflow at s**p
+        # large p with entries that would underflow at s**p
         s = np.array([1e-160, 5e-161])
         got = float(norm_from_singular_values(s, 128))
         assert got == pytest.approx(1e-160 * (1.0 + 0.5 ** 128) ** (1.0 / 128), rel=1e-12)
@@ -82,8 +83,22 @@ class TestSchattenNorm:
         assert schatten_norm(m, 200.0) == pytest.approx(2.0, rel=1e-12)
         assert schatten_norm(m, 1e6) == pytest.approx(2.0, rel=1e-12)
 
-    def test_tiny_singular_values_treated_as_zero(self):
-        assert schatten_norm(np.diag([1e-305, 1e-310]), 100.0) == 0.0
+    @pytest.mark.parametrize("scale", [1e-305, 1e-301, 1e-150, 1.0, 1e150, 1e300])
+    def test_one_formula_at_every_p(self, scale):
+        # the top singular value is factored out at every p, so no ratio
+        # exceeds 1: tiny scales do not vanish and huge ones do not overflow
+        m = scale * np.diag([3.0, 2.0, 1e-5])
+        s = singular_values(m)
+        for p in (64.0, 65.0, 100.0, 1e6):
+            got = schatten_norm(m, p)
+            assert got > 0.0
+            assert got == float(s[0] * np.sum((s / s[0]) ** p) ** (1.0 / p))
+        below, above = (schatten_norm(m, np.nextafter(64.0, x)) for x in (0.0, math.inf))
+        assert above == pytest.approx(below, rel=1e-15)
+
+    def test_large_p_hand_values(self):
+        assert schatten_norm(1e-301 * np.eye(2), 100.0) == 1.006955550056719e-301
+        assert schatten_norm(np.diag([3.0, 2.0, 1e-5]), 100.0) == 3.0
         assert schatten_norm(np.zeros((3, 2)), 128.0) == 0.0
 
     def test_vectorized_over_leading_axes(self):
@@ -268,10 +283,37 @@ class TestSplitStacks:
         assert proc.stdout.split() == ["[]"]
 
 
+class TestConditionNumbers:
+    """Bitwise np.linalg.cond, for single matrices and stacks."""
+
+    @pytest.mark.parametrize("side", range(1, 11))
+    def test_matches_numpy_cond(self, side):
+        stack = np.random.default_rng(side).standard_normal((20, side, side))
+        assert condition_numbers(stack).tobytes() == np.linalg.cond(stack).tobytes()
+        for m in stack[:3]:
+            assert condition_numbers(m).tobytes() == np.linalg.cond(m).tobytes()
+
+    def test_singular_matrices_give_inf(self):
+        stack = np.array([np.zeros((3, 3)), np.diag([1.0, 2.0, 0.0]), np.ones((3, 3)),
+                          np.eye(3)])
+        got = condition_numbers(stack)
+        assert got.tobytes() == np.linalg.cond(stack).tobytes()
+        assert got[0] == got[1] == math.inf
+        assert condition_numbers(np.zeros((2, 2))) == math.inf
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("count", [PARALLEL_MATRICES, 4096])
+    def test_split_stack_matches_numpy_cond(self, monkeypatch, count, cpus):
+        stack = np.random.default_rng(count).standard_normal((count, 4, 4))
+        stack[::7, :, 0] = 0.0  # singular matrices in every part
+        use_cpus(monkeypatch, cpus)
+        assert condition_numbers(stack).tobytes() == np.linalg.cond(stack).tobytes()
+
+
 class TestOneReductionLayer:
     """Norms of program matrices are reduced in schatten.py and nowhere else."""
 
-    def test_no_svd_or_eigvals_outside_schatten(self):
+    def test_no_svd_eigvals_or_cond_outside_schatten(self):
         import matprod
 
         package = Path(matprod.__file__).parent
@@ -284,7 +326,7 @@ class TestOneReductionLayer:
                          [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
                          else [])
                 stray += [f"{path.name}:{node.lineno} {name}" for name in names
-                          if name in ("svd", "eigvals")]
+                          if name in ("svd", "eigvals", "cond")]
         assert stray == []
 
 
