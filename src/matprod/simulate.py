@@ -16,6 +16,7 @@ interior hit counts and triangular arrays.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -57,10 +58,8 @@ CONDITION_LIMIT = 1e12
 # bytes: caps what one product step of a Monte Carlo chunk holds, and the
 # chunk's uniforms, so that one step's gather stays in cache
 GATHER_BUDGET = 2**19
-# paths: the widest block exact enumeration and the adapted walk step at once
+# paths: the widest block the exact enumeration walk steps at once
 FRONTIER_PATHS = 8192
-# bytes: inverse-mode products kept from the mean pass for the statistics pass
-INVERSE_KEEP_BYTES = 2**24
 
 
 # ---------------------------------------------------------------------------
@@ -416,25 +415,6 @@ def _trial_products(spec, start, rngs):
     return stack, (np.array(kept) if spec.mode == "inverse" else None)
 
 
-def _level_supports(hook, prods):
-    """(steps, probs, means) of a block of adapted paths, from one hook call on
-    their running products ``prods``: path b takes atom ``steps[j]`` with
-    probability ``probs[b, j]`` and has conditional mean ``means[b]``."""
-    steps, probs = hook.conditional_supports(prods)
-    means = sum(p.reshape(-1, *(1,) * s.ndim) * s for p, s in zip(probs.T, steps))
-    b = len(prods)
-    return (steps, np.broadcast_to(probs, (b, len(steps))),
-            np.broadcast_to(means, (b, *means.shape[1:])))
-
-
-def _adapted_children(block, supports, par, col):
-    """Children of a block of adapted paths: path par[i] extended by atom col[i]."""
-    w, prods, refs = block
-    steps, probs, means = supports
-    return (w[par] * probs[par, col], _step(steps, col, prods[par]),
-            _step(means, par, refs[par]))
-
-
 def _trial_chunks(spec, trials, seed, key):
     """Yield (products, excluded trial numbers) chunk by chunk.
 
@@ -518,6 +498,10 @@ def _block_norms(prods, dev, p, radius):
     sit in, so a chunked run's norms are those of one whole stack.
     """
     stack = prods if dev is None else np.concatenate([prods, dev])
+    if not np.isfinite(stack).all():  # LAPACK would fail to converge on it
+        raise InvalidInputError(
+            "a product or its deviation overflowed float64 to a non-finite entry; "
+            "shorten the product or shrink its factors")
     spectral, schatten = (x.reshape(-1, len(prods)) for x in stack_norms(stack, p))
     return spectral, schatten, (spectral_radii(prods) if radius else None)
 
@@ -639,73 +623,44 @@ def _support_or_raise(e: FactorEnsemble):
     return e.support
 
 
-def _enumerate_independent(spec, invert):
-    """Yield (weights, products) chunkwise over all support combinations."""
-    supports = [_support_or_raise(e) for e in spec.factors]
-    sizes = [len(s) for s in supports]
-    total = math.prod(sizes)
-    if total > ENUMERATION_BUDGET:
-        raise EnumerationInfeasibleError(
-            f"enumeration needs {total} outcomes, budget is {ENUMERATION_BUDGET}",
-            required=total, budget=ENUMERATION_BUDGET)
-    probs = [np.array(s.probs) for s in supports]
-    if invert:
-        eye = np.eye(spec.d)
-        steps = []
-        for i, (e, s) in enumerate(zip(spec.factors, supports), 1):
-            try:
-                steps.append(np.linalg.solve(s.atoms, eye))
-            except np.linalg.LinAlgError:
-                raise InvalidInputError(
-                    f"factor {i} ({e.kind}) has a singular atom, which has no inverse") from None
-        start = _inverse_start(spec)
-    else:
-        steps = [s.atoms if s.diagonals is None else s.diagonals for s in supports]
-        start = spec.z0
-    # factor 1 acts first; in inverse mode its inverse is leftmost instead
-    apply = _right_multiply if invert else np.matmul
+def _walk(start, n, level, apply=np.matmul):
+    """Every path of an n-factor product from ``start``, walked level by level.
 
-    # outcome numbers have factor 1's atom as their leading digit, so a chunk
-    # of consecutive outcomes shares prefixes: level i forms each product of
-    # the chunk's first i factors once, from its parent at level i - 1
-    tails = [math.prod(sizes[i:]) for i in range(len(sizes) + 1)]  # outcomes per prefix
-    for lo in range(0, total, FRONTIER_PATHS):
-        hi = min(lo + FRONTIER_PATHS, total)
-        w, prod = np.ones(1), start[None]
-        for i, (step, pr, k) in enumerate(zip(steps, probs, sizes)):
-            idx = np.arange(lo // tails[i + 1], (hi - 1) // tails[i + 1] + 1)
-            par, dig = idx // k - lo // tails[i], idx % k
-            w, prod = w[par] * pr[dig], _step(step, dig, prod[par], apply)
-        yield w, prod
+    ``level(depth, prods)`` gives the next factor's support for a block of
+    paths with products ``prods``: (steps, probs, means). Path b takes step j
+    with probability ``probs[b, j]``; ``probs`` may be one (1, K) row for
+    every path. ``means``, when not None, holds each path's conditional mean
+    factor, and the path's reference product takes it as the product takes
+    its step. Yields (weights, products, references) blocks in leaf order,
+    with references None when ``level`` gives no means.
 
-
-def _walk_adapted(spec):
-    """Every path of an adapted product, walked level by level.
-
-    Yields (weights, products, conditional-mean products) blocks in leaf
-    order: children come parent-major and atom-minor, the order of a
-    depth-first walk that takes atom 0 first, and atoms of probability 0 are
-    skipped. A block holds at most FRONTIER_PATHS paths, so a walk with at
-    most that many leaves yields one block. Past that, a level's parents go
-    in groups whose subtrees should fit, judged by the most children one path
-    has had so far, and each group's deeper levels are walked before the next.
+    Children come parent-major and atom-minor, the order of a depth-first
+    walk that takes atom 0 first, and atoms of probability 0 are skipped. A
+    block holds at most FRONTIER_PATHS paths, so a walk with at most that
+    many leaves yields one block. Past that, a level's parents go in groups
+    whose subtrees should fit, judged by the most children one path has had
+    so far, and each group's deeper levels are walked before the next.
     """
-    n, cap, fan = spec.n, FRONTIER_PATHS, 1
+    cap, fan = FRONTIER_PATHS, 1
     walked = [0] * (n + 1)  # paths reached at each depth
 
     def frame(depth, block):
         nonlocal fan
-        supports = _level_supports(spec.adapted_hook, block[1])
-        par, col = np.nonzero(supports[1])
-        counts = np.bincount(par, minlength=len(block[0]))
+        b = len(block[0])
+        steps, probs, means = level(depth, block[1])
+        probs = np.broadcast_to(probs, (b, probs.shape[-1]))
+        if means is not None:
+            means = np.broadcast_to(means, (b, *means.shape[1:]))
+        par, col = np.nonzero(probs)
+        counts = np.bincount(par, minlength=b)
         fan = max(fan, int(counts.max()))
-        return [depth, block, supports, par, col, np.cumsum(counts), 0]
+        return [depth, block, (steps, probs, means), par, col, np.cumsum(counts), 0]
 
-    root = spec.z0[None]  # the empty path: weight 1, product and reference Z_0
+    root = start[None]  # the empty path: weight 1, product and reference the start
     frames = [frame(0, (np.ones(1), root, root))]
     while frames:
         f = frames[-1]
-        depth, block, supports, par, col, ends, first = f
+        depth, (w, prods, refs), (steps, probs, means), par, col, ends, first = f
         base, last = (ends[first - 1] if first else 0), len(ends)
         if ends[-1] > cap:
             limit = cap // fan ** min(n - depth - 1, cap.bit_length())
@@ -715,15 +670,60 @@ def _walk_adapted(spec):
             frames.pop()
         kids = slice(base, ends[last - 1])
         walked[depth + 1] += kids.stop - base
-        if walked[depth + 1] > ENUMERATION_BUDGET:
+        if walked[depth + 1] > ENUMERATION_BUDGET:  # only adapted walks are not counted up front
             raise EnumerationInfeasibleError(
                 f"adapted enumeration exceeded the {ENUMERATION_BUDGET}-path budget",
                 required=ENUMERATION_BUDGET + 1, budget=ENUMERATION_BUDGET)
-        child = _adapted_children(block, supports, par[kids], col[kids])
+        par_k, col_k = par[kids], col[kids]  # path par_k[i] extended by atom col_k[i]
+        child = (w[par_k] * probs[par_k, col_k], _step(steps, col_k, prods[par_k], apply),
+                 None if means is None else _step(means, par_k, refs[par_k]))
         if depth + 1 == n:
             yield child
         else:
             frames.append(frame(depth + 1, child))
+
+
+def _spec_walk(spec):
+    """A function that starts the walk (_walk) of every outcome of ``spec``.
+
+    Adapted specs ask the hook for each block's conditional supports, and each
+    path carries its product of conditional means F_n beside it. Independent
+    and inverse specs step through each factor's atoms, or the diagonals of
+    diagonal atoms, and are refused when their positive-probability outcomes
+    exceed ENUMERATION_BUDGET. Inverse mode steps by each atom's inverse,
+    solved once, from Z_0^(-1); factor 1's inverse is leftmost.
+    """
+    if spec.mode == "adapted":
+        hook = spec.adapted_hook
+
+        def conditional(depth, prods):
+            steps, probs = hook.conditional_supports(prods)
+            return steps, probs, sum(p.reshape(-1, *(1,) * s.ndim) * s
+                                     for p, s in zip(probs.T, steps))
+
+        return functools.partial(_walk, spec.z0, spec.n, conditional)
+    supports = [_support_or_raise(e) for e in spec.factors]
+    probs = [np.array(s.probs)[None] for s in supports]
+    total = math.prod(int(np.count_nonzero(pr)) for pr in probs)
+    if total > ENUMERATION_BUDGET:
+        raise EnumerationInfeasibleError(
+            f"enumeration needs {total} outcomes, budget is {ENUMERATION_BUDGET}",
+            required=total, budget=ENUMERATION_BUDGET)
+    if spec.mode == "inverse":
+        eye = np.eye(spec.d)
+        steps = []
+        for i, (e, s) in enumerate(zip(spec.factors, supports), 1):
+            try:
+                steps.append(np.linalg.solve(s.atoms, eye))
+            except np.linalg.LinAlgError:
+                raise InvalidInputError(
+                    f"factor {i} ({e.kind}) has a singular atom, which has no inverse") from None
+        start, apply = _inverse_start(spec), _right_multiply
+    else:
+        steps = [s.atoms if s.diagonals is None else s.diagonals for s in supports]
+        start, apply = spec.z0, np.matmul
+    return functools.partial(_walk, start, spec.n,
+                             lambda depth, _: (steps[depth], probs[depth], None), apply)
 
 
 class _StreamStats:
@@ -776,35 +776,25 @@ def enumerate_product(spec: ProductSpec, p=2.0, q=2.0, thresholds_growth=(),
         raise InvalidParameterError("q must satisfy q >= 1")
     radius = spectral_radius and spec.d == spec.r
     stats = _StreamStats(p, q, radius, thresholds_growth, thresholds_deviation)
-
-    if spec.mode == "adapted":
-        mean = None
-        for w, prods, refs in _walk_adapted(spec):
-            part = np.einsum("k,kij->ij", w, prods)
-            mean = part if mean is None else mean + part
-            stats.add(w, prods, prods - refs)
-        return stats.report(mean, "adapted")
-
-    invert = spec.mode == "inverse"
-    chunks = _enumerate_independent(spec, invert)
-    if invert:
+    walk, adapted = _spec_walk(spec), spec.mode == "adapted"
+    if spec.mode == "inverse":
         # for independent factors the mean is Z0^(-1) E[Y1^(-1)] ... E[Yn^(-1)],
         # but that closed form would change the last bits of the reported mean
-        # and deviations, so the mean is streamed in a first pass; its chunks
-        # are kept for the second while they fit INVERSE_KEEP_BYTES
-        mean = np.zeros((spec.d, spec.d))
-        kept, size = [], 0
-        for w, prod in chunks:
-            mean = mean + np.einsum("k,kij->ij", w, prod)
-            size += prod.nbytes
-            if size <= INVERSE_KEEP_BYTES:
-                kept.append((w, prod))
-        chunks = kept if size <= INVERSE_KEEP_BYTES else _enumerate_independent(spec, invert)
+        # and deviations, so the mean is streamed in a first walk; a walk of one
+        # block keeps that block for the deviations, a longer one walks again
+        mean, first = np.zeros((spec.d, spec.d)), None
+        for i, block in enumerate(walk()):
+            mean = mean + np.einsum("k,kij->ij", block[0], block[1])
+            first = block if i == 0 else None
+        blocks = walk() if first is None else [first]
     else:
-        mean = expected_product(spec)
-    for w, prod in chunks:
-        stats.add(w, prod, prod - mean[None, :, :])
-    return stats.report(mean, "mean")
+        mean, blocks = (None if adapted else expected_product(spec)), walk()
+    for w, prods, refs in blocks:
+        if adapted:  # each path against its own F_n, the mean streamed alongside
+            part = np.einsum("k,kij->ij", w, prods)
+            mean = part if mean is None else mean + part
+        stats.add(w, prods, prods - (refs if adapted else mean[None]))
+    return stats.report(mean, "adapted" if adapted else "mean")
 
 
 # ---------------------------------------------------------------------------

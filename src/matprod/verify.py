@@ -658,7 +658,7 @@ def check_bound_dominance(spec: ProductSpec, p=2.0, q=2.0, trials=0,
                     detail={"quantity": row.quantity, "empirical": row.empirical,
                             "bound": row.bound})
         else:
-            limit = "lcl" if "@" in row.quantity else "ucl"  # a tail row, name@threshold
+            limit = "lcl" if row.threshold is not None else "ucl"  # tails take the LCL
             col.add((row.bound - row.limit) / denom, tolerance=0.0,
                     detail={"quantity": row.quantity, limit: row.limit, "bound": row.bound})
     return col.report()

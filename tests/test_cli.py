@@ -737,6 +737,21 @@ def test_inverse_compare_takes_no_spectral_radius(capsys, tmp_path, monkeypatch)
     assert payload["meta"]["source"] == "monte-carlo" and payload["rows"]
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("command", ["compare", "simulate"])
+def test_overflowed_product_is_named(capsys, tmp_path, command):
+    # 400 factors near 10 I reach 10**400, past float64
+    mean = {"rows": 2, "cols": 2, "data": [10.0, 0.0, 0.0, 10.0]}
+    spec = {"factors": [{"count": 400, "ensemble": {
+        "kind": "bounded-perturbation", "dim": 2, "radius": 0.5, "n_scale": 1.0, "mean": mean}}]}
+    path = write_config(tmp_path, {"spec": spec, "trials": 20})
+    rc, payload, _ = run_json(capsys, command, "--config", path)
+    assert rc == 1
+    assert payload["error"]["code"] == "invalid-input"
+    assert "overflowed float64" in payload["error"]["message"]
+
+
 class TestOutputFile:
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "result.json"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -183,6 +184,11 @@ class HistoryFree:
         return (s.atoms if s.diagonals is None else s.diagonals), np.array([s.probs])
 
 
+def walk(spec):
+    """The blocks of a spec's enumeration walk, (weights, products, references)."""
+    return simulate._spec_walk(spec)()
+
+
 def assert_bitwise_equal(zs, want):
     assert len(zs) == len(want)
     if want:
@@ -363,9 +369,7 @@ class TestBatchedKernel:
         spec = make_spec()
         twin = dense_twin(spec)
         assert all(e.sampler.diagonals is None for e in twin.factors)
-        for (w, prod), (w_want, want) in zip(simulate._enumerate_independent(spec, False),
-                                             simulate._enumerate_independent(twin, False),
-                                             strict=True):
+        for (w, prod, _), (w_want, want, _) in zip(walk(spec), walk(twin), strict=True):
             assert w.tobytes() == w_want.tobytes()
             assert prod.tobytes() == want.tobytes()
             assert np.isfinite(prod).all() == finite
@@ -462,13 +466,12 @@ class TestDiagonalSamplers:
     def test_overflow_fallback_matches_dense_twin(self):
         spec = overflowing_rank_one()
         sim = simulate_product(spec, 150, seed=31)
-        enumerated = list(simulate._enumerate_independent(overflowing_rank_one(n=5), False))
+        enumerated = list(walk(overflowing_rank_one(n=5)))
         # the fallback expands only the diagonals of the outcomes that failed
         assert "atoms" not in vars(spec.factors[0].sampler)
         assert_bitwise_equal(sim.z, simulate_product(dense_twin(spec), 150, seed=31).z)
-        for (w, prod), (w_want, want) in zip(
-                enumerated, simulate._enumerate_independent(
-                    dense_twin(overflowing_rank_one(n=5)), False), strict=True):
+        for (w, prod, _), (w_want, want, _) in zip(
+                enumerated, walk(dense_twin(overflowing_rank_one(n=5))), strict=True):
             assert (w.tobytes(), prod.tobytes()) == (w_want.tobytes(), want.tobytes())
 
     @pytest.mark.parametrize("make_spec", [
@@ -1037,14 +1040,14 @@ class TestAdaptedMode:
 
     def test_history_free_hook_matches_independent_bitwise(self):
         indep, adapted = self.adapted_pair()
-        (w, prods, _), = simulate._walk_adapted(adapted)
-        (w_want, want), = simulate._enumerate_independent(indep, False)
+        (w, prods, _), = walk(adapted)
+        (w_want, want, _), = walk(indep)
         assert w.tobytes() == w_want.tobytes()
         assert prods.tobytes() == want.tobytes()
 
     def test_conditional_mean_track_equals_expected_product(self):
         indep, adapted = self.adapted_pair()
-        (_, _, refs), = simulate._walk_adapted(adapted)
+        (_, _, refs), = walk(adapted)
         want = expected_product(indep)
         assert len(refs) == 16
         for f in refs:
@@ -1194,7 +1197,7 @@ class TestAdaptedWalker:
     @pytest.mark.parametrize("make_hook,n,z0", ADAPTED_HOOKS)
     def test_matches_depth_first_walk(self, make_hook, n, z0):
         spec = adapted(make_hook, n, z0)
-        blocks = list(simulate._walk_adapted(spec))
+        blocks = list(walk(spec))
         assert len(blocks) == 1
         w, prods, refs = blocks[0]
         want = list(depth_first_paths(spec))
@@ -1214,9 +1217,9 @@ class TestAdaptedWalker:
     @pytest.mark.parametrize("cap", [1, 3, 16])
     def test_capped_blocks_keep_leaf_order(self, make_hook, n, z0, cap, monkeypatch):
         spec = adapted(make_hook, n, z0)
-        (whole,) = simulate._walk_adapted(spec)
+        (whole,) = walk(spec)
         monkeypatch.setattr(simulate, "FRONTIER_PATHS", cap)
-        blocks = list(simulate._walk_adapted(spec))
+        blocks = list(walk(spec))
         # a block is cut only between parents; the largest support here has 6 atoms
         assert max(len(w) for w, _, _ in blocks) <= max(cap, 6)
         for part, want in zip(zip(*blocks), whole, strict=True):
@@ -1226,7 +1229,7 @@ class TestAdaptedWalker:
     def test_overflow_matches_depth_first_walk(self):
         spec = adapted(lambda: HistoryFree(make_rademacher_rank_one(4)), 3,
                        np.full((4, 2), 1e308))
-        (w, prods, refs), = simulate._walk_adapted(spec)
+        (w, prods, refs), = walk(spec)
         want = list(depth_first_paths(spec))
         assert not np.isfinite(prods).all()
         assert prods.tobytes() == np.stack([z for _, z, _ in want]).tobytes()
@@ -1242,7 +1245,7 @@ class TestAdaptedWalker:
         leaves = 0
         tracemalloc.start()
         try:
-            for w, prods, refs in simulate._walk_adapted(spec):
+            for w, prods, refs in walk(spec):
                 assert len(w) <= cap
                 leaves += len(w)
                 del w, prods, refs
@@ -1299,7 +1302,7 @@ class TestHookContract:
 
     def test_walker_hands_the_paths_products(self):
         spec = self.spec(self.N)
-        list(simulate._walk_adapted(spec))
+        list(walk(spec))
         assert len(spec.adapted_hook.seen) == self.N
         for i, runs in enumerate(spec.adapted_hook.seen):
             want = (self.Z0[None] if i == 0 else
@@ -1308,44 +1311,178 @@ class TestHookContract:
             assert runs.tobytes() == want.tobytes()
 
 
+def outcomes_one_by_one(spec):
+    """(weights, products) of every positive-probability outcome of an
+    independent or inverse spec in leaf order, each multiplied out on its own:
+    factor 1's atom leads, diagonal atoms are expanded, and inverse mode
+    multiplies each atom's own inverse into Z_0^(-1) from the right."""
+    inverse, eye = spec.mode == "inverse", np.eye(spec.d)
+    levels = []
+    for e in spec.factors:
+        s = e.support
+        dense = s.atoms if s.diagonals is None else [np.diag(x) for x in s.diagonals]
+        levels.append([(np.linalg.solve(a, eye) if inverse else a, prob)
+                       for a, prob in zip(dense, s.probs) if prob > 0.0])
+    start = np.linalg.solve(spec.z0, eye) if inverse else spec.z0
+    weights, prods = [], []
+    for path in itertools.product(*levels):
+        w, prod = 1.0, start
+        for a, prob in path:
+            w, prod = w * prob, (prod @ a if inverse else a @ prod)
+        weights.append(w)
+        prods.append(prod)
+    return np.array(weights), np.stack(prods)
+
+
+def one_atom_overflows():
+    """The atom 1e200 at probability 0 beside 1.0: only a skipped outcome overflows."""
+    s = SupportSampler((np.array([[1e200]]), np.array([[1.0]])), (0.0, 1.0))
+    e = FactorEnsemble(dim=1, sampler=s, stats=FactorStats(1.0, 0.0))
+    return ProductSpec((e, e), np.eye(1))
+
+
+INDEPENDENT_WALKS = [
+    pytest.param(lambda: matrix_two_point(dim=3, n=5), id="dense"),
+    pytest.param(lambda: ProductSpec((make_rademacher_rank_one(3),) * 4, signed_zero_start(3, 2)),
+                 id="diagonal"),
+    pytest.param(lambda: rank_one_mixed(3, 2, repeat=1), id="diagonal-and-dense"),
+    pytest.param(lambda: ProductSpec((zero_atom_ensemble(),) * 4, np.eye(2)),
+                 id="zero-probability"),
+    pytest.param(lambda: replace(matrix_two_point(dim=3, n=5), mode="inverse"),
+                 id="inverse-dense"),
+    pytest.param(lambda: ProductSpec((invertible_diagonal(3),) * 4,
+                                     np.eye(3) + 0.1 * tall_start(3, 3), mode="inverse"),
+                 id="inverse-diagonal"),
+    pytest.param(lambda: ProductSpec((zero_atom_ensemble(),) * 4, np.eye(2), mode="inverse"),
+                 id="inverse-zero-probability"),
+]
+
+
+class TestIndependentWalker:
+    """Independent and inverse specs walk the level tree the adapted walk does."""
+
+    @pytest.mark.parametrize("make_spec", INDEPENDENT_WALKS)
+    @pytest.mark.parametrize("cap", [None, 1, 3, 16])
+    def test_outcomes_match_one_by_one(self, make_spec, cap, monkeypatch):
+        spec = make_spec()
+        if cap is not None:
+            monkeypatch.setattr(simulate, "FRONTIER_PATHS", cap)
+        blocks = list(walk(spec))
+        if cap is None:
+            assert len(blocks) == 1
+        # a block is cut only between parents, so one parent's children may pass the cap
+        widest = max(len(e.support) for e in spec.factors)
+        assert max(len(w) for w, _, _ in blocks) <= max(cap or simulate.FRONTIER_PATHS, widest)
+        assert all(refs is None for _, _, refs in blocks)
+        w_want, want = outcomes_one_by_one(spec)
+        assert np.concatenate([w for w, _, _ in blocks]).tobytes() == w_want.tobytes()
+        assert np.concatenate([z for _, z, _ in blocks]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spectral_radius", [False, True])
+    def test_zero_probability_outcomes_are_skipped(self, spectral_radius):
+        # the skipped outcomes would hold 1e200 and 1e400 = inf
+        rep = enumerate_product(one_atom_overflows(), spectral_radius=spectral_radius)
+        assert (rep.outcomes, rep.growth_mean, rep.deviation_mean) == (1, 1.0, 0.0)
+        est, _, _, _ = summarize_simulation(one_atom_overflows(), 20, 3)
+        assert est["spectral-norm-mean"].mean == rep.growth_mean
+
+    @pytest.mark.parametrize("mode", ["independent", "inverse"])
+    def test_budget_counts_positive_probability_outcomes(self, mode, monkeypatch):
+        # four factors of three atoms, one of them at probability 0: 16 outcomes, not 81
+        spec = ProductSpec((zero_atom_ensemble(),) * 4, np.eye(2), mode=mode)
+        monkeypatch.setattr(simulate, "ENUMERATION_BUDGET", 15)
+        with pytest.raises(EnumerationInfeasibleError, match="needs 16 outcomes") as info:
+            enumerate_product(spec)
+        assert (info.value.required, info.value.budget) == (16, 15)
+        monkeypatch.setattr(simulate, "ENUMERATION_BUDGET", 16)
+        assert enumerate_product(spec).outcomes == 16
+
+    def test_walk_memory_is_bounded(self, monkeypatch):
+        cap, d, n = 256, 10, 14
+        monkeypatch.setattr(simulate, "FRONTIER_PATHS", cap)
+        spec = matrix_two_point(dim=d, n=n)
+        path_bytes = 8 * (d * d + 1)  # product, weight
+        leaves = 0
+        tracemalloc.start()
+        try:
+            for w, prods, refs in walk(spec):
+                assert len(w) <= cap and refs is None
+                leaves += len(w)
+                del w, prods, refs
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert leaves == 2**n
+        # every leaf at once would take 64 caps' worth of paths
+        assert peak < 8 * cap * path_bytes
+
+
+class TestOverflowIsNamed:
+    """A non-finite product or deviation is refused before its norm stack."""
+
+    @IGNORE_OVERFLOW
+    @pytest.mark.parametrize("run", [
+        pytest.param(lambda: summarize_simulation(overflowing_rank_one(), 150, 31),
+                     id="monte-carlo"),
+        pytest.param(lambda: enumerate_product(overflowing_rank_one(n=5)), id="enumeration"),
+    ])
+    def test_overflow_is_invalid_input(self, run, monkeypatch):
+        def no_svd(*args):
+            raise AssertionError("a non-finite stack reached the SVD")
+
+        monkeypatch.setattr(simulate, "stack_norms", no_svd)
+        with pytest.raises(InvalidInputError, match="overflowed float64"):
+            run()
+
+
 class TestInverseEnumeration:
-    """Inverse mode keeps its first pass's chunks while they fit INVERSE_KEEP_BYTES."""
+    """Inverse mode streams its mean in a first walk. A walk of one block keeps
+    that block for the deviations; a longer walk is walked a second time."""
 
-    def passes(self, monkeypatch):
+    def walks(self, monkeypatch):
         calls = []
-        walk = simulate._enumerate_independent
+        walker = simulate._walk
 
-        def counting(spec, invert):
-            calls.append(invert)
-            return walk(spec, invert)
+        def counting(*args):
+            calls.append(len(calls))
+            return walker(*args)
 
-        monkeypatch.setattr(simulate, "_enumerate_independent", counting)
+        monkeypatch.setattr(simulate, "_walk", counting)
         return calls
 
-    def test_products_formed_once_within_the_budget(self, monkeypatch):
-        spec = replace(matrix_two_point(dim=4, n=10), mode="inverse")
-        calls = self.passes(monkeypatch)
-        once = enumerate_product(spec, 3.0, 2.0, (1.0,), (0.5,))
-        assert calls == [True] and once.outcomes == 1024
-        monkeypatch.setattr(simulate, "INVERSE_KEEP_BYTES", 1024 * 16 * 8 - 1)
-        twice = enumerate_product(spec, 3.0, 2.0, (1.0,), (0.5,))
-        assert calls == [True] * 3
-        assert once.mean.tobytes() == twice.mean.tobytes()
-        assert replace(once, mean=None) == replace(twice, mean=None)
+    def streamed_twice(self, spec, p, q, tg=(), td=()):
+        """The report from the walk's blocks, the mean summed before any deviation."""
+        blocks = list(walk(spec))
+        mean = np.zeros((spec.d, spec.d))
+        for w, prods, _ in blocks:
+            mean = mean + np.einsum("k,kij->ij", w, prods)
+        stats = simulate._StreamStats(p, float(q), True, tg, td)
+        for w, prods, _ in blocks:
+            stats.add(w, prods, prods - mean[None])
+        return stats.report(mean, "mean")
 
-    def test_chunks_past_the_budget_are_formed_again(self, monkeypatch):
+    def test_one_block_is_walked_once(self, monkeypatch):
+        spec = replace(matrix_two_point(dim=4, n=10), mode="inverse")
+        want = self.streamed_twice(spec, 3.0, 2.0, (1.0,), (0.5,))
+        calls = self.walks(monkeypatch)
+        got = enumerate_product(spec, 3.0, 2.0, (1.0,), (0.5,))
+        assert len(calls) == 1 and got.outcomes == 1024
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert replace(got, mean=None) == replace(want, mean=None)
+
+    @pytest.mark.parametrize("cap", [None, 1000], ids=["default-cap", "cap-1000"])
+    def test_longer_walks_are_walked_twice(self, cap, monkeypatch):
+        # 2**14 leaves make two blocks at the default cap, 17 at a cap of 1000
         spec = replace(matrix_two_point(dim=2, n=14), mode="inverse")
-        whole = enumerate_product(spec, 3.0, 2.0)
-        monkeypatch.setattr(simulate, "FRONTIER_PATHS", 1000)
-        calls = self.passes(monkeypatch)
-        chunked = enumerate_product(spec, 3.0, 2.0)
-        assert calls == [True]
-        monkeypatch.setattr(simulate, "INVERSE_KEEP_BYTES", 5000 * 32)
-        again = enumerate_product(spec, 3.0, 2.0)
-        assert calls == [True] * 3
-        assert again.mean.tobytes() == chunked.mean.tobytes()
-        assert replace(again, mean=None) == replace(chunked, mean=None)
-        assert chunked.outcomes == whole.outcomes == 2**14
+        if cap is not None:
+            monkeypatch.setattr(simulate, "FRONTIER_PATHS", cap)
+        assert len(list(walk(spec))) > 1
+        want = self.streamed_twice(spec, 3.0, 2.0)
+        calls = self.walks(monkeypatch)
+        got = enumerate_product(spec, 3.0, 2.0)
+        assert len(calls) == 2 and got.outcomes == 2**14
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert replace(got, mean=None) == replace(want, mean=None)
 
 
 class TestSpectralRadiusOnRequest:

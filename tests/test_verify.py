@@ -486,7 +486,10 @@ class TestBoundDominance:
 
     def test_monte_carlo_rows_fail_on_their_confidence_limits(self, monkeypatch):
         def row(quantity, empirical, bound, limit):
-            return CompareRow(quantity, empirical, "estimate", bound, quantity, limit=limit)
+            # a tail row carries its threshold, as comparison_rows builds it
+            _, _, threshold = quantity.partition("@")
+            return CompareRow(quantity, empirical, "estimate", bound, quantity, limit=limit,
+                              threshold=float(threshold) if threshold else None)
 
         violated = [
             # the mean's UCL is above the bound, though the mean is below it
