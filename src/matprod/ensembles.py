@@ -9,7 +9,6 @@ m: sigma bounds (E ||Y - EY||^q)^(1/q) / m, and sigma_uniform bounds
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -79,10 +78,11 @@ class FactorStats:
 
 @dataclass(frozen=True, eq=False)
 class FactorEnsemble:
-    """A distribution over square factor matrices of size dim x dim."""
+    """A distribution over dim x dim factors. Its sampler's ``draws(rng, count)``
+    is a (count, dim, dim) stack that reads ``rng`` as ``count`` single draws would."""
 
     dim: int
-    sampler: Callable[[np.random.Generator], np.ndarray]
+    sampler: object
     stats: FactorStats
     mean: Optional[np.ndarray] = None
     kind: str = "custom"
@@ -91,6 +91,8 @@ class FactorEnsemble:
     def __post_init__(self):
         if self.dim < 1:
             raise InvalidParameterError("ensemble dimension must be positive")
+        if not callable(getattr(self.sampler, "draws", None)):
+            raise InvalidParameterError("a sampler needs draws(rng, count)")
         if self.mean is not None:
             m = as_matrix(self.mean, "analytic mean")
             if m.shape != (self.dim, self.dim):
@@ -105,7 +107,7 @@ class FactorEnsemble:
         return self.sampler if isinstance(self.sampler, SupportSampler) else None
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
-        return self.sampler(rng)
+        return self.sampler.draws(rng, 1)[0]
 
     def exact_mean(self) -> np.ndarray:
         if self.mean is not None:
@@ -124,11 +126,12 @@ def householder_direction(dim: int) -> np.ndarray:
 class SupportSampler:
     """A finite support, the sequence of its (atom, probability) pairs.
 
-    A uniform u picks the first atom whose running probability sum exceeds u:
-    ``bisect_right(cum, u)`` for one draw, and ``pick`` for an array of
-    uniforms at once. The atoms are held once, as a (K, d, d) stack. A sampler
-    built by ``from_diagonals`` holds only the (K, d) diagonals of its atoms,
-    and writes the dense stack when ``atoms`` is first read. It also keeps the
+    A uniform u picks the first atom whose running probability sum exceeds u,
+    ``bisect_right(cum, u)``: ``pick`` maps an array of uniforms, and
+    ``draws`` maps ``count`` uniforms of a stream to a (count, d, d) stack.
+    The atoms are held once, as a (K, d, d) stack. A sampler built by
+    ``from_diagonals`` holds only the (K, d) diagonals of its atoms, and
+    writes the dense stack when ``atoms`` is first read. It also keeps the
     atoms' moves, ``(cols, vals)``: two (K, m) arrays such that atom k's
     diagonal is 1.0 except at the coordinates cols[k], where it holds vals[k].
     m is the most coordinates any atom moves, and a row that moves fewer is
@@ -193,8 +196,8 @@ class SupportSampler:
     def __iter__(self):
         return zip(self.atoms, self.probs)
 
-    def __call__(self, rng: np.random.Generator) -> np.ndarray:
-        return self.atoms[bisect.bisect_right(self.cum, rng.random())]
+    def draws(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return self.atoms[self.pick(rng.random(count))]
 
     def pick(self, u: np.ndarray) -> np.ndarray:
         """Atom indices of an array of uniforms in [0, 1): exactly
@@ -213,6 +216,30 @@ class SupportSampler:
         if missed.any():
             j[missed] = np.searchsorted(self.cum, u[missed], side="right")
         return j
+
+
+class SphereSampler:
+    """Draws base + scale * G / ||G|| for a standard normal d x d matrix G.
+
+    ``draws`` reads a (count, d, d) block of normals and takes their norms in
+    one stack. A draw of norm 0 (probability zero) is dropped and the block
+    topped up from the stream: the reads of ``count`` single draws that each
+    redraw until their norm is nonzero."""
+
+    def __init__(self, base, scale):
+        self.base, self.scale = base, scale
+
+    def draws(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        g = rng.standard_normal((count, *self.base.shape))
+        norms = stack_norms(g)[0]
+        while not norms.all():
+            more = rng.standard_normal((count - np.count_nonzero(norms), *self.base.shape))
+            g = np.concatenate([g[norms != 0.0], more])
+            norms = np.concatenate([norms[norms != 0.0], stack_norms(more)[0]])
+        g /= norms[:, None, None]  # in place, with the bits of base + scale * (g / norm)
+        g *= self.scale
+        g += self.base
+        return g
 
 
 def diagonal_moves(diagonals):
@@ -242,11 +269,10 @@ def make_bounded_perturbation(dim, mean, radius, n_scale, support="two-point") -
     if n_scale <= 0 or not math.isfinite(n_scale):
         raise InvalidParameterError("n_scale must be positive")
 
-    eye = np.eye(dim)
     xi = spectral_norm(a) / n_scale
     m = 1.0 + xi
     scale = radius / n_scale
-    base = eye + a / n_scale
+    base = np.eye(dim) + a / n_scale
     stats = FactorStats(
         mean_norm=m,
         sigma=scale,
@@ -258,37 +284,16 @@ def make_bounded_perturbation(dim, mean, radius, n_scale, support="two-point") -
 
     if support == "two-point":
         u = householder_direction(dim)
-        if radius == 0.0:
-            sampler = SupportSampler((base,), (1.0,))
-        else:
-            sampler = SupportSampler((base + scale * u, base - scale * u), (0.5, 0.5))
-        return FactorEnsemble(
-            dim=dim,
-            sampler=sampler,
-            stats=stats,
-            mean=base,
-            kind="bounded-perturbation",
-            # deviations are orthogonal directions: projection does not shrink them
-            projected_deviation=(lambda r: scale),
-        )
-    if support == "uniform-sphere":
-
-        def sampler(rng: np.random.Generator) -> np.ndarray:
-            g = rng.standard_normal((dim, dim))
-            norm = spectral_norm(g)
-            while norm == 0.0:  # pragma: no cover - probability zero
-                g = rng.standard_normal((dim, dim))
-                norm = spectral_norm(g)
-            return base + scale * (g / norm)
-
-        return FactorEnsemble(
-            dim=dim,
-            sampler=sampler,
-            stats=stats,
-            mean=base,
-            kind="bounded-perturbation",
-        )
-    raise InvalidParameterError(f"unknown support kind {support!r}")
+        atoms = (base,) if radius == 0.0 else (base + scale * u, base - scale * u)
+        sampler = SupportSampler(atoms, (1.0 / len(atoms),) * len(atoms))
+        # deviations are orthogonal directions: projection does not shrink them
+        projected = lambda r: scale
+    elif support == "uniform-sphere":
+        sampler, projected = SphereSampler(base, scale), None
+    else:
+        raise InvalidParameterError(f"unknown support kind {support!r}")
+    return FactorEnsemble(dim=dim, sampler=sampler, stats=stats, mean=base,
+                          kind="bounded-perturbation", projected_deviation=projected)
 
 
 def make_rademacher_rank_one(dim) -> FactorEnsemble:
@@ -396,8 +401,10 @@ def support_stats(e: FactorEnsemble, q=2.0) -> FactorStats:
     if not q >= 2:
         raise InvalidParameterError(f"stat order must satisfy q >= 2, got {q}")
     mean = e.exact_mean()
-    atoms = e.support.atoms
-    second = sum(p * (a.T @ a) for a, p in e.support)
+    # atoms of probability 0 are never drawn, and 0 * inf would turn E Y^T Y into NaN
+    live = [k for k, prob in enumerate(e.support.probs) if prob > 0]
+    atoms, probs = e.support.atoms[live], [e.support.probs[k] for k in live]
+    second = sum(p * (a.T @ a) for a, p in zip(atoms, probs))
     # one stack (mean, E Y^T Y, atoms, deviations): a matrix's norm does not
     # depend on the stack it sits in
     stack = np.concatenate([mean[None], second[None], atoms, atoms - mean])
@@ -411,7 +418,7 @@ def support_stats(e: FactorEnsemble, q=2.0) -> FactorStats:
     c = math.sqrt(csq)
     return FactorStats(
         mean_norm=m,
-        sigma=moment_norm(devs, q, e.support.probs) / m,
+        sigma=moment_norm(devs, q, probs) / m,
         q=float(q),
         uniform_norm=max(max(norms[2:2 + k]), m),
         sigma_uniform=max(devs) / m,

@@ -216,32 +216,29 @@ def expected_product(spec: ProductSpec) -> np.ndarray:
         raise UnsupportedEnsembleError(
             f"expected_product is defined for independent products, not {spec.mode!r}")
     out = spec.z0
-    for diagonal, run in itertools.groupby(
-            spec.factors, key=lambda e: getattr(e.sampler, "diagonals", None) is not None):
-        run = list(run)
-        if diagonal:  # one trial's run of diagonal steps, the means' diagonals as atoms
-            distinct = {id(e): e for e in run}
-            slot = {key: k for k, key in enumerate(distinct)}
-            table = np.stack([np.diagonal(e.exact_mean()) for e in distinct.values()])
-            scaled = out.copy()
-            _scatter(_moved_entries(diagonal_moves(table), out.shape[1]),
-                     np.array([slot[id(e)] for e in run])[:, None], scaled.reshape(-1),
-                     np.zeros((1, 1), dtype=np.intp))
-            scaled += 0.0
-            if np.isfinite(scaled).all():
-                out = scaled
-                continue
-        for e in run:
-            out = e.exact_mean() @ out
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller names an overflow
+        for diagonal, run in itertools.groupby(
+                spec.factors, key=lambda e: getattr(e.sampler, "diagonals", None) is not None):
+            run = list(run)
+            if diagonal:  # one trial's run of diagonal steps, the means' diagonals as atoms
+                distinct = {id(e): e for e in run}
+                slot = {key: k for k, key in enumerate(distinct)}
+                table = np.stack([np.diagonal(e.exact_mean()) for e in distinct.values()])
+                scaled = out.copy()
+                _scatter(_moved_entries(diagonal_moves(table), out.shape[1]),
+                         np.array([slot[id(e)] for e in run])[:, None], scaled.reshape(-1),
+                         np.zeros((1, 1), dtype=np.intp))
+                scaled += 0.0
+                if np.isfinite(scaled).all():
+                    out = scaled
+                    continue
+            for e in run:
+                out = e.exact_mean() @ out
     return out
 
 
-def _right_multiply(y, prod):
-    return prod @ y
-
-
 def _right_solve(y, prod):
-    """prod @ y^(-1) via a linear solve, for single matrices or stacks."""
+    """prod @ y^(-1) via a linear solve, for stacks."""
     return np.linalg.solve(y.swapaxes(-1, -2), prod.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
@@ -286,22 +283,38 @@ def _chunk_size(spec, samplers):
 
     A dense step gathers a d x d atom per trial and makes a new d x r
     product; a diagonal step changes the d x r product in place. The chunk
-    keeps one step, and the chunk's n uniforms per trial, within GATHER_BUDGET.
-    Inverse mode gathers dense atoms, but its start is square, so r = d.
-    Samplers without a finite support count as dense.
+    keeps one step, and a trial's reads (a uniform per support factor, a d x d
+    draw per drawn factor), within GATHER_BUDGET. Inverse mode gathers dense
+    atoms, but its start is square, so r = d.
     """
     dense = any(getattr(s, "diagonals", None) is None for s in samplers)
     step = 8 * spec.d * (max(spec.d, spec.r) if dense else spec.r)
-    return max(1, GATHER_BUDGET // max(step, 8 * spec.n)), step
+    held = sum(1 if isinstance(s, SupportSampler) else spec.d ** 2 for s in samplers)
+    return max(1, GATHER_BUDGET // max(step, 8 * held)), step
 
 
-def _uniforms(n, seed, key, ks):
-    """(T, n) uniforms: trial k's row is filled in place by one ``random`` call
-    on its own stream, bitwise equal to ``random(n)`` and to n successive draws."""
-    u = np.empty((len(ks), n))
-    for row, rng in zip(u, substreams(seed, key, ks)):
-        rng.random(out=row)
-    return u
+def _stream_reads(spec, samplers, seed, key, ks):
+    """(T, n) uniforms, unset at drawn factors, and {drawn factor: its (T, d, d)
+    draws}: each trial reads its stream run by run in factor order, ``random(k)``
+    for k support factors and ``draws(rng, k)`` for k factors of one drawn
+    sampler. ``random(k)`` gives the bits of k single draws."""
+    u = np.empty((len(ks), len(samplers)))
+    draws = {i: np.empty((len(ks), spec.d, spec.d)) for i, s in enumerate(samplers)
+             if not isinstance(s, SupportSampler)}
+    if not draws:  # only finite supports: one random call fills each trial's row
+        for row, rng in zip(u, substreams(seed, key, ks)):
+            rng.random(out=row)
+        return u, draws
+    runs = [list(run) for _, run in itertools.groupby(
+        range(len(samplers)), key=lambda i: id(samplers[i]) if i in draws else None)]
+    for t, (row, rng) in enumerate(zip(u, substreams(seed, key, ks))):
+        for run in runs:
+            if run[0] in draws:
+                for i, y in zip(run, samplers[run[0]].draws(rng, len(run))):
+                    draws[i][t] = y
+            else:
+                rng.random(out=row[run[0]:run[-1] + 1])
+    return u, draws
 
 
 def _moved_entries(moves, r):
@@ -329,15 +342,16 @@ def _scatter(moved, digits, flat, base):
         np.multiply.at(flat, idx.reshape(-1), factors.take(dig, axis=0).reshape(-1))
 
 
-def _sampled_chunk(spec, start, samplers, u, atom_conds):
-    """One chunk of trials through the gather kernel, from their (T, n)
-    uniforms ``u``: (products, kept), equal to the per-trial loop's.
+def _sampled_chunk(spec, start, samplers, u, draws):
+    """One chunk of trials through the gather kernel, from their reads
+    (_stream_reads): (products, kept), equal to the per-trial loop's.
 
-    Factor i's atoms are ``digits[i]``; each distinct sampler picks the
-    uniforms of all its factors in one call. Inverse mode multiplies up the
-    drawn atoms' condition numbers first and forms only the products of the
-    trials it keeps, those whose estimate is at most CONDITION_LIMIT; ``kept``
-    is their (T,) mask, and None outside inverse mode, which keeps them all.
+    Factor i's atoms are ``digits[i]``; each distinct support sampler picks
+    the uniforms of all its factors in one call, and a drawn factor's atoms
+    are its (T, d, d) draws, trial t taking atom t. Inverse mode multiplies up
+    the condition numbers in factor order first and forms only the products
+    of the trials it keeps, those whose estimate is at most CONDITION_LIMIT;
+    ``kept`` is their (T,) mask, and None outside inverse mode.
 
     Outside inverse mode, consecutive steps of one diagonal sampler change
     only their moved entries, in one ordered scatter (_scatter), and a run of
@@ -348,15 +362,22 @@ def _sampled_chunk(spec, start, samplers, u, atom_conds):
     included. The redo of non-finite trials takes full steps (_step)."""
     groups = {}
     for i, s in enumerate(samplers):
-        groups.setdefault(id(s), (s, []))[1].append(i)
+        if i not in draws:
+            groups.setdefault(id(s), (s, []))[1].append(i)
     digits = np.empty((len(samplers), len(u)), dtype=np.intp)
     for s, cols in groups.values():
         digits[cols] = s.pick(u[:, cols]).T
+    digits[list(draws)] = np.arange(len(u))
     invert, kept = spec.mode == "inverse", None
-    if invert:
+    # each factor's atoms: its draws, or its sampler's dense atoms or diagonals
+    steps = [draws[i] if i in draws else s.atoms if invert or s.diagonals is None
+             else s.diagonals for i, s in enumerate(samplers)]
+    if invert:  # each distinct stack's condition numbers, multiplied up in factor order
+        conds = {id(step): step for step in steps}
+        conds = {key: condition_numbers(step) for key, step in conds.items()}
         cond_est = np.full(len(u), condition_numbers(spec.z0))
-        for s, dig in zip(samplers, digits):
-            cond_est = cond_est * atom_conds[id(s)][dig]
+        for step, dig in zip(steps, digits):
+            cond_est = cond_est * conds[id(step)][dig]
         kept = ~(cond_est > CONDITION_LIMIT)
         digits = digits[:, kept]
     apply = _right_solve if invert else np.matmul
@@ -365,67 +386,40 @@ def _sampled_chunk(spec, start, samplers, u, atom_conds):
     trials = digits.shape[1]
     base = (np.arange(trials) * start.size)[:, None]
     prod, pending = np.broadcast_to(start, (trials, *start.shape)), False
-    for s, run in itertools.groupby(range(len(samplers)), key=samplers.__getitem__):
-        run = list(run)
-        moved = moves.get(id(s))
-        if moved is None:
-            if pending:  # the diagonal run's + 0.0
-                prod += 0.0
-                pending = False
-            for i in run:
-                prod = _gather(s.atoms, digits[i], prod, apply)
-            continue
-        if not prod.flags.writeable:  # the broadcast start; steps make C-order products
-            prod = prod.copy()
-        _scatter(moved, digits[run[0]:run[-1] + 1], prod.reshape(-1), base)
-        pending = True
-    if pending:
-        prod += 0.0
-    bad = np.flatnonzero(~np.isfinite(prod).all(axis=(1, 2)))
-    if bad.size:  # a non-finite entry never turns finite again: redo just these trials
-        steps = [s.atoms if invert or s.diagonals is None else s.diagonals for s in samplers]
-        redo = np.broadcast_to(start, (bad.size, *start.shape))
-        for step, dig in zip(steps, digits):
-            redo = _step(step, dig[bad], redo, apply)
-        prod[bad] = redo
+    with np.errstate(over="ignore", invalid="ignore"):  # _block_norms names an overflow
+        for s, run in itertools.groupby(range(len(samplers)), key=samplers.__getitem__):
+            run = list(run)
+            moved = moves.get(id(s))
+            if moved is None:
+                if pending:  # the diagonal run's + 0.0
+                    prod += 0.0
+                    pending = False
+                for i in run:
+                    prod = _gather(steps[i], digits[i], prod, apply)
+                continue
+            if not prod.flags.writeable:  # the broadcast start; steps make C-order products
+                prod = prod.copy()
+            _scatter(moved, digits[run[0]:run[-1] + 1], prod.reshape(-1), base)
+            pending = True
+        if pending:
+            prod += 0.0
+        bad = np.flatnonzero(~np.isfinite(prod).all(axis=(1, 2)))
+        if bad.size:  # a non-finite entry never turns finite again: redo just these trials
+            redo = np.broadcast_to(start, (bad.size, *start.shape))
+            for step, dig in zip(steps, digits):
+                redo = _step(step, dig[bad], redo, apply)
+            prod[bad] = redo
     return prod, kept
 
 
-def _trial_products(spec, start, rngs):
-    """Trials drawn one factor at a time, one per stream: (products, kept), as
-    _sampled_chunk gives them; inverse mode draws a trial's factors and
-    multiplies up their condition numbers before it solves."""
-    prods, kept = [], []
-    for rng in rngs:
-        prod = start
-        if spec.mode != "inverse":
-            for e in spec.factors:
-                prod = e.draw(rng) @ prod
-        else:
-            ys = [e.draw(rng) for e in spec.factors]
-            # the start's and the draws' condition numbers, multiplied in order
-            cond_est = math.prod(condition_numbers(np.stack([spec.z0, *ys])).tolist())
-            kept.append(not cond_est > CONDITION_LIMIT)
-            if not kept[-1]:
-                continue
-            for y in ys:
-                prod = _right_solve(y, prod)
-        prods.append(prod)
-    stack = np.stack(prods) if prods else np.empty((0, *start.shape))
-    return stack, (np.array(kept) if spec.mode == "inverse" else None)
-
-
 def _trial_chunks(spec, trials, seed, key):
-    """Yield (products, excluded trial numbers) chunk by chunk.
-
-    When every factor samples a finite support, a chunk of trials goes through
-    one gather-and-multiply kernel; other samplers draw one trial at a time.
-    Inverse mode drops ill-conditioned or non-finite trials from a chunk and
-    names them; an ill-conditioned one, such as a trial that draws a singular
-    atom, is never solved. Trial k reads only the stream (seed, *key, k), so the bits do
-    not depend on the chunking. Adapted products are not sampled: they raise
-    UnsupportedEnsembleError, and enumerate_product certifies them exactly.
-    """
+    """Yield (products, excluded trial numbers), one gather kernel chunk
+    (_sampled_chunk) at a time. Inverse mode drops ill-conditioned or
+    non-finite trials and names them; an ill-conditioned one, such as a trial
+    that draws a singular atom, is never solved. Trial k reads only the
+    stream (seed, *key, k), so the bits do not depend on the chunking.
+    Adapted products raise UnsupportedEnsembleError: enumerate_product
+    certifies them exactly."""
     trials = int(trials)
     if trials < 1:
         raise InvalidParameterError("trials must be positive")
@@ -435,18 +429,11 @@ def _trial_chunks(spec, trials, seed, key):
     invert = spec.mode == "inverse"
     start = _inverse_start(spec) if invert else spec.z0
     samplers = [e.sampler for e in spec.factors]
-    batched = all(isinstance(s, SupportSampler) for s in samplers)
     chunk, _ = _chunk_size(spec, samplers)
-    distinct = {id(s): s for s in samplers}
-    atom_conds = ({k: condition_numbers(s.atoms) for k, s in distinct.items()}
-                  if batched and invert else None)
     for lo in range(0, trials, chunk):
         ks = range(lo, min(lo + chunk, trials))
-        if batched:
-            u = _uniforms(spec.n, seed, key, ks)
-            prod, kept = _sampled_chunk(spec, start, samplers, u, atom_conds)
-        else:
-            prod, kept = _trial_products(spec, start, substreams(seed, key, ks))
+        prod, kept = _sampled_chunk(spec, start, samplers,
+                                    *_stream_reads(spec, samplers, seed, key, ks))
         excluded = []
         if invert:  # the ill-conditioned trials were never solved
             finite = np.isfinite(prod).all(axis=(1, 2))
@@ -561,13 +548,14 @@ def summarize_simulation(spec: ProductSpec, trials, seed, p=2.0, q=2.0, threshol
     mean = expected_product(spec) if spec.mode == "independent" else None
     radius = spectral_radius and spec.d == spec.r
     norms, radii, excluded = [], [], []
-    for prods, bad in _trial_chunks(spec, trials, seed, key):
-        excluded.extend(bad)
-        if len(prods):
-            spectral, schatten, rad = _block_norms(
-                prods, None if mean is None else prods - mean, p, radius)
-            norms.append(np.stack([spectral, schatten]))  # lets the singular values go
-            radii.append(rad)
+    with np.errstate(over="ignore", invalid="ignore"):  # _block_norms names an overflow
+        for prods, bad in _trial_chunks(spec, trials, seed, key):
+            excluded.extend(bad)
+            if len(prods):
+                spectral, schatten, rad = _block_norms(
+                    prods, None if mean is None else prods - mean, p, radius)
+                norms.append(np.stack([spectral, schatten]))  # lets the singular values go
+                radii.append(rad)
     if not norms:
         raise InvalidParameterError("no included trials to analyze")
     norms = np.concatenate(norms, axis=2)
@@ -718,7 +706,7 @@ def _spec_walk(spec):
             except np.linalg.LinAlgError:
                 raise InvalidInputError(
                     f"factor {i} ({e.kind}) has a singular atom, which has no inverse") from None
-        start, apply = _inverse_start(spec), _right_multiply
+        start, apply = _inverse_start(spec), lambda y, prod: prod @ y
     else:
         steps = [s.atoms if s.diagonals is None else s.diagonals for s in supports]
         start, apply = spec.z0, np.matmul
@@ -777,23 +765,24 @@ def enumerate_product(spec: ProductSpec, p=2.0, q=2.0, thresholds_growth=(),
     radius = spectral_radius and spec.d == spec.r
     stats = _StreamStats(p, q, radius, thresholds_growth, thresholds_deviation)
     walk, adapted = _spec_walk(spec), spec.mode == "adapted"
-    if spec.mode == "inverse":
-        # for independent factors the mean is Z0^(-1) E[Y1^(-1)] ... E[Yn^(-1)],
-        # but that closed form would change the last bits of the reported mean
-        # and deviations, so the mean is streamed in a first walk; a walk of one
-        # block keeps that block for the deviations, a longer one walks again
-        mean, first = np.zeros((spec.d, spec.d)), None
-        for i, block in enumerate(walk()):
-            mean = mean + np.einsum("k,kij->ij", block[0], block[1])
-            first = block if i == 0 else None
-        blocks = walk() if first is None else [first]
-    else:
-        mean, blocks = (None if adapted else expected_product(spec)), walk()
-    for w, prods, refs in blocks:
-        if adapted:  # each path against its own F_n, the mean streamed alongside
-            part = np.einsum("k,kij->ij", w, prods)
-            mean = part if mean is None else mean + part
-        stats.add(w, prods, prods - (refs if adapted else mean[None]))
+    with np.errstate(over="ignore", invalid="ignore"):  # the walk runs in this context
+        if spec.mode == "inverse":
+            # for independent factors the mean is Z0^(-1) E[Y1^(-1)] ... E[Yn^(-1)],
+            # but that closed form would change the last bits of the reported mean
+            # and deviations, so the mean is streamed in a first walk; a walk of one
+            # block keeps that block for the deviations, a longer one walks again
+            mean, first = np.zeros((spec.d, spec.d)), None
+            for i, block in enumerate(walk()):
+                mean = mean + np.einsum("k,kij->ij", block[0], block[1])
+                first = block if i == 0 else None
+            blocks = walk() if first is None else [first]
+        else:
+            mean, blocks = (None if adapted else expected_product(spec)), walk()
+        for w, prods, refs in blocks:
+            if adapted:  # each path against its own F_n, the mean streamed alongside
+                part = np.einsum("k,kij->ij", w, prods)
+                mean = part if mean is None else mean + part
+            stats.add(w, prods, prods - (refs if adapted else mean[None]))
     return stats.report(mean, "adapted" if adapted else "mean")
 
 

@@ -252,6 +252,14 @@ class TestSupportStats:
         with np.errstate(over="ignore"), pytest.raises(InvalidInputError):
             support_stats(e)
 
+    def test_zero_probability_atoms_are_dropped(self):
+        # E Y^T Y would take 0 * 1e400 = NaN from the atom that is never drawn
+        e = FactorEnsemble(dim=1, sampler=SupportSampler(([[1e200]], [[1.0]]), (0.0, 1.0)),
+                           stats=FactorStats(mean_norm=1.0, sigma=1.0))
+        alone = replace(e, sampler=SupportSampler(([[1.0]],), (1.0,)))
+        assert support_stats(e) == support_stats(alone) == FactorStats(
+            mean_norm=1.0, sigma=0.0, uniform_norm=1.0, sigma_uniform=0.0, contraction=1.0)
+
 
 class TestStatsFromOneStack:
     """The builders take their norms from one stack; each must be the norm of
@@ -389,7 +397,7 @@ class TestSupportSampler:
                     pick = j
                     break
             want.append(pick)
-            assert sampler(Fixed(u))[0, 0] == pick
+            assert sampler.draws(Fixed(u), 1)[0, 0, 0] == pick
         batch = np.searchsorted(sampler.cum, uniforms, side="right")
         assert batch.tolist() == want
         assert sampler.pick(uniforms).tolist() == want
@@ -416,7 +424,7 @@ class TestSupportSampler:
         # any array shape, as the chunk kernel passes (trials, factors) blocks
         grid = uniforms[: len(uniforms) // 4 * 4].reshape(-1, 4)
         assert np.array_equal(sampler.pick(grid), np.searchsorted(cum, grid, side="right"))
-        assert [sampler(Fixed(u))[0, 0] for u in uniforms] == want.tolist()
+        assert [sampler.draws(Fixed(u), 1)[0, 0, 0] for u in uniforms] == want.tolist()
 
     def test_pick_lands_without_search_on_equal_masses(self, monkeypatch):
         # the rank-one sampler's 200 equal masses put one running sum in each
@@ -436,14 +444,24 @@ class TestSupportSampler:
         assert searched == []
 
 
+class Constant:
+    """A sampler without a finite support whose every draw is one matrix."""
+
+    def __init__(self, a):
+        self.a = a
+
+    def draws(self, rng, count):
+        return np.repeat(self.a[None], count, axis=0)
+
+
 class Fixed:
     """A stream whose every uniform is u."""
 
     def __init__(self, u):
         self.u = u
 
-    def random(self):
-        return self.u
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
 
 
 def support_of(form, diagonals, probs):
@@ -531,13 +549,18 @@ class TestEnsembleValidation:
         other = SupportSampler([np.eye(2), 2.0 * np.eye(2)], (0.5, 0.5))
         # the support is read from the sampler, so enumeration follows a new one
         assert replace(e, sampler=other).support is other
-        assert replace(e, sampler=lambda rng: np.eye(2)).support is None
+        assert replace(e, sampler=Constant(np.eye(2))).support is None
         for built in (make_bounded_perturbation(2, np.eye(2), 0.3, 2.0),
                       make_rademacher_rank_one(4), make_random_projector_contraction(3)):
             assert built.support is built.sampler
 
+    def test_bare_callable_is_not_a_sampler(self):
+        with pytest.raises(InvalidParameterError, match=r"draws\(rng, count\)"):
+            FactorEnsemble(dim=2, sampler=lambda rng: np.eye(2),
+                           stats=FactorStats(mean_norm=1.0, sigma=0.0))
+
     def test_custom_ensemble_has_no_mean(self):
-        e = FactorEnsemble(dim=2, sampler=lambda rng: np.eye(2),
+        e = FactorEnsemble(dim=2, sampler=Constant(np.eye(2)),
                            stats=FactorStats(mean_norm=1.0, sigma=0.0))
         with pytest.raises(UnsupportedEnsembleError):
             e.exact_mean()
@@ -552,7 +575,7 @@ class TestSampleMeanAgainstAnalyticMean:
         a = np.array([[0.1, 0.3], [0.0, -0.2]])
         e = make_bounded_perturbation(2, a, radius=0.3, n_scale=1.0, support=support)
         rng = substream(17, 0)
-        draws = np.stack([e.draw(rng) for _ in range(trials)])
+        draws = e.sampler.draws(rng, trials)
         se = draws.std(axis=0, ddof=1) / math.sqrt(trials)
         err = np.abs(draws.mean(axis=0) - e.exact_mean())
         # constant entries have se ~ 0; allow summation rounding there

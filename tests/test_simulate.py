@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import tracemalloc
@@ -39,7 +40,7 @@ from matprod.simulate import (
     summarize_simulation,
     triangular_array_run,
 )
-from matprod.schatten import spectral_norm, spectral_radii, stack_norms
+from matprod.schatten import PARALLEL_MATRICES, spectral_norm, spectral_radii, stack_norms
 from matprod.streams import substream
 from matprod.verify import comparison_rows
 
@@ -140,14 +141,39 @@ class TestSimulateProduct:
             simulate_product(scalar_two_point(), 0, seed=0)
 
 
-def reference_loop(spec, trials, seed, key=()):
+class DrawnSupport:
+    """A finite support behind a sampler that is not a SupportSampler: Monte
+    Carlo takes its draws as a per-chunk atom stack, as it takes sphere draws."""
+
+    def __init__(self, support):
+        self.support = support
+
+    def draws(self, rng, count):
+        return self.support.atoms[[bisect.bisect_right(self.support.cum, u)
+                                   for u in rng.random(count)]]
+
+
+def reference_draw(e, rng):
+    """One factor drawn by single reads of ``rng``: a support atom by
+    bisect_right on one uniform, a uniform-sphere draw from one normal matrix,
+    drawn again while its norm is 0."""
+    s = e.sampler.support if isinstance(e.sampler, DrawnSupport) else e.sampler
+    if isinstance(s, SupportSampler):
+        return s.atoms[bisect.bisect_right(s.cum, rng.random())]
+    g = rng.standard_normal((e.dim, e.dim))
+    while spectral_norm(g) == 0.0:
+        g = rng.standard_normal((e.dim, e.dim))
+    return s.base + s.scale * (g / spectral_norm(g))
+
+
+def reference_loop(spec, trials, seed, key=(), stream=substream):
     """One trial and one factor draw at a time: the loop the kernel replaces."""
     inverse = spec.mode == "inverse"
     start = np.linalg.solve(spec.z0, np.eye(spec.d)) if inverse else spec.z0
     zs, excluded = [], []
     for k in range(trials):
-        rng = substream(seed, *key, k)
-        ys = [e.draw(rng) for e in spec.factors]
+        rng = stream(seed, *key, k)
+        ys = [reference_draw(e, rng) for e in spec.factors]
         prod = start
         if inverse:
             cond_est = np.linalg.cond(spec.z0)
@@ -195,13 +221,20 @@ def assert_bitwise_equal(zs, want):
         assert np.stack(zs).tobytes() == np.stack(want).tobytes()
 
 
-def assert_matches_reference(spec, trials, seed, key=()):
+def assert_matches_reference(spec, trials, seed, key=(), stream=substream):
     sim = simulate_product(spec, trials, seed, key)
-    zs, excluded = reference_loop(spec, trials, seed, key)
+    zs, excluded = reference_loop(spec, trials, seed, key, stream)
     assert sim.excluded_indices == excluded
     assert sim.excluded == len(excluded)
     assert_bitwise_equal(sim.z, zs)
     return sim
+
+
+def uniforms(spec, seed, ks, key=()):
+    """The (T, n) uniforms a chunk of a finite-support spec reads (_stream_reads)."""
+    u, draws = simulate._stream_reads(spec, [e.sampler for e in spec.factors], seed, key, ks)
+    assert draws == {}
+    return u
 
 
 def count_draws(monkeypatch):
@@ -318,7 +351,7 @@ class TestBatchedKernel:
     def test_uniforms_are_the_stacked_rows(self):
         ks = range(5, 42)
         want = np.stack([rng.random(23) for rng in simulate.substreams(7, (2, 1), ks)])
-        got = simulate._uniforms(23, 7, (2, 1), ks)
+        got = uniforms(ProductSpec((make_rademacher_rank_one(2),) * 23, np.eye(2)), 7, ks, (2, 1))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert got[3].tobytes() == substream(7, 2, 1, 8).random(23).tobytes()
 
@@ -343,8 +376,8 @@ class TestBatchedKernel:
             return pick(self, u)
 
         monkeypatch.setattr(SupportSampler, "pick", counting)
-        u = simulate._uniforms(spec.n, 31, (), range(40))
-        simulate._sampled_chunk(spec, spec.z0, samplers, u, None)
+        u = uniforms(spec, 31, range(40))
+        simulate._sampled_chunk(spec, spec.z0, samplers, u, {})
         assert len(calls) == len({id(s) for s in samplers}) == distinct
         assert sum(shape[1] for _, shape in calls) == spec.n
         assert all(shape[0] == 40 for _, shape in calls)
@@ -573,9 +606,9 @@ class TestMoveSteps:
     @pytest.mark.parametrize("make_spec", MOVE_SPECS)
     def test_chunk_matches_full_steps(self, make_spec):
         spec = make_spec()
-        u = simulate._uniforms(spec.n, 31, (), range(150))
+        u = uniforms(spec, 31, range(150))
         got, _ = simulate._sampled_chunk(spec, spec.z0, [e.sampler for e in spec.factors],
-                                         u, None)
+                                         u, {})
         assert got.tobytes() == full_steps(spec, u).tobytes()
 
     @pytest.mark.parametrize("make_spec", MOVE_SPECS)
@@ -618,20 +651,21 @@ class TestMoveSteps:
     def test_long_run_in_budget_slices(self, monkeypatch):
         spec = ProductSpec((thirds_diagonal(),) * 40, tall_start(3, 2))
         samplers = [e.sampler for e in spec.factors]
-        u = simulate._uniforms(spec.n, 31, (), range(150))
-        whole, _ = simulate._sampled_chunk(spec, spec.z0, samplers, u, None)
+        u = uniforms(spec, 31, range(150))
+        whole, _ = simulate._sampled_chunk(spec, spec.z0, samplers, u, {})
         # one step moves 150 trials x 2 entries: three steps a slice
         monkeypatch.setattr(simulate, "GATHER_BUDGET", 3 * 8 * 2 * 150)
-        sliced, _ = simulate._sampled_chunk(spec, spec.z0, samplers, u, None)
+        sliced, _ = simulate._sampled_chunk(spec, spec.z0, samplers, u, {})
         assert sliced.tobytes() == whole.tobytes() == full_steps(spec, u).tobytes()
 
     def test_run_scatter_stays_within_the_budget(self):
         # n >> d and r > 1: the whole run's offsets and factors would hold
         # 2 x 4000 steps x 16 trials x 3 entries x 8 bytes, about 5.9 budgets
         d, n, r, trials = 4, 4000, 3, 16
-        s = make_rademacher_rank_one(d).sampler
+        spec = ProductSpec((make_rademacher_rank_one(d),) * n, np.ones((d, r)))
+        s = spec.factors[0].sampler
         moved = simulate._moved_entries(s.moves, r)
-        digits = s.pick(simulate._uniforms(n, 3, (), range(trials))).T.copy()
+        digits = s.pick(uniforms(spec, 3, range(trials))).T.copy()
         prod = np.ones((trials, d, r))
         base = (np.arange(trials) * d * r)[:, None]
         tracemalloc.start()
@@ -641,8 +675,7 @@ class TestMoveSteps:
         finally:
             tracemalloc.stop()
         assert peak < 2 * simulate.GATHER_BUDGET + 2**14
-        spec = ProductSpec((make_rademacher_rank_one(d),) * n, np.ones((d, r)))
-        want = full_steps(spec, simulate._uniforms(n, 3, (), range(trials)))
+        want = full_steps(spec, uniforms(spec, 3, range(trials)))
         assert prod.tobytes() == want.tobytes()
 
     def test_coordinate_steps_allocate_no_row_block(self):
@@ -656,12 +689,12 @@ class TestMoveSteps:
         spec = ProductSpec((e,) * n, tall_start(d, 1))
         samplers = [e.sampler] * n
         chunk, _ = simulate._chunk_size(spec, samplers)
-        u = simulate._uniforms(n, 3, (), range(chunk))
+        u = uniforms(spec, 3, range(chunk))
         block = chunk * d * 8
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            prod, _ = simulate._sampled_chunk(spec, spec.z0, samplers, u, None)
+            prod, _ = simulate._sampled_chunk(spec, spec.z0, samplers, u, {})
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -670,21 +703,112 @@ class TestMoveSteps:
         assert prod.tobytes() == full_steps(spec, u).tobytes()
 
 
-class TestPerTrialPath:
-    """Samplers without a batch form still draw one factor at a time."""
+def sphere(d=3, radius=0.5, mean=0.1):
+    return make_bounded_perturbation(d, mean * np.eye(d), radius, 10, "uniform-sphere")
 
-    def test_uniform_sphere_and_mixed(self, monkeypatch):
-        sphere = make_bounded_perturbation(3, 0.1 * np.eye(3), 0.5, 10, "uniform-sphere")
-        two_point = matrix_two_point(dim=3, n=6)
-        mixed = ProductSpec((sphere, two_point.factors[0]) * 3, np.eye(3))
-        for spec in (ProductSpec((sphere,) * 6, np.eye(3)),
-                     ProductSpec((sphere,) * 6, np.eye(3), mode="inverse"),
-                     mixed):
-            calls = count_draws(monkeypatch)
-            assert_matches_reference(spec, 12, seed=5)
-            # the product draws each of its factors once per trial, twice
-            # counting the reference loop
-            assert sum(calls[id(e)] for e in set(spec.factors)) == 2 * 12 * 6
+
+class ZeroingStream:
+    """A trial's stream whose normal matrices at the read positions ``zeros``
+    come out 0, so that a uniform-sphere draw there has norm 0 and is redrawn."""
+
+    def __init__(self, rng, zeros, d):
+        self.rng, self.zeros, self.d, self.read = rng, zeros, d, 0
+
+    def random(self, size=None, out=None):
+        return self.rng.random(size, out=out)
+
+    def standard_normal(self, size):
+        g = self.rng.standard_normal(size)
+        for j, matrix in enumerate(g.reshape(-1, self.d, self.d), self.read):
+            if j in self.zeros:
+                matrix[...] = 0.0
+        self.read += g.size // self.d**2
+        return g
+
+
+def sphere_mixed():
+    """Runs of two sphere samplers between two-point and diagonal factors."""
+    a, b = sphere(4), sphere(4, radius=0.9, mean=-0.2)
+    two_point = make_bounded_perturbation(4, 0.2 * np.eye(4), 0.4, 3.0)
+    return ProductSpec((a, a, two_point, make_rademacher_rank_one(4), b, a,
+                        make_random_projector_contraction(4), two_point, b, b) * 3,
+                       tall_start(4, 2))
+
+
+SPHERE_SPECS = [
+    pytest.param(lambda: ProductSpec((sphere(),) * 30, np.eye(3)), id="sphere"),
+    pytest.param(lambda: ProductSpec((sphere(),) * 30, np.eye(3), mode="inverse"),
+                 id="inverse-sphere"),
+    pytest.param(sphere_mixed, id="mixed"),
+    pytest.param(lambda: ProductSpec((sphere(4),) * 12, np.eye(4), mode="inverse"),
+                 id="inverse-short"),
+    # one trial's run of draws is a norm stack that the norm layer splits
+    pytest.param(lambda: ProductSpec((sphere(2, 0.05),) * (PARALLEL_MATRICES + 88),
+                                     np.eye(2)), id="sphere-long"),
+]
+
+
+class TestDrawnFactors:
+    """Drawn factors, such as uniform-sphere perturbations, go through the
+    gather kernel as per-chunk atom stacks, bit for bit the per-trial loop."""
+
+    @pytest.mark.parametrize("chunk", [None, 1, 3], ids=["budget", "chunk-1", "chunk-3"])
+    @pytest.mark.parametrize("make_spec", SPHERE_SPECS)
+    def test_matches_per_trial_loop(self, make_spec, chunk, monkeypatch):
+        spec = make_spec()
+        if chunk is not None:
+            monkeypatch.setattr(simulate, "_chunk_size", lambda spec, samplers: (chunk, 0))
+        calls = count_draws(monkeypatch)
+        sim = assert_matches_reference(spec, 12, seed=5)
+        assert calls == {}  # no draw one factor at a time
+        assert sim.trials == 12 and sim.z
+
+    def test_chunk_counts_the_draws(self):
+        # d = 10, n = 200: a trial holds 200 draws of 800 bytes
+        spec = ProductSpec((sphere(10),) * 200, np.eye(10))
+        chunk, _ = simulate._chunk_size(spec, [e.sampler for e in spec.factors])
+        assert chunk == simulate.GATHER_BUDGET // (200 * 800) == 3
+
+    @pytest.mark.parametrize("make_spec", SPHERE_SPECS[:3])
+    def test_zero_norm_draws_are_redrawn(self, make_spec, monkeypatch):
+        # reads 3 and 5 of each trial's normals come out zero, and so does
+        # read 30, the first of a sphere-only trial's top-up
+        spec, zeros = make_spec(), {3, 5, 30}
+        opened = simulate.substreams
+        monkeypatch.setattr(simulate, "substreams", lambda *args: [
+            ZeroingStream(rng, zeros, spec.d) for rng in opened(*args)])
+        sim = assert_matches_reference(
+            spec, 6, seed=5, stream=lambda *args: ZeroingStream(substream(*args), zeros, spec.d))
+        monkeypatch.undo()
+        plain = simulate_product(spec, 6, seed=5)
+        assert len(sim.z) == len(plain.z) == 6
+        assert all(x.tobytes() != y.tobytes() for x, y in zip(sim.z, plain.z))
+
+    def test_mixed_reads_are_single_reads(self):
+        # the stream order the kernel relies on: a trial's random(k) and
+        # standard_normal((k, d, d)) blocks give the bits of single draws
+        a, b = substream(7, 3), substream(7, 3)
+        out = np.empty(4)
+        blocks = [a.random(7), a.standard_normal((5, 3, 3)), a.random(out=out), a.random(1)]
+        singles = [np.array([b.random() for _ in range(7)]),
+                   np.stack([b.standard_normal((3, 3)) for _ in range(5)]),
+                   np.array([b.random() for _ in range(4)]), np.array([b.random()])]
+        for block, single in zip(blocks, singles, strict=True):
+            assert block.tobytes() == single.tobytes()
+
+    def test_sphere_chunk_stays_within_the_budget(self):
+        spec = ProductSpec((sphere(10),) * 200, np.eye(10))
+        chunk, _ = simulate._chunk_size(spec, [e.sampler for e in spec.factors])
+        tracemalloc.start()
+        try:
+            for prod, _ in simulate._trial_chunks(spec, 4 * chunk, 7, ()):
+                peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the chunk's draws fill most of one budget; one trial's block of
+        # normals and its norm stack come on top
+        assert peak < 2 * simulate.GATHER_BUDGET
+        assert prod.shape == (chunk, 10, 10)
 
 
 class TestHandEnumeration:
@@ -986,20 +1110,20 @@ class TestInverseMode:
     def test_singular_atom_trials_are_excluded(self):
         s = SupportSampler((np.eye(3), np.diag([1.0, 1.0, 0.0])), (0.99, 0.01))
         e = FactorEnsemble(3, s, FactorStats(1.0, 0.1))
-        estimates, _, _, excluded = summarize_simulation(
-            ProductSpec((e,) * 3, np.eye(3), mode="inverse"), 200, 5)
+        spec = ProductSpec((e,) * 3, np.eye(3), mode="inverse")
+        estimates, _, _, excluded = summarize_simulation(spec, 200, 5)
         # a trial is left out exactly when it draws the singular atom
-        u = simulate._uniforms(3, 5, (), range(200))
+        u = uniforms(spec, 5, range(200))
         assert excluded == np.flatnonzero((s.pick(u) == 1).any(axis=1)).tolist()
         assert 0 < len(excluded) < 200
         assert estimates["spectral-norm-mean"].trials == 200 - len(excluded)
 
-    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "per-trial"])
-    def test_singular_atoms_keep_the_included_bits(self, batched):
+    @pytest.mark.parametrize("drawn", [False, True], ids=["support", "drawn"])
+    def test_singular_atoms_keep_the_included_bits(self, drawn):
         u = householder_direction(3)
         s = SupportSampler((np.eye(3) + 0.2 * u, np.diag([1.0, 1.0, 0.0]), np.eye(3) - 0.3 * u),
                            (0.45, 0.1, 0.45))
-        e = FactorEnsemble(3, s if batched else (lambda rng: s(rng)), FactorStats(1.3, 0.3))
+        e = FactorEnsemble(3, DrawnSupport(s) if drawn else s, FactorStats(1.3, 0.3))
         sim = assert_matches_reference(ProductSpec((e,) * 4, np.eye(3), mode="inverse"),
                                        100, seed=5)
         assert 0 < sim.excluded < 100
@@ -1418,9 +1542,9 @@ class TestIndependentWalker:
 
 
 class TestOverflowIsNamed:
-    """A non-finite product or deviation is refused before its norm stack."""
+    """A non-finite product or deviation is refused before its norm stack,
+    and warns nothing on the way (a warning is an error here)."""
 
-    @IGNORE_OVERFLOW
     @pytest.mark.parametrize("run", [
         pytest.param(lambda: summarize_simulation(overflowing_rank_one(), 150, 31),
                      id="monte-carlo"),
@@ -1433,6 +1557,20 @@ class TestOverflowIsNamed:
         monkeypatch.setattr(simulate, "stack_norms", no_svd)
         with pytest.raises(InvalidInputError, match="overflowed float64"):
             run()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("support", ["two-point", "uniform-sphere"])
+    def test_overflow_warns_nothing(self, d, support):
+        # 8 factors near 1e60 I reach 1e480; at d = 1 the deviation is inf - inf
+        e = make_bounded_perturbation(d, 1e60 * np.eye(d), 0.5, 1.0, support)
+        spec = ProductSpec((e,) * 8, np.eye(d))
+        runs = [lambda: summarize_simulation(spec, 10, 1)]
+        if support == "two-point":
+            runs.append(lambda: enumerate_product(spec))
+        for run in runs:
+            with pytest.raises(InvalidInputError, match="overflowed float64"):
+                run()
+        assert not np.isfinite(np.stack(simulate_product(spec, 10, 1).z)).any()
 
 
 class TestInverseEnumeration:
