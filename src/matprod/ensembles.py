@@ -23,6 +23,7 @@ from .errors import (
 )
 from .schatten import (
     as_matrix,
+    condition_numbers,
     matrix_from_json,
     moment_norm,
     spectral_norm,
@@ -189,6 +190,11 @@ class SupportSampler:
         atoms = np.zeros((len(self), self.dim, self.dim))
         atoms[:, range(self.dim), range(self.dim)] = self.diagonals
         return atoms
+
+    @functools.cached_property
+    def conds(self) -> np.ndarray:
+        """The (K,) condition numbers of the atoms, found once per sampler."""
+        return condition_numbers(self.atoms)
 
     def __len__(self) -> int:
         return len(self.probs)

@@ -297,14 +297,11 @@ def _stream_reads(spec, samplers, seed, key, ks):
     """(T, n) uniforms, unset at drawn factors, and {drawn factor: its (T, d, d)
     draws}: each trial reads its stream run by run in factor order, ``random(k)``
     for k support factors and ``draws(rng, k)`` for k factors of one drawn
-    sampler. ``random(k)`` gives the bits of k single draws."""
+    sampler. ``random(k)`` gives the bits of k single draws. A spec with only
+    finite supports is one run, a single ``random(out=row)`` per trial."""
     u = np.empty((len(ks), len(samplers)))
     draws = {i: np.empty((len(ks), spec.d, spec.d)) for i, s in enumerate(samplers)
              if not isinstance(s, SupportSampler)}
-    if not draws:  # only finite supports: one random call fills each trial's row
-        for row, rng in zip(u, substreams(seed, key, ks)):
-            rng.random(out=row)
-        return u, draws
     runs = [list(run) for _, run in itertools.groupby(
         range(len(samplers)), key=lambda i: id(samplers[i]) if i in draws else None)]
     for t, (row, rng) in enumerate(zip(u, substreams(seed, key, ks))):
@@ -372,12 +369,11 @@ def _sampled_chunk(spec, start, samplers, u, draws):
     # each factor's atoms: its draws, or its sampler's dense atoms or diagonals
     steps = [draws[i] if i in draws else s.atoms if invert or s.diagonals is None
              else s.diagonals for i, s in enumerate(samplers)]
-    if invert:  # each distinct stack's condition numbers, multiplied up in factor order
-        conds = {id(step): step for step in steps}
-        conds = {key: condition_numbers(step) for key, step in conds.items()}
+    if invert:  # the atoms' condition numbers, multiplied up in factor order
         cond_est = np.full(len(u), condition_numbers(spec.z0))
-        for step, dig in zip(steps, digits):
-            cond_est = cond_est * conds[id(step)][dig]
+        for i, (s, dig) in enumerate(zip(samplers, digits)):
+            conds = condition_numbers(draws[i]) if i in draws else s.conds
+            cond_est = cond_est * conds[dig]
         kept = ~(cond_est > CONDITION_LIMIT)
         digits = digits[:, kept]
     apply = _right_solve if invert else np.matmul

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from matprod import simulate
+from matprod import ensembles, simulate
 from matprod.ensembles import (
     FactorEnsemble,
     FactorStats,
@@ -40,7 +40,13 @@ from matprod.simulate import (
     summarize_simulation,
     triangular_array_run,
 )
-from matprod.schatten import PARALLEL_MATRICES, spectral_norm, spectral_radii, stack_norms
+from matprod.schatten import (
+    PARALLEL_MATRICES,
+    condition_numbers,
+    spectral_norm,
+    spectral_radii,
+    stack_norms,
+)
 from matprod.streams import substream
 from matprod.verify import comparison_rows
 
@@ -425,6 +431,19 @@ class TestBatchedKernel:
         rank_one = ProductSpec((make_rademacher_rank_one(12),) * 30, tall_start(12, 1))
         assert simulate._chunk_size(rank_one, [e.sampler for e in rank_one.factors])[0] == 3
         assert_matches_reference(rank_one, 50, seed=2)
+
+    def test_atom_conditions_found_once_per_sampler(self, monkeypatch):
+        # inverse chunks of 7 trials: 29 chunks share one support's condition numbers
+        monkeypatch.setattr(simulate, "GATHER_BUDGET", 7 * 16 * 8)
+        stacks = []
+
+        def counting(stack):
+            stacks.append(np.shape(stack))
+            return condition_numbers(stack)
+        monkeypatch.setattr(ensembles, "condition_numbers", counting)
+        spec = inverse_with_exclusions()
+        assert_matches_reference(spec, 200, seed=8)
+        assert stacks == [spec.factors[0].sampler.atoms.shape]
 
     def test_chunks_cover_long_products(self):
         # d = 64 Kaczmarz rows gather 32 KB per atom, so the default budget
