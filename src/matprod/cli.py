@@ -356,8 +356,8 @@ def run_simulate(cfg: dict, seed: int, trials_override=None):
     return payload, EXIT_OK
 
 
-def run_verify(cfg: dict, seed: int):
-    reports, ok = default_suite(seed, deep=bool(cfg.get("deep", False)))
+def run_verify(seed: int):
+    reports, ok = default_suite(seed)
     payload = {
         "task": "verify",
         "ok": ok,
@@ -440,7 +440,7 @@ def main(argv=None) -> int:
         elif args.command == "simulate":
             payload, code = run_simulate(cfg, seed, args.trials)
         elif args.command == "verify":
-            payload, code = run_verify(cfg, seed)
+            payload, code = run_verify(seed)
         else:
             payload, code = run_compare(cfg, seed, args.trials)
     except _UsageError as exc:

@@ -49,7 +49,7 @@ from .schatten import (
     spectral_radii,
     stack_norms,
 )
-from .streams import substreams
+from .streams import substreams, uniforms
 
 MODES = ("independent", "adapted", "inverse")
 LEVEL = 0.99  # the confidence level of every Monte Carlo limit
@@ -298,10 +298,13 @@ def _stream_reads(spec, samplers, seed, key, ks):
     draws}: each trial reads its stream run by run in factor order, ``random(k)``
     for k support factors and ``draws(rng, k)`` for k factors of one drawn
     sampler. ``random(k)`` gives the bits of k single draws. A spec with only
-    finite supports is one run, a single ``random(out=row)`` per trial."""
-    u = np.empty((len(ks), len(samplers)))
+    finite supports is one run, each trial's ``random(n)``, which ``uniforms``
+    computes for the whole chunk without opening a generator."""
     draws = {i: np.empty((len(ks), spec.d, spec.d)) for i, s in enumerate(samplers)
              if not isinstance(s, SupportSampler)}
+    if not draws:
+        return uniforms(seed, key, ks, len(samplers)), draws
+    u = np.empty((len(ks), len(samplers)))
     runs = [list(run) for _, run in itertools.groupby(
         range(len(samplers)), key=lambda i: id(samplers[i]) if i in draws else None)]
     for t, (row, rng) in enumerate(zip(u, substreams(seed, key, ks))):
@@ -811,8 +814,13 @@ def triangular_array_run(mean, radius, dim, n_list, trials, seed) -> list:
     import scipy.linalg  # its only user; importing it costs every CLI run
 
     big_t = spectral_norm(a)
+    try:
+        scaled_bound = (math.sqrt(1.0 + 2.0 * math.log(dim)) * float(radius)
+                        * math.exp(1.0 + big_t))
+    except OverflowError:  # before e^A, which would overflow too
+        raise InvalidInputError(
+            f"mean has norm T = {big_t:.6g}: the scaled bound's e^(1 + T) overflows") from None
     expm = scipy.linalg.expm(a)
-    scaled_bound = math.sqrt(1.0 + 2.0 * math.log(dim)) * float(radius) * math.exp(1.0 + big_t)
 
     rows = []
     for row_index, n in enumerate(n_list):

@@ -9,6 +9,7 @@ produce violations; a harness that cannot fail certifies nothing.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
@@ -26,6 +27,7 @@ from .errors import (
 from .schatten import spectral_norm, stack_norms
 from .simulate import (
     ESTIMATE_FIELDS,
+    GATHER_BUDGET,
     ProductSpec,
     enumerate_product,
     summarize_simulation,
@@ -394,22 +396,46 @@ def check_number_inequality(trials=100_000, seed=DEFAULT_SEED) -> CheckReport:
 
     Margins are normalized by exp(sum |a_i|), matching an absolute tolerance
     of NUMBER_TOLERANCE * exp(sum |a_i|).
+
+    The stream gives each sequence's length, then all the terms, row by row,
+    then each sequence's sign mode. The terms are drawn and checked in blocks
+    of rows within GATHER_BUDGET, so beyond a few numbers per sequence memory
+    does not grow with trials; the modes come from a copy of the stream
+    advanced past the terms.
     """
     rng = substream(seed, 0)
     lengths = rng.integers(1, 51, size=trials)
     width = int(lengths.max())
-    a = rng.uniform(-5.0, 5.0, size=(trials, width))
-    mode = rng.integers(0, 3, size=trials)
-    a = np.where(mode[:, None] == 1, np.abs(a), a)
-    a = np.where(mode[:, None] == 2, -np.abs(a), a)
-    a = a * (np.arange(width)[None, :] < lengths[:, None])
-    prefix = np.cumsum(a, axis=1) - a
-    lhs = (a * np.exp(prefix)).sum(axis=1)
-    rhs = np.expm1(a.sum(axis=1))
-    denom = np.exp(np.abs(a).sum(axis=1))
+    after_terms = np.random.Generator(_advanced(rng.bit_generator, trials * width))
+    mode = after_terms.integers(0, 3, size=trials)
+    margins = np.empty(trials)
+    rows = max(1, GATHER_BUDGET // (8 * width))
+    for lo in range(0, trials, rows):
+        block = slice(lo, min(lo + rows, trials))
+        a = rng.uniform(-5.0, 5.0, size=(block.stop - lo, width))
+        a = np.where(mode[block, None] == 1, np.abs(a), a)
+        a = np.where(mode[block, None] == 2, -np.abs(a), a)
+        a = a * (np.arange(width)[None, :] < lengths[block, None])
+        prefix = np.cumsum(a, axis=1) - a
+        lhs = (a * np.exp(prefix)).sum(axis=1)
+        rhs = np.expm1(a.sum(axis=1))
+        denom = np.exp(np.abs(a).sum(axis=1))
+        margins[block] = (rhs - lhs) / denom
     col = _Collector("number-inequality", NUMBER_TOLERANCE, seed)
-    col.add_many((rhs - lhs) / denom)
+    col.add_many(margins)
     return col.report()
+
+
+def _advanced(bits, draws):
+    """A copy of the PCG64 ``bits`` at the stream position ``draws`` 64-bit
+    draws on. PCG64.advance drops the half of a 64-bit draw that a 32-bit
+    draw left buffered; the copy takes it back, as the skipped draws are
+    doubles, which do not touch it."""
+    state = bits.state
+    after = copy.deepcopy(bits)
+    after.advance(draws)
+    after.state = dict(after.state, has_uint32=state["has_uint32"], uinteger=state["uinteger"])
+    return after
 
 
 # ---------------------------------------------------------------------------
@@ -667,27 +693,26 @@ def check_bound_dominance(spec: ProductSpec, p=2.0, q=2.0, trials=0,
 # ---------------------------------------------------------------------------
 # default suite
 
-def default_suite(seed=DEFAULT_SEED, deep=False):
+def default_suite(seed=DEFAULT_SEED):
     """The standing verification battery.
 
     Returns (reports, ok): `reports` pairs each CheckReport with whether it is
     a negative control (expected to fail); `ok` is True when every ordinary
     check is clean and every negative control fired.
     """
-    scale = 1 if not deep else 10
     reports = []
 
-    reports.append((check_uniform_smoothness(trials=400 * scale, seed=seed), False))
+    reports.append((check_uniform_smoothness(trials=400, seed=seed), False))
     for pq_i, (p, q) in enumerate([(2, 2), (4, 2), (4, 4), (8, 2), (8, 8)]):
-        reports.append((check_subquadratic(p, q, trials=100 * scale, seed=seed + pq_i), False))
+        reports.append((check_subquadratic(p, q, trials=100, seed=seed + pq_i), False))
     reports.append((check_subquadratic(2, 2, trials=50, seed=seed, constant=0.5), True))
     for pq_i, (p, q) in enumerate([(2, 2), (4, 2), (4, 4)]):
-        reports.append((check_martingale_bound(p, q, n=6, trials=40 * scale,
+        reports.append((check_martingale_bound(p, q, n=6, trials=40,
                                                seed=seed + pq_i), False))
     for pq_i, (p, q) in enumerate([(4, 2), (8, 4)]):
-        reports.append((check_factor_contraction(p, q, trials=80 * scale,
+        reports.append((check_factor_contraction(p, q, trials=80,
                                                  seed=seed + pq_i), False))
-    reports.append((check_number_inequality(trials=20_000 * scale, seed=seed), False))
+    reports.append((check_number_inequality(trials=20_000, seed=seed), False))
 
     scalar = make_bounded_perturbation(1, np.zeros((1, 1)), 0.1, 1.0)
     spec = ProductSpec(factors=(scalar, scalar), z0=np.eye(1))

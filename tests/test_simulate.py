@@ -1764,6 +1764,21 @@ class TestTriangularArrayRun:
         with pytest.raises(InvalidParameterError):
             triangular_array_run(np.eye(2), 0.5, 2, (0,), trials=4, seed=0)
 
+    def test_overflowing_bound_is_invalid_input(self, monkeypatch):
+        # e^(1 + 800) overflows, and so would e^A; a warning is an error here
+        import scipy.linalg
+
+        def no_expm(a):
+            raise AssertionError("expm ran on an overflowing mean")
+
+        monkeypatch.setattr(scipy.linalg, "expm", no_expm)
+        with pytest.raises(InvalidInputError, match=r"T = 800.*overflows"):
+            triangular_array_run(800.0 * np.eye(2), 0.5, 2, (4,), trials=4, seed=0)
+
+    def test_norm_below_the_overflow_runs(self):
+        rows = triangular_array_run(700.0 * np.eye(2), 0.5, 2, (4,), trials=4, seed=0)
+        assert math.isfinite(rows[0].scaled_bound)
+
 
 class TestConjugatedSpec:
     def base_spec(self, n=6):

@@ -1,4 +1,5 @@
-"""Chunked stream opening: substreams gives substream's generators bit for bit."""
+"""Chunked stream opening: substreams gives substream's generators bit for bit,
+and uniforms their doubles without opening them."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from matprod import streams
 from matprod.ensembles import make_bounded_perturbation, projected_deviation_stat
 from matprod.simulate import ProductSpec, summarize_simulation
-from matprod.streams import substream, substreams
+from matprod.streams import substream, substreams, uniforms
 from matprod.verify import check_subquadratic
 
 WORD = 2**32
@@ -21,6 +22,13 @@ def assert_same_streams(seed, key, ks):
         want = substream(seed, *key, k)
         assert rng.bit_generator.state == want.bit_generator.state, k
         assert rng.random(64).tobytes() == want.random(64).tobytes(), k
+
+
+def assert_same_uniforms(seed, key, ks, n):
+    got = uniforms(seed, key, ks, n)
+    assert got.shape == (len(ks), n) and got.dtype == np.float64
+    for k, row in zip(ks, got):
+        assert row.tobytes() == substream(seed, *key, k).random(n).tobytes(), k
 
 
 def raised(call):
@@ -70,6 +78,51 @@ class TestSubstreams:
         assert words.shape == (5, 4) and words.flags.c_contiguous
 
 
+class TestUniforms:
+    @given(seed=st.integers(0, 2**130 - 1),
+           key=st.lists(st.integers(0, 2**70 - 1), max_size=3),
+           ks=trial_ranges, n=st.integers(1, 300))
+    def test_equals_substream(self, seed, key, ks, n):
+        assert_same_uniforms(seed, tuple(key), ks, n)
+
+    @pytest.mark.parametrize("seed", [0, 1729, WORD, 3**90])
+    def test_trial_numbers_past_one_word_fall_back(self, seed):
+        assert_same_uniforms(seed, (4,), range(WORD - 3, WORD + 3), 50)
+
+    @pytest.mark.parametrize("n", [1, streams._CLOSED_DRAWS, streams._CLOSED_DRAWS + 1])
+    def test_row_lengths_at_the_closed_form_limit(self, n):
+        assert_same_uniforms(1729, (2, 7), range(300), n)
+
+    def test_empty_range(self):
+        assert uniforms(5, (1,), range(0), 7).shape == (0, 7)
+
+    def test_negative_seed_raises_like_substream(self):
+        want = raised(lambda: substream(-1, 0))
+        assert raised(lambda: uniforms(-1, (), range(2), 3)) is want
+
+    def test_jump_table_sums_are_exact(self):
+        # 16 limbs below 2**16 and a 1 against a column stay below 2**53, so
+        # every partial sum of the float64 matmul is an exact integer
+        table = streams._JUMPS
+        assert table.shape == (4, 17, streams._CLOSED_DRAWS)
+        assert np.array_equal(table, np.floor(table)) and table.min() >= 0
+        assert table[:, :16].max() < 2**32 and table[:, 16].max() < 2**52 + 2**32
+        assert ((2**16 - 1) * table[:, :16].sum(axis=1) + table[:, 16]).max() < 2**53
+
+
+def count_generators(monkeypatch):
+    """The np.random.Generator objects made from now on."""
+    made = []
+    generator = np.random.Generator
+
+    def counting(bits):
+        made.append(bits)
+        return generator(bits)
+
+    monkeypatch.setattr(np.random, "Generator", counting)
+    return made
+
+
 class TestChunkedCallers:
     """The per-trial stream loops never open a stream one at a time."""
 
@@ -80,12 +133,21 @@ class TestChunkedCallers:
 
         monkeypatch.setattr(streams, "substream", fail)
 
-    @pytest.mark.parametrize("mode,support", [("independent", "two-point"),
-                                              ("independent", "uniform-sphere"),
-                                              ("inverse", "two-point")])
-    def test_summaries(self, mode, support):
-        e = make_bounded_perturbation(3, 0.2 * np.eye(3), 0.3, 4, support)
-        summarize_simulation(ProductSpec((e,) * 4, np.eye(3), mode=mode), 50, 7)
+    @pytest.mark.parametrize("mode,supports,generators", [
+        ("independent", ["two-point"], 0),
+        ("independent", ["uniform-sphere"], 50),
+        ("inverse", ["two-point"], 0),
+        ("independent", ["two-point", "uniform-sphere"], 50),
+    ], ids=["independent-two-point", "independent-uniform-sphere", "inverse-two-point",
+            "independent-mixed"])
+    def test_summaries(self, mode, supports, generators, monkeypatch):
+        # a finite-support chunk computes its uniforms and opens no generator;
+        # a drawn factor reads its normals from each trial's generator
+        made = count_generators(monkeypatch)
+        factors = [make_bounded_perturbation(3, 0.2 * np.eye(3), 0.3, 4, support)
+                   for support in supports]
+        summarize_simulation(ProductSpec(tuple(factors) * 4, np.eye(3), mode=mode), 50, 7)
+        assert len(made) == generators
 
     def test_checks_and_factor_stats(self):
         check_subquadratic(4.0, 2.0, trials=5, seed=3)

@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +39,7 @@ from matprod.errors import (
     NothingToCheckError,
 )
 from matprod.schatten import spectral_norm
+from matprod.streams import substream
 from matprod.simulate import (
     NormBiasedTwoPointHook,
     ProductSpec,
@@ -246,11 +249,65 @@ class TestFactorContraction:
             check_factor_contraction(2.0, 4.0, trials=1)
 
 
+def reference_number_inequality(trials, seed):
+    """check_number_inequality as it was before it ran in blocks: every
+    (trials, width) array at once."""
+    rng = substream(seed, 0)
+    lengths = rng.integers(1, 51, size=trials)
+    width = int(lengths.max())
+    a = rng.uniform(-5.0, 5.0, size=(trials, width))
+    mode = rng.integers(0, 3, size=trials)
+    a = np.where(mode[:, None] == 1, np.abs(a), a)
+    a = np.where(mode[:, None] == 2, -np.abs(a), a)
+    a = a * (np.arange(width)[None, :] < lengths[:, None])
+    prefix = np.cumsum(a, axis=1) - a
+    lhs = (a * np.exp(prefix)).sum(axis=1)
+    rhs = np.expm1(a.sum(axis=1))
+    denom = np.exp(np.abs(a).sum(axis=1))
+    col = _Collector("number-inequality", verify.NUMBER_TOLERANCE, seed)
+    col.add_many((rhs - lhs) / denom)
+    return col.report()
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestNumberInequality:
     def test_clean(self):
         rep = check_number_inequality(trials=20_000, seed=1729)
         assert rep.passed
         assert rep.instances == 20_000
+
+    @pytest.mark.parametrize("trials", [1, 833, 20_000])
+    @pytest.mark.parametrize("tolerance", [verify.NUMBER_TOLERANCE, -0.05],
+                             ids=["clean", "failing"])
+    @pytest.mark.parametrize("budget", [verify.GATHER_BUDGET, 8 * 50 * 7],
+                             ids=["budget", "blocks-of-7"])
+    def test_blocks_keep_the_report_bytes(self, trials, tolerance, budget, monkeypatch):
+        # a tolerance of -0.05 fails the margins below 0.05, so failures is filled
+        monkeypatch.setattr(verify, "NUMBER_TOLERANCE", tolerance)
+        monkeypatch.setattr(verify, "GATHER_BUDGET", budget)
+        got = check_number_inequality(trials=trials, seed=1729).to_json()
+        want = reference_number_inequality(trials, 1729).to_json()
+        assert json.dumps(got) == json.dumps(want)
+        if trials > 1:
+            assert bool(got["failures"]) == (tolerance < 0)
+
+    def test_memory_does_not_grow_with_blocks_of_rows(self):
+        # what stays per sequence (its length, mode and margin, and the
+        # collector's float) is about 60 bytes; the (trials, 50) arrays of
+        # the whole-array form took about 1,240
+        small, large = (traced_peak(lambda: check_number_inequality(trials=t, seed=1729))
+                        for t in (20_000, 80_000))
+        per_trial = (large - small) / 60_000
+        assert per_trial < 100
+        assert small - 20_000 * per_trial < 8 * verify.GATHER_BUDGET
 
 
 class TestComparisonRows:
