@@ -60,10 +60,7 @@ def norm_from_singular_values(s: np.ndarray, p) -> np.ndarray | float:
 def schatten_norm(a, p) -> float:
     """Schatten p-norm; p = math.inf gives the spectral norm."""
     p = _check_p(p)
-    arr = as_matrix(a)
-    if p == 2.0:
-        return float(np.linalg.norm(arr))
-    return float(norm_from_singular_values(singular_values(arr), p))
+    return float(norm_from_singular_values(singular_values(a), p))
 
 
 def spectral_norm(a) -> float:

@@ -29,7 +29,6 @@ from .ensembles import (
     FactorEnsemble,
     FactorStats,
     SupportSampler,
-    diagonal_moves,
     ensemble_from_config,
     householder_direction,
     make_bounded_perturbation,
@@ -206,34 +205,17 @@ class NormBiasedTwoPointHook:
 def expected_product(spec: ProductSpec) -> np.ndarray:
     """Exact E Z_n = (E Y_n) ... (E Y_1) Z_0 for independent factor draws.
 
-    A factor whose sampler has diagonals has a diagonal mean, which scales
-    rows (_gather): a run of such factors multiplies their diagonals into the
-    rows in factor order, then adds 0.0 once, as a Monte Carlo run of
-    diagonal steps does. A run that ends non-finite takes the dense means
-    instead, the rule _step keeps.
+    The means multiply in factor order. A diagonal mean's product has the
+    bits of the row scale Monte Carlo takes while the product is finite, and
+    past an overflow _step takes the dense product too.
     """
     if spec.mode != "independent":
         raise UnsupportedEnsembleError(
             f"expected_product is defined for independent products, not {spec.mode!r}")
     out = spec.z0
     with np.errstate(over="ignore", invalid="ignore"):  # the caller names an overflow
-        for diagonal, run in itertools.groupby(
-                spec.factors, key=lambda e: getattr(e.sampler, "diagonals", None) is not None):
-            run = list(run)
-            if diagonal:  # one trial's run of diagonal steps, the means' diagonals as atoms
-                distinct = {id(e): e for e in run}
-                slot = {key: k for k, key in enumerate(distinct)}
-                table = np.stack([np.diagonal(e.exact_mean()) for e in distinct.values()])
-                scaled = out.copy()
-                _scatter(_moved_entries(diagonal_moves(table), out.shape[1]),
-                         np.array([slot[id(e)] for e in run])[:, None], scaled.reshape(-1),
-                         np.zeros((1, 1), dtype=np.intp))
-                scaled += 0.0
-                if np.isfinite(scaled).all():
-                    out = scaled
-                    continue
-            for e in run:
-                out = e.exact_mean() @ out
+        for e in spec.factors:
+            out = e.exact_mean() @ out
     return out
 
 
@@ -250,29 +232,24 @@ def _inverse_start(spec):
         raise InvalidInputError("the start z0 is singular, which has no inverse") from None
 
 
-def _gather(stack, idx, prod, apply):
+def _step(stack, idx, prod, apply=np.matmul):
     """apply(stack[idx], prod) for a batch of rows: one gather-and-multiply step.
 
     Exact enumeration, the adapted walk and Monte Carlo's dense steps and
     redo step this way. A step is a (K, d, d) atom stack, or the (K, d)
-    diagonals of diagonal atoms, which scale rows instead. Row j of a matrix product with a diagonal atom
-    sums D_jj z_j and exact zeros from +0, so ``D_jj * z_j + 0.0`` has its bits
-    while prod is finite; past an overflow, 0 * inf turns the dense product's
-    rows into NaN and the scale does not (see _step). The gather is a ``take``,
-    and the scaled rows get their + 0.0 in place.
+    diagonals of diagonal atoms, which scale rows instead. Row j of a matrix
+    product with a diagonal atom sums D_jj z_j and exact zeros from +0, so
+    ``D_jj * z_j + 0.0`` has its bits while prod is finite; past an overflow,
+    0 * inf turns the dense product's rows into NaN and the scale does not, so
+    rows whose prod has a non-finite entry take the dense atom's product. The
+    gather is a ``take``, and the scaled rows get their + 0.0 in place.
     """
     rows = stack.take(idx, axis=0)
     if stack.ndim == 3:
         return apply(rows, prod)
     out = np.multiply(rows[:, :, None], prod)
     out += 0.0
-    return out
-
-
-def _step(stack, idx, prod, apply=np.matmul):
-    """_gather, with the dense atom's product for rows whose prod has a non-finite entry."""
-    out = _gather(stack, idx, prod, apply)
-    if stack.ndim == 2 and not np.isfinite(prod).all():
+    if not np.isfinite(prod).all():
         for k in np.flatnonzero(~np.isfinite(prod).all(axis=(1, 2))):
             out[k] = apply(np.diag(stack[idx[k]]), prod[k])
     return out
@@ -394,7 +371,7 @@ def _sampled_chunk(spec, start, samplers, u, draws):
                     prod += 0.0
                     pending = False
                 for i in run:
-                    prod = _gather(steps[i], digits[i], prod, apply)
+                    prod = _step(steps[i], digits[i], prod, apply)
                 continue
             if not prod.flags.writeable:  # the broadcast start; steps make C-order products
                 prod = prod.copy()

@@ -66,14 +66,17 @@ class _Collector:
     """Accumulates per-instance margins into a CheckReport.
 
     A NaN margin is a violation, and makes the worst margin NaN: a check
-    must never pass because a comparison with NaN came out false.
+    must never pass because a comparison with NaN came out false. It keeps
+    only the count and the least margin, and a NaN least margin stays, as no
+    comparison with NaN is true.
     """
 
     def __init__(self, name, tolerance, seed):
         self.name = name
         self.tolerance = tolerance
         self.seed = seed
-        self.margins = []
+        self.instances = 0
+        self.least = math.inf
         self.violations = 0
         self.notes = []
         self.failures = []
@@ -81,7 +84,9 @@ class _Collector:
     def add(self, margin, tolerance=None, detail=None):
         tol = self.tolerance if tolerance is None else tolerance
         margin = float(margin)
-        self.margins.append(margin)
+        self.instances += 1
+        if math.isnan(margin) or margin < self.least:
+            self.least = margin
         if not margin >= -tol:
             self.violations += 1
             if detail is not None and len(self.failures) < 8:
@@ -90,7 +95,11 @@ class _Collector:
     def add_many(self, margins, tolerance=None):
         tol = self.tolerance if tolerance is None else tolerance
         arr = np.asarray(margins, dtype=float)
-        self.margins.extend(arr.tolist())
+        self.instances += arr.size
+        if arr.size:  # argmin takes the first NaN, else the first least margin, as min does
+            least = float(arr[arr.argmin()])
+            if math.isnan(least) or least < self.least:
+                self.least = least
         bad = ~(arr >= -tol)
         self.violations += int(bad.sum())
         if bad.any() and len(self.failures) < 8:
@@ -101,11 +110,7 @@ class _Collector:
         self.notes.append(text)
 
     def report(self) -> CheckReport:
-        if any(math.isnan(m) for m in self.margins):
-            worst = math.nan
-        else:
-            worst = min(self.margins, default=math.inf)
-        return CheckReport(self.name, len(self.margins), self.violations, worst,
+        return CheckReport(self.name, self.instances, self.violations, self.least,
                            self.tolerance, self.seed, self.notes, self.failures)
 
 

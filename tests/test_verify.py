@@ -300,9 +300,8 @@ class TestNumberInequality:
             assert bool(got["failures"]) == (tolerance < 0)
 
     def test_memory_does_not_grow_with_blocks_of_rows(self):
-        # what stays per sequence (its length, mode and margin, and the
-        # collector's float) is about 60 bytes; the (trials, 50) arrays of
-        # the whole-array form took about 1,240
+        # what stays per sequence (its length, mode and margin) is 24 bytes;
+        # the (trials, 50) arrays of the whole-array form took about 1,240
         small, large = (traced_peak(lambda: check_number_inequality(trials=t, seed=1729))
                         for t in (20_000, 80_000))
         per_trial = (large - small) / 60_000
@@ -519,6 +518,38 @@ class TestCollectorNaN:
         assert (rep.instances, rep.violations, rep.worst_margin) == (4, 1, -0.3)
         assert rep.failures == [{"worst_batch_margin": -0.3}]
         assert _Collector("empty", 0.1, seed=0).report().worst_margin == math.inf
+
+    @pytest.mark.parametrize("blocks, worst", [
+        ([[0.0, -0.0]], "0.0"), ([[-0.0, 0.0]], "-0.0"), ([[0.5], [-0.0], [0.0]], "-0.0"),
+        ([[0.5, math.nan], [-2.0]], "nan"), ([[-2.0], [math.nan, 1.0], [-3.0]], "nan"),
+    ])
+    def test_worst_margin_across_blocks(self, blocks, worst):
+        # as min over every margin: the first of equal margins, NaN once any is NaN
+        col = _Collector("blocks", 0.1, seed=0)
+        for block in blocks:
+            col.add_many(block)
+        assert repr(col.report().worst_margin) == worst
+
+
+class TestCollectorMemory:
+    def test_peak_does_not_grow_with_the_margin_count(self):
+        # the collector keeps a count and the least margin; a list of every
+        # margin would take about 30 bytes a margin, 6 MB at 200,000
+        block = np.random.default_rng(5).uniform(-1.0, 1.0, 1_000)
+        reports = {}
+
+        def feed(count):
+            col = _Collector("blocks", 0.1, seed=0)
+            for _ in range(count // len(block)):
+                col.add_many(block)
+            reports[count] = col.report()
+
+        small, large = (traced_peak(lambda: feed(count)) for count in (20_000, 200_000))
+        assert large - small < 4_096
+        assert large < 100_000
+        for count, rep in reports.items():
+            assert (rep.instances, rep.worst_margin) == (count, float(block.min()))
+            assert rep.violations == count // len(block) * int((block < -0.1).sum())
 
 
 class TestBoundDominance:
