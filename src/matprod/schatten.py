@@ -58,9 +58,8 @@ def norm_from_singular_values(s: np.ndarray, p) -> np.ndarray | float:
 
 
 def schatten_norm(a, p) -> float:
-    """Schatten p-norm; p = math.inf gives the spectral norm."""
-    p = _check_p(p)
-    return float(norm_from_singular_values(singular_values(a), p))
+    """Schatten p-norm, spectral at p = math.inf: ``stack_norms`` on a stack of one."""
+    return float(stack_norms(as_matrix(a)[None], p)[1][0])
 
 
 def spectral_norm(a) -> float:
@@ -80,7 +79,8 @@ def stack_norms(stack, p=math.inf):
 
     Each matrix's singular values are bitwise those of ``singular_values`` on
     it alone; the Schatten root is taken as an array power, which can differ
-    from the scalar power of ``schatten_norm`` in the last bits.
+    in the last bits from the scalar power ``norm_from_singular_values``
+    takes on one matrix's singular values.
     """
     svals = _by_parts(_svals, stack)
     return svals[..., 0], np.asarray(norm_from_singular_values(svals, p), dtype=float)

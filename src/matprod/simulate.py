@@ -205,9 +205,8 @@ class NormBiasedTwoPointHook:
 def expected_product(spec: ProductSpec) -> np.ndarray:
     """Exact E Z_n = (E Y_n) ... (E Y_1) Z_0 for independent factor draws.
 
-    The means multiply in factor order. A diagonal mean's product has the
-    bits of the row scale Monte Carlo takes while the product is finite, and
-    past an overflow _step takes the dense product too.
+    The means multiply in factor order, as matrices: a row scale by a diagonal
+    mean would have this chain's bits while finite, and its finiteness (_step).
     """
     if spec.mode != "independent":
         raise UnsupportedEnsembleError(
@@ -235,23 +234,16 @@ def _inverse_start(spec):
 def _step(stack, idx, prod, apply=np.matmul):
     """apply(stack[idx], prod) for a batch of rows: one gather-and-multiply step.
 
-    Exact enumeration, the adapted walk and Monte Carlo's dense steps and
-    redo step this way. A step is a (K, d, d) atom stack, or the (K, d)
-    diagonals of diagonal atoms, which scale rows instead. Row j of a matrix
-    product with a diagonal atom sums D_jj z_j and exact zeros from +0, so
-    ``D_jj * z_j + 0.0`` has its bits while prod is finite; past an overflow,
-    0 * inf turns the dense product's rows into NaN and the scale does not, so
-    rows whose prod has a non-finite entry take the dense atom's product. The
-    gather is a ``take``, and the scaled rows get their + 0.0 in place.
+    A (K, d, d) atom stack multiplies; the (K, d) diagonals of diagonal atoms
+    scale rows in place, ``D_jj * z_j + 0.0``. Row j of the matrix product sums
+    D_jj z_j and exact zeros from +0, so the scale has its bits while finite,
+    is non-finite exactly when it is, and has unspecified bits past that.
     """
     rows = stack.take(idx, axis=0)
     if stack.ndim == 3:
         return apply(rows, prod)
     out = np.multiply(rows[:, :, None], prod)
     out += 0.0
-    if not np.isfinite(prod).all():
-        for k in np.flatnonzero(~np.isfinite(prod).all(axis=(1, 2))):
-            out[k] = apply(np.diag(stack[idx[k]]), prod[k])
     return out
 
 
@@ -321,7 +313,7 @@ def _scatter(moved, digits, flat, base):
 
 def _sampled_chunk(spec, start, samplers, u, draws):
     """One chunk of trials through the gather kernel, from their reads
-    (_stream_reads): (products, kept), equal to the per-trial loop's.
+    (_stream_reads): (products, kept), the dense per-trial loop's while finite.
 
     Factor i's atoms are ``digits[i]``; each distinct support sampler picks
     the uniforms of all its factors in one call, and a drawn factor's atoms
@@ -332,11 +324,11 @@ def _sampled_chunk(spec, start, samplers, u, draws):
 
     Outside inverse mode, consecutive steps of one diagonal sampler change
     only their moved entries, in one ordered scatter (_scatter), and a run of
-    diagonal steps ends with one ``+ 0.0``. That has the bits of full steps,
-    which are D_jj z + 0.0 on every entry: ``+ 0.0`` changes only the sign of
-    a zero, a finite factor keeps a zero a zero, so the last ``+ 0.0`` alone
-    decides that sign; an unmoved entry gets 1.0 z + 0.0, ±inf and NaN
-    included. The redo of non-finite trials takes full steps (_step)."""
+    diagonal steps ends with one ``+ 0.0``. That has the bits of full steps
+    (_step): ``+ 0.0`` changes only the sign of a zero, a finite factor keeps
+    a zero a zero, so the last ``+ 0.0`` alone decides that sign; an unmoved
+    entry gets 1.0 z + 0.0, ±inf and NaN included. So a product overflows at
+    the loop's step, and its bits past that are unspecified."""
     groups = {}
     for i, s in enumerate(samplers):
         if i not in draws:
@@ -356,7 +348,6 @@ def _sampled_chunk(spec, start, samplers, u, draws):
             cond_est = cond_est * conds[dig]
         kept = ~(cond_est > CONDITION_LIMIT)
         digits = digits[:, kept]
-    apply = _right_solve if invert else np.matmul
     moves = {} if invert else {key: _moved_entries(s.moves, start.shape[1])
                                for key, (s, _) in groups.items() if s.moves is not None}
     trials = digits.shape[1]
@@ -371,7 +362,7 @@ def _sampled_chunk(spec, start, samplers, u, draws):
                     prod += 0.0
                     pending = False
                 for i in run:
-                    prod = _step(steps[i], digits[i], prod, apply)
+                    prod = _step(steps[i], digits[i], prod, _right_solve if invert else np.matmul)
                 continue
             if not prod.flags.writeable:  # the broadcast start; steps make C-order products
                 prod = prod.copy()
@@ -379,12 +370,6 @@ def _sampled_chunk(spec, start, samplers, u, draws):
             pending = True
         if pending:
             prod += 0.0
-        bad = np.flatnonzero(~np.isfinite(prod).all(axis=(1, 2)))
-        if bad.size:  # a non-finite entry never turns finite again: redo just these trials
-            redo = np.broadcast_to(start, (bad.size, *start.shape))
-            for step, dig in zip(steps, digits):
-                redo = _step(step, dig[bad], redo, apply)
-            prod[bad] = redo
     return prod, kept
 
 
@@ -421,8 +406,8 @@ def _trial_chunks(spec, trials, seed, key):
 def simulate_product(spec: ProductSpec, trials, seed, key=()) -> SimulationResult:
     """Per-trial draws of Z_n, kept as matrices; adapted specs raise as in _trial_chunks.
 
-    summarize_simulation reduces the same trials without keeping them; this
-    collector is for callers that need the matrices themselves.
+    summarize_simulation reduces the same trials without keeping them. Each
+    is the dense per-trial loop's while finite, non-finite exactly when that is.
     """
     zs, excluded = [], []
     for prods, bad in _trial_chunks(spec, trials, seed, key):
@@ -442,14 +427,11 @@ def _mean_estimate(values, quantity, seed) -> MCEstimate:
 
 
 def _moment_estimate(powers, q, quantity, seed) -> MCEstimate:
-    n = powers.size
-    m = float(powers.mean())
-    se_m = float(powers.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    mean = m ** (1.0 / q)
-    se = se_m * m ** (1.0 / q - 1.0) / q if m > 0 else 0.0
-    lo = max(m - _Z99 * se_m, 0.0) ** (1.0 / q)
-    hi = (m + _Z99 * se_m) ** (1.0 / q)
-    return MCEstimate(quantity, mean, se, lo, hi, n, seed)
+    est = _mean_estimate(powers, quantity, seed)  # of the q-th powers; then their root
+    m, root = est.mean, 1.0 / q
+    se = est.std_error * m ** (root - 1.0) / q if m > 0 else 0.0
+    return replace(est, mean=m ** root, std_error=se, ci_low=max(est.ci_low, 0.0) ** root,
+                   ci_high=est.ci_high ** root)
 
 
 def _block_norms(prods, dev, p, radius):
@@ -467,6 +449,16 @@ def _block_norms(prods, dev, p, radius):
             "shorten the product or shrink its factors")
     spectral, schatten = (x.reshape(-1, len(prods)) for x in stack_norms(stack, p))
     return spectral, schatten, (spectral_radii(prods) if radius else None)
+
+
+def _checked_q(q, *thresholds) -> float:
+    """q as a float in [1, inf); a NaN tail threshold is refused too, an inf one is not."""
+    q = float(q)
+    if not 1.0 <= q < math.inf:
+        raise InvalidParameterError(f"q must satisfy 1 <= q < inf, got {q}")
+    if any(math.isnan(x) for xs in thresholds for x in xs):
+        raise InvalidParameterError("a tail threshold is NaN")
+    return q
 
 
 def _tails(spectral, thresholds_growth, deviations, thresholds_deviation) -> list:
@@ -518,9 +510,7 @@ def summarize_simulation(spec: ProductSpec, trials, seed, p=2.0, q=2.0, threshol
     inverse mode left out. Square products also estimate the spectral radius
     unless ``spectral_radius`` is False.
     """
-    q = float(q)
-    if q < 1.0:
-        raise InvalidParameterError("q must satisfy q >= 1")
+    q = _checked_q(q, thresholds_growth, thresholds_deviation)
     mean = expected_product(spec) if spec.mode == "independent" else None
     radius = spectral_radius and spec.d == spec.r
     norms, radii, excluded = [], [], []
@@ -735,9 +725,7 @@ def enumerate_product(spec: ProductSpec, p=2.0, q=2.0, thresholds_growth=(),
     conditional means. The spectral radius mean is taken for square products
     unless ``spectral_radius`` is False; it is None when not taken.
     """
-    q = float(q)
-    if q < 1.0:
-        raise InvalidParameterError("q must satisfy q >= 1")
+    q = _checked_q(q, thresholds_growth, thresholds_deviation)
     radius = spectral_radius and spec.d == spec.r
     stats = _StreamStats(p, q, radius, thresholds_growth, thresholds_deviation)
     walk, adapted = _spec_walk(spec), spec.mode == "adapted"

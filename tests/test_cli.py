@@ -481,6 +481,55 @@ class TestSimulateCommand:
             assert rc == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("config, excluded, digests", [
+        pytest.param({
+            "spec": {"factors": [{"count": 12, "ensemble": {"kind": "rademacher-rank-one",
+                                                            "dim": 5}}],
+                     "z0": {"rows": 5, "cols": 2,
+                            "data": [0.5, -1.0, 0.0, 0.25, -0.75, 1.5, 0.125, 0.0, -2.0, 1.0]}},
+            "trials": 64, "per_trial": True, "thresholds_growth": [1.5],
+            "thresholds_deviation": [0.5]}, 0,
+            ("abbd242279c919040c17c363a389883d6bf0bffc36495bb4c03a39be2ff9f1b8",
+             "19cc9b252342bf8f0d1a781f8823a775b204c349f0e2ca164df6af324466d248"),
+            id="rank-one-diagonal-steps"),
+        # the flips I - e_j e_j^T are singular, so inverse mode excludes most trials
+        pytest.param({
+            "spec": {"factors": [{"count": 2, "ensemble": {"kind": "rademacher-rank-one",
+                                                           "dim": 3}}],
+                     "z0": {"rows": 3, "cols": 3,
+                            "data": [1.0, 0.5, 0.0, 0.0, -1.0, 0.25, 0.0, 0.0, 2.0]},
+                     "mode": "inverse"},
+            "trials": 80, "thresholds_growth": [0.75, 1.5]}, 65,
+            ("334c1e68443bb3567342fc9e71acb4874075cf9451f29a8f8efa2738c764b30d",
+             "e885ee21f181e8d504ecddcafc1a77c0dff56a4d4643b163d3ad2ca1a1d1cb29"),
+            id="inverse-rank-one"),
+    ])
+    def test_monte_carlo_payload_frozen(self, capsys, tmp_path, config, excluded, digests):
+        path = write_config(tmp_path, config)
+        rc, payload, _ = run_json(capsys, "simulate", "--config", path)
+        assert rc == 0 and payload["excluded"] == excluded
+        for fmt, digest in zip(("json", "csv"), digests):
+            rc, out, _ = run_cli(capsys, "simulate", "--config", path, "--format", fmt)
+            assert rc == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("trials", [0, 40], ids=["enumeration", "monte-carlo"])
+    @pytest.mark.parametrize("given, message", [
+        ({"q": "nan"}, "q must satisfy 1 <= q < inf, got nan"),
+        ({"q": "inf"}, "q must satisfy 1 <= q < inf, got inf"),
+        ({"q": 0.5}, "q must satisfy 1 <= q < inf, got 0.5"),
+        ({"thresholds_deviation": ["nan"]}, "a tail threshold is NaN"),
+        ({"thresholds_growth": [1.0, "nan"]}, "a tail threshold is NaN"),
+    ], ids=["q-nan", "q-inf", "q-below-one", "deviation-threshold-nan", "growth-threshold-nan"])
+    def test_non_finite_q_and_nan_thresholds_rejected(self, capsys, tmp_path, trials, given,
+                                                       message):
+        # a string "nan" or "inf" passes the config reader's finite-number check
+        path = write_config(tmp_path, {"spec": SCALAR_SPEC, "trials": trials, **given})
+        rc, payload, err = run_json(capsys, "simulate", "--config", path)
+        assert rc == 1
+        assert payload == {"error": {"code": "invalid-parameter", "message": message}}
+        assert err == ""
+
     def test_enumeration_reports_spectral_radius(self, capsys, tmp_path):
         spec = {"factors": [{"count": 4, "ensemble": {
             "kind": "bounded-perturbation", "dim": 2, "radius": 0.3, "n_scale": 4.0}}]}

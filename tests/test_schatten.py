@@ -72,6 +72,13 @@ class TestSchattenNorm:
         m = np.random.default_rng(seed).standard_normal((5, 3))
         assert schatten_norm(m, 2) == stack_norms(m[None], 2)[1][0]
 
+    @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 7.0])
+    def test_root_has_the_bits_of_a_stack_of_one(self, p):
+        # a scalar power of the summed ratios differs from the array power of
+        # stack_norms in the last bit for 3, 122, 115 and 105 of these matrices
+        for m in np.random.default_rng(0).standard_normal((3000, 4, 3)):
+            assert schatten_norm(m, p) == stack_norms(m[None], p)[1][0]
+
     def test_log_domain_large_p(self):
         # large p with entries that would underflow at s**p
         s = np.array([1e-160, 5e-161])
@@ -182,9 +189,8 @@ class TestStackNorms:
         assert spectral.tobytes() == singles[:, 0].tobytes()
         assert spectral.tobytes() == np.array([spectral_norm(m) for m in stack]).tobytes()
         assert schatten.tobytes() == np.asarray(norm_from_singular_values(singles, p)).tobytes()
-        # the root of a batch is an array power, which can differ from the
-        # scalar power of schatten_norm in the last bits; at p = 2
-        # schatten_norm takes the Frobenius norm instead of the singular values
+        # schatten_norm takes the root of a stack of one; a longer stack's
+        # array power is held to a few ulp, not to its bits
         np.testing.assert_array_max_ulp(
             schatten, np.array([schatten_norm(m, p) for m in stack]), maxulp=4)
 

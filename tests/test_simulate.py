@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -227,6 +228,19 @@ def assert_bitwise_equal(zs, want):
         assert np.stack(zs).tobytes() == np.stack(want).tobytes()
 
 
+def assert_matches_where_finite(got, want):
+    """The kernel's contract against a dense reference, trial by trial or path
+    by path: the reference's bits where it is finite, and non-finite exactly
+    where it is; a non-finite product's bits are unspecified. On a finite
+    reference this is bitwise equality. Returns the reference's finite mask."""
+    assert len(got) == len(want)
+    got, want = np.stack(got), np.stack(want)
+    finite = np.isfinite(want).all(axis=(1, 2))
+    assert np.isfinite(got).all(axis=(1, 2)).tolist() == finite.tolist()
+    assert got[finite].tobytes() == want[finite].tobytes()
+    return finite
+
+
 def assert_matches_reference(spec, trials, seed, key=(), stream=substream):
     sim = simulate_product(spec, trials, seed, key)
     zs, excluded = reference_loop(spec, trials, seed, key, stream)
@@ -352,7 +366,7 @@ class TestBatchedKernel:
         assert calls == {}  # no per-factor draws on the batched path
         zs, excluded = reference_loop(spec, 150, seed=31)
         assert excluded == []
-        assert_bitwise_equal(sim.z, zs)
+        assert_matches_where_finite(sim.z, zs)
 
     def test_uniforms_are_the_stacked_rows(self):
         ks = range(5, 42)
@@ -390,12 +404,14 @@ class TestBatchedKernel:
 
     @IGNORE_OVERFLOW
     def test_overflow_takes_the_dense_products(self):
-        # in the rank-one-overflow case, dense steps spread an inf through
-        # 0 * inf into NaN everywhere; scaled rows would keep finite entries
-        z = np.stack(simulate_product(overflowing_rank_one(), 150, seed=31).z)
-        done = np.isfinite(z).all(axis=(1, 2))
-        assert 0 < done.sum() < 150
-        assert np.isnan(z[~done]).all()
+        # the rank-one-overflow case reaches both sides of the contract: some
+        # trials overflow and some do not. Past an overflow, dense steps spread
+        # NaN through 0 * inf and scaled rows keep finite entries, so there only
+        # the finiteness is the dense products'
+        spec = overflowing_rank_one()
+        finite = assert_matches_where_finite(simulate_product(spec, 150, seed=31).z,
+                                             reference_loop(spec, 150, seed=31)[0])
+        assert 0 < finite.sum() < 150
 
     @pytest.mark.parametrize("make_spec, finite", [
         pytest.param(lambda: ProductSpec((make_rademacher_rank_one(3),) * 4,
@@ -410,7 +426,7 @@ class TestBatchedKernel:
         assert all(e.sampler.diagonals is None for e in twin.factors)
         for (w, prod, _), (w_want, want, _) in zip(walk(spec), walk(twin), strict=True):
             assert w.tobytes() == w_want.tobytes()
-            assert prod.tobytes() == want.tobytes()
+            assert_matches_where_finite(prod, want)
             assert np.isfinite(prod).all() == finite
         if finite:
             got, want = (enumerate_product(s, 3.0, 2.0, (1.0,), (0.5,)) for s in (spec, twin))
@@ -515,16 +531,17 @@ class TestDiagonalSamplers:
         assert "atoms" not in vars(small.sampler)
 
     @IGNORE_OVERFLOW
-    def test_overflow_fallback_matches_dense_twin(self):
+    def test_overflow_matches_dense_twin(self):
         spec = overflowing_rank_one()
         sim = simulate_product(spec, 150, seed=31)
         enumerated = list(walk(overflowing_rank_one(n=5)))
-        # the fallback expands only the diagonals of the outcomes that failed
+        # past an overflow the diagonals still scale rows: no dense atom is written
         assert "atoms" not in vars(spec.factors[0].sampler)
-        assert_bitwise_equal(sim.z, simulate_product(dense_twin(spec), 150, seed=31).z)
+        assert_matches_where_finite(sim.z, simulate_product(dense_twin(spec), 150, seed=31).z)
         for (w, prod, _), (w_want, want, _) in zip(
                 enumerated, walk(dense_twin(overflowing_rank_one(n=5))), strict=True):
-            assert (w.tobytes(), prod.tobytes()) == (w_want.tobytes(), want.tobytes())
+            assert w.tobytes() == w_want.tobytes()
+            assert_matches_where_finite(prod, want)
 
     @pytest.mark.parametrize("make_spec", [
         pytest.param(lambda: ProductSpec((invertible_diagonal(3),) * 6,
@@ -579,7 +596,7 @@ def thirds_diagonal(d=3):
 
 def full_steps(spec, u):
     """A chunk's products from its uniforms by full steps: every diagonal
-    step scales every row of every trial (_step, with its dense redo)."""
+    step scales every row of every trial (_step)."""
     prod = np.broadcast_to(spec.z0, (len(u), *spec.z0.shape))
     for e, col in zip(spec.factors, u.T):
         s = e.sampler
@@ -606,7 +623,7 @@ MOVE_SPECS = [
         (FactorEnsemble(dim=4, sampler=SupportSampler.from_diagonals(np.ones((2, 4)), (0.5, 0.5)),
                         stats=FactorStats(1.0, 0.0)),) * 3,
         signed_zero_start(4, 2)), id="identity-moves-nothing"),
-    pytest.param(overflowing_rank_one, id="overflow-redo", marks=IGNORE_OVERFLOW),
+    pytest.param(overflowing_rank_one, id="rank-one-overflow", marks=IGNORE_OVERFLOW),
     pytest.param(lambda: ProductSpec((thirds_diagonal(),) * 40, tall_start(3, 2)),
                  id="one-entry-moved-forty-times"),
     pytest.param(lambda: ProductSpec((thirds_diagonal(),) * 40, signed_zero_start(3, 2)),
@@ -637,8 +654,8 @@ class TestMoveSteps:
         # the moves ran: no diagonal sampler wrote its dense atoms
         assert not any("atoms" in vars(e.sampler) for e in spec.factors
                        if e.sampler.diagonals is not None)
-        assert_bitwise_equal(sim.z, simulate_product(dense_twin(spec), 150, seed=31).z)
-        assert_bitwise_equal(sim.z, reference_loop(spec, 150, seed=31)[0])
+        assert_matches_where_finite(sim.z, simulate_product(dense_twin(spec), 150, seed=31).z)
+        assert_matches_where_finite(sim.z, reference_loop(spec, 150, seed=31)[0])
 
     def test_padded_moves(self):
         s = padded_diagonal().sampler
@@ -1054,6 +1071,33 @@ class TestSummarizeSimulation:
         with pytest.raises(InvalidParameterError, match="no included trials"):
             summarize_simulation(ill_conditioned_inverse(), 8, 0)
 
+    @pytest.mark.parametrize("run", [
+        pytest.param(lambda **kw: summarize_simulation(scalar_two_point(), 8, 0, **kw),
+                     id="monte-carlo"),
+        pytest.param(lambda **kw: enumerate_product(scalar_two_point(), **kw), id="enumeration"),
+    ])
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"q": math.nan}, "q must satisfy 1 <= q < inf, got nan"),
+        ({"q": math.inf}, "q must satisfy 1 <= q < inf, got inf"),
+        ({"thresholds_growth": (1.0, math.nan)}, "a tail threshold is NaN"),
+        ({"thresholds_deviation": (math.nan,)}, "a tail threshold is NaN"),
+    ], ids=["q-nan", "q-inf", "growth-threshold-nan", "deviation-threshold-nan"])
+    def test_non_finite_q_and_nan_thresholds_rejected(self, run, kwargs, message, monkeypatch):
+        # NaN passes a test of q < 1; the run is refused before any norm is taken
+        def no_svd(*args):
+            raise AssertionError("the run reached the norm layer")
+
+        monkeypatch.setattr(simulate, "stack_norms", no_svd)
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            run(**kwargs)
+
+    def test_infinite_threshold_has_no_hits(self):
+        # compare passes one when a bound's M overflows
+        (tail,) = summarize_simulation(scalar_two_point(), 8, 0, thresholds_growth=(math.inf,))[1]
+        assert (tail.threshold, tail.hits) == (math.inf, 0)
+        rep = enumerate_product(scalar_two_point(), thresholds_growth=(math.inf,))
+        assert rep.tail_growth == {math.inf: 0.0}
+
     @pytest.mark.parametrize("make_spec, trials", [
         pytest.param(lambda: matrix_two_point(dim=3, n=5, radius=0.5), 200, id="two-point"),
         pytest.param(lambda: ProductSpec((make_bounded_perturbation(
@@ -1375,8 +1419,9 @@ class TestAdaptedWalker:
         (w, prods, refs), = walk(spec)
         want = list(depth_first_paths(spec))
         assert not np.isfinite(prods).all()
-        assert prods.tobytes() == np.stack([z for _, z, _ in want]).tobytes()
-        assert refs.tobytes() == np.stack([f for _, _, f in want]).tobytes()
+        assert w.tobytes() == np.array([x for x, _, _ in want]).tobytes()
+        assert_matches_where_finite(prods, [z for _, z, _ in want])
+        assert_matches_where_finite(refs, [f for _, _, f in want])
 
     def test_frontier_memory_is_bounded(self, monkeypatch):
         import tracemalloc
