@@ -254,7 +254,9 @@ class ProductStats:
         return out
 
     def z0_norm(self, p) -> float:
-        return float(norm_from_singular_values(np.asarray(self.z0_singular_values), p))
+        """||Z_0||_p, bitwise ``schatten_norm(z0, p)``: the root is taken on a
+        stack of one, as ``stack_norms`` takes it."""
+        return float(norm_from_singular_values(np.asarray(self.z0_singular_values)[None], p)[0])
 
     @property
     def start_norm(self) -> float:

@@ -9,9 +9,7 @@ significant digits. Exit status: 0 success, 1 usage or input error,
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import functools
 import io
 import json
 import math
@@ -51,11 +49,6 @@ EXIT_VERIFY = 3
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -397,52 +390,93 @@ def run_compare(cfg: dict, seed: int, trials_override=None):
 # ---------------------------------------------------------------------------
 # entry point
 
-@functools.cache  # parse_args leaves the parser as it was, so one serves every call
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="matprod",
-        description="Growth and concentration bounds for products of random matrices: "
-                    "evaluate bounds, simulate products, verify inequalities, and "
-                    "compare bounds with exact or Monte Carlo truth.",
-        epilog=f"Shipped presets: {', '.join(_available_presets()) or 'none'}. "
-               f"Default seed: {DEFAULT_SEED}.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in (("bound", "evaluate closed-form bounds from a config"),
-                       ("simulate", "Monte Carlo or exact enumeration of a product"),
-                       ("verify", "run the inequality certification suite"),
-                       ("compare", "join empirical values with their bounds")):
-        p = sub.add_parser(name, help=desc, description=desc)
-        p.add_argument("--config", required=(name != "verify"),
-                       help="config file path or preset name")
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"master seed (default: config value or {DEFAULT_SEED})")
-        p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--trials", type=int, default=None,
-                       help="override the config trial count")
-    return parser
+_COMMANDS = ("bound", "simulate", "verify", "compare")
+
+
+def _format_name(text: str) -> str:
+    if text not in ("json", "csv"):
+        raise ValueError(text)
+    return text
+
+
+# the five flags every command takes, each with the parser of its value
+_FLAGS = {"--config": str, "--seed": int, "--trials": int, "--out": str,
+          "--format": _format_name}
+
+_USAGE = """\
+usage: matprod {{bound,simulate,verify,compare}} --config <path-or-preset>
+               [--seed <u64>] [--trials <n>] [--out <path>] [--format json|csv]
+
+Growth and concentration bounds for products of random matrices: evaluate
+bounds, simulate products, verify inequalities, and compare bounds with exact
+or Monte Carlo truth.
+
+commands:
+  bound      evaluate closed-form bounds from a config
+  simulate   Monte Carlo or exact enumeration of a product
+  verify     run the inequality certification suite (no --config needed)
+  compare    join empirical values with their bounds
+
+flags, each as --name value or --name=value (the last repeat wins):
+  --config   config file path or preset name
+  --seed     master seed (default: config value or {seed})
+  --trials   override the config trial count
+  --out      output file (default: stdout)
+  --format   json (default) or csv
+
+Shipped presets: {presets}.
+"""
+
+
+def _parse_args(argv) -> tuple[str, dict]:
+    """The command and the flag values of ``argv``: the command comes first,
+    then ``--name value`` or ``--name=value`` pairs, and the last repeat of a
+    flag wins. A flag that is not given is not in the dict."""
+    if not argv or argv[0] not in _COMMANDS:
+        raise _UsageError(f"the first argument must be a command: {', '.join(_COMMANDS)}")
+    command, flags = argv[0], {}
+    rest = iter(argv[1:])
+    for arg in rest:
+        name, eq, value = arg.partition("=")
+        if name not in _FLAGS:
+            raise _UsageError(f"unknown argument {arg!r} (flags: {', '.join(_FLAGS)})")
+        if not eq:
+            value = next(rest, None)
+            if value is None or value.startswith("--"):
+                raise _UsageError(f"{name} needs a value")
+        try:
+            flags[name[2:]] = _FLAGS[name](value)
+        except ValueError:
+            raise _UsageError(f"invalid {name} value {value!r}") from None
+    if "config" not in flags and command != "verify":
+        raise _UsageError(f"{command} needs --config")
+    return command, flags
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_USAGE.format(seed=DEFAULT_SEED,
+                                       presets=", ".join(_available_presets()) or "none"))
+        return EXIT_OK
     out_path = None
     fmt = "json"
     try:
-        args = parser.parse_args(argv)
-        out_path = args.out
-        fmt = args.format
-        cfg = _load_config(args.config) if args.config else {}
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", DEFAULT_SEED))
+        command, flags = _parse_args(argv)
+        out_path = flags.get("out")
+        fmt = flags.get("format", fmt)
+        cfg = _load_config(flags["config"]) if flags.get("config") else {}
+        seed = flags["seed"] if "seed" in flags else int(cfg.get("seed", DEFAULT_SEED))
         if seed < 0:
             raise InvalidInputError("seed must be nonnegative")
-        if args.command == "bound":
+        if command == "bound":
             payload, code = run_bound(cfg, seed)
-        elif args.command == "simulate":
-            payload, code = run_simulate(cfg, seed, args.trials)
-        elif args.command == "verify":
+        elif command == "simulate":
+            payload, code = run_simulate(cfg, seed, flags.get("trials"))
+        elif command == "verify":
             payload, code = run_verify(seed)
         else:
-            payload, code = run_compare(cfg, seed, args.trials)
+            payload, code = run_compare(cfg, seed, flags.get("trials"))
     except _UsageError as exc:
         _emit_error("usage", str(exc), out_path)
         return EXIT_USAGE

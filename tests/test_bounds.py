@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from matprod.bounds import (
     DISPLAYS,
@@ -33,6 +34,7 @@ from matprod.errors import (
     InvalidParameterError,
     MissingUniformBoundsError,
 )
+from matprod.schatten import schatten_norm
 
 E = math.e
 
@@ -79,6 +81,17 @@ class TestProductStats:
         s = ProductStats.from_factors([FactorStats(1.0, 0.0)], d=2, z0=z0)
         assert s.z0_norm(2) == pytest.approx(5.0, rel=1e-15)
         assert s.z0_norm(math.inf) == pytest.approx(4.0, rel=1e-15)
+
+    @given(st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+               lambda shape: hnp.arrays(np.float64, shape,
+                                        elements=st.floats(-1.0, 1.0, allow_nan=False))),
+           st.integers(-3, 3),
+           st.sampled_from([1.0, 2.0, 2.5, 3.0, 7.0, 2.0 * (1.0 + math.log(100.0)), math.inf]))
+    def test_z0_norm_has_the_norm_layers_bits(self, z0, scale, p):
+        # the moment displays carry ||Z_0||_p; its root is taken as on a stack of one
+        z0 = z0 * 10.0 ** scale
+        s = ProductStats.from_factors([FactorStats(1.0, 0.0)], d=z0.shape[0], z0=z0)
+        assert s.z0_norm(p) == schatten_norm(z0, p)
 
     def test_rectangular_start(self):
         z0 = np.ones((3, 1))

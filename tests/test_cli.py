@@ -17,6 +17,7 @@ import matprod
 from matprod import cli
 from matprod.cli import main
 from matprod.schatten import format_float
+from matprod.streams import DEFAULT_SEED
 
 E = math.e
 
@@ -85,31 +86,61 @@ class TestUsage:
         assert rc == 1
         assert "seed" in payload["error"]["message"]
 
-    def test_parser_is_built_once(self, capsys, monkeypatch):
-        built = []
-
-        class Counting(cli._Parser):
-            def __init__(self, *args, **kwargs):
-                built.append(kwargs.get("prog"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "_Parser", Counting)
-        cli._build_parser.cache_clear()
-        try:
-            assert run_cli(capsys, "bound", "--config", "lt-scenario")[0] == 0
-            assert run_cli(capsys, "bound", "--config", "lt-scenario")[0] == 0
-        finally:
-            cli._build_parser.cache_clear()
-        assert built.count("matprod") == 1
-
     def test_usage_error_after_a_run_reports_the_same(self, capsys):
-        cli._build_parser.cache_clear()
         first = run_cli(capsys, "bound", "--seed", "x")
         assert run_cli(capsys, "bound", "--config", "lt-scenario")[0] == 0
         again = run_cli(capsys, "bound", "--seed", "x")
         assert first[0] == again[0] == 1
         assert json.loads(again[1])["error"]["code"] == "usage"
         assert again == first
+
+    # no command and a missing --config are test_no_subcommand and test_missing_config
+    @pytest.mark.parametrize("argv", [
+        ["frobnicate", "--config", "lt-scenario"],
+        ["--config", "lt-scenario", "bound"],
+        ["bound", "lt-scenario"],
+        ["bound", "--config", "lt-scenario", "--bogus", "1"],
+        ["bound", "--conf", "lt-scenario"],
+        ["bound", "-c", "lt-scenario"],
+        ["bound", "--config"],
+        ["bound", "--config", "--seed", "7"],
+        ["bound", "--config", "lt-scenario", "--seed"],
+        ["bound", "--config", "lt-scenario", "--seed", "x"],
+        ["bound", "--config", "lt-scenario", "--seed=1.5"],
+        ["simulate", "--config", "two-point-scalar", "--trials", "many"],
+        ["bound", "--config", "lt-scenario", "--format", "xml"],
+        ["bound", "--config", "lt-scenario", "--format="],
+        ["compare", "--seed", "7", "--trials", "10"],
+    ], ids=" ".join)
+    def test_usage_errors(self, capsys, argv):
+        rc, out, _ = run_cli(capsys, *argv)
+        assert rc == 1
+        assert json.loads(out)["error"]["code"] == "usage"
+
+    def test_usage_error_goes_to_stdout_not_to_out(self, capsys, tmp_path):
+        target = tmp_path / "result.json"
+        rc, payload, _ = run_json(capsys, "bound", "--out", str(target), "--seed", "x")
+        assert rc == 1
+        assert payload["error"]["code"] == "usage"
+        assert not target.exists()
+
+    def test_equals_form_and_last_repeat(self, capsys):
+        spaced = run_cli(capsys, "bound", "--config", "lt-scenario", "--seed", "7")
+        assert spaced[0] == 0 and json.loads(spaced[1])["seed"] == 7
+        assert run_cli(capsys, "bound", "--config=lt-scenario", "--seed=7") == spaced
+        assert run_cli(capsys, "bound", "--config", "perturbation", "--seed", "1",
+                       "--format", "csv", "--config=lt-scenario", "--seed", "7",
+                       "--format", "json") == spaced
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["bound", "-h"],
+                                      ["--help", "compare"], ["verify", "--seed", "7", "-h"]])
+    def test_help(self, capsys, argv):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 0 and err == ""
+        assert out.startswith("usage: matprod {bound,simulate,verify,compare}")
+        presets = sorted(p.stem for p in (Path(cli.__file__).parent / "presets").glob("*.json"))
+        assert presets and all(name in out for name in presets)
+        assert str(DEFAULT_SEED) in out
 
     @pytest.mark.parametrize("command,cfg", [
         ("bound", {"kind": "perturbation"}),
@@ -848,6 +879,16 @@ def test_import_leaves_scipy_stats_and_linalg_unloaded():
     # any scipy module is about half of a cold start, and every CLI run pays it
     out = run_fresh_python(f"import sys, matprod, matprod.cli; {LOADED_SCIPY}")
     assert out == ["[]"]
+
+
+def test_first_call_loads_no_argparse_locale_or_scipy():
+    # every matprod process pays its first call's imports; argparse (with
+    # gettext) and its first parser (with locale) were about 8 ms of it
+    code = ("import sys; from matprod.cli import main; "
+            "main(['bound', '--config', 'lt-scenario']); "
+            "print(sorted(m for m in ('argparse', 'gettext', 'locale', 'scipy') "
+            "if m in sys.modules))")
+    assert run_fresh_python(code)[-1] == "[]"
 
 
 def test_edge_tail_rows_and_bounds_leave_scipy_unloaded(tmp_path):
