@@ -4,7 +4,9 @@ Products are formed left to right: Z_n = Y_n ... Y_1 Z_0, with factor i drawn
 from the i-th ensemble. Trial k consumes only the stream derived from
 (seed, *key, k), so estimates are bitwise reproducible under any execution
 schedule. Inverse mode returns (Y_n ... Y_1 Z_0)^(-1) built from per-factor
-linear solves. Adapted mode asks a hook for each factor's law given the
+linear solves. Independent and inverse products read each distinct
+ensemble's law from one table, _laws(spec), shared by the positions that draw
+from it. Adapted mode asks a hook for each factor's law given the
 running product Z_{i-1} of the past draws; only exact enumeration runs it, and
 each path is measured against its running product of conditional means F_n.
 
@@ -202,6 +204,50 @@ class NormBiasedTwoPointHook:
 # ---------------------------------------------------------------------------
 # simulation
 
+class _Law:
+    """One factor ensemble's law in a spec, shared by every position that
+    draws from it; each part is computed when a reader first asks for it.
+    ``steps`` are what a product steps by: the (K, d, d) atoms or the (K, d)
+    diagonals of diagonal atoms, or in inverse mode the atoms' inverses,
+    solved where the probability is positive and zero where no path goes."""
+
+    def __init__(self, ensemble, spec):
+        self.ensemble, self.invert, self.r = ensemble, spec.mode == "inverse", spec.r
+
+    probs = functools.cached_property(lambda self: np.array(self.support.probs)[None])
+    mean = functools.cached_property(lambda self: self.ensemble.exact_mean())
+
+    @functools.cached_property
+    def support(self) -> SupportSampler:  # it keeps its atoms' condition numbers
+        if self.ensemble.support is None:
+            raise UnsupportedEnsembleError(f"{self.ensemble.kind} ensemble has no finite support")
+        return self.ensemble.support
+
+    @functools.cached_property
+    def steps(self) -> np.ndarray:
+        s = self.support
+        if not self.invert:
+            return s.atoms if s.diagonals is None else s.diagonals
+        inverses, live = np.zeros_like(s.atoms), self.probs[0] > 0
+        inverses[live] = np.linalg.solve(s.atoms[live], np.eye(s.dim))
+        return inverses
+
+    @functools.cached_property
+    def moved(self) -> tuple:
+        """(offsets, factors), each (K, m r), of a diagonal support's moves:
+        where atom k's moved entries sit in one trial's flattened d x r
+        product, and what the step multiplies them by."""
+        cols, vals = self.support.moves
+        offsets = (cols * self.r)[:, :, None] + np.arange(self.r)
+        return offsets.reshape(len(cols), -1), np.repeat(vals, self.r, axis=1)
+
+
+def _laws(spec) -> list:
+    """Each factor position's _Law: one record per distinct ensemble."""
+    shared = {e: _Law(e, spec) for e in dict.fromkeys(spec.factors)}
+    return [shared[e] for e in spec.factors]
+
+
 def expected_product(spec: ProductSpec) -> np.ndarray:
     """Exact E Z_n = (E Y_n) ... (E Y_1) Z_0 for independent factor draws.
 
@@ -213,8 +259,8 @@ def expected_product(spec: ProductSpec) -> np.ndarray:
             f"expected_product is defined for independent products, not {spec.mode!r}")
     out = spec.z0
     with np.errstate(over="ignore", invalid="ignore"):  # the caller names an overflow
-        for e in spec.factors:
-            out = e.exact_mean() @ out
+        for law in _laws(spec):
+            out = law.mean @ out
     return out
 
 
@@ -286,15 +332,6 @@ def _stream_reads(spec, samplers, seed, key, ks):
     return u, draws
 
 
-def _moved_entries(moves, r):
-    """(offsets, factors), each (K, m r), of a sampler's ``moves``: where atom
-    k's moved entries sit in one trial's flattened d x r product, and what
-    the step multiplies them by."""
-    cols, vals = moves
-    offsets = (cols * r)[:, :, None] + np.arange(r)
-    return offsets.reshape(len(cols), -1), np.repeat(vals, r, axis=1)
-
-
 def _scatter(moved, digits, flat, base):
     """A run of diagonal steps of one sampler in place: the (steps, T) atoms
     ``digits`` multiply their moved entries of the flat C-order products,
@@ -311,62 +348,58 @@ def _scatter(moved, digits, flat, base):
         np.multiply.at(flat, idx.reshape(-1), factors.take(dig, axis=0).reshape(-1))
 
 
-def _sampled_chunk(spec, start, samplers, u, draws):
-    """One chunk of trials through the gather kernel, from their reads
-    (_stream_reads): (products, kept), the dense per-trial loop's while finite.
+def _sampled_chunk(spec, start, laws, u, draws):
+    """One chunk of trials through the gather kernel, from the factors' laws
+    (_laws) and the trials' reads (_stream_reads): (products, kept), the
+    dense per-trial loop's while finite.
 
-    Factor i's atoms are ``digits[i]``; each distinct support sampler picks
-    the uniforms of all its factors in one call, and a drawn factor's atoms
-    are its (T, d, d) draws, trial t taking atom t. Inverse mode multiplies up
-    the condition numbers in factor order first and forms only the products
-    of the trials it keeps, those whose estimate is at most CONDITION_LIMIT;
-    ``kept`` is their (T,) mask, and None outside inverse mode.
+    Factor i's atoms are ``digits[i]``: each distinct finite-support law picks
+    the uniforms of all its factors in one call, and drawn factor i's (T, d, d)
+    draws give trial t atom t. Inverse mode multiplies up the condition
+    numbers in factor order, and right-solves by the dense atoms only the
+    trials it keeps, those whose estimate is at most CONDITION_LIMIT; ``kept``
+    is their (T,) mask, and None outside inverse mode.
 
-    Outside inverse mode, consecutive steps of one diagonal sampler change
-    only their moved entries, in one ordered scatter (_scatter), and a run of
+    Outside inverse mode, consecutive steps of one diagonal law change only
+    their moved entries, in one ordered scatter (_scatter), and a run of
     diagonal steps ends with one ``+ 0.0``. That has the bits of full steps
     (_step): ``+ 0.0`` changes only the sign of a zero, a finite factor keeps
     a zero a zero, so the last ``+ 0.0`` alone decides that sign; an unmoved
     entry gets 1.0 z + 0.0, ±inf and NaN included. So a product overflows at
     the loop's step, and its bits past that are unspecified."""
     groups = {}
-    for i, s in enumerate(samplers):
+    for i, law in enumerate(laws):
         if i not in draws:
-            groups.setdefault(id(s), (s, []))[1].append(i)
-    digits = np.empty((len(samplers), len(u)), dtype=np.intp)
-    for s, cols in groups.values():
-        digits[cols] = s.pick(u[:, cols]).T
+            groups.setdefault(law, []).append(i)
+    digits = np.empty((len(laws), len(u)), dtype=np.intp)
+    for law, cols in groups.items():
+        digits[cols] = law.support.pick(u[:, cols]).T
     digits[list(draws)] = np.arange(len(u))
     invert, kept = spec.mode == "inverse", None
-    # each factor's atoms: its draws, or its sampler's dense atoms or diagonals
-    steps = [draws[i] if i in draws else s.atoms if invert or s.diagonals is None
-             else s.diagonals for i, s in enumerate(samplers)]
     if invert:  # the atoms' condition numbers, multiplied up in factor order
         cond_est = np.full(len(u), condition_numbers(spec.z0))
-        for i, (s, dig) in enumerate(zip(samplers, digits)):
-            conds = condition_numbers(draws[i]) if i in draws else s.conds
+        for i, (law, dig) in enumerate(zip(laws, digits)):
+            conds = condition_numbers(draws[i]) if i in draws else law.support.conds
             cond_est = cond_est * conds[dig]
         kept = ~(cond_est > CONDITION_LIMIT)
         digits = digits[:, kept]
-    moves = {} if invert else {key: _moved_entries(s.moves, start.shape[1])
-                               for key, (s, _) in groups.items() if s.moves is not None}
     trials = digits.shape[1]
     base = (np.arange(trials) * start.size)[:, None]
     prod, pending = np.broadcast_to(start, (trials, *start.shape)), False
     with np.errstate(over="ignore", invalid="ignore"):  # _block_norms names an overflow
-        for s, run in itertools.groupby(range(len(samplers)), key=samplers.__getitem__):
+        for law, run in itertools.groupby(range(len(laws)), key=laws.__getitem__):
             run = list(run)
-            moved = moves.get(id(s))
-            if moved is None:
+            if invert or run[0] in draws or law.support.moves is None:
                 if pending:  # the diagonal run's + 0.0
                     prod += 0.0
                     pending = False
-                for i in run:
-                    prod = _step(steps[i], digits[i], prod, _right_solve if invert else np.matmul)
+                for i in run:  # factor i's draws, or its law's dense atoms or steps
+                    atoms = draws[i] if i in draws else law.support.atoms if invert else law.steps
+                    prod = _step(atoms, digits[i], prod, _right_solve if invert else np.matmul)
                 continue
             if not prod.flags.writeable:  # the broadcast start; steps make C-order products
                 prod = prod.copy()
-            _scatter(moved, digits[run[0]:run[-1] + 1], prod.reshape(-1), base)
+            _scatter(law.moved, digits[run[0]:run[-1] + 1], prod.reshape(-1), base)
             pending = True
         if pending:
             prod += 0.0
@@ -389,11 +422,11 @@ def _trial_chunks(spec, trials, seed, key):
             "Monte Carlo does not sample adapted products; use enumerate_product")
     invert = spec.mode == "inverse"
     start = _inverse_start(spec) if invert else spec.z0
-    samplers = [e.sampler for e in spec.factors]
+    samplers, laws = [e.sampler for e in spec.factors], _laws(spec)
     chunk, _ = _chunk_size(spec, samplers)
     for lo in range(0, trials, chunk):
         ks = range(lo, min(lo + chunk, trials))
-        prod, kept = _sampled_chunk(spec, start, samplers,
+        prod, kept = _sampled_chunk(spec, start, laws,
                                     *_stream_reads(spec, samplers, seed, key, ks))
         excluded = []
         if invert:  # the ill-conditioned trials were never solved
@@ -571,12 +604,6 @@ ESTIMATE_FIELDS = {
 }
 
 
-def _support_or_raise(e: FactorEnsemble):
-    if e.support is None:
-        raise UnsupportedEnsembleError(f"{e.kind} ensemble has no finite support")
-    return e.support
-
-
 def _walk(start, n, level, apply=np.matmul):
     """Every path of an n-factor product from ``start``, walked level by level.
 
@@ -642,10 +669,9 @@ def _spec_walk(spec):
 
     Adapted specs ask the hook for each block's conditional supports, and each
     path carries its product of conditional means F_n beside it. Independent
-    and inverse specs step through each factor's atoms, or the diagonals of
-    diagonal atoms, and are refused when their positive-probability outcomes
-    exceed ENUMERATION_BUDGET. Inverse mode steps by each atom's inverse,
-    solved once, from Z_0^(-1); factor 1's inverse is leftmost.
+    and inverse specs step by each factor's law (_laws), from Z_0^(-1) in
+    inverse mode, with factor 1's inverse leftmost; they are refused when
+    their positive-probability outcomes exceed ENUMERATION_BUDGET.
     """
     if spec.mode == "adapted":
         hook = spec.adapted_hook
@@ -656,28 +682,23 @@ def _spec_walk(spec):
                                      for p, s in zip(probs.T, steps))
 
         return functools.partial(_walk, spec.z0, spec.n, conditional)
-    supports = [_support_or_raise(e) for e in spec.factors]
-    probs = [np.array(s.probs)[None] for s in supports]
-    total = math.prod(int(np.count_nonzero(pr)) for pr in probs)
+    laws = _laws(spec)
+    total = math.prod(int(np.count_nonzero(law.probs)) for law in laws)
     if total > ENUMERATION_BUDGET:
         raise EnumerationInfeasibleError(
             f"enumeration needs {total} outcomes, budget is {ENUMERATION_BUDGET}",
             required=total, budget=ENUMERATION_BUDGET)
+    start, apply = spec.z0, np.matmul
     if spec.mode == "inverse":
-        eye = np.eye(spec.d)
-        steps = []
-        for i, (e, s) in enumerate(zip(spec.factors, supports), 1):
+        for i, law in enumerate(laws, 1):
             try:
-                steps.append(np.linalg.solve(s.atoms, eye))
+                law.steps
             except np.linalg.LinAlgError:
-                raise InvalidInputError(
-                    f"factor {i} ({e.kind}) has a singular atom, which has no inverse") from None
+                raise InvalidInputError(f"factor {i} ({law.ensemble.kind}) has a singular "
+                                        "atom, which has no inverse") from None
         start, apply = _inverse_start(spec), lambda y, prod: prod @ y
-    else:
-        steps = [s.atoms if s.diagonals is None else s.diagonals for s in supports]
-        start, apply = spec.z0, np.matmul
     return functools.partial(_walk, start, spec.n,
-                             lambda depth, _: (steps[depth], probs[depth], None), apply)
+                             lambda depth, _: (laws[depth].steps, laws[depth].probs, None), apply)
 
 
 class _StreamStats:
@@ -812,10 +833,11 @@ def triangular_array_run(mean, radius, dim, n_list, trials, seed) -> list:
 def conjugated_spec(spec: ProductSpec, s_matrix) -> ProductSpec:
     """Similarity-transform every factor: Y -> S^(-1) Y S.
 
-    Each factor's finite support is transformed atom by atom, and the
-    transformed factor samples those atoms; its statistics are recomputed
-    exactly from them, since conjugation does not transport them. A factor
-    without a finite support raises UnsupportedEnsembleError.
+    Each distinct ensemble's finite support is transformed once, atom by atom,
+    into one ensemble shared by its positions that samples those atoms; its
+    statistics are recomputed exactly from them, since conjugation does not
+    transport them. A factor without a finite support raises
+    UnsupportedEnsembleError.
     """
     if spec.mode != "independent":
         raise UnsupportedEnsembleError("conjugation applies to independent products")
@@ -828,14 +850,14 @@ def conjugated_spec(spec: ProductSpec, s_matrix) -> ProductSpec:
         raise InvalidInputError("S is too ill-conditioned to conjugate by")
     s_inv = np.linalg.solve(s, np.eye(spec.d))
 
-    new_factors = []
-    for e in spec.factors:
-        support = _support_or_raise(e)
+    laws, conjugated = _laws(spec), {}
+    for law in dict.fromkeys(laws):
+        e, support = law.ensemble, law.support
         shell = FactorEnsemble(
             dim=e.dim, sampler=SupportSampler([s_inv @ m @ s for m, _ in support], support.probs),
-            stats=e.stats, mean=s_inv @ e.exact_mean() @ s, kind=f"conjugated-{e.kind}")
-        new_factors.append(replace(shell, stats=support_stats(shell)))
-    return ProductSpec(factors=tuple(new_factors), z0=s_inv @ spec.z0 @ s)
+            stats=e.stats, mean=s_inv @ law.mean @ s, kind=f"conjugated-{e.kind}")
+        conjugated[law] = replace(shell, stats=support_stats(shell))
+    return ProductSpec(factors=tuple(map(conjugated.get, laws)), z0=s_inv @ spec.z0 @ s)
 
 
 # ---------------------------------------------------------------------------

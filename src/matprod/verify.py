@@ -93,18 +93,26 @@ class _Collector:
                 self.failures.append(dict(detail, margin=margin))
 
     def add_many(self, margins, tolerance=None):
+        self.add_blocks([margins], tolerance)
+
+    def add_blocks(self, blocks, tolerance=None):
+        """Adds arrays of margins as one batch: a batch with a violation adds
+        one failure, its worst margin, NaN once any margin is NaN."""
         tol = self.tolerance if tolerance is None else tolerance
-        arr = np.asarray(margins, dtype=float)
-        self.instances += arr.size
-        if arr.size:  # argmin takes the first NaN, else the first least margin, as min does
-            least = float(arr[arr.argmin()])
-            if math.isnan(least) or least < self.least:
-                self.least = least
-        bad = ~(arr >= -tol)
-        self.violations += int(bad.sum())
-        if bad.any() and len(self.failures) < 8:
-            # min propagates NaN, so a NaN batch reports a NaN worst margin
-            self.failures.append({"worst_batch_margin": float(arr.min())})
+        worst, bad = math.inf, 0
+        for block in blocks:
+            arr = np.asarray(block, dtype=float)
+            self.instances += arr.size
+            if arr.size:  # argmin takes the first NaN, else the first least margin, as min does
+                least = float(arr[arr.argmin()])
+                if math.isnan(least) or least < self.least:
+                    self.least = least
+                if math.isnan(least) or least < worst:
+                    worst = least
+            bad += int((~(arr >= -tol)).sum())
+        self.violations += bad
+        if bad and len(self.failures) < 8:
+            self.failures.append({"worst_batch_margin": worst})
 
     def note(self, text):
         self.notes.append(text)
@@ -404,18 +412,19 @@ def check_number_inequality(trials=100_000, seed=DEFAULT_SEED) -> CheckReport:
 
     The stream gives each sequence's length, then all the terms, row by row,
     then each sequence's sign mode. The terms are drawn and checked in blocks
-    of rows within GATHER_BUDGET, so beyond a few numbers per sequence memory
-    does not grow with trials; the modes come from a copy of the stream
-    advanced past the terms.
+    of rows within GATHER_BUDGET, and each block's margins folded into the
+    report, so only a sequence's length and mode, a byte each, are held for
+    every trial; the modes come from a copy of the stream advanced past the
+    terms.
     """
     rng = substream(seed, 0)
-    lengths = rng.integers(1, 51, size=trials)
+    lengths = rng.integers(1, 51, size=trials).astype(np.uint8)
     width = int(lengths.max())
     after_terms = np.random.Generator(_advanced(rng.bit_generator, trials * width))
-    mode = after_terms.integers(0, 3, size=trials)
-    margins = np.empty(trials)
+    mode = after_terms.integers(0, 3, size=trials).astype(np.uint8)
     rows = max(1, GATHER_BUDGET // (8 * width))
-    for lo in range(0, trials, rows):
+
+    def margins(lo):
         block = slice(lo, min(lo + rows, trials))
         a = rng.uniform(-5.0, 5.0, size=(block.stop - lo, width))
         a = np.where(mode[block, None] == 1, np.abs(a), a)
@@ -425,9 +434,10 @@ def check_number_inequality(trials=100_000, seed=DEFAULT_SEED) -> CheckReport:
         lhs = (a * np.exp(prefix)).sum(axis=1)
         rhs = np.expm1(a.sum(axis=1))
         denom = np.exp(np.abs(a).sum(axis=1))
-        margins[block] = (rhs - lhs) / denom
+        return (rhs - lhs) / denom
+
     col = _Collector("number-inequality", NUMBER_TOLERANCE, seed)
-    col.add_many(margins)
+    col.add_blocks(margins(lo) for lo in range(0, trials, rows))
     return col.report()
 
 

@@ -1,6 +1,8 @@
 import bisect
+import functools
 import itertools
 import math
+import pickle
 import re
 import tracemalloc
 from dataclasses import replace
@@ -8,6 +10,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given
+from hypothesis import strategies as st
 
 from matprod import ensembles, simulate
 from matprod.ensembles import (
@@ -397,7 +401,7 @@ class TestBatchedKernel:
 
         monkeypatch.setattr(SupportSampler, "pick", counting)
         u = uniforms(spec, 31, range(40))
-        simulate._sampled_chunk(spec, spec.z0, samplers, u, {})
+        simulate._sampled_chunk(spec, spec.z0, simulate._laws(spec), u, {})
         assert len(calls) == len({id(s) for s in samplers}) == distinct
         assert sum(shape[1] for _, shape in calls) == spec.n
         assert all(shape[0] == 40 for _, shape in calls)
@@ -643,8 +647,7 @@ class TestMoveSteps:
     def test_chunk_matches_full_steps(self, make_spec):
         spec = make_spec()
         u = uniforms(spec, 31, range(150))
-        got, _ = simulate._sampled_chunk(spec, spec.z0, [e.sampler for e in spec.factors],
-                                         u, {})
+        got, _ = simulate._sampled_chunk(spec, spec.z0, simulate._laws(spec), u, {})
         assert got.tobytes() == full_steps(spec, u).tobytes()
 
     @pytest.mark.parametrize("make_spec", MOVE_SPECS)
@@ -686,12 +689,12 @@ class TestMoveSteps:
 
     def test_long_run_in_budget_slices(self, monkeypatch):
         spec = ProductSpec((thirds_diagonal(),) * 40, tall_start(3, 2))
-        samplers = [e.sampler for e in spec.factors]
+        laws = simulate._laws(spec)
         u = uniforms(spec, 31, range(150))
-        whole, _ = simulate._sampled_chunk(spec, spec.z0, samplers, u, {})
+        whole, _ = simulate._sampled_chunk(spec, spec.z0, laws, u, {})
         # one step moves 150 trials x 2 entries: three steps a slice
         monkeypatch.setattr(simulate, "GATHER_BUDGET", 3 * 8 * 2 * 150)
-        sliced, _ = simulate._sampled_chunk(spec, spec.z0, samplers, u, {})
+        sliced, _ = simulate._sampled_chunk(spec, spec.z0, laws, u, {})
         assert sliced.tobytes() == whole.tobytes() == full_steps(spec, u).tobytes()
 
     def test_run_scatter_stays_within_the_budget(self):
@@ -700,7 +703,7 @@ class TestMoveSteps:
         d, n, r, trials = 4, 4000, 3, 16
         spec = ProductSpec((make_rademacher_rank_one(d),) * n, np.ones((d, r)))
         s = spec.factors[0].sampler
-        moved = simulate._moved_entries(s.moves, r)
+        moved = simulate._laws(spec)[0].moved
         digits = s.pick(uniforms(spec, 3, range(trials))).T.copy()
         prod = np.ones((trials, d, r))
         base = (np.arange(trials) * d * r)[:, None]
@@ -725,12 +728,12 @@ class TestMoveSteps:
         spec = ProductSpec((e,) * n, tall_start(d, 1))
         samplers = [e.sampler] * n
         chunk, _ = simulate._chunk_size(spec, samplers)
-        u = uniforms(spec, 3, range(chunk))
+        u, laws = uniforms(spec, 3, range(chunk)), simulate._laws(spec)
         block = chunk * d * 8
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            prod, _ = simulate._sampled_chunk(spec, spec.z0, samplers, u, {})
+            prod, _ = simulate._sampled_chunk(spec, spec.z0, laws, u, {})
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -1191,6 +1194,13 @@ class TestInverseMode:
                                        100, seed=5)
         assert 0 < sim.excluded < 100
 
+    def test_probability_zero_singular_atom_is_never_solved(self):
+        # no path and no trial takes the singular atom, so both methods run
+        spec = ProductSpec((singular_zero_atom_ensemble(),) * 3, np.eye(2), mode="inverse")
+        _, _, _, excluded = summarize_simulation(spec, 400, 5)
+        assert excluded == []
+        assert enumerate_product(spec).outcomes == 8
+
     def test_enumeration_names_the_singular_factor(self):
         s = SupportSampler((np.eye(3), np.diag([1.0, 1.0, 0.0])), (0.5, 0.5))
         singular = FactorEnsemble(3, s, FactorStats(1.0, 0.5), kind="flat")
@@ -1353,6 +1363,13 @@ class LeaningHook:
 
 def zero_atom_ensemble():
     atoms = (np.diag([1.1, 0.9]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([0.7, 1.3]))
+    return FactorEnsemble(dim=2, sampler=SupportSampler(atoms, (0.5, 0.0, 0.5)),
+                          stats=FactorStats(1.0, 0.5))
+
+
+def singular_zero_atom_ensemble():
+    """zero_atom_ensemble with a singular atom at probability 0."""
+    atoms = (np.diag([1.1, 0.9]), np.diag([1.0, 0.0]), np.diag([0.7, 1.3]))
     return FactorEnsemble(dim=2, sampler=SupportSampler(atoms, (0.5, 0.0, 0.5)),
                           stats=FactorStats(1.0, 0.5))
 
@@ -1543,6 +1560,8 @@ INDEPENDENT_WALKS = [
                  id="inverse-diagonal"),
     pytest.param(lambda: ProductSpec((zero_atom_ensemble(),) * 4, np.eye(2), mode="inverse"),
                  id="inverse-zero-probability"),
+    pytest.param(lambda: ProductSpec((singular_zero_atom_ensemble(),) * 4, np.eye(2),
+                                     mode="inverse"), id="inverse-singular-at-probability-zero"),
 ]
 
 
@@ -1881,6 +1900,22 @@ class TestConjugatedSpec:
             want.append(prod)
         assert_bitwise_equal(sim.z, want)
 
+    def test_each_ensemble_is_conjugated_once(self, monkeypatch):
+        a, b = self.base_spec().factors[0], make_rademacher_rank_one(2)
+        spec = ProductSpec((a, b) * 5, np.eye(2))
+        s = np.array([[1.0, 0.2], [0.0, 0.5]])
+        s_inv = np.linalg.solve(s, np.eye(2))
+        shells = []
+        monkeypatch.setattr(simulate, "support_stats",
+                            lambda e: shells.append(e) or support_stats(e))
+        conj = conjugated_spec(spec, s)
+        assert len(shells) == 2
+        assert conj.factors == conj.factors[:2] * 5 and conj.factors[0] is not conj.factors[1]
+        for e, f in zip(spec.factors, conj.factors, strict=True):
+            assert f.stats == support_stats(f)
+            for (atom, _), (got, _) in zip(e.support, f.support, strict=True):
+                assert got.tobytes() == (s_inv @ atom @ s).tobytes()
+
     def test_sampled_factors_are_rejected(self):
         e = make_bounded_perturbation(2, np.zeros((2, 2)), 0.2, 4.0,
                                       support="uniform-sphere")
@@ -1953,3 +1988,146 @@ class TestRankOneInteraction:
         rep = enumerate_product(spec)
         assert rep.outcomes == 36
         assert np.allclose(rep.mean, np.eye(3), atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the factor law table (_laws) against the per-factor derivations it replaced
+
+def reference_spec_walk(spec):
+    """_spec_walk of an independent or inverse spec as it was before the law
+    table: each factor position derives its own support, probability row and
+    steps, and inverse mode solves every atom of every position."""
+    supports = [e.support for e in spec.factors]
+    probs = [np.array(s.probs)[None] for s in supports]
+    if spec.mode == "inverse":
+        steps = [np.linalg.solve(s.atoms, np.eye(spec.d)) for s in supports]
+        start, apply = np.linalg.solve(spec.z0, np.eye(spec.d)), lambda y, prod: prod @ y
+    else:
+        steps = [s.atoms if s.diagonals is None else s.diagonals for s in supports]
+        start, apply = spec.z0, np.matmul
+    return functools.partial(simulate._walk, start, spec.n,
+                             lambda depth, _: (steps[depth], probs[depth], None), apply)
+
+
+def reference_sampled_chunk(spec, start, laws, u, draws):
+    """_sampled_chunk as it was before the law table, ignoring ``laws``: the
+    kernel groups the picks by sampler, takes each position's steps from its
+    sampler, and finds each diagonal sampler's moved entries for every chunk."""
+    samplers = [e.sampler for e in spec.factors]
+    groups = {}
+    for i, s in enumerate(samplers):
+        if i not in draws:
+            groups.setdefault(id(s), (s, []))[1].append(i)
+    digits = np.empty((len(samplers), len(u)), dtype=np.intp)
+    for s, cols in groups.values():
+        digits[cols] = s.pick(u[:, cols]).T
+    digits[list(draws)] = np.arange(len(u))
+    invert, kept = spec.mode == "inverse", None
+    steps = [draws[i] if i in draws else s.atoms if invert or s.diagonals is None
+             else s.diagonals for i, s in enumerate(samplers)]
+    if invert:
+        cond_est = np.full(len(u), condition_numbers(spec.z0))
+        for i, (s, dig) in enumerate(zip(samplers, digits)):
+            conds = condition_numbers(draws[i]) if i in draws else s.conds
+            cond_est = cond_est * conds[dig]
+        kept = ~(cond_est > CONDITION_LIMIT)
+        digits = digits[:, kept]
+    r, moves = start.shape[1], {}
+    for key, (s, _) in groups.items():
+        if not invert and s.moves is not None:
+            cols, vals = s.moves
+            offsets = (cols * r)[:, :, None] + np.arange(r)
+            moves[key] = offsets.reshape(len(cols), -1), np.repeat(vals, r, axis=1)
+    trials = digits.shape[1]
+    base = (np.arange(trials) * start.size)[:, None]
+    prod, pending = np.broadcast_to(start, (trials, *start.shape)), False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, run in itertools.groupby(range(len(samplers)), key=samplers.__getitem__):
+            run = list(run)
+            moved = moves.get(id(s))
+            if moved is None:
+                if pending:
+                    prod += 0.0
+                    pending = False
+                for i in run:
+                    prod = simulate._step(steps[i], digits[i], prod,
+                                          simulate._right_solve if invert else np.matmul)
+                continue
+            if not prod.flags.writeable:
+                prod = prod.copy()
+            simulate._scatter(moved, digits[run[0]:run[-1] + 1], prod.reshape(-1), base)
+            pending = True
+        if pending:
+            prod += 0.0
+    return prod, kept
+
+
+@st.composite
+def finite_support_specs(draw):
+    """Independent or inverse specs of one to three finite-support ensembles,
+    dense or diagonal, some atoms at probability 0, one ensemble repeated or
+    several interleaved."""
+    d, mode = draw(st.integers(1, 3)), draw(st.sampled_from(["independent", "inverse"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ensembles = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 3))
+        weights = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=k, max_size=k)
+                       .filter(any))
+        probs = tuple(w / sum(weights) for w in weights)
+        if draw(st.booleans()):  # diagonal atoms, their entries away from 0
+            sampler = SupportSampler.from_diagonals(rng.uniform(0.6, 1.4, (k, d)), probs)
+        else:
+            sampler = SupportSampler(np.eye(d) + rng.uniform(-0.3, 0.3, (k, d, d)) / d, probs)
+        ensembles.append(FactorEnsemble(dim=d, sampler=sampler, stats=FactorStats(1.0, 0.0)))
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        factors = (ensembles[0],) * n
+    else:
+        factors = tuple(ensembles[i % len(ensembles)] for i in range(n))
+    r = d if mode == "inverse" else draw(st.integers(1, 3))
+    z0 = np.eye(d, r) + rng.uniform(-0.2, 0.2, (d, r)) / d
+    return ProductSpec(factors, z0, mode=mode)
+
+
+class TestLawTable:
+    """Every reader of _laws gives the bits of the per-factor derivations."""
+
+    @staticmethod
+    def outputs(spec, seed):
+        mean = simulate.expected_product(spec) if spec.mode == "independent" else None
+        return (mean, enumerate_product(spec, 3.0, 2.0, (1.0,), (0.1,)),
+                summarize_simulation(spec, 40, seed, 3.0, 2.0, (1.0,), (0.1,)))
+
+    @given(finite_support_specs(), st.integers(0, 2**31 - 1))
+    def test_readers_keep_the_reference_bits(self, spec, seed):
+        got = self.outputs(spec, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_spec_walk", reference_spec_walk)
+            mp.setattr(simulate, "_sampled_chunk", reference_sampled_chunk)
+            mp.setattr(simulate, "expected_product", dense_chain)
+            want = self.outputs(spec, seed)
+        assert pickle.dumps(got) == pickle.dumps(want)
+
+    def test_positions_share_one_record_per_ensemble(self):
+        a, b = zero_atom_ensemble(), invertible_diagonal(2)
+        laws = simulate._laws(ProductSpec((a, b, a, a, b), np.eye(2)))
+        assert [law.ensemble for law in laws] == [a, b, a, a, b]
+        assert laws[0] is laws[2] is laws[3] and laws[1] is laws[4] and laws[0] is not laws[1]
+
+    def test_inverse_enumeration_solves_each_ensemble_once(self, monkeypatch):
+        # the atoms of the one ensemble all ten positions share, then Z_0^(-1)
+        spec = replace(matrix_two_point(dim=4, n=10), mode="inverse")
+        calls, solve = [], np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(np.shape(a)) or solve(a, b))
+        enumerate_product(spec)
+        assert calls == [(2, 4, 4), (4, 4)]
+
+    def test_expected_product_averages_each_ensemble_once(self, monkeypatch):
+        spec = matrix_two_point(dim=4, n=10)
+        want = dense_chain(spec)
+        calls, exact_mean = [], FactorEnsemble.exact_mean
+        monkeypatch.setattr(FactorEnsemble, "exact_mean",
+                            lambda self: calls.append(self) or exact_mean(self))
+        assert expected_product(spec).tobytes() == want.tobytes()
+        assert calls == [spec.factors[0]]
