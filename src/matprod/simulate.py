@@ -385,14 +385,11 @@ def _sampled_chunk(spec, start, laws, u, draws):
         digits = digits[:, kept]
     trials = digits.shape[1]
     base = (np.arange(trials) * start.size)[:, None]
-    prod, pending = np.broadcast_to(start, (trials, *start.shape)), False
+    prod = np.broadcast_to(start, (trials, *start.shape))
     with np.errstate(over="ignore", invalid="ignore"):  # _block_norms names an overflow
         for law, run in itertools.groupby(range(len(laws)), key=laws.__getitem__):
             run = list(run)
             if invert or run[0] in draws or law.support.moves is None:
-                if pending:  # the diagonal run's + 0.0
-                    prod += 0.0
-                    pending = False
                 for i in run:  # factor i's draws, or its law's dense atoms or steps
                     atoms = draws[i] if i in draws else law.support.atoms if invert else law.steps
                     prod = _step(atoms, digits[i], prod, _right_solve if invert else np.matmul)
@@ -400,8 +397,6 @@ def _sampled_chunk(spec, start, laws, u, draws):
             if not prod.flags.writeable:  # the broadcast start; steps make C-order products
                 prod = prod.copy()
             _scatter(law.moved, digits[run[0]:run[-1] + 1], prod.reshape(-1), base)
-            pending = True
-        if pending:
             prod += 0.0
     return prod, kept
 

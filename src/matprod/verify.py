@@ -460,7 +460,7 @@ def _advanced(bits, draws):
 class CompareRow:
     quantity: str
     empirical: float
-    empirical_kind: str              # "exact" or "estimate"
+    empirical_kind: str              # "exact", "estimate" or "none"
     bound: float
     bound_kind: str
     limit: Optional[float] = None    # UCL (means) or LCL (tails) when estimated
@@ -474,27 +474,15 @@ class CompareRow:
     quality: Optional[str] = None
 
     def to_json(self) -> dict:
-        out = {
-            "quantity": self.quantity,
-            "empirical_kind": self.empirical_kind,
-            "bound": self.bound,
-            "bound_kind": self.bound_kind,
-            "conditions_met": self.conditions_met,
-            "skipped": self.skipped,
-        }
-        if not math.isnan(self.empirical):
-            out["empirical"] = self.empirical
-        if self.limit is not None:
-            out["limit"] = self.limit
-        if self.threshold is not None:
-            out["threshold"] = self.threshold
-        if self.ratio is not None:
-            out["ratio"] = self.ratio
-        if self.note:
-            out["note"] = self.note
-        if self.quality is not None:
-            out["quality"] = self.quality
-        return out
+        """The first six of _ROW_KEYS always, empirical unless NaN, the rest
+        unless None or empty, in that order: the CSV header's."""
+        out = {key: getattr(self, key) for key in _ROW_KEYS}
+        return {k: v for i, (k, v) in enumerate(out.items()) if i < 6 or not (
+            v is None or v == "" or k == "empirical" and math.isnan(v))}
+
+
+_ROW_KEYS = ("quantity", "empirical_kind", "bound", "bound_kind", "conditions_met", "skipped",
+             "empirical", "limit", "threshold", "ratio", "note", "quality")
 
 
 def _stats_for_spec(spec: ProductSpec) -> ProductStats:
@@ -592,15 +580,15 @@ def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED
                 raise
             trials = int(mc_fallback_trials)
             meta["notice"] = "enumeration infeasible; downgraded to Monte Carlo"
-    # estimate key or (tail quantity, threshold) -> (empirical, kind, limit)
+    # (estimate, threshold or None for a mean) -> (empirical, kind, limit)
     if exact is not None:
         meta["source"] = "enumeration"
         meta["outcomes"] = exact.outcomes
-        empirical = {key: (getattr(exact, f), "exact", None) for key, f in ESTIMATE_FIELDS.items()
-                     if getattr(exact, f) is not None}
+        truth = {(key, None): (getattr(exact, f), "exact", None)
+                 for key, f in ESTIMATE_FIELDS.items() if getattr(exact, f) is not None}
         for key, table in (("growth-tail", exact.tail_growth),
                            ("deviation-tail", exact.tail_deviation)):
-            empirical.update({(key, x): (v, "exact", None) for x, v in table.items()})
+            truth.update({(key, x): (v, "exact", None) for x, v in table.items()})
     else:
         meta["source"] = "monte-carlo"
         meta["trials"] = trials
@@ -609,9 +597,9 @@ def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED
             spectral_radius=radius)
         if spec.mode == "inverse":
             meta["excluded"] = len(excluded)
-        empirical = {key: (e.mean, "estimate", e.ci_high) for key, e in estimates.items()}
-        empirical.update({(t.quantity, t.threshold): (t.frequency, "estimate", t.lcl)
-                          for t in tails})
+        truth = {(key, None): (e.mean, "estimate", e.ci_high) for key, e in estimates.items()}
+        truth.update({(t.quantity, t.threshold): (t.frequency, "estimate", t.lcl)
+                      for t in tails})
 
     rows = []
     lr_stats, lr_quality = stats, None
@@ -631,35 +619,31 @@ def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED
                                    note=_UNMET_NEEDS[display.need]))
             continue
         result = display(row_stats, **given)
-        if not result.conditions_met:  # its value is inf
-            rows.append(CompareRow(name, math.nan, "none", result.value, result.kind,
-                                   conditions_met=False, skipped=True, note="condition violated"))
-            continue
-        if display.estimate not in empirical:
-            rows.append(CompareRow(name, math.nan, "none", result.value, result.kind,
-                                   skipped=True, note="no empirical value available"))
-            continue
-        emp, kind, limit = empirical[display.estimate]
-        ratio = result.value / emp if emp > 0 else None
-        rows.append(CompareRow(name, emp, kind, result.value, result.kind, limit=limit,
-                               ratio=ratio, quality=lr_quality if lowrank else None))
-
-    for display, t, result in tail_rows:
-        quantity = f"{display.name}@{t:g}"
-        key = (display.estimate, result.threshold)
-        if key not in empirical:
-            rows.append(CompareRow(quantity, math.nan, "none", result.value,
-                                   result.kind, threshold=result.threshold,
-                                   skipped=True, note="no tail reference available"))
-            continue
-        emp, emp_kind, limit = empirical[key]
-        rows.append(CompareRow(quantity, emp, emp_kind, result.value, result.kind,
-                               limit=limit, threshold=result.threshold,
-                               ratio=result.value / emp if emp > 0 else None,
-                               conditions_met=result.conditions_met,
-                               skipped=not result.conditions_met,
-                               note="" if result.conditions_met else "condition violated"))
+        rows.append(_row(name, display, result, truth.get((display.estimate, None)),
+                         lr_quality if lowrank else None))
+    rows += [_row(f"{d.name}@{t:g}", d, r, truth.get((d.estimate, r.threshold)))
+             for d, t, r in tail_rows]
     return rows, meta
+
+
+def _row(quantity, display, result, truth, quality=None) -> CompareRow:
+    """A display's evaluated row, joined to its truth (empirical, kind, limit)
+    or None, with the result's conditions_met. A failed condition skips it as
+    "condition violated": a failed mean row shows no truth, a failed tail row
+    keeps it. A row in force without a truth is skipped with a note so saying."""
+    tail = "t" in display.args
+    met = result.conditions_met
+    if truth is None or not (met or tail):
+        note = ("condition violated" if not met else
+                "no tail reference available" if tail else "no empirical value available")
+        return CompareRow(quantity, math.nan, "none", result.value, result.kind,
+                          threshold=result.threshold, conditions_met=met, skipped=True,
+                          note=note)
+    emp, kind, limit = truth
+    return CompareRow(quantity, emp, kind, result.value, result.kind, limit=limit,
+                      threshold=result.threshold, ratio=result.value / emp if emp > 0 else None,
+                      conditions_met=met, skipped=not met,
+                      note="" if met else "condition violated", quality=quality)
 
 
 def check_bound_dominance(spec: ProductSpec, p=2.0, q=2.0, trials=0,

@@ -788,6 +788,84 @@ class TestCompareCommand:
         assert len(rows) == 5
         assert rows[0]["quantity"] == "growth-moment"
 
+    def test_tail_row_without_truth_keeps_its_failed_condition(self, capsys, tmp_path):
+        # inverse Monte Carlo has no deviation tails; t = 5 fails t-below-e
+        spec = {"factors": [{"count": 4, "ensemble": {
+            "kind": "bounded-perturbation", "dim": 3, "radius": 0.05, "n_scale": 1.0}}],
+            "mode": "inverse", "z0": "identity"}
+        path = write_config(tmp_path, {"spec": spec, "trials": 64,
+                                       "thresholds_deviation": [0.5, 5.0]})
+        rc, payload, _ = run_json(capsys, "compare", "--config", path)
+        assert rc == 0
+        rows = {r["quantity"]: r for r in payload["rows"]}
+        held, failed = rows["tail-concentration@0.5"], rows["tail-concentration@5"]
+        assert held["conditions_met"] is True
+        assert held["note"] == "no tail reference available"
+        assert failed["conditions_met"] is False and failed["skipped"] is True
+        assert failed["note"] == "condition violated"
+        assert math.isinf(failed["bound"]) and "empirical" not in failed
+
+
+def _bounded(dim, radius, n_scale):
+    return {"kind": "bounded-perturbation", "dim": dim, "radius": radius, "n_scale": n_scale}
+
+
+# one config per `compare` row shape, with the sha256 of its stdout in JSON and in CSV
+COMPARE_OUTPUTS = {
+    "unmet-contraction": (
+        {"spec": {"factors": [{"count": 2, "ensemble": {"kind": "rademacher-rank-one",
+                                                        "dim": 3}}]},
+         "trials": 0, "bounds": ["growth-moment", "contraction-expectation-growth"]},
+        "e6a77170b7e734c8719c52f9dec73530a18379e16b1b0ca2058af94fab81bf61",
+        "351b5cf9e7150f60cdaa517b20a7a9964fc2e1e803e2867d9b815189c836962d"),
+    # every row skipped, so the exit code is 2
+    "unmet-perturbation": (
+        {"spec": {"factors": [{"count": 2, "ensemble": {"kind": "rademacher-rank-one",
+                                                        "dim": 3}}],
+                  "mode": "inverse",
+                  "z0": {"rows": 3, "cols": 3,
+                         "data": [1.0, 0.5, 0.0, 0.0, -1.0, 0.25, 0.0, 0.0, 2.0]}},
+         "trials": 80},
+        "6d63c27ee6b5e3bbeace9f724157bfffbee2a89b637fa2cc713a5af6e5a6fe5f",
+        "84dd04c0e56efeb8b7bb0f38c01b1ff807dbdf5f2eb0981b6c1e4f0ecb505bf9"),
+    # v (1 + 2 log d) > 1 fails expectation-concentration
+    "failed-mean-condition": (
+        {"spec": {"factors": [{"count": 3, "ensemble": _bounded(3, 0.9, 1.0)}]}, "trials": 0},
+        "f3c05ec4cff26102971cec3da1b0907bd1f008661cf0d951aced99bd7fc2d6ec",
+        "64774df2714d0edc690d5b7f0ebdd2563ddacae04ed5b80066739f2ea9ce936e"),
+    # no deviation mean and no deviation tail in inverse Monte Carlo
+    "inverse-monte-carlo-without-truth": (
+        {"spec": {"factors": [{"count": 4, "ensemble": _bounded(3, 0.05, 1.0)}],
+                  "mode": "inverse"},
+         "trials": 64, "thresholds_deviation": [0.5]},
+        "dbbefb2b5433ca9381fb963b6c70e6707459fa99dc38e43d5db5e34d42ab2c1e",
+        "40265d9fd646355be07c841dab529ec251663fc672a06660695852b299c4d89a"),
+    # t = 1.005 lies below e^{2v}: the failed tail row keeps its truth
+    "failed-tail-condition": (
+        {"spec": SCALAR_SPEC, "trials": 0, "thresholds_growth": [1.005, 1.2],
+         "thresholds_deviation": [0.2]},
+        "e2bdb975c180a04be36012514258050edd4422a66bcda192e2c3d6c09057d811",
+        "58b49bd559dc56995626c2723546991951f3d24d62baf3b072682a0ecdf8472b"),
+    "lowrank-lower-estimate": (
+        {"spec": {"factors": [{"count": 3, "ensemble": {"kind": "projector-contraction",
+                                                        "dim": 4}}],
+                  "z0": {"rows": 4, "cols": 1, "data": [1.0, 0.0, 0.0, 0.0]}},
+         "trials": 32, "p": 4.0,
+         "bounds": ["lowrank-growth", "lowrank-concentration", "growth-moment"]},
+        "69f424111c36608041537257e16813640170de4443f92354c509b4c358ee2333",
+        "47b6802e570da6d508964dd3863b5919c8fe5cf857f2565c88ee5ecd12590a24"),
+}
+
+
+@pytest.mark.parametrize("name", list(COMPARE_OUTPUTS))
+def test_compare_row_shapes_are_pinned(capsys, tmp_path, name):
+    config, *digests = COMPARE_OUTPUTS[name]
+    path = write_config(tmp_path, config)
+    for fmt, digest in zip(("json", "csv"), digests):
+        rc, out, _ = run_cli(capsys, "compare", "--config", path, "--format", fmt)
+        assert rc == (2 if name == "unmet-perturbation" else 0)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 @pytest.mark.parametrize("mode", ["independent", "inverse"])
