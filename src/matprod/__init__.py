@@ -74,7 +74,7 @@ from .simulate import (
     summarize_simulation,
     triangular_array_run,
 )
-from .streams import DEFAULT_SEED, substream, substreams
+from .streams import DEFAULT_SEED, substream
 from .verify import (
     CheckReport,
     CompareRow,

@@ -210,10 +210,7 @@ class ProductStats:
 
     @cached_property
     def M(self) -> float:
-        out = 1.0
-        for f in self.factors:
-            out *= f.mean_norm
-        return out
+        return math.prod((f.mean_norm for f in self.factors), start=1.0)
 
     @cached_property
     def v(self) -> float:
@@ -227,21 +224,15 @@ class ProductStats:
 
     @cached_property
     def B(self) -> Optional[float]:
-        out = 1.0
-        for f in self.factors:
-            if f.uniform_norm is None:
-                return None
-            out *= f.uniform_norm
-        return out
+        if any(f.uniform_norm is None for f in self.factors):
+            return None
+        return math.prod((f.uniform_norm for f in self.factors), start=1.0)
 
     @cached_property
     def contraction_M(self) -> Optional[float]:
-        out = 1.0
-        for f in self.factors:
-            if f.contraction is None:
-                return None
-            out *= f.contraction
-        return out
+        if any(f.contraction is None for f in self.factors):
+            return None
+        return math.prod((f.contraction for f in self.factors), start=1.0)
 
     @cached_property
     def contraction_v(self) -> Optional[float]:

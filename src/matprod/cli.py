@@ -371,13 +371,16 @@ def run_verify(seed: int):
 def run_compare(cfg: dict, seed: int, trials_override=None):
     spec = spec_from_config(cfg.get("spec", cfg))
     trials = int(trials_override if trials_override is not None else cfg.get("trials", 0))
+    bounds = cfg.get("bounds")
+    if bounds is not None and not isinstance(bounds, list):
+        raise InvalidInputError("'bounds' must be a list of display names")
     rows, meta = comparison_rows(
         spec,
         p=float(cfg.get("p", 2.0)),
         q=float(cfg.get("q", 2.0)),
         trials=trials,
         seed=seed,
-        bounds=cfg.get("bounds"),
+        bounds=bounds,
         thresholds_growth=_float_list(cfg, "thresholds_growth"),
         thresholds_deviation=_float_list(cfg, "thresholds_deviation"),
         mc_fallback_trials=cfg.get("mc_fallback_trials", 4096),
@@ -431,7 +434,8 @@ Shipped presets: {presets}.
 def _parse_args(argv) -> tuple[str, dict]:
     """The command and the flag values of ``argv``: the command comes first,
     then ``--name value`` or ``--name=value`` pairs, and the last repeat of a
-    flag wins. A flag that is not given is not in the dict."""
+    flag wins. A flag that is not given is not in the dict; an empty value is
+    refused."""
     if not argv or argv[0] not in _COMMANDS:
         raise _UsageError(f"the first argument must be a command: {', '.join(_COMMANDS)}")
     command, flags = argv[0], {}
@@ -441,9 +445,9 @@ def _parse_args(argv) -> tuple[str, dict]:
         if name not in _FLAGS:
             raise _UsageError(f"unknown argument {arg!r} (flags: {', '.join(_FLAGS)})")
         if not eq:
-            value = next(rest, None)
-            if value is None or value.startswith("--"):
-                raise _UsageError(f"{name} needs a value")
+            value = next(rest, "")
+        if not value or not eq and value.startswith("--"):
+            raise _UsageError(f"{name} needs a value")
         try:
             flags[name[2:]] = _FLAGS[name](value)
         except ValueError:
@@ -465,7 +469,7 @@ def main(argv=None) -> int:
         command, flags = _parse_args(argv)
         out_path = flags.get("out")
         fmt = flags.get("format", fmt)
-        cfg = _load_config(flags["config"]) if flags.get("config") else {}
+        cfg = _load_config(flags["config"]) if "config" in flags else {}
         seed = flags["seed"] if "seed" in flags else int(cfg.get("seed", DEFAULT_SEED))
         if seed < 0:
             raise InvalidInputError("seed must be nonnegative")

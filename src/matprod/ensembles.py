@@ -29,7 +29,7 @@ from .schatten import (
     spectral_norm,
     stack_norms,
 )
-from .streams import substreams
+from .streams import substream
 
 # projected_deviation_stat without a finite support: sampled projectors, and
 # draws that estimate each projector's second moment
@@ -453,13 +453,12 @@ def projected_deviation_stat(e: FactorEnsemble, rank):
         probs = e.support.probs
     else:
         devs = np.empty((PROJECTED_TRIALS, e.dim, e.dim))
-        draws = range(PROJECTORS, PROJECTORS + PROJECTED_TRIALS)
-        for k, rng in enumerate(substreams(0, (), draws)):
-            devs[k] = e.draw(rng) - mean
+        for k in range(PROJECTED_TRIALS):
+            devs[k] = e.draw(substream(0, PROJECTORS + k)) - mean
         probs = [1.0 / PROJECTED_TRIALS] * PROJECTED_TRIALS
     best = 0.0
-    for rng in substreams(0, (), range(PROJECTORS)):
-        g = rng.standard_normal((e.dim, e.dim))
+    for k in range(PROJECTORS):
+        g = substream(0, k).standard_normal((e.dim, e.dim))
         qmat, r = np.linalg.qr(g)
         qmat = qmat * np.sign(np.where(np.diag(r) == 0, 1.0, np.diag(r)))
         basis = qmat[:, :rank]  # nested in rank for a fixed stream

@@ -50,7 +50,7 @@ from .schatten import (
     spectral_radii,
     stack_norms,
 )
-from .streams import substreams, uniforms
+from .streams import substream, uniforms
 
 MODES = ("independent", "adapted", "inverse")
 LEVEL = 0.99  # the confidence level of every Monte Carlo limit
@@ -322,7 +322,8 @@ def _stream_reads(spec, samplers, seed, key, ks):
     u = np.empty((len(ks), len(samplers)))
     runs = [list(run) for _, run in itertools.groupby(
         range(len(samplers)), key=lambda i: id(samplers[i]) if i in draws else None)]
-    for t, (row, rng) in enumerate(zip(u, substreams(seed, key, ks))):
+    for t, (row, k) in enumerate(zip(u, ks)):
+        rng = substream(seed, *key, k)
         for run in runs:
             if run[0] in draws:
                 for i, y in zip(run, samplers[run[0]].draws(rng, len(run))):

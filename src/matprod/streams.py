@@ -4,34 +4,29 @@ Trial k of a run seeded with s draws from the stream derived from (s, k).
 Streams depend only on that pair, never on execution order, so estimates are
 reproducible under any batching or parallel schedule.
 
-A stream is numpy's PCG64 seeded by ``SeedSequence(entropy=s, spawn_key=key)``.
-Opening one costs far more than drawing a trial's uniforms from it, so
-``substreams`` opens a whole chunk of trials' streams at once. Their seed
-sequences hash the same words (the seed, zero-padded to the pool size, then the
-key) and differ only in the last one, k. ``SeedSequence(entropy=s,
-spawn_key=key)`` hashes exactly the shared words, so its pool is the chunk's
-shared state; k's mixing step and ``generate_state(4, uint64)`` then run for the
-whole chunk as a few uint32 array operations on ``(T, 4)`` and ``(T, 2, 4)``
-arrays, and each trial's PCG64 is seeded from its row of words. The constants
-below are numpy's SeedSequence constants.
+A stream is numpy's PCG64 seeded by ``SeedSequence(entropy=s, spawn_key=key)``,
+and ``substream`` opens one. Opening one costs far more than drawing a trial's
+uniforms from it, so ``uniforms`` computes a whole chunk of trials' doubles
+without opening a generator. Their seed sequences hash the same words (the
+seed, zero-padded to the pool size, then the key) and differ only in the last
+one, k. ``SeedSequence(entropy=s, spawn_key=key)`` hashes exactly the shared
+words, so its pool is the chunk's shared state; k's mixing step and
+``generate_state(4, uint64)`` then run for the whole chunk as a few uint32
+array operations on ``(T, 4)`` and ``(T, 2, 4)`` arrays. The constants below
+are numpy's SeedSequence constants.
 
-``uniforms`` goes one step further and opens no generator: it computes the
-chunk's doubles from the same words. PCG64 (O'Neill, "PCG", HMC-CS-2014-0905)
-is a 128-bit LCG, state -> a * state + inc mod 2**128 with numpy's multiplier
-a = _PCG_MULT. Seeded with the words (w0, w1, w2, w3), it sets
-inc = 2 * (w2 w3) + 1 and state S = ((w0 w1) + inc) * a + inc, and each draw
-steps the state and outputs its XSL-RR, the 64-bit rotate right of hi ^ lo by
-the top 6 bits of the state; ``random()`` is that output's top 53 bits times
-2**-53. So draw j of a stream has the state a**j * S + (a**(j-1) + ... + 1) * inc
-(Brown, "Random number generation with arbitrary strides", Trans. ANS 1994).
+PCG64 (O'Neill, "PCG", HMC-CS-2014-0905) is a 128-bit LCG,
+state -> a * state + inc mod 2**128 with numpy's multiplier a = _PCG_MULT.
+Seeded with the words (w0, w1, w2, w3), it sets inc = 2 * (w2 w3) + 1 and
+state S = ((w0 w1) + inc) * a + inc, and each draw steps the state and outputs
+its XSL-RR, the 64-bit rotate right of hi ^ lo by the top 6 bits of the state;
+``random()`` is that output's top 53 bits times 2**-53. So draw j of a stream
+has the state a**j * S + (a**(j-1) + ... + 1) * inc (Brown, "Random number
+generation with arbitrary strides", Trans. ANS 1994).
 
 NEP 19 keeps SeedSequence and PCG64 stream-stable across numpy releases, and
-``tests/test_streams.py`` pins ``substreams`` to ``substream``'s generators,
-state for state, and ``uniforms`` to their doubles, bit for bit.
-
-PCG64 reads the seed words through the raw data pointer of the array that
-``generate_state`` returns and ignores its strides, so each row handed over
-must be C-contiguous: a strided view silently seeds another state.
+``tests/test_streams.py`` pins ``uniforms`` to ``substream``'s doubles, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ from __future__ import annotations
 import operator
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
+from numpy.random import SeedSequence, default_rng
 
 # Documented default used by the CLI and the acceptance suite.
 DEFAULT_SEED = 1729
@@ -68,24 +63,7 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     """Generator for the stream identified by (seed, *key)."""
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
-
-
-def substreams(seed: int, key, ks):
-    """Generators equal to ``substream(seed, *key, k)`` for each k in ks, in order.
-
-    The seeds of the whole chunk are hashed together; the generators are made
-    one at a time as the caller takes them. A chunk with a k outside
-    [0, 2**32), whose word count differs, opens each stream with substream.
-    """
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    ks = [operator.index(k) for k in ks]
-    key = tuple(key)
-    if ks and not 0 <= min(ks) <= max(ks) <= _MASK32:
-        return (substream(seed, *key, k) for k in ks)
-    words = _chunk_state(seed, key, np.array(ks, dtype=np.uint32))
-    return (np.random.Generator(np.random.PCG64(_Words(row))) for row in words)
+    return default_rng(SeedSequence(entropy=seed, spawn_key=tuple(key)))
 
 
 def uniforms(seed: int, key, ks, n: int) -> np.ndarray:
@@ -103,8 +81,8 @@ def uniforms(seed: int, key, ks, n: int) -> np.ndarray:
     summation order, and each double's bits are 2**52's exponent bits over
     its group. Integer array operations then carry the groups into the
     state's two words and apply the output rule. A row of more than
-    _CLOSED_DRAWS draws, or a chunk with a k outside [0, 2**32), reads
-    ``substreams``' generators instead.
+    _CLOSED_DRAWS draws, or a chunk with a k outside [0, 2**32), is read
+    from each trial's ``substream`` instead.
     """
     if seed < 0:
         raise ValueError("seed must be nonnegative")
@@ -112,12 +90,12 @@ def uniforms(seed: int, key, ks, n: int) -> np.ndarray:
     key = tuple(key)
     if not 0 < n <= _CLOSED_DRAWS or ks and not 0 <= min(ks) <= max(ks) <= _MASK32:
         out = np.empty((len(ks), n))
-        for row, rng in zip(out, substreams(seed, key, ks)):
-            rng.random(out=row)
+        for row, k in zip(out, ks):
+            substream(seed, *key, k).random(out=row)
         return out
     words = _chunk_state(seed, key, np.array(ks, dtype=np.uint32))
     limbs = np.ones((len(ks), 17))  # x's limbs, then y's, little end first, then a 1
-    limbs[:, :16] = np.ascontiguousarray(words[:, [1, 0, 3, 2]], dtype="<u8").view("<u2")
+    limbs[:, :16] = np.ascontiguousarray(words[:, [2, 3, 0, 1, 6, 7, 4, 5]], dtype="<u4").view("<u2")
     groups = np.matmul(limbs, _JUMPS[:, :, :n]).view(np.uint64)
     groups -= _BITS_2_52
     g0, g1, hi, g3 = groups  # each (T, n), least significant first
@@ -136,18 +114,6 @@ def uniforms(seed: int, key, ks, n: int) -> np.ndarray:
     hi |= lo
     hi >>= 11
     return hi * 2.0**-53
-
-
-class _Words(ISeedSequence):
-    """A seed sequence that hands PCG64 its four precomputed uint64 words."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
 
 
 def _hash_consts(init, mult, skip, count):
@@ -183,17 +149,16 @@ def _word_count(n):
 
 
 def _chunk_state(seed, key, ks):
-    """(T, 4) C-contiguous uint64 PCG64 seeds of the streams (seed, *key, k), for k
-    in the uint32 array ks."""
+    """(T, 8) uint32 words of the streams' PCG64 seeds, w0's low half first, for
+    the streams (seed, *key, k) with k in the uint32 array ks."""
     # SeedSequence(seed, key) hashes every word of (seed, *key, k) but k, so its
     # pool is what the chunk shares: a seed shorter than the pool hashes as if
     # zero-padded, as the trials' sequences pad it. Each padded word took 4 hashes.
-    shared = np.random.SeedSequence(entropy=seed, spawn_key=key)
+    shared = SeedSequence(entropy=seed, spawn_key=key)
     words = max(_word_count(seed), _POOL) + sum(_word_count(part) for part in key)
     last = _hash(ks[:, None], *_hash_consts(_INIT_A, _MULT_A, 4 * words, _POOL))
     mixed = _mix(shared.pool, last)
-    state = _hash(mixed[:, None], _STATE_BEFORE, _STATE_AFTER).reshape(len(ks), 2 * _POOL)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    return _hash(mixed[:, None], _STATE_BEFORE, _STATE_AFTER).reshape(len(ks), 2 * _POOL)
 
 
 def _jump_table(n):

@@ -32,7 +32,7 @@ from .simulate import (
     enumerate_product,
     summarize_simulation,
 )
-from .streams import DEFAULT_SEED, substream, substreams
+from .streams import DEFAULT_SEED, substream
 
 TOLERANCE = 1e-9
 EQUALITY_TOLERANCE = 1e-10
@@ -249,8 +249,8 @@ def check_subquadratic(p, q, trials=1000, seed=DEFAULT_SEED, constant=None) -> C
     name = "subquadratic" if constant is None else f"subquadratic-constant-{constant:g}"
     col = _Collector(name, TOLERANCE, seed)
     c_value = (p - 1.0) if constant is None else float(constant)
-    for rng in substreams(seed, (), range(trials)):
-        states = _subquadratic_states(rng)
+    for k in range(trials):
+        states = _subquadratic_states(substream(seed, k))
         _validate_states(states)
         w = 1.0 / len(states)
         # one norm stack per trial; terms[k] = (sum it enters: X, X + Y or Y, weight)
@@ -298,7 +298,8 @@ def check_martingale_bound(p, q, n=6, trials=100, seed=DEFAULT_SEED) -> CheckRep
             f"2^{n} paths exceed the {MARTINGALE_PATH_BUDGET} budget",
             required=2**n, budget=MARTINGALE_PATH_BUDGET)
     col = _Collector("martingale-transform", TOLERANCE, seed)
-    for i, rng in enumerate(substreams(seed, (), range(trials))):
+    for i in range(trials):
+        rng = substream(seed, i)
         dim = MARTINGALE_DIMS[i % len(MARTINGALE_DIMS)]
         depth = int(rng.integers(1, n + 1))
         base = rng.standard_normal((depth, dim, dim))
@@ -360,7 +361,8 @@ def check_factor_contraction(p, q, trials=200, seed=DEFAULT_SEED) -> CheckReport
     if not (2.0 <= q <= p):
         raise InvalidParameterError("need 2 <= q <= p")
     col = _Collector("contraction-factor", TOLERANCE, seed)
-    for rng in substreams(seed, (), range(trials)):
+    for k in range(trials):
+        rng = substream(seed, k)
         d = int(rng.integers(1, 6))
         r = int(rng.integers(1, 5))
         ky = int(rng.integers(1, 4))
@@ -461,8 +463,8 @@ class CompareRow:
     quantity: str
     empirical: float
     empirical_kind: str              # "exact", "estimate" or "none"
-    bound: float
-    bound_kind: str
+    bound: Optional[float]           # None on an unmet-need row: nothing was evaluated
+    bound_kind: Optional[str]
     limit: Optional[float] = None    # UCL (means) or LCL (tails) when estimated
     threshold: Optional[float] = None
     ratio: Optional[float] = None
@@ -615,7 +617,7 @@ def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED
             row_stats = _inverse_stats(stats)
         if row_stats is None or (display.need in _UNMET_NEEDS
                                  and not row_stats.meets(display.need)):
-            rows.append(CompareRow(name, math.nan, "none", math.nan, name, skipped=True,
+            rows.append(CompareRow(name, math.nan, "none", None, None, skipped=True,
                                    note=_UNMET_NEEDS[display.need]))
             continue
         result = display(row_stats, **given)

@@ -110,6 +110,9 @@ class TestUsage:
         ["simulate", "--config", "two-point-scalar", "--trials", "many"],
         ["bound", "--config", "lt-scenario", "--format", "xml"],
         ["bound", "--config", "lt-scenario", "--format="],
+        ["bound", "--config="],
+        ["bound", "--config", ""],
+        ["bound", "--config", "lt-scenario", "--out="],
         ["compare", "--seed", "7", "--trials", "10"],
     ], ids=" ".join)
     def test_usage_errors(self, capsys, argv):
@@ -770,6 +773,14 @@ class TestCompareCommand:
         assert payload["error"] == {"code": "invalid-input",
                                     "message": "the start z0 is singular, which has no inverse"}
 
+    def test_bounds_must_be_a_list(self, capsys, tmp_path):
+        # a string would be read as a list of one-letter display names
+        path = write_config(tmp_path, {"spec": SCALAR_SPEC, "bounds": "growth-moment"})
+        rc, payload, _ = run_json(capsys, "compare", "--config", path)
+        assert rc == 1
+        assert payload["error"] == {"code": "invalid-input",
+                                    "message": "'bounds' must be a list of display names"}
+
     def test_default_fallback_downgrades(self, capsys, tmp_path):
         big = dict(SCALAR_SPEC, factors=[dict(SCALAR_SPEC["factors"][0], count=21)])
         path = write_config(tmp_path, {"spec": big, "trials": 0,
@@ -810,14 +821,15 @@ def _bounded(dim, radius, n_scale):
     return {"kind": "bounded-perturbation", "dim": dim, "radius": radius, "n_scale": n_scale}
 
 
-# one config per `compare` row shape, with the sha256 of its stdout in JSON and in CSV
+# one config per `compare` row shape, with the sha256 of its stdout in JSON and in CSV;
+# an unmet-need row evaluated no bound, so its bound and kind are null
 COMPARE_OUTPUTS = {
     "unmet-contraction": (
         {"spec": {"factors": [{"count": 2, "ensemble": {"kind": "rademacher-rank-one",
                                                         "dim": 3}}]},
          "trials": 0, "bounds": ["growth-moment", "contraction-expectation-growth"]},
-        "e6a77170b7e734c8719c52f9dec73530a18379e16b1b0ca2058af94fab81bf61",
-        "351b5cf9e7150f60cdaa517b20a7a9964fc2e1e803e2867d9b815189c836962d"),
+        "e98af0e614b3480f9a9af761c89b451039dc511d63f068cd81bcd450f40e58b4",
+        "a1d8fb9ae6578284164cfe3cfa0da1e4da69a6c7d43da547c8852ef663a25701"),
     # every row skipped, so the exit code is 2
     "unmet-perturbation": (
         {"spec": {"factors": [{"count": 2, "ensemble": {"kind": "rademacher-rank-one",
@@ -826,8 +838,8 @@ COMPARE_OUTPUTS = {
                   "z0": {"rows": 3, "cols": 3,
                          "data": [1.0, 0.5, 0.0, 0.0, -1.0, 0.25, 0.0, 0.0, 2.0]}},
          "trials": 80},
-        "6d63c27ee6b5e3bbeace9f724157bfffbee2a89b637fa2cc713a5af6e5a6fe5f",
-        "84dd04c0e56efeb8b7bb0f38c01b1ff807dbdf5f2eb0981b6c1e4f0ecb505bf9"),
+        "fe1d2b2c872312ce56cbae3d0eba2cf7a7a421bebc1e90d8aa8d2f90cba017e9",
+        "080b0af5ba889292c6fe3e965e0a1756af1ebc30e5f59c86dabd828405c84b04"),
     # v (1 + 2 log d) > 1 fails expectation-concentration
     "failed-mean-condition": (
         {"spec": {"factors": [{"count": 3, "ensemble": _bounded(3, 0.9, 1.0)}]}, "trials": 0},
@@ -857,6 +869,12 @@ COMPARE_OUTPUTS = {
 }
 
 
+def _refuse_nan(token):
+    if token == "NaN":
+        raise ValueError("compare printed a NaN")
+    return float(token)
+
+
 @pytest.mark.parametrize("name", list(COMPARE_OUTPUTS))
 def test_compare_row_shapes_are_pinned(capsys, tmp_path, name):
     config, *digests = COMPARE_OUTPUTS[name]
@@ -865,6 +883,8 @@ def test_compare_row_shapes_are_pinned(capsys, tmp_path, name):
         rc, out, _ = run_cli(capsys, "compare", "--config", path, "--format", fmt)
         assert rc == (2 if name == "unmet-perturbation" else 0)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+        if fmt == "json":  # Infinity is the one non-finite token a row may print
+            json.loads(out, parse_constant=_refuse_nan)
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
@@ -957,6 +977,13 @@ def test_import_leaves_scipy_stats_and_linalg_unloaded():
     # any scipy module is about half of a cold start, and every CLI run pays it
     out = run_fresh_python(f"import sys, matprod, matprod.cli; {LOADED_SCIPY}")
     assert out == ["[]"]
+
+
+def test_import_loads_numpy_random():
+    # streams opens generators and hashes seeds with numpy.random; deferring
+    # its import to the first call made certify-exact's first job 21% slower
+    out = run_fresh_python("import sys, matprod; print('numpy.random' in sys.modules)")
+    assert out == ["True"]
 
 
 def test_first_call_loads_no_argparse_locale_or_scipy():

@@ -374,7 +374,7 @@ class TestBatchedKernel:
 
     def test_uniforms_are_the_stacked_rows(self):
         ks = range(5, 42)
-        want = np.stack([rng.random(23) for rng in simulate.substreams(7, (2, 1), ks)])
+        want = np.stack([substream(7, 2, 1, k).random(23) for k in ks])
         got = uniforms(ProductSpec((make_rademacher_rank_one(2),) * 23, np.eye(2)), 7, ks, (2, 1))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert got[3].tobytes() == substream(7, 2, 1, 8).random(23).tobytes()
@@ -813,11 +813,11 @@ class TestDrawnFactors:
         # reads 3 and 5 of each trial's normals come out zero, and so does
         # read 30, the first of a sphere-only trial's top-up
         spec, zeros = make_spec(), {3, 5, 30}
-        opened = simulate.substreams
-        monkeypatch.setattr(simulate, "substreams", lambda *args: [
-            ZeroingStream(rng, zeros, spec.d) for rng in opened(*args)])
-        sim = assert_matches_reference(
-            spec, 6, seed=5, stream=lambda *args: ZeroingStream(substream(*args), zeros, spec.d))
+
+        def stream(*args):
+            return ZeroingStream(substream(*args), zeros, spec.d)
+        monkeypatch.setattr(simulate, "substream", stream)
+        sim = assert_matches_reference(spec, 6, seed=5, stream=stream)
         monkeypatch.undo()
         plain = simulate_product(spec, 6, seed=5)
         assert len(sim.z) == len(plain.z) == 6
@@ -1814,7 +1814,7 @@ class TestTriangularArrayRun:
                 math.sqrt(r.n) * r.deviation_from_mean.std_error, rel=1e-14)
             assert r.deviation_from_exponential.mean > 0.0
 
-    def test_rows_use_disjoint_substreams_and_reproduce(self):
+    def test_rows_use_disjoint_streams_and_reproduce(self):
         a = 0.1 * np.eye(2)
         first = triangular_array_run(a, 0.5, 2, (3, 3), trials=16, seed=8)
         again = triangular_array_run(a, 0.5, 2, (3, 3), trials=16, seed=8)

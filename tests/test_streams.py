@@ -1,27 +1,17 @@
-"""Chunked stream opening: substreams gives substream's generators bit for bit,
-and uniforms their doubles without opening them."""
+"""Streams: uniforms gives substream's doubles bit for bit without opening a
+generator, and the Monte Carlo kernel opens one only for a drawn factor."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matprod import streams
-from matprod.ensembles import make_bounded_perturbation, projected_deviation_stat
+from matprod import simulate, streams
+from matprod.ensembles import make_bounded_perturbation
 from matprod.simulate import ProductSpec, summarize_simulation
-from matprod.streams import substream, substreams, uniforms
-from matprod.verify import check_subquadratic
+from matprod.streams import substream, uniforms
 
 WORD = 2**32
-
-
-def assert_same_streams(seed, key, ks):
-    got = list(substreams(seed, key, ks))
-    assert len(got) == len(ks)
-    for k, rng in zip(ks, got):
-        want = substream(seed, *key, k)
-        assert rng.bit_generator.state == want.bit_generator.state, k
-        assert rng.random(64).tobytes() == want.random(64).tobytes(), k
 
 
 def assert_same_uniforms(seed, key, ks, n):
@@ -46,38 +36,6 @@ trial_ranges = st.one_of(
 )
 
 
-class TestSubstreams:
-    @given(seed=st.integers(0, 2**130 - 1),
-           key=st.lists(st.integers(0, 2**70 - 1), max_size=3),
-           ks=trial_ranges)
-    def test_equals_substream(self, seed, key, ks):
-        assert_same_streams(seed, tuple(key), ks)
-
-    @pytest.mark.parametrize("seed", [0, 1729, WORD, 3**90])
-    def test_trial_numbers_past_one_word_fall_back(self, seed):
-        assert_same_streams(seed, (4,), range(WORD - 3, WORD + 3))
-
-    def test_empty_range(self):
-        assert list(substreams(5, (1,), range(0))) == []
-
-    def test_negative_seed_raises_like_substream(self):
-        want = raised(lambda: substream(-1, 0))
-        assert raised(lambda: list(substreams(-1, (), range(2)))) is want
-
-    @pytest.mark.parametrize("key", [(), (3,)])
-    def test_negative_trial_number_raises_like_substream(self, key):
-        want = raised(lambda: substream(3, *key, -1))
-        assert raised(lambda: list(substreams(3, key, [-1, 0]))) is want
-        assert raised(lambda: list(substreams(3, (*key, -2), [0]))) is want
-
-    def test_chunk_of_8192(self):
-        assert_same_streams(1729, (2, 7), range(8192))
-
-    def test_seed_words_are_c_contiguous(self):
-        words = streams._chunk_state(11, (3,), np.arange(5, dtype=np.uint32))
-        assert words.shape == (5, 4) and words.flags.c_contiguous
-
-
 class TestUniforms:
     @given(seed=st.integers(0, 2**130 - 1),
            key=st.lists(st.integers(0, 2**70 - 1), max_size=3),
@@ -100,6 +58,12 @@ class TestUniforms:
         want = raised(lambda: substream(-1, 0))
         assert raised(lambda: uniforms(-1, (), range(2), 3)) is want
 
+    @pytest.mark.parametrize("key", [(), (3,)])
+    def test_negative_trial_number_raises_like_substream(self, key):
+        want = raised(lambda: substream(3, *key, -1))
+        assert raised(lambda: uniforms(3, key, [-1, 0], 5)) is want
+        assert raised(lambda: uniforms(3, (*key, -2), [0], 5)) is want
+
     def test_jump_table_sums_are_exact(self):
         # 16 limbs below 2**16 and a 1 against a column stay below 2**53, so
         # every partial sum of the float64 matmul is an exact integer
@@ -110,46 +74,27 @@ class TestUniforms:
         assert ((2**16 - 1) * table[:, :16].sum(axis=1) + table[:, 16]).max() < 2**53
 
 
-def count_generators(monkeypatch):
-    """The np.random.Generator objects made from now on."""
-    made = []
-    generator = np.random.Generator
-
-    def counting(bits):
-        made.append(bits)
-        return generator(bits)
-
-    monkeypatch.setattr(np.random, "Generator", counting)
-    return made
-
-
 class TestChunkedCallers:
-    """The per-trial stream loops never open a stream one at a time."""
+    """A finite-support chunk computes its uniforms; a trial with a drawn factor
+    opens its own stream."""
 
-    @pytest.fixture(autouse=True)
-    def no_single_streams(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("a per-trial stream was opened with substream")
-
-        monkeypatch.setattr(streams, "substream", fail)
-
-    @pytest.mark.parametrize("mode,supports,generators", [
+    @pytest.mark.parametrize("mode,supports,opened", [
         ("independent", ["two-point"], 0),
         ("independent", ["uniform-sphere"], 50),
         ("inverse", ["two-point"], 0),
         ("independent", ["two-point", "uniform-sphere"], 50),
     ], ids=["independent-two-point", "independent-uniform-sphere", "inverse-two-point",
             "independent-mixed"])
-    def test_summaries(self, mode, supports, generators, monkeypatch):
-        # a finite-support chunk computes its uniforms and opens no generator;
-        # a drawn factor reads its normals from each trial's generator
-        made = count_generators(monkeypatch)
+    def test_summaries(self, mode, supports, opened, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return substream(*args)
+
+        monkeypatch.setattr(simulate, "substream", counting)
         factors = [make_bounded_perturbation(3, 0.2 * np.eye(3), 0.3, 4, support)
                    for support in supports]
         summarize_simulation(ProductSpec(tuple(factors) * 4, np.eye(3), mode=mode), 50, 7)
-        assert len(made) == generators
+        assert len(calls) == opened
 
-    def test_checks_and_factor_stats(self):
-        check_subquadratic(4.0, 2.0, trials=5, seed=3)
-        projected_deviation_stat(
-            make_bounded_perturbation(2, 0.1 * np.eye(2), 0.3, 2, "uniform-sphere"), 1)

@@ -463,7 +463,8 @@ class TestComparisonRows:
                 spec, trials=trials,
                 bounds=["growth-moment", "contraction-expectation-growth"])[0]
             assert not growth.skipped
-            assert contraction.skipped and math.isnan(contraction.bound)
+            assert contraction.skipped and contraction.bound is None
+            assert contraction.bound_kind is None
             assert contraction.note == "factors carry no contraction statistics"
 
     def test_lowrank_rows_exact(self):
