@@ -28,7 +28,6 @@ from .bounds import (
 from .ensembles import (
     FactorEnsemble,
     FactorStats,
-    ensemble_from_config,
     householder_direction,
     make_bounded_perturbation,
     make_rademacher_rank_one,
@@ -70,7 +69,6 @@ from .simulate import (
     enumerate_product,
     expected_product,
     simulate_product,
-    spec_from_config,
     summarize_simulation,
     triangular_array_run,
 )

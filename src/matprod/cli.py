@@ -28,16 +28,16 @@ from .bounds import (
     scalar_reference_bounds,
     scenario_lt_bounds,
 )
-from .ensembles import FactorStats
+from .ensembles import (
+    FactorEnsemble,
+    FactorStats,
+    make_bounded_perturbation,
+    make_rademacher_rank_one,
+    make_random_projector_contraction,
+)
 from .errors import InvalidInputError, InvalidParameterError, MatprodError, NothingToCheckError
 from .schatten import format_float, matrix_from_json, matrix_to_json
-from .simulate import (
-    ESTIMATE_FIELDS,
-    enumerate_product,
-    factor_count,
-    spec_from_config,
-    summarize_simulation,
-)
+from .simulate import ESTIMATE_FIELDS, ProductSpec, enumerate_product, summarize_simulation
 from .streams import DEFAULT_SEED
 from .verify import comparison_rows, default_suite
 
@@ -116,11 +116,7 @@ def _csv_cell(value) -> str:
 def _rows_to_csv(rows) -> str:
     import csv  # its only user; a JSON run need not load it
 
-    header = []
-    for row in rows:
-        for key in row:
-            if key not in header:
-                header.append(key)
+    header = list(dict.fromkeys(key for row in rows for key in row))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -154,18 +150,12 @@ def _payload_to_csv(payload: dict) -> str:
     if task == "compare":
         return _rows_to_csv(payload["rows"])
     if task == "verify":
-        rows = []
-        for rep in payload["reports"]:
-            row = {k: rep[k] for k in ("name", "instances", "violations", "worst_margin",
-                                       "tolerance", "seed", "passed", "negative_control")}
-            rows.append(row)
-        return _rows_to_csv(rows)
+        keys = ("name", "instances", "violations", "worst_margin", "tolerance", "seed",
+                "passed", "negative_control")
+        return _rows_to_csv([{k: rep[k] for k in keys} for rep in payload["reports"]])
     if task == "simulate":
-        rows = []
-        for est in payload.get("estimates", {}).values():
-            rows.append(dict({"record": "estimate"}, **est))
-        for est in payload.get("tails", []):
-            rows.append(dict({"record": "tail"}, **est))
+        rows = [dict(record="estimate", **est) for est in payload.get("estimates", {}).values()]
+        rows += [dict(record="tail", **est) for est in payload.get("tails", [])]
         for key, value in payload.items():
             if key in ("task", "estimates", "tails", "per_trial_spectral_norms", "mean"):
                 continue
@@ -194,107 +184,227 @@ def _emit_error(code: str, message: str, out: str | None):
 
 
 # ---------------------------------------------------------------------------
-# config fragments
+# the config format: a field table per config object, name -> (parser, default)
 
-def _stats_from_config(cfg: dict) -> ProductStats:
-    entries = cfg.get("factors")
-    if not entries:
-        raise InvalidInputError("bound config needs a 'factors' list of statistics")
-    allowed = {f.name for f in dataclasses.fields(FactorStats)}
-    factors = []
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise InvalidInputError("each factor entry must be an object")
-        body = entry.get("stats", entry)
-        count = factor_count(entry)
-        unknown = set(body) - allowed - {"count"}
-        if unknown:
-            raise InvalidInputError(f"unknown factor statistic fields: {sorted(unknown)}")
-        stats = FactorStats(**{k: body[k] for k in allowed if k in body})
-        factors.extend([stats] * count)
-    d = cfg.get("d")
-    z0_obj = cfg.get("z0", "identity")
-    if z0_obj == "identity":
-        if d is None:
-            raise InvalidInputError("need 'd' when z0 is the identity")
-        z0 = np.eye(int(d))
-    else:
-        z0 = matrix_from_json(z0_obj)
-        d = z0.shape[0] if d is None else int(d)
-    return ProductStats.from_factors(factors, int(d), z0,
-                                     projected_rank=cfg.get("projected_rank"))
+_REQUIRED = dataclasses.MISSING  # the default of a field that must be given
 
 
-def _float_list(cfg, key):
-    values = cfg.get(key, [])
-    if not isinstance(values, list):
-        raise InvalidInputError(f"'{key}' must be a list of numbers")
-    return [float(x) for x in values]
+def _read(obj, what: str, fields: dict) -> dict:
+    """The values of config object ``obj``, each given one parsed and each absent one
+    its default. A key the table does not name, or a missing required field, is refused."""
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"{what} must be an object")
+    unknown = [key for key in obj if key not in fields]
+    if unknown:
+        raise InvalidInputError(f"unknown {what} key(s) {', '.join(map(repr, unknown))} "
+                                f"(fields: {', '.join(fields)})")
+    values = {}
+    for name, (parse, default) in fields.items():
+        if name not in obj:
+            if default is _REQUIRED:
+                raise InvalidInputError(f"{what} needs field {name!r}")
+            values[name] = default
+            continue
+        try:
+            values[name] = parse(obj[name])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInputError(f"{what} field {name!r}: {exc}") from None
+    return values
+
+
+def _read_kind(obj, what: str, kinds: dict):
+    """The kind of a config object that names one, and its values by that kind's table."""
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise InvalidInputError(f"{what} 'kind' must be one of: {', '.join(kinds)}")
+    return kind, _read(obj, f"{kind} {what}", kinds[kind])
+
+
+def _raw(value):
+    return value
+
+
+def _int(value) -> int:
+    # int() would read true as 1 and cut 2.9 to 2
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not true or false")
+    return value
+
+
+def _optional(parse):
+    return lambda value: None if value is None else parse(value)
+
+
+def _floats(value) -> list:
+    if not isinstance(value, list):
+        raise ValueError("not a list of numbers")
+    return [float(x) for x in value]
+
+
+def _bounds(value):
+    if value is not None and not isinstance(value, list):
+        raise InvalidInputError("'bounds' must be a list of display names")
+    return value
+
+
+def _z0(value):
+    return value if value == "identity" else matrix_from_json(value)
+
+
+def _factors(what: str, fields: dict, build):
+    """The parser of a 'factors' list. An entry holds the fields of ``what`` and an
+    optional positive 'count': ``count`` copies of the one object ``build`` makes."""
+    fields = {**fields, "count": _COUNT}
+
+    def parse(entries):
+        if not isinstance(entries, list) or not entries:
+            raise InvalidInputError(f"'factors' must be a nonempty list of {what} entries")
+        factors = []
+        for entry in entries:
+            values = _read(entry, what, fields)
+            count = values.pop("count")
+            if count < 1:
+                raise InvalidInputError("factor count must be positive")
+            factors.extend([build(values)] * count)
+        return factors
+    return parse
+
+
+def ensemble_from_config(obj) -> FactorEnsemble:
+    """Build an ensemble from its JSON object form (kind discriminator)."""
+    kind, f = _read_kind(obj, "ensemble", _ENSEMBLES)
+    if kind == "bounded-perturbation":
+        mean = np.zeros((f["dim"],) * 2) if f["mean"] is None else f["mean"]
+        return make_bounded_perturbation(f["dim"], mean, f["radius"], f["n_scale"],
+                                         f["support"])
+    if kind == "rademacher-rank-one":
+        return make_rademacher_rank_one(f["dim"])
+    return make_random_projector_contraction(f["dim"], f["projector_kind"], f["rows"])
+
+
+def _spec(f: dict) -> ProductSpec:
+    z0 = np.eye(f["factors"][0].dim) if isinstance(f["z0"], str) else f["z0"]
+    return ProductSpec(factors=tuple(f["factors"]), z0=z0, mode=f["mode"])
+
+
+def spec_from_config(obj) -> ProductSpec:
+    """Build a ProductSpec from its JSON object form."""
+    return _spec(_read(obj, "product spec", _SPEC))
+
+
+_KIND, _INT, _FLOAT = (_raw, _REQUIRED), (_int, _REQUIRED), (float, _REQUIRED)
+_FLOATS, _COUNT, _MATRIX = (_floats, []), (_int, 1), (_optional(matrix_from_json), None)
+_ENSEMBLES = {
+    "bounded-perturbation": {"kind": _KIND, "dim": _INT, "mean": _MATRIX,
+                             "radius": _FLOAT, "n_scale": _FLOAT, "support": (_raw, "two-point")},
+    "rademacher-rank-one": {"kind": _KIND, "dim": _INT},
+    "projector-contraction": {"kind": _KIND, "dim": _INT, "projector_kind": (_raw, "coordinate"),
+                              "rows": _MATRIX},
+}
+_SPEC_FACTOR = {"ensemble": (ensemble_from_config, _REQUIRED)}
+_SPEC = {"factors": (_factors("spec factor", _SPEC_FACTOR, lambda f: f["ensemble"]), _REQUIRED),
+         "z0": (_z0, "identity"), "mode": (_raw, "independent")}
+_FACTOR_STATS = {f.name: (_raw, f.default) for f in dataclasses.fields(FactorStats)}
+_INVERSE_FACTOR = {"xi": _FLOAT, "sigma": _FLOAT}
+
+# the fields of every top-level config, besides its command's own
+_ROOT = {"task": (_raw, None), "seed": (_int, DEFAULT_SEED)}
+_STATS = {**_ROOT, "kind": _KIND, "factors": (_factors(
+              "factor statistics", _FACTOR_STATS, lambda f: FactorStats(**f)), _REQUIRED),
+          "d": (_optional(_int), None), "z0": (_z0, "identity"),
+          "projected_rank": (_optional(_int), None),
+          "p": (float, 2.0), "q": (float, 2.0), "refine": (_bool, False)}
+_TAILS = {"tail_growth_t": _FLOATS, "tail_concentration_t": _FLOATS}
+_PERTURBATION = {**_ROOT, "kind": _KIND, "d": _INT, "s": _FLOATS, "t": _FLOATS}
+_BOUND = {
+    "moment": {**_STATS, **_TAILS},
+    "perturbation": {**_PERTURBATION, "xi": _FLOAT, "v": _FLOAT},
+    "scenario-lt": {**_ROOT, "kind": _KIND, "T": _FLOAT, "L": _FLOAT, "n": _INT, "d": _INT,
+                    "delta": (float, 0.01)},
+    "inverse": {**_ROOT, "kind": _KIND, "d": _INT, "t": _FLOATS, "factors": (_factors(
+        "inverse factor", _INVERSE_FACTOR, lambda f: (f["xi"], f["sigma"])), _REQUIRED)},
+    "contraction": {**_STATS, "t": _FLOATS},
+    "lowrank": {**_STATS, **_TAILS},
+    "scalar": {**_ROOT, "kind": _KIND, "mu": _FLOAT, "b": _FLOAT, "n": _INT,
+               "s_value": (_optional(float), None), "t_value": (_optional(float), None)},
+}
+# perturbation given as n steps of radius b around a mean drift mu
+_SCENARIO = {**_PERTURBATION, "n": _INT, "b": _FLOAT, "mu": (float, 0.0)}
+_RUN = {**_ROOT, "spec": (spec_from_config, None), "trials": (_int, 0), "p": (float, 2.0),
+        "q": (float, 2.0), "thresholds_growth": _FLOATS, "thresholds_deviation": _FLOATS}
+_SIMULATE = {**_RUN, "quantities": (_raw, None), "per_trial": (_bool, False)}
+_COMPARE = {**_RUN, "bounds": (_bounds, None), "mc_fallback_trials": (_optional(_int), 4096)}
+
+
+def _read_run(cfg: dict, what: str, fields: dict) -> dict:
+    """The values of a simulate or compare config, its spec built. A config
+    without 'spec' is its own spec, and takes the spec's fields besides its own."""
+    if "spec" in cfg:
+        return _read(cfg, what, fields)
+    values = _read(cfg, what, {**fields, **_SPEC})
+    values["spec"] = _spec(values)
+    return values
+
+
+def _seed(values: dict, flags: dict) -> int:
+    seed = flags.get("seed", values["seed"])
+    if seed < 0:
+        raise InvalidInputError("seed must be nonnegative")
+    return seed
+
+
+def _product_stats(f: dict) -> ProductStats:
+    if isinstance(f["z0"], str) and f["d"] is None:
+        raise InvalidInputError("need 'd' when z0 is the identity")
+    z0 = np.eye(f["d"]) if isinstance(f["z0"], str) else f["z0"]
+    d = z0.shape[0] if f["d"] is None else f["d"]
+    return ProductStats.from_factors(f["factors"], d, z0, projected_rank=f["projected_rank"])
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def run_bound(cfg: dict, seed: int):
-    kind = cfg.get("kind")
-    results = []
-    payload = {"task": "bound", "kind": kind, "seed": seed}
+def run_bound(cfg: dict, flags: dict):
+    scenario = cfg.get("kind") == "perturbation" and ("b" in cfg or "n" in cfg)
+    kind, f = _read_kind(cfg, "bound config",
+                         dict(_BOUND, perturbation=_SCENARIO) if scenario else _BOUND)
+    payload = {"task": "bound", "kind": kind, "seed": _seed(f, flags)}
 
     if kind in ("moment", "contraction", "lowrank"):
-        stats = _stats_from_config(cfg)
-        if kind == "contraction":
-            thresholds = {"deviation-tail": _float_list(cfg, "t")}
-        else:
-            thresholds = {"growth-tail": _float_list(cfg, "tail_growth_t"),
-                          "deviation-tail": _float_list(cfg, "tail_concentration_t")}
-        results = evaluate_kind(kind, stats, thresholds, p=float(cfg.get("p", 2.0)),
-                                q=float(cfg.get("q", 2.0)), refine=bool(cfg.get("refine", False)))
+        thresholds = {"deviation-tail": f["t"]} if kind == "contraction" else {
+            "growth-tail": f["tail_growth_t"], "deviation-tail": f["tail_concentration_t"]}
+        results = evaluate_kind(kind, _product_stats(f), thresholds, p=f["p"], q=f["q"],
+                                refine=f["refine"])
         if not results:
             raise InvalidInputError(f"the factor statistics meet the needs of no {kind} bound")
     elif kind == "perturbation":
-        d = int(cfg["d"])
-        if "b" in cfg or "n" in cfg:
-            # scenario form: n steps of radius b around a mean drift mu
-            n = int(cfg["n"])
+        if scenario:
+            n, b, xi = f["n"], f["b"], f["mu"]
             if n < 1:
                 raise InvalidParameterError("n must be positive")
-            b = float(cfg["b"])
-            xi = float(cfg.get("mu", 0.0))
             v = b * b / n
-            payload["scenario"] = {"d": d, "n": n, "b": b, "mu": xi, "v": v}
+            payload["scenario"] = {"d": f["d"], "n": n, "b": b, "mu": xi, "v": v}
         else:
-            xi = float(cfg["xi"])
-            v = float(cfg["v"])
-        stats = PerturbationStats(xi, v, d)
-        results = evaluate_kind(kind, stats, {
-            "growth-tail": [1.0 + s for s in _float_list(cfg, "s")],
-            "deviation-tail": _float_list(cfg, "t")})
+            xi, v = f["xi"], f["v"]
+        results = evaluate_kind(kind, PerturbationStats(xi, v, f["d"]), {
+            "growth-tail": [1.0 + s for s in f["s"]], "deviation-tail": f["t"]})
     elif kind == "scenario-lt":
-        sc = ScenarioLT(T=float(cfg["T"]), L=float(cfg["L"]), n=int(cfg["n"]),
-                        d=int(cfg["d"]), delta=float(cfg.get("delta", 0.01)))
-        results.extend(scenario_lt_bounds(sc))
+        results = scenario_lt_bounds(ScenarioLT(T=f["T"], L=f["L"], n=f["n"], d=f["d"],
+                                                delta=f["delta"]))
     elif kind == "inverse":
-        entries = cfg.get("factors")
-        if not entries:
-            raise InvalidInputError("inverse config needs 'factors' with xi and sigma")
-        xis, sigmas = [], []
-        for entry in entries:
-            count = factor_count(entry)
-            xis.extend([float(entry["xi"])] * count)
-            sigmas.extend([float(entry["sigma"])] * count)
-        xi_bar, v_bar = inverse_perturbation_stats(xis, sigmas)
-        d = int(cfg["d"])
+        xi_bar, v_bar = inverse_perturbation_stats(*zip(*f["factors"]))
         payload["inverse_stats"] = {"xi_bar": xi_bar, "v_bar": v_bar}
-        results = evaluate_kind(kind, PerturbationStats(xi_bar, v_bar, d),
-                                {"deviation-tail": _float_list(cfg, "t")})
-    elif kind == "scalar":
-        pair = scalar_reference_bounds(float(cfg["mu"]), float(cfg["b"]), int(cfg["n"]),
-                                       s=cfg.get("s_value"), t=cfg.get("t_value"))
-        results.extend(pair.values())
+        results = evaluate_kind(kind, PerturbationStats(xi_bar, v_bar, f["d"]),
+                                {"deviation-tail": f["t"]})
     else:
-        raise InvalidInputError(
-            "bound config 'kind' must be one of: moment, perturbation, "
-            "scenario-lt, inverse, contraction, lowrank, scalar")
+        results = list(scalar_reference_bounds(f["mu"], f["b"], f["n"], s=f["s_value"],
+                                               t=f["t_value"]).values())
 
     payload["results"] = [r.to_json() for r in results]
     failed = [f"{r.kind}: {c.name} not met, lhs {c.lhs:.6g}, rhs {c.rhs:.6g}"
@@ -308,13 +418,11 @@ def run_bound(cfg: dict, seed: int):
     return payload, code
 
 
-def run_simulate(cfg: dict, seed: int, trials_override=None):
-    spec = spec_from_config(cfg.get("spec", cfg))
-    trials = int(trials_override if trials_override is not None else cfg.get("trials", 0))
-    p = float(cfg.get("p", 2.0))
-    q = float(cfg.get("q", 2.0))
-    tg = _float_list(cfg, "thresholds_growth")
-    td = _float_list(cfg, "thresholds_deviation")
+def run_simulate(cfg: dict, flags: dict):
+    f = _read_run(cfg, "simulate config", _SIMULATE)
+    spec, seed, p, q = f["spec"], _seed(f, flags), f["p"], f["q"]
+    trials = flags.get("trials", f["trials"])
+    tg, td = f["thresholds_growth"], f["thresholds_deviation"]
 
     if trials == 0:
         report = enumerate_product(spec, p, q, tg, td)
@@ -328,36 +436,27 @@ def run_simulate(cfg: dict, seed: int, trials_override=None):
         return payload, EXIT_OK
 
     estimates, tails, spectral, excluded = summarize_simulation(spec, trials, seed, p, q, tg, td)
-    wanted = cfg.get("quantities")
+    wanted = f["quantities"]
     if wanted is not None:
         unknown = set(wanted) - set(ESTIMATE_FIELDS)
         if unknown:
             raise InvalidInputError(f"unknown quantities: {sorted(unknown)} "
                                     f"(known: {', '.join(ESTIMATE_FIELDS)})")
         estimates = {k: v for k, v in estimates.items() if k in wanted}
-    payload = {
-        "task": "simulate",
-        "source": "monte-carlo",
-        "trials": trials,
-        "seed": seed,
-        "excluded": len(excluded),
-        "estimates": {k: v.to_json() for k, v in sorted(estimates.items())},
-        "tails": [t.to_json() for t in tails],
-    }
-    if cfg.get("per_trial", False):
+    payload = {"task": "simulate", "source": "monte-carlo", "trials": trials, "seed": seed,
+               "excluded": len(excluded),
+               "estimates": {k: v.to_json() for k, v in sorted(estimates.items())},
+               "tails": [t.to_json() for t in tails]}
+    if f["per_trial"]:
         payload["per_trial_spectral_norms"] = [float(x) for x in spectral]
     return payload, EXIT_OK
 
 
-def run_verify(seed: int):
+def run_verify(cfg: dict, flags: dict):
+    seed = _seed(_read(cfg, "verify config", _ROOT), flags)
     reports, ok = default_suite(seed)
-    payload = {
-        "task": "verify",
-        "ok": ok,
-        "seed": seed,
-        "reports": [dict(rep.to_json(), negative_control=expect)
-                    for rep, expect in reports],
-    }
+    payload = {"task": "verify", "ok": ok, "seed": seed,
+               "reports": [dict(r.to_json(), negative_control=e) for r, e in reports]}
     summary = []
     for rep, expect in reports:
         status = "ok" if (rep.violations > 0) == expect else "FAIL"
@@ -368,26 +467,15 @@ def run_verify(seed: int):
     return payload, (EXIT_OK if ok else EXIT_VERIFY)
 
 
-def run_compare(cfg: dict, seed: int, trials_override=None):
-    spec = spec_from_config(cfg.get("spec", cfg))
-    trials = int(trials_override if trials_override is not None else cfg.get("trials", 0))
-    bounds = cfg.get("bounds")
-    if bounds is not None and not isinstance(bounds, list):
-        raise InvalidInputError("'bounds' must be a list of display names")
+def run_compare(cfg: dict, flags: dict):
+    f = _read_run(cfg, "compare config", _COMPARE)
     rows, meta = comparison_rows(
-        spec,
-        p=float(cfg.get("p", 2.0)),
-        q=float(cfg.get("q", 2.0)),
-        trials=trials,
-        seed=seed,
-        bounds=bounds,
-        thresholds_growth=_float_list(cfg, "thresholds_growth"),
-        thresholds_deviation=_float_list(cfg, "thresholds_deviation"),
-        mc_fallback_trials=cfg.get("mc_fallback_trials", 4096),
-    )
+        f["spec"], f["p"], f["q"], flags.get("trials", f["trials"]), _seed(f, flags),
+        f["bounds"], f["thresholds_growth"], f["thresholds_deviation"], f["mc_fallback_trials"])
     payload = {"task": "compare", "meta": meta, "rows": [r.to_json() for r in rows]}
     code = EXIT_CONDITIONS if rows and all(r.skipped for r in rows) else EXIT_OK
     return payload, code
+
 
 
 # ---------------------------------------------------------------------------
@@ -470,17 +558,9 @@ def main(argv=None) -> int:
         out_path = flags.get("out")
         fmt = flags.get("format", fmt)
         cfg = _load_config(flags["config"]) if "config" in flags else {}
-        seed = flags["seed"] if "seed" in flags else int(cfg.get("seed", DEFAULT_SEED))
-        if seed < 0:
-            raise InvalidInputError("seed must be nonnegative")
-        if command == "bound":
-            payload, code = run_bound(cfg, seed)
-        elif command == "simulate":
-            payload, code = run_simulate(cfg, seed, flags.get("trials"))
-        elif command == "verify":
-            payload, code = run_verify(seed)
-        else:
-            payload, code = run_compare(cfg, seed, flags.get("trials"))
+        run = {"bound": run_bound, "simulate": run_simulate, "verify": run_verify,
+               "compare": run_compare}[command]
+        payload, code = run(cfg, flags)
     except _UsageError as exc:
         _emit_error("usage", str(exc), out_path)
         return EXIT_USAGE
@@ -493,10 +573,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         _emit_error("io", str(exc), out_path)
         return EXIT_USAGE
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # a config field missing, of the wrong type, or an integer past float range
-        message = f"config missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-        _emit_error("invalid-input", message, out_path)
+    except (TypeError, ValueError, OverflowError) as exc:
+        # a value that no field parser converts, such as a factor statistic, of the wrong type
+        _emit_error("invalid-input", str(exc), out_path)
         return EXIT_USAGE
 
     try:

@@ -24,7 +24,6 @@ from .errors import (
 from .schatten import (
     as_matrix,
     condition_numbers,
-    matrix_from_json,
     moment_norm,
     spectral_norm,
     stack_norms,
@@ -466,29 +465,4 @@ def projected_deviation_stat(e: FactorEnsemble, rank):
         second = sum(p * v ** 2 for v, p in zip(norms, probs))
         best = max(best, math.sqrt(second))
     return best, "lower-estimate"
-
-
-# ---------------------------------------------------------------------------
-# configuration
-
-def ensemble_from_config(obj) -> FactorEnsemble:
-    """Build an ensemble from its JSON object form (kind discriminator)."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise InvalidInputError("ensemble config must be an object with a 'kind'")
-    kind = obj["kind"]
-    try:
-        if kind == "bounded-perturbation":
-            dim = int(obj["dim"])
-            mean = matrix_from_json(obj["mean"]) if "mean" in obj else np.zeros((dim, dim))
-            return make_bounded_perturbation(
-                dim, mean, obj["radius"], obj["n_scale"], obj.get("support", "two-point"))
-        if kind == "rademacher-rank-one":
-            return make_rademacher_rank_one(int(obj["dim"]))
-        if kind == "projector-contraction":
-            rows = matrix_from_json(obj["rows"]) if "rows" in obj else None
-            return make_random_projector_contraction(
-                int(obj["dim"]), obj.get("projector_kind", "coordinate"), rows)
-    except KeyError as exc:
-        raise InvalidInputError(f"ensemble config missing field {exc}") from None
-    raise InvalidInputError(f"unknown ensemble kind {kind!r}")
 

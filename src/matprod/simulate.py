@@ -31,7 +31,6 @@ from .ensembles import (
     FactorEnsemble,
     FactorStats,
     SupportSampler,
-    ensemble_from_config,
     householder_direction,
     make_bounded_perturbation,
     support_stats,
@@ -45,7 +44,6 @@ from .errors import (
 from .schatten import (
     as_matrix,
     condition_numbers,
-    matrix_from_json,
     spectral_norm,
     spectral_radii,
     stack_norms,
@@ -854,34 +852,4 @@ def conjugated_spec(spec: ProductSpec, s_matrix) -> ProductSpec:
             stats=e.stats, mean=s_inv @ law.mean @ s, kind=f"conjugated-{e.kind}")
         conjugated[law] = replace(shell, stats=support_stats(shell))
     return ProductSpec(factors=tuple(map(conjugated.get, laws)), z0=s_inv @ spec.z0 @ s)
-
-
-# ---------------------------------------------------------------------------
-# configuration
-
-def factor_count(entry) -> int:
-    """How many times a factor entry of a config repeats: its positive 'count'."""
-    count = int(entry.get("count", 1))
-    if count < 1:
-        raise InvalidInputError("factor count must be positive")
-    return count
-
-
-def spec_from_config(obj) -> ProductSpec:
-    """Build a ProductSpec from its JSON object form."""
-    if not isinstance(obj, dict):
-        raise InvalidInputError("product spec config must be an object")
-    factors = []
-    for entry in obj.get("factors", []):
-        if "ensemble" in entry:
-            e = ensemble_from_config(entry["ensemble"])
-            factors.extend([e] * factor_count(entry))
-        else:
-            factors.append(ensemble_from_config(entry))
-    if not factors:
-        raise InvalidInputError("product spec needs at least one factor")
-    dim = factors[0].dim
-    z0_obj = obj.get("z0", "identity")
-    z0 = np.eye(dim) if z0_obj == "identity" else matrix_from_json(z0_obj)
-    return ProductSpec(factors=tuple(factors), z0=z0, mode=obj.get("mode", "independent"))
 

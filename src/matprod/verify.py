@@ -45,12 +45,21 @@ MARTINGALE_DIMS = (1, 2)
 
 @dataclass
 class CheckReport:
+    """A check's per-instance margins as they are added: their count, the
+    violations and the least margin.
+
+    A NaN margin is a violation, and makes the worst margin NaN: a check
+    must never pass because a comparison with NaN came out false. Only the
+    count and the least margin are kept, and a NaN least margin stays, as no
+    comparison with NaN is true.
+    """
+
     name: str
-    instances: int
-    violations: int
-    worst_margin: float
     tolerance: float
     seed: Optional[int] = None
+    instances: int = 0
+    violations: int = 0
+    worst_margin: float = math.inf
     notes: list = field(default_factory=list)
     failures: list = field(default_factory=list)
 
@@ -61,39 +70,16 @@ class CheckReport:
     def to_json(self) -> dict:
         return dict(asdict(self), passed=self.passed)
 
-
-class _Collector:
-    """Accumulates per-instance margins into a CheckReport.
-
-    A NaN margin is a violation, and makes the worst margin NaN: a check
-    must never pass because a comparison with NaN came out false. It keeps
-    only the count and the least margin, and a NaN least margin stays, as no
-    comparison with NaN is true.
-    """
-
-    def __init__(self, name, tolerance, seed):
-        self.name = name
-        self.tolerance = tolerance
-        self.seed = seed
-        self.instances = 0
-        self.least = math.inf
-        self.violations = 0
-        self.notes = []
-        self.failures = []
-
     def add(self, margin, tolerance=None, detail=None):
         tol = self.tolerance if tolerance is None else tolerance
         margin = float(margin)
         self.instances += 1
-        if math.isnan(margin) or margin < self.least:
-            self.least = margin
+        if math.isnan(margin) or margin < self.worst_margin:
+            self.worst_margin = margin
         if not margin >= -tol:
             self.violations += 1
             if detail is not None and len(self.failures) < 8:
                 self.failures.append(dict(detail, margin=margin))
-
-    def add_many(self, margins, tolerance=None):
-        self.add_blocks([margins], tolerance)
 
     def add_blocks(self, blocks, tolerance=None):
         """Adds arrays of margins as one batch: a batch with a violation adds
@@ -105,21 +91,14 @@ class _Collector:
             self.instances += arr.size
             if arr.size:  # argmin takes the first NaN, else the first least margin, as min does
                 least = float(arr[arr.argmin()])
-                if math.isnan(least) or least < self.least:
-                    self.least = least
+                if math.isnan(least) or least < self.worst_margin:
+                    self.worst_margin = least
                 if math.isnan(least) or least < worst:
                     worst = least
             bad += int((~(arr >= -tol)).sum())
         self.violations += bad
         if bad and len(self.failures) < 8:
             self.failures.append({"worst_batch_margin": worst})
-
-    def note(self, text):
-        self.notes.append(text)
-
-    def report(self) -> CheckReport:
-        return CheckReport(self.name, self.instances, self.violations, self.least,
-                           self.tolerance, self.seed, self.notes, self.failures)
 
 
 def _power_mean(x, y, p):
@@ -147,7 +126,7 @@ def check_uniform_smoothness(p_list=(1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 8.0, 16.0),
     p = 2. A tenth as many finite-support random pairs exercise the averaged
     (p, q)-moment form at exact expectations when p >= 2.
     """
-    col = _Collector("uniform-smoothness", TOLERANCE, seed)
+    col = CheckReport("uniform-smoothness", TOLERANCE, seed)
     shapes = SMOOTHNESS_SHAPES
     for pi, p in enumerate(p_list):
         p = float(p)
@@ -167,16 +146,16 @@ def check_uniform_smoothness(p_list=(1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 8.0, 16.0),
             smooth = na**2 + (p - 1.0) * nb**2
             if p == 2.0:
                 denom = np.maximum(np.abs(smooth), 1.0)
-                col.add_many(-np.abs(smooth - avg2) / denom, tolerance=EQUALITY_TOLERANCE)
+                col.add_blocks([-np.abs(smooth - avg2) / denom], tolerance=EQUALITY_TOLERANCE)
             elif p > 2.0:
                 denom = np.maximum(np.abs(smooth), 1.0)
-                col.add_many((smooth - avg2) / denom)
+                col.add_blocks([(smooth - avg2) / denom])
             else:
                 denom = np.maximum(np.abs(avg2), 1.0)
-                col.add_many((avg2 - smooth) / denom)
+                col.add_blocks([(avg2 - smooth) / denom])
         if p >= 2.0:
             _random_pair_instances(col, p, max(1, trials // 10), substream(seed, pi, len(shapes)))
-    return col.report()
+    return col
 
 
 def _random_pair_instances(col, p, count, rng):
@@ -247,7 +226,7 @@ def check_subquadratic(p, q, trials=1000, seed=DEFAULT_SEED, constant=None) -> C
     if not (2.0 <= q <= p):
         raise InvalidParameterError("need 2 <= q <= p")
     name = "subquadratic" if constant is None else f"subquadratic-constant-{constant:g}"
-    col = _Collector(name, TOLERANCE, seed)
+    col = CheckReport(name, TOLERANCE, seed)
     c_value = (p - 1.0) if constant is None else float(constant)
     for k in range(trials):
         states = _subquadratic_states(substream(seed, k))
@@ -276,7 +255,7 @@ def check_subquadratic(p, q, trials=1000, seed=DEFAULT_SEED, constant=None) -> C
             rhs_weak = x2 + 2.0 * (p - 1.0) * y2
             col.add((rhs_weak - lhs) / max(abs(rhs_weak), 1.0),
                     detail={"p": p, "q": q, "constant": 2.0 * (p - 1.0), "form": "weak"})
-    return col.report()
+    return col
 
 
 def check_martingale_bound(p, q, n=6, trials=100, seed=DEFAULT_SEED) -> CheckReport:
@@ -297,7 +276,7 @@ def check_martingale_bound(p, q, n=6, trials=100, seed=DEFAULT_SEED) -> CheckRep
         raise EnumerationInfeasibleError(
             f"2^{n} paths exceed the {MARTINGALE_PATH_BUDGET} budget",
             required=2**n, budget=MARTINGALE_PATH_BUDGET)
-    col = _Collector("martingale-transform", TOLERANCE, seed)
+    col = CheckReport("martingale-transform", TOLERANCE, seed)
     for i in range(trials):
         rng = substream(seed, i)
         dim = MARTINGALE_DIMS[i % len(MARTINGALE_DIMS)]
@@ -343,7 +322,7 @@ def check_martingale_bound(p, q, n=6, trials=100, seed=DEFAULT_SEED) -> CheckRep
             rhs = (p - 1.0) * rhs_sum
             col.add((rhs - lhs) / max(abs(rhs), 1.0),
                     detail={"depth": depth, "dim": dim, "lhs": lhs, "rhs": rhs})
-    return col.report()
+    return col
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +339,7 @@ def check_factor_contraction(p, q, trials=200, seed=DEFAULT_SEED) -> CheckReport
     q = float(q)
     if not (2.0 <= q <= p):
         raise InvalidParameterError("need 2 <= q <= p")
-    col = _Collector("contraction-factor", TOLERANCE, seed)
+    col = CheckReport("contraction-factor", TOLERANCE, seed)
     for k in range(trials):
         rng = substream(seed, k)
         d = int(rng.integers(1, 6))
@@ -402,7 +381,7 @@ def check_factor_contraction(p, q, trials=200, seed=DEFAULT_SEED) -> CheckReport
         rhs = factor * float(wz @ norms[-1] ** q) ** (1.0 / q)
         col.add((rhs - lhs) / max(abs(rhs), 1.0),
                 detail={"d": d, "r": r, "lhs": lhs, "rhs": rhs})
-    return col.report()
+    return col
 
 
 def check_number_inequality(trials=100_000, seed=DEFAULT_SEED) -> CheckReport:
@@ -438,9 +417,9 @@ def check_number_inequality(trials=100_000, seed=DEFAULT_SEED) -> CheckReport:
         denom = np.exp(np.abs(a).sum(axis=1))
         return (rhs - lhs) / denom
 
-    col = _Collector("number-inequality", NUMBER_TOLERANCE, seed)
+    col = CheckReport("number-inequality", NUMBER_TOLERANCE, seed)
     col.add_blocks(margins(lo) for lo in range(0, trials, rows))
-    return col.report()
+    return col
 
 
 def _advanced(bits, draws):
@@ -667,14 +646,14 @@ def check_bound_dominance(spec: ProductSpec, p=2.0, q=2.0, trials=0,
             f"enumeration infeasible and no trials requested: {exc}") from exc
     if not rows:
         raise NothingToCheckError("no bounds requested")
-    col = _Collector("bound-dominance", TOLERANCE, seed)
-    col.note(f"source={meta['source']}")
+    col = CheckReport("bound-dominance", TOLERANCE, seed)
+    col.notes.append(f"source={meta['source']}")
     for row in rows:
         if row.skipped:
-            col.note(f"skipped {row.quantity}: {row.note}")
+            col.notes.append(f"skipped {row.quantity}: {row.note}")
             continue
         if row.quality is not None:
-            col.note(f"skipped {row.quantity}: {row.quality} bound, not certified")
+            col.notes.append(f"skipped {row.quantity}: {row.quality} bound, not certified")
             continue
         if math.isinf(row.bound):
             col.add(math.inf, detail={"quantity": row.quantity})
@@ -688,7 +667,7 @@ def check_bound_dominance(spec: ProductSpec, p=2.0, q=2.0, trials=0,
             limit = "lcl" if row.threshold is not None else "ucl"  # tails take the LCL
             col.add((row.bound - row.limit) / denom, tolerance=0.0,
                     detail={"quantity": row.quantity, limit: row.limit, "bound": row.bound})
-    return col.report()
+    return col
 
 
 # ---------------------------------------------------------------------------

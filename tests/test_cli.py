@@ -930,6 +930,214 @@ def test_overflowed_product_is_named(capsys, tmp_path, command):
     assert "overflowed float64" in payload["error"]["message"]
 
 
+# ---------------------------------------------------------------------------
+# the config format: one field table per config object
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_preset(name):
+    return json.loads((Path(cli.__file__).parent / "presets" / f"{name}.json").read_text())
+
+
+def mc_dense_inverse_config():
+    """The inverse compare config of job 0 of the mc-dense benchmark workload."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bench_jobs", ROOT / "bench" / "jobs.py")
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    return jobs.make_job("mc-dense", jobs.DEFAULT_SEED, 0)["calls"][1]["config"]
+
+
+def renamed(obj, old, new):
+    """A copy of ``obj`` with key ``old`` renamed ``new`` at every depth."""
+    if isinstance(obj, dict):
+        return {(new if k == old else k): renamed(v, old, new) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [renamed(v, old, new) for v in obj]
+    return obj
+
+
+def refusal(capsys, tmp_path, command, cfg):
+    rc, payload, _ = run_json(capsys, command, "--config", write_config(tmp_path, cfg))
+    assert rc == 1
+    assert payload["error"]["code"] == "invalid-input"
+    return payload["error"]["message"]
+
+
+def scalar_spec_with(**ensemble):
+    entry = SCALAR_SPEC["factors"][0]
+    return dict(SCALAR_SPEC, factors=[dict(entry, ensemble=dict(entry["ensemble"], **ensemble))])
+
+
+ONE_ENSEMBLE = {"rademacher-rank-one": {"kind": "rademacher-rank-one", "dim": 3},
+                "projector-contraction": {"kind": "projector-contraction", "dim": 3}}
+
+# (command, config, the misspelled key): one case per config object
+MISSPELLED = {
+    "bound-moment": ("bound", {"kind": "moment", "d": 3, "factors": [PLAIN_FACTOR],
+                               "tail_growht_t": [1.5]}, "tail_growht_t"),
+    # mu belongs to the scenario form alone, and xi to the xi-v form
+    "bound-perturbation": ("bound", {"kind": "perturbation", "d": 10, "xi": 0.1, "v": 0.005,
+                                     "mu": 0.2}, "mu"),
+    "bound-perturbation-scenario": ("bound", {"kind": "perturbation", "d": 10, "n": 200,
+                                              "b": 1.0, "xi": 0.1}, "xi"),
+    "bound-scenario-lt": ("bound", {"kind": "scenario-lt", "T": 1.0, "L": 2.0, "n": 400,
+                                    "d": 10, "delat": 0.05}, "delat"),
+    "bound-inverse": ("bound", {"kind": "inverse", "d": 4, "s": [1.0],
+                                "factors": [{"xi": 0.02, "sigma": 0.02}]}, "s"),
+    "bound-contraction": ("bound", {"kind": "contraction", "d": 8, "factors": [KACZMARZ_FACTOR],
+                                    "tail_concentration_t": [16.0]}, "tail_concentration_t"),
+    "bound-lowrank": ("bound", {"kind": "lowrank", "d": 6, "z0": ONE_COLUMN,
+                                "projected_rnak": 1, "factors": [LOWRANK_FACTOR]},
+                      "projected_rnak"),
+    "bound-scalar": ("bound", {"kind": "scalar", "mu": 0.1, "b": 1.0, "n": 200, "s": 0.65}, "s"),
+    "factor-statistics": ("bound", {"kind": "moment", "d": 3,
+                                    "factors": [dict(PLAIN_FACTOR, sigma_unifrom=0.3)]},
+                          "sigma_unifrom"),
+    "factor-statistics-wrapper": ("bound", {"kind": "moment", "d": 3, "factors": [
+        {"stats": {"mean_norm": 1.1, "sigma": 0.2}, "count": 5, "cuont": 3}]}, "stats"),
+    "inverse-factor": ("bound", {"kind": "inverse", "d": 4,
+                                 "factors": [{"xi": 0.02, "sigma": 0.02, "sigam": 0.5}]},
+                       "sigam"),
+    "simulate": ("simulate", {"spec": SCALAR_SPEC, "trails": 64}, "trails"),
+    "compare": ("compare", {"spec": SCALAR_SPEC, "threshold_growth": [1.1]},
+                "threshold_growth"),
+    "verify": ("verify", {"seed": 7, "sede": 8}, "sede"),
+    "product-spec": ("compare", {"spec": dict(SCALAR_SPEC, zo="identity")}, "zo"),
+    "spec-factor": ("compare", {"spec": renamed(SCALAR_SPEC, "count", "cout")}, "cout"),
+    "bounded-perturbation": ("compare", {"spec": scalar_spec_with(Mean=None)}, "Mean"),
+    "rademacher-rank-one": ("compare", {"spec": {"factors": [{"ensemble": dict(
+        ONE_ENSEMBLE["rademacher-rank-one"], dimension=3)}]}}, "dimension"),
+    "projector-contraction": ("compare", {"spec": {"factors": [{"ensemble": dict(
+        ONE_ENSEMBLE["projector-contraction"], projector="coordinate")}]}}, "projector"),
+    # a config without 'spec' is its own spec: a misspelled 'spec' was read
+    # as a spec with no factors
+    "flat-sepc": ("simulate", {"sepc": SCALAR_SPEC, "trials": 0}, "sepc"),
+    "flat-trails": ("compare", dict(SCALAR_SPEC, trails=0), "trails"),
+}
+
+
+@pytest.mark.parametrize("name", list(MISSPELLED))
+def test_a_misspelled_key_is_refused_in_every_config_object(capsys, tmp_path, name):
+    command, cfg, key = MISSPELLED[name]
+    message = refusal(capsys, tmp_path, command, cfg)
+    assert "unknown" in message and repr(key) in message
+
+
+def test_misspelled_preset_fields_are_refused(capsys, tmp_path):
+    # once, these ran the preset with its 5 rows and no tail row
+    cfg = dict(load_preset("two-point-scalar"), threshold_growth=[1.1], pp=4.0)
+    message = refusal(capsys, tmp_path, "compare", cfg)
+    assert "'threshold_growth', 'pp'" in message and "thresholds_growth" in message
+
+
+@pytest.mark.parametrize("renames", [
+    [("count", "cout")], [("mean", "Mean")], [("z0", "zo")], [("trials", "trails")],
+    [("count", "cout"), ("mean", "Mean"), ("z0", "zo"), ("trials", "trails")],
+], ids=["cout", "Mean", "zo", "trails", "all-four"])
+def test_misspelled_benchmark_config_is_refused(capsys, tmp_path, renames):
+    # all four once ran one factor with zero drift, enumerated instead of sampled
+    cfg = mc_dense_inverse_config()
+    assert run_cli(capsys, "compare", "--config", write_config(tmp_path, cfg))[0] == 0
+    for old, new in renames:
+        cfg = renamed(cfg, old, new)
+    message = refusal(capsys, tmp_path, "compare", cfg)
+    assert repr(renames[-1][1]) in message  # the outermost one is named first
+
+
+@pytest.mark.parametrize("command, cfg, field", [
+    ("bound", dict(BOUND_OUTPUTS["moment-refine-tails"][0], refine="false"), "refine"),
+    ("simulate", {"spec": SCALAR_SPEC, "trials": 8, "per_trial": "false"}, "per_trial"),
+    ("simulate", {"spec": dict(SCALAR_SPEC, factors=[dict(SCALAR_SPEC["factors"][0],
+                                                          count=2.9)]), "trials": 0}, "count"),
+    ("simulate", {"spec": {"factors": [{"ensemble": dict(ONE_ENSEMBLE["rademacher-rank-one"],
+                                                         dim=3.9)}]}, "trials": 0}, "dim"),
+    ("simulate", {"spec": SCALAR_SPEC, "trials": True}, "trials"),
+    ("bound", {"kind": "moment", "d": 2.5, "factors": [PLAIN_FACTOR]}, "d"),
+    ("bound", {"kind": "scalar", "mu": 0.1, "b": 1.0, "n": 200.5, "s_value": 0.65}, "n"),
+    ("bound", {"kind": "inverse", "d": 4,
+               "factors": [{"xi": 0.02, "sigma": 0.02, "count": True}]}, "count"),
+    ("bound", {"kind": "moment", "d": 6, "p": 4.0, "z0": ONE_COLUMN, "projected_rank": 1.5,
+               "factors": [LOWRANK_FACTOR]}, "projected_rank"),
+    ("compare", {"spec": SCALAR_SPEC, "seed": True}, "seed"),
+    ("compare", {"spec": SCALAR_SPEC, "mc_fallback_trials": 10.5}, "mc_fallback_trials"),
+], ids=["refine-string", "per-trial-string", "count-fraction", "dim-fraction", "trials-true",
+        "d-fraction", "n-fraction", "count-true", "projected-rank-fraction", "seed-true",
+        "fallback-trials-fraction"])
+def test_typed_fields_refuse_the_wrong_type(capsys, tmp_path, command, cfg, field):
+    # int() read true as 1 and cut 2.9 to 2; bool() read "false" as true
+    message = refusal(capsys, tmp_path, command, cfg)
+    assert repr(field) in message
+
+
+@pytest.mark.parametrize("command, cfg, field", [
+    ("bound", {"kind": "scalar", "mu": 0.1, "b": 1.0, "n": 200, "s_value": 0.65}, "t_value"),
+    ("bound", BOUND_OUTPUTS["moment"][0], "projected_rank"),
+    ("bound", BOUND_OUTPUTS["moment-projected"][0], "d"),
+    ("simulate", {"spec": SCALAR_SPEC, "trials": 8}, "quantities"),
+    ("compare", {"spec": SCALAR_SPEC}, "bounds"),
+    ("compare", {"spec": scalar_spec_with()}, "mean"),
+], ids=["t-value", "projected-rank", "d", "quantities", "bounds", "mean"])
+def test_null_reads_as_the_default_where_that_is_null(capsys, tmp_path, command, cfg, field):
+    path = write_config(tmp_path, cfg)
+    rc, out, _ = run_cli(capsys, command, "--config", path)
+    assert rc == 0
+    if field == "mean":
+        cfg = {"spec": scalar_spec_with(mean=None)}
+    else:
+        cfg = dict(cfg, **{field: None})
+    assert run_cli(capsys, command, "--config", write_config(tmp_path, cfg, "null.json")) == (
+        rc, out, "")
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_a_config_without_spec_is_its_own_spec(capsys, tmp_path, command):
+    nested = run_cli(capsys, command, "--config",
+                     write_config(tmp_path, {"spec": SCALAR_SPEC, "trials": 0}))
+    flat = run_cli(capsys, command, "--config",
+                   write_config(tmp_path, dict(SCALAR_SPEC, trials=0), "flat.json"))
+    assert nested[0] == 0 and flat == nested
+
+
+def config_tables():
+    """Each config object named as in README's config reference, with its field table."""
+    tables = {f"bound {kind}": table for kind, table in cli._BOUND.items()}
+    tables["bound perturbation, with n or b"] = cli._SCENARIO
+    tables.update({"simulate": cli._SIMULATE, "compare": cli._COMPARE, "verify": cli._ROOT,
+                   "product spec": cli._SPEC})
+    for name, table in (("spec factor", cli._SPEC_FACTOR),
+                        ("factor statistics", cli._FACTOR_STATS),
+                        ("inverse factor", cli._INVERSE_FACTOR)):
+        tables[name] = dict(table, count=cli._COUNT)
+    tables.update({f"{kind} ensemble": table for kind, table in cli._ENSEMBLES.items()})
+    return tables
+
+
+def test_readme_config_reference_is_the_field_tables():
+    section = (ROOT / "README.md").read_text().split("### Config reference\n")[1]
+    rows = [line for line in section.split("\n### ")[0].splitlines()
+            if line.startswith("| ") and not line.startswith("| object ")]
+    documented = {}
+    for row in rows:
+        name, fields = row.strip("| ").split(" | ")
+        documented[name.replace("`", "")] = fields
+    tables = config_tables()
+    assert set(documented) == set(tables)
+    for name, table in tables.items():
+        want = ", ".join(f"`{field}`" if default is cli._REQUIRED
+                         else f"`{field}` = `{json.dumps(default)}`"
+                         for field, (_, default) in table.items())
+        assert documented[name] == want, name
+
+
+def test_import_matprod_leaves_the_cli_unloaded():
+    # the config format lives in matprod.cli alone
+    out = run_fresh_python("import sys, matprod; print('matprod.cli' in sys.modules)")
+    assert out == ["False"]
+
+
 class TestOutputFile:
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "result.json"

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from matprod.cli import ensemble_from_config
 from matprod.ensembles import (
     FactorEnsemble,
     FactorStats,
     SupportSampler,
-    ensemble_from_config,
     householder_direction,
     make_bounded_perturbation,
     make_rademacher_rank_one,

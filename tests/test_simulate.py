@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from matprod import ensembles, simulate
+from matprod.cli import spec_from_config
 from matprod.ensembles import (
     FactorEnsemble,
     FactorStats,
@@ -41,7 +42,6 @@ from matprod.simulate import (
     enumerate_product,
     expected_product,
     simulate_product,
-    spec_from_config,
     summarize_simulation,
     triangular_array_run,
 )
@@ -1968,8 +1968,11 @@ class TestSpecConfig:
         assert np.array_equal(back.z0, z0)
 
     def test_bare_ensemble_entries(self):
-        cfg = {"factors": [TWO_POINT_CONFIG, TWO_POINT_CONFIG]}
-        assert spec_from_config(cfg).n == 2
+        # an entry holds 'ensemble' and 'count': a bare ensemble, whose count
+        # was once dropped, is refused
+        for entry in (TWO_POINT_CONFIG, {**TWO_POINT_CONFIG, "count": 10}):
+            with pytest.raises(InvalidInputError, match="unknown spec factor key.*'kind'"):
+                spec_from_config({"factors": [entry]})
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):

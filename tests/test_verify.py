@@ -23,6 +23,7 @@ from matprod.bounds import (
     perturbation_expectation_concentration_bound,
     perturbation_expectation_growth_bound,
 )
+from matprod.cli import spec_from_config
 from matprod.ensembles import (
     FactorEnsemble,
     FactorStats,
@@ -44,12 +45,11 @@ from matprod.simulate import (
     NormBiasedTwoPointHook,
     ProductSpec,
     enumerate_product,
-    spec_from_config,
     summarize_simulation,
 )
 from matprod.verify import (
+    CheckReport,
     CompareRow,
-    _Collector,
     check_bound_dominance,
     check_factor_contraction,
     check_martingale_bound,
@@ -264,9 +264,9 @@ def reference_number_inequality(trials, seed):
     lhs = (a * np.exp(prefix)).sum(axis=1)
     rhs = np.expm1(a.sum(axis=1))
     denom = np.exp(np.abs(a).sum(axis=1))
-    col = _Collector("number-inequality", verify.NUMBER_TOLERANCE, seed)
-    col.add_many((rhs - lhs) / denom)
-    return col.report()
+    col = CheckReport("number-inequality", verify.NUMBER_TOLERANCE, seed)
+    col.add_blocks([(rhs - lhs) / denom])
+    return col
 
 
 def traced_peak(run):
@@ -493,33 +493,30 @@ class TestComparisonRows:
 
 class TestCollectorNaN:
     def test_add_counts_nan_as_violation(self):
-        col = _Collector("nan-check", 1e-9, seed=0)
-        col.add(0.5, detail={"row": 0})
-        col.add(math.nan, detail={"row": 1})
-        col.add(-1.0)  # a violation without detail records no failure
-        rep = col.report()
+        rep = CheckReport("nan-check", 1e-9, seed=0)
+        rep.add(0.5, detail={"row": 0})
+        rep.add(math.nan, detail={"row": 1})
+        rep.add(-1.0)  # a violation without detail records no failure
         assert (rep.instances, rep.violations, rep.passed) == (3, 2, False)
         assert math.isnan(rep.worst_margin)
         assert len(rep.failures) == 1
         assert rep.failures[0]["row"] == 1 and math.isnan(rep.failures[0]["margin"])
 
     def test_add_many_counts_nan_as_violation(self):
-        col = _Collector("nan-check", 1e-9, seed=0)
-        col.add_many([0.25, math.nan, 0.5])
-        rep = col.report()
+        rep = CheckReport("nan-check", 1e-9, seed=0)
+        rep.add_blocks([[0.25, math.nan, 0.5]])
         assert (rep.instances, rep.violations, rep.passed) == (3, 1, False)
         assert math.isnan(rep.worst_margin)
         assert len(rep.failures) == 1
         assert math.isnan(rep.failures[0]["worst_batch_margin"])
 
     def test_finite_margins_unchanged(self):
-        col = _Collector("finite", 0.1, seed=0)
-        col.add(-0.05)
-        col.add_many([0.2, -0.3, math.inf])
-        rep = col.report()
+        rep = CheckReport("finite", 0.1, seed=0)
+        rep.add(-0.05)
+        rep.add_blocks([[0.2, -0.3, math.inf]])
         assert (rep.instances, rep.violations, rep.worst_margin) == (4, 1, -0.3)
         assert rep.failures == [{"worst_batch_margin": -0.3}]
-        assert _Collector("empty", 0.1, seed=0).report().worst_margin == math.inf
+        assert CheckReport("empty", 0.1, seed=0).worst_margin == math.inf
 
     @pytest.mark.parametrize("blocks, worst", [
         ([[0.0, -0.0]], "0.0"), ([[-0.0, 0.0]], "-0.0"), ([[0.5], [-0.0], [0.0]], "-0.0"),
@@ -527,10 +524,10 @@ class TestCollectorNaN:
     ])
     def test_worst_margin_across_blocks(self, blocks, worst):
         # as min over every margin: the first of equal margins, NaN once any is NaN
-        col = _Collector("blocks", 0.1, seed=0)
+        rep = CheckReport("blocks", 0.1, seed=0)
         for block in blocks:
-            col.add_many(block)
-        assert repr(col.report().worst_margin) == worst
+            rep.add_blocks([block])
+        assert repr(rep.worst_margin) == worst
 
 
 class TestCollectorMemory:
@@ -541,10 +538,10 @@ class TestCollectorMemory:
         reports = {}
 
         def feed(count):
-            col = _Collector("blocks", 0.1, seed=0)
+            rep = CheckReport("blocks", 0.1, seed=0)
             for _ in range(count // len(block)):
-                col.add_many(block)
-            reports[count] = col.report()
+                rep.add_blocks([block])
+            reports[count] = rep
 
         small, large = (traced_peak(lambda: feed(count)) for count in (20_000, 200_000))
         assert large - small < 4_096
