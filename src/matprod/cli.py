@@ -247,10 +247,12 @@ def _floats(value) -> list:
     return [float(x) for x in value]
 
 
-def _bounds(value):
-    if value is not None and not isinstance(value, list):
-        raise InvalidInputError("'bounds' must be a list of display names")
-    return value
+def _names(field: str, what: str):
+    def parse(value):
+        if value is None or isinstance(value, list) and all(isinstance(x, str) for x in value):
+            return value
+        raise InvalidInputError(f"{field!r} must be a list of {what}")
+    return parse
 
 
 def _z0(value):
@@ -338,8 +340,10 @@ _BOUND = {
 _SCENARIO = {**_PERTURBATION, "n": _INT, "b": _FLOAT, "mu": (float, 0.0)}
 _RUN = {**_ROOT, "spec": (spec_from_config, None), "trials": (_int, 0), "p": (float, 2.0),
         "q": (float, 2.0), "thresholds_growth": _FLOATS, "thresholds_deviation": _FLOATS}
-_SIMULATE = {**_RUN, "quantities": (_raw, None), "per_trial": (_bool, False)}
-_COMPARE = {**_RUN, "bounds": (_bounds, None), "mc_fallback_trials": (_optional(_int), 4096)}
+_SIMULATE = {**_RUN, "quantities": (_names("quantities", "quantity names"), None),
+             "per_trial": (_bool, False)}
+_COMPARE = {**_RUN, "bounds": (_names("bounds", "display names"), None),
+            "mc_fallback_trials": (_optional(_int), 4096)}
 
 
 def _read_run(cfg: dict, what: str, fields: dict) -> dict:

@@ -84,7 +84,7 @@ class FactorEnsemble:
     dim: int
     sampler: object
     stats: FactorStats
-    mean: Optional[np.ndarray] = None
+    mean: Optional[np.ndarray] = None  # E Y, or the (dim,) diagonal of a diagonal E Y
     kind: str = "custom"
     projected_deviation: Optional[Callable[[int], float]] = None
 
@@ -94,8 +94,8 @@ class FactorEnsemble:
         if not callable(getattr(self.sampler, "draws", None)):
             raise InvalidParameterError("a sampler needs draws(rng, count)")
         if self.mean is not None:
-            m = as_matrix(self.mean, "analytic mean")
-            if m.shape != (self.dim, self.dim):
+            as_matrix(np.atleast_2d(self.mean), "analytic mean")  # finite entries
+            if np.shape(self.mean) not in ((self.dim,), (self.dim, self.dim)):
                 raise InvalidInputError("analytic mean has wrong shape")
         if self.support is not None and self.support.dim != self.dim:
             raise InvalidInputError("support atom has wrong shape")
@@ -111,7 +111,7 @@ class FactorEnsemble:
 
     def exact_mean(self) -> np.ndarray:
         if self.mean is not None:
-            return self.mean
+            return np.diag(self.mean) if np.ndim(self.mean) == 1 else self.mean
         if self.support is not None:
             return sum(prob * mat for mat, prob in self.support)
         raise UnsupportedEnsembleError(f"{self.kind} ensemble has no analytic mean or finite support")
@@ -129,42 +129,47 @@ class SupportSampler:
     A uniform u picks the first atom whose running probability sum exceeds u,
     ``bisect_right(cum, u)``: ``pick`` maps an array of uniforms, and
     ``draws`` maps ``count`` uniforms of a stream to a (count, d, d) stack.
-    The atoms are held once, as a (K, d, d) stack. A sampler built by
-    ``from_diagonals`` holds only the (K, d) diagonals of its atoms, and
-    writes the dense stack when ``atoms`` is first read. It also keeps the
-    atoms' moves, ``(cols, vals)``: two (K, m) arrays such that atom k's
-    diagonal is 1.0 except at the coordinates cols[k], where it holds vals[k].
-    m is the most coordinates any atom moves, and a row that moves fewer is
-    padded with distinct unmoved coordinates at 1.0, so a step can change just
-    the moved entries of a product. Others have ``diagonals = moves = None``.
+    The atoms are held once, as a (K, d, d) stack. A sampler of diagonal
+    atoms, built by ``from_moves``, keeps only their moves, ``(cols, vals)``:
+    two (K, m) arrays such that atom k's diagonal is 1.0 except at the
+    coordinates cols[k], where it holds vals[k]. m is the most coordinates any
+    atom moves, and a row that moves fewer is padded with distinct unmoved
+    coordinates at 1.0, so a step can change just the moved entries of a
+    product. It writes its (K, d) ``diagonals``, and from them its dense
+    stack, when they are first read. Others have ``diagonals = moves = None``.
     """
 
-    diagonals = moves = None
+    moves = None
 
     def __init__(self, atoms, probs):
         self.atoms = self._own(atoms, probs, 3)
 
     @classmethod
-    def from_diagonals(cls, diagonals, probs, moves=None) -> "SupportSampler":
-        """Diagonal atoms, given as a (K, d) array of their diagonals.
-
-        A caller that knows the atoms' moves passes them, in the order
-        ``diagonal_moves`` gives; otherwise they are found from the diagonals.
-        """
-        sampler = cls.__new__(cls)
-        sampler.diagonals = sampler._own(diagonals, probs, 2)
-        sampler.moves = diagonal_moves(sampler.diagonals) if moves is None else moves
+    def from_moves(cls, dim, cols, vals, probs) -> "SupportSampler":
+        """Diagonal atoms from their moves: (K, m) coordinates ``cols``, distinct
+        within a row and in [0, dim), and their finite values ``vals``."""
+        sampler, cols = cls.__new__(cls), np.asarray(cols)
+        sampler.moves = cols, sampler._own(vals, probs, 2, dim)
+        if (cols.shape != sampler.moves[1].shape or cols.dtype.kind not in "iu"
+                or ((cols < 0) | (cols >= dim)).any() or (np.diff(np.sort(cols)) == 0).any()):
+            raise InvalidInputError(f"moves need (K, m) distinct integer coordinates in [0, {dim})")
         return sampler
 
-    def _own(self, values, probs, ndim) -> np.ndarray:
-        """Checks and keeps the support; returns its finite (K, d, d) atoms or (K, d) diagonals."""
+    @classmethod
+    def from_diagonals(cls, diagonals, probs) -> "SupportSampler":
+        """Diagonal atoms from a (K, d) array of their diagonals, through their moves."""
+        table = cls.__new__(cls)._own(diagonals, probs, 2)
+        return cls.from_moves(table.shape[1], *diagonal_moves(table), probs)
+
+    def _own(self, values, probs, ndim, dim=None) -> np.ndarray:
+        """Checks and keeps the support; returns its finite atoms, diagonals or moved values."""
         try:
             arr = np.asarray(values, dtype=float)
         except (TypeError, ValueError):
             raise InvalidInputError("support atoms must be equal-shape numeric matrices") from None
         self.probs = tuple(probs)
-        if (arr.ndim != ndim or arr.size == 0 or len(arr) != len(self.probs)
-                or arr.shape[1:] != (arr.shape[-1],) * (ndim - 1)):
+        if (arr.ndim != ndim or not len(arr) == len(self.probs) >= 1
+                or arr.shape[1:] != arr.shape[-1:] * (ndim - 1) or not (dim or arr.shape[-1]) >= 1):
             raise InvalidInputError(f"{len(self.probs)} probabilities, atoms of shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise InvalidInputError("support atoms have non-finite entries")
@@ -173,7 +178,7 @@ class SupportSampler:
         total = math.fsum(self.probs)
         if abs(total - 1.0) > 1e-12:
             raise InvalidInputError(f"support probabilities sum to {total}, not 1")
-        self.dim = arr.shape[-1]
+        self.dim = dim or arr.shape[-1]
         self.cum = np.cumsum(self.probs, dtype=float)
         self.cum[-1] = 1.0  # so that every u in [0, 1) lands
         # the guide table: guide[b] is the first atom a uniform in bucket
@@ -182,6 +187,13 @@ class SupportSampler:
         self.guide = np.searchsorted(self.cum, np.arange(k) / k, side="right")
         self.floors = np.concatenate(([0.0], self.cum[:-1]))
         return arr
+
+    @functools.cached_property
+    def diagonals(self) -> Optional[np.ndarray]:
+        if self.moves is not None:
+            diagonals = np.ones((len(self), self.dim))
+            np.put_along_axis(diagonals, *self.moves, axis=1)
+            return diagonals
 
     @functools.cached_property
     def atoms(self) -> np.ndarray:
@@ -309,14 +321,10 @@ def make_rademacher_rank_one(dim) -> FactorEnsemble:
     """
     if dim < 1:
         raise InvalidParameterError("dimension must be positive")
-    eye = np.eye(dim)
     # atom 2j is I + e_j e_j^T, atom 2j+1 is I - e_j e_j^T: each moves only j
-    cols = np.repeat(np.arange(dim), 2)[:, None]
-    vals = np.tile([2.0, 0.0], dim)[:, None]
-    diagonals = np.ones((2 * dim, dim))
-    np.put_along_axis(diagonals, cols, vals, axis=1)
-    sampler = SupportSampler.from_diagonals(diagonals, (1.0 / (2 * dim),) * (2 * dim),
-                                            (cols, vals))
+    sampler = SupportSampler.from_moves(dim, np.repeat(np.arange(dim), 2)[:, None],
+                                        np.tile([2.0, 0.0], dim)[:, None],
+                                        (1.0 / (2 * dim),) * (2 * dim))
     stats = FactorStats(
         mean_norm=1.0,
         sigma=1.0,
@@ -328,7 +336,7 @@ def make_rademacher_rank_one(dim) -> FactorEnsemble:
         dim=dim,
         sampler=sampler,
         stats=stats,
-        mean=eye,
+        mean=np.ones(dim),
         kind="rademacher-rank-one",
         projected_deviation=(lambda r: math.sqrt(min(r, dim) / dim)),
     )
@@ -356,15 +364,12 @@ def make_random_projector_contraction(dim, kind="coordinate", rows=None) -> Fact
     k = len(rows)
     probs = (1.0 / k,) * k
     if kind == "coordinate":
-        # I - e_j e_j^T: ones on the diagonal but a zero at j, +0 elsewhere;
-        # the mean and deviations are diagonal too, so no dense stack is built,
-        # and the spectral norm of a diagonal is its largest entry magnitude
-        sampler = SupportSampler.from_diagonals(
-            1.0 - rows, probs, (np.arange(dim)[:, None], np.zeros((dim, 1))))
-        diagonal = sum(p * g for g, p in zip(sampler.diagonals, probs))
-        mean = np.diag(diagonal)
-        mean_norm = float(np.abs(diagonal).max())
-        devs = np.abs(sampler.diagonals - diagonal).max(axis=1).tolist()
+        # I - e_j e_j^T moves j to 0.0; the mean and deviations are diagonal
+        # too, and the spectral norm of a diagonal is its largest entry magnitude
+        sampler = SupportSampler.from_moves(dim, np.arange(dim)[:, None], np.zeros((dim, 1)), probs)
+        mean = sum(p * g for g, p in zip(sampler.diagonals, probs))
+        mean_norm = float(np.abs(mean).max())
+        devs = np.abs(sampler.diagonals - mean).max(axis=1).tolist()
     else:
         eye = np.eye(dim)
         atoms = np.empty((k, dim, dim))

@@ -177,9 +177,9 @@ def matrix_to_json(a) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise InvalidInputError("matrix JSON must be an object")
-    missing = {"rows", "cols", "data"} - set(obj)
-    if missing:
-        raise InvalidInputError(f"matrix JSON missing keys: {sorted(missing)}")
+    if set(obj) != {"rows", "cols", "data"}:
+        raise InvalidInputError(f"matrix JSON takes the fields rows, cols, data, got keys "
+                                f"{', '.join(map(repr, obj))}")
     rows, cols = obj["rows"], obj["cols"]
     if not (isinstance(rows, int) and isinstance(cols, int)) or rows <= 0 or cols <= 0:
         raise InvalidInputError("rows/cols must be positive integers")

@@ -205,9 +205,9 @@ class NormBiasedTwoPointHook:
 class _Law:
     """One factor ensemble's law in a spec, shared by every position that
     draws from it; each part is computed when a reader first asks for it.
-    ``steps`` are what a product steps by: the (K, d, d) atoms or the (K, d)
-    diagonals of diagonal atoms, or in inverse mode the atoms' inverses,
-    solved where the probability is positive and zero where no path goes."""
+    ``steps`` are the (K, d, d) atoms, the (K, d) diagonals of diagonal atoms or
+    in inverse mode the atoms' inverses (zero where no path goes); ``mean`` is
+    E Y as a matrix, read by neither the moves nor a diagonal mean's row scales."""
 
     def __init__(self, ensemble, spec):
         self.ensemble, self.invert, self.r = ensemble, spec.mode == "inverse", spec.r
@@ -225,7 +225,7 @@ class _Law:
     def steps(self) -> np.ndarray:
         s = self.support
         if not self.invert:
-            return s.atoms if s.diagonals is None else s.diagonals
+            return s.atoms if s.moves is None else s.diagonals
         inverses, live = np.zeros_like(s.atoms), self.probs[0] > 0
         inverses[live] = np.linalg.solve(s.atoms[live], np.eye(s.dim))
         return inverses
@@ -249,16 +249,27 @@ def _laws(spec) -> list:
 def expected_product(spec: ProductSpec) -> np.ndarray:
     """Exact E Z_n = (E Y_n) ... (E Y_1) Z_0 for independent factor draws.
 
-    The means multiply in factor order, as matrices: a row scale by a diagonal
-    mean would have this chain's bits while finite, and its finiteness (_step).
+    The means multiply in factor order. A run of one law whose mean is a (d,)
+    diagonal scales rows step by step, in blocks within GATHER_BUDGET, then adds
+    0.0 once: the matrix chain's bits while finite (_sampled_chunk), else redone.
     """
     if spec.mode != "independent":
         raise UnsupportedEnsembleError(
             f"expected_product is defined for independent products, not {spec.mode!r}")
     out = spec.z0
     with np.errstate(over="ignore", invalid="ignore"):  # the caller names an overflow
-        for law in _laws(spec):
-            out = law.mean @ out
+        for law, run in itertools.groupby(_laws(spec)):
+            steps = len(list(run))
+            if np.ndim(law.ensemble.mean) == 1:  # a block's steps in one reduce, in order
+                scaled, span = out, max(1, GATHER_BUDGET // (8 * out.size))
+                for lo in range(0, steps, span):
+                    block = np.empty((min(span, steps - lo) + 1, *out.shape))
+                    block[0], block[1:] = scaled, np.reshape(law.ensemble.mean, (-1, 1))
+                    scaled = np.multiply.reduce(block, axis=0)
+                if np.isfinite(scaled).all():
+                    out, steps = scaled + 0.0, 0  # else the matrix redoes the run
+            for _ in range(steps):
+                out = law.mean @ out
     return out
 
 
@@ -300,7 +311,7 @@ def _chunk_size(spec, samplers):
     draw per drawn factor), within GATHER_BUDGET. Inverse mode gathers dense
     atoms, but its start is square, so r = d.
     """
-    dense = any(getattr(s, "diagonals", None) is None for s in samplers)
+    dense = any(getattr(s, "moves", None) is None for s in samplers)
     step = 8 * spec.d * (max(spec.d, spec.r) if dense else spec.r)
     held = sum(1 if isinstance(s, SupportSampler) else spec.d ** 2 for s in samplers)
     return max(1, GATHER_BUDGET // max(step, 8 * held)), step

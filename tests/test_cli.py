@@ -1026,6 +1026,27 @@ def test_a_misspelled_key_is_refused_in_every_config_object(capsys, tmp_path, na
     assert "unknown" in message and repr(key) in message
 
 
+def test_a_matrix_object_with_another_key_is_refused(capsys, tmp_path):
+    # once, this ran from the identity start without a word
+    z0 = {"rows": 2, "cols": 2, "data": [1, 0, 0, 1], "transpose": True, "dtpye": "f4"}
+    spec = {"factors": [{"ensemble": dict(ONE_ENSEMBLE["rademacher-rank-one"], dim=2)}],
+            "z0": z0}
+    for command in ("simulate", "compare"):
+        message = refusal(capsys, tmp_path, command, {"spec": spec, "trials": 0})
+        assert message == ("matrix JSON takes the fields rows, cols, data, got keys "
+                           "'rows', 'cols', 'data', 'transpose', 'dtpye'")
+
+
+@pytest.mark.parametrize("quantities", ["schatten-moment", {"schatten-moment": True},
+                                        ["schatten-moment", 2]],
+                         ids=["string", "object", "non-string-entry"])
+def test_quantities_must_be_a_list_of_names(capsys, tmp_path, quantities):
+    # a string was read as its letters: "unknown quantities: ['-', 'a', ...]"
+    message = refusal(capsys, tmp_path, "simulate",
+                      {"spec": SCALAR_SPEC, "trials": 8, "quantities": quantities})
+    assert message == "'quantities' must be a list of quantity names"
+
+
 def test_misspelled_preset_fields_are_refused(capsys, tmp_path):
     # once, these ran the preset with its 5 rows and no tail row
     cfg = dict(load_preset("two-point-scalar"), threshold_growth=[1.1], pp=4.0)

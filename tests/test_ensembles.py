@@ -11,6 +11,7 @@ from matprod.ensembles import (
     FactorEnsemble,
     FactorStats,
     SupportSampler,
+    diagonal_moves,
     householder_direction,
     make_bounded_perturbation,
     make_rademacher_rank_one,
@@ -530,7 +531,75 @@ class TestSupportValidation:
         assert "atoms" not in vars(e.sampler)
 
 
+@st.composite
+def diagonal_tables(draw):
+    """(K, d) tables whose entries are mostly 1.0, signed zeros among the
+    moves, with probabilities from small integer weights."""
+    k, d = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entries = st.sampled_from([1.0, 1.0, 1.0, 0.0, -0.0, 2.5, -1.5, 1.0 / 3.0, 1e300, -1e-300])
+    table = np.array(draw(st.lists(st.lists(entries, min_size=d, max_size=d),
+                                   min_size=k, max_size=k)))
+    weights = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any))
+    return table, tuple(w / sum(weights) for w in weights)
+
+
+class TestMoves:
+    """A diagonal support given by its moves is the support of its table."""
+
+    @given(diagonal_tables(), st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1))
+    def test_moves_and_table_give_the_same_support(self, case, u):
+        table, probs = case
+        by_table = SupportSampler.from_diagonals(table, probs)
+        by_moves = SupportSampler.from_moves(table.shape[1], *diagonal_moves(table), probs)
+        assert by_table.diagonals.tobytes() == by_moves.diagonals.tobytes() == table.tobytes()
+        assert by_table.atoms.tobytes() == by_moves.atoms.tobytes()
+        u = np.array(u)
+        assert by_table.pick(u).tolist() == by_moves.pick(u).tolist()
+
+    def test_the_table_and_atoms_are_written_when_first_read(self):
+        sampler = make_rademacher_rank_one(6).sampler
+        assert not {"diagonals", "atoms"} & set(vars(sampler))
+        cols, vals = sampler.moves
+        assert cols.shape == vals.shape == (12, 1)
+        assert sampler.diagonals.shape == (12, 6) and "atoms" not in vars(sampler)
+        assert sampler.atoms.shape == (12, 6, 6)
+
+    @pytest.mark.parametrize("cols, vals, probs", [
+        ([[0], [3]], [[2.0], [0.0]], (0.5, 0.5)),
+        ([[-1], [1]], [[2.0], [0.0]], (0.5, 0.5)),
+        ([[0, 1], [2, 2]], [[2.0, 0.5], [0.0, 3.0]], (0.5, 0.5)),
+        ([[0], [1]], [[np.inf], [0.0]], (0.5, 0.5)),
+        ([[0], [1]], [[2.0], [np.nan]], (0.5, 0.5)),
+        ([[0], [1]], [[2.0], [0.0]], (0.6, 0.6)),
+        ([[0], [1]], [[2.0], [0.0]], (1.5, -0.5)),
+        ([[0], [1]], [[2.0], [0.0]], (1.0,)),
+        ([[0.0], [1.0]], [[2.0], [0.0]], (0.5, 0.5)),
+        ([[0], [1]], [[2.0, 1.0], [0.0, 1.0]], (0.5, 0.5)),
+    ], ids=["column-past-dim", "negative-column", "repeated-column", "inf-value", "nan-value",
+            "sum-above", "prob-outside", "count", "float-columns", "shapes-differ"])
+    def test_from_moves_refuses(self, cols, vals, probs):
+        with pytest.raises(InvalidInputError):
+            SupportSampler.from_moves(3, np.array(cols), vals, probs)
+
+    def test_an_identity_support_moves_nothing(self):
+        sampler = SupportSampler.from_moves(3, np.empty((2, 0), dtype=int), np.empty((2, 0)),
+                                            (0.5, 0.5))
+        assert sampler.diagonals.tobytes() == np.ones((2, 3)).tobytes()
+
+
 class TestEnsembleValidation:
+    @pytest.mark.parametrize("sampler", [
+        SupportSampler([np.eye(2), -np.eye(2)], (0.5, 0.5)),
+        SupportSampler.from_moves(2, [[0], [1]], [[2.0], [0.0]], (0.5, 0.5)),
+    ], ids=["dense", "moves"])
+    def test_a_diagonal_mean_is_checked_and_read_as_its_matrix(self, sampler):
+        e = FactorEnsemble(dim=2, sampler=sampler, stats=FactorStats(1.0, 0.0),
+                           mean=np.array([0.5, -0.0]))
+        assert e.exact_mean().tobytes() == np.diag([0.5, -0.0]).tobytes()
+        for mean in (np.ones(3), np.array([1.0, np.nan]), np.ones((1, 2))):
+            with pytest.raises(InvalidInputError):
+                replace(e, mean=mean)
+
     def test_support_probabilities_must_sum_to_one(self):
         with pytest.raises(InvalidInputError):
             FactorEnsemble(dim=2, sampler=SupportSampler((np.eye(2),) * 2, (0.6, 0.6)),

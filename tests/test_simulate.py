@@ -4,6 +4,7 @@ import itertools
 import math
 import pickle
 import re
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -1757,6 +1758,11 @@ def dense_chain(spec):
     return out
 
 
+def diagonal_mean(e):
+    """The ensemble with its mean given as the (d,) diagonal of its exact mean."""
+    return replace(e, mean=np.diagonal(e.exact_mean()).copy())
+
+
 class TestExpectedProduct:
     @pytest.mark.parametrize("make_spec, finite", [
         pytest.param(lambda: ProductSpec((make_rademacher_rank_one(6),) * 20,
@@ -1772,6 +1778,23 @@ class TestExpectedProduct:
         # the run, and the dense means turn the other rows into NaN by 0 * inf
         pytest.param(lambda: ProductSpec((thirds_diagonal(),) * 8, np.full((3, 2), 1e307)),
                      False, id="overflow", marks=IGNORE_OVERFLOW),
+        # the means below are (d,) diagonals, stepped as row scales
+        pytest.param(lambda: ProductSpec((diagonal_mean(padded_diagonal()),) * 12,
+                                         signed_zero_start(5, 3)), True, id="padded-1d-mean"),
+        pytest.param(lambda: ProductSpec(
+            (diagonal_mean(thirds_diagonal(5)),
+             make_bounded_perturbation(5, -0.3 * np.eye(5), 0.4, 3.0),
+             diagonal_mean(thirds_diagonal(5)), diagonal_mean(padded_diagonal())) * 4,
+            signed_zero_start(5, 2)), True, id="1d-mean-beside-dense"),
+        # overflow within a run of 1-D means: the run is redone through the
+        # dense mean, whose 0 * inf turns the other rows into NaN
+        pytest.param(lambda: ProductSpec((diagonal_mean(thirds_diagonal()),) * 8,
+                                         np.full((3, 2), 1e307)),
+                     False, id="overflow-1d-mean", marks=IGNORE_OVERFLOW),
+        pytest.param(lambda: ProductSpec(
+            (make_bounded_perturbation(3, 2.0 * np.eye(3), 0.1, 1.0),
+             diagonal_mean(thirds_diagonal()), make_rademacher_rank_one(3)) * 4,
+            np.full((3, 2), 1e307)), False, id="1d-means-after-overflow", marks=IGNORE_OVERFLOW),
     ])
     def test_diagonal_means_match_the_dense_chain(self, make_spec, finite):
         spec = make_spec()
@@ -1780,6 +1803,47 @@ class TestExpectedProduct:
         assert np.isfinite(got).all() == finite
         if not finite:
             assert np.isnan(got[1:]).all()
+
+    @pytest.mark.parametrize("make", [make_rademacher_rank_one, make_random_projector_contraction],
+                             ids=["rank-one", "coordinate-projector"])
+    def test_diagonal_builders_give_1d_means_that_build_no_matrix(self, make, monkeypatch):
+        e = make(6)
+        assert np.ndim(e.mean) == 1
+        spec = ProductSpec((e,) * 20, signed_zero_start(6, 2))
+        want = dense_chain(spec)
+        monkeypatch.setattr(FactorEnsemble, "exact_mean", lambda self: pytest.fail("dense mean"))
+        assert expected_product(spec).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("budget", [1, 3 * 8 * 5 * 2, 2**19],
+                             ids=["one-step", "three-steps", "whole-run"])
+    def test_row_scales_go_in_budget_blocks(self, budget, monkeypatch):
+        # the thirds' mean scales coordinate 0 by 5/3; the start times the
+        # 20th power of 5/3 is not the chain, so a block must keep step order
+        spec = ProductSpec((diagonal_mean(thirds_diagonal(5)),) * 20, 3.0 * tall_start(5, 2))
+        column = np.diagonal(spec.factors[0].exact_mean())[:, None]
+        power = np.multiply.reduce(np.broadcast_to(column, (20, 5, 1)), axis=0)
+        assert (spec.z0 * power + 0.0).tobytes() != dense_chain(spec).tobytes()
+        monkeypatch.setattr(simulate, "GATHER_BUDGET", budget)
+        assert expected_product(spec).tobytes() == dense_chain(spec).tobytes()
+
+    def test_rank_one_at_scale_holds_no_d_by_d_array(self):
+        # d = 2000: the (2d, d) table of diagonals and the d x d identity mean
+        # took about 100 MB; the moves and the diagonal mean take O(d)
+        d, z0 = 2000, tall_start(2000, 1)
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            spec = ProductSpec((make_rademacher_rank_one(d),) * 50, z0)
+            rows, _ = comparison_rows(spec, p=2 * (1 + math.log(d)), trials=150)
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.quantity for r in rows if not r.skipped] == [
+            "growth-moment", "concentration-moment", "expectation-growth"]
+        assert peak < 8 * 2**20
+        assert "diagonals" not in vars(spec.factors[0].sampler)
+        assert elapsed < 1.0
 
     def test_value(self):
         spec = matrix_two_point(dim=2, n=3)
