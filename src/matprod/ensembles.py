@@ -173,13 +173,20 @@ class SupportSampler:
             raise InvalidInputError(f"{len(self.probs)} probabilities, atoms of shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise InvalidInputError("support atoms have non-finite entries")
-        if not all(0 <= prob <= 1 for prob in self.probs):
+        try:
+            # one float array serves the range check, cum, the guide table and
+            # floors; fsum takes the given values, and refuses what is not a number
+            probs = np.array(self.probs, dtype=float)
+            total = (math.fsum(self.probs) if probs.ndim == 1
+                     and ((probs >= 0.0) & (probs <= 1.0)).all() else None)
+        except (TypeError, ValueError, OverflowError):
+            total = None
+        if total is None:
             raise InvalidInputError("support probabilities must lie in [0, 1]")
-        total = math.fsum(self.probs)
         if abs(total - 1.0) > 1e-12:
             raise InvalidInputError(f"support probabilities sum to {total}, not 1")
         self.dim = dim or arr.shape[-1]
-        self.cum = np.cumsum(self.probs, dtype=float)
+        self.cum = np.cumsum(probs)
         self.cum[-1] = 1.0  # so that every u in [0, 1) lands
         # the guide table: guide[b] is the first atom a uniform in bucket
         # [b/K, (b+1)/K) can pick; floors[j] is the running sum before atom j

@@ -1,6 +1,10 @@
 """Schatten norms, the spectral radius and condition numbers: the one module
 that reduces matrices to singular values or eigenvalues.
 
+Singular values come from ``_svals`` by one rule: a stack of one-column
+matrices that LAPACK's ``dgesdd`` would not rescale takes one batched QR, whose
+|R11| are the SVD's own bits, and any other stack takes the SVD.
+
 Matrices are real 2-D float64 arrays with finite entries. The JSON object
 wire format is provided here; its reader rejects NaN/Inf.
 """
@@ -17,6 +21,11 @@ from .errors import InvalidInputError, InvalidParameterError
 
 # Stacks of at least this many matrices are split over the usable CPUs.
 PARALLEL_MATRICES = 512
+
+# dgesdd's scaling thresholds, sqrt(safe minimum) / eps and its reciprocal: it
+# rescales a matrix whose largest entry magnitude is nonzero and outside them
+SMLNUM = math.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
+BIGNUM = 1.0 / SMLNUM
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -75,12 +84,13 @@ def spectral_radius(a) -> float:
 
 
 def stack_norms(stack, p=math.inf):
-    """(spectral, Schatten-p) norms of every matrix in a stack, from one SVD.
+    """(spectral, Schatten-p) norms of every matrix in a stack, from one
+    ``_svals`` call: one SVD, or one QR for a stack of in-range columns.
 
     Each matrix's singular values are bitwise those of ``singular_values`` on
-    it alone; the Schatten root is taken as an array power, which can differ
-    in the last bits from the scalar power ``norm_from_singular_values``
-    takes on one matrix's singular values.
+    it alone, and of ``np.linalg.svd``; the Schatten root is taken as an array
+    power, which can differ in the last bits from the scalar power
+    ``norm_from_singular_values`` takes on one matrix's singular values.
     """
     svals = _by_parts(_svals, stack)
     return svals[..., 0], np.asarray(norm_from_singular_values(svals, p), dtype=float)
@@ -102,7 +112,28 @@ def spectral_radii(stack):
 
 
 def _svals(stack):
-    return np.linalg.svd(stack, compute_uv=False)
+    """Singular values of every matrix in a stack, bitwise
+    ``np.linalg.svd(stack, compute_uv=False)``.
+
+    A stack of real one-column matrices takes one batched QR when dgesdd
+    would rescale none of its columns, that is when each column's largest
+    entry magnitude is 0 or in [SMLNUM, BIGNUM]: dgesdd then returns the QR's
+    |R11| itself. Any other stack, one that holds a NaN or an inf included,
+    takes the SVD. |R11| is the column's 2-norm, between its largest entry
+    magnitude and sqrt(d) times it, so a norm in [2 sqrt(d) SMLNUM, BIGNUM / 2]
+    settles the range (the factor 2 covers its rounding), and only the other
+    columns' entries are read again.
+    """
+    stack = np.asarray(stack)
+    if stack.ndim < 2 or stack.shape[-1] != 1 or not stack.size or np.iscomplexobj(stack):
+        return np.linalg.svd(stack, compute_uv=False)
+    svals = np.abs(np.linalg.qr(stack, mode="r")[..., 0, :])
+    unsure = ~((svals >= 2.0 * math.sqrt(stack.shape[-2]) * SMLNUM) & (svals <= BIGNUM / 2.0))
+    if unsure.any():
+        top = np.abs(stack[unsure[..., 0]]).max(axis=-2)
+        if not ((top == 0.0) | (top >= SMLNUM) & (top <= BIGNUM)).all():
+            return np.linalg.svd(stack, compute_uv=False)
+    return svals
 
 
 def _by_parts(lapack, stack):

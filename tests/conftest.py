@@ -24,3 +24,19 @@ def svd_shapes(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     return shapes
+
+
+@pytest.fixture
+def svals_shapes(monkeypatch):
+    """Records the shape of every stack the norm layer reduces to singular values."""
+    from matprod import schatten
+
+    shapes = []
+    svals = schatten._svals
+
+    def counting(stack):
+        shapes.append(np.shape(stack))
+        return svals(stack)
+
+    monkeypatch.setattr(schatten, "_svals", counting)
+    return shapes

@@ -624,15 +624,15 @@ class TestSimulateCommand:
         assert all(0.8 <= x <= 1.22 for x in norms)
 
     @pytest.mark.parametrize("per_trial", [False, True])
-    def test_per_trial_norms_reuse_the_product_svd(self, capsys, tmp_path, svd_shapes,
+    def test_per_trial_norms_reuse_the_product_svd(self, capsys, tmp_path, svals_shapes,
                                                    per_trial):
         path = write_config(tmp_path, {"spec": SCALAR_SPEC, "trials": 8,
                                        "per_trial": per_trial})
         rc, payload, _ = run_json(capsys, "simulate", "--config", path)
         assert rc == 0
         assert ("per_trial_spectral_norms" in payload) == per_trial
-        # the products and their deviations in one norm stack
-        assert [s for s in svd_shapes if len(s) == 3] == [(16, 1, 1)]
+        # the products and their deviations in one norm stack, reduced once
+        assert [s for s in svals_shapes if len(s) == 3] == [(16, 1, 1)]
 
     def test_trials_and_seed_overrides(self, capsys, tmp_path):
         path = write_config(tmp_path, {"spec": SCALAR_SPEC, "trials": 10})

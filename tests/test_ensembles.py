@@ -575,8 +575,11 @@ class TestMoves:
         ([[0], [1]], [[2.0], [0.0]], (1.0,)),
         ([[0.0], [1.0]], [[2.0], [0.0]], (0.5, 0.5)),
         ([[0], [1]], [[2.0, 1.0], [0.0, 1.0]], (0.5, 0.5)),
+        ([[0], [1]], [[2.0], [0.0]], (math.nan, 1.0)),
+        ([[0], [1]], [[2.0], [0.0]], ("0.5", "0.5")),
     ], ids=["column-past-dim", "negative-column", "repeated-column", "inf-value", "nan-value",
-            "sum-above", "prob-outside", "count", "float-columns", "shapes-differ"])
+            "sum-above", "prob-outside", "count", "float-columns", "shapes-differ", "nan-prob",
+            "text-prob"])
     def test_from_moves_refuses(self, cols, vals, probs):
         with pytest.raises(InvalidInputError):
             SupportSampler.from_moves(3, np.array(cols), vals, probs)

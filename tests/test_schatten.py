@@ -1,6 +1,7 @@
 import ast
 import math
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -15,7 +16,10 @@ from hypothesis.extra import numpy as hnp
 import matprod
 from matprod.errors import InvalidInputError, InvalidParameterError
 from matprod.schatten import (
+    BIGNUM,
     PARALLEL_MATRICES,
+    SMLNUM,
+    _svals,
     condition_numbers,
     format_float,
     matrix_from_json,
@@ -180,8 +184,10 @@ class TestStackNorms:
     """One SVD per stack; each matrix's norms as if it were decomposed alone."""
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 100.0, math.inf])
-    @pytest.mark.parametrize("shape", [(40, 4, 4), (30, 5, 2), (30, 2, 6), (1, 3, 3)],
-                             ids=["square", "tall", "wide", "stack-of-one"])
+    @pytest.mark.parametrize("shape", [(40, 4, 4), (30, 5, 2), (30, 2, 6), (1, 3, 3),
+                                       (30, 7, 1), (20, 1, 1), (4, 300, 1)],
+                             ids=["square", "tall", "wide", "stack-of-one",
+                                  "column", "one-by-one", "long-column"])
     def test_matches_single_matrix_norms(self, shape, p):
         stack = np.random.default_rng(11).standard_normal(shape)
         spectral, schatten = stack_norms(stack, p)
@@ -224,7 +230,8 @@ class TestSplitStacks:
     of one serial call."""
 
     @pytest.mark.parametrize("cpus", [2, 3])
-    @pytest.mark.parametrize("shape", [(4, 4), (10, 10), (100, 1)], ids=["4x4", "10x10", "100x1"])
+    @pytest.mark.parametrize("shape", [(4, 4), (10, 10), (100, 1), (1, 1)],
+                             ids=["4x4", "10x10", "100x1", "1x1"])
     @pytest.mark.parametrize("count", [PARALLEL_MATRICES - 1, PARALLEL_MATRICES,
                                        PARALLEL_MATRICES + 1, 4096])
     def test_bits_match_serial_call(self, monkeypatch, count, shape, cpus):
@@ -294,10 +301,13 @@ class TestConditionNumbers:
 
     @pytest.mark.parametrize("side", range(1, 11))
     def test_matches_numpy_cond(self, side):
-        stack = np.random.default_rng(side).standard_normal((20, side, side))
-        assert condition_numbers(stack).tobytes() == np.linalg.cond(stack).tobytes()
-        for m in stack[:3]:
-            assert condition_numbers(m).tobytes() == np.linalg.cond(m).tobytes()
+        rng = np.random.default_rng(side)
+        columns = rng.standard_normal((20, 10 * side, 1))
+        columns[::4] = 0.0  # 0 / 0: inf, as np.linalg.cond gives
+        for stack in (rng.standard_normal((20, side, side)), columns):
+            assert condition_numbers(stack).tobytes() == np.linalg.cond(stack).tobytes()
+            for m in stack[:3]:
+                assert condition_numbers(m).tobytes() == np.linalg.cond(m).tobytes()
 
     def test_singular_matrices_give_inf(self):
         stack = np.array([np.zeros((3, 3)), np.diag([1.0, 2.0, 0.0]), np.ones((3, 3)),
@@ -314,6 +324,97 @@ class TestConditionNumbers:
         stack[::7, :, 0] = 0.0  # singular matrices in every part
         use_cpus(monkeypatch, cpus)
         assert condition_numbers(stack).tobytes() == np.linalg.cond(stack).tobytes()
+
+
+def column_stack(seed, side, tops):
+    """A (len(tops), side, 1) stack whose column k has largest entry magnitude tops[k]."""
+    stack = np.random.default_rng(seed).standard_normal((len(tops), side, 1))
+    # the largest entry becomes exactly +-1, and no other exceeds it in magnitude
+    stack /= np.abs(stack).max(axis=-2, keepdims=True)
+    return stack * np.asarray(tops, dtype=float)[:, None, None]
+
+
+# largest entry magnitudes on both sides of the range in which dgesdd does not rescale
+EDGE_TOPS = [0.0, np.nextafter(SMLNUM, 0.0), SMLNUM, np.nextafter(SMLNUM, 1.0), 1e-140, 1e-130,
+             1e-300, 1.0, 1e130, 1e140, 1e300, np.nextafter(BIGNUM, 1.0), BIGNUM,
+             np.nextafter(BIGNUM, math.inf)]
+
+
+class TestColumnRoute:
+    """One-column stacks take one QR when dgesdd would not rescale them; the
+    singular values are bitwise np.linalg.svd's either way."""
+
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.one_of(st.integers(1, 5), st.sampled_from([17, 100, 300]), st.integers(1, 300)),
+           st.lists(st.sampled_from(EDGE_TOPS), min_size=1, max_size=6))
+    def test_svals_match_svd_bits(self, seed, side, tops):
+        stack = column_stack(seed, side, tops)
+        want = np.linalg.svd(stack, compute_uv=False)
+        assert _svals(stack).tobytes() == want.tobytes()
+        assert _svals(stack[0]).tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize("side", [1, 2, 3, 5, 17, 100, 300])
+    def test_every_edge_matches_svd_bits(self, side):
+        for k, top in enumerate(EDGE_TOPS):
+            stack = column_stack(k, side, [top] * 8)
+            want = np.linalg.svd(stack, compute_uv=False)
+            assert _svals(stack).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tops, calls", [
+        ([1.0] * 4, ["qr"]),
+        ([1.0, 0.0, SMLNUM, BIGNUM], ["qr"]),
+        ([1.0, 0.0, np.nextafter(SMLNUM, 0.0), 1.0], ["qr", "svd"]),
+        ([1.0, np.nextafter(BIGNUM, math.inf)], ["qr", "svd"]),
+        ([1.0, math.inf], ["qr", "svd"]),
+    ], ids=["in-range", "zero-and-edges", "one-column-too-small", "one-column-too-large",
+            "inf"])
+    def test_one_rescaled_column_sends_the_stack_to_svd(self, monkeypatch, tops, calls):
+        stack = column_stack(1, 100, tops)
+        want = np.linalg.svd(stack, compute_uv=False)
+        seen = []
+
+        def spy(name):
+            lapack = getattr(np.linalg, name)
+            return lambda *args, **kwargs: seen.append(name) or lapack(*args, **kwargs)
+
+        for name in ("qr", "svd"):
+            monkeypatch.setattr(np.linalg, name, spy(name))
+        assert _svals(stack).tobytes() == want.tobytes()
+        assert seen == calls
+
+    def test_nan_column_raises_as_svd_does(self):
+        stack = column_stack(2, 5, [1.0, 1.0])
+        stack[1, 3, 0] = math.nan
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            np.linalg.svd(stack, compute_uv=False)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            _svals(stack)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                        reason="the Haswell kernel is an x86-64 OpenBLAS kernel")
+    def test_svals_match_svd_bits_under_haswell_kernel(self):
+        # the SVD's own bits depend on the OpenBLAS kernel; the route must
+        # match them under a second kernel too, which needs a fresh process
+        code = (
+            "import ctypes, glob, os, sys, numpy, pytest\n"
+            "libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)),\n"
+            "                              'numpy.libs', 'libscipy_openblas64_*.so'))\n"
+            "if libs:\n"
+            "    corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_\n"
+            "    corename.argtypes, corename.restype = [], ctypes.c_char_p\n"
+            "    print('core', corename().decode())\n"
+            "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *sys.argv[1:]]))\n")
+        here = f"{Path(__file__).resolve()}::TestColumnRoute::"
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(matprod.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code, here + "test_svals_match_svd_bits",
+                               here + "test_every_edge_matches_svd_bits"],
+                              capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        cores = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("core ")]
+        assert cores in ([], ["Haswell"])
+        assert proc.stdout.splitlines()[-1].startswith("8 passed")
 
 
 class TestOneReductionLayer:
