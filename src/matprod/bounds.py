@@ -167,6 +167,7 @@ class ProductStats:
     r: int
     z0_singular_values: tuple
     projected_rank: Optional[int] = None
+    _z0_norms: dict = field(default_factory=dict, init=False, repr=False)  # by p
 
     def __post_init__(self):
         if len(self.factors) == 0:
@@ -246,8 +247,11 @@ class ProductStats:
 
     def z0_norm(self, p) -> float:
         """||Z_0||_p, bitwise ``schatten_norm(z0, p)``: the root is taken on a
-        stack of one, as ``stack_norms`` takes it."""
-        return float(norm_from_singular_values(np.asarray(self.z0_singular_values)[None], p)[0])
+        stack of one, as ``stack_norms`` takes it, once per p."""
+        if p not in self._z0_norms:
+            self._z0_norms[p] = float(
+                norm_from_singular_values(np.asarray(self.z0_singular_values)[None], p)[0])
+        return self._z0_norms[p]
 
     @property
     def start_norm(self) -> float:

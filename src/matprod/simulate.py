@@ -457,19 +457,59 @@ def simulate_product(spec: ProductSpec, trials, seed, key=()) -> SimulationResul
 _Z99 = 2.5758293035489004  # the z-value of LEVEL: scipy.special.ndtri(0.995), bit for bit
 
 
-def _mean_estimate(values, quantity, seed) -> MCEstimate:
-    n = values.size
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return MCEstimate(quantity, mean, se, mean - _Z99 * se, mean + _Z99 * se, n, seed)
+# a table row whose largest entry is below this, sqrt of the smallest normal
+# float64 (~1.5e-154), has only subnormal squared deviations
+_TINY_ROOT = math.sqrt(np.finfo(float).tiny)
 
 
-def _moment_estimate(powers, q, quantity, seed) -> MCEstimate:
-    est = _mean_estimate(powers, quantity, seed)  # of the q-th powers; then their root
-    m, root = est.mean, 1.0 / q
-    se = est.std_error * m ** (root - 1.0) / q if m > 0 else 0.0
-    return replace(est, mean=m ** root, std_error=se, ci_low=max(est.ci_low, 0.0) ** root,
-                   ci_high=est.ci_high ** root)
+def _estimate(quantity, mean, std, n, seed, q=None, scale=1.0) -> MCEstimate:
+    """One table row's estimate from its mean and standard deviation: a mean
+    with normal limits at LEVEL or, given ``q``, the q-th root of a mean of
+    q-th powers, with the roots of its limits (the lower one clamped at 0)
+    and a delta-method standard error; every field times ``scale``."""
+    se = std / math.sqrt(n) if n > 1 else 0.0
+    lo, hi = mean - _Z99 * se, mean + _Z99 * se
+    if q is not None:
+        root = 1.0 / q
+        se = se * mean ** (root - 1.0) / q if mean > 0 else 0.0
+        mean, lo, hi = mean ** root, max(lo, 0.0) ** root, hi ** root
+    return MCEstimate(quantity, scale * mean, scale * se, scale * lo, scale * hi, n, seed)
+
+
+def _estimates(rows, seed) -> dict:
+    """The estimate table: one MCEstimate per (quantity, values, q) row of
+    one run's non-negative values, q None for a mean row.
+
+    The rows, a moment row as its q-th powers, are stacked into one
+    C-contiguous (k, T) table and reduced by one ``mean(axis=1)`` and one
+    ``std(axis=1, ddof=1)``, which give each row the bits of its own 1-D
+    ``mean()`` and ``std(ddof=1)``. A row whose raw reduction overflows (its
+    mean or standard deviation is not finite) or underflows (its largest
+    entry is below ``_TINY_ROOT``) is reduced again from its values divided
+    by their largest one, a factor ``_estimate`` puts back after the root;
+    a row of zeros or with an infinite value keeps its raw reduction, and
+    every other row keeps its bits.
+    """
+    def reduce(table):  # (means, standard deviations) of the rows, as Python floats
+        n = table.shape[1]
+        std = table.std(axis=1, ddof=1) if n > 1 else np.zeros(len(table))
+        return table.mean(axis=1).tolist(), std.tolist()
+
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # rows redone below
+        table = np.stack([v if q is None else v ** q for _, v, q in rows])
+        means, stds = reduce(table)
+        peaks = table.max(axis=1).tolist()
+    out = {}
+    for (name, values, q), mean, std, peak in zip(rows, means, stds, peaks):
+        scale = 1.0
+        if not (math.isfinite(mean) and math.isfinite(std) and peak >= _TINY_ROOT):
+            top = float(values.max())
+            if 0.0 < top < math.inf:
+                scaled = values / top
+                (mean,), (std,) = reduce((scaled if q is None else scaled ** q)[None])
+                scale = top
+        out[name] = _estimate(name, mean, std, table.shape[1], seed, q, scale)
+    return out
 
 
 def _block_norms(prods, dev, p, radius):
@@ -565,19 +605,13 @@ def summarize_simulation(spec: ProductSpec, trials, seed, p=2.0, q=2.0, threshol
     norms = np.concatenate(norms, axis=2)
     spectral, schatten = norms[:, 0]
     dspec, dsch = norms[:, 1] if norms.shape[1] == 2 else (None, None)
-    out = {
-        "spectral-norm-mean": _mean_estimate(spectral, "spectral-norm-mean", seed),
-        "schatten-moment": _moment_estimate(schatten**q, q, "schatten-moment", seed),
-    }
+    rows = [("spectral-norm-mean", spectral, None), ("schatten-moment", schatten, q)]
     if radius:
-        out["spectral-radius-mean"] = _mean_estimate(
-            np.concatenate(radii), "spectral-radius-mean", seed)
+        rows.append(("spectral-radius-mean", np.concatenate(radii), None))
     if dspec is not None:
-        out["deviation-norm-mean"] = _mean_estimate(dspec, "deviation-norm-mean", seed)
-        out["deviation-schatten-moment"] = _moment_estimate(
-            dsch**q, q, "deviation-schatten-moment", seed)
+        rows += [("deviation-norm-mean", dspec, None), ("deviation-schatten-moment", dsch, q)]
     tails = _tails(spectral, thresholds_growth, dspec, thresholds_deviation)
-    return out, tails, spectral, excluded
+    return _estimates(rows, seed), tails, spectral, excluded
 
 
 # ---------------------------------------------------------------------------
@@ -822,8 +856,9 @@ def triangular_array_run(mean, radius, dim, n_list, trials, seed) -> list:
         dev_mean, dev_exp = np.concatenate(
             [_block_norms(prods - exact_mean, prods - expm, math.inf, False)[0]
              for prods, _ in _trial_chunks(spec, trials, seed, (row_index,))], axis=1)
-        est_mean = _mean_estimate(dev_mean, "deviation-norm-mean", seed)
-        est_exp = _mean_estimate(dev_exp, "deviation-from-exponential", seed)
+        est = _estimates([("deviation-norm-mean", dev_mean, None),
+                          ("deviation-from-exponential", dev_exp, None)], seed)
+        est_mean, est_exp = est.values()
         rows.append(TriangularRow(
             n=n,
             deviation_from_mean=est_mean,

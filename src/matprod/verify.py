@@ -473,12 +473,13 @@ def _stats_for_spec(spec: ProductSpec) -> ProductStats:
     return ProductStats.from_ensembles(spec.factors, spec.z0)
 
 
-def projected_product_stats(spec: ProductSpec):
+def projected_product_stats(spec: ProductSpec, base: Optional[ProductStats] = None):
     """Stats whose sigmas are rank-projected deviations (for narrow starts).
 
     Returns (stats, quality): quality is "analytic" only when every factor's
     projected deviation has a closed form; otherwise a sampled lower estimate
     entered the sigmas and the resulting bounds are not certified upper bounds.
+    They share the start's singular values with ``base``, the spec's own stats.
     """
     projected = {}  # one stat per distinct ensemble; a product often repeats one
     quality = "analytic"
@@ -488,9 +489,9 @@ def projected_product_stats(spec: ProductSpec):
             if kind != "analytic":
                 quality = kind
             projected[e] = replace(e.stats, sigma=value / e.stats.mean_norm)
-    stats = ProductStats.from_factors([projected[e] for e in spec.factors], spec.d,
-                                      spec.z0, projected_rank=spec.r)
-    return stats, quality
+    base = _stats_for_spec(spec) if base is None else base
+    return replace(base, factors=tuple(projected[e] for e in spec.factors),
+                   projected_rank=spec.r), quality
 
 
 def _inverse_stats(stats: ProductStats) -> Optional[PerturbationStats]:
@@ -585,7 +586,7 @@ def comparison_rows(spec: ProductSpec, p=2.0, q=2.0, trials=0, seed=DEFAULT_SEED
     rows = []
     lr_stats, lr_quality = stats, None
     if stats.projected_rank is None and any(DISPLAYS[n].need == "projected" for n in names):
-        lr_stats, quality = projected_product_stats(spec)
+        lr_stats, quality = projected_product_stats(spec, stats)
         lr_quality = None if quality == "analytic" else quality
 
     for name in names:

@@ -34,7 +34,8 @@ from matprod.errors import (
     InvalidParameterError,
     MissingUniformBoundsError,
 )
-from matprod.schatten import schatten_norm
+from matprod import bounds
+from matprod.schatten import norm_from_singular_values, schatten_norm
 
 E = math.e
 
@@ -92,6 +93,22 @@ class TestProductStats:
         z0 = z0 * 10.0 ** scale
         s = ProductStats.from_factors([FactorStats(1.0, 0.0)], d=z0.shape[0], z0=z0)
         assert s.z0_norm(p) == schatten_norm(z0, p)
+
+    def test_z0_norm_is_taken_once_per_p(self, monkeypatch):
+        # the moment displays and their caps each read ||Z_0||_p
+        z0 = np.linspace(-1.0, 2.0, 15).reshape(5, 3)
+        s = ProductStats.from_factors([FactorStats(1.0, 0.0)], d=5, z0=z0)
+        calls = []
+
+        def counting(svals, p):
+            calls.append(p)
+            return norm_from_singular_values(svals, p)
+
+        monkeypatch.setattr(bounds, "norm_from_singular_values", counting)
+        ps = [1.0, 2.0, 2.0 * (1.0 + math.log(5)), math.inf]
+        for _ in range(3):
+            assert [s.z0_norm(p) for p in ps] == [schatten_norm(z0, p) for p in ps]
+        assert calls == ps
 
     def test_rectangular_start(self):
         z0 = np.ones((3, 1))

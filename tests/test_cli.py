@@ -930,6 +930,28 @@ def test_overflowed_product_is_named(capsys, tmp_path, command):
     assert "overflowed float64" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_extreme_start_norms_print_finite_estimates(capsys, tmp_path, command, scale):
+    # three factors 1 +/- 0.5 from z0 = [[scale]]: the norms' squares pass
+    # float64 at 1e200 and fall below it at 1e-200; nothing warns (a warning
+    # is an error here), no NaN or Infinity is printed, and every interval
+    # keeps its spread
+    spec = {"factors": [{"count": 3, "ensemble": {
+                "kind": "bounded-perturbation", "dim": 1, "radius": 0.5, "n_scale": 1.0}}],
+            "z0": {"rows": 1, "cols": 1, "data": [scale]}}
+    path = write_config(tmp_path, {"spec": spec, "trials": 20})
+    rc, out, err = run_cli(capsys, command, "--config", path)
+    assert (rc, err) == (0, "")
+    assert "NaN" not in out and "Infinity" not in out
+    payload = json.loads(out)
+    if command == "simulate":
+        for e in payload["estimates"].values():  # a moment's lower limit is clamped at 0
+            assert e["std_error"] > 0.0 and 0.0 <= e["ci_low"] < e["mean"] < e["ci_high"]
+    else:
+        assert all(row["limit"] > row["empirical"] > 0.0 for row in payload["rows"])
+
+
 # ---------------------------------------------------------------------------
 # the config format: one field table per config object
 

@@ -8,6 +8,7 @@ import time
 import tracemalloc
 from dataclasses import replace
 
+import hypothesis
 import numpy as np
 import pytest
 import scipy.special
@@ -36,6 +37,7 @@ from matprod.errors import (
 from matprod.simulate import (
     CONDITION_LIMIT,
     ENUMERATION_BUDGET,
+    MCEstimate,
     NormBiasedTwoPointHook,
     ProductSpec,
     clopper_pearson,
@@ -1012,10 +1014,28 @@ def ill_conditioned_inverse():
     return ProductSpec(factors=(e,) * 2, z0=np.eye(2), mode="inverse")
 
 
-def whole_stack_summary(spec, trials, seed, p, q, tg, td, key=()):
+def mean_estimate(values, quantity, seed):
+    """The per-column estimate rule the estimate table replaced, kept as its
+    oracle: each column's own mean() and std(ddof=1)."""
+    n = values.size
+    mean = float(values.mean())
+    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return MCEstimate(quantity, mean, se, mean - simulate._Z99 * se, mean + simulate._Z99 * se,
+                      n, seed)
+
+
+def moment_estimate(powers, q, quantity, seed):
+    est = mean_estimate(powers, quantity, seed)  # of the q-th powers; then their root
+    m, root = est.mean, 1.0 / q
+    se = est.std_error * m ** (root - 1.0) / q if m > 0 else 0.0
+    return replace(est, mean=m ** root, std_error=se, ci_low=max(est.ci_low, 0.0) ** root,
+                   ci_high=est.ci_high ** root)
+
+
+def whole_stack_summary(spec, trials, seed, p, q, tg, td, key=(), spectral_radius=True):
     """The reduction the streaming summary replaced, kept as its oracle: every
     trial's product kept, then one norm stack for all products and one for all
-    their deviations from the mode's reference."""
+    their deviations from the mode's reference, each column estimated alone."""
     sim = simulate_product(spec, trials, seed, key)
     stack = np.stack(sim.z)
     spectral, schatten = stack_norms(stack, p)
@@ -1024,16 +1044,15 @@ def whole_stack_summary(spec, trials, seed, p, q, tg, td, key=()):
     else:
         dev = stack_norms(stack - expected_product(spec), p)
     est = {
-        "spectral-norm-mean": simulate._mean_estimate(spectral, "spectral-norm-mean", seed),
-        "schatten-moment": simulate._moment_estimate(schatten**q, q, "schatten-moment", seed),
+        "spectral-norm-mean": mean_estimate(spectral, "spectral-norm-mean", seed),
+        "schatten-moment": moment_estimate(schatten**q, q, "schatten-moment", seed),
     }
-    if spec.d == spec.r:
-        est["spectral-radius-mean"] = simulate._mean_estimate(
+    if spectral_radius and spec.d == spec.r:
+        est["spectral-radius-mean"] = mean_estimate(
             spectral_radii(stack), "spectral-radius-mean", seed)
     if dev is not None:
-        est["deviation-norm-mean"] = simulate._mean_estimate(
-            dev[0], "deviation-norm-mean", seed)
-        est["deviation-schatten-moment"] = simulate._moment_estimate(
+        est["deviation-norm-mean"] = mean_estimate(dev[0], "deviation-norm-mean", seed)
+        est["deviation-schatten-moment"] = moment_estimate(
             dev[1]**q, q, "deviation-schatten-moment", seed)
     tails = simulate._tails(spectral, tg, None if dev is None else dev[0], td)
     return est, tails, spectral, sim.excluded_indices
@@ -1153,6 +1172,98 @@ class TestSummarizeSimulation:
         monkeypatch.setattr(simulate, "simulate_product", fail)
         summarize_simulation(matrix_two_point(), 16, 0)
         triangular_array_run(0.3 * np.eye(2), 0.5, 2, (3,), 16, 0)
+
+
+@st.composite
+def estimate_rows(draw):
+    """The (quantity, values, q) rows of one run over 1 to 600 trials: its
+    spectral and Schatten columns, with or without a radius row and deviation
+    rows, each column spread, constant or zero."""
+    t, q = draw(st.integers(1, 600)), draw(st.sampled_from([1.0, 2.0, 2.5, 4.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    names = ["spectral-norm-mean", "schatten-moment"]
+    if draw(st.booleans()):
+        names.append("spectral-radius-mean")
+    if draw(st.booleans()):
+        names += ["deviation-norm-mean", "deviation-schatten-moment"]
+    columns = {"spread": lambda: rng.lognormal(0.0, 1.0, t),
+               "constant": lambda: np.full(t, rng.lognormal(0.0, 1.0)),
+               "zero": lambda: np.zeros(t)}
+    return [(name, columns[draw(st.sampled_from(sorted(columns)))](),
+             q if name.endswith("moment") else None) for name in names]
+
+
+def per_column_estimates(rows, seed):
+    return {name: mean_estimate(v, name, seed) if q is None else
+            moment_estimate(v ** q, q, name, seed) for name, v, q in rows}
+
+
+def constant_scalar(n=3):
+    # factors 0 +/- 0.1: every |Z_n| is 1e-3, and so is every deviation from E Z_n = 0
+    e = make_bounded_perturbation(1, -np.eye(1), 0.1, 1.0)
+    return ProductSpec(factors=(e,) * n, z0=np.eye(1))
+
+
+class TestEstimateTable:
+    """One (k, T) table per run, reduced row-wise, with the per-column bits."""
+
+    @given(estimate_rows())
+    def test_the_table_has_the_per_column_bits(self, rows):
+        # a float's repr round-trips, so equal reprs are equal bits
+        assert repr(simulate._estimates(rows, 7)) == repr(per_column_estimates(rows, 7))
+
+    @hypothesis.settings(max_examples=24)
+    @given(st.sampled_from([
+        lambda: matrix_two_point(dim=3, n=5, radius=0.5),
+        lambda: ProductSpec((make_rademacher_rank_one(12),) * 10, tall_start(12, 1)),
+        inverse_with_exclusions,
+        constant_scalar,
+    ]), st.integers(1, 600), st.booleans())
+    def test_runs_have_the_per_column_bits(self, make_spec, trials, radius):
+        spec = make_spec()
+        args = (3.0, 2.5, (1.0,), (0.2,))
+        if not simulate_product(spec, trials, 5).z:  # every inverse trial left out
+            with pytest.raises(InvalidParameterError, match="no included trials"):
+                summarize_simulation(spec, trials, 5, *args, spectral_radius=radius)
+            return
+        got = summarize_simulation(spec, trials, 5, *args, spectral_radius=radius)
+        want = whole_stack_summary(spec, trials, 5, *args, spectral_radius=radius)
+        assert repr(got[:2]) == repr(want[:2])
+        assert got[3] == want[3]
+
+    def test_one_trial_has_no_spread(self):
+        est = summarize_simulation(matrix_two_point(), 1, 3)[0]
+        assert all(e.std_error == 0.0 and e.ci_low == e.mean == e.ci_high
+                   for e in est.values())
+
+    @given(estimate_rows(), st.one_of(st.sampled_from([-150.0, -100.0, 100.0, 150.0]),
+                                      st.floats(-150.0, 150.0)))
+    def test_estimates_scale_with_the_values(self, rows, exponent):
+        # rows past the raw range (q-th powers past 1e308 or squares below
+        # 1e-308) are reduced again from values divided by their largest one
+        c = 10.0 ** exponent
+        with np.errstate(all="raise"):
+            got = simulate._estimates([(n, c * v, q) for n, v, q in rows], 7)
+        for name, ref in simulate._estimates(rows, 7).items():
+            est = got[name]
+            tol = 16 * np.finfo(float).eps * c * (ref.mean + ref.std_error)
+            for f in ("mean", "std_error", "ci_low", "ci_high"):
+                assert abs(getattr(est, f) - c * getattr(ref, f)) <= tol, (name, f)
+            assert est.trials == ref.trials
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_starts_keep_their_spread(self, scale):
+        # three factors 1 +/- 0.5 from z0 = [[scale]]: 1e200 squares past
+        # float64 and 1e-200 squares below it; neither warns (a warning is an
+        # error here), and each estimate is scale times the unit start's
+        e = make_bounded_perturbation(1, np.zeros((1, 1)), 0.5, 1.0)
+        unit = summarize_simulation(ProductSpec((e,) * 3, np.eye(1)), 20, 1729)[0]
+        got = summarize_simulation(ProductSpec((e,) * 3, scale * np.eye(1)), 20, 1729)[0]
+        for name, ref in unit.items():
+            assert ref.std_error > 0.0
+            for f in ("mean", "std_error", "ci_low", "ci_high"):
+                want = scale * getattr(ref, f)
+                assert getattr(got[name], f) == pytest.approx(want, rel=1e-14, abs=0.0), (name, f)
 
 
 class TestInverseMode:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matprod import verify
+from matprod import bounds, verify
 from matprod.bounds import (
     DISPLAYS,
     PerturbationStats,
@@ -793,6 +793,55 @@ class TestProjectedProductStats:
         sigmas = [f.sigma for f in stats.factors]
         assert sigmas == sigmas[:2] * 3
         assert sigmas[1] == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-14)
+
+
+def narrow_spec(d=100, n=50):
+    """The shape of a benchmark mc-narrow job: rank-one flips from a unit column."""
+    z0 = substream(3).standard_normal((d, 1))
+    return ProductSpec((make_rademacher_rank_one(d),) * n, z0 / np.linalg.norm(z0))
+
+
+class TestStartNormsOnce:
+    """A compare call takes its start's singular values once, and each
+    ||Z_0||_p once per stats object."""
+
+    @pytest.mark.parametrize("names", [
+        ["lowrank-growth", "lowrank-concentration"],
+        ["growth-moment", "lowrank-growth", "lowrank-concentration"],
+    ], ids=["lowrank", "with-growth-moment"])
+    def test_one_singular_value_call_on_the_start(self, svals_shapes, names):
+        spec = narrow_spec()
+        svals_shapes.clear()
+        rows, _ = comparison_rows(spec, p=2.0 * (1.0 + math.log(100)), trials=20,
+                                  bounds=names)
+        assert svals_shapes.count((100, 1)) == 1
+        assert [row.quantity for row in rows] == names
+        assert not any(row.skipped for row in rows)
+
+    def test_the_projected_stats_share_the_start(self):
+        spec = narrow_spec(d=12, n=6)
+        base = verify._stats_for_spec(spec)
+        shared, quality = projected_product_stats(spec, base)
+        fresh, _ = projected_product_stats(spec)
+        assert quality == "analytic"
+        assert shared.z0_singular_values is base.z0_singular_values
+        assert (shared.d, shared.r, shared.projected_rank) == (12, 1, 1)
+        assert shared.z0_singular_values == fresh.z0_singular_values
+        assert shared.factors == fresh.factors
+
+    def test_lowrank_displays_take_one_start_norm(self, monkeypatch):
+        calls = []
+        norm = bounds.norm_from_singular_values
+
+        def counting(svals, p):
+            calls.append(p)
+            return norm(svals, p)
+
+        monkeypatch.setattr(bounds, "norm_from_singular_values", counting)
+        p = 2.0 * (1.0 + math.log(100))
+        comparison_rows(narrow_spec(), p=p, trials=20,
+                        bounds=["lowrank-growth", "lowrank-concentration"])
+        assert calls == [p]
 
 
 class TestDefaultSuite:
