@@ -191,6 +191,9 @@ class ProductStats:
         if z0.shape[0] != d:
             raise InvalidInputError(f"z0 must have {d} rows")
         svals = singular_values(z0)
+        if not np.isfinite(svals).all():  # finite entries, but sigma_1 passes float64
+            raise InvalidInputError("z0 has singular values that overflow float64; "
+                                    "scale the start down")
         return cls(
             factors=tuple(factors),
             d=int(d),

@@ -3,7 +3,9 @@ that reduces matrices to singular values or eigenvalues.
 
 Singular values come from ``_svals`` by one rule: a stack of one-column
 matrices that LAPACK's ``dgesdd`` would not rescale takes one batched QR, whose
-|R11| are the SVD's own bits, and any other stack takes the SVD.
+|R11| are the SVD's own bits, and any other stack takes the SVD. A stack may
+come in parts, which the layer joins into the one buffer it owns: a QR
+factors that buffer in place, so a one-column stack is copied once.
 
 Matrices are real 2-D float64 arrays with finite entries. The JSON object
 wire format is provided here; its reader rejects NaN/Inf.
@@ -16,6 +18,7 @@ import os
 import threading
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import InvalidInputError, InvalidParameterError
 
@@ -87,12 +90,18 @@ def stack_norms(stack, p=math.inf):
     """(spectral, Schatten-p) norms of every matrix in a stack, from one
     ``_svals`` call: one SVD, or one QR for a stack of in-range columns.
 
+    ``stack`` is an array of matrices, or a tuple of such arrays, the parts
+    of one stack in order along axis 0. The layer joins the parts itself, so
+    a caller that would concatenate them hands them over instead: a
+    one-column stack is then copied once, into the buffer its QR factors in
+    place. No array passed in is written.
+
     Each matrix's singular values are bitwise those of ``singular_values`` on
     it alone, and of ``np.linalg.svd``; the Schatten root is taken as an array
     power, which can differ in the last bits from the scalar power
     ``norm_from_singular_values`` takes on one matrix's singular values.
     """
-    svals = _by_parts(_svals, stack)
+    svals = _by_parts(_svals, *(stack if isinstance(stack, tuple) else (stack,)))
     return svals[..., 0], np.asarray(norm_from_singular_values(svals, p), dtype=float)
 
 
@@ -111,56 +120,74 @@ def spectral_radii(stack):
     return np.abs(_by_parts(np.linalg.eigvals, stack)).max(axis=-1)
 
 
-def _svals(stack):
-    """Singular values of every matrix in a stack, bitwise
-    ``np.linalg.svd(stack, compute_uv=False)``.
+def _qr_failed(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
 
-    A stack of real one-column matrices takes one batched QR when dgesdd
-    would rescale none of its columns, that is when each column's largest
-    entry magnitude is 0 or in [SMLNUM, BIGNUM]: dgesdd then returns the QR's
-    |R11| itself. Any other stack, one that holds a NaN or an inf included,
-    takes the SVD. |R11| is the column's 2-norm, between its largest entry
-    magnitude and sqrt(d) times it, so a norm in [2 sqrt(d) SMLNUM, BIGNUM / 2]
-    settles the range (the factor 2 covers its rounding), and only the other
-    columns' entries are read again.
+
+def _svals(*parts):
+    """Singular values of every matrix in the stack joined from ``parts``
+    along axis 0, bitwise ``np.linalg.svd(stack, compute_uv=False)``. The
+    parts are never written.
+
+    A stack of one-column float64 matrices is joined (or its one part copied)
+    into a new buffer, which one batched QR factors in place: numpy's own
+    ``qr_r_raw`` gufunc, run as ``np.linalg.qr`` runs it, but without that
+    function's copy of its input. When dgesdd would rescale none of the
+    columns, that is when each column's largest entry magnitude is 0 or in
+    [SMLNUM, BIGNUM], dgesdd returns the QR's |R11| itself. |R11| is the
+    column's 2-norm, between its largest entry magnitude and sqrt(d) times it,
+    so a norm in [2 sqrt(d) SMLNUM, BIGNUM / 2] settles the range (the factor
+    2 covers its rounding), as does a zero norm, which only a zero column has.
+    For any other column the stack is joined again from the untouched parts
+    and the column's largest entry read; if one is out of range, a NaN or an
+    inf, the stack takes the SVD. Any other stack takes the SVD, of its one
+    part as given or of its parts joined once.
     """
-    stack = np.asarray(stack)
-    if stack.ndim < 2 or stack.shape[-1] != 1 or not stack.size or np.iscomplexobj(stack):
+    stack = np.asarray(parts[0]) if len(parts) == 1 else np.concatenate(parts)
+    if stack.ndim < 2 or stack.shape[-1] != 1 or not stack.size or stack.dtype != np.float64:
         return np.linalg.svd(stack, compute_uv=False)
-    svals = np.abs(np.linalg.qr(stack, mode="r")[..., 0, :])
-    unsure = ~((svals >= 2.0 * math.sqrt(stack.shape[-2]) * SMLNUM) & (svals <= BIGNUM / 2.0))
-    if unsure.any():
-        top = np.abs(stack[unsure[..., 0]]).max(axis=-2)
+    if len(parts) == 1:
+        stack = stack.copy()
+    with np.errstate(call=_qr_failed, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        _umath_linalg.qr_r_raw(stack, signature="d->d")  # R over the stack, tau returned
+    svals = np.abs(stack[..., 0, :])
+    sure = (svals == 0.0) | ((svals >= 2.0 * math.sqrt(stack.shape[-2]) * SMLNUM)
+                             & (svals <= BIGNUM / 2.0))
+    if not sure.all():
+        stack = np.concatenate(parts)
+        top = np.abs(stack[~sure[..., 0]]).max(axis=-2)
         if not ((top == 0.0) | (top >= SMLNUM) & (top <= BIGNUM)).all():
             return np.linalg.svd(stack, compute_uv=False)
     return svals
 
 
-def _by_parts(lapack, stack):
-    """``lapack(stack)``, with a stack of PARALLEL_MATRICES or more matrices
-    split along axis 0 into one contiguous part per usable CPU.
+def _by_parts(lapack, *parts):
+    """``lapack(*parts)``, with a stack of PARALLEL_MATRICES or more matrices,
+    joined from its parts, split along axis 0 into one contiguous share per
+    usable CPU.
 
     numpy's stacked linalg calls copy each matrix into a buffer of its own and
     release the GIL inside LAPACK, so a matrix's result does not depend on
-    the stack it sits in, and the parts, run at once and joined in order, are
-    bitwise the result of one call. Part 0 runs on the calling thread; the
-    first part's error, if any, is raised once every part is done.
+    the stack it sits in, and the shares, run at once and joined in order, are
+    bitwise the result of one call. Share 0 runs on the calling thread; the
+    first share's error, if any, is raised once every share is done.
     """
-    if np.ndim(stack) < 3 or len(stack) < PARALLEL_MATRICES:
-        return lapack(stack)
+    if np.ndim(parts[0]) < 3 or sum(map(len, parts)) < PARALLEL_MATRICES:
+        return lapack(*parts)
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     if cpus < 2:
-        return lapack(stack)
-    parts = np.array_split(stack, cpus)
+        return lapack(*parts)
+    shares = np.array_split(parts[0] if len(parts) == 1 else np.concatenate(parts), cpus)
     results = [None] * cpus
     errors = [None] * cpus
 
     def run(i):
         try:
-            results[i] = lapack(parts[i])
+            results[i] = lapack(shares[i])
         except Exception as exc:  # raised on the calling thread below
             errors[i] = exc
 

@@ -517,15 +517,21 @@ def _block_norms(prods, dev, p, radius):
 
     One norm stack covers the products and, when ``dev`` is given, their
     deviations: row 0 of each norm array is the products', row 1 the
-    deviations'. Per-matrix singular values do not depend on the stack they
-    sit in, so a chunked run's norms are those of one whole stack.
+    deviations'. They go to the norm layer as parts, and the layer joins
+    them into the one stack it owns: a one-column stack's QR factors that
+    copy in place, and a column the QR cannot settle is read again from the
+    untouched parts. Per-matrix singular values do not depend on the stack
+    they sit in, so a chunked run's norms are those of one whole stack.
     """
-    stack = prods if dev is None else np.concatenate([prods, dev])
-    if not np.isfinite(stack).all():  # LAPACK would fail to converge on it
-        raise InvalidInputError(
-            "a product or its deviation overflowed float64 to a non-finite entry; "
-            "shorten the product or shrink its factors")
-    spectral, schatten = (x.reshape(-1, len(prods)) for x in stack_norms(stack, p))
+    parts = (prods,) if dev is None else (prods, dev)
+    overflow = InvalidInputError(
+        "a product or its deviation overflowed float64 to a non-finite entry or norm; "
+        "shorten the product or shrink its factors")
+    if not all(np.isfinite(x).all() for x in parts):  # LAPACK would fail to converge on it
+        raise overflow
+    spectral, schatten = (x.reshape(-1, len(prods)) for x in stack_norms(parts, p))
+    if not np.isfinite(schatten).all():  # NaN or inf whenever the spectral norm is inf
+        raise overflow  # finite entries whose singular values pass float64
     return spectral, schatten, (spectral_radii(prods) if radius else None)
 
 
@@ -754,6 +760,11 @@ class _StreamStats:
     def add(self, w, prods, dev):
         (spectral, dspec), (schatten, dsch), radii = _block_norms(
             prods, dev, self.p, self.radius is not None)
+        # for k-by-k products spectral and dspec are strided rows of the
+        # singular values (a stride of k floats), and numpy's dot sends a
+        # strided row to another BLAS kernel than a contiguous one: the exact
+        # means take their last bits from that layout, so a copy of either row
+        # would move them
         self.growth += float(w @ spectral)
         self.dev += float(w @ dspec)
         self.growth_q += float(w @ schatten**self.q)

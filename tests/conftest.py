@@ -34,9 +34,9 @@ def svals_shapes(monkeypatch):
     shapes = []
     svals = schatten._svals
 
-    def counting(stack):
-        shapes.append(np.shape(stack))
-        return svals(stack)
+    def counting(*parts):  # the parts of one stack, recorded as the stack they join into
+        shapes.append(np.shape(parts[0] if len(parts) == 1 else np.concatenate(parts)))
+        return svals(*parts)
 
     monkeypatch.setattr(schatten, "_svals", counting)
     return shapes

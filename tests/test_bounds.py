@@ -125,6 +125,15 @@ class TestProductStats:
         with pytest.raises(InvalidInputError):
             ProductStats(factors=("nope",), d=1, r=1, z0_singular_values=(1.0,))
 
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 1)], ids=["square", "column"])
+    def test_start_whose_singular_values_overflow_is_refused(self, shape):
+        # finite entries, but sigma_1 = 1.5e308 * sqrt(2 or 4) passes float64
+        f = FactorStats(1.0, 0.1)
+        with pytest.raises(InvalidInputError, match="z0 has singular values that overflow"):
+            ProductStats.from_factors([f], d=2, z0=np.full(shape, 1.5e308))
+        big = ProductStats.from_factors([f], d=2, z0=np.full(shape, 1e307))
+        assert all(math.isfinite(big.z0_norm(p)) for p in (1.0, 2.0, math.inf))
+
 
 class TestMomentBounds:
     def test_frozen_two_point_scalar(self):

@@ -952,6 +952,35 @@ def test_extreme_start_norms_print_finite_estimates(capsys, tmp_path, command, s
         assert all(row["limit"] > row["empirical"] > 0.0 for row in payload["rows"])
 
 
+@pytest.mark.parametrize("command", ["compare", "simulate"])
+def test_start_whose_norm_overflows_is_refused(capsys, tmp_path, command):
+    # every z0 entry is finite, but sigma_1 = 3e308 is not: compare refuses the
+    # start before any bound, simulate the first norm stack; nothing warns (a
+    # warning is an error here) and no NaN or Infinity is printed
+    mean = {"rows": 2, "cols": 2, "data": [-1.0, 0.0, 0.0, -1.0]}
+    spec = {"factors": [{"count": 3, "ensemble": {
+                "kind": "bounded-perturbation", "dim": 2, "radius": 1.0, "n_scale": 1.0,
+                "mean": mean}}],
+            "z0": {"rows": 2, "cols": 2, "data": [1.5e308] * 4}}
+    path = write_config(tmp_path, {"spec": spec, "trials": 20})
+    rc, out, err = run_cli(capsys, command, "--config", path)
+    assert (rc, err) == (1, "")
+    assert "NaN" not in out and "Infinity" not in out
+    error = json.loads(out)["error"]
+    assert error["code"] == "invalid-input"
+    assert ("z0 has singular values that overflow" if command == "compare"
+            else "overflowed float64") in error["message"]
+
+
+def test_bound_refuses_a_start_whose_norm_overflows(capsys, tmp_path):
+    path = write_config(tmp_path, {
+        "kind": "moment", "factors": [{"mean_norm": 1.0, "sigma": 0.5, "count": 3}], "d": 2,
+        "z0": {"rows": 2, "cols": 2, "data": [1.5e308] * 4}})
+    rc, out, err = run_cli(capsys, "bound", "--config", path)
+    assert (rc, err) == (1, "")
+    assert json.loads(out)["error"]["code"] == "invalid-input"
+
+
 # ---------------------------------------------------------------------------
 # the config format: one field table per config object
 

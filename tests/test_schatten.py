@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.linalg import _umath_linalg
 
 import matprod
 from matprod.errors import InvalidInputError, InvalidParameterError
@@ -242,6 +243,20 @@ class TestSplitStacks:
             use_cpus(monkeypatch, cpus)
             assert stack_outputs(stack, p) == serial
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(4, 4), (100, 1)], ids=["4x4", "100x1"])
+    def test_parts_match_their_join(self, monkeypatch, shape, cpus):
+        # parts that join into a split stack: joined once, split, never written
+        rng = np.random.default_rng(9)
+        parts = (rng.standard_normal((300, *shape)),
+                 rng.standard_normal((PARALLEL_MATRICES, *shape)))
+        before = [x.tobytes() for x in parts]
+        use_cpus(monkeypatch, 1)
+        serial = [x.tobytes() for x in stack_norms(np.concatenate(parts), 3.0)]
+        use_cpus(monkeypatch, cpus)
+        assert [x.tobytes() for x in stack_norms(parts, 3.0)] == serial
+        assert [x.tobytes() for x in parts] == before
+
     @pytest.mark.parametrize("where", [0, -1], ids=["part-0", "worker-part"])
     @pytest.mark.parametrize("reduce", [stack_norms, spectral_radii], ids=["svd", "eigvals"])
     def test_errors_match_serial_call(self, monkeypatch, reduce, where):
@@ -373,12 +388,14 @@ class TestColumnRoute:
         want = np.linalg.svd(stack, compute_uv=False)
         seen = []
 
-        def spy(name):
-            lapack = getattr(np.linalg, name)
-            return lambda *args, **kwargs: seen.append(name) or lapack(*args, **kwargs)
+        def spy(module, attr, name):
+            lapack = getattr(module, attr)
+            monkeypatch.setattr(module, attr, lambda *args, **kwargs: seen.append(name)
+                                or lapack(*args, **kwargs))
 
-        for name in ("qr", "svd"):
-            monkeypatch.setattr(np.linalg, name, spy(name))
+        # the route runs numpy's QR gufunc itself, as np.linalg.qr would
+        spy(_umath_linalg, "qr_r_raw", "qr")
+        spy(np.linalg, "svd", "svd")
         assert _svals(stack).tobytes() == want.tobytes()
         assert seen == calls
 
@@ -390,6 +407,71 @@ class TestColumnRoute:
         with pytest.raises(np.linalg.LinAlgError) as got:
             _svals(stack)
         assert str(got.value) == str(want.value)
+
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.one_of(st.integers(1, 5), st.sampled_from([17, 100, 300]), st.integers(1, 300)),
+           st.lists(st.lists(st.sampled_from(EDGE_TOPS + [5e-324]), min_size=1, max_size=4),
+                    min_size=1, max_size=3),
+           st.sampled_from([2.0, 2.0 * (1.0 + math.log(100.0)), math.inf]))
+    def test_parts_match_svd_of_their_join(self, seed, side, tops, p):
+        # the layer joins the parts into a buffer of its own and factors that
+        parts = [column_stack(seed + k, side, t) for k, t in enumerate(tops)]
+        before = [x.tobytes() for x in parts]
+        want = np.linalg.svd(np.concatenate(parts), compute_uv=False)
+        assert _svals(*parts).tobytes() == want.tobytes()
+        spectral, schatten = stack_norms(tuple(parts), p)
+        assert spectral.tobytes() == want[..., 0].tobytes()
+        assert schatten.tobytes() == np.asarray(norm_from_singular_values(want, p)).tobytes()
+        assert [x.tobytes() for x in parts] == before
+
+    @pytest.mark.parametrize("tops, joins, svd", [
+        ([[1.0] * 4, [1e-30, 1e30]], 1, 0),
+        ([[1.0, 0.0], [0.0]], 1, 0),  # a zero norm is a zero column, settled
+        ([[1.0], [SMLNUM, 1.0]], 2, 0),  # a norm under 2 sqrt(d) SMLNUM, an entry in range
+        ([[1.0], [BIGNUM]], 2, 0),
+        ([[1.0], [np.nextafter(SMLNUM, 0.0)]], 2, 1),
+        ([[np.nextafter(BIGNUM, math.inf)], [1.0]], 2, 1),
+    ], ids=["in-range", "zero", "small-norm", "large-norm", "too-small", "too-large"])
+    def test_unsettled_columns_are_read_from_the_untouched_parts(self, monkeypatch, tops,
+                                                                 joins, svd):
+        parts = [column_stack(k, 100, t) for k, t in enumerate(tops)]
+        before = [x.tobytes() for x in parts]
+        want = np.linalg.svd(np.concatenate(parts), compute_uv=False)
+        seen = []
+
+        def spy(module, attr, name):
+            call = getattr(module, attr)
+            monkeypatch.setattr(module, attr, lambda *args, **kwargs: seen.append(name)
+                                or call(*args, **kwargs))
+
+        spy(np, "concatenate", "join")
+        spy(np.linalg, "svd", "svd")
+        assert _svals(*parts).tobytes() == want.tobytes()
+        assert (seen.count("join"), seen.count("svd")) == (joins, svd)
+        assert [x.tobytes() for x in parts] == before
+
+    def test_square_parts_take_one_svd_of_their_join(self, svd_shapes):
+        rng = np.random.default_rng(8)
+        parts = (rng.standard_normal((5, 3, 3)), rng.standard_normal((4, 3, 3)))
+        before = [x.tobytes() for x in parts]
+        spectral, _ = stack_norms(parts)
+        assert svd_shapes == [(9, 3, 3)]
+        want = np.linalg.svd(np.concatenate(parts), compute_uv=False)[..., 0]
+        assert spectral.tobytes() == want.tobytes()
+        assert [x.tobytes() for x in parts] == before
+
+    def test_qr_gufunc_writes_r_over_its_input(self):
+        # the route reads R11 from the buffer it hands numpy's QR gufunc; a
+        # numpy that stops writing R there must fail here, not in a digest
+        stack = column_stack(5, 7, [1.0, 2.0, 0.0])
+        buffer = stack.copy()
+        tau = _umath_linalg.qr_r_raw(buffer, signature="d->d")
+        assert tau.shape == (3, 1)
+        r11 = np.linalg.qr(stack, mode="r")[..., 0, 0]
+        assert buffer[..., 0, 0].tobytes() == r11.tobytes()
+        assert not np.array_equal(buffer[:2, 0, 0], stack[:2, 0, 0])
+        assert (np.abs(buffer[..., 0, :]).tobytes()
+                == np.linalg.svd(stack, compute_uv=False).tobytes())
 
     @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
                         reason="the Haswell kernel is an x86-64 OpenBLAS kernel")
@@ -409,12 +491,13 @@ class TestColumnRoute:
         env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1",
                    PYTHONPATH=str(Path(matprod.__file__).resolve().parents[1]))
         proc = subprocess.run([sys.executable, "-c", code, here + "test_svals_match_svd_bits",
-                               here + "test_every_edge_matches_svd_bits"],
+                               here + "test_every_edge_matches_svd_bits",
+                               here + "test_parts_match_svd_of_their_join"],
                               capture_output=True, text=True, timeout=300, env=env)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         cores = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("core ")]
         assert cores in ([], ["Haswell"])
-        assert proc.stdout.splitlines()[-1].startswith("8 passed")
+        assert proc.stdout.splitlines()[-1].startswith("9 passed")
 
 
 class TestOneReductionLayer:

@@ -1767,6 +1767,39 @@ class TestOverflowIsNamed:
                 run()
         assert not np.isfinite(np.stack(simulate_product(spec, 10, 1).z)).any()
 
+    @pytest.mark.parametrize("shape", [(6, 2, 2), (6, 2, 1)], ids=["square", "column"])
+    def test_finite_entries_whose_norms_overflow_are_refused(self, shape):
+        # every entry is finite, but sigma_1 = 1.5e308 * sqrt(2 or 4) is not
+        prods = np.full(shape, 1.5e308)
+        with np.errstate(over="ignore", invalid="ignore"):  # as its callers run it
+            for dev in (None, np.zeros(shape)):
+                with pytest.raises(InvalidInputError, match="overflowed float64"):
+                    simulate._block_norms(prods, dev, 2.0, shape[1] == shape[2])
+
+
+class TestStreamSumsLayout:
+    """The exact means' sums read each norm row as the norm layer returns it:
+    for square products a strided row of the singular values, which numpy's
+    dot sends to another BLAS kernel than a contiguous row. The golden digests
+    hold those bits; a contiguous copy of the rows must fail here too."""
+
+    def test_sums_read_the_strided_rows(self):
+        moved = 0
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            prods = rng.standard_normal((256, 4, 4))
+            w = rng.random(256) / 256.0
+            dev = prods - prods.mean(axis=0)
+            stats = simulate._StreamStats(2.0, 2.0, False, (), ())
+            stats.add(w, prods, dev)
+            rows = np.linalg.svd(np.concatenate([prods, dev]), compute_uv=False)[:, 0]
+            strided = rows.reshape(2, -1)
+            assert strided.strides[1] == 4 * 8
+            assert (stats.growth, stats.dev) == tuple(float(w @ r) for r in strided)
+            moved += (stats.growth, stats.dev) != tuple(float(w @ r.copy()) for r in strided)
+        if not moved:  # this BLAS sums both layouts alike on these rows
+            pytest.skip("contiguous and strided rows give the same sums here")
+
 
 class TestInverseEnumeration:
     """Inverse mode streams its mean in a first walk. A walk of one block keeps
