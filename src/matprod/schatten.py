@@ -5,7 +5,8 @@ Singular values come from ``_svals`` by one rule: a stack of one-column
 matrices that LAPACK's ``dgesdd`` would not rescale takes one batched QR, whose
 |R11| are the SVD's own bits, and any other stack takes the SVD. A stack may
 come in parts, which the layer joins into the one buffer it owns: a QR
-factors that buffer in place, so a one-column stack is copied once.
+factors that buffer in place, so a one-column stack is copied once (a stack
+split over the CPUs, once more per share).
 
 Matrices are real 2-D float64 arrays with finite entries. The JSON object
 wire format is provided here; its reader rejects NaN/Inf.
@@ -90,18 +91,23 @@ def stack_norms(stack, p=math.inf):
     """(spectral, Schatten-p) norms of every matrix in a stack, from one
     ``_svals`` call: one SVD, or one QR for a stack of in-range columns.
 
-    ``stack`` is an array of matrices, or a tuple of such arrays, the parts
-    of one stack in order along axis 0. The layer joins the parts itself, so
-    a caller that would concatenate them hands them over instead: a
-    one-column stack is then copied once, into the buffer its QR factors in
-    place. No array passed in is written.
-
     Each matrix's singular values are bitwise those of ``singular_values`` on
     it alone, and of ``np.linalg.svd``; the Schatten root is taken as an array
     power, which can differ in the last bits from the scalar power
     ``norm_from_singular_values`` takes on one matrix's singular values.
     """
-    svals = _by_parts(_svals, *(stack if isinstance(stack, tuple) else (stack,)))
+    return _stack_norms((stack,), p)
+
+
+def _stack_norms(parts, p):
+    """``stack_norms`` of the stack that ``parts``, arrays of matrices, join
+    into along axis 0. A caller that would concatenate its stacks hands them
+    over as parts instead: the norm layer joins them into the one buffer it
+    owns, and a one-column stack under PARALLEL_MATRICES matrices is then
+    copied once, into the buffer its QR factors in place (a larger one is
+    joined once and each CPU's share copied again). No part is written.
+    """
+    svals = _by_parts(_svals, *parts)
     return svals[..., 0], np.asarray(norm_from_singular_values(svals, p), dtype=float)
 
 
@@ -118,6 +124,12 @@ def condition_numbers(stack):
 def spectral_radii(stack):
     """Largest eigenvalue magnitude of every square matrix in a stack."""
     return np.abs(_by_parts(np.linalg.eigvals, stack)).max(axis=-1)
+
+
+def _join(parts):
+    """The stack that ``parts`` join into along axis 0: the one part as given,
+    or a new array."""
+    return np.asarray(parts[0]) if len(parts) == 1 else np.concatenate(parts)
 
 
 def _qr_failed(err, flag):
@@ -138,12 +150,12 @@ def _svals(*parts):
     column's 2-norm, between its largest entry magnitude and sqrt(d) times it,
     so a norm in [2 sqrt(d) SMLNUM, BIGNUM / 2] settles the range (the factor
     2 covers its rounding), as does a zero norm, which only a zero column has.
-    For any other column the stack is joined again from the untouched parts
-    and the column's largest entry read; if one is out of range, a NaN or an
-    inf, the stack takes the SVD. Any other stack takes the SVD, of its one
-    part as given or of its parts joined once.
+    For any other column the stack is formed again from the untouched parts
+    (a single part is read as given) and the column's largest entry read; if
+    one is out of range, a NaN or an inf, the stack takes the SVD. Any other
+    stack takes the SVD, of its one part as given or of its parts joined once.
     """
-    stack = np.asarray(parts[0]) if len(parts) == 1 else np.concatenate(parts)
+    stack = _join(parts)
     if stack.ndim < 2 or stack.shape[-1] != 1 or not stack.size or stack.dtype != np.float64:
         return np.linalg.svd(stack, compute_uv=False)
     if len(parts) == 1:
@@ -155,7 +167,7 @@ def _svals(*parts):
     sure = (svals == 0.0) | ((svals >= 2.0 * math.sqrt(stack.shape[-2]) * SMLNUM)
                              & (svals <= BIGNUM / 2.0))
     if not sure.all():
-        stack = np.concatenate(parts)
+        stack = _join(parts)
         top = np.abs(stack[~sure[..., 0]]).max(axis=-2)
         if not ((top == 0.0) | (top >= SMLNUM) & (top <= BIGNUM)).all():
             return np.linalg.svd(stack, compute_uv=False)
@@ -181,7 +193,7 @@ def _by_parts(lapack, *parts):
         cpus = os.cpu_count() or 1
     if cpus < 2:
         return lapack(*parts)
-    shares = np.array_split(parts[0] if len(parts) == 1 else np.concatenate(parts), cpus)
+    shares = np.array_split(_join(parts), cpus)
     results = [None] * cpus
     errors = [None] * cpus
 

@@ -42,11 +42,11 @@ from .errors import (
     UnsupportedEnsembleError,
 )
 from .schatten import (
+    _stack_norms,
     as_matrix,
     condition_numbers,
     spectral_norm,
     spectral_radii,
-    stack_norms,
 )
 from .streams import substream, uniforms
 
@@ -529,7 +529,7 @@ def _block_norms(prods, dev, p, radius):
         "shorten the product or shrink its factors")
     if not all(np.isfinite(x).all() for x in parts):  # LAPACK would fail to converge on it
         raise overflow
-    spectral, schatten = (x.reshape(-1, len(prods)) for x in stack_norms(parts, p))
+    spectral, schatten = (x.reshape(-1, len(prods)) for x in _stack_norms(parts, p))
     if not np.isfinite(schatten).all():  # NaN or inf whenever the spectral norm is inf
         raise overflow  # finite entries whose singular values pass float64
     return spectral, schatten, (spectral_radii(prods) if radius else None)

@@ -20,6 +20,7 @@ from matprod.schatten import (
     BIGNUM,
     PARALLEL_MATRICES,
     SMLNUM,
+    _stack_norms,
     _svals,
     condition_numbers,
     format_float,
@@ -206,6 +207,16 @@ class TestStackNorms:
         spectral, schatten = stack_norms(stack)
         assert schatten.tobytes() == spectral.tobytes()
 
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 1)], ids=["square", "column"])
+    def test_tuple_of_matrices_is_one_stack(self, shape):
+        # a tuple of matrices is read as one array of them, not as the parts
+        # of a stack that join into one tall matrix
+        a, b = np.random.default_rng(14).standard_normal((2, *shape))
+        want = stack_norms(np.stack([a, b]), 3.0)
+        got = stack_norms((a, b), 3.0)
+        assert [x.shape for x in got] == [(2,), (2,)]
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
     @pytest.mark.parametrize("shape", [(40, 4, 4), (1, 3, 3), (5, 1, 1)])
     def test_spectral_radii_match_single_matrix(self, shape):
         stack = np.random.default_rng(13).standard_normal(shape)
@@ -254,7 +265,7 @@ class TestSplitStacks:
         use_cpus(monkeypatch, 1)
         serial = [x.tobytes() for x in stack_norms(np.concatenate(parts), 3.0)]
         use_cpus(monkeypatch, cpus)
-        assert [x.tobytes() for x in stack_norms(parts, 3.0)] == serial
+        assert [x.tobytes() for x in _stack_norms(parts, 3.0)] == serial
         assert [x.tobytes() for x in parts] == before
 
     @pytest.mark.parametrize("where", [0, -1], ids=["part-0", "worker-part"])
@@ -419,7 +430,7 @@ class TestColumnRoute:
         before = [x.tobytes() for x in parts]
         want = np.linalg.svd(np.concatenate(parts), compute_uv=False)
         assert _svals(*parts).tobytes() == want.tobytes()
-        spectral, schatten = stack_norms(tuple(parts), p)
+        spectral, schatten = _stack_norms(parts, p)
         assert spectral.tobytes() == want[..., 0].tobytes()
         assert schatten.tobytes() == np.asarray(norm_from_singular_values(want, p)).tobytes()
         assert [x.tobytes() for x in parts] == before
@@ -454,7 +465,7 @@ class TestColumnRoute:
         rng = np.random.default_rng(8)
         parts = (rng.standard_normal((5, 3, 3)), rng.standard_normal((4, 3, 3)))
         before = [x.tobytes() for x in parts]
-        spectral, _ = stack_norms(parts)
+        spectral, _ = _stack_norms(parts, math.inf)
         assert svd_shapes == [(9, 3, 3)]
         want = np.linalg.svd(np.concatenate(parts), compute_uv=False)[..., 0]
         assert spectral.tobytes() == want.tobytes()

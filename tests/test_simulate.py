@@ -1110,7 +1110,7 @@ class TestSummarizeSimulation:
         def no_svd(*args):
             raise AssertionError("the run reached the norm layer")
 
-        monkeypatch.setattr(simulate, "stack_norms", no_svd)
+        monkeypatch.setattr(simulate, "_stack_norms", no_svd)
         with pytest.raises(InvalidParameterError, match=re.escape(message)):
             run(**kwargs)
 
@@ -1749,7 +1749,7 @@ class TestOverflowIsNamed:
         def no_svd(*args):
             raise AssertionError("a non-finite stack reached the SVD")
 
-        monkeypatch.setattr(simulate, "stack_norms", no_svd)
+        monkeypatch.setattr(simulate, "_stack_norms", no_svd)
         with pytest.raises(InvalidInputError, match="overflowed float64"):
             run()
 
